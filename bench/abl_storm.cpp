@@ -294,12 +294,12 @@ BENCHMARK(BM_StormHostile)->Arg(64)->Unit(benchmark::kMicrosecond);
 // The cores axis: the same storm through the sharded pipeline at 1/2/4
 // shards. Each benchmark thread is one shard — an independent gateway
 // processing exactly the slice of the fleet the wire hash routes to it, the
-// way the live pool's shard threads do. events_per_sec sums across threads
-// (google-benchmark accumulates counters), so the N-thread entries measure
-// aggregate translation throughput; the only cross-thread state is the
-// internally synchronized SymbolTable, same as the live pool. Interpreting
-// the scaling requires >= N physical cores — on fewer cores the threads
-// time-slice and the aggregate stays flat (see docs/sharding.md).
+// way a threaded Gateway's shard threads do. events_per_sec sums across
+// threads (google-benchmark accumulates counters), so the N-thread entries
+// measure aggregate translation throughput; the only cross-thread state is
+// the internally synchronized SymbolTable, same as the threaded Gateway.
+// Interpreting the scaling requires >= N physical cores — on fewer cores the
+// threads time-slice and the aggregate stays flat (see docs/sharding.md).
 void BM_StormSharded(benchmark::State& state) {
   const int devices = static_cast<int>(state.range(0));
   StormRig rig(devices, true, state.threads(), state.thread_index());

@@ -4,14 +4,13 @@
 // and the network fan-out are what bound large-population experiments (the
 // regime of Figures 6-9 and the scaling ablation). This harness tracks that
 // cost with data: scheduler events/sec and allocs/op for the slot-arena
-// scheduler against a faithful replica of the historic std::map + shared_ptr
-// + std::function implementation, plus a macro benchmark that drives the
-// abl_scaling topology at 100/500/2000 UPnP devices through client-side
-// INDISS. scripts/bench.sh records the output as BENCH_scaling.json.
+// scheduler and the shared-datagram fan-out, plus a macro benchmark that
+// drives the abl_scaling topology at 100/500/2000 UPnP devices through
+// client-side INDISS. scripts/bench.sh records the output as
+// BENCH_scaling.json; the last recorded ratios against the retired std::map
+// scheduler replica are in docs/simulation.md.
 #include <benchmark/benchmark.h>
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -30,63 +29,6 @@ namespace {
 
 using namespace indiss;
 
-// --- The pre-refactor scheduler, preserved as the baseline ------------------
-//
-// Byte-for-byte the semantics the repo shipped before the slot arena: a
-// red-black tree keyed (deadline, seq), one std::make_shared<bool> liveness
-// flag per task, and a heap-allocated std::function body. Kept here so
-// BENCH_scaling.json always carries the ratio the rewrite is judged by.
-
-class MapScheduler {
- public:
-  using Task = std::function<void()>;
-
-  struct Handle {
-    std::shared_ptr<bool> alive;
-    void cancel() {
-      if (alive) *alive = false;
-    }
-  };
-
-  [[nodiscard]] sim::SimTime now() const { return now_; }
-
-  Handle schedule(sim::SimDuration delay, Task task) {
-    if (delay.count() < 0) delay = sim::SimDuration::zero();
-    auto alive = std::make_shared<bool>(true);
-    queue_.emplace(Key{now_ + delay, seq_++}, Entry{std::move(task), alive});
-    return Handle{std::move(alive)};
-  }
-
-  std::size_t run_for(sim::SimDuration d) { return run_until(now_ + d); }
-
-  std::size_t run_until(sim::SimTime deadline) {
-    std::size_t executed = 0;
-    while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
-      auto it = queue_.begin();
-      sim::SimTime at = it->first.first;
-      Entry entry = std::move(it->second);
-      queue_.erase(it);
-      if (entry.alive && !*entry.alive) continue;
-      now_ = at;
-      entry.task();
-      ++executed;
-    }
-    if (now_ < deadline) now_ = deadline;
-    return executed;
-  }
-
- private:
-  struct Entry {
-    Task task;
-    std::shared_ptr<bool> alive;
-  };
-  using Key = std::pair<sim::SimTime, std::uint64_t>;
-
-  sim::SimTime now_{0};
-  std::uint64_t seq_ = 0;
-  std::map<Key, Entry> queue_;
-};
-
 // --- Scheduler churn: a self-sustaining timer population --------------------
 //
 // Each armed task models a protocol timer: when it fires it rearms itself at
@@ -95,7 +37,6 @@ class MapScheduler {
 // task, exercising the cancellation path at a realistic rate (SLP retry and
 // deadline timers are cancelled far more often than they fire).
 
-template <typename Sched>
 class Churn {
  public:
   explicit Churn(int population) {
@@ -110,7 +51,7 @@ class Churn {
     scheduler.schedule(next_delay(), [this] { arm(); });
   }
 
-  Sched scheduler;
+  sim::Scheduler scheduler;
 
  private:
   sim::SimDuration next_delay() {
@@ -121,9 +62,8 @@ class Churn {
   std::uint64_t ticks_ = 0;
 };
 
-template <typename Sched>
-void churn_bench(benchmark::State& state) {
-  Churn<Sched> churn(static_cast<int>(state.range(0)));
+void BM_SchedulerChurn(benchmark::State& state) {
+  Churn churn(static_cast<int>(state.range(0)));
   std::uint64_t executed = 0;
   std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
   for (auto _ : state) {
@@ -139,36 +79,24 @@ void churn_bench(benchmark::State& state) {
                                       : 0.0);
 }
 
-void BM_SchedulerChurn(benchmark::State& state) {
-  churn_bench<sim::Scheduler>(state);
-}
 BENCHMARK(BM_SchedulerChurn)->Arg(100)->Arg(500)->Arg(2000);
 
-void BM_SchedulerChurnMapBaseline(benchmark::State& state) {
-  churn_bench<MapScheduler>(state);
-}
-BENCHMARK(BM_SchedulerChurnMapBaseline)->Arg(100)->Arg(500)->Arg(2000);
-
-// --- Substrate fan-out: the full pre-refactor hot path, reproduced ----------
+// --- Substrate fan-out: the shared-datagram hot path ------------------------
 //
-// The scheduler rewrite and the shared-datagram fan-out shipped together
-// because the old substrate paid for both on every event: a multicast frame
-// was copied into every per-member delivery lambda (payload allocation +
-// memcpy each), the lambda went through a heap-allocated std::function, and
-// the map scheduler added a tree node plus a std::make_shared<bool> liveness
-// flag per task. These benchmarks replay that exact per-event recipe against
-// the new one — pooled shared frames, inline tasks, slot arena — over a
-// device population whose announcement timers drive multicast frames at a
-// fixed fan-out. This pair carries the headline events/sec ratio tracked in
-// BENCH_scaling.json.
+// A device population whose announcement timers drive multicast frames at a
+// fixed fan-out, through Network::udp_send's recipe: pooled shared frames,
+// one batched delivery task per arrival instant, inline tasks on the slot
+// arena. The seed-era recipe (a by-value frame copy in a heap std::function
+// per member, a tree node and a liveness shared_ptr per task) is retired;
+// its last recorded ratio is in docs/simulation.md.
 
 constexpr std::size_t kFrameBytes = 384;  // a typical SSDP NOTIFY
 
-class NewSubstrateChurn {
+class SubstrateChurn {
  public:
   // Every device's monitor socket joins the SSDP group, so one frame fans
   // out to the whole population — the multicast amplification regime.
-  explicit NewSubstrateChurn(int devices) : fan_out_(devices) {
+  explicit SubstrateChurn(int devices) : fan_out_(devices) {
     for (int i = 0; i < devices; ++i) {
       liveness_.push_back(std::make_shared<bool>(true));
       scheduler.schedule(next_delay(), [this] { announce(); });
@@ -254,67 +182,8 @@ class NewSubstrateChurn {
   std::uint8_t sink_ = 0;
 };
 
-class MapSubstrateChurn {
- public:
-  explicit MapSubstrateChurn(int devices) : fan_out_(devices) {
-    for (int i = 0; i < devices; ++i) {
-      liveness_.push_back(std::make_shared<bool>(true));
-      scheduler.schedule(next_delay(), [this] { announce(); });
-    }
-  }
-
-  std::uint64_t run_slice() {
-    std::uint64_t before = events_;
-    scheduler.run_for(sim::millis(1));
-    return events_ - before;
-  }
-
- private:
-  void announce() {
-    ++events_;
-    // The seed-era recipe: one Datagram built per frame, then captured BY
-    // VALUE in every member's std::function delivery lambda, each guarded by
-    // a copy of the receiving socket's liveness flag.
-    net::Datagram datagram;
-    datagram.payload = Bytes(kFrameBytes, 0x55);
-    datagram.multicast = true;
-    sim::SimDuration latency = delivery_delay();
-    for (int m = 0; m < fan_out_; ++m) {
-      scheduler.schedule(
-          latency,
-          [this, alive = liveness_[static_cast<std::size_t>(m)], datagram] {
-            if (*alive) deliver(datagram);
-          });
-    }
-    scheduler.schedule(next_delay(), [this] { announce(); });
-  }
-
-  void deliver(const net::Datagram& datagram) {
-    ++events_;
-    sink_ ^= datagram.payload[0];
-  }
-
-  sim::SimDuration next_delay() {
-    return sim::SimDuration(rng_.uniform_int(100'000, 2'000'000));
-  }
-  sim::SimDuration delivery_delay() {
-    return sim::SimDuration(rng_.uniform_int(1'000, 10'000));
-  }
-
- public:
-  MapScheduler scheduler;
-
- private:
-  int fan_out_;
-  sim::Random rng_{42};
-  std::uint64_t events_ = 0;
-  std::vector<std::shared_ptr<bool>> liveness_;
-  std::uint8_t sink_ = 0;
-};
-
-template <typename Substrate>
-void substrate_bench(benchmark::State& state) {
-  Substrate substrate(static_cast<int>(state.range(0)));
+void BM_SubstrateFanOut(benchmark::State& state) {
+  SubstrateChurn substrate(static_cast<int>(state.range(0)));
   std::uint64_t executed = 0;
   std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
   for (auto _ : state) {
@@ -330,15 +199,7 @@ void substrate_bench(benchmark::State& state) {
                                       : 0.0);
 }
 
-void BM_SubstrateFanOut(benchmark::State& state) {
-  substrate_bench<NewSubstrateChurn>(state);
-}
 BENCHMARK(BM_SubstrateFanOut)->Arg(100)->Arg(500)->Arg(2000);
-
-void BM_SubstrateFanOutMapBaseline(benchmark::State& state) {
-  substrate_bench<MapSubstrateChurn>(state);
-}
-BENCHMARK(BM_SubstrateFanOutMapBaseline)->Arg(100)->Arg(500)->Arg(2000);
 
 // --- Macro benchmark: the abl_scaling topology at population ----------------
 //

@@ -1,6 +1,6 @@
 // Ablation A1: the real wall-clock cost of INDISS's event layer.
 //
-// The simulator charges INDISS 5 µs per message (calibration.hpp); this
+// The simulator charges INDISS 2 µs per unit hop (calibration.hpp); this
 // bench measures what the parse -> events -> compose path actually costs in
 // this implementation, supporting the paper's "lightweight" claim with real
 // numbers rather than simulated ones. It also prices the alternative the
@@ -10,11 +10,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/strings.hpp"
 #include "core/directory/service_directory.hpp"
 #include "core/units/jini_unit.hpp"
 #include "core/units/mdns_unit.hpp"
@@ -285,106 +283,6 @@ void BM_MdnsRoundTripAllocations(benchmark::State& state) {
   report(state, allocs_before, events_per_op);
 }
 BENCHMARK(BM_MdnsRoundTripAllocations);
-
-// The std::map<std::string,std::string> + fresh-buffers baseline the PR-2/5
-// pipeline replaced, kept for the recorded ratio.
-
-slp::SrvRply compose_from_events(const core::EventStream& stream) {
-  slp::SrvRply out;
-  std::string type = "service";
-  std::string attr_suffix;
-  std::uint16_t lifetime = 300;
-  for (const auto& event : stream) {
-    if (event.type == core::EventType::kServiceTypeIs) {
-      type = event.get("type");
-    } else if (event.type == core::EventType::kServiceAttr) {
-      attr_suffix += ";";
-      attr_suffix += event.get("key");
-      attr_suffix += ":\"";
-      attr_suffix += event.get("value");
-      attr_suffix += "\"";
-    } else if (event.type == core::EventType::kResTtl) {
-      lifetime = static_cast<std::uint16_t>(
-          str::parse_long(event.get("seconds"), lifetime));
-    }
-  }
-  for (const auto& event : stream) {
-    if (event.type != core::EventType::kResServUrl) continue;
-    std::string url = "service:" + type + ":";
-    url += event.get("url");
-    url += attr_suffix;
-    out.url_entries.push_back(slp::UrlEntry{lifetime, std::move(url)});
-  }
-  return out;
-}
-
-// The std::map<std::string,std::string> baseline this PR replaced: the same
-// round trip, but every event's data lives in a per-event map the way the
-// old Event struct stored it (one node allocation per entry, temporary
-// std::string keys on every lookup).
-struct LegacyEvent {
-  core::EventType type;
-  std::map<std::string, std::string> data;
-
-  [[nodiscard]] std::string get(std::string_view key,
-                                std::string_view fallback = "") const {
-    auto it = data.find(std::string(key));
-    return it == data.end() ? std::string(fallback) : it->second;
-  }
-};
-
-void BM_SlpRoundTripAllocationsMapBaseline(benchmark::State& state) {
-  Bytes wire = reply_wire();
-  core::SlpEventParser parser;
-  core::StreamPool pool;
-  core::CollectingSink sink(pool);
-  std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
-  for (auto _ : state) {
-    sink.reset();
-    parser.parse(wire, ctx(), sink);
-    // Materialize the old representation: a fresh buffer per message (the
-    // old code constructed a new CollectingSink for every parse) holding
-    // map-backed events.
-    std::vector<LegacyEvent> legacy;
-    for (const auto& event : sink.stream()) {
-      LegacyEvent copy;
-      copy.type = event.type;
-      event.data.for_each([&](std::string_view k, std::string_view v) {
-        copy.data.emplace(std::string(k), std::string(v));
-      });
-      legacy.push_back(std::move(copy));
-    }
-    // Compose from it with the old allocating accessors.
-    slp::SrvRply out;
-    std::string type = "service";
-    std::string attr_suffix;
-    std::uint16_t lifetime = 300;
-    for (const auto& event : legacy) {
-      if (event.type == core::EventType::kServiceTypeIs) {
-        type = event.get("type");
-      } else if (event.type == core::EventType::kServiceAttr) {
-        attr_suffix += ";" + event.get("key") + ":\"" + event.get("value") +
-                       "\"";
-      } else if (event.type == core::EventType::kResTtl) {
-        lifetime = static_cast<std::uint16_t>(
-            str::parse_long(event.get("seconds"), lifetime));
-      }
-    }
-    for (const auto& event : legacy) {
-      if (event.type != core::EventType::kResServUrl) continue;
-      std::string url = "service:" + type + ":" + event.get("url") +
-                        attr_suffix;
-      out.url_entries.push_back(slp::UrlEntry{lifetime, std::move(url)});
-    }
-    Bytes rewire = slp::encode(slp::Message(out));
-    benchmark::DoNotOptimize(rewire);
-  }
-  state.counters["heap_allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(indiss::testing::g_heap_allocs - allocs_before) /
-      static_cast<double>(state.iterations()));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SlpRoundTripAllocationsMapBaseline);
 
 void BM_SlpEncodeDecodeRoundTrip(benchmark::State& state) {
   slp::SrvRply reply;

@@ -11,14 +11,18 @@
 //   - TCP: 6 ms handshake + 2.2 ms per segment (Nagle/delayed-ACK-era
 //     costs); this is what separates Fig 9a (80 ms, description fetched
 //     across the LAN) from Fig 8 (65 ms, fetched over loopback).
-//   - INDISS itself: 5 µs per message of translation cost (the real cost is
-//     measured in wall-clock by bench/abl_translation). Its SSDP composer
-//     paces responses to *network* multicast searches by 39 ms, matching
-//     native responder etiquette (Fig 8 right, 40 ms), but answers loopback
-//     clients immediately (Fig 9b, 0.12 ms).
+//   - INDISS itself: 2 µs of translation cost per unit hop
+//     (calibrated_indiss()'s translate_delay). That is the model's own
+//     cost, not a measurement of this implementation: bench/e2e/README.md
+//     ("Calibration") measures the live gateway at ~1-2 µs per datagram in
+//     the monitor, ~4.6 µs in the units when the translation cache replays
+//     and ~135 µs when every message is translated, and
+//     bench/abl_translation prices the event layer in wall-clock. Its SSDP
+//     composer paces responses to *network* multicast searches by 39 ms,
+//     matching native responder etiquette (Fig 8 right, 40 ms), but answers
+//     loopback clients immediately (Fig 9b, 0.12 ms).
 //
-// Every number is a named constant here; EXPERIMENTS.md discusses the
-// derivation and which results are sensitive to which knob.
+// Every number is a named constant here, derived as listed above.
 #pragma once
 
 #include <algorithm>

@@ -1,26 +1,26 @@
 // indissd: the INDISS gateway as a deployable daemon.
 //
-// One live::LiveTransport + one core::Indiss on an epoll event loop: the
-// unchanged unit pipeline (the same objects the simulated experiments run)
-// bridging real SDP traffic on real multicast groups. `--loopback` confines
-// everything to 127.0.0.1/lo — the configuration the CI smoke test uses to
-// bridge a scripted SSDP alive into an mDNS announcement; on a LAN, pass the
-// interface's name and address instead.
+// One live::LiveTransport on an epoll event loop carrying one core::Gateway:
+// the unchanged unit pipeline (the same objects the simulated experiments
+// run) bridging real SDP traffic on real multicast groups. `--loopback`
+// confines everything to 127.0.0.1/lo — the configuration the CI smoke test
+// uses to bridge a scripted SSDP alive into an mDNS announcement; on a LAN,
+// pass the interface's name and address instead.
 //
 // Usage:
 //   indissd --loopback [--name gw] [--duration 2s] [--sdps slp,upnp,mdns]
 //           [--seed 7] [--shards N] [--rate-limit 200]
 //   indissd --iface eth0 --addr 192.168.1.10 [--sdps upnp,mdns]
 //
-// `--shards N` (N >= 2) runs the translation pipeline sharded across N
-// threads (docs/sharding.md): the main loop scans the well-known ports and
-// hash-routes each datagram into per-shard ingress rings; each shard thread
-// runs a full scan-less gateway. The exit summary keeps the same `unit
-// sdp=...` key shape with counters merged across shards, plus one `shard
-// index=...` line per shard.
+// `--shards N` sets the gateway's shard count (docs/sharding.md). At 1 (the
+// default) the gateway is one scanning Indiss on the main loop. At N >= 2 the
+// main loop runs the front monitor, which scans the well-known ports and
+// hash-routes each datagram to one of N shard threads (live::ShardThreads),
+// each a full scan-less gateway.
 //
-// Without --duration the daemon runs until SIGINT/SIGTERM. On exit it prints
-// a machine-greppable summary (one `key=value` line per subsystem) that the
+// Without --duration the daemon runs until SIGINT/SIGTERM. On exit it
+// quiesces the shards and prints a machine-greppable summary (one
+// `key=value` line per subsystem, counters merged across shards) that the
 // smoke script asserts against.
 #include <atomic>
 #include <cctype>
@@ -28,15 +28,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/strings.hpp"
-#include "core/indiss.hpp"
+#include "core/gateway.hpp"
 #include "core/units/mdns_unit.hpp"
 #include "live/event_loop.hpp"
-#include "live/sharded.hpp"
+#include "live/shard_threads.hpp"
 #include "live/transport.hpp"
 
 namespace {
@@ -89,149 +91,93 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// The --shards N (N >= 2) deployment: dispatcher loop + N shard threads
-/// (live::LiveShardPool). Summary keys match the unsharded daemon where the
-/// quantity is the same thing merged, plus per-shard and dispatch lines.
-int run_sharded(const indiss::live::LiveConfig& live_config,
-                const std::set<SdpId>& sdps,
-                indiss::transport::Duration duration, std::size_t shards,
-                double rate_limit, bool directory, bool probe) {
+/// The exit summary: read after Gateway::stop() has quiesced the shards and
+/// before the gateway (and with it every unit) is destroyed.
+void print_summary(const std::string& name, double up_ms,
+                   indiss::core::Gateway& gateway,
+                   const indiss::transport::Transport& front,
+                   const std::set<SdpId>& sdps, bool probe) {
   using namespace indiss;
+  using ull = unsigned long long;
 
-  live::EventLoop loop;
-  live::LiveShardConfig pool_config;
-  pool_config.shards = shards;
-  pool_config.live = live_config;
-  pool_config.indiss.enabled_sdps = sdps;
-  pool_config.indiss.monitor.rate_limit_per_sec = rate_limit;
-  pool_config.indiss.enable_directory = directory;
-  pool_config.indiss.mdns.probe = probe;
-  live::LiveShardPool pool(loop, pool_config);
-  pool.start();
-
-  std::fprintf(stderr, "indissd: %s up on %s (%s), %zu shards, bridging",
-               live_config.name.c_str(),
-               live_config.address.to_string().c_str(),
-               live_config.interface.c_str(), shards);
-  for (core::SdpId sdp : sdps) {
-    std::fprintf(stderr, " %s", std::string(core::sdp_name(sdp)).c_str());
-  }
-  std::fprintf(stderr, "\n");
-
-  pool.front_transport().schedule_periodic(transport::millis(50), [&loop]() {
-    if (g_stop.load()) loop.stop();
-  });
-
-  if (duration == transport::Duration::max()) {
-    loop.run();
-  } else {
-    loop.run_for(duration);
-  }
-
-  // Joining the shard threads is what makes their counters mergeable; the
-  // shards stay constructed (inert) until pool destruction, so the summary
-  // reads real numbers.
-  pool.stop();
-
-  std::printf("indissd name=%s up_ms=%.0f shards=%zu\n",
-              live_config.name.c_str(), transport::to_millis(loop.now()),
-              shards);
-  const auto front_stats = pool.front_monitor().stats();
+  std::printf("indissd name=%s up_ms=%.0f shards=%zu\n", name.c_str(), up_ms,
+              gateway.shard_count());
+  const auto& monitor = gateway.monitor().stats();
   std::printf("monitor datagrams_seen=%llu filtered=%llu rate_limited=%llu\n",
-              static_cast<unsigned long long>(front_stats.seen),
-              static_cast<unsigned long long>(front_stats.filtered),
-              static_cast<unsigned long long>(front_stats.rate_limited));
-  for (const auto& [sdp, when] : pool.front_monitor().detected()) {
+              static_cast<ull>(monitor.seen),
+              static_cast<ull>(monitor.filtered),
+              static_cast<ull>(monitor.rate_limited));
+  for (const auto& [sdp, when] : gateway.monitor().detected()) {
     std::printf("detected sdp=%s at_ms=%.0f\n",
                 std::string(core::sdp_name(sdp)).c_str(),
                 transport::to_millis(when));
   }
-  for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-    std::printf("shard index=%zu ingested=%llu ring_dropped=%llu\n", i,
-                static_cast<unsigned long long>(pool.shard_consumed(i)),
-                static_cast<unsigned long long>(pool.shard_dropped(i)));
+  std::size_t records = 0;
+  ull announcements = 0;
+  std::size_t cached = 0;
+  std::uint64_t wire_bytes = front.stats().wire_bytes();
+  std::uint64_t wire_packets = front.stats().wire_packets();
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
+    core::Indiss& shard = gateway.shard(i);
+    const auto& s = shard.monitor().stats();
+    std::printf("shard index=%zu ingested=%llu\n", i,
+                static_cast<ull>(s.seen + s.filtered + s.rate_limited));
+    if (const auto* dir = shard.directory()) records += dir->size();
+    if (auto* mdns = shard.unit_as<core::MdnsUnit>(SdpId::kMdns)) {
+      announcements += mdns->announcements_sent();
+      cached += mdns->foreign_services().size();
+    }
+    if (&shard.transport() != &front) {
+      wire_bytes += shard.transport().stats().wire_bytes();
+      wire_packets += shard.transport().stats().wire_packets();
+    }
   }
-  std::printf("dispatch routed=%llu replicated=%llu\n",
-              static_cast<unsigned long long>(pool.datagrams_dispatched()),
-              static_cast<unsigned long long>(pool.datagrams_replicated()));
-  // Aggregate ingress accounting across the shard rings (docs/chaos.md):
-  // how much hostile load the gateway shed and where.
-  unsigned long long ring_consumed = 0;
-  unsigned long long ring_dropped = 0;
-  for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-    ring_consumed += pool.shard_consumed(i);
-    ring_dropped += pool.shard_dropped(i);
-  }
-  std::printf("ingress consumed=%llu ring_dropped=%llu rate_limited=%llu\n",
-              ring_consumed, ring_dropped,
-              static_cast<unsigned long long>(front_stats.rate_limited));
-  for (core::SdpId sdp : sdps) {
-    const auto s = pool.unit_stats(sdp);
+  std::printf("dispatch routed=%llu replicated=%llu ring_dropped=%llu\n",
+              static_cast<ull>(gateway.datagrams_dispatched()),
+              static_cast<ull>(gateway.datagrams_replicated()),
+              static_cast<ull>(gateway.ring_dropped()));
+  for (SdpId sdp : sdps) {
+    const auto u = gateway.unit_stats(sdp);
     std::printf(
         "unit sdp=%s parsed=%llu composed=%llu sessions=%llu dispatched=%llu "
         "cache_hits=%llu\n",
         std::string(core::sdp_name(sdp)).c_str(),
-        static_cast<unsigned long long>(s.messages_parsed),
-        static_cast<unsigned long long>(s.messages_composed),
-        static_cast<unsigned long long>(s.sessions_opened),
-        static_cast<unsigned long long>(s.streams_dispatched),
-        static_cast<unsigned long long>(s.cache_short_circuits));
+        static_cast<ull>(u.messages_parsed),
+        static_cast<ull>(u.messages_composed),
+        static_cast<ull>(u.sessions_opened),
+        static_cast<ull>(u.streams_dispatched),
+        static_cast<ull>(u.cache_short_circuits));
   }
-  if (directory) {
-    std::size_t records = 0;
-    for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-      if (const auto* dir = pool.shard(i).directory()) records += dir->size();
-    }
+  if (gateway.shard(0).directory() != nullptr) {
     std::printf("directory records=%zu\n", records);
-    for (core::SdpId sdp : sdps) {
-      const auto d = pool.directory_stats(sdp);
+    for (SdpId sdp : sdps) {
+      const auto d = gateway.directory_stats(sdp);
       std::printf(
           "directory sdp=%s answered=%llu bridged=%llu stored=%llu "
           "withdrawals=%llu\n",
           std::string(core::sdp_name(sdp)).c_str(),
-          static_cast<unsigned long long>(d.answered),
-          static_cast<unsigned long long>(d.bridged),
-          static_cast<unsigned long long>(d.records_stored),
-          static_cast<unsigned long long>(d.withdrawals));
+          static_cast<ull>(d.answered), static_cast<ull>(d.bridged),
+          static_cast<ull>(d.records_stored),
+          static_cast<ull>(d.withdrawals));
     }
   }
-  if (sdps.contains(core::SdpId::kMdns)) {
-    unsigned long long announcements = 0;
-    std::size_t cached = 0;
-    for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-      if (auto* mdns = pool.shard(i).unit_as<core::MdnsUnit>(
-              core::SdpId::kMdns)) {
-        announcements += mdns->announcements_sent();
-        cached += mdns->foreign_services().size();
-      }
-    }
+  if (sdps.contains(SdpId::kMdns)) {
     std::printf("mdns announcements_sent=%llu cached_services=%zu\n",
                 announcements, cached);
     if (probe) {
-      const auto p = pool.probe_stats();
+      const auto p = gateway.probe_stats();
       std::printf(
           "mdns probes=%llu conflicts=%llu renames=%llu tiebreaks_lost=%llu "
           "defenses=%llu backoffs=%llu established=%llu\n",
-          static_cast<unsigned long long>(p.probes_sent),
-          static_cast<unsigned long long>(p.conflicts),
-          static_cast<unsigned long long>(p.renames),
-          static_cast<unsigned long long>(p.tiebreaks_lost),
-          static_cast<unsigned long long>(p.defenses_sent),
-          static_cast<unsigned long long>(p.backoffs_engaged),
-          static_cast<unsigned long long>(p.names_established));
+          static_cast<ull>(p.probes_sent), static_cast<ull>(p.conflicts),
+          static_cast<ull>(p.renames), static_cast<ull>(p.tiebreaks_lost),
+          static_cast<ull>(p.defenses_sent),
+          static_cast<ull>(p.backoffs_engaged),
+          static_cast<ull>(p.names_established));
     }
   }
-  std::uint64_t wire_bytes = pool.front_transport().stats().wire_bytes();
-  std::uint64_t wire_packets = pool.front_transport().stats().wire_packets();
-  for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-    const auto& ts = pool.shard(i).transport().stats();
-    wire_bytes += ts.wire_bytes();
-    wire_packets += ts.wire_packets();
-  }
   std::printf("traffic wire_bytes=%llu wire_packets=%llu\n",
-              static_cast<unsigned long long>(wire_bytes),
-              static_cast<unsigned long long>(wire_packets));
-  return 0;
+              static_cast<ull>(wire_bytes), static_cast<ull>(wire_packets));
 }
 
 }  // namespace
@@ -339,25 +285,22 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  if (shards > 1) {
-    return run_sharded(live_config, sdps, duration, shards, rate_limit,
-                       directory, probe);
-  }
-
   live::EventLoop loop;
   live::LiveTransport transport(loop, live_config);
 
-  core::IndissConfig config;
-  config.enabled_sdps = sdps;
-  config.monitor.rate_limit_per_sec = rate_limit;
-  config.enable_directory = directory;
-  config.mdns.probe = probe;
-  core::Indiss indiss(transport, config);
-  indiss.start();
-  std::fprintf(stderr, "indissd: %s up on %s (%s), bridging",
+  core::GatewayConfig config;
+  config.shards = shards;
+  config.indiss.enabled_sdps = sdps;
+  config.indiss.monitor.rate_limit_per_sec = rate_limit;
+  config.indiss.enable_directory = directory;
+  config.indiss.mdns.probe = probe;
+  core::Gateway gateway(transport, config,
+                        std::make_unique<live::ShardThreads>(transport));
+  gateway.start();
+  std::fprintf(stderr, "indissd: %s up on %s (%s), shards=%zu, bridging",
                live_config.name.c_str(),
                live_config.address.to_string().c_str(),
-               live_config.interface.c_str());
+               live_config.interface.c_str(), gateway.shard_count());
   for (core::SdpId sdp : sdps) {
     std::fprintf(stderr, " %s", std::string(core::sdp_name(sdp)).c_str());
   }
@@ -374,70 +317,8 @@ int main(int argc, char** argv) {
   } else {
     loop.run_for(duration);
   }
-  // --- Exit summary (greppable; the smoke test's assertion surface).
-  // Printed before stop(): stop() tears the unit registry down. -----------
-  std::printf("indissd name=%s up_ms=%.0f\n", live_config.name.c_str(),
-              transport::to_millis(loop.now()));
-  const auto monitor_stats = indiss.monitor().stats();
-  std::printf("monitor datagrams_seen=%llu filtered=%llu rate_limited=%llu\n",
-              static_cast<unsigned long long>(monitor_stats.seen),
-              static_cast<unsigned long long>(monitor_stats.filtered),
-              static_cast<unsigned long long>(monitor_stats.rate_limited));
-  for (const auto& [sdp, when] : indiss.monitor().detected()) {
-    std::printf("detected sdp=%s at_ms=%.0f\n",
-                std::string(core::sdp_name(sdp)).c_str(),
-                transport::to_millis(when));
-  }
-  for (core::SdpId sdp : sdps) {
-    core::Unit* unit = indiss.unit(sdp);
-    if (unit == nullptr) continue;
-    const auto& s = unit->stats();
-    std::printf(
-        "unit sdp=%s parsed=%llu composed=%llu sessions=%llu dispatched=%llu "
-        "cache_hits=%llu\n",
-        std::string(core::sdp_name(sdp)).c_str(),
-        static_cast<unsigned long long>(s.messages_parsed),
-        static_cast<unsigned long long>(s.messages_composed),
-        static_cast<unsigned long long>(s.sessions_opened),
-        static_cast<unsigned long long>(s.streams_dispatched),
-        static_cast<unsigned long long>(s.cache_short_circuits));
-  }
-  if (const auto* dir = indiss.directory()) {
-    std::printf("directory records=%zu\n", dir->size());
-    for (core::SdpId sdp : sdps) {
-      const auto d = indiss.monitor().directory_stats(sdp);
-      std::printf(
-          "directory sdp=%s answered=%llu bridged=%llu stored=%llu "
-          "withdrawals=%llu\n",
-          std::string(core::sdp_name(sdp)).c_str(),
-          static_cast<unsigned long long>(d.answered),
-          static_cast<unsigned long long>(d.bridged),
-          static_cast<unsigned long long>(d.records_stored),
-          static_cast<unsigned long long>(d.withdrawals));
-    }
-  }
-  if (auto* mdns = indiss.unit_as<core::MdnsUnit>(core::SdpId::kMdns)) {
-    std::printf("mdns announcements_sent=%llu cached_services=%zu\n",
-                static_cast<unsigned long long>(mdns->announcements_sent()),
-                mdns->foreign_services().size());
-    if (probe) {
-      const auto p = indiss.probe_stats();
-      std::printf(
-          "mdns probes=%llu conflicts=%llu renames=%llu tiebreaks_lost=%llu "
-          "defenses=%llu backoffs=%llu established=%llu\n",
-          static_cast<unsigned long long>(p.probes_sent),
-          static_cast<unsigned long long>(p.conflicts),
-          static_cast<unsigned long long>(p.renames),
-          static_cast<unsigned long long>(p.tiebreaks_lost),
-          static_cast<unsigned long long>(p.defenses_sent),
-          static_cast<unsigned long long>(p.backoffs_engaged),
-          static_cast<unsigned long long>(p.names_established));
-    }
-  }
-  const auto& ts = transport.stats();
-  std::printf("traffic wire_bytes=%llu wire_packets=%llu\n",
-              static_cast<unsigned long long>(ts.wire_bytes()),
-              static_cast<unsigned long long>(ts.wire_packets()));
-  indiss.stop();
+  gateway.stop();
+  print_summary(live_config.name, transport::to_millis(loop.now()), gateway,
+                transport, sdps, probe);
   return 0;
 }

@@ -26,8 +26,8 @@
 #                            abl_storm announcement-storm record (cache
 #                            hit rate, enabled-vs-disabled throughput)
 #   BENCH_scaling.json     — substrate throughput: slot-arena scheduler +
-#                            shared-datagram fan-out vs the std::map
-#                            baseline, plus the macro scaling topology
+#                            shared-datagram fan-out, plus the macro scaling
+#                            topology
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

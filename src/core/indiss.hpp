@@ -55,8 +55,8 @@ struct IndissConfig {
   /// paper's prototype shipped SLP + UPnP. Iteration (and therefore bus
   /// subscription) order is SdpId order: slp, upnp, jini, mdns.
   std::set<SdpId> enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
-  /// Ingress defenses (per-source rate limiting) for the monitor — and, in
-  /// the sharded deployment, for the front dispatcher's monitor too.
+  /// Ingress defenses (per-source rate limiting) for the monitor. A sharded
+  /// core::Gateway applies them once, at its front monitor.
   MonitorConfig monitor;
   Unit::Options unit_options;
   SlpUnit::Config slp;
@@ -84,11 +84,11 @@ struct IndissConfig {
   transport::Duration expiry_sweep_interval = transport::seconds(5);
   /// When false, start() skips binding the IANA well-known ports — inbound
   /// traffic arrives through ingest() instead. This is how shard instances
-  /// run behind a single front-end dispatcher (docs/sharding.md): only the
-  /// dispatcher scans; units still open their ephemeral send sockets.
+  /// run behind a gateway's front monitor (docs/sharding.md): only the front
+  /// scans; units still open their ephemeral send sockets.
   bool scan_ports = true;
   /// Loop-prevention set shared with other Indiss instances on the same
-  /// wire (every shard's sends must be invisible to the one dispatcher).
+  /// wire (every shard's sends must be invisible to the front monitor).
   /// Null: the instance makes its own private set.
   std::shared_ptr<OwnEndpoints> own_endpoints;
 };

@@ -69,7 +69,7 @@ class Monitor {
   }
   /// Feeds a datagram as if it had arrived on a scanned socket: same
   /// own-endpoint filter, detection record, and forward path. Lets a
-  /// dispatcher hand ring-delivered datagrams to a scan-less monitor
+  /// gateway hand routed datagrams to a shard's scan-less monitor
   /// (docs/sharding.md).
   void ingest(SdpId sdp, const net::Datagram& datagram) {
     on_datagram(sdp, datagram);

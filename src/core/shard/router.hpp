@@ -34,14 +34,6 @@
 
 namespace indiss::core::shard {
 
-/// One queued ingress item: the SDP the front monitor detected plus the raw
-/// datagram (source endpoint survives for the shard-side loop filter). What
-/// both backends' ingress rings carry.
-struct IngressItem {
-  SdpId sdp = SdpId::kSlp;
-  net::Datagram datagram;
-};
-
 enum class Route : std::uint8_t {
   /// Advertisement: deliver to shard_for(payload, shards) only.
   kHashed,

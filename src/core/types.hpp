@@ -4,13 +4,12 @@
 // SDP").
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <set>
+#include <shared_mutex>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "net/address.hpp"
@@ -20,41 +19,30 @@ namespace indiss::core {
 /// Shared registry of endpoints INDISS itself sends from; the monitor
 /// filters against it so the system never re-ingests its own traffic.
 ///
-/// Internally synchronized: in the sharded gateway (docs/sharding.md) units
-/// running on shard threads register their socket endpoints while the
-/// dispatcher thread filters inbound traffic against the same set. Inserts
-/// happen at unit/session setup, not per datagram, but contains() runs once
-/// per inbound datagram on the monitor's hot path, so the read side must
-/// not take a lock: insert() builds a new immutable generation of the set
-/// under the writer mutex and publishes it with one release-store; readers
-/// acquire-load the current generation and search it lock-free. Retired
-/// generations stay alive in the deque (stable addresses) so a reader that
-/// loaded an old pointer can finish its lookup — with a handful of inserts
-/// over a process lifetime that leak-by-design costs nothing.
+/// Internally synchronized: in a threaded gateway (docs/sharding.md) units
+/// on shard threads register their socket endpoints while the front monitor
+/// filters inbound traffic against the same set. One hash set is written in
+/// place under the exclusive lock, so an insert (every unit and per-query
+/// socket makes one) costs one node; contains() runs once per inbound
+/// datagram under the shared lock, so readers never block each other.
 class OwnEndpoints {
  public:
-  OwnEndpoints() { live_.store(&generations_.emplace_back()); }
-
   void insert(const net::Endpoint& endpoint) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Set next = *live_.load(std::memory_order_relaxed);
-    next.insert(endpoint);
-    live_.store(&generations_.emplace_back(std::move(next)),
-                std::memory_order_release);
+    std::unique_lock lock(mu_);
+    set_.insert(endpoint);
   }
   [[nodiscard]] bool contains(const net::Endpoint& endpoint) const {
-    return live_.load(std::memory_order_acquire)->contains(endpoint);
+    std::shared_lock lock(mu_);
+    return set_.contains(endpoint);
   }
   [[nodiscard]] std::size_t size() const {
-    return live_.load(std::memory_order_acquire)->size();
+    std::shared_lock lock(mu_);
+    return set_.size();
   }
 
  private:
-  using Set = std::set<net::Endpoint>;
-
-  std::mutex mu_;  // serializes writers only; readers never take it
-  std::deque<Set> generations_;
-  std::atomic<const Set*> live_{nullptr};
+  mutable std::shared_mutex mu_;
+  std::unordered_set<net::Endpoint> set_;
 };
 
 enum class SdpId : std::uint8_t { kSlp, kUpnp, kJini, kMdns };

@@ -7,7 +7,6 @@
 #include "common/uri.hpp"
 #include "core/typemap.hpp"
 #include "upnp/http_client.hpp"
-#include "xml/dom.hpp"
 
 namespace indiss::core {
 

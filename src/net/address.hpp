@@ -53,3 +53,11 @@ struct std::hash<indiss::net::IpAddress> {
     return std::hash<std::uint32_t>{}(a.bits());
   }
 };
+
+template <>
+struct std::hash<indiss::net::Endpoint> {
+  std::size_t operator()(const indiss::net::Endpoint& e) const noexcept {
+    return std::hash<std::uint64_t>{}(
+        (std::uint64_t{e.address.bits()} << 16) | e.port);
+  }
+};

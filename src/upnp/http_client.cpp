@@ -7,21 +7,28 @@ namespace indiss::upnp {
 
 namespace {
 
-/// Per-request state kept alive by the socket callbacks.
-struct GetContext : std::enable_shared_from_this<GetContext> {
+/// Per-request state. The in-flight request owns itself (`self`) until
+/// finish(); the socket's handlers hold only weak references, so the socket
+/// never keeps the request alive and the request never outlives its result.
+struct GetContext {
   explicit GetContext(HttpResponseHandler h) : handler(std::move(h)) {}
 
   HttpResponseHandler handler;
   http::MessageCollector collector;
   std::unique_ptr<http::HttpParser> parser;
   std::shared_ptr<transport::TcpSocket> socket;
+  std::shared_ptr<GetContext> self;
   bool done = false;
 
+  /// Every caller holds its own reference for the rest of its frame, so
+  /// dropping `self` here never destroys the context (or a running socket
+  /// handler) under the caller.
   void finish(std::optional<http::HttpMessage> result) {
     if (done) return;
     done = true;
     if (socket) socket->close();
     if (handler) handler(std::move(result));
+    self.reset();
   }
 };
 
@@ -44,8 +51,12 @@ void http_request(transport::Transport& host, const Uri& uri,
     return;
   }
   context->socket = socket;
+  context->self = context;
 
-  socket->set_data_handler([context](BytesView data) {
+  std::weak_ptr<GetContext> weak = context;
+  socket->set_data_handler([weak](BytesView data) {
+    auto context = weak.lock();
+    if (context == nullptr) return;
     context->parser->feed(data);
     if (context->parser->failed()) {
       context->finish(std::nullopt);
@@ -55,7 +66,9 @@ void http_request(transport::Transport& host, const Uri& uri,
       context->finish(std::move(context->collector.messages().front()));
     }
   });
-  socket->set_close_handler([context]() {
+  socket->set_close_handler([weak]() {
+    auto context = weak.lock();
+    if (context == nullptr) return;
     // Server closed: complete read-until-close responses.
     context->parser->finish();
     if (!context->collector.messages().empty()) {

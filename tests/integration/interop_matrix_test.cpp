@@ -29,8 +29,7 @@
 #include <variant>
 #include <vector>
 
-#include "core/indiss.hpp"
-#include "core/shard/sharded_gateway.hpp"
+#include "core/gateway.hpp"
 #include "jini/client.hpp"
 #include "jini/lookup.hpp"
 #include "mdns/dns.hpp"
@@ -62,9 +61,9 @@ const char* proto_name(Proto p) {
 struct Pair {
   Proto requester;
   Proto announcer;
-  /// 1 = a plain Indiss gateway; >1 = a ShardedGateway in deterministic
-  /// virtual-shard mode (docs/sharding.md) — the matrix must pass unchanged
-  /// when the pipeline is sharded.
+  /// The gateway's shard count: 1 = one plain Indiss; >1 = inline shards
+  /// behind the front monitor (docs/sharding.md) — the matrix must pass
+  /// unchanged when the pipeline is sharded.
   std::size_t shards = 1;
   /// Directory mode (docs/directory.md): queries the service index can
   /// answer never reach the origin network — discovery and withdrawal
@@ -83,57 +82,15 @@ std::vector<Pair> all_directed_pairs(std::size_t shards,
   return pairs;
 }
 
-/// The gateway under test: one Indiss, or a ShardedGateway splitting the
-/// same configuration across N virtual shards. The matrix body only needs
-/// start / probe / registrar-known, so the wrapper stays minimal.
-class GatewayHarness {
- public:
-  GatewayHarness(net::Host& host, const IndissConfig& config,
-                 std::size_t shards) {
-    if (shards <= 1) {
-      single_ = std::make_unique<Indiss>(host, config);
-    } else {
-      shard::ShardedConfig sharded_config;
-      sharded_config.shards = shards;
-      sharded_config.indiss = config;
-      sharded_ = std::make_unique<shard::ShardedGateway>(host, sharded_config);
-    }
+/// With shards, registrar announcements replicate: every shard's JiniUnit
+/// must have learned it before bridging can work anywhere.
+bool registrar_known(Gateway& gateway) {
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
+    auto* unit = gateway.shard(i).unit_as<JiniUnit>(SdpId::kJini);
+    if (unit == nullptr || !unit->known_registrar().has_value()) return false;
   }
-
-  void start() {
-    if (single_ != nullptr) {
-      single_->start();
-    } else {
-      sharded_->start();
-    }
-  }
-
-  void trigger_active_probe() {
-    if (single_ != nullptr) {
-      single_->trigger_active_probe();
-    } else {
-      sharded_->trigger_active_probe();
-    }
-  }
-
-  /// With shards, registrar announcements replicate: every shard's JiniUnit
-  /// must have learned it before bridging can work anywhere.
-  [[nodiscard]] bool registrar_known() {
-    if (single_ != nullptr) {
-      auto* unit = single_->unit_as<JiniUnit>(SdpId::kJini);
-      return unit != nullptr && unit->known_registrar().has_value();
-    }
-    for (std::size_t i = 0; i < sharded_->shard_count(); ++i) {
-      auto* unit = sharded_->shard(i).unit_as<JiniUnit>(SdpId::kJini);
-      if (unit == nullptr || !unit->known_registrar().has_value()) return false;
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<Indiss> single_;
-  std::unique_ptr<shard::ShardedGateway> sharded_;
-};
+  return true;
+}
 
 /// A substring of the discovered access URL that uniquely identifies the
 /// announcer's native endpoint. For UPnP it is the device's host:port: a
@@ -320,12 +277,12 @@ TEST_P(InteropMatrix, RequestOnADiscoversServiceAnnouncedOnB) {
   if (jini_involved) config.enabled_sdps.insert(SdpId::kJini);
   config.enabled_sdps.insert(SdpId::kMdns);
   config.enable_directory = pair.directory;
-  GatewayHarness gateway(gateway_host, config, pair.shards);
+  Gateway gateway(gateway_host, GatewayConfig{pair.shards, config});
   gateway.start();
   // Let the gateway settle (and, with Jini, hear a registrar announcement).
   scheduler.run_for(sim::millis(500));
   if (jini_involved) {
-    ASSERT_TRUE(gateway.registrar_known())
+    ASSERT_TRUE(registrar_known(gateway))
         << "gateway must have learned the registrar before bridging";
   }
 
@@ -372,7 +329,7 @@ TEST_P(InteropMatrix, WithdrawalOnBPropagatesToRequesterOnA) {
   if (jini_involved) config.enabled_sdps.insert(SdpId::kJini);
   config.enabled_sdps.insert(SdpId::kMdns);
   config.enable_directory = pair.directory;
-  GatewayHarness gateway(gateway_host, config, pair.shards);
+  Gateway gateway(gateway_host, GatewayConfig{pair.shards, config});
   gateway.start();
   scheduler.run_for(sim::millis(500));
 

@@ -1,9 +1,10 @@
-// Threaded live shard pool tests (docs/sharding.md): real shard threads,
-// eventfd wakeups, and MPSC rings under a dispatcher that feeds crafted
-// datagrams straight through dispatch() (scan_ports=false, so nothing binds
-// the well-known ports). This binary is the primary ThreadSanitizer target
-// for the sharded pipeline; it sends real multicast on loopback when units
-// egress, hence RUN_SERIAL in tests/CMakeLists.txt.
+// Threaded gateway tests (docs/sharding.md): a core::Gateway on
+// live::ShardThreads — real shard threads, eventfd wakeups, and MPSC rings
+// under a front monitor fed crafted datagrams straight through ingest()
+// (scan_ports=false, so nothing binds the well-known ports). This binary is
+// the primary ThreadSanitizer target for the sharded pipeline; it sends real
+// multicast on loopback when units egress, hence RUN_SERIAL in
+// tests/CMakeLists.txt.
 //
 // Timing notes: shard gateways run on real time, so the test waits on the
 // rings' cross-thread progress counters (consumed == accepted) plus a real
@@ -18,10 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "core/gateway.hpp"
 #include "core/shard/router.hpp"
 #include "core/units/mdns_unit.hpp"
 #include "live/event_loop.hpp"
-#include "live/sharded.hpp"
+#include "live/shard_threads.hpp"
+#include "live/transport.hpp"
 #include "transport/time.hpp"
 #include "upnp/ssdp.hpp"
 
@@ -55,30 +58,53 @@ net::Datagram make_datagram(Bytes payload) {
   return datagram;
 }
 
-LiveShardConfig make_config(std::size_t shards) {
-  LiveShardConfig config;
+core::GatewayConfig make_config(std::size_t shards) {
+  core::GatewayConfig config;
   config.shards = shards;
-  config.scan_ports = false;  // traffic enters through dispatch() only
-  config.live.name = "shardtest";
-  config.live.seed = 91;
+  config.indiss.scan_ports = false;  // traffic enters through ingest() only
   config.indiss.enabled_sdps = {SdpId::kUpnp, SdpId::kMdns};
   return config;
 }
 
-// Pumps the dispatcher loop until every accepted ring entry has been picked
-// up by its shard thread. Returns false on timeout (~5s of real time).
-bool wait_drained(EventLoop& loop, LiveShardPool& pool) {
+LiveConfig front_config() {
+  LiveConfig config;
+  config.name = "shardtest";
+  config.seed = 91;
+  return config;
+}
+
+/// The front loop and transport, the shard threads, and the gateway over
+/// them; `threads` stays readable for the cross-thread progress counters.
+struct Rig {
+  explicit Rig(std::size_t shards, std::size_t ring_capacity = 4096)
+      : transport(loop, front_config()),
+        gateway(transport, make_config(shards), [&] {
+          auto lanes =
+              std::make_unique<ShardThreads>(transport, ring_capacity);
+          threads = lanes.get();
+          return lanes;
+        }()) {}
+
+  EventLoop loop;
+  LiveTransport transport;
+  ShardThreads* threads = nullptr;
+  core::Gateway gateway;
+};
+
+// Pumps the front loop until every accepted ring entry has been picked up by
+// its shard thread. Returns false on timeout (~5s of real time).
+bool wait_drained(Rig& rig) {
   for (int i = 0; i < 1000; ++i) {
-    if (pool.ingress_consumed() == pool.ingress_accepted()) return true;
-    loop.run_for(transport::millis(5));
+    if (rig.threads->consumed() == rig.threads->accepted()) return true;
+    rig.loop.run_for(transport::millis(5));
   }
   return false;
 }
 
-TEST(LiveShardPool, HashedAdvertisementsSpreadAndRepeatsShortCircuit) {
-  EventLoop loop;
-  LiveShardPool pool(loop, make_config(2));
-  pool.start();
+TEST(ThreadedGateway, HashedAdvertisementsSpreadAndRepeatsShortCircuit) {
+  Rig rig(2);
+  core::Gateway& gateway = rig.gateway;
+  gateway.start();
 
   // 16 distinct alives: the router hash decides each one's shard, and the
   // test recomputes the expected placement with the same function.
@@ -96,32 +122,32 @@ TEST(LiveShardPool, HashedAdvertisementsSpreadAndRepeatsShortCircuit) {
   ASSERT_GT(expected_parsed[1], 0u);
 
   for (const Bytes& wire : wires) {
-    pool.dispatch(SdpId::kUpnp, make_datagram(wire));
+    gateway.ingest(SdpId::kUpnp, make_datagram(wire));
   }
-  ASSERT_TRUE(wait_drained(loop, pool)) << "shard threads never drained";
+  ASSERT_TRUE(wait_drained(rig)) << "shard threads never drained";
   // Past translate_delay and the 200ms cache settle window, so the repeats
   // below are eligible for short-circuit replay.
-  loop.run_for(transport::millis(450));
+  rig.loop.run_for(transport::millis(450));
 
   for (const Bytes& wire : wires) {
-    pool.dispatch(SdpId::kUpnp, make_datagram(wire));
+    gateway.ingest(SdpId::kUpnp, make_datagram(wire));
   }
-  ASSERT_TRUE(wait_drained(loop, pool)) << "repeat round never drained";
-  loop.run_for(transport::millis(250));
+  ASSERT_TRUE(wait_drained(rig)) << "repeat round never drained";
+  rig.loop.run_for(transport::millis(250));
 
-  pool.stop();  // join(): per-shard stats are now safe to read
+  gateway.stop();  // join(): per-shard stats are now safe to read
 
-  EXPECT_EQ(pool.datagrams_dispatched(), 2u * kDevices);
-  EXPECT_EQ(pool.datagrams_replicated(), 0u);
-  EXPECT_EQ(pool.ingress_accepted(), 2u * kDevices);
-  EXPECT_EQ(pool.ingress_consumed(), 2u * kDevices);
-  EXPECT_EQ(pool.ring_dropped(), 0u);
+  EXPECT_EQ(gateway.datagrams_dispatched(), 2u * kDevices);
+  EXPECT_EQ(gateway.datagrams_replicated(), 0u);
+  EXPECT_EQ(rig.threads->accepted(), 2u * kDevices);
+  EXPECT_EQ(rig.threads->consumed(), 2u * kDevices);
+  EXPECT_EQ(gateway.ring_dropped(), 0u);
 
   // Each shard parsed exactly the advertisements the hash routed to it, and
   // every byte-identical repeat short-circuited on the same shard.
   core::Unit::Stats sum;
-  for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-    const core::Unit* unit = pool.shard(i).unit(SdpId::kUpnp);
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
+    const core::Unit* unit = gateway.shard(i).unit(SdpId::kUpnp);
     ASSERT_NE(unit, nullptr);
     EXPECT_EQ(unit->stats().messages_parsed, expected_parsed[i])
         << "shard " << i;
@@ -132,14 +158,15 @@ TEST(LiveShardPool, HashedAdvertisementsSpreadAndRepeatsShortCircuit) {
 
   // The merged accessors agree with the by-hand sum (the satellite contract
   // for shard-safe statistics).
-  core::Unit::Stats merged = pool.unit_stats(SdpId::kUpnp);
+  core::Unit::Stats merged = gateway.unit_stats(SdpId::kUpnp);
   EXPECT_EQ(merged.messages_parsed, sum.messages_parsed);
   EXPECT_EQ(merged.cache_short_circuits, sum.cache_short_circuits);
   EXPECT_EQ(merged.messages_parsed, static_cast<std::uint64_t>(kDevices));
   EXPECT_EQ(merged.cache_short_circuits,
             static_cast<std::uint64_t>(kDevices));
 
-  core::TranslationCache::SdpStats cache = pool.translation_stats(SdpId::kUpnp);
+  core::TranslationCache::SdpStats cache =
+      gateway.translation_stats(SdpId::kUpnp);
   EXPECT_EQ(cache.hits, static_cast<std::uint64_t>(kDevices));
   EXPECT_EQ(cache.misses, static_cast<std::uint64_t>(kDevices));
 
@@ -147,67 +174,67 @@ TEST(LiveShardPool, HashedAdvertisementsSpreadAndRepeatsShortCircuit) {
   // announcements (their own counter — not messages_composed, which tracks
   // the request/response compose path).
   std::uint64_t announcements = 0;
-  for (std::size_t i = 0; i < pool.shard_count(); ++i) {
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
     if (const auto* mdns =
-            pool.shard(i).unit_as<core::MdnsUnit>(SdpId::kMdns)) {
+            gateway.shard(i).unit_as<core::MdnsUnit>(SdpId::kMdns)) {
       announcements += mdns->announcements_sent();
     }
   }
   EXPECT_GT(announcements, 0u);
 }
 
-TEST(LiveShardPool, BroadcastControlTrafficReachesEveryShard) {
-  EventLoop loop;
-  LiveShardPool pool(loop, make_config(2));
-  pool.start();
+TEST(ThreadedGateway, BroadcastControlTrafficReachesEveryShard) {
+  Rig rig(2);
+  core::Gateway& gateway = rig.gateway;
+  gateway.start();
 
-  pool.dispatch(SdpId::kUpnp, make_datagram(upnp_msearch()));
-  ASSERT_TRUE(wait_drained(loop, pool));
-  loop.run_for(transport::millis(50));
+  gateway.ingest(SdpId::kUpnp, make_datagram(upnp_msearch()));
+  ASSERT_TRUE(wait_drained(rig));
+  rig.loop.run_for(transport::millis(50));
 
-  pool.stop();
+  gateway.stop();
 
-  EXPECT_EQ(pool.datagrams_dispatched(), 1u);
-  EXPECT_EQ(pool.datagrams_replicated(), 1u);
-  EXPECT_EQ(pool.ingress_accepted(), 2u);  // one copy per shard
-  for (std::size_t i = 0; i < pool.shard_count(); ++i) {
-    const core::Unit* unit = pool.shard(i).unit(SdpId::kUpnp);
+  EXPECT_EQ(gateway.datagrams_dispatched(), 1u);
+  EXPECT_EQ(gateway.datagrams_replicated(), 1u);
+  EXPECT_EQ(rig.threads->accepted(), 2u);  // one copy per shard
+  for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
+    const core::Unit* unit = gateway.shard(i).unit(SdpId::kUpnp);
     ASSERT_NE(unit, nullptr);
     EXPECT_EQ(unit->stats().messages_parsed, 1u) << "shard " << i;
   }
 }
 
-// Floods tiny rings from the dispatcher while the shard threads consume
+// Floods tiny rings from the front loop while the shard threads consume
 // concurrently, then stops mid-stream: offer/poll/drop counters must stay
 // consistent and shutdown must be prompt. (This is the contended path TSan
 // watches; whether any drops actually occur depends on scheduling, so the
 // test asserts accounting, not a specific drop count.)
-TEST(LiveShardPool, StopWithBackloggedRingsIsPromptAndAccountsEveryOffer) {
-  LiveShardConfig config = make_config(2);
-  config.ring_capacity = 8;
-  EventLoop loop;
-  LiveShardPool pool(loop, config);
-  pool.start();
+TEST(ThreadedGateway, StopWithBackloggedRingsIsPromptAndAccountsEveryOffer) {
+  Rig rig(2, /*ring_capacity=*/8);
+  core::Gateway& gateway = rig.gateway;
+  gateway.start();
 
   constexpr int kFlood = 200;
   for (int device = 0; device < kFlood; ++device) {
-    pool.dispatch(SdpId::kUpnp, make_datagram(upnp_alive(device)));
+    gateway.ingest(SdpId::kUpnp, make_datagram(upnp_alive(device)));
   }
-  pool.stop();
+  gateway.stop();
 
-  EXPECT_EQ(pool.datagrams_dispatched(), static_cast<std::uint64_t>(kFlood));
-  // Every hashed offer either entered a ring or was dropped-and-counted.
-  EXPECT_EQ(pool.ingress_accepted() + pool.ring_dropped(),
+  EXPECT_EQ(gateway.datagrams_dispatched(),
             static_cast<std::uint64_t>(kFlood));
-  EXPECT_LE(pool.ingress_consumed(), pool.ingress_accepted());
+  // Every hashed offer either entered a ring or was dropped-and-counted.
+  EXPECT_EQ(rig.threads->accepted() + gateway.ring_dropped(),
+            static_cast<std::uint64_t>(kFlood));
+  EXPECT_LE(rig.threads->consumed(), rig.threads->accepted());
   // Whatever the shards consumed before the stop, they processed: the
   // monitor path parses or ignores, it never loses a consumed item.
-  core::Unit::Stats merged = pool.unit_stats(SdpId::kUpnp);
-  EXPECT_LE(merged.messages_parsed, pool.ingress_consumed());
+  core::Unit::Stats merged = gateway.unit_stats(SdpId::kUpnp);
+  EXPECT_LE(merged.messages_parsed, rig.threads->consumed());
 
-  // A stopped pool ignores late traffic instead of waking dead threads.
-  pool.dispatch(SdpId::kUpnp, make_datagram(upnp_alive(0)));
-  EXPECT_EQ(pool.datagrams_dispatched(), static_cast<std::uint64_t>(kFlood));
+  // A stopped gateway ignores late traffic instead of waking dead threads.
+  gateway.ingest(SdpId::kUpnp, make_datagram(upnp_alive(0)));
+  EXPECT_EQ(gateway.datagrams_dispatched(),
+            static_cast<std::uint64_t>(kFlood));
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
-// Shard routing and virtual-shard gateway tests (docs/sharding.md):
+// Shard routing and inline-shard gateway tests (docs/sharding.md):
 // byte-identical wires always map to the same shard, the classifier sends
-// advertisements to one shard and control traffic to all, and the
-// ShardedGateway's merged statistics equal the per-shard sums.
+// advertisements to one shard and control traffic to all, the Gateway's
+// merged statistics equal the per-shard sums, and shards=N sheds exactly
+// what shards=1 sheds.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/gateway.hpp"
 #include "core/shard/router.hpp"
-#include "core/shard/sharded_gateway.hpp"
 #include "mdns/dns.hpp"
 #include "net/host.hpp"
 #include "net/network.hpp"
@@ -152,7 +153,7 @@ TEST(ShardRouting, ClassifierBroadcastsRequestsAndWithdrawals) {
             Route::kBroadcast);
 }
 
-struct VirtualShardFixture : ::testing::Test {
+struct InlineShardFixture : ::testing::Test {
   sim::Scheduler scheduler;
   net::Network network{scheduler, net::LinkProfile{}, 7};
   net::Host& gateway_host =
@@ -160,8 +161,8 @@ struct VirtualShardFixture : ::testing::Test {
   net::Host& device_host =
       network.add_host("dev", net::IpAddress(10, 0, 1, 50));
 
-  ShardedConfig make_config(std::size_t shards) {
-    ShardedConfig config;
+  GatewayConfig make_config(std::size_t shards) {
+    GatewayConfig config;
     config.shards = shards;
     config.indiss.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
     return config;
@@ -175,8 +176,8 @@ struct VirtualShardFixture : ::testing::Test {
   }
 };
 
-TEST_F(VirtualShardFixture, AdvertisementLandsOnExactlyOneShard) {
-  ShardedGateway gateway(gateway_host, make_config(2));
+TEST_F(InlineShardFixture, AdvertisementLandsOnExactlyOneShard) {
+  Gateway gateway(gateway_host, make_config(2));
   gateway.start();
   scheduler.run_for(sim::millis(10));
 
@@ -201,12 +202,12 @@ TEST_F(VirtualShardFixture, AdvertisementLandsOnExactlyOneShard) {
   EXPECT_EQ(gateway.datagrams_dispatched(), 2u);
   EXPECT_EQ(gateway.datagrams_replicated(), 0u);
   EXPECT_EQ(gateway.ring_dropped(), 0u);
-  EXPECT_EQ(gateway.front_monitor().datagrams_seen(), 2u);
-  EXPECT_TRUE(gateway.front_monitor().has_detected(SdpId::kSlp));
+  EXPECT_EQ(gateway.monitor().datagrams_seen(), 2u);
+  EXPECT_TRUE(gateway.monitor().has_detected(SdpId::kSlp));
 }
 
-TEST_F(VirtualShardFixture, RequestIsReplicatedToEveryShard) {
-  ShardedGateway gateway(gateway_host, make_config(2));
+TEST_F(InlineShardFixture, RequestIsReplicatedToEveryShard) {
+  Gateway gateway(gateway_host, make_config(2));
   gateway.start();
   scheduler.run_for(sim::millis(10));
 
@@ -224,8 +225,8 @@ TEST_F(VirtualShardFixture, RequestIsReplicatedToEveryShard) {
 // The satellite fix for shard-safe statistics: counters stay plain per-shard
 // members, and the gateway-level accessors merge them at read time. The
 // merged view must equal the per-shard sums exactly.
-TEST_F(VirtualShardFixture, MergedStatsEqualPerShardSums) {
-  ShardedGateway gateway(gateway_host, make_config(2));
+TEST_F(InlineShardFixture, MergedStatsEqualPerShardSums) {
+  Gateway gateway(gateway_host, make_config(2));
   gateway.start();
   scheduler.run_for(sim::millis(10));
 
@@ -263,23 +264,48 @@ TEST_F(VirtualShardFixture, MergedStatsEqualPerShardSums) {
   EXPECT_GT(gateway.shard(1).unit(SdpId::kSlp)->stats().messages_parsed, 0u);
 }
 
-TEST_F(VirtualShardFixture, RingOverflowDropsAndCounts) {
-  ShardedConfig config = make_config(1);
-  config.ring_capacity = 8;
-  config.scan_ports = false;
-  config.auto_pump = false;  // hold items in the ring to force overflow
-  ShardedGateway gateway(gateway_host, config);
-  gateway.start();
-  scheduler.run_for(sim::millis(10));
+// One source floods distinct-wire adverts past its rate limit. The limit is
+// the node's, applied once at the scanning monitor: a source whose adverts
+// hash across shards must not get N times its budget, so shards=2 sheds and
+// admits exactly what shards=1 does.
+TEST(InlineShards, RateLimitIsChargedOnceWhateverTheShardCount) {
+  struct Counts {
+    Monitor::Stats monitor;
+    std::uint64_t parsed = 0;
+  };
+  auto flood = [](std::size_t shards) {
+    sim::Scheduler scheduler;
+    net::Network network{scheduler, net::LinkProfile{}, 7};
+    net::Host& gw = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+    net::Host& dev = network.add_host("dev", net::IpAddress(10, 0, 1, 50));
+    GatewayConfig config;
+    config.shards = shards;
+    config.indiss.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
+    config.indiss.monitor.rate_limit_per_sec = 10.0;
+    Gateway gateway(gw, config);
+    gateway.start();
+    scheduler.run_for(sim::millis(10));
+    auto socket = dev.udp_socket(0);
+    for (int device = 0; device < 120; ++device) {
+      socket->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                      slp_registration(device));
+      scheduler.run_for(sim::millis(10));
+    }
+    scheduler.run_for(sim::seconds(30));
+    return Counts{gateway.monitor().stats(),
+                  gateway.unit_stats(SdpId::kSlp).messages_parsed};
+  };
 
-  for (int device = 0; device < 11; ++device) {
-    gateway.dispatch(SdpId::kSlp,
-                     make_datagram(slp_registration(device), 40000));
-  }
-  EXPECT_EQ(gateway.ring_dropped(), 3u);  // 8 queued, 3 rejected
-  EXPECT_EQ(gateway.pump(), 8u);
-  scheduler.run_for(sim::seconds(1));
-  EXPECT_EQ(gateway.unit_stats(SdpId::kSlp).messages_parsed, 8u);
+  Counts one = flood(1);
+  Counts two = flood(2);
+  // 1.2 s at 100/s against a 10/s budget with a 20-deep burst: most of the
+  // flood is shed, and what is admitted is parsed once either way.
+  EXPECT_GT(one.monitor.rate_limited, 0u);
+  EXPECT_EQ(two.monitor.rate_limited, one.monitor.rate_limited);
+  EXPECT_EQ(two.monitor.seen, one.monitor.seen);
+  EXPECT_EQ(one.monitor.seen + one.monitor.rate_limited, 120u);
+  EXPECT_EQ(two.parsed, one.parsed);
+  EXPECT_EQ(one.parsed, one.monitor.seen);
 }
 
 }  // namespace

@@ -2,21 +2,24 @@
 // (transport/transport.hpp), run against the simulated LAN and the live
 // epoll backend over loopback. Anything the units rely on — ephemeral
 // binds, multicast join/fan-out, self-loop suppression, timer handle
-// semantics, synchronous ECONNREFUSED — is pinned here so the two backends
-// cannot drift apart.
+// semantics, synchronous ECONNREFUSED, request-state lifetime over TCP — is
+// pinned here so the two backends cannot drift apart.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/uri.hpp"
 #include "live/event_loop.hpp"
 #include "live/transport.hpp"
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 #include "transport/transport.hpp"
+#include "upnp/http_client.hpp"
 
 namespace indiss {
 namespace {
@@ -247,6 +250,61 @@ TEST_P(ConformanceTest, TcpRoundTripAndCloseNotification) {
   run_for(transport::millis(50));
   EXPECT_TRUE(server_closed);
   EXPECT_FALSE(client->open());
+}
+
+// upnp::http_request's per-request state (parser, socket, the caller's
+// handler) must be released once the handler has fired, however the request
+// ended: a completed GET, a refused connect, or a response that fails to
+// parse. The handler carries a token; an expired token means the request
+// state holding it is gone. The server keeps its side open, so only the
+// client can end each exchange.
+TEST_P(ConformanceTest, HttpRequestStateIsFreedAfterEveryOutcome) {
+  std::vector<std::shared_ptr<transport::TcpSocket>> accepted;
+  std::string reply;
+  auto listener = node().listen_tcp(0);
+  listener->set_accept_handler(
+      [&](std::shared_ptr<transport::TcpSocket> socket) {
+        transport::TcpSocket* raw = socket.get();
+        socket->set_data_handler([&reply, raw](BytesView) {
+          raw->send(Bytes(reply.begin(), reply.end()));
+        });
+        accepted.push_back(std::move(socket));
+      });
+  auto closed = node().listen_tcp(0);
+  const std::uint16_t refused_port = closed->port();
+  closed->close();
+
+  auto request = [&](std::uint16_t port) {
+    auto token = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = token;
+    bool called = false;
+    std::optional<http::HttpMessage> response;
+    Uri uri;
+    uri.scheme = "http";
+    uri.host = node().address().to_string();
+    uri.port = port;
+    uri.path = "/description.xml";
+    upnp::http_get(node(), uri,
+                   [&, token](std::optional<http::HttpMessage> r) {
+                     called = true;
+                     response = std::move(r);
+                   });
+    token.reset();
+    run_for(transport::millis(50));
+    EXPECT_TRUE(called) << "port " << port;
+    EXPECT_TRUE(watch.expired()) << "port " << port << ": request leaked";
+    return response;
+  };
+
+  reply = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+  auto completed = request(listener->port());
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(completed->status, 200);
+
+  EXPECT_FALSE(request(refused_port).has_value());
+
+  reply = "HTTP/1.1 999 Nope\r\n\r\n";
+  EXPECT_FALSE(request(listener->port()).has_value());
 }
 
 TEST_P(ConformanceTest, TimeAdvancesAcrossRun) {
