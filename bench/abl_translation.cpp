@@ -284,6 +284,36 @@ void BM_MdnsRoundTripAllocations(benchmark::State& state) {
 }
 BENCHMARK(BM_MdnsRoundTripAllocations);
 
+// BM_DnsEncodeDnssdBundle: a warm DnsEncoder on the PTR+SRV+TXT+A bundle a
+// directory-mode gateway sends for a browse matching N instances (4N
+// records). events_per_sec counts records, so a flat rate across N means
+// a name costs the same to compress however many names precede it.
+void BM_DnsEncodeDnssdBundle(benchmark::State& state) {
+  const auto instances = static_cast<std::size_t>(state.range(0));
+  core::EventStream stream;
+  stream.push_back(core::Event(core::EventType::kControlStart));
+  for (std::size_t i = 0; i < instances; ++i) {
+    stream.push_back(core::Event(
+        core::EventType::kResServUrl,
+        {{"url", "soap://10.0." + std::to_string(i / 200) + "." +
+                     std::to_string(i % 200 + 1) + ":4006/clock" +
+                     std::to_string(i)}}));
+  }
+  stream.push_back(core::Event(core::EventType::kControlStop));
+  mdns::DnsMessage bundle;
+  core::compose_dnssd_answers(stream, "_clock._tcp.local", 120, bundle);
+  const std::size_t records = bundle.answers.size() + bundle.additionals.size();
+  mdns::DnsEncoder encoder;
+  for (int i = 0; i < 4; ++i) encoder.encode(bundle);
+  std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
+  for (auto _ : state) {
+    BytesView wire = encoder.encode(bundle);
+    benchmark::DoNotOptimize(wire);
+  }
+  report(state, allocs_before, records);
+}
+BENCHMARK(BM_DnsEncodeDnssdBundle)->Arg(16)->Arg(64)->Arg(256);
+
 void BM_SlpEncodeDecodeRoundTrip(benchmark::State& state) {
   slp::SrvRply reply;
   reply.url_entries = {

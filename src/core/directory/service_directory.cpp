@@ -86,6 +86,12 @@ bool ServiceDirectory::record_advertisement(SdpId origin,
     // short-circuited by the TranslationCache into touch() instead). This
     // path allocates nothing.
     Record& record = it->second;
+    // A new TTL changes the answer bytes; a revived record (stale generation
+    // or past its deadline) changes the answer's record set.
+    if (ttl != record.ttl || record.generation != generation_ ||
+        record.expires_at <= now) {
+      bump_type_epoch(record.canonical_type);
+    }
     record.ttl = ttl;
     record.expires_at = now + ttl;
     record.generation = generation_;
@@ -116,11 +122,12 @@ bool ServiceDirectory::record_advertisement(SdpId origin,
   record.generation = generation_;
   record.last_used = ++tick_;
 
-  bucket_for(record.canonical_type)[record.canonical_type].push_back(url);
+  Symbol record_type = record.canonical_type;
+  bucket_for(record_type)[record_type].push_back(url);
   if (wkey != 0) by_wire_[wkey] = url;
   records_.emplace(url, std::move(record));
   sdp_stats(origin).records_stored += 1;
-  bump_answer_epoch();
+  bump_type_epoch(record_type);
   evict_if_needed();
   return true;
 }
@@ -146,7 +153,6 @@ std::size_t ServiceDirectory::withdraw(SdpId origin,
   if (url == kNoSymbol || records_.find(url) == records_.end()) return 0;
   erase_record(url);
   sdp_stats(origin).withdrawals += 1;
-  bump_answer_epoch();
   return 1;
 }
 
@@ -158,6 +164,7 @@ bool ServiceDirectory::touch(SdpId, BytesView wire, transport::TimePoint now) {
   if (rec == records_.end()) return false;
   Record& record = rec->second;
   if (record.generation != generation_) return false;
+  if (record.expires_at <= now) bump_type_epoch(record.canonical_type);
   record.expires_at = now + record.ttl;
   record.last_used = ++tick_;
   return true;
@@ -186,21 +193,11 @@ std::size_t ServiceDirectory::collect(std::string_view canonical_type,
 bool ServiceDirectory::has_fresh(std::string_view canonical_type,
                                  transport::TimePoint now) const {
   Symbol type = SymbolTable::global().find(canonical_type);
-  if (type == kNoSymbol) return false;
-  const auto& bucket = bucket_for(type);
-  auto it = bucket.find(type);
-  if (it == bucket.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(), [&](Symbol url) {
-    auto rec = records_.find(url);
-    return rec != records_.end() && rec->second.generation == generation_ &&
-           rec->second.expires_at > now;
-  });
+  transport::TimePoint earliest{};
+  return type != kNoSymbol && fresh_records(type, now, &earliest) > 0;
 }
 
-void ServiceDirectory::bump_generation() {
-  generation_ += 1;
-  bump_answer_epoch();
-}
+void ServiceDirectory::bump_generation() { generation_ += 1; }
 
 std::size_t ServiceDirectory::sweep(transport::TimePoint now) {
   std::size_t erased = 0;
@@ -214,14 +211,12 @@ std::size_t ServiceDirectory::sweep(transport::TimePoint now) {
       ++it;
     }
   }
-  if (erased > 0) {
-    records_expired_ += erased;
-    bump_answer_epoch();
-  }
+  records_expired_ += erased;
   return erased;
 }
 
 void ServiceDirectory::unindex(const Record& record) {
+  bump_type_epoch(record.canonical_type);
   auto& bucket = bucket_for(record.canonical_type);
   auto it = bucket.find(record.canonical_type);
   if (it != bucket.end()) {
@@ -266,12 +261,26 @@ void ServiceDirectory::evict_if_needed() {
 // Answer cache
 // ---------------------------------------------------------------------------
 
-void ServiceDirectory::open_answer(SdpId sdp, BytesView wire,
+void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
+                                   BytesView wire,
                                    const net::Endpoint& requester,
                                    std::uint64_t session_id,
-                                   transport::TimePoint) {
+                                   transport::TimePoint now) {
   if (config_.max_answers == 0) return;
   std::uint64_t hash = wire_hash(wire);
+  Symbol type = SymbolTable::global().intern(canonical_type);
+  // The answer holds exactly the records collect() returns for `type` now.
+  transport::TimePoint expires_at{};
+  std::size_t records = fresh_records(type, now, &expires_at);
+  auto stamp = [&](Answer& answer) {
+    answer.session_id = session_id;
+    answer.type = type;
+    answer.generation = generation_;
+    answer.type_epoch = type_epoch(type);
+    answer.records = records;
+    answer.expires_at = expires_at;
+    answer.last_used = ++tick_;
+  };
   // Reuse the slot of a stale answer for the same key, else append.
   for (auto& answer : answers_) {
     if (answer.sdp == sdp && answer.hash == hash &&
@@ -279,9 +288,7 @@ void ServiceDirectory::open_answer(SdpId sdp, BytesView wire,
         std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
                    wire.end())) {
       answer.frames.clear();
-      answer.session_id = session_id;
-      answer.epoch = answer_epoch_;
-      answer.last_used = ++tick_;
+      stamp(answer);
       return;
     }
   }
@@ -297,9 +304,7 @@ void ServiceDirectory::open_answer(SdpId sdp, BytesView wire,
   answer.hash = hash;
   answer.requester = requester;
   answer.wire.assign(wire.begin(), wire.end());
-  answer.session_id = session_id;
-  answer.epoch = answer_epoch_;
-  answer.last_used = ++tick_;
+  stamp(answer);
   answers_.push_back(std::move(answer));
 }
 
@@ -307,7 +312,7 @@ void ServiceDirectory::add_answer_frame(SdpId sdp, std::uint64_t session_id,
                                         TranslationCache::Frame frame) {
   for (auto& answer : answers_) {
     if (answer.sdp == sdp && answer.session_id == session_id &&
-        answer.epoch == answer_epoch_) {
+        is_current(answer)) {
       answer.frames.push_back(std::move(frame));
       return;
     }
@@ -316,13 +321,22 @@ void ServiceDirectory::add_answer_frame(SdpId sdp, std::uint64_t session_id,
 
 bool ServiceDirectory::replay_answer(SdpId sdp, BytesView wire,
                                      const net::Endpoint& requester,
-                                     transport::TimePoint) {
+                                     transport::TimePoint now) {
   std::uint64_t hash = wire_hash(wire);
   for (auto& answer : answers_) {
     if (answer.sdp != sdp || answer.hash != hash ||
-        !(answer.requester == requester) || answer.epoch != answer_epoch_ ||
-        answer.frames.empty()) {
+        !(answer.requester == requester) || answer.frames.empty() ||
+        !is_current(answer)) {
       continue;
+    }
+    if (now >= answer.expires_at) {
+      // Deadline rule. With the type epoch unchanged, no record joined or
+      // left the type and none came back from expiry, so the fresh records
+      // are a subset of the answered ones: the answer still holds exactly
+      // when none of them has expired, i.e. all were re-armed since.
+      transport::TimePoint next{};
+      if (fresh_records(answer.type, now, &next) != answer.records) continue;
+      answer.expires_at = next;
     }
     if (!std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
                     wire.end())) {
@@ -334,6 +348,25 @@ bool ServiceDirectory::replay_answer(SdpId sdp, BytesView wire,
     return true;
   }
   return false;
+}
+
+std::size_t ServiceDirectory::fresh_records(
+    Symbol type, transport::TimePoint now,
+    transport::TimePoint* earliest_deadline) const {
+  *earliest_deadline = transport::TimePoint::max();
+  const auto& bucket = bucket_for(type);
+  auto it = bucket.find(type);
+  if (it == bucket.end()) return 0;
+  std::size_t fresh = 0;
+  for (Symbol url : it->second) {
+    auto rec = records_.find(url);
+    if (rec == records_.end()) continue;
+    const Record& record = rec->second;
+    if (record.generation != generation_ || record.expires_at <= now) continue;
+    *earliest_deadline = std::min(*earliest_deadline, record.expires_at);
+    fresh += 1;
+  }
+  return fresh;
 }
 
 const ServiceDirectory::Record* ServiceDirectory::find(

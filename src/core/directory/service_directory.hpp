@@ -38,7 +38,10 @@
 // directory answer is keyed by (wire hash + length, requester endpoint) and
 // replayed frame-for-frame when the identical query repeats — the
 // request-side analogue of the TranslationCache's advertisement bundles.
-// Any index mutation bumps an epoch that invalidates all cached answers.
+// Each answer remembers the canonical type it answered and that type's
+// epoch; an index write bumps only the epoch of the type it touched, and
+// bump_generation() invalidates every answer. An answer also stops
+// replaying at the earliest deadline among its records.
 //
 // Like the rest of the substrate, not thread-safe: one scheduler thread.
 // In the sharded pipeline each shard owns a private directory, consistent
@@ -163,10 +166,11 @@ class ServiceDirectory {
   // --- Answer cache (reply-side request caching) ----------------------------
 
   /// Registers a pending answer for the query `wire` from `requester` that
-  /// the session (sdp, session_id) is composing; frames land via
-  /// add_answer_frame.
-  void open_answer(SdpId sdp, BytesView wire, const net::Endpoint& requester,
-                   std::uint64_t session_id, transport::TimePoint now);
+  /// the session (sdp, session_id) is composing from the fresh records of
+  /// `canonical_type`; frames land via add_answer_frame.
+  void open_answer(SdpId sdp, std::string_view canonical_type, BytesView wire,
+                   const net::Endpoint& requester, std::uint64_t session_id,
+                   transport::TimePoint now);
 
   /// Appends a composed reply frame to the pending answer for (sdp,
   /// session_id). No-op when none is pending.
@@ -174,7 +178,9 @@ class ServiceDirectory {
                         TranslationCache::Frame frame);
 
   /// Hit path: when the identical query bytes from the identical requester
-  /// were answered this epoch, re-sends the stored frames and returns true.
+  /// were answered, no write has touched the answered type since, and none
+  /// of the answer's records has reached its deadline, re-sends the stored
+  /// frames and returns true.
   bool replay_answer(SdpId sdp, BytesView wire, const net::Endpoint& requester,
                      transport::TimePoint now);
 
@@ -211,7 +217,12 @@ class ServiceDirectory {
     Bytes wire;  // byte-verified on hit, like the TranslationCache
     std::vector<TranslationCache::Frame> frames;
     std::uint64_t session_id = 0;  // origin session, while frames collect
-    std::uint64_t epoch = 0;
+    Symbol type = kNoSymbol;       // the canonical type it answered
+    std::uint64_t generation = 0;  // generation_ when opened
+    std::uint64_t type_epoch = 0;  // type_epoch(type) when opened
+    std::size_t records = 0;       // how many records it answered
+    /// The earliest deadline among the answered records.
+    transport::TimePoint expires_at = transport::TimePoint::max();
     std::uint64_t last_used = 0;
   };
 
@@ -225,19 +236,34 @@ class ServiceDirectory {
     return buckets_[static_cast<std::size_t>(type) % buckets_.size()];
   }
 
+  /// Drops `record` from the type and wire indexes, and so changes what
+  /// its type answers.
   void unindex(const Record& record);
+  /// Counts the fresh, current-generation records of `type` (what collect()
+  /// returns) and reports the earliest deadline among them.
+  std::size_t fresh_records(Symbol type, transport::TimePoint now,
+                            transport::TimePoint* earliest_deadline) const;
   void erase_record(Symbol url);
   void evict_if_needed();
-  /// Any index mutation invalidates every cached answer.
-  void bump_answer_epoch() { answer_epoch_ += 1; }
+  /// An index write to `type` invalidates the cached answers for it.
+  void bump_type_epoch(Symbol type) { type_epochs_[type] += 1; }
+  [[nodiscard]] std::uint64_t type_epoch(Symbol type) const {
+    auto it = type_epochs_.find(type);
+    return it == type_epochs_.end() ? 0 : it->second;
+  }
+  [[nodiscard]] bool is_current(const Answer& answer) const {
+    return answer.generation == generation_ &&
+           answer.type_epoch == type_epoch(answer.type);
+  }
 
   Config config_;
   std::unordered_map<Symbol, Record> records_;  // by URL symbol
   std::vector<TypeBucket> buckets_;             // type -> URLs, hash-sharded
   std::unordered_map<std::uint64_t, Symbol> by_wire_;  // advert wire -> URL
   std::vector<Answer> answers_;
+  /// Per-type answer epochs; never erased, so an epoch never repeats.
+  std::unordered_map<Symbol, std::uint64_t> type_epochs_;
   std::uint64_t generation_ = 0;
-  std::uint64_t answer_epoch_ = 0;
   std::uint64_t tick_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t records_expired_ = 0;

@@ -428,7 +428,7 @@ bool Unit::try_answer_from_directory(Session& session) {
   // Key the composed reply frames by (query wire, requester) so the
   // identical repeat replays straight from the answer cache.
   if (!pending_query_wire_.empty()) {
-    dir->open_answer(sdp_, pending_query_wire_, pending_query_source_,
+    dir->open_answer(sdp_, type, pending_query_wire_, pending_query_source_,
                      session.id, now());
   }
   session.set_var("directory_answer", "1");

@@ -245,42 +245,116 @@ bool DnsEncoder::name_at_equals(std::size_t offset,
   }
 }
 
-bool DnsEncoder::find_suffix(std::string_view suffix,
+namespace {
+
+constexpr std::size_t kMaxLabelBytes = 63;
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// Prepends one label to a suffix hash: FNV-1a over the length byte and the
+/// label bytes, seeded with the hash of the labels that follow.
+std::uint64_t hash_label(std::uint64_t rest, std::string_view label) {
+  std::uint64_t h = (rest ^ label.size()) * kFnvPrime;
+  for (char c : label) {
+    h = (h ^ static_cast<std::uint8_t>(c)) * kFnvPrime;
+  }
+  return h;
+}
+
+/// Fibonacci hashing: the key's well-mixed middle bits pick the home slot.
+std::size_t home_slot(std::uint64_t key, std::size_t mask) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+
+}  // namespace
+
+bool DnsEncoder::find_suffix(std::uint64_t key, std::string_view suffix,
                              std::uint16_t* offset) const {
-  for (std::uint16_t at : name_offsets_) {
-    if (name_at_equals(at, suffix)) {
-      *offset = at;
+  if (used_.empty()) return false;
+  std::size_t mask = table_.size() - 1;
+  // Linear probing with no deletions inside one message: entries sharing a
+  // key sit on one probe chain in insertion order, so the first verified
+  // hit is the first-written matching name, as a linear scan would find.
+  for (std::size_t i = home_slot(key, mask);; i = (i + 1) & mask) {
+    const Slot& slot = table_[i];
+    if (slot.offset == kNoOffset) return false;
+    if (slot.key == key && name_at_equals(slot.offset, suffix)) {
+      *offset = slot.offset;
       return true;
     }
   }
-  return false;
+}
+
+void DnsEncoder::remember(std::uint64_t key, std::uint16_t offset) {
+  if ((used_.size() + 1) * 2 > table_.size()) grow_table();
+  std::size_t mask = table_.size() - 1;
+  std::size_t i = home_slot(key, mask);
+  while (table_[i].offset != kNoOffset) i = (i + 1) & mask;
+  table_[i] = Slot{key, offset};
+  used_.push_back(static_cast<std::uint32_t>(i));
+}
+
+void DnsEncoder::grow_table() {
+  std::vector<Slot> old;
+  old.swap(table_);
+  table_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+  std::vector<std::uint32_t> order;
+  order.swap(used_);
+  used_.reserve(table_.size() / 2);
+  // Re-inserting in insertion order keeps every probe chain's order.
+  for (std::uint32_t i : order) remember(old[i].key, old[i].offset);
 }
 
 void DnsEncoder::write_name(std::string_view name) {
-  std::size_t start = 0;
-  while (start < name.size()) {
-    std::string_view suffix = name.substr(start);
+  labels_.clear();
+  for (std::size_t start = 0; start < name.size();) {
+    auto dot = name.find('.', start);
+    std::size_t end = dot == std::string_view::npos ? name.size() : dot;
+    Label& label = labels_.emplace_back();
+    label.start = start;
+    label.size = end - start;
+    start = dot == std::string_view::npos ? name.size() : dot + 1;
+  }
+
+  // Suffix keys, right to left. A label's key hashes the name that will sit
+  // on the wire from that label on: labels capped at 63 bytes, ended by the
+  // first empty label (its zero byte terminates the name there). One
+  // trailing dot never forms a label. So when a dotted suffix spells an
+  // earlier wire name, both carry the same key; name_at_equals() settles
+  // every key match.
+  std::uint64_t key = kFnvBasis;
+  for (std::size_t i = labels_.size(); i-- > 0;) {
+    Label& label = labels_[i];
+    if (label.size == 0) {
+      key = kFnvBasis;
+    } else {
+      std::size_t bytes = std::min(label.size, kMaxLabelBytes);
+      key = hash_label(key, name.substr(label.start, bytes));
+    }
+    label.key = key;
+  }
+
+  // A target is remembered as soon as its first label is written: until
+  // its name is complete on the wire, name_at_equals() rejects it.
+  for (const Label& label : labels_) {
     std::uint16_t at = 0;
-    if (find_suffix(suffix, &at)) {
+    if (find_suffix(label.key, name.substr(label.start), &at)) {
       writer_.u16(static_cast<std::uint16_t>(0xC000 | at));
       return;
     }
-    auto dot = name.find('.', start);
-    std::size_t label_end = dot == std::string_view::npos ? name.size() : dot;
-    if (label_end - start > 63) {
+    if (label.size > kMaxLabelBytes) {
       // RFC 1035 caps labels at 63 bytes; composed names are under our
       // control, so an oversized one is a composer bug worth surfacing
       // (the truncated spelling will not match on the peer side).
       log::warn("mdns", "truncating oversized DNS label in '", name, "'");
     }
-    std::string_view label =
-        name.substr(start, std::min<std::size_t>(label_end - start, 63));
-    if (!label.empty() && writer_.size() < 0x3FFF) {
-      name_offsets_.push_back(static_cast<std::uint16_t>(writer_.size()));
+    std::string_view text =
+        name.substr(label.start, std::min(label.size, kMaxLabelBytes));
+    if (!text.empty() && writer_.size() < 0x3FFF) {
+      remember(label.key, static_cast<std::uint16_t>(writer_.size()));
     }
-    writer_.u8(static_cast<std::uint8_t>(label.size()));
-    writer_.raw(label);
-    start = dot == std::string_view::npos ? name.size() : dot + 1;
+    writer_.u8(static_cast<std::uint8_t>(text.size()));
+    writer_.raw(text);
   }
   writer_.u8(0);
 }
@@ -337,7 +411,8 @@ void DnsEncoder::write_record(const DnsRecord& record) {
 
 BytesView DnsEncoder::encode(const DnsMessage& message) {
   writer_.clear();
-  name_offsets_.clear();
+  for (std::uint32_t i : used_) table_[i].offset = kNoOffset;
+  used_.clear();
   writer_.u16(message.id);
   writer_.u16(message.flags);
   writer_.u16(static_cast<std::uint16_t>(message.questions.size()));

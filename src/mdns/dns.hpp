@@ -104,6 +104,12 @@ struct DnsMessage {
 /// Encodes messages with RFC 1035 name compression into an internal buffer
 /// that is reused across calls (clear-not-free), so a warm encoder composes
 /// without allocating.
+///
+/// Compression targets live in an open-addressing hash table keyed by the
+/// hash of each name suffix as it sits on the wire, so writing a name costs
+/// O(its length) however many names precede it (docs/protocols.md). Every
+/// hit is verified byte-for-byte and the first-written offset wins, so the
+/// output equals that of a linear scan over every earlier name.
 class DnsEncoder {
  public:
   /// The returned view aliases the encoder's buffer; it is valid until the
@@ -113,16 +119,33 @@ class DnsEncoder {
   [[nodiscard]] const Bytes& bytes() const { return writer_.bytes(); }
 
  private:
+  static constexpr std::uint16_t kNoOffset = 0xFFFF;
+
+  /// One label of the name being written, as write_name() walks it.
+  struct Label {
+    std::size_t start = 0;  // in the dotted name
+    std::size_t size = 0;   // uncapped
+    std::uint64_t key = 0;  // hash of the wire suffix this label begins
+  };
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint16_t offset = kNoOffset;  // kNoOffset: empty
+  };
+
   void write_name(std::string_view name);
   void write_question(const DnsQuestion& question);
   void write_record(const DnsRecord& record);
-  [[nodiscard]] bool find_suffix(std::string_view suffix,
+  void remember(std::uint64_t key, std::uint16_t offset);
+  void grow_table();
+  [[nodiscard]] bool find_suffix(std::uint64_t key, std::string_view suffix,
                                  std::uint16_t* offset) const;
   [[nodiscard]] bool name_at_equals(std::size_t offset,
                                     std::string_view dotted) const;
 
   ByteWriter writer_;
-  std::vector<std::uint16_t> name_offsets_;  // compression targets
+  std::vector<Label> labels_;        // write_name() scratch
+  std::vector<Slot> table_;          // power-of-two capacity, load <= 1/2
+  std::vector<std::uint32_t> used_;  // occupied slots, in insertion order
 };
 
 /// Convenience one-shot encode.

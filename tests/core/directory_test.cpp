@@ -1,7 +1,7 @@
 // ServiceDirectory tests (docs/directory.md): record/collect keying, the
 // never-serve-stale collect guard, withdraw tombstones (by URL and by USN),
 // generation-bump invalidation, LRU eviction, the wire-hash touch() refresh,
-// and the answer cache's replay + epoch-invalidation contract — then the
+// and the answer cache's replay, per-type epoch and deadline rules — then the
 // end-to-end legs: the idle-unit bridged-state expiry regression (timer
 // sweep, not sweep-on-touch), the SLP-browse-answered-from-mDNS-announcement
 // path with byebye tombstoning, the repeated-browse storm that must be
@@ -281,7 +281,8 @@ TEST_F(AnswerCacheFixture, ReplaysTheStoredFramesForTheIdenticalQuery) {
   // Miss while nothing is stored.
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(0)));
 
-  dir.open_answer(SdpId::kSlp, query, requester, /*session_id=*/11, at_s(0));
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, /*session_id=*/11,
+                  at_s(0));
   dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY one clock"));
   EXPECT_EQ(dir.answer_cache_size(), 1u);
 
@@ -303,7 +304,7 @@ TEST_F(AnswerCacheFixture, ReplaysTheStoredFramesForTheIdenticalQuery) {
 TEST_F(AnswerCacheFixture, AnyIndexMutationInvalidatesCachedAnswers) {
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
-  dir.open_answer(SdpId::kSlp, query, requester, 11, at_s(0));
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(0));
   dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY stale"));
   ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(1)));
 
@@ -315,12 +316,138 @@ TEST_F(AnswerCacheFixture, AnyIndexMutationInvalidatesCachedAnswers) {
       << "epoch bump must invalidate every cached answer";
 
   // Re-answer under the new epoch, then a withdrawal invalidates again.
-  dir.open_answer(SdpId::kSlp, query, requester, 12, at_s(4));
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 12, at_s(4));
   dir.add_answer_frame(SdpId::kSlp, 12, reply_frame("SRVRPLY fresh"));
   ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)));
   ASSERT_EQ(dir.withdraw(SdpId::kMdns, byebye_stream("service:clock://new")),
             1u);
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(6)));
+}
+
+TEST_F(AnswerCacheFixture, WritesInvalidateOnlyTheAnswersOfTheirType) {
+  ServiceDirectory dir;
+  Bytes query = wire_bytes("SRVRQST service:clock xid=7");
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(0));
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY clock"));
+
+  // A new printer, then its withdrawal: neither changes the clock answer.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("printer", "service:printer://p1", 600), {},
+      at_s(1)));
+  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(2)))
+      << "a printer write must leave the clock answer replayable";
+  ASSERT_EQ(dir.withdraw(SdpId::kMdns, byebye_stream("service:printer://p1")),
+            1u);
+  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)));
+
+  // A new clock does.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      at_s(4)));
+  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)))
+      << "a clock write must invalidate the clock answer";
+}
+
+TEST_F(AnswerCacheFixture, GenerationBumpInvalidatesEveryAnswer) {
+  ServiceDirectory dir;
+  Bytes clock_query = wire_bytes("SRVRQST service:clock xid=7");
+  Bytes printer_query = wire_bytes("SRVRQST service:printer xid=8");
+  dir.open_answer(SdpId::kSlp, "clock", clock_query, requester, 11, at_s(0));
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY clock"));
+  dir.open_answer(SdpId::kSlp, "printer", printer_query, requester, 12,
+                  at_s(0));
+  dir.add_answer_frame(SdpId::kSlp, 12, reply_frame("SRVRPLY printer"));
+  ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, clock_query, requester, at_s(1)));
+  ASSERT_TRUE(
+      dir.replay_answer(SdpId::kSlp, printer_query, requester, at_s(1)));
+
+  dir.bump_generation();
+  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, clock_query, requester, at_s(2)));
+  EXPECT_FALSE(
+      dir.replay_answer(SdpId::kSlp, printer_query, requester, at_s(2)));
+}
+
+TEST_F(AnswerCacheFixture, RefreshThatChangesTtlInvalidatesItsType) {
+  ServiceDirectory dir;
+  Bytes query = wire_bytes("SRVRQST service:clock xid=7");
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      at_s(0)));
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY ttl=600"));
+
+  // Same TTL: the answer bytes still hold.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      at_s(2)));
+  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)));
+
+  // A new TTL is part of the answer.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 300), {},
+      at_s(4)));
+  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)))
+      << "a TTL change must invalidate the answer that carried the old one";
+}
+
+TEST_F(AnswerCacheFixture, RefreshThatRevivesAnExpiredRecordInvalidatesItsType) {
+  ServiceDirectory dir;
+  Bytes query = wire_bytes("SRVRQST service:clock xid=7");
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      at_s(0)));
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c2", 600), {},
+      at_s(0)));
+  // Answered at 12 s: c1 is past its deadline (not yet swept) and left out.
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(12));
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c2"));
+  ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(13)));
+
+  // Same TTL, but c1 is back in what the type answers.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      at_s(14)));
+  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(15)));
+}
+
+/// Regression: replay ignored its clock, so between expiry sweeps a cached
+/// answer kept serving a record past its deadline.
+TEST_F(AnswerCacheFixture, NoReplayPastTheEarliestRecordDeadline) {
+  ServiceDirectory dir;
+  Bytes query = wire_bytes("SRVRQST service:clock xid=7");
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      at_s(0)));
+  std::vector<const ServiceDirectory::Record*> matches;
+  ASSERT_EQ(dir.collect("clock", at_s(1), matches), 1u);
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c1"));
+  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(9)));
+
+  // No sweep has run, but the record's deadline (10 s) has passed.
+  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(12)))
+      << "a cached answer must not outlive its records";
+  EXPECT_EQ(dir.collect("clock", at_s(12), matches), 0u)
+      << "a fresh compose must leave the expired record out";
+}
+
+TEST_F(AnswerCacheFixture, ReArmedRecordsCarryTheAnswerPastItsFirstDeadline) {
+  ServiceDirectory dir;
+  Bytes query = wire_bytes("SRVRQST service:clock xid=7");
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      at_s(0)));
+  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c1"));
+
+  // A same-TTL refresh at 8 s re-arms c1 to 18 s without invalidating.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      at_s(8)));
+  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(12)))
+      << "every answered record is still fresh";
+  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(18)));
 }
 
 // --- End-to-end --------------------------------------------------------------

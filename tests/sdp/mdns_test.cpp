@@ -7,6 +7,12 @@
 // fourth SDP).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/units/mdns_unit.hpp"
 #include "mdns/dns.hpp"
 #include "mdns/dnssd.hpp"
@@ -227,6 +233,265 @@ TEST(DnsCodec, RdlengthMismatchFailsCleanly) {
   // and lie about it.
   wire[wire.size() - 5] = 7;
   EXPECT_FALSE(decode(wire).has_value());
+}
+
+// --- Differential compression check -----------------------------------------
+//
+// DnsEncoder finds compression targets through a hash table. The reference
+// below is the plain RFC 1035 compressor it must agree with byte for byte:
+// every name suffix is compared against every earlier name offset, and the
+// first match wins. It lives only here, as the specification.
+
+class LinearScanEncoder {
+ public:
+  Bytes encode(const DnsMessage& message) {
+    writer_.clear();
+    offsets_.clear();
+    writer_.u16(message.id);
+    writer_.u16(message.flags);
+    writer_.u16(static_cast<std::uint16_t>(message.questions.size()));
+    writer_.u16(static_cast<std::uint16_t>(message.answers.size()));
+    writer_.u16(static_cast<std::uint16_t>(message.authorities.size()));
+    writer_.u16(static_cast<std::uint16_t>(message.additionals.size()));
+    for (const auto& q : message.questions) {
+      write_name(q.name);
+      writer_.u16(q.qtype);
+      writer_.u16(q.unicast_response ? (kClassIn | kClassTopBit) : kClassIn);
+    }
+    for (const auto& r : message.answers) write_record(r);
+    for (const auto& r : message.authorities) write_record(r);
+    for (const auto& r : message.additionals) write_record(r);
+    return Bytes(writer_.bytes());
+  }
+
+ private:
+  // Does the (possibly pointer-chained) wire name at `offset` spell
+  // `dotted`? One trailing dot in `dotted` is allowed.
+  bool name_at_equals(std::size_t offset, std::string_view dotted) const {
+    const Bytes& b = writer_.bytes();
+    std::size_t pos = offset;
+    std::size_t s = 0;
+    while (pos < b.size()) {
+      std::uint8_t len = b[pos];
+      if ((len & 0xC0) == 0xC0) {
+        pos = (static_cast<std::size_t>(len & 0x3F) << 8) | b[pos + 1];
+        continue;
+      }
+      if (len == 0) return s == dotted.size();
+      if (pos + 1 + len > b.size()) return false;
+      auto dot = dotted.find('.', s);
+      std::size_t end = dot == std::string_view::npos ? dotted.size() : dot;
+      if (end - s != len ||
+          std::memcmp(b.data() + pos + 1, dotted.data() + s, len) != 0) {
+        return false;
+      }
+      s = dot == std::string_view::npos ? dotted.size() : dot + 1;
+      pos += 1 + static_cast<std::size_t>(len);
+    }
+    return false;
+  }
+
+  void write_name(std::string_view name) {
+    std::size_t start = 0;
+    while (start < name.size()) {
+      for (std::uint16_t at : offsets_) {
+        if (name_at_equals(at, name.substr(start))) {
+          writer_.u16(static_cast<std::uint16_t>(0xC000 | at));
+          return;
+        }
+      }
+      auto dot = name.find('.', start);
+      std::size_t end = dot == std::string_view::npos ? name.size() : dot;
+      std::string_view label =
+          name.substr(start, std::min<std::size_t>(end - start, 63));
+      if (!label.empty() && writer_.size() < 0x3FFF) {
+        offsets_.push_back(static_cast<std::uint16_t>(writer_.size()));
+      }
+      writer_.u8(static_cast<std::uint8_t>(label.size()));
+      writer_.raw(label);
+      start = dot == std::string_view::npos ? name.size() : dot + 1;
+    }
+    writer_.u8(0);
+  }
+
+  void write_record(const DnsRecord& r) {
+    write_name(r.name);
+    writer_.u16(r.type);
+    writer_.u16(r.cache_flush ? (kClassIn | kClassTopBit) : kClassIn);
+    writer_.u32(r.ttl);
+    std::size_t rdlen_at = writer_.size();
+    writer_.u16(0);
+    std::size_t rdata_start = writer_.size();
+    if (r.type == kTypePtr) {
+      write_name(r.target);
+    } else if (r.type == kTypeSrv) {
+      writer_.u16(r.priority);
+      writer_.u16(r.weight);
+      writer_.u16(r.port);
+      write_name(r.target);
+    } else if (r.type == kTypeTxt) {
+      for (const auto& [key, value] : r.txt) {
+        std::size_t len = key.size() + (value.empty() ? 0 : 1 + value.size());
+        if (len == 0 || len > 255) continue;
+        writer_.u8(static_cast<std::uint8_t>(len));
+        writer_.raw(key);
+        if (!value.empty()) {
+          writer_.raw("=");
+          writer_.raw(value);
+        }
+      }
+    } else if (r.type == kTypeA) {
+      writer_.u32(r.address.bits());
+    } else {
+      writer_.raw(r.raw);
+    }
+    writer_.patch_u16(rdlen_at,
+                      static_cast<std::uint16_t>(writer_.size() - rdata_start));
+  }
+
+  ByteWriter writer_;
+  std::vector<std::uint16_t> offsets_;
+};
+
+/// The reply a directory-mode gateway composes for a browse that matches
+/// `instances` services: PTR answers plus SRV/TXT/A additionals each.
+DnsMessage dnssd_bundle(std::size_t instances) {
+  EventStream stream;
+  stream.push_back(Event(EventType::kControlStart));
+  for (std::size_t i = 0; i < instances; ++i) {
+    std::string url = "soap://10.0." + std::to_string(i / 200) + "." +
+                      std::to_string(i % 200 + 1) + ":4006/clock" +
+                      std::to_string(i);
+    stream.push_back(Event(EventType::kResServUrl, {{"url", url}}));
+  }
+  stream.push_back(Event(EventType::kControlStop));
+  DnsMessage message;
+  core::compose_dnssd_answers(stream, "_clock._tcp.local", 120, message);
+  return message;
+}
+
+/// A name drawn from labels that share suffixes, differ only in case, are
+/// empty, sit at the 63-byte cap or exceed it (and then truncate onto a
+/// capped twin), with occasional leading and trailing dots.
+std::string random_name(std::mt19937& rng) {
+  static const std::vector<std::string> kLabels = {
+      "_clock", "_tcp", "local", "Local", "LOCAL", "_printer", "_udp",
+      "host",   "Host", "a",     "",      std::string(63, 'x'),
+      std::string(64, 'x'),      std::string(70, 'x'),
+      std::string(62, 'y')};
+  std::string name;
+  if (rng() % 16 == 0) name.push_back('.');
+  std::size_t labels = 1 + rng() % 5;
+  for (std::size_t i = 0; i < labels; ++i) {
+    if (i > 0) name.push_back('.');
+    name += kLabels[rng() % kLabels.size()];
+  }
+  if (rng() % 8 == 0) name.push_back('.');
+  return name;
+}
+
+DnsRecord random_record(std::mt19937& rng) {
+  static const std::uint16_t kTypes[] = {kTypePtr, kTypeSrv, kTypeTxt, kTypeA,
+                                         99};
+  DnsRecord record;
+  record.name = random_name(rng);
+  record.type = kTypes[rng() % 5];
+  record.cache_flush = rng() % 2 == 0;
+  record.ttl = rng() % 4500;
+  switch (record.type) {
+    case kTypePtr:
+      record.target = random_name(rng);
+      break;
+    case kTypeSrv:
+      record.port = static_cast<std::uint16_t>(rng());
+      record.target = random_name(rng);
+      break;
+    case kTypeTxt:
+      record.txt = {{"url", random_name(rng)}, {"k", ""}};
+      break;
+    case kTypeA:
+      record.address = net::IpAddress(10, 0, 0, rng() % 256);
+      break;
+    default:
+      record.raw = Bytes(rng() % 9, 0xAB);
+      break;
+  }
+  return record;
+}
+
+DnsMessage random_message(std::mt19937& rng, std::size_t max_records) {
+  DnsMessage message;
+  message.id = static_cast<std::uint16_t>(rng());
+  message.flags = kFlagResponse;
+  for (std::size_t i = rng() % 3; i > 0; --i) {
+    message.questions.push_back(DnsQuestion{random_name(rng), kTypePtr});
+  }
+  for (std::size_t i = 1 + rng() % max_records; i > 0; --i) {
+    auto& section = rng() % 3 == 0 ? message.additionals : message.answers;
+    section.push_back(random_record(rng));
+  }
+  return message;
+}
+
+TEST(DnsCompression, MatchesTheLinearScanOnDnssdBundles) {
+  LinearScanEncoder reference;
+  DnsEncoder encoder;
+  for (std::size_t instances : {1u, 16u, 64u, 256u}) {
+    DnsMessage bundle = dnssd_bundle(instances);
+    ASSERT_EQ(bundle.answers.size(), instances);
+    Bytes expected = reference.encode(bundle);
+    BytesView got = encoder.encode(bundle);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                           expected.end()))
+        << instances << "-instance bundle differs from the linear scan";
+    EXPECT_EQ(encode(bundle), expected);
+    if (instances == 256) {
+      EXPECT_GT(expected.size(), 0x3FFFu)
+          << "the big bundle must reach past the pointer range";
+    }
+    ASSERT_TRUE(decode(expected).has_value());
+  }
+}
+
+TEST(DnsCompression, MatchesTheLinearScanOnEdgeCaseNames) {
+  DnsMessage message;
+  for (std::string_view name :
+       {"_clock._tcp.local", "_clock._tcp.local.", "_CLOCK._tcp.local",
+        "x._Clock._tcp.local", "", ".", "..", "a.", "a..", ".a", "a..a",
+        "b.a..a", "a.b.", "a.b..", "local", "LOCAL.", "a.local"}) {
+    DnsRecord record;
+    record.name = std::string(name);
+    record.type = kTypePtr;
+    record.target = "a." + std::string(name);
+    message.answers.push_back(record);
+  }
+  DnsRecord long_labels;
+  long_labels.name = std::string(70, 'z') + ".local";
+  long_labels.type = kTypeSrv;
+  long_labels.target = std::string(63, 'z') + ".local";
+  message.answers.push_back(long_labels);
+  message.answers.push_back(long_labels);
+
+  LinearScanEncoder reference;
+  EXPECT_EQ(encode(message), reference.encode(message));
+}
+
+TEST(DnsCompression, MatchesTheLinearScanOnGeneratedMessages) {
+  std::mt19937 rng(20051130);
+  LinearScanEncoder reference;
+  DnsEncoder warm;  // reused across messages, like a unit's encoder
+  std::size_t past_pointer_range = 0;
+  for (int i = 0; i < 300; ++i) {
+    DnsMessage message = random_message(rng, i % 40 == 0 ? 700 : 40);
+    Bytes expected = reference.encode(message);
+    BytesView got = warm.encode(message);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                           expected.end()))
+        << "message " << i << " differs from the linear scan";
+    if (expected.size() > 0x3FFF) past_pointer_range += 1;
+  }
+  EXPECT_GE(past_pointer_range, 3u)
+      << "some generated messages must pass the 14-bit pointer range";
 }
 
 // --- Golden-packet parse through the unit parser ----------------------------
@@ -839,6 +1104,21 @@ TEST(MdnsAllocs, CodecDecodeEncodeRoundTripIsZeroAllocSteadyState) {
   }
   EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
       << "warm decode_into/encode must not allocate";
+}
+
+TEST(MdnsAllocs, WarmEncoderOnA64InstanceBundleIsZeroAlloc) {
+  // A directory answer to a busy browse: 256 records whose names all share
+  // suffixes. The compression table is cleared, not freed, between calls.
+  DnsMessage bundle = dnssd_bundle(64);
+  DnsEncoder encoder;
+  for (int i = 0; i < 4; ++i) encoder.encode(bundle);
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  for (int i = 0; i < 64; ++i) {
+    BytesView out = encoder.encode(bundle);
+    ASSERT_FALSE(out.empty());
+  }
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "a warm encoder must not allocate on a 64-instance bundle";
 }
 
 TEST(MdnsAllocs, ParseEventComposeRoundTripIsZeroAllocSteadyState) {
