@@ -13,12 +13,14 @@
 // scales with raw message rate.
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/indiss.hpp"
 #include "core/shard/router.hpp"
+#include "core/units/slp_unit.hpp"
 #include "jini/discovery.hpp"
 #include "jini/lookup.hpp"
 #include "mdns/dns.hpp"
@@ -425,6 +427,133 @@ void BM_BrowseStormBridged(benchmark::State& state) {
   run_browse_storm(state, false);
 }
 BENCHMARK(BM_BrowseStormBridged)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+// The churn storm: the sim twin of the live adv-churn mix. Every wire is
+// unique, so the translation cache never hits (and, full at its bound,
+// evicts on every new bundle), and the gateway bridges a live set of N
+// services across SLP, UPnP and mDNS. Each new service comes with one
+// byebye of the oldest live one, keeping the live set at N. events_per_sec
+// counts adverts plus byebyes. The figure of merit is flatness in N: the
+// per-message cost must not grow with the number of bridged services or
+// with the number of sessions that ran in the last session_timeout.
+Bytes churn_wire(int id, bool byebye) {
+  const std::string host = "10.0." + std::to_string(1 + (id / 250) % 250) +
+                           "." + std::to_string(id % 250);
+  const std::string name = "dev" + std::to_string(id);
+  switch (id % 3) {
+    case 0: {
+      slp::UrlEntry entry{300,
+                          "service:clock:soap://" + host + ":4005/" + name};
+      if (byebye) {
+        slp::SrvDeReg dereg;
+        dereg.url_entry = entry;
+        return slp::encode(slp::Message(dereg));
+      }
+      slp::SrvReg reg;
+      reg.url_entry = entry;
+      reg.service_type = "service:clock";
+      reg.attr_list = "(friendlyName=" + name + ")";
+      return slp::encode(slp::Message(reg));
+    }
+    case 1: {
+      upnp::Notify notify;
+      notify.kind =
+          byebye ? upnp::Notify::Kind::kByeBye : upnp::Notify::Kind::kAlive;
+      notify.nt = "urn:schemas-upnp-org:device:clock:1";
+      notify.usn = "uuid:" + name + "::urn:schemas-upnp-org:device:clock:1";
+      if (!byebye) {
+        notify.location = "http://" + host + ":4004/" + name + ".xml";
+      }
+      return to_bytes(notify.to_http().serialize());
+    }
+    default: {
+      mdns::DnsMessage message;
+      message.flags = mdns::kFlagResponse | mdns::kFlagAuthoritative;
+      const std::uint32_t ttl = byebye ? 0 : 120;
+      const std::string instance = name + "._clock._tcp.local";
+      mdns::DnsRecord ptr;
+      ptr.name = "_clock._tcp.local";
+      ptr.type = mdns::kTypePtr;
+      ptr.ttl = ttl;
+      ptr.target = instance;
+      message.answers.push_back(ptr);
+      mdns::DnsRecord txt;
+      txt.name = instance;
+      txt.type = mdns::kTypeTxt;
+      txt.ttl = ttl;
+      txt.txt = {{"url", "soap://" + host + ":4006/" + name}};
+      message.answers.push_back(txt);
+      return mdns::encode(message);
+    }
+  }
+}
+
+void BM_ChurnStorm(benchmark::State& state) {
+  const int live = static_cast<int>(state.range(0));
+  constexpr int kBatch = 32;  // new services (and byebyes) per iteration
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 17};
+  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  core::IndissConfig config;
+  config.enabled_sdps = {core::SdpId::kSlp, core::SdpId::kUpnp,
+                         core::SdpId::kMdns};
+  core::Indiss indiss(gateway, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(10));
+
+  const core::SdpId origins[3] = {core::SdpId::kSlp, core::SdpId::kUpnp,
+                                  core::SdpId::kMdns};
+  net::Datagram datagram;
+  datagram.multicast = true;
+  auto send = [&](int id, bool byebye) {
+    datagram.source = net::Endpoint{
+        net::IpAddress(10, 0, static_cast<std::uint8_t>(1 + (id / 250) % 250),
+                       static_cast<std::uint8_t>(id % 250)),
+        static_cast<std::uint16_t>(40000 + id % 20000)};
+    datagram.payload = churn_wire(id, byebye);
+    indiss.unit(origins[id % 3])->on_native_message(datagram);
+  };
+
+  std::deque<int> alive;
+  int next_id = 0;
+  for (; next_id < live; ++next_id) {
+    send(next_id, false);
+    alive.push_back(next_id);
+    if (next_id % kBatch == kBatch - 1) scheduler.run_for(sim::millis(20));
+  }
+  scheduler.run_for(sim::seconds(1));
+  // One period: kBatch new services and kBatch byebyes over 20 simulated
+  // ms (3,200 messages/s, the live mix's order of magnitude).
+  auto period = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      send(next_id, false);
+      alive.push_back(next_id++);
+      send(alive.front(), true);
+      alive.pop_front();
+    }
+    scheduler.run_for(sim::millis(20));
+  };
+  // Warm past session_timeout so every session table is at steady state.
+  for (int i = 0; i < 600; ++i) period();
+
+  std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
+  for (auto _ : state) period();
+  std::uint64_t messages =
+      state.iterations() * static_cast<std::uint64_t>(2 * kBatch);
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kIsRate);
+  state.counters["heap_allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(indiss::testing::g_heap_allocs - allocs_before) /
+      static_cast<double>(messages));
+  state.counters["bridged_slp"] = benchmark::Counter(static_cast<double>(
+      indiss.unit_as<core::SlpUnit>(core::SdpId::kSlp)
+          ->foreign_services()
+          .size()));
+  state.counters["open_sessions"] = benchmark::Counter(static_cast<double>(
+      indiss.unit(core::SdpId::kUpnp)->open_sessions()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+}
+BENCHMARK(BM_ChurnStorm)->Arg(256)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 // Contested airwaves (docs/chaos.md): N probing responders all claim the
 // SAME instance name with different rdata, so every §8.2 tiebreak is a real

@@ -27,9 +27,17 @@ const TranslationCache::Bundle* TranslationCache::lookup(SdpId source,
     stats.misses += 1;
     return nullptr;
   }
-  it->second.last_used = ++tick_;
+  touch(it->second);
   stats.hits += 1;
   return &it->second;
+}
+
+bool TranslationCache::contains(SdpId source, BytesView bytes) const {
+  auto it = entries_.find(
+      Key{source, wire_hash(bytes), static_cast<std::uint32_t>(bytes.size())});
+  return it != entries_.end() &&
+         std::equal(bytes.begin(), bytes.end(), it->second.wire.begin(),
+                    it->second.wire.end());
 }
 
 void TranslationCache::replay(SdpId source, const Bundle& bundle) {
@@ -53,15 +61,15 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
     it->second.frames.clear();
     it->second.generation = generation_;
     it->second.created_at = now;
-    it->second.last_used = ++tick_;
     it->second.wire.assign(bytes.begin(), bytes.end());
+    touch(it->second);
   } else {
     evict_if_needed();
     Bundle bundle;
     bundle.generation = generation_;
     bundle.created_at = now;
-    bundle.last_used = ++tick_;
     bundle.wire.assign(bytes.begin(), bytes.end());
+    bundle.lru = lru_.insert(lru_.end(), key);
     entries_.emplace(key, std::move(bundle));
   }
   // Retire origin sessions that can no longer receive frames: the bundle
@@ -88,7 +96,8 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   // the burst's bundles settle, re-caches.
   open_sessions_.push_back(OpenSession{source, origin_session, key});
   if (open_sessions_.size() > 64) {
-    entries_.erase(open_sessions_.front().key);
+    auto overflowed = entries_.find(open_sessions_.front().key);
+    if (overflowed != entries_.end()) erase(overflowed);
     open_sessions_.erase(open_sessions_.begin());
   }
 }
@@ -109,24 +118,21 @@ void TranslationCache::add_frame(SdpId origin_sdp,
 
 void TranslationCache::evict_if_needed() {
   if (entries_.empty() || entries_.size() < config_.max_entries) return;
-  auto victim = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    // Stale-generation entries go first; otherwise least recently used.
-    bool it_stale = it->second.generation != generation_;
-    bool victim_stale = victim->second.generation != generation_;
-    if (it_stale != victim_stale ? it_stale
-                                 : it->second.last_used <
-                                       victim->second.last_used) {
-      victim = it;
-    }
-  }
+  // The LRU front: stale-generation entries first (they were all last used
+  // before the bump that staled them), otherwise the least recently used.
+  auto victim = entries_.find(lru_.front());
   // Drop the open-session pointers into the evicted bundle so late frames
   // cannot land in a recycled slot.
   std::erase_if(open_sessions_, [&](const OpenSession& s) {
     return KeyEq{}(s.key, victim->first);
   });
-  entries_.erase(victim);
+  erase(victim);
   evictions_ += 1;
+}
+
+void TranslationCache::erase(Entries::iterator it) {
+  lru_.erase(it->second.lru);
+  entries_.erase(it);
 }
 
 }  // namespace indiss::core

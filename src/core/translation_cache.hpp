@@ -38,13 +38,17 @@
 //    change for the same input bytes — unit attach/detach (the target set
 //    changed), a processed byebye (per-unit advertisement state changed),
 //    a newly learned Jini registrar, or a config/session-var change.
-//  - An LRU bound (max_entries) caps memory; eviction is a linear scan,
-//    fine for the bounded sizes involved.
+//  - An LRU bound (max_entries) caps memory. Keys sit on an LRU list
+//    (hits and recycles move theirs to the back), so eviction pops the
+//    front in O(1). The front is also the stale-first choice: a stale entry
+//    was last used before the bump that made it stale, and every fresh
+//    entry was used after it, so stale entries always sit ahead.
 //
 // Like the rest of the substrate, not thread-safe: one scheduler thread.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -94,8 +98,9 @@ class TranslationCache {
     std::vector<Frame> frames;
     Bytes wire;  // full key bytes: hits are byte-verified, not hash-trusted
     std::uint64_t generation = 0;
-    std::uint64_t last_used = 0;
     transport::TimePoint created_at{0};
+    /// This bundle's node on the LRU list (front = next victim).
+    std::list<Key>::iterator lru;
   };
 
   struct SdpStats {
@@ -148,6 +153,9 @@ class TranslationCache {
     return stats_[static_cast<std::size_t>(source)];
   }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+  /// Whether a bundle of any generation is stored for `bytes` arriving at
+  /// `source` (no hit/miss counted, no LRU touch).
+  [[nodiscard]] bool contains(SdpId source, BytesView bytes) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -171,13 +179,18 @@ class TranslationCache {
     Key key;
   };
 
+  using Entries = std::unordered_map<Key, Bundle, KeyHash, KeyEq>;
+
   void evict_if_needed();
+  /// Moves an entry to the most-recently-used end of the LRU list.
+  void touch(Bundle& bundle) { lru_.splice(lru_.end(), lru_, bundle.lru); }
+  void erase(Entries::iterator it);
 
   Config config_;
-  std::unordered_map<Key, Bundle, KeyHash, KeyEq> entries_;
+  Entries entries_;
+  std::list<Key> lru_;
   std::vector<OpenSession> open_sessions_;
   std::uint64_t generation_ = 0;
-  std::uint64_t tick_ = 0;
   std::uint64_t evictions_ = 0;
   SdpStats stats_[4];
 };

@@ -1,5 +1,6 @@
 #include "core/unit.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -20,10 +21,15 @@ Unit::~Unit() {
 
 void Unit::schedule_guarded(transport::Duration delay,
                             std::function<void()> fn) {
-  host_.schedule(
-      delay, [alive = std::weak_ptr<void>(alive_), fn = std::move(fn)]() {
-        if (!alive.expired()) fn();
-      });
+  // The guard aliases the lifetime token onto `this`, so the task carries
+  // one weak pointer and stays inside the scheduler's inline task storage.
+  host_.schedule(delay, [unit = std::weak_ptr<Unit>(
+                             std::shared_ptr<Unit>(alive_, this)),
+                         fn = std::move(fn)]() {
+    if (unit.expired()) return;
+    fn();
+    if (auto self = unit.lock()) self->retire_finished_sessions();
+  });
 }
 
 void Unit::register_parser(std::unique_ptr<SdpParser> parser) {
@@ -38,16 +44,19 @@ Session* Unit::find_session(std::uint64_t id) {
 }
 
 Session& Unit::open_session(Session::Origin origin) {
-  // Bounded session table: at the cap the oldest session goes first — with a
-  // cap's worth of live sessions it is overwhelmingly a half-open leftover
-  // (a truncated frame's parse, a search nobody answered). Safe here
-  // because open_session only runs at scheduler-task top level (every entry
-  // point defers through schedule_guarded), so no evicted session's frame is
-  // on the call stack.
+  // Bounded session table: at the cap the oldest live session goes first —
+  // with a cap's worth of live sessions it is overwhelmingly a half-open
+  // leftover (a truncated frame's parse, a search nobody answered).
+  // Completed sessions awaiting retirement are skipped: they neither count
+  // nor get evicted. Safe here because open_session only runs at
+  // scheduler-task top level (every entry point defers through
+  // schedule_guarded), so no evicted session's frame is on the call stack.
   if (options_.max_open_sessions > 0 &&
-      sessions_.size() >= options_.max_open_sessions) {
+      live_sessions_ >= options_.max_open_sessions) {
+    auto oldest = sessions_.begin();
+    while (oldest->second.done) ++oldest;
     stats_.sessions_evicted += 1;
-    close_session(sessions_.begin()->first);
+    close_session(oldest->first);
   }
   std::uint64_t id = next_session_id_++;
   Session session;
@@ -60,11 +69,9 @@ Session& Unit::open_session(Session::Origin origin) {
   // stops allocating stream storage once the pool is warm.
   session.collected = stream_pool_.acquire();
   stats_.sessions_opened += 1;
+  live_sessions_ += 1;
   auto [it, inserted] = sessions_.emplace(id, std::move(session));
-
-  // Garbage-collect abandoned sessions (e.g. searches nobody answered).
-  schedule_guarded(options_.session_timeout,
-                   [this, id]() { close_session(id); });
+  arm_session_timer();
   return it->second;
 }
 
@@ -73,10 +80,37 @@ void Unit::close_session(std::uint64_t id) {
   if (it == sessions_.end()) return;
   if (!it->second.done) {
     it->second.done = true;
+    live_sessions_ -= 1;
     on_session_complete(it->second);
   }
   stream_pool_.release(std::move(it->second.collected));
   sessions_.erase(it);
+}
+
+void Unit::retire_finished_sessions() {
+  // An id may already be gone: evicted or timed out before the task
+  // boundary (completions outside a scheduled task, e.g. probe()).
+  for (std::uint64_t id : finished_) close_session(id);
+  finished_.clear();
+}
+
+void Unit::arm_session_timer() {
+  if (session_timer_armed_ || sessions_.empty()) return;
+  session_timer_armed_ = true;
+  transport::Duration wait = sessions_.begin()->second.created_at +
+                             options_.session_timeout - now();
+  schedule_guarded(std::max(wait, transport::Duration::zero()), [this]() {
+    // Garbage-collect abandoned sessions (e.g. searches nobody answered).
+    // When the session the timer was armed for completed meanwhile, nothing
+    // is due yet and the timer re-arms for the new oldest.
+    session_timer_armed_ = false;
+    while (!sessions_.empty() && sessions_.begin()->second.created_at +
+                                         options_.session_timeout <=
+                                     now()) {
+      close_session(sessions_.begin()->first);
+    }
+    arm_session_timer();
+  });
 }
 
 void Unit::feed_event(Session& session, Event event) {
@@ -458,8 +492,10 @@ void Unit::do_reply_to_origin(Session& session) {
 void Unit::do_complete(Session& session) {
   if (session.done) return;
   session.done = true;
+  live_sessions_ -= 1;
   stats_.sessions_completed += 1;
   on_session_complete(session);
+  finished_.push_back(session.id);
 }
 
 void Unit::do_switch(Session& session, const Event& event) {

@@ -41,7 +41,9 @@ struct UnitOptions {
   /// the system's overhead knob; Ablation A1 measures the real wall-clock
   /// cost, this models it in simulated time.
   transport::Duration translate_delay = transport::micros(20);
-  /// Forget completed/abandoned sessions after this long.
+  /// Forget sessions that never complete (searches nobody answered,
+  /// truncated parses) after this long. A completed session is erased as
+  /// soon as the task that completed it returns.
   transport::Duration session_timeout = transport::seconds(10);
   /// Own-endpoint registry shared with the monitor (loop prevention). May
   /// be null for standalone unit tests.
@@ -50,10 +52,11 @@ struct UnitOptions {
   /// disabled): byte-identical repeated advertisements short-circuit to
   /// their previously composed outbound frames (docs/events.md).
   std::shared_ptr<TranslationCache> translation_cache;
-  /// Cap on concurrently open sessions (0 = unbounded). At the cap,
-  /// open_session evicts the oldest live session first, so half-open parse
-  /// sessions from truncated or hostile frames are bounded by this instead
-  /// of accumulating for a whole session_timeout (docs/chaos.md).
+  /// Cap on concurrently live sessions (0 = unbounded; completed sessions
+  /// never count). At the cap, open_session evicts the oldest live session
+  /// first, so half-open parse sessions from truncated or hostile frames are
+  /// bounded by this instead of accumulating for a whole session_timeout
+  /// (docs/chaos.md).
   std::size_t max_open_sessions = 0;
   /// When true the unit expires bridged foreign-service state whose
   /// advertised TTL elapsed. Expiry runs sweep-on-touch (before the unit
@@ -140,7 +143,8 @@ class Unit {
   static Action do_parser_switch();
   /// Hands the collected advertisement stream to the subclass.
   static Action deliver_advertisement();
-  /// Marks the session finished.
+  /// Marks the session finished; the unit erases it once the current
+  /// scheduled task returns.
   static Action complete();
 
   // --- Statistics ------------------------------------------------------------
@@ -186,7 +190,8 @@ class Unit {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   [[nodiscard]] const StateMachine& state_machine() const { return fsm_; }
-  [[nodiscard]] std::size_t open_sessions() const { return sessions_.size(); }
+  /// Live sessions: opened, and not yet completed, evicted or timed out.
+  [[nodiscard]] std::size_t open_sessions() const { return live_sessions_; }
 
   /// Looks up a live session (tests and subclasses).
   [[nodiscard]] Session* find_session(std::uint64_t id);
@@ -243,7 +248,8 @@ class Unit {
   /// Schedules `fn` to run after `delay` only while this unit is alive.
   /// Timer callbacks otherwise outlive units destroyed mid-run by
   /// dynamic detach (Indiss::disable_unit) or stop() — `fn` may capture
-  /// `this` safely.
+  /// `this` safely. Sessions completed during `fn` are erased when it
+  /// returns.
   void schedule_guarded(transport::Duration delay, std::function<void()> fn);
 
   /// Lifetime token for guards in subclass-owned callbacks (HTTP fetches,
@@ -307,7 +313,16 @@ class Unit {
   void do_reply_to_origin(Session& session);
   void do_complete(Session& session);
   void do_switch(Session& session, const Event& event);
+  /// Ends a session (running on_session_complete if it never completed) and
+  /// erases it. Unknown ids are ignored.
   void close_session(std::uint64_t id);
+  /// Erases the sessions completed since the last call. Runs when a
+  /// scheduled task returns, never inside an FSM action: the entry points
+  /// still read a session after the parse that completed it.
+  void retire_finished_sessions();
+  /// Keeps the one session-timeout timer armed for the oldest session's
+  /// deadline while any session exists.
+  void arm_session_timer();
 
   SdpId sdp_;
   transport::Transport& host_;
@@ -315,7 +330,13 @@ class Unit {
   EventBus* bus_ = nullptr;
   std::shared_ptr<void> alive_ = std::make_shared<char>('\0');
   StreamPool stream_pool_;
+  /// Keyed by id, which is creation order: with one shared timeout the
+  /// first session always has the nearest deadline.
   std::map<std::uint64_t, Session> sessions_;
+  /// Completed sessions awaiting retire_finished_sessions().
+  std::vector<std::uint64_t> finished_;
+  std::size_t live_sessions_ = 0;
+  bool session_timer_armed_ = false;
   // std::less<> so parser names arriving as string_view (parser-switch
   // events) are looked up without a temporary std::string.
   std::map<std::string, std::unique_ptr<SdpParser>, std::less<>> parsers_;

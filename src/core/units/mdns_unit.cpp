@@ -514,7 +514,7 @@ void MdnsUnit::compose_native_reply(Session& session) {
 void MdnsUnit::on_advertisement(Session& session) {
   // View-based extraction: the alive-refresh path (the steady-state case
   // for a chatty announcer) must not build the strings and attribute vector
-  // a new MdnsForeignService needs — views into the collected events are
+  // a new ForeignService needs — views into the collected events are
   // enough to recognize a repeat.
   std::string_view type = session.var("service_type");
   std::string_view url;
@@ -532,7 +532,7 @@ void MdnsUnit::on_advertisement(Session& session) {
   if (url.empty()) url = desc_url;
 
   if (session.var("kind") == "byebye") {
-    withdraw_foreign_service(session, url, usn);
+    withdraw_foreign_service(url, usn);
     return;
   }
 
@@ -540,13 +540,10 @@ void MdnsUnit::on_advertisement(Session& session) {
   if (!meaningful_advert_type(type)) return;
   transport::TimePoint deadline = bridged_state_deadline(session);
 
-  auto& table = SymbolTable::global();
-  Symbol url_sym = table.find(url);
-  bool first_announcement =
-      url_sym == kNoSymbol || !announced_urls_.contains(url_sym);
+  ForeignService* known = foreign_services_.find(url);
+  bool first_announcement = known == nullptr;
   if (first_announcement) {
-    announced_urls_.insert(table.intern(url));
-    MdnsForeignService service;
+    ForeignService service;
     service.canonical_type.assign(type);
     service.url.assign(url);
     service.usn.assign(usn);
@@ -556,17 +553,13 @@ void MdnsUnit::on_advertisement(Session& session) {
       }
     }
     service.expires_at = deadline;
-    foreign_services_.push_back(std::move(service));
-  } else {
+    foreign_services_.insert(std::move(service));
+  } else if (known->canonical_type == type) {
     // Alive refresh: re-arm the TTL clock on the same-typed entry (a UPnP
     // alive burst repeats one URL under several notification types); the
     // announced instance's identity (qname, USN) stays the one actually put
     // on the wire, so nothing else needs rebuilding.
-    for (auto& existing : foreign_services_) {
-      if (existing.url == url && existing.canonical_type == type) {
-        existing.expires_at = deadline;
-      }
-    }
+    known->expires_at = deadline;
   }
 
   dnssd_from_canonical_into(type, qname_scratch_);
@@ -777,31 +770,16 @@ void MdnsUnit::release_probe_state(std::string_view url,
 // URL when it carries one — SLP SrvDeReg, mDNS goodbye — or by USN for UPnP
 // byebyes, which only identify the device), multicast the RFC 6762 TTL-0
 // goodbye for it, and forget it.
-void MdnsUnit::withdraw_foreign_service(Session& session,
-                                        std::string_view url_hint,
+void MdnsUnit::withdraw_foreign_service(std::string_view url_hint,
                                         std::string_view usn) {
-  std::string url(url_hint);
-  std::string qname;
-  std::string canonical_type;
-  for (const auto& known : foreign_services_) {
-    bool match = (!url.empty() && known.url == url) ||
-                 (url.empty() && !usn.empty() && known.usn == usn);
-    if (match) {
-      url = known.url;
-      canonical_type = known.canonical_type;
-      qname = dnssd_from_canonical(known.canonical_type);
-      break;
-    }
-  }
-  if (url.empty()) return;
-  Symbol url_sym = SymbolTable::global().find(url);
-  if (url_sym == kNoSymbol || announced_urls_.erase(url_sym) == 0) return;
-  std::erase_if(foreign_services_,
-                [&](const MdnsForeignService& s) { return s.url == url; });
-  if (qname.empty()) {
-    canonical_type.assign(session.var("service_type"));
-    qname = dnssd_from_canonical(canonical_type);
-  }
+  const ForeignService* known = url_hint.empty()
+                                   ? foreign_services_.oldest_with_usn(usn)
+                                   : foreign_services_.find(url_hint);
+  if (known == nullptr) return;
+  std::string url = known->url;
+  std::string canonical_type = known->canonical_type;
+  std::string qname = dnssd_from_canonical(canonical_type);
+  foreign_services_.erase_url(url);
 
   // The goodbye must name the same hash-stable instance the announcement
   // created, so compose from a minimal stream carrying the resolved URL
@@ -838,21 +816,16 @@ void MdnsUnit::on_session_complete(Session& session) {
 }
 
 // TTL expiry: silent forget (no composed goodbye — native Bonjour caches
-// age the bridged records out by their own TTLs). The announced-URL set is
-// released too, so a device that rejoins after a crash re-announces instead
-// of being treated as an already-bridged repeat.
+// age the bridged records out by their own TTLs). The entry goes with it, so
+// a device that rejoins after a crash re-announces instead of being treated
+// as an already-bridged repeat.
 std::size_t MdnsUnit::expire_bridged_state(transport::TimePoint now) {
-  return std::erase_if(
-      foreign_services_, [this, now](const MdnsForeignService& s) {
-        bool gone = s.expires_at.count() != 0 && s.expires_at <= now;
-        if (gone) {
-          Symbol sym = SymbolTable::global().find(s.url);
-          if (sym != kNoSymbol) announced_urls_.erase(sym);
-          // A rejoining service re-probes from its base name.
-          release_probe_state(s.url, s.canonical_type);
-        }
-        return gone;
-      });
+  return foreign_services_.erase_if([this, now](const ForeignService& s) {
+    bool gone = s.expires_at.count() != 0 && s.expires_at <= now;
+    // A rejoining service re-probes from its base name.
+    if (gone) release_probe_state(s.url, s.canonical_type);
+    return gone;
+  });
 }
 
 }  // namespace indiss::core

@@ -24,11 +24,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/interning.hpp"
 #include "core/unit.hpp"
+#include "core/units/bridged_services.hpp"
 #include "core/units/standard_fsm.hpp"
 #include "mdns/dns.hpp"
 #include "mdns/probe.hpp"
@@ -67,19 +66,6 @@ struct MdnsUnitConfig {
   mdns::ProbeConfig probe_config;
 };
 
-/// A foreign service the unit bridges into the Bonjour world.
-struct MdnsForeignService {
-  std::string canonical_type;
-  std::string url;
-  /// Origin identity when the advertisement carried one (UPnP USN) — the
-  /// withdrawal key for byebyes that name no URL.
-  std::string usn;
-  std::vector<std::pair<std::string, std::string>> attributes;
-  /// TTL-derived expiry instant (zero = never; only enforced when the unit
-  /// runs with expire_bridged_state — docs/chaos.md).
-  transport::TimePoint expires_at{0};
-};
-
 class MdnsUnit : public Unit {
  public:
   using Config = MdnsUnitConfig;
@@ -87,9 +73,9 @@ class MdnsUnit : public Unit {
   MdnsUnit(transport::Transport& transport, Config config = {});
   ~MdnsUnit() override;
 
-  [[nodiscard]] const std::vector<MdnsForeignService>& foreign_services()
-      const {
-    return foreign_services_;
+  /// The foreign services bridged into the Bonjour world.
+  [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
+    return foreign_services_.entries();
   }
   [[nodiscard]] std::uint64_t announcements_sent() const {
     return announcements_sent_;
@@ -129,8 +115,7 @@ class MdnsUnit : public Unit {
     bool announced = false;
   };
 
-  void withdraw_foreign_service(Session& session, std::string_view url,
-                                std::string_view usn);
+  void withdraw_foreign_service(std::string_view url, std::string_view usn);
   /// Starts §8.1 claims for every instance in the freshly composed
   /// announcement; the announcement itself is deferred to
   /// on_probe_established.
@@ -159,10 +144,8 @@ class MdnsUnit : public Unit {
   std::shared_ptr<transport::UdpSocket> reply_socket_;
   std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
       client_sockets_;
-  std::vector<MdnsForeignService> foreign_services_;
-  /// Announced-URL membership keyed on interned symbols: an alive refresh
-  /// touches only a symbol lookup, no per-refresh string construction.
-  std::unordered_set<Symbol> announced_urls_;
+  /// One entry per announced URL: an alive refresh is one hash lookup.
+  BridgedServiceTable foreign_services_;
   mdns::DnsMessage compose_scratch_;
   std::string qname_scratch_;
   mdns::DnsEncoder encoder_;

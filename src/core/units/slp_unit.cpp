@@ -325,22 +325,19 @@ void SlpUnit::on_advertisement(Session& session) {
   if (session.var("kind") == "byebye") {
     // Withdrawal: forget the service, matching by URL when the byebye names
     // one (SLP SrvDeReg, mDNS goodbye) or by USN (UPnP byebye).
-    std::erase_if(foreign_services_, [&](const ForeignService& s) {
-      return (!url.empty() && s.url == url) || (!usn.empty() && s.usn == usn);
-    });
+    if (!url.empty()) foreign_services_.erase_url(url);
+    foreign_services_.erase_usn(usn);
     return;
   }
 
   if (url.empty()) return;
   if (!meaningful_advert_type(type)) return;
-  for (auto& existing : foreign_services_) {
-    if (existing.url == url) {
-      // Refresh: re-arm the TTL deadline only. In steady state the repeat
-      // is byte-identical to the advertisement that built the entry, so
-      // rewriting identity or attributes would only allocate.
-      existing.expires_at = bridged_state_deadline(session);
-      return;
-    }
+  if (ForeignService* existing = foreign_services_.find(url)) {
+    // Refresh: re-arm the TTL deadline only. In steady state the repeat is
+    // byte-identical to the advertisement that built the entry, so
+    // rewriting identity or attributes would only allocate.
+    existing->expires_at = bridged_state_deadline(session);
+    return;
   }
   ForeignService service;
   service.canonical_type = std::string(type);
@@ -352,11 +349,11 @@ void SlpUnit::on_advertisement(Session& session) {
     }
   }
   service.expires_at = bridged_state_deadline(session);
-  foreign_services_.push_back(std::move(service));
+  foreign_services_.insert(std::move(service));
 }
 
 std::size_t SlpUnit::expire_bridged_state(transport::TimePoint now) {
-  return std::erase_if(foreign_services_, [now](const ForeignService& s) {
+  return foreign_services_.erase_if([now](const ForeignService& s) {
     return s.expires_at.count() != 0 && s.expires_at <= now;
   });
 }

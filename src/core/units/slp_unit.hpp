@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/unit.hpp"
+#include "core/units/bridged_services.hpp"
 #include "core/units/standard_fsm.hpp"
 #include "slp/service.hpp"
 #include "slp/wire.hpp"
@@ -44,19 +45,6 @@ std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
                               bool attrs_in_url, slp::SrvRply& out,
                               std::string& attr_scratch);
 
-/// A foreign service the unit learned about from peer advertisements.
-struct ForeignService {
-  std::string canonical_type;
-  std::string url;
-  /// Origin identity when the advertisement carried one (UPnP USN) — the
-  /// withdrawal key for byebyes that name no URL.
-  std::string usn;
-  std::vector<std::pair<std::string, std::string>> attributes;
-  /// TTL-derived expiry instant (zero = never; only enforced when the unit
-  /// runs with expire_bridged_state — docs/chaos.md).
-  transport::TimePoint expires_at{0};
-};
-
 struct SlpUnitConfig {
   UnitOptions unit;
   std::uint16_t slp_port = 427;
@@ -75,7 +63,7 @@ class SlpUnit : public Unit {
   ~SlpUnit() override;
 
   [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
-    return foreign_services_;
+    return foreign_services_.entries();
   }
 
   /// Directory mode: multicast an unsolicited DAAdvert so native SLP agents
@@ -96,7 +84,7 @@ class SlpUnit : public Unit {
   std::shared_ptr<transport::UdpSocket> reply_socket_;
   std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
       client_sockets_;
-  std::vector<ForeignService> foreign_services_;
+  BridgedServiceTable foreign_services_;
   std::uint16_t next_xid_ = 0x4000;  // distinct from native agents' ranges
   // Compose-side scratch (slot-reused across replies; docs/events.md).
   slp::Message compose_scratch_ = slp::SrvRply{};

@@ -580,8 +580,7 @@ void UpnpUnit::on_advertisement(Session& session) {
 }
 
 // A peer withdrew a service this unit impersonates: multicast the
-// ssdp:byebye for the served device and stop serving it. (The HTTP route
-// stays registered — harmless, nothing advertises its LOCATION any more.)
+// ssdp:byebye for the served device and stop serving it.
 void UpnpUnit::withdraw_foreign_service(Session& session) {
   std::string_view url;
   for (const auto& event : session.collected) {
@@ -606,6 +605,7 @@ void UpnpUnit::withdraw_foreign_service(Session& session) {
   notify.serialize_into(ssdp_scratch_);
   net::Endpoint to{upnp::kSsdpMulticastGroup, config_.ssdp_port};
   reply_socket_->send_to(to, to_bytes(ssdp_scratch_));
+  http_server_->unroute(it->second.path);
   served_descriptions_.erase(it);
 }
 
@@ -628,14 +628,15 @@ void UpnpUnit::announce_foreign_services() {
 }
 
 // TTL expiry of impersonated devices (crash without byebye): drop the served
-// description so M-SEARCHes stop advertising a dead endpoint. As in
-// withdraw_foreign_service, the HTTP route stays registered — nothing
-// advertises its LOCATION any more. No byebye NOTIFY is multicast: native
-// control points age the device out by its own CACHE-CONTROL max-age.
+// description and its route so M-SEARCHes stop advertising a dead endpoint.
+// No byebye NOTIFY is multicast: native control points age the device out
+// by its own CACHE-CONTROL max-age.
 std::size_t UpnpUnit::expire_bridged_state(transport::TimePoint now) {
-  return std::erase_if(served_descriptions_, [now](const auto& entry) {
+  return std::erase_if(served_descriptions_, [this, now](const auto& entry) {
     const ServedDescription& served = entry.second;
-    return served.expires_at.count() != 0 && served.expires_at <= now;
+    bool gone = served.expires_at.count() != 0 && served.expires_at <= now;
+    if (gone) http_server_->unroute(served.path);
+    return gone;
   });
 }
 

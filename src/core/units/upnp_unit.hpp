@@ -101,6 +101,11 @@ class UpnpUnit : public Unit {
   [[nodiscard]] std::size_t impersonated_devices() const {
     return served_descriptions_.size();
   }
+  /// Description documents the unit's HTTP server currently serves (one per
+  /// impersonated device).
+  [[nodiscard]] std::size_t description_routes() const {
+    return http_server_ ? http_server_->route_count() : 0;
+  }
   /// Multicasts NOTIFY alive for every impersonated foreign service (used by
   /// the context manager in active mode).
   void announce_foreign_services();

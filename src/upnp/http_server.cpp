@@ -33,6 +33,8 @@ void HttpServer::route(const std::string& path, RouteHandler handler) {
   routes_[path] = std::move(handler);
 }
 
+void HttpServer::unroute(const std::string& path) { routes_.erase(path); }
+
 void HttpServer::on_accept(std::shared_ptr<transport::TcpSocket> socket) {
   auto connection = std::make_shared<Connection>(std::move(socket));
   connection->socket->set_data_handler([this, connection](BytesView data) {

@@ -28,6 +28,9 @@ class HttpServer {
 
   /// Registers a handler for an exact path. GET/POST both route here.
   void route(const std::string& path, RouteHandler handler);
+  /// Removes the handler for `path`; later requests for it get a 404.
+  void unroute(const std::string& path);
+  [[nodiscard]] std::size_t route_count() const { return routes_.size(); }
 
   [[nodiscard]] std::uint16_t port() const;
   [[nodiscard]] std::uint64_t requests_served() const {

@@ -1,0 +1,346 @@
+// Bridged-state tests: the indexed table behind the SLP and mDNS units
+// checked against plain-vector references of the units' bridging semantics
+// over seeded histories of adverts, refreshes, URL and USN withdrawals and
+// expiry sweeps; the zero-allocation pin for a warm refresh of a known URL;
+// and the UPnP unit's description routes, which must go with the devices
+// they describe.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/units/bridged_services.hpp"
+#include "core/units/mdns_unit.hpp"
+#include "core/units/slp_unit.hpp"
+#include "core/units/upnp_unit.hpp"
+#include "net/host.hpp"
+#include "net/network.hpp"
+#include "sim/scheduler.hpp"
+#include "upnp/http_client.hpp"
+
+#include "tests/support/alloc_meter.hpp"
+
+namespace indiss::core {
+namespace {
+
+struct TestSlpUnit : SlpUnit {
+  using SlpUnit::expire_bridged_state;
+  using SlpUnit::on_advertisement;
+  using SlpUnit::SlpUnit;
+};
+
+struct TestMdnsUnit : MdnsUnit {
+  using MdnsUnit::expire_bridged_state;
+  using MdnsUnit::MdnsUnit;
+  using MdnsUnit::on_advertisement;
+};
+
+struct TestUpnpUnit : UpnpUnit {
+  using UpnpUnit::expire_bridged_state;
+  using UpnpUnit::on_advertisement;
+  using UpnpUnit::UpnpUnit;
+};
+
+/// A peer advertisement (or byebye) session the way deliver_advertisement
+/// hands it to a unit. Empty `url` / `usn` leave the event out.
+Session advert_session(bool byebye, std::string_view type,
+                       std::string_view url, std::string_view usn,
+                       int ttl_seconds) {
+  Session session;
+  session.id = 1;
+  session.origin = Session::Origin::kPeer;
+  session.set_var("kind", byebye ? "byebye" : "alive");
+  session.set_var("service_type", type);
+  session.collected.push_back(Event(EventType::kControlStart));
+  session.collected.push_back(Event(byebye ? EventType::kServiceByeBye
+                                           : EventType::kServiceAlive));
+  session.collected.push_back(
+      Event(EventType::kServiceTypeIs, {{"type", type}}));
+  session.collected.push_back(Event(
+      EventType::kResTtl, {{"seconds", std::to_string(ttl_seconds)}}));
+  if (!usn.empty()) {
+    session.collected.push_back(Event(EventType::kUpnpUsn, {{"usn", usn}}));
+  }
+  session.collected.push_back(
+      Event(EventType::kServiceAttr, {{"key", "room"}, {"value", "lab"}}));
+  if (!url.empty()) {
+    session.collected.push_back(Event(EventType::kResServUrl, {{"url", url}}));
+  }
+  session.collected.push_back(Event(EventType::kControlStop));
+  return session;
+}
+
+/// Plain-vector reference of the units' bridging semantics, in arrival
+/// order, with every lookup a linear scan.
+struct VectorReference {
+  std::vector<ForeignService> services;
+
+  ForeignService* find(std::string_view url) {
+    for (auto& s : services) {
+      if (s.url == url) return &s;
+    }
+    return nullptr;
+  }
+  void add(std::string_view type, std::string_view url, std::string_view usn,
+           transport::TimePoint deadline) {
+    ForeignService service;
+    service.canonical_type = type;
+    service.url = url;
+    service.usn = usn;
+    service.attributes = {{"room", "lab"}};
+    service.expires_at = deadline;
+    services.push_back(std::move(service));
+  }
+
+  // SLP: refresh re-arms by URL; a byebye forgets every entry matching its
+  // URL or its USN.
+  void slp_advert(std::string_view type, std::string_view url,
+                  std::string_view usn, transport::TimePoint deadline) {
+    if (url.empty()) return;
+    if (ForeignService* known = find(url)) {
+      known->expires_at = deadline;
+      return;
+    }
+    add(type, url, usn, deadline);
+  }
+  void slp_byebye(std::string_view url, std::string_view usn) {
+    std::erase_if(services, [&](const ForeignService& s) {
+      return (!url.empty() && s.url == url) || (!usn.empty() && s.usn == usn);
+    });
+  }
+
+  // mDNS: refresh re-arms only the same-typed entry; a byebye resolves to
+  // one URL — by URL when it names one, else the oldest entry with its USN.
+  void mdns_advert(std::string_view type, std::string_view url,
+                   std::string_view usn, transport::TimePoint deadline) {
+    if (url.empty()) return;
+    if (ForeignService* known = find(url)) {
+      if (known->canonical_type == type) known->expires_at = deadline;
+      return;
+    }
+    add(type, url, usn, deadline);
+  }
+  void mdns_byebye(std::string_view url, std::string_view usn) {
+    std::string resolved;
+    for (const auto& s : services) {
+      if ((!url.empty() && s.url == url) ||
+          (url.empty() && !usn.empty() && s.usn == usn)) {
+        resolved = s.url;
+        break;
+      }
+    }
+    if (resolved.empty()) return;
+    std::erase_if(services,
+                  [&](const ForeignService& s) { return s.url == resolved; });
+  }
+
+  std::size_t sweep(transport::TimePoint now) {
+    return std::erase_if(services, [now](const ForeignService& s) {
+      return s.expires_at.count() != 0 && s.expires_at <= now;
+    });
+  }
+};
+
+using Row = std::tuple<std::string, std::string, std::string,
+                       transport::TimePoint::rep>;
+
+std::vector<Row> rows(const std::vector<ForeignService>& services) {
+  std::vector<Row> out;
+  for (const auto& s : services) {
+    EXPECT_EQ(s.attributes.size(), 1u);
+    out.emplace_back(s.url, s.usn, s.canonical_type, s.expires_at.count());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+struct TableFixture : ::testing::Test {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 5};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+};
+
+// Both units run the same seeded history side by side with their
+// references. URLs come from a small universe so refreshes and repeat
+// withdrawals are common; USNs are shared by several URLs, and a URL's
+// adverts may carry a different USN than the one it was first learned with.
+TEST_F(TableFixture, UnitsMatchPlainVectorReferencesOverSeededHistories) {
+  const std::vector<std::string> types = {"clock", "printer"};
+  std::vector<std::string> urls;
+  for (int i = 0; i < 16; ++i) {
+    urls.push_back("soap://10.0.1." + std::to_string(i) + ":4005/dev" +
+                   std::to_string(i));
+  }
+  const std::vector<std::string> usns = {"", "uuid:shared-a", "uuid:shared-b",
+                                         "uuid:solo"};
+
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    TestSlpUnit slp(host);
+    TestMdnsUnit mdns(host);
+    VectorReference slp_ref;
+    VectorReference mdns_ref;
+    std::mt19937 rng(seed);
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % static_cast<std::uint32_t>(n));
+    };
+    std::size_t usn_withdrawals = 0;
+
+    for (int step = 0; step < 600; ++step) {
+      std::size_t op = pick(100);
+      const std::string& url = urls[pick(urls.size())];
+      const std::string& usn = usns[pick(usns.size())];
+      const std::string& type = types[pick(types.size())];
+      if (op < 55) {
+        int ttl = 1 + static_cast<int>(pick(6));
+        Session session = advert_session(false, type, url, usn, ttl);
+        transport::TimePoint deadline = host.now() + transport::seconds(ttl);
+        slp.on_advertisement(session);
+        mdns.on_advertisement(session);
+        slp_ref.slp_advert(type, url, usn, deadline);
+        mdns_ref.mdns_advert(type, url, usn, deadline);
+      } else if (op < 80) {
+        // Withdrawals: by URL, by USN only (a UPnP byebye), or both.
+        std::size_t shape = pick(3);
+        std::string_view by_url = shape == 1 ? std::string_view() : url;
+        std::string_view by_usn = shape == 0 ? std::string_view() : usn;
+        if (by_url.empty() && !by_usn.empty()) usn_withdrawals += 1;
+        Session session = advert_session(true, type, by_url, by_usn, 0);
+        slp.on_advertisement(session);
+        mdns.on_advertisement(session);
+        slp_ref.slp_byebye(by_url, by_usn);
+        mdns_ref.mdns_byebye(by_url, by_usn);
+      } else if (op < 90) {
+        ASSERT_EQ(slp.expire_bridged_state(host.now()),
+                  slp_ref.sweep(host.now()));
+        ASSERT_EQ(mdns.expire_bridged_state(host.now()),
+                  mdns_ref.sweep(host.now()));
+      } else {
+        scheduler.run_for(sim::millis(static_cast<std::int64_t>(pick(1500))));
+      }
+      ASSERT_EQ(rows(slp.foreign_services()), rows(slp_ref.services))
+          << "SLP diverged at step " << step;
+      ASSERT_EQ(rows(mdns.foreign_services()), rows(mdns_ref.services))
+          << "mDNS diverged at step " << step;
+    }
+    EXPECT_GT(usn_withdrawals, 0u);
+  }
+}
+
+// The table's own contract, including the oldest-first USN resolution
+// across erases that move entries around inside the vector.
+TEST(BridgedServiceTable, UsnBucketsStayOldestFirstAcrossSwapErases) {
+  BridgedServiceTable table;
+  auto add = [&](std::string url, std::string usn) {
+    ForeignService service;
+    service.url = std::move(url);
+    service.usn = std::move(usn);
+    table.insert(std::move(service));
+  };
+  add("u0", "shared");
+  add("u1", "other");
+  add("u2", "shared");
+  add("u3", "shared");
+  ASSERT_EQ(table.oldest_with_usn("shared")->url, "u0");
+
+  // Erasing u0 swaps u3 into slot 0; u2 is now the oldest "shared" entry.
+  ASSERT_TRUE(table.erase_url("u0"));
+  EXPECT_EQ(table.entries()[0].url, "u3");
+  EXPECT_EQ(table.oldest_with_usn("shared")->url, "u2");
+  EXPECT_EQ(table.find("u3"), &table.entries()[0]);
+
+  EXPECT_FALSE(table.erase_url("u0"));
+  EXPECT_EQ(table.oldest_with_usn(""), nullptr);
+  EXPECT_EQ(table.erase_usn(""), 0u);
+  EXPECT_EQ(table.erase_usn("shared"), 2u);
+  EXPECT_EQ(table.oldest_with_usn("shared"), nullptr);
+  ASSERT_EQ(table.entries().size(), 1u);
+  EXPECT_EQ(table.find("u1")->usn, "other");
+}
+
+TEST_F(TableFixture, WarmRefreshOfAKnownUrlAllocatesNothing) {
+  BridgedServiceTable table;
+  for (int i = 0; i < 64; ++i) {
+    ForeignService service;
+    service.url = "soap://10.0.1.1:4005/a-long-enough-url-to-skip-sso-" +
+                  std::to_string(i);
+    service.usn = "uuid:dev-" + std::to_string(i % 8);
+    table.insert(std::move(service));
+  }
+  const std::string url =
+      "soap://10.0.1.1:4005/a-long-enough-url-to-skip-sso-17";
+  std::string_view view = url;
+
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  for (int i = 0; i < 256; ++i) {
+    ForeignService* known = table.find(view);
+    ASSERT_NE(known, nullptr);
+    known->expires_at = transport::seconds(i);
+  }
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "a refresh of a known URL must be an allocation-free lookup";
+
+  // The same pin through the SLP unit's advertisement path.
+  TestSlpUnit slp(host);
+  Session session = advert_session(false, "clock", url, "uuid:dev-1", 60);
+  slp.on_advertisement(session);
+  ASSERT_EQ(slp.foreign_services().size(), 1u);
+  before = indiss::testing::g_heap_allocs;
+  for (int i = 0; i < 256; ++i) slp.on_advertisement(session);
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "a warm SLP alive refresh must not allocate";
+  EXPECT_EQ(slp.foreign_services().size(), 1u);
+}
+
+// Withdrawal and TTL expiry drop the impersonated device's description
+// route: a withdrawn device is no longer described, and alive/byebye churn
+// leaves the route table flat.
+TEST_F(TableFixture, UpnpDescriptionRoutesGoWithTheirDevices) {
+  net::Host& control_point =
+      network.add_host("cp", net::IpAddress(10, 0, 0, 9));
+  UpnpUnitConfig config;
+  config.http_port = 4100;
+  TestUpnpUnit unit(host, config);
+  auto get_status = [&](int device_index) {
+    int status = 0;
+    upnp::http_get(control_point,
+                   *Uri::parse("http://10.0.0.3:4100/indiss/" +
+                                     std::to_string(device_index) +
+                                     "/description.xml"),
+                   [&](std::optional<http::HttpMessage> response) {
+                     status = response ? response->status : -1;
+                   });
+    scheduler.run_for(sim::seconds(1));
+    return status;
+  };
+  const std::string url = "soap://10.0.1.7:4005/clock";
+
+  for (int cycle = 1; cycle <= 8; ++cycle) {
+    Session alive = advert_session(false, "clock", url, "", 60);
+    unit.on_advertisement(alive);
+    ASSERT_EQ(unit.impersonated_devices(), 1u);
+    EXPECT_EQ(unit.description_routes(), 1u) << "cycle " << cycle;
+    EXPECT_EQ(get_status(cycle), 200) << "cycle " << cycle;
+
+    Session byebye = advert_session(true, "clock", url, "", 0);
+    unit.on_advertisement(byebye);
+    EXPECT_EQ(unit.impersonated_devices(), 0u);
+    EXPECT_EQ(unit.description_routes(), 0u) << "cycle " << cycle;
+    EXPECT_EQ(get_status(cycle), 404) << "withdrawn device still described";
+  }
+
+  // A device that crashes without a byebye ages out the same way.
+  Session alive = advert_session(false, "clock", url, "", 1);
+  unit.on_advertisement(alive);
+  ASSERT_EQ(get_status(9), 200);
+  scheduler.run_for(sim::seconds(1));
+  EXPECT_EQ(unit.expire_bridged_state(host.now()), 1u);
+  EXPECT_EQ(unit.description_routes(), 0u);
+  EXPECT_EQ(get_status(9), 404) << "expired device still described";
+}
+
+}  // namespace
+}  // namespace indiss::core

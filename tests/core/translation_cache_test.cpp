@@ -2,8 +2,13 @@
 // negative entries, first-pass protection, LRU eviction, generation-based
 // invalidation, and the end-to-end short-circuit — a storm of byte-identical
 // SSDP alives through a gateway Indiss replays the bridged mDNS announcement
-// without re-running the translation pipeline.
+// without re-running the translation pipeline. A differential test pins the
+// O(1) LRU-list eviction to the linear scan it replaced.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
 
 #include "core/indiss.hpp"
 #include "core/translation_cache.hpp"
@@ -248,6 +253,212 @@ TEST_F(CacheFixture, AddFrameWithoutOpenBundleIsANoOp) {
                                                  1},
                            "orphan"));
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// --- Differential: the LRU list against the linear-scan eviction -----------
+//
+// A reference model of the cache as it was before the LRU list: the same
+// bookkeeping, with eviction as a full scan that picks a stale-generation
+// entry first and otherwise the smallest last-used tick. Seeded histories
+// drive it and the real cache through opens, lookups, frame adds,
+// generation bumps and open-ring overflows; every step must agree on hit or
+// miss, frame count, eviction count and the exact set of stored keys, so
+// both pick the same victims in the same order.
+class ScanEvictionCache {
+ public:
+  ScanEvictionCache(std::size_t max_entries, sim::SimDuration settle)
+      : max_entries_(max_entries), settle_(settle) {}
+
+  /// Frames in the hit bundle, or -1 on a miss.
+  int lookup(SdpId source, const Bytes& wire, sim::SimTime now) {
+    auto it = entries_.find(Key{source, wire});
+    if (it == entries_.end() || it->second.generation != generation_ ||
+        now - it->second.created_at < settle_) {
+      misses += 1;
+      return -1;
+    }
+    it->second.last_used = ++tick_;
+    hits += 1;
+    return it->second.frames;
+  }
+
+  void open_bundle(SdpId source, const Bytes& wire, std::uint64_t session,
+                   sim::SimTime now) {
+    if (max_entries_ == 0) return;
+    Key key{source, wire};
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      if (it->second.generation == generation_) return;
+      it->second = Entry{0, generation_, ++tick_, now};
+    } else {
+      evict_if_needed();
+      entries_.emplace(key, Entry{0, generation_, ++tick_, now});
+    }
+    std::erase_if(open_, [&](const Open& s) {
+      auto entry = entries_.find(s.key);
+      return entry == entries_.end() ||
+             entry->second.generation != generation_ ||
+             now - entry->second.created_at > settle_;
+    });
+    open_.push_back(Open{source, session, key});
+    if (open_.size() > 64) {
+      entries_.erase(open_.front().key);
+      open_.erase(open_.begin());
+    }
+  }
+
+  void add_frame(SdpId origin_sdp, std::uint64_t origin_session) {
+    auto open = std::find_if(open_.rbegin(), open_.rend(), [&](const Open& s) {
+      return s.origin_sdp == origin_sdp && s.origin_session == origin_session;
+    });
+    if (open == open_.rend()) return;
+    auto it = entries_.find(open->key);
+    if (it == entries_.end() || it->second.generation != generation_) return;
+    it->second.frames += 1;
+  }
+
+  void bump_generation() { generation_ += 1; }
+
+  [[nodiscard]] bool contains(SdpId source, const Bytes& wire) const {
+    return entries_.contains(Key{source, wire});
+  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+
+ private:
+  using Key = std::pair<SdpId, Bytes>;
+  struct Entry {
+    int frames = 0;
+    std::uint64_t generation = 0;
+    std::uint64_t last_used = 0;
+    sim::SimTime created_at{0};
+  };
+  struct Open {
+    SdpId origin_sdp;
+    std::uint64_t origin_session;
+    Key key;
+  };
+
+  void evict_if_needed() {
+    if (entries_.empty() || entries_.size() < max_entries_) return;
+    auto victim = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      bool it_stale = it->second.generation != generation_;
+      bool victim_stale = victim->second.generation != generation_;
+      if (it_stale != victim_stale
+              ? it_stale
+              : it->second.last_used < victim->second.last_used) {
+        victim = it;
+      }
+    }
+    std::erase_if(open_,
+                  [&](const Open& s) { return s.key == victim->first; });
+    entries_.erase(victim);
+    evictions += 1;
+  }
+
+  std::size_t max_entries_;
+  sim::SimDuration settle_;
+  std::map<Key, Entry> entries_;
+  std::vector<Open> open_;
+  std::uint64_t generation_ = 0;
+  std::uint64_t tick_ = 0;
+};
+
+TEST_F(CacheFixture, LruListEvictsExactlyWhatTheLinearScanEvicted) {
+  struct Shape {
+    std::size_t max_entries;
+    int wires;
+  };
+  auto socket = host.udp_socket(0);
+  const net::Endpoint group{net::IpAddress(224, 0, 0, 251), 5353};
+  for (Shape shape : {Shape{8, 24}, Shape{32, 48}, Shape{96, 160}}) {
+    for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("max_entries=" + std::to_string(shape.max_entries) +
+                   " wires=" + std::to_string(shape.wires) +
+                   " seed=" + std::to_string(seed));
+      const sim::SimDuration settle = sim::millis(200);
+      TranslationCache cache({.max_entries = shape.max_entries,
+                              .settle = settle});
+      ScanEvictionCache model(shape.max_entries, settle);
+      std::vector<std::pair<SdpId, Bytes>> universe;
+      for (int i = 0; i < shape.wires; ++i) {
+        universe.emplace_back(i % 2 == 0 ? SdpId::kUpnp : SdpId::kSlp,
+                              wire_bytes("advert " + std::to_string(i)));
+      }
+      std::mt19937 rng(seed);
+      auto pick = [&](int n) {
+        return static_cast<int>(rng() % static_cast<std::uint32_t>(n));
+      };
+      std::int64_t now_ms = 0;
+      std::uint64_t next_session = 1;
+      std::vector<std::pair<SdpId, std::uint64_t>> opened;
+
+      auto open = [&](const std::pair<SdpId, Bytes>& wire) {
+        std::uint64_t session = next_session++;
+        cache.open_bundle(wire.first, wire.second, session, at_ms(now_ms));
+        model.open_bundle(wire.first, wire.second, session, at_ms(now_ms));
+        opened.emplace_back(wire.first, session);
+      };
+
+      for (int step = 0; step < 1000; ++step) {
+        int op = pick(100);
+        if (op < 55) {
+          // A unit's arrival: probe, and translate (open) on a miss.
+          const auto& wire = universe[pick(shape.wires)];
+          const auto* bundle =
+              cache.lookup(wire.first, wire.second, at_ms(now_ms));
+          int frames = model.lookup(wire.first, wire.second, at_ms(now_ms));
+          ASSERT_EQ(bundle != nullptr, frames >= 0) << "step " << step;
+          if (bundle != nullptr) {
+            ASSERT_EQ(static_cast<int>(bundle->frames.size()), frames);
+          } else {
+            open(wire);
+          }
+        } else if (op < 75) {
+          // A target unit's composed frame for a recently opened session.
+          if (!opened.empty()) {
+            auto [sdp, session] =
+                opened[opened.size() - 1 -
+                       static_cast<std::size_t>(
+                           pick(std::min<int>(8, static_cast<int>(
+                                                     opened.size()))))];
+            cache.add_frame(sdp, session, frame_to(socket, group, "frame"));
+            model.add_frame(sdp, session);
+          }
+        } else if (op < 80) {
+          cache.bump_generation();
+          model.bump_generation();
+        } else if (op < 82) {
+          // A burst of distinct adverts in one instant overflows the ring.
+          for (int i = 0; i < 70; ++i) open(universe[pick(shape.wires)]);
+        } else if (op < 97) {
+          now_ms += pick(150);
+        } else {
+          now_ms += 30000;
+        }
+
+        ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+        ASSERT_EQ(cache.evictions(), model.evictions) << "step " << step;
+        for (const auto& wire : universe) {
+          ASSERT_EQ(cache.contains(wire.first, wire.second),
+                    model.contains(wire.first, wire.second))
+              << "step " << step << ": " << to_string(wire.second);
+        }
+      }
+      std::uint64_t hits = cache.stats(SdpId::kUpnp).hits +
+                           cache.stats(SdpId::kSlp).hits;
+      std::uint64_t misses = cache.stats(SdpId::kUpnp).misses +
+                             cache.stats(SdpId::kSlp).misses;
+      EXPECT_EQ(hits, model.hits);
+      EXPECT_EQ(misses, model.misses);
+      EXPECT_GT(model.evictions, 0u) << "the history must exercise eviction";
+      EXPECT_GT(model.hits, 0u);
+    }
+  }
 }
 
 // --- End-to-end: the announcement-storm short-circuit -----------------------

@@ -353,5 +353,79 @@ TEST(ChaosDefenses, OpenSessionsAreBoundedByEvictingTheOldest) {
   (void)tx;
 }
 
+// The cap counts live sessions only: a burst of adverts that complete at
+// once must not evict a bridged query still waiting for its answer (which
+// used to close the query's socket and lose the reply).
+TEST(ChaosDefenses, CompletedAdvertsDoNotEvictAnInFlightQuery) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, /*seed=*/5};
+  net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 1));
+  net::Host& upnp_host =
+      network.add_host("upnp-dev", net::IpAddress(10, 0, 0, 2));
+  net::Host& gateway_host =
+      network.add_host("gateway", net::IpAddress(10, 0, 0, 3));
+  net::Host& announcer =
+      network.add_host("announcer", net::IpAddress(10, 0, 0, 8));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
+  config.unit_options.max_open_sessions = 4;
+  config.enable_translation_cache = false;  // every advert parses fresh
+  Indiss gateway(gateway_host, config);
+  gateway.start();
+
+  // The device answers M-SEARCHes only after 400 ms: the bridged query's
+  // sessions (the SLP requester's and the UPnP client's) stay live across
+  // the advert burst below.
+  upnp::UpnpStackProfile slow;
+  slow.msearch_handling = sim::millis(400);
+  upnp::RootDevice device(upnp_host, upnp::make_clock_device(), 4004, slow);
+  device.start();
+  scheduler.run_for(sim::millis(500));
+
+  // One SrvRqst, collecting replies long enough for the slow device.
+  slp::SlpConfig patient;
+  patient.multicast_wait = sim::seconds(2);
+  patient.retransmissions = 0;
+  std::vector<std::string> discovered;
+  slp::UserAgent ua(client, patient);
+  ua.find_services("service:clock", "", nullptr,
+                   [&](const std::vector<slp::SearchResult>& results) {
+                     for (const auto& result : results) {
+                       discovered.push_back(result.entry.url);
+                     }
+                   });
+  scheduler.run_for(sim::millis(50));
+
+  // 8 distinct adverts, each completing a native session on the UPnP unit
+  // and a peer session on the SLP unit while the query is in flight.
+  auto tx = announcer.udp_socket(0);
+  for (int i = 0; i < 8; ++i) {
+    std::string notify =
+        "NOTIFY * HTTP/1.1\r\nHOST: 239.255.255.250:1900\r\n"
+        "NT: urn:schemas-upnp-org:device:printer:1\r\nNTS: ssdp:alive\r\n"
+        "USN: uuid:printer-" + std::to_string(i) +
+        "\r\nLOCATION: http://10.0.0.8:80/p" + std::to_string(i) +
+        ".xml\r\nCACHE-CONTROL: max-age=60\r\nSERVER: printer/1.0\r\n\r\n";
+    tx->send_to(net::Endpoint{net::IpAddress(239, 255, 255, 250), 1900},
+                to_bytes(notify));
+    scheduler.run_for(sim::millis(20));
+  }
+  scheduler.run_for(sim::seconds(3));
+
+  for (SdpId sdp : {SdpId::kSlp, SdpId::kUpnp}) {
+    Unit* unit = gateway.unit(sdp);
+    EXPECT_GE(unit->stats().sessions_completed, 8u) << sdp_name(sdp);
+    EXPECT_EQ(unit->stats().sessions_evicted, 0u) << sdp_name(sdp);
+    // Well inside session_timeout (10 s), every completed session is
+    // already gone: nothing is live, and the unit's first session (an
+    // advert completed at start-up) was erased when its task returned.
+    EXPECT_EQ(unit->open_sessions(), 0u) << sdp_name(sdp);
+    EXPECT_EQ(unit->find_session(1), nullptr) << sdp_name(sdp);
+  }
+  EXPECT_FALSE(discovered.empty())
+      << "the delayed answer must still reach the SLP requester";
+}
+
 }  // namespace
 }  // namespace indiss::core
