@@ -435,7 +435,7 @@ BENCHMARK(BM_BrowseStormBridged)->Arg(64)->Unit(benchmark::kMicrosecond);
 // byebye of the oldest live one, keeping the live set at N. events_per_sec
 // counts adverts plus byebyes. The figure of merit is flatness in N: the
 // per-message cost must not grow with the number of bridged services or
-// with the number of sessions that ran in the last session_timeout.
+// with the number of sessions that ran in the last kSessionTimeout.
 Bytes churn_wire(int id, bool byebye) {
   const std::string host = "10.0." + std::to_string(1 + (id / 250) % 250) +
                            "." + std::to_string(id % 250);
@@ -533,7 +533,7 @@ void BM_ChurnStorm(benchmark::State& state) {
     }
     scheduler.run_for(sim::millis(20));
   };
-  // Warm past session_timeout so every session table is at steady state.
+  // Warm past kSessionTimeout so every session table is at steady state.
   for (int i = 0; i < 600; ++i) period();
 
   std::uint64_t allocs_before = indiss::testing::g_heap_allocs;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strings.hpp"
 #include "core/units/standard_fsm.hpp"
 
 namespace indiss::core {
@@ -23,46 +22,6 @@ std::uint64_t wire_key_of(BytesView wire) {
   return wire_hash(wire) ^ (static_cast<std::uint64_t>(wire.size()) << 48);
 }
 
-/// The units' shared extraction rule over a parsed advertisement stream:
-/// URL from the first SDP_RES_SERV_URL, falling back to the first UPnP
-/// description URL; USN from the first SDP_UPNP_USN; type from the first
-/// SDP_SERVICE_TYPE; TTL from the first SDP_RES_TTL.
-struct AdvertView {
-  std::string_view url;
-  std::string_view desc_url;
-  std::string_view usn;
-  std::string_view type;
-  long ttl_seconds = 0;
-};
-
-AdvertView scan_advert(const EventStream& stream) {
-  AdvertView v;
-  for (const auto& event : stream) {
-    switch (event.type) {
-      case EventType::kResServUrl:
-        if (v.url.empty()) v.url = event.get("url");
-        break;
-      case EventType::kUpnpDeviceUrlDesc:
-        if (v.desc_url.empty()) v.desc_url = event.get("url");
-        break;
-      case EventType::kUpnpUsn:
-        if (v.usn.empty()) v.usn = event.get("usn");
-        break;
-      case EventType::kServiceTypeIs:
-        if (v.type.empty()) v.type = event.get("type");
-        break;
-      case EventType::kResTtl:
-        if (v.ttl_seconds == 0)
-          v.ttl_seconds = str::parse_long(event.get("seconds"), 0);
-        break;
-      default:
-        break;
-    }
-  }
-  if (v.url.empty()) v.url = v.desc_url;
-  return v;
-}
-
 }  // namespace
 
 bool ServiceDirectory::record_advertisement(SdpId origin,
@@ -76,7 +35,7 @@ bool ServiceDirectory::record_advertisement(SdpId origin,
   Symbol url = table.intern(v.url);
   transport::Duration ttl = v.ttl_seconds > 0
                                 ? transport::seconds(v.ttl_seconds)
-                                : config_.default_ttl;
+                                : kDefaultAdvertTtl;
   std::uint64_t wkey = wire.empty() ? 0 : wire_key_of(wire);
 
   auto it = records_.find(url);

@@ -18,7 +18,7 @@
 //  - The table is bounded: at `max_records` the least-recently-used record
 //    is evicted (linear scan, same policy as the TranslationCache).
 //  - Every record carries a TTL-derived deadline (the advertisement's
-//    SDP_RES_TTL, else `default_ttl`); the gateway's timer sweep erases
+//    SDP_RES_TTL, else `kDefaultAdvertTtl`); the gateway's timer sweep erases
 //    expired records, and collect() double-checks the deadline so a record
 //    is never served stale between sweeps.
 //
@@ -75,8 +75,6 @@ class ServiceDirectory {
     std::size_t max_records = 1 << 20;
     /// Type-index shard count (service-type hash % buckets).
     std::size_t type_buckets = 64;
-    /// Deadline for records whose advertisement carried no TTL.
-    transport::Duration default_ttl = transport::seconds(300);
     /// LRU bound on cached composed answers.
     std::size_t max_answers = 256;
   };

@@ -1,5 +1,7 @@
 #include "core/event.hpp"
 
+#include "common/strings.hpp"
+
 namespace indiss::core {
 
 EventSet event_set(EventType type) {
@@ -137,6 +139,39 @@ const Event* find_event(const EventStream& stream, EventType type) {
     if (e.type == type) return &e;
   }
   return nullptr;
+}
+
+AdvertView scan_advert(const EventStream& stream) {
+  AdvertView v;
+  std::string_view desc_url;
+  bool ttl_seen = false;
+  for (const auto& event : stream) {
+    switch (event.type) {
+      case EventType::kResServUrl:
+        if (v.url.empty()) v.url = event.get("url");
+        break;
+      case EventType::kUpnpDeviceUrlDesc:
+        if (desc_url.empty()) desc_url = event.get("url");
+        break;
+      case EventType::kUpnpUsn:
+        if (v.usn.empty()) v.usn = event.get("usn");
+        break;
+      case EventType::kServiceTypeIs:
+        if (v.type.empty()) v.type = event.get("type");
+        break;
+      case EventType::kResTtl:
+        if (v.ttl_seconds == 0) {
+          v.ttl_seconds = str::parse_long(event.get("seconds"), 0);
+          if (!ttl_seen) v.first_ttl_seconds = v.ttl_seconds;
+          ttl_seen = true;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  if (v.url.empty()) v.url = desc_url;
+  return v;
 }
 
 }  // namespace indiss::core

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/interning.hpp"
+#include "transport/time.hpp"
 
 namespace indiss::core {
 
@@ -155,5 +156,35 @@ using SharedStream = std::shared_ptr<const EventStream>;
 /// Convenience: first event of the given type, or nullptr.
 [[nodiscard]] const Event* find_event(const EventStream& stream,
                                       EventType type);
+
+/// Lifetime of an advertisement that carries no SDP_RES_TTL, for bridged
+/// unit state and directory records alike.
+inline constexpr transport::Duration kDefaultAdvertTtl =
+    transport::seconds(300);
+
+/// The identity an advertisement stream carries, as views into the stream.
+/// Every field takes the *first* matching event. Only the mDNS parser can
+/// emit several URL, type or TTL events in one stream (one per PTR/TXT
+/// record of a multi-instance response); SDP_DEVICE_URL_DESC comes from
+/// the SSDP parser alone, at most once per stream.
+struct AdvertView {
+  /// First SDP_RES_SERV_URL, else the UPnP description LOCATION.
+  std::string_view url;
+  /// First SDP_UPNP_USN.
+  std::string_view usn;
+  /// First SDP_SERVICE_TYPE.
+  std::string_view type;
+  /// The first SDP_RES_TTL's seconds, and the first non-zero one. They
+  /// differ only for an mDNS response whose first PTR carries TTL 0 and a
+  /// later one does not: bridged unit state then falls back to
+  /// kDefaultAdvertTtl, the directory takes the later TTL (pinned by
+  /// tests/core/bridged_services_test.cpp).
+  long first_ttl_seconds = 0;
+  long ttl_seconds = 0;
+};
+
+/// One pass over an advertisement stream: the shared extraction rule of the
+/// service directory and the units' bridged state.
+[[nodiscard]] AdvertView scan_advert(const EventStream& stream);
 
 }  // namespace indiss::core

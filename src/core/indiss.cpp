@@ -4,6 +4,13 @@
 
 namespace indiss::core {
 
+namespace {
+
+/// Period of the expiry sweep (run_expiry_sweep).
+constexpr transport::Duration kExpirySweepInterval = transport::seconds(5);
+
+}  // namespace
+
 Indiss::Indiss(transport::Transport& transport, IndissConfig config)
     : host_(transport),
       config_(std::move(config)),
@@ -12,11 +19,10 @@ Indiss::Indiss(transport::Transport& transport, IndissConfig config)
                          ? config_.own_endpoints
                          : std::make_shared<OwnEndpoints>()) {
   if (config_.enable_translation_cache) {
-    translation_cache_ =
-        std::make_shared<TranslationCache>(config_.translation_cache);
+    translation_cache_ = std::make_shared<TranslationCache>();
   }
   if (config_.enable_directory) {
-    directory_ = std::make_shared<ServiceDirectory>(config_.directory);
+    directory_ = std::make_shared<ServiceDirectory>();
   }
   monitor_ = std::make_unique<Monitor>(host_, own_endpoints_, config_.monitor);
   monitor_->set_translation_cache(translation_cache_);
@@ -26,31 +32,21 @@ Indiss::Indiss(transport::Transport& transport, IndissConfig config)
 Indiss::~Indiss() { stop(); }
 
 std::unique_ptr<Unit> Indiss::make_unit(SdpId sdp) {
-  Unit::Options options = config_.unit_options;
+  UnitOptions options = config_.unit_options;
   options.own_endpoints = own_endpoints_;
   options.translation_cache = translation_cache_;
   options.directory = directory_;
   switch (sdp) {
-    case SdpId::kSlp: {
-      auto unit_config = config_.slp;
-      unit_config.unit = options;
-      return std::make_unique<SlpUnit>(host_, unit_config);
-    }
-    case SdpId::kUpnp: {
-      auto unit_config = config_.upnp;
-      unit_config.unit = options;
-      return std::make_unique<UpnpUnit>(host_, unit_config);
-    }
-    case SdpId::kJini: {
-      auto unit_config = config_.jini;
-      unit_config.unit = options;
-      return std::make_unique<JiniUnit>(host_, unit_config);
-    }
-    case SdpId::kMdns: {
-      auto unit_config = config_.mdns;
-      unit_config.unit = options;
-      return std::make_unique<MdnsUnit>(host_, unit_config);
-    }
+    case SdpId::kSlp:
+      return std::make_unique<SlpUnit>(host_, std::move(options));
+    case SdpId::kUpnp:
+      return std::make_unique<UpnpUnit>(host_, std::move(options),
+                                        config_.upnp);
+    case SdpId::kJini:
+      return std::make_unique<JiniUnit>(host_, std::move(options));
+    case SdpId::kMdns:
+      return std::make_unique<MdnsUnit>(host_, std::move(options),
+                                        config_.mdns);
   }
   return nullptr;
 }
@@ -92,7 +88,7 @@ void Indiss::start() {
   // state actually exists to expire, so default configurations add no
   // scheduler activity at all (chaos/zero-fault fingerprints depend on it).
   if (directory_ != nullptr || config_.unit_options.expire_bridged_state) {
-    sweep_task_ = host_.schedule_periodic(config_.expiry_sweep_interval,
+    sweep_task_ = host_.schedule_periodic(kExpirySweepInterval,
                                           [this]() { run_expiry_sweep(); });
   }
 

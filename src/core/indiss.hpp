@@ -58,30 +58,22 @@ struct IndissConfig {
   /// Ingress defenses (per-source rate limiting) for the monitor. A sharded
   /// core::Gateway applies them once, at its front monitor.
   MonitorConfig monitor;
-  Unit::Options unit_options;
-  SlpUnit::Config slp;
+  /// Options every unit runs with; make_unit fills in the shared
+  /// own-endpoint set, translation cache and directory.
+  UnitOptions unit_options;
   UpnpUnit::Config upnp;
-  JiniUnit::Config jini;
   MdnsUnit::Config mdns;
   ContextPolicy context;
   /// Bridged-translation cache: byte-identical repeated advertisements
   /// short-circuit to their previously composed outbound frames instead of
   /// re-running the translation pipeline (docs/events.md).
   bool enable_translation_cache = true;
-  TranslationCache::Config translation_cache;
   /// Directory mode (docs/directory.md): the gateway answers browse/lookup
   /// queries from an in-memory service index populated by the bridged
   /// advertisements (SLP DA / Jini-registrar front / mDNS-SSDP cache roles)
   /// instead of translating every query out to the origin network. Off by
   /// default so calibrated and zero-fault runs stay bit-identical.
   bool enable_directory = false;
-  ServiceDirectory::Config directory;
-  /// Period of the timer-driven expiry sweep that ages out directory
-  /// records and the units' TTL-expired bridged state even when no further
-  /// message arrives. Scheduled only when directory mode or
-  /// unit_options.expire_bridged_state is on — default configs schedule
-  /// nothing, keeping their event sequences untouched.
-  transport::Duration expiry_sweep_interval = transport::seconds(5);
   /// When false, start() skips binding the IANA well-known ports — inbound
   /// traffic arrives through ingest() instead. This is how shard instances
   /// run behind a gateway's front monitor (docs/sharding.md): only the front
@@ -171,7 +163,8 @@ class Indiss {
  private:
   void sample_traffic();
   /// Timer-driven expiry: sweeps every unit's bridged state and the
-  /// directory's records (docs/directory.md's expiry contract).
+  /// directory's records every kExpirySweepInterval, even when no further
+  /// message arrives (docs/directory.md's expiry contract).
   void run_expiry_sweep();
   void subscribe_units();
   [[nodiscard]] std::unique_ptr<Unit> make_unit(SdpId sdp);

@@ -10,10 +10,25 @@
 
 namespace indiss::core {
 
+namespace {
+
+MessageContext context_of(const net::Datagram& datagram,
+                          net::IpAddress local_address) {
+  MessageContext ctx;
+  ctx.source = datagram.source;
+  ctx.destination = datagram.destination;
+  ctx.multicast = datagram.multicast;
+  ctx.from_local_host = datagram.source.address == local_address;
+  return ctx;
+}
+
+}  // namespace
+
 Unit::Unit(SdpId sdp, transport::Transport& transport, Options options)
-    : sdp_(sdp), host_(transport), options_(options) {}
+    : sdp_(sdp), host_(transport), options_(std::move(options)) {}
 
 Unit::~Unit() {
+  for (auto& [id, socket] : client_sockets_) socket->close();
   // A unit destroyed while still subscribed must not leave a dangling
   // pointer in the bus registry.
   if (bus_ != nullptr) bus_->unsubscribe(*this);
@@ -81,10 +96,17 @@ void Unit::close_session(std::uint64_t id) {
   if (!it->second.done) {
     it->second.done = true;
     live_sessions_ -= 1;
-    on_session_complete(it->second);
+    close_query_socket(id);
   }
   stream_pool_.release(std::move(it->second.collected));
   sessions_.erase(it);
+}
+
+void Unit::close_query_socket(std::uint64_t session_id) {
+  auto it = client_sockets_.find(session_id);
+  if (it == client_sockets_.end()) return;
+  it->second->close();
+  client_sockets_.erase(it);
 }
 
 void Unit::retire_finished_sessions() {
@@ -97,16 +119,15 @@ void Unit::retire_finished_sessions() {
 void Unit::arm_session_timer() {
   if (session_timer_armed_ || sessions_.empty()) return;
   session_timer_armed_ = true;
-  transport::Duration wait = sessions_.begin()->second.created_at +
-                             options_.session_timeout - now();
+  transport::Duration wait =
+      sessions_.begin()->second.created_at + kSessionTimeout - now();
   schedule_guarded(std::max(wait, transport::Duration::zero()), [this]() {
     // Garbage-collect abandoned sessions (e.g. searches nobody answered).
     // When the session the timer was armed for completed meanwhile, nothing
     // is due yet and the timer re-arms for the new oldest.
     session_timer_armed_ = false;
-    while (!sessions_.empty() && sessions_.begin()->second.created_at +
-                                         options_.session_timeout <=
-                                     now()) {
+    while (!sessions_.empty() &&
+           sessions_.begin()->second.created_at + kSessionTimeout <= now()) {
       close_session(sessions_.begin()->first);
     }
     arm_session_timer();
@@ -186,11 +207,7 @@ void Unit::on_native_message(const net::Datagram& datagram) {
 
     Session& session = open_session(Session::Origin::kNative);
     std::uint64_t session_id = session.id;
-    MessageContext ctx;
-    ctx.source = datagram.source;
-    ctx.destination = datagram.destination;
-    ctx.multicast = datagram.multicast;
-    ctx.from_local_host = datagram.source.address == host_.address();
+    MessageContext ctx = context_of(datagram, host_.address());
     if (dir != nullptr) {
       pending_query_wire_ = datagram.payload;
       pending_query_source_ = datagram.source;
@@ -265,6 +282,33 @@ void Unit::probe(const std::string& canonical_type) {
   stream.push_back(Event(EventType::kControlStop));
   feed_stream(session, stream);
   stream_pool_.release(std::move(stream));
+}
+
+transport::UdpSocket& Unit::open_query_socket(const Session& session) {
+  auto socket = host_.open_udp(0);
+  mark_own(*socket);
+  std::uint64_t session_id = session.id;
+  socket->set_receive_handler([this, session_id](const net::Datagram& d) {
+    MessageContext ctx = context_of(d, host_.address());
+    schedule_guarded(options_.translate_delay, [this, session_id, d, ctx]() {
+      on_native_response(session_id, d.payload, ctx);
+    });
+  });
+  auto& entry = client_sockets_[session_id];
+  entry = std::move(socket);
+  return *entry;
+}
+
+std::optional<net::Endpoint> Unit::requester(const Session& session) const {
+  auto addr = net::IpAddress::parse(session.var("src_addr"));
+  if (!addr.has_value()) {
+    log::warn("unit", sdp_name(sdp_),
+              ": reply without recorded source address");
+    return std::nullopt;
+  }
+  auto port = static_cast<std::uint16_t>(
+      str::parse_long(session.var("src_port", "0"), 0));
+  return net::Endpoint{*addr, port};
 }
 
 void Unit::on_native_response(std::uint64_t session_id, BytesView raw,
@@ -494,7 +538,7 @@ void Unit::do_complete(Session& session) {
   session.done = true;
   live_sessions_ -= 1;
   stats_.sessions_completed += 1;
-  on_session_complete(session);
+  close_query_socket(session.id);
   finished_.push_back(session.id);
 }
 
@@ -520,8 +564,6 @@ void Unit::compose_follow_up(Session&, const Event&) {}
 
 void Unit::on_advertisement(Session&) {}
 
-void Unit::on_session_complete(Session&) {}
-
 std::size_t Unit::expire_bridged_state(transport::TimePoint) { return 0; }
 
 void Unit::sweep_bridged_state() {
@@ -530,16 +572,10 @@ void Unit::sweep_bridged_state() {
 }
 
 transport::TimePoint Unit::bridged_state_deadline(
-    const Session& session) const {
-  transport::Duration ttl = options_.default_bridged_ttl;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResTtl) {
-      long seconds = str::parse_long(event.get("seconds"), 0);
-      if (seconds > 0) ttl = transport::seconds(seconds);
-      break;
-    }
-  }
-  return now() + ttl;
+    const AdvertView& advert) const {
+  return now() + (advert.first_ttl_seconds > 0
+                      ? transport::seconds(advert.first_ttl_seconds)
+                      : kDefaultAdvertTtl);
 }
 
 }  // namespace indiss::core

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,15 +37,16 @@
 
 namespace indiss::core {
 
+/// Sessions that never complete (searches nobody answered, truncated
+/// parses) are forgotten this long after they opened. A completed session
+/// is erased as soon as the task that completed it returns.
+inline constexpr transport::Duration kSessionTimeout = transport::seconds(10);
+
 struct UnitOptions {
   /// INDISS's own per-message processing cost (parse or compose). This is
   /// the system's overhead knob; Ablation A1 measures the real wall-clock
   /// cost, this models it in simulated time.
   transport::Duration translate_delay = transport::micros(20);
-  /// Forget sessions that never complete (searches nobody answered,
-  /// truncated parses) after this long. A completed session is erased as
-  /// soon as the task that completed it returns.
-  transport::Duration session_timeout = transport::seconds(10);
   /// Own-endpoint registry shared with the monitor (loop prevention). May
   /// be null for standalone unit tests.
   std::shared_ptr<OwnEndpoints> own_endpoints;
@@ -55,7 +57,7 @@ struct UnitOptions {
   /// Cap on concurrently live sessions (0 = unbounded; completed sessions
   /// never count). At the cap, open_session evicts the oldest live session
   /// first, so half-open parse sessions from truncated or hostile frames are
-  /// bounded by this instead of accumulating for a whole session_timeout
+  /// bounded by this instead of accumulating for a whole kSessionTimeout
   /// (docs/chaos.md).
   std::size_t max_open_sessions = 0;
   /// When true the unit expires bridged foreign-service state whose
@@ -67,8 +69,6 @@ struct UnitOptions {
   /// default: expiry changes steady-state re-announcement behaviour, so
   /// calibrated runs keep it off.
   bool expire_bridged_state = false;
-  /// Lifetime for bridged state whose advertisement carried no TTL.
-  transport::Duration default_bridged_ttl = transport::seconds(300);
   /// Directory mode (docs/directory.md): the shared per-gateway service
   /// index (null = off). When set, the unit records every advertisement it
   /// parses into the index and answers native browse/lookup queries from it
@@ -217,20 +217,31 @@ class Unit {
   /// A peer advertisement stream was delivered (alive/byebye). Default:
   /// ignore (poorest-SDP behaviour).
   virtual void on_advertisement(Session& session);
-  /// Session ended: release any per-session transport resources.
-  virtual void on_session_complete(Session& session);
   /// Drops every bridged foreign-service entry whose deadline is <= now and
   /// returns how many were dropped. Default: no bridged state.
   virtual std::size_t expire_bridged_state(transport::TimePoint now);
 
-  /// Deadline for bridged state learned from `session`: now() plus the
-  /// stream's advertised TTL (first SDP_RES_TTL event) or, when the
-  /// advertisement carried none, options().default_bridged_ttl.
+  /// Deadline for bridged state learned from an advertisement: now() plus
+  /// its first SDP_RES_TTL or, when that is absent or not positive,
+  /// kDefaultAdvertTtl.
   [[nodiscard]] transport::TimePoint bridged_state_deadline(
+      const AdvertView& advert) const;
+
+  /// Opens the ephemeral socket the native request for `session` goes out
+  /// on (the unit acting as a native client). The socket is marked own,
+  /// every datagram it receives is parsed into the session after
+  /// translate_delay, and it is closed when the session completes, times
+  /// out or is evicted, or when the unit goes away.
+  transport::UdpSocket& open_query_socket(const Session& session);
+
+  /// The native requester a reply for `session` goes to: the source address
+  /// and port its parse recorded. Logs and returns nullopt when there is no
+  /// address.
+  [[nodiscard]] std::optional<net::Endpoint> requester(
       const Session& session) const;
 
-  /// Native response arriving on a per-session socket the subclass opened
-  /// (the unit acting as a native client). Parses it into the session.
+  /// Native response arriving on a per-session socket or HTTP fetch (the
+  /// unit acting as a native client). Parses it into the session.
   void on_native_response(std::uint64_t session_id, BytesView raw,
                           const MessageContext& ctx);
 
@@ -313,9 +324,11 @@ class Unit {
   void do_reply_to_origin(Session& session);
   void do_complete(Session& session);
   void do_switch(Session& session, const Event& event);
-  /// Ends a session (running on_session_complete if it never completed) and
+  /// Ends a session (closing its query socket if it never completed) and
   /// erases it. Unknown ids are ignored.
   void close_session(std::uint64_t id);
+  /// Closes and forgets the query socket of `session_id`, if it has one.
+  void close_query_socket(std::uint64_t session_id);
   /// Erases the sessions completed since the last call. Runs when a
   /// scheduled task returns, never inside an FSM action: the entry points
   /// still read a session after the parse that completed it.
@@ -333,6 +346,9 @@ class Unit {
   /// Keyed by id, which is creation order: with one shared timeout the
   /// first session always has the nearest deadline.
   std::map<std::uint64_t, Session> sessions_;
+  /// Per-query sockets by session id (open_query_socket).
+  std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
+      client_sockets_;
   /// Completed sessions awaiting retire_finished_sessions().
   std::vector<std::uint64_t> finished_;
   std::size_t live_sessions_ = 0;

@@ -12,6 +12,9 @@ namespace indiss::core {
 
 namespace {
 
+/// Lease requested for each foreign service registered with the registrar.
+constexpr std::uint32_t kLeaseSeconds = 300;
+
 void join_into(const std::vector<std::string>& parts, std::string& out) {
   out.clear();
   for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -110,8 +113,8 @@ bool compose_jini_announcement(const EventStream& stream,
 
 // ---------------------------------------------------------------------------
 
-JiniUnit::JiniUnit(transport::Transport& transport, Config config)
-    : Unit(SdpId::kJini, transport, config.unit), config_(config) {
+JiniUnit::JiniUnit(transport::Transport& transport, UnitOptions options)
+    : Unit(SdpId::kJini, transport, std::move(options)) {
   register_parser(std::make_unique<JiniEventParser>());
   set_default_parser("jini");
   build_standard_fsm(fsm_);
@@ -139,7 +142,7 @@ void JiniUnit::do_note_registrar(const Event& event) {
   if (!addr.has_value()) return;
   net::Endpoint endpoint{
       *addr, static_cast<std::uint16_t>(
-                 str::parse_long(event.get("port"), config_.jini_port))};
+                 str::parse_long(event.get("port"), jini::kJiniPort))};
   bool changed = !registrar_.has_value() || *registrar_ != endpoint;
   registrar_ = endpoint;
   // A newly learned registrar changes what foreign advertisements translate
@@ -242,19 +245,9 @@ void JiniUnit::on_advertisement(Session& session) {
   // a chatty announcer) must not build strings or attribute vectors it then
   // throws away. Views stay valid for the duration of this call — they point
   // into the session's collected events.
-  std::string_view url;
-  std::string_view desc_url;
-  std::string_view usn;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl && url.empty()) {
-      url = event.get("url");
-    } else if (event.type == EventType::kUpnpDeviceUrlDesc) {
-      desc_url = event.get("url");
-    } else if (event.type == EventType::kUpnpUsn && usn.empty()) {
-      usn = event.get("usn");
-    }
-  }
-  if (url.empty()) url = desc_url;
+  AdvertView advert = scan_advert(session.collected);
+  std::string_view url = advert.url;
+  std::string_view usn = advert.usn;
 
   if (session.var("kind") == "byebye") {
     withdraw_foreign_service(url, usn);
@@ -269,13 +262,13 @@ void JiniUnit::on_advertisement(Session& session) {
   Symbol url_sym = table.find(url);
   if (url_sym != kNoSymbol && registered_urls_.contains(url_sym)) {
     // Alive refresh: re-arm the TTL clock; the registrar lease is untouched.
-    expiry_by_url_[url_sym] = bridged_state_deadline(session);
+    expiry_by_url_[url_sym] = bridged_state_deadline(advert);
     return;
   }
   url_sym = table.intern(url);
   registered_urls_.insert(url_sym);
   if (!usn.empty()) url_by_usn_[table.intern(usn)] = url_sym;
-  expiry_by_url_[url_sym] = bridged_state_deadline(session);
+  expiry_by_url_[url_sym] = bridged_state_deadline(advert);
 
   jini::EntryAttributes attributes;
   for (const auto& event : session.collected) {
@@ -294,7 +287,7 @@ void JiniUnit::on_advertisement(Session& session) {
   ByteWriter w;
   w.u8(jini::kOpRegister);
   item.encode(w);
-  w.u32(config_.lease_seconds);
+  w.u32(kLeaseSeconds);
   registrar_op(w.take(), [this, url_sym](Bytes reply) {
     try {
       ByteReader r(reply);

@@ -46,17 +46,9 @@ class JiniEventParser : public SdpParser {
 bool compose_jini_announcement(const EventStream& stream,
                                jini::MulticastAnnouncement& out);
 
-struct JiniUnitConfig {
-  UnitOptions unit;
-  std::uint16_t jini_port = 4160;
-  std::uint32_t lease_seconds = 300;
-};
-
 class JiniUnit : public Unit {
  public:
-  using Config = JiniUnitConfig;
-
-  JiniUnit(transport::Transport& transport, Config config = {});
+  explicit JiniUnit(transport::Transport& transport, UnitOptions options = {});
   ~JiniUnit() override;
 
   [[nodiscard]] std::optional<net::Endpoint> known_registrar() const {
@@ -85,7 +77,6 @@ class JiniUnit : public Unit {
   /// One-shot unicast registrar op; hands raw reply bytes to the handler.
   void registrar_op(Bytes request, std::function<void(Bytes)> handler);
 
-  Config config_;
   std::optional<net::Endpoint> registrar_;
   // Per-URL bookkeeping keyed on interned symbols: an alive burst repeating
   // a known URL touches only symbol lookups (no per-refresh string churn),

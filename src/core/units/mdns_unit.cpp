@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/logging.hpp"
 #include "common/reuse.hpp"
 #include "common/strings.hpp"
 #include "core/typemap.hpp"
@@ -16,6 +15,12 @@ namespace {
 // attribute for the standard FSM's bridge-echo guard.
 constexpr std::string_view kBridgeMarkerName = "_indiss-bridge._udp.local";
 constexpr std::string_view kBridgeStamp = "INDISS-bridge";
+/// TTL advertised on composed records.
+constexpr std::uint32_t kRecordTtl = 120;
+/// Answers to multicast queries that crossed the shared medium are paced
+/// (RFC 6762 §6 etiquette); loopback queries are answered immediately.
+constexpr transport::Duration kResponsePacing = transport::millis(20);
+const net::Endpoint kMdnsGroupEndpoint{mdns::kMdnsGroup, mdns::kMdnsPort};
 
 /// Resets a recycled record slot to defaults while keeping string/vector
 /// capacity. Deliberately leaves `txt` alone: resize(0) would destroy the
@@ -366,8 +371,9 @@ std::size_t compose_dnssd_answers(
 // MdnsUnit
 // ---------------------------------------------------------------------------
 
-MdnsUnit::MdnsUnit(transport::Transport& transport, Config config)
-    : Unit(SdpId::kMdns, transport, config.unit), config_(config) {
+MdnsUnit::MdnsUnit(transport::Transport& transport, UnitOptions options,
+                   Config config)
+    : Unit(SdpId::kMdns, transport, std::move(options)) {
   register_parser(std::make_unique<MdnsEventParser>());
   set_default_parser("mdns");
   build_standard_fsm(fsm_);
@@ -379,7 +385,7 @@ MdnsUnit::MdnsUnit(transport::Transport& transport, Config config)
   reply_socket_ = transport.open_udp(0);
   mark_own(*reply_socket_);
 
-  if (config_.probe) {
+  if (config.probe) {
     mdns::ProbeEngine::Callbacks callbacks;
     callbacks.send = [this](const mdns::DnsMessage& message) {
       // Probe/defense frames carry the bridge marker so a peer gateway's
@@ -390,7 +396,7 @@ MdnsUnit::MdnsUnit(transport::Transport& transport, Config config)
       append_marker(probe_send_scratch_, &additionals);
       probe_send_scratch_.additionals.resize(additionals);
       BytesView wire = encoder_.encode(probe_send_scratch_);
-      reply_socket_->send_to(net::Endpoint{mdns::kMdnsGroup, config_.mdns_port},
+      reply_socket_->send_to(kMdnsGroupEndpoint,
                              Bytes(wire.begin(), wire.end()));
     };
     callbacks.on_established = [this](const std::string& name) {
@@ -400,14 +406,13 @@ MdnsUnit::MdnsUnit(transport::Transport& transport, Config config)
                                   const std::string& new_name) {
       on_probe_renamed(old_name, new_name);
     };
-    probe_ = std::make_unique<mdns::ProbeEngine>(
-        transport, config_.probe_config, std::move(callbacks));
+    probe_ =
+        std::make_unique<mdns::ProbeEngine>(transport, std::move(callbacks));
   }
 }
 
 MdnsUnit::~MdnsUnit() {
   if (reply_socket_) reply_socket_->close();
-  for (auto& [id, socket] : client_sockets_) socket->close();
 }
 
 // Inbound native mDNS traffic feeds the probe engine before the normal
@@ -441,23 +446,9 @@ void MdnsUnit::compose_native_request(Session& session) {
   append_marker(compose_scratch_, &additionals);
   compose_scratch_.additionals.resize(additionals);
 
-  auto socket = this->transport().open_udp(0);
-  mark_own(*socket);
-  std::uint64_t session_id = session.id;
-  socket->set_receive_handler([this, session_id](const net::Datagram& d) {
-    MessageContext ctx;
-    ctx.source = d.source;
-    ctx.destination = d.destination;
-    ctx.multicast = d.multicast;
-    ctx.from_local_host = d.source.address == transport().address();
-    schedule_guarded(options().translate_delay, [this, session_id, d, ctx]() {
-      on_native_response(session_id, d.payload, ctx);
-    });
-  });
-  client_sockets_[session.id] = socket;
+  transport::UdpSocket& socket = open_query_socket(session);
   BytesView wire = encoder_.encode(compose_scratch_);
-  socket->send_to(net::Endpoint{mdns::kMdnsGroup, config_.mdns_port},
-                  Bytes(wire.begin(), wire.end()));
+  socket.send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
 }
 
 // Answering a native mDNS browser on behalf of foreign services: compose the
@@ -470,11 +461,7 @@ void MdnsUnit::compose_native_reply(Session& session) {
   } else {
     qname_scratch_.assign(recorded_qname);
   }
-  std::uint32_t ttl = config_.record_ttl;
-  if (session.has_var("ttl")) {
-    ttl = static_cast<std::uint32_t>(str::parse_long(session.var("ttl"), ttl));
-  }
-  if (compose_dnssd_answers(session.collected, qname_scratch_, ttl,
+  if (compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
                             compose_scratch_, &name_overrides_) == 0) {
     return;  // nothing found: mDNS answers with silence
   }
@@ -484,26 +471,21 @@ void MdnsUnit::compose_native_reply(Session& session) {
   compose_scratch_.id = static_cast<std::uint16_t>(
       str::parse_long(session.var("qid", "0"), 0));
 
-  auto addr = net::IpAddress::parse(session.var("src_addr"));
-  if (!addr.has_value()) {
-    log::warn("mdns-unit", "reply without recorded source address");
-    return;
-  }
-  net::Endpoint to{*addr, static_cast<std::uint16_t>(str::parse_long(
-                              session.var("src_port", "0"), 0))};
+  auto to = requester(session);
+  if (!to.has_value()) return;
 
   // RFC 6762 §6 etiquette: pace answers to queries that crossed the shared
   // medium; loopback interception answers immediately.
   bool from_network = session.var("src_local") != "1" &&
                       session.var("net") == "multicast";
   transport::Duration pacing =
-      from_network ? config_.response_pacing : transport::Duration::zero();
+      from_network ? kResponsePacing : transport::Duration::zero();
   BytesView wire = encoder_.encode(compose_scratch_);
   // Directory-answered sessions remember the composed bytes so a repeated
   // browse replays them without re-compose (docs/directory.md).
-  cache_reply_frame(session, reply_socket_, to, wire);
+  cache_reply_frame(session, reply_socket_, *to, wire);
   Bytes payload(wire.begin(), wire.end());
-  transport().schedule(pacing, [socket = reply_socket_, to,
+  transport().schedule(pacing, [socket = reply_socket_, to = *to,
                                 payload = std::move(payload)]() {
     if (!socket->closed()) socket->send_to(to, payload);
   });
@@ -517,19 +499,9 @@ void MdnsUnit::on_advertisement(Session& session) {
   // a new ForeignService needs — views into the collected events are
   // enough to recognize a repeat.
   std::string_view type = session.var("service_type");
-  std::string_view url;
-  std::string_view desc_url;
-  std::string_view usn;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl && url.empty()) {
-      url = event.get("url");
-    } else if (event.type == EventType::kUpnpDeviceUrlDesc) {
-      desc_url = event.get("url");
-    } else if (event.type == EventType::kUpnpUsn && usn.empty()) {
-      usn = event.get("usn");
-    }
-  }
-  if (url.empty()) url = desc_url;
+  AdvertView advert = scan_advert(session.collected);
+  std::string_view url = advert.url;
+  std::string_view usn = advert.usn;
 
   if (session.var("kind") == "byebye") {
     withdraw_foreign_service(url, usn);
@@ -538,7 +510,7 @@ void MdnsUnit::on_advertisement(Session& session) {
 
   if (url.empty()) return;
   if (!meaningful_advert_type(type)) return;
-  transport::TimePoint deadline = bridged_state_deadline(session);
+  transport::TimePoint deadline = bridged_state_deadline(advert);
 
   ForeignService* known = foreign_services_.find(url);
   bool first_announcement = known == nullptr;
@@ -564,9 +536,8 @@ void MdnsUnit::on_advertisement(Session& session) {
 
   dnssd_from_canonical_into(type, qname_scratch_);
   std::size_t groups =
-      compose_dnssd_answers(session.collected, qname_scratch_,
-                            config_.record_ttl, compose_scratch_,
-                            &name_overrides_);
+      compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
+                            compose_scratch_, &name_overrides_);
   if (groups == 0) {
     // The advertisement named no service URL directly (a UPnP alive only
     // carries the description LOCATION): announce the resolved URL instead,
@@ -576,7 +547,7 @@ void MdnsUnit::on_advertisement(Session& session) {
     minimal.push_back(Event(EventType::kControlStart));
     minimal.push_back(Event(EventType::kResServUrl, {{"url", url}}));
     minimal.push_back(Event(EventType::kControlStop));
-    groups = compose_dnssd_answers(minimal, qname_scratch_, config_.record_ttl,
+    groups = compose_dnssd_answers(minimal, qname_scratch_, kRecordTtl,
                                    compose_scratch_, &name_overrides_);
     stream_pool().release(std::move(minimal));
   }
@@ -594,7 +565,6 @@ void MdnsUnit::on_advertisement(Session& session) {
     return;  // refresh arrived while the claim is still probing
   }
 
-  net::Endpoint to{mdns::kMdnsGroup, config_.mdns_port};
   BytesView wire = encoder_.encode(compose_scratch_);
   // Already-bridged repeats stay silent on the parse path (alive bursts
   // repeat one URL under several notification types), but the composed
@@ -602,10 +572,10 @@ void MdnsUnit::on_advertisement(Session& session) {
   // is how byte-identical periodic repeats keep refreshing the Bonjour
   // world — including after a generation bump forced a re-parse.
   if (first_announcement) {
-    reply_socket_->send_to(to, Bytes(wire.begin(), wire.end()));
+    reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
     announcements_sent_ += 1;
   }
-  cache_outbound_frame(session, reply_socket_, to, wire);
+  cache_outbound_frame(session, reply_socket_, kMdnsGroupEndpoint, wire);
 }
 
 // ---------------------------------------------------------------------------
@@ -671,7 +641,7 @@ void MdnsUnit::announce_bridged(const std::string& name,
   mdns::DnsRecord ptr;
   ptr.name = qname_scratch_;
   ptr.type = mdns::kTypePtr;
-  ptr.ttl = config_.record_ttl;
+  ptr.ttl = kRecordTtl;
   ptr.target = name;
   compose_scratch_.answers.push_back(std::move(ptr));
 
@@ -680,7 +650,7 @@ void MdnsUnit::announce_bridged(const std::string& name,
     mdns::DnsRecord& copy = slot(compose_scratch_.additionals, additionals++);
     copy = record;
     copy.cache_flush = true;
-    copy.ttl = config_.record_ttl;
+    copy.ttl = kRecordTtl;
   }
   UrlEndpoint endpoint = url_endpoint(claim.url);
   auto address = net::IpAddress::parse(endpoint.host);
@@ -690,7 +660,7 @@ void MdnsUnit::announce_bridged(const std::string& name,
     a.name.assign(endpoint.host);
     a.type = mdns::kTypeA;
     a.cache_flush = true;
-    a.ttl = config_.record_ttl;
+    a.ttl = kRecordTtl;
     a.address = *address;
   }
   append_marker(compose_scratch_, &additionals);
@@ -698,8 +668,7 @@ void MdnsUnit::announce_bridged(const std::string& name,
   compose_scratch_.id = 0;
 
   BytesView wire = encoder_.encode(compose_scratch_);
-  reply_socket_->send_to(net::Endpoint{mdns::kMdnsGroup, config_.mdns_port},
-                         Bytes(wire.begin(), wire.end()));
+  reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
   announcements_sent_ += 1;
 }
 
@@ -740,8 +709,7 @@ void MdnsUnit::send_goodbye(std::string_view url,
   if (groups == 0) return;
   compose_scratch_.id = 0;
   BytesView wire = encoder_.encode(compose_scratch_);
-  reply_socket_->send_to(net::Endpoint{mdns::kMdnsGroup, config_.mdns_port},
-                         Bytes(wire.begin(), wire.end()));
+  reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
   announcements_sent_ += 1;
 }
 
@@ -799,20 +767,11 @@ void MdnsUnit::withdraw_foreign_service(std::string_view url_hint,
   release_probe_state(url, canonical_type);
   if (!announced) return;
   compose_scratch_.id = 0;
-  net::Endpoint to{mdns::kMdnsGroup, config_.mdns_port};
   BytesView wire = encoder_.encode(compose_scratch_);
-  reply_socket_->send_to(to, Bytes(wire.begin(), wire.end()));
+  reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
   // No cache_outbound_frame here: byebyes are never cached (Unit keeps
   // their state changes on the parse path).
   announcements_sent_ += 1;
-}
-
-void MdnsUnit::on_session_complete(Session& session) {
-  auto it = client_sockets_.find(session.id);
-  if (it != client_sockets_.end()) {
-    it->second->close();
-    client_sockets_.erase(it);
-  }
 }
 
 // TTL expiry: silent forget (no composed goodbye — native Bonjour caches

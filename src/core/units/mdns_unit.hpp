@@ -20,7 +20,6 @@
 // standard FSM's bridge-echo guard already understands.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -49,13 +48,6 @@ class MdnsEventParser : public SdpParser {
 };
 
 struct MdnsUnitConfig {
-  UnitOptions unit;
-  std::uint16_t mdns_port = mdns::kMdnsPort;
-  /// TTL advertised on composed records.
-  std::uint32_t record_ttl = 120;
-  /// Answers to multicast queries that crossed the shared medium are paced
-  /// (RFC 6762 §6 etiquette); loopback queries are answered immediately.
-  transport::Duration response_pacing = transport::millis(20);
   /// RFC 6762 §8 probing of bridged instance names before announcing them.
   /// Off by default: probing delays the first announcement by ~750 ms and
   /// adds wire traffic, and zero-conflict runs must stay bit-identical to
@@ -63,14 +55,14 @@ struct MdnsUnitConfig {
   /// another gateway — or a hostile responder — shares the mDNS domain
   /// (`indissd --probe`).
   bool probe = false;
-  mdns::ProbeConfig probe_config;
 };
 
 class MdnsUnit : public Unit {
  public:
   using Config = MdnsUnitConfig;
 
-  MdnsUnit(transport::Transport& transport, Config config = {});
+  explicit MdnsUnit(transport::Transport& transport, UnitOptions options = {},
+                    Config config = {});
   ~MdnsUnit() override;
 
   /// The foreign services bridged into the Bonjour world.
@@ -103,7 +95,6 @@ class MdnsUnit : public Unit {
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
   void on_advertisement(Session& session) override;
-  void on_session_complete(Session& session) override;
   std::size_t expire_bridged_state(transport::TimePoint now) override;
 
  private:
@@ -140,17 +131,14 @@ class MdnsUnit : public Unit {
   void release_probe_state(std::string_view url,
                            std::string_view canonical_type);
 
-  Config config_;
   std::shared_ptr<transport::UdpSocket> reply_socket_;
-  std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
-      client_sockets_;
   /// One entry per announced URL: an alive refresh is one hash lookup.
   BridgedServiceTable foreign_services_;
   mdns::DnsMessage compose_scratch_;
   std::string qname_scratch_;
   mdns::DnsEncoder encoder_;
   std::uint64_t announcements_sent_ = 0;
-  /// RFC 6762 §8 claiming engine; null when `config.probe` is off.
+  /// RFC 6762 §8 claiming engine; null when `Config::probe` is off.
   std::unique_ptr<mdns::ProbeEngine> probe_;
   /// Claim bookkeeping keyed by the claim's *current* instance name.
   std::unordered_map<std::string, BridgedClaim> bridged_claims_;

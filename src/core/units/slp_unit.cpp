@@ -1,6 +1,5 @@
 #include "core/units/slp_unit.hpp"
 
-#include "common/logging.hpp"
 #include "common/reuse.hpp"
 #include "common/strings.hpp"
 #include "core/typemap.hpp"
@@ -9,6 +8,9 @@
 namespace indiss::core {
 
 namespace {
+
+/// Lifetime advertised in composed SrvRply URL entries.
+constexpr std::uint16_t kReplyLifetimeSeconds = 65535;
 
 void emit_net_events(EventSink& sink, const MessageContext& ctx,
                      std::string_view sdp) {
@@ -203,8 +205,8 @@ std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
 
 // ---------------------------------------------------------------------------
 
-SlpUnit::SlpUnit(transport::Transport& transport, Config config)
-    : Unit(SdpId::kSlp, transport, config.unit), config_(config) {
+SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
+    : Unit(SdpId::kSlp, transport, std::move(options)) {
   register_parser(std::make_unique<SlpEventParser>());
   set_default_parser("slp");
   build_standard_fsm(fsm_);
@@ -223,7 +225,6 @@ SlpUnit::SlpUnit(transport::Transport& transport, Config config)
 
 SlpUnit::~SlpUnit() {
   if (reply_socket_) reply_socket_->close();
-  for (auto& [id, socket] : client_sockets_) socket->close();
 }
 
 // The composer acting as an SLP client on behalf of a foreign request: send
@@ -239,22 +240,9 @@ void SlpUnit::compose_native_request(Session& session) {
   // does not translate it back (two-node deployments would loop forever).
   request.previous_responders = "INDISS-bridge";
 
-  auto socket = this->transport().open_udp(0);
-  mark_own(*socket);
-  std::uint64_t session_id = session.id;
-  socket->set_receive_handler([this, session_id](const net::Datagram& d) {
-    MessageContext ctx;
-    ctx.source = d.source;
-    ctx.destination = d.destination;
-    ctx.multicast = d.multicast;
-    ctx.from_local_host = d.source.address == transport().address();
-    schedule_guarded(options().translate_delay, [this, session_id, d, ctx]() {
-      on_native_response(session_id, d.payload, ctx);
-    });
-  });
-  client_sockets_[session.id] = socket;
-  socket->send_to(net::Endpoint{slp::kSlpMulticastGroup, config_.slp_port},
-                  slp::encode(slp::Message(std::move(request))));
+  open_query_socket(session).send_to(
+      net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+      slp::encode(slp::Message(std::move(request))));
 }
 
 // The composer answering a native SLP client from a translated reply stream:
@@ -264,29 +252,19 @@ void SlpUnit::compose_native_request(Session& session) {
 void SlpUnit::compose_native_reply(Session& session) {
   auto xid = static_cast<std::uint16_t>(
       str::parse_long(session.var("xid", "0"), 0));
-  std::uint16_t lifetime = config_.reply_lifetime_seconds;
-  if (session.has_var("ttl")) {
-    lifetime = static_cast<std::uint16_t>(
-        str::parse_long(session.var("ttl"), lifetime));
-  }
   auto& reply = std::get<slp::SrvRply>(compose_scratch_);
   if (compose_slp_reply(session.collected,
-                        session.var("service_type", "service"), xid, lifetime,
-                        config_.attrs_in_url, reply, attr_scratch_) == 0) {
+                        session.var("service_type", "service"), xid,
+                        kReplyLifetimeSeconds, /*attrs_in_url=*/true, reply,
+                        attr_scratch_) == 0) {
     return;  // nothing found: stay silent
   }
 
-  auto addr = net::IpAddress::parse(session.var("src_addr"));
-  if (!addr.has_value()) {
-    log::warn("slp-unit", "reply without recorded source address");
-    return;
-  }
-  auto port = static_cast<std::uint16_t>(
-      str::parse_long(session.var("src_port", "0"), 0));
+  auto to = requester(session);
+  if (!to.has_value()) return;
   BytesView wire = slp::encode_into(compose_scratch_, writer_);
-  net::Endpoint to{*addr, port};
-  cache_reply_frame(session, reply_socket_, to, wire);
-  reply_socket_->send_to(to, Bytes(wire.begin(), wire.end()));
+  cache_reply_frame(session, reply_socket_, *to, wire);
+  reply_socket_->send_to(*to, Bytes(wire.begin(), wire.end()));
 }
 
 void SlpUnit::announce_directory_agent() {
@@ -294,9 +272,8 @@ void SlpUnit::announce_directory_agent() {
   advert.url = "service:directory-agent://" + transport().address().to_string();
   advert.boot_timestamp = static_cast<std::uint32_t>(
       std::chrono::duration_cast<std::chrono::seconds>(now()).count());
-  reply_socket_->send_to(
-      net::Endpoint{slp::kSlpMulticastGroup, config_.slp_port},
-      slp::encode(slp::Message(std::move(advert))));
+  reply_socket_->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                         slp::encode(slp::Message(std::move(advert))));
 }
 
 void SlpUnit::on_advertisement(Session& session) {
@@ -304,23 +281,12 @@ void SlpUnit::on_advertisement(Session& session) {
   // Table-2-style introspection read this, and it feeds dynamic composition.
   // Extraction stays view-based (into the session's collected events) so
   // the steady-state refresh of an already-known service allocates nothing.
+  // A UPnP NOTIFY only carries the description LOCATION; it still
+  // identifies the service well enough to remember.
   std::string_view type = session.var("service_type");
-  std::string_view url;
-  std::string_view desc_url;
-  std::string_view usn;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl && url.empty()) {
-      url = event.get("url");
-    } else if (event.type == EventType::kUpnpDeviceUrlDesc &&
-               desc_url.empty()) {
-      desc_url = event.get("url");
-    } else if (event.type == EventType::kUpnpUsn && usn.empty()) {
-      usn = event.get("usn");
-    }
-  }
-  // UPnP NOTIFYs only carry the description LOCATION; it still identifies
-  // the service well enough to remember.
-  if (url.empty()) url = desc_url;
+  AdvertView advert = scan_advert(session.collected);
+  std::string_view url = advert.url;
+  std::string_view usn = advert.usn;
 
   if (session.var("kind") == "byebye") {
     // Withdrawal: forget the service, matching by URL when the byebye names
@@ -336,7 +302,7 @@ void SlpUnit::on_advertisement(Session& session) {
     // Refresh: re-arm the TTL deadline only. In steady state the repeat is
     // byte-identical to the advertisement that built the entry, so
     // rewriting identity or attributes would only allocate.
-    existing->expires_at = bridged_state_deadline(session);
+    existing->expires_at = bridged_state_deadline(advert);
     return;
   }
   ForeignService service;
@@ -348,7 +314,7 @@ void SlpUnit::on_advertisement(Session& session) {
       service.attributes.emplace_back(event.get("key"), event.get("value"));
     }
   }
-  service.expires_at = bridged_state_deadline(session);
+  service.expires_at = bridged_state_deadline(advert);
   foreign_services_.insert(std::move(service));
 }
 
@@ -356,14 +322,6 @@ std::size_t SlpUnit::expire_bridged_state(transport::TimePoint now) {
   return foreign_services_.erase_if([now](const ForeignService& s) {
     return s.expires_at.count() != 0 && s.expires_at <= now;
   });
-}
-
-void SlpUnit::on_session_complete(Session& session) {
-  auto it = client_sockets_.find(session.id);
-  if (it != client_sockets_.end()) {
-    it->second->close();
-    client_sockets_.erase(it);
-  }
 }
 
 }  // namespace indiss::core

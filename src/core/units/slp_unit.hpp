@@ -2,9 +2,7 @@
 // coordinates them (one of the two units in the paper's prototype).
 #pragma once
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,31 +33,20 @@ class SlpEventParser : public SdpParser {
 };
 
 /// Builds the Fig-4 SrvRply from a translated reply stream the way
-/// SlpUnit::compose_native_reply sends it: one URL entry per
-/// SDP_RES_SERV_URL, attributes folded into the URL after ';' when
-/// `attrs_in_url`. Reuses the caller's storage (slot-reused URL entries,
-/// scratch attribute-suffix string) so a warm composer allocates nothing.
+/// SlpUnit::compose_native_reply sends it (lifetime 65535, attributes in
+/// the URL): one URL entry per SDP_RES_SERV_URL, attributes folded into the
+/// URL after ';' when `attrs_in_url`. Reuses the caller's storage
+/// (slot-reused URL entries, scratch attribute-suffix string) so a warm
+/// composer allocates nothing.
 /// Returns the number of URL entries composed (0 = stay silent).
 std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
                               std::uint16_t xid, std::uint16_t lifetime,
                               bool attrs_in_url, slp::SrvRply& out,
                               std::string& attr_scratch);
 
-struct SlpUnitConfig {
-  UnitOptions unit;
-  std::uint16_t slp_port = 427;
-  /// Lifetime advertised in composed SrvRply URL entries.
-  std::uint16_t reply_lifetime_seconds = 65535;
-  /// Append attributes to the composed service URL after ';' the way the
-  /// paper's Fig 4 SrvRply does.
-  bool attrs_in_url = true;
-};
-
 class SlpUnit : public Unit {
  public:
-  using Config = SlpUnitConfig;
-
-  SlpUnit(transport::Transport& transport, Config config = {});
+  explicit SlpUnit(transport::Transport& transport, UnitOptions options = {});
   ~SlpUnit() override;
 
   [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
@@ -76,14 +63,10 @@ class SlpUnit : public Unit {
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
   void on_advertisement(Session& session) override;
-  void on_session_complete(Session& session) override;
   std::size_t expire_bridged_state(transport::TimePoint now) override;
 
  private:
-  Config config_;
   std::shared_ptr<transport::UdpSocket> reply_socket_;
-  std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
-      client_sockets_;
   BridgedServiceTable foreign_services_;
   std::uint16_t next_xid_ = 0x4000;  // distinct from native agents' ranges
   // Compose-side scratch (slot-reused across replies; docs/events.md).

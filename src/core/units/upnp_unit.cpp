@@ -13,6 +13,14 @@ namespace indiss::core {
 namespace {
 
 constexpr std::string_view kBridgeServer = "INDISS-bridge/1.0 UPnP/1.0";
+/// CACHE-CONTROL max-age on the NOTIFY alive announcing a served device.
+constexpr int kNotifyMaxAge = 1800;
+const net::Endpoint kSsdpGroup{upnp::kSsdpMulticastGroup, upnp::kSsdpPort};
+
+BytesView view_of(const std::string& frame) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(frame.data()),
+                   frame.size());
+}
 
 void emit_net_events(EventSink& sink, const MessageContext& ctx) {
   Event net = sink.scratch(EventType::kNetType);
@@ -249,8 +257,9 @@ void UpnpDescriptionParser::parse(BytesView raw, const MessageContext&,
 // UpnpUnit
 // ---------------------------------------------------------------------------
 
-UpnpUnit::UpnpUnit(transport::Transport& transport, Config config)
-    : Unit(SdpId::kUpnp, transport, config.unit), config_(config) {
+UpnpUnit::UpnpUnit(transport::Transport& transport, UnitOptions options,
+                   Config config)
+    : Unit(SdpId::kUpnp, transport, std::move(options)), config_(config) {
   register_parser(std::make_unique<SsdpEventParser>());
   register_parser(std::make_unique<UpnpDescriptionParser>());
   set_default_parser("ssdp");
@@ -311,7 +320,6 @@ UpnpUnit::UpnpUnit(transport::Transport& transport, Config config)
 
 UpnpUnit::~UpnpUnit() {
   if (reply_socket_) reply_socket_->close();
-  for (auto& [id, socket] : client_sockets_) socket->close();
 }
 
 void UpnpUnit::ensure_http_server() {
@@ -329,23 +337,8 @@ void UpnpUnit::compose_native_request(Session& session) {
   request.mx = 1;
   request.user_agent = std::string(kBridgeServer);
 
-  auto socket = this->transport().open_udp(0);
-  mark_own(*socket);
-  std::uint64_t session_id = session.id;
-  socket->set_receive_handler([this, session_id](const net::Datagram& d) {
-    MessageContext ctx;
-    ctx.source = d.source;
-    ctx.destination = d.destination;
-    ctx.multicast = d.multicast;
-    ctx.from_local_host = d.source.address == transport().address();
-    schedule_guarded(options().translate_delay, [this, session_id, d, ctx]() {
-      on_native_response(session_id, d.payload, ctx);
-    });
-  });
-  client_sockets_[session.id] = socket;
   request.serialize_into(ssdp_scratch_);
-  socket->send_to(net::Endpoint{upnp::kSsdpMulticastGroup, config_.ssdp_port},
-                  to_bytes(ssdp_scratch_));
+  open_query_socket(session).send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
 }
 
 // The recursive request of §2.4: GET the description document named by
@@ -443,10 +436,8 @@ void UpnpUnit::compose_native_reply(Session& session) {
                       std::to_string(http_server_->port()) + served.path;
   response.server = std::string(kBridgeServer);
 
-  auto addr = net::IpAddress::parse(session.var("src_addr"));
-  if (!addr.has_value()) return;
-  net::Endpoint to{*addr, static_cast<std::uint16_t>(str::parse_long(
-                              session.var("src_port", "0"), 0))};
+  auto to = requester(session);
+  if (!to.has_value()) return;
 
   // MX pacing: only searches that crossed the shared medium are delayed;
   // loopback interception answers immediately (Fig 9b's 0.12 ms hinges on
@@ -463,11 +454,8 @@ void UpnpUnit::compose_native_reply(Session& session) {
   response.serialize_into(ssdp_scratch_);
   // Directory-answered sessions remember the composed bytes so a repeated
   // search replays them without re-compose (docs/directory.md).
-  cache_reply_frame(
-      session, reply_socket_, to,
-      BytesView(reinterpret_cast<const std::uint8_t*>(ssdp_scratch_.data()),
-                ssdp_scratch_.size()));
-  transport().schedule(pacing, [socket = reply_socket_, to,
+  cache_reply_frame(session, reply_socket_, *to, view_of(ssdp_scratch_));
+  transport().schedule(pacing, [socket = reply_socket_, to = *to,
                                 payload = to_bytes(ssdp_scratch_)]() {
     if (!socket->closed()) socket->send_to(to, payload);
   });
@@ -499,7 +487,8 @@ UpnpUnit::ServedDescription& UpnpUnit::serve_description(
     auto it = served_descriptions_.find(served_key(type_sym, url_sym));
     if (it != served_descriptions_.end()) {
       // A refresh re-arms the TTL clock, like a native device re-announcing.
-      it->second.expires_at = bridged_state_deadline(session);
+      it->second.expires_at =
+          bridged_state_deadline(scan_advert(session.collected));
       return it->second;
     }
   }
@@ -530,7 +519,7 @@ UpnpUnit::ServedDescription& UpnpUnit::serve_description(
 
   served.description = description;
   served.usn = description.usn_for(description.device_type);
-  served.expires_at = bridged_state_deadline(session);
+  served.expires_at = bridged_state_deadline(scan_advert(session.collected));
 
   http_server_->route(served.path, [description](const http::HttpMessage&) {
     auto response = http::HttpMessage::response(200, "OK");
@@ -561,22 +550,23 @@ void UpnpUnit::on_advertisement(Session& session) {
   if (!meaningful_advert_type(session.var("service_type"))) return;
   ServedDescription& served = serve_description(session);
   if (config_.active_advertising) {
-    upnp::Notify notify;
-    notify.kind = upnp::Notify::Kind::kAlive;
-    notify.nt = served.description.device_type;
-    notify.usn = served.usn;
-    notify.location = "http://" + transport().address().to_string() + ":" +
-                      std::to_string(http_server_->port()) + served.path;
-    notify.server = std::string(kBridgeServer);
-    notify.max_age_seconds = config_.notify_max_age;
-    notify.serialize_into(ssdp_scratch_);
-    net::Endpoint to{upnp::kSsdpMulticastGroup, config_.ssdp_port};
-    reply_socket_->send_to(to, to_bytes(ssdp_scratch_));
-    cache_outbound_frame(
-        session, reply_socket_, to,
-        BytesView(reinterpret_cast<const std::uint8_t*>(ssdp_scratch_.data()),
-                  ssdp_scratch_.size()));
+    notify_alive(served);
+    cache_outbound_frame(session, reply_socket_, kSsdpGroup,
+                         view_of(ssdp_scratch_));
   }
+}
+
+void UpnpUnit::notify_alive(const ServedDescription& served) {
+  upnp::Notify notify;
+  notify.kind = upnp::Notify::Kind::kAlive;
+  notify.nt = served.description.device_type;
+  notify.usn = served.usn;
+  notify.location = "http://" + transport().address().to_string() + ":" +
+                    std::to_string(http_server_->port()) + served.path;
+  notify.server = std::string(kBridgeServer);
+  notify.max_age_seconds = kNotifyMaxAge;
+  notify.serialize_into(ssdp_scratch_);
+  reply_socket_->send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
 }
 
 // A peer withdrew a service this unit impersonates: multicast the
@@ -603,28 +593,14 @@ void UpnpUnit::withdraw_foreign_service(Session& session) {
   notify.nt = it->second.description.device_type;
   notify.usn = it->second.usn;
   notify.serialize_into(ssdp_scratch_);
-  net::Endpoint to{upnp::kSsdpMulticastGroup, config_.ssdp_port};
-  reply_socket_->send_to(to, to_bytes(ssdp_scratch_));
+  reply_socket_->send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
   http_server_->unroute(it->second.path);
   served_descriptions_.erase(it);
 }
 
 void UpnpUnit::announce_foreign_services() {
   ensure_http_server();
-  for (const auto& [key, served] : served_descriptions_) {
-    upnp::Notify notify;
-    notify.kind = upnp::Notify::Kind::kAlive;
-    notify.nt = served.description.device_type;
-    notify.usn = served.usn;
-    notify.location = "http://" + transport().address().to_string() + ":" +
-                      std::to_string(http_server_->port()) + served.path;
-    notify.server = std::string(kBridgeServer);
-    notify.max_age_seconds = config_.notify_max_age;
-    notify.serialize_into(ssdp_scratch_);
-    reply_socket_->send_to(
-        net::Endpoint{upnp::kSsdpMulticastGroup, config_.ssdp_port},
-        to_bytes(ssdp_scratch_));
-  }
+  for (const auto& [key, served] : served_descriptions_) notify_alive(served);
 }
 
 // TTL expiry of impersonated devices (crash without byebye): drop the served
@@ -638,14 +614,6 @@ std::size_t UpnpUnit::expire_bridged_state(transport::TimePoint now) {
     if (gone) http_server_->unroute(served.path);
     return gone;
   });
-}
-
-void UpnpUnit::on_session_complete(Session& session) {
-  auto it = client_sockets_.find(session.id);
-  if (it != client_sockets_.end()) {
-    it->second->close();
-    client_sockets_.erase(it);
-  }
 }
 
 }  // namespace indiss::core

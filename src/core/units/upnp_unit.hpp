@@ -6,7 +6,6 @@
 // impersonates a UPnP device for foreign services.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,8 +74,6 @@ class UpnpDescriptionParser : public SdpParser {
 };
 
 struct UpnpUnitConfig {
-  UnitOptions unit;
-  std::uint16_t ssdp_port = 1900;
   /// Port for the unit's description server (0 = ephemeral).
   std::uint16_t http_port = 0;
   /// SSDP responders pace replies to multicast searches from the shared
@@ -87,14 +84,14 @@ struct UpnpUnitConfig {
   /// Re-announce foreign services as NOTIFY alive when the context manager
   /// switches the unit to active advertising (Fig 6).
   bool active_advertising = false;
-  int notify_max_age = 1800;
 };
 
 class UpnpUnit : public Unit {
  public:
   using Config = UpnpUnitConfig;
 
-  UpnpUnit(transport::Transport& transport, Config config = {});
+  explicit UpnpUnit(transport::Transport& transport, UnitOptions options = {},
+                    Config config = {});
   ~UpnpUnit() override;
 
   /// Foreign services currently impersonated as UPnP devices.
@@ -118,7 +115,6 @@ class UpnpUnit : public Unit {
   void compose_native_reply(Session& session) override;
   void compose_follow_up(Session& session, const Event& event) override;
   void on_advertisement(Session& session) override;
-  void on_session_complete(Session& session) override;
   std::size_t expire_bridged_state(transport::TimePoint now) override;
 
  private:
@@ -134,6 +130,9 @@ class UpnpUnit : public Unit {
   /// Builds (or reuses) a served description for a translated reply stream /
   /// advertisement and returns its LOCATION URL + USN.
   ServedDescription& serve_description(const Session& session);
+  /// Multicasts NOTIFY ssdp:alive for a served device; the frame stays in
+  /// ssdp_scratch_ until the next compose.
+  void notify_alive(const ServedDescription& served);
   /// Peer byebye: multicast ssdp:byebye for the served device and drop it.
   void withdraw_foreign_service(Session& session);
   void ensure_http_server();
@@ -151,8 +150,6 @@ class UpnpUnit : public Unit {
 
   Config config_;
   std::shared_ptr<transport::UdpSocket> reply_socket_;
-  std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
-      client_sockets_;
   std::unique_ptr<upnp::HttpServer> http_server_;
   std::unordered_map<std::uint64_t, ServedDescription> served_descriptions_;
   std::uint64_t next_device_index_ = 1;

@@ -34,8 +34,7 @@ MdnsResponder::MdnsResponder(transport::Transport& host, MdnsConfig config)
                                   const std::string& new_name) {
       on_probe_renamed(old_name, new_name);
     };
-    probe_ = std::make_unique<ProbeEngine>(host_, config_.probe_config,
-                                           std::move(callbacks));
+    probe_ = std::make_unique<ProbeEngine>(host_, std::move(callbacks));
   }
 }
 

@@ -71,7 +71,6 @@ struct MdnsConfig {
   /// contract). Turn on when two responders — or a hostile one — can
   /// contend for the same instance name.
   bool probe = false;
-  ProbeConfig probe_config;
   /// Browser: how long one browse collects answers, and how many times the
   /// query is retransmitted inside that window.
   transport::Duration browse_window = transport::millis(500);

@@ -7,6 +7,20 @@ namespace indiss::mdns {
 
 namespace {
 
+// RFC 6762 timings.
+/// §8.1: three probes, 250 ms apart; the name is won 250 ms after the last
+/// unanswered probe.
+constexpr transport::Duration kProbeInterval = transport::millis(250);
+constexpr int kProbeCount = 3;
+/// §8.2: the tiebreak loser waits this long before restarting its probes.
+constexpr transport::Duration kTiebreakDefer = transport::seconds(1);
+/// §8.1 rate limiting: this many conflicts within kConflictWindow engage
+/// exponential backoff between attempts.
+constexpr int kConflictThreshold = 15;
+constexpr transport::Duration kConflictWindow = transport::seconds(10);
+constexpr transport::Duration kBackoffInitial = transport::seconds(5);
+constexpr transport::Duration kBackoffMax = transport::seconds(60);
+
 std::uint64_t fnv1a(std::string_view text) {
   std::uint64_t hash = 1469598103934665603ull;
   for (unsigned char c : text) {
@@ -135,9 +149,8 @@ std::string renamed_label(std::string_view base_label, int attempt) {
 
 // ---------------------------------------------------------------------------
 
-ProbeEngine::ProbeEngine(transport::Transport& host, ProbeConfig config,
-                         Callbacks callbacks)
-    : host_(host), config_(config), callbacks_(std::move(callbacks)) {}
+ProbeEngine::ProbeEngine(transport::Transport& host, Callbacks callbacks)
+    : host_(host), callbacks_(std::move(callbacks)) {}
 
 ProbeEngine::~ProbeEngine() {
   for (auto& claim : claims_) claim->timer.cancel();
@@ -201,9 +214,9 @@ void ProbeEngine::schedule_step(Claim& claim, transport::Duration delay) {
 void ProbeEngine::step(Claim& claim) {
   if (claim.state == State::kEstablished) return;
   claim.state = State::kProbing;
-  if (claim.probes_sent < config_.probe_count) {
+  if (claim.probes_sent < kProbeCount) {
     send_probe(claim);
-    schedule_step(claim, config_.probe_interval);
+    schedule_step(claim, kProbeInterval);
     return;
   }
   // Third probe went unanswered for a full interval: the name is ours.
@@ -300,7 +313,7 @@ void ProbeEngine::handle_query(const DnsMessage& query) {
       stats_->tiebreaks_lost += 1;
       claim->state = State::kDeferred;
       claim->probes_sent = 0;
-      schedule_step(*claim, config_.tiebreak_defer);
+      schedule_step(*claim, kTiebreakDefer);
     }
   }
 }
@@ -316,18 +329,18 @@ void ProbeEngine::handle_response(const DnsMessage& response) {
 void ProbeEngine::conflict(Claim& claim) {
   stats_->conflicts += 1;
 
-  // §8.1 rate limiting: ≥ conflict_threshold conflicts inside the window
+  // §8.1 rate limiting: ≥ kConflictThreshold conflicts inside the window
   // engages exponential backoff between attempts.
   transport::TimePoint now = host_.now();
   claim.recent_conflicts.push_back(now);
   std::erase_if(claim.recent_conflicts, [&](transport::TimePoint t) {
-    return now - t > config_.conflict_window;
+    return now - t > kConflictWindow;
   });
   if (static_cast<int>(claim.recent_conflicts.size()) >=
-      config_.conflict_threshold) {
+      kConflictThreshold) {
     claim.backoff = claim.backoff.count() == 0
-                        ? config_.backoff_initial
-                        : std::min(claim.backoff * 2, config_.backoff_max);
+                        ? kBackoffInitial
+                        : std::min(claim.backoff * 2, kBackoffMax);
     stats_->backoffs_engaged += 1;
   }
   // Once engaged, the backoff gates *every* successive attempt ("MUST wait
@@ -336,7 +349,7 @@ void ProbeEngine::conflict(Claim& claim) {
   // empties during the wait and the storm resumes at full rate.
   transport::Duration delay = claim.backoff.count() != 0
                                   ? claim.backoff
-                                  : config_.probe_interval;
+                                  : kProbeInterval;
 
   // Rename-and-retry: hash-stable bounded suffix on the base label.
   bool was_established = claim.state == State::kEstablished;

@@ -73,21 +73,6 @@ struct ProbeStats {
   }
 };
 
-struct ProbeConfig {
-  /// §8.1: three probes, 250 ms apart; the name is won 250 ms after the
-  /// last unanswered probe.
-  transport::Duration probe_interval = transport::millis(250);
-  int probe_count = 3;
-  /// §8.2: the tiebreak loser waits this long before restarting its probes.
-  transport::Duration tiebreak_defer = transport::seconds(1);
-  /// §8.1 rate limiting: this many conflicts within `conflict_window`
-  /// engages exponential backoff between attempts.
-  int conflict_threshold = 15;
-  transport::Duration conflict_window = transport::seconds(10);
-  transport::Duration backoff_initial = transport::seconds(5);
-  transport::Duration backoff_max = transport::seconds(60);
-};
-
 /// Serializes a record's rdata in wire form with uncompressed names —
 /// the §8.2.1 comparison format. Exposed for tests.
 void append_rdata(const DnsRecord& record, Bytes& out);
@@ -119,8 +104,7 @@ class ProbeEngine {
         on_renamed;
   };
 
-  ProbeEngine(transport::Transport& host, ProbeConfig config,
-              Callbacks callbacks);
+  ProbeEngine(transport::Transport& host, Callbacks callbacks);
   ~ProbeEngine();
 
   ProbeEngine(const ProbeEngine&) = delete;
@@ -185,7 +169,6 @@ class ProbeEngine {
                                     std::vector<DnsRecord>* theirs) const;
 
   transport::Transport& host_;
-  ProbeConfig config_;
   Callbacks callbacks_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('\0');
   std::vector<std::unique_ptr<Claim>> claims_;

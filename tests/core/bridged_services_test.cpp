@@ -2,8 +2,8 @@
 // checked against plain-vector references of the units' bridging semantics
 // over seeded histories of adverts, refreshes, URL and USN withdrawals and
 // expiry sweeps; the zero-allocation pin for a warm refresh of a known URL;
-// and the UPnP unit's description routes, which must go with the devices
-// they describe.
+// the UPnP unit's description routes, which must go with the devices they
+// describe; and the TTL each caller of the shared advert scan takes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +12,12 @@
 #include <tuple>
 #include <vector>
 
+#include "core/directory/service_directory.hpp"
 #include "core/units/bridged_services.hpp"
 #include "core/units/mdns_unit.hpp"
 #include "core/units/slp_unit.hpp"
 #include "core/units/upnp_unit.hpp"
+#include "mdns/dns.hpp"
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
@@ -303,7 +305,7 @@ TEST_F(TableFixture, UpnpDescriptionRoutesGoWithTheirDevices) {
       network.add_host("cp", net::IpAddress(10, 0, 0, 9));
   UpnpUnitConfig config;
   config.http_port = 4100;
-  TestUpnpUnit unit(host, config);
+  TestUpnpUnit unit(host, {}, config);
   auto get_status = [&](int device_index) {
     int status = 0;
     upnp::http_get(control_point,
@@ -340,6 +342,63 @@ TEST_F(TableFixture, UpnpDescriptionRoutesGoWithTheirDevices) {
   EXPECT_EQ(unit.expire_bridged_state(host.now()), 1u);
   EXPECT_EQ(unit.description_routes(), 0u);
   EXPECT_EQ(get_status(9), 404) << "expired device still described";
+}
+
+// The directory and the units share one advert scan but keep the two TTL
+// rules they always had. The mDNS parser emits one SDP_RES_TTL per PTR, so
+// a response whose first PTR carries TTL 0 and a later one 120 s reaches
+// both: bridged unit state reads the first TTL (not positive, so the
+// default lifetime), the directory the first non-zero one.
+TEST_F(TableFixture, MixedZeroTtlAdvertKeepsEachCallersTtlRule) {
+  mdns::DnsMessage message;
+  message.flags = mdns::kFlagResponse | mdns::kFlagAuthoritative;
+  for (auto [label, ttl] : {std::pair{"a", 0u}, std::pair{"b", 120u}}) {
+    std::string instance = std::string(label) + "._clock._tcp.local";
+    mdns::DnsRecord ptr;
+    ptr.name = "_clock._tcp.local";
+    ptr.type = mdns::kTypePtr;
+    ptr.ttl = ttl;
+    ptr.target = instance;
+    message.answers.push_back(ptr);
+    mdns::DnsRecord txt;
+    txt.name = instance;
+    txt.type = mdns::kTypeTxt;
+    txt.ttl = 120;
+    txt.txt = {{"url", "soap://10.0.1.7:4005/" + std::string(label)}};
+    message.additionals.push_back(txt);
+  }
+  Bytes wire = mdns::encode(message);
+  MessageContext ctx;
+  ctx.multicast = true;
+  CollectingSink sink;
+  MdnsEventParser parser;
+  parser.parse(wire, ctx, sink);
+
+  AdvertView advert = scan_advert(sink.stream());
+  EXPECT_EQ(advert.url, "soap://10.0.1.7:4005/a");
+  EXPECT_EQ(advert.type, "clock");
+  EXPECT_EQ(advert.first_ttl_seconds, 0);
+  EXPECT_EQ(advert.ttl_seconds, 120);
+
+  TestSlpUnit slp(host);
+  Session session;
+  session.id = 1;
+  session.origin = Session::Origin::kPeer;
+  session.set_var("kind", "alive");
+  session.set_var("service_type", "clock");
+  session.collected = sink.stream();
+  slp.on_advertisement(session);
+  ASSERT_EQ(slp.foreign_services().size(), 1u);
+  EXPECT_EQ(slp.foreign_services().front().expires_at,
+            host.now() + kDefaultAdvertTtl);
+
+  ServiceDirectory directory;
+  ASSERT_TRUE(directory.record_advertisement(SdpId::kMdns, sink.stream(), {},
+                                             host.now()));
+  const ServiceDirectory::Record* record =
+      directory.find("soap://10.0.1.7:4005/a");
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->ttl, transport::seconds(120));
 }
 
 }  // namespace

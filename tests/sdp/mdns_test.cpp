@@ -853,7 +853,7 @@ struct ProbeFixture : ::testing::Test {
 };
 
 TEST_F(ProbeFixture, ThreeUnansweredProbesWinTheName) {
-  ProbeEngine engine(host, {}, callbacks());
+  ProbeEngine engine(host, callbacks());
   const std::string name = "clock1._clock._tcp.local";
   engine.claim(name, claim_records(name, "soap://10.0.0.2:4006/a"));
   EXPECT_TRUE(engine.busy());
@@ -880,7 +880,7 @@ TEST_F(ProbeFixture, ThreeUnansweredProbesWinTheName) {
 }
 
 TEST_F(ProbeFixture, SimultaneousProbeTiebreakLoserDefersWinnerProceeds) {
-  ProbeEngine engine(host, {}, callbacks());
+  ProbeEngine engine(host, callbacks());
   const std::string name = "clock1._clock._tcp.local";
   engine.claim(name, claim_records(name, "soap://10.0.0.2:4006/a"));
   scheduler.run_for(sim::millis(10));  // first probe out
@@ -906,7 +906,7 @@ TEST_F(ProbeFixture, SimultaneousProbeTiebreakLoserDefersWinnerProceeds) {
       << "a lost tiebreak defers, it never renames";
 
   // And the mirror image: a probe with lesser rdata loses to us.
-  ProbeEngine winner(host, {}, callbacks());
+  ProbeEngine winner(host, callbacks());
   const std::string other = "clock2._clock._tcp.local";
   winner.claim(other, claim_records(other, "soap://10.0.0.9:4006/z"));
   scheduler.run_for(sim::millis(10));
@@ -920,7 +920,7 @@ TEST_F(ProbeFixture, SimultaneousProbeTiebreakLoserDefersWinnerProceeds) {
 }
 
 TEST_F(ProbeFixture, ConflictingResponseRenamesWithTheBoundedSuffix) {
-  ProbeEngine engine(host, {}, callbacks());
+  ProbeEngine engine(host, callbacks());
   const std::string name = "clock1._clock._tcp.local";
   engine.claim(name, claim_records(name, "soap://10.0.0.2:4006/a"));
   scheduler.run_for(sim::millis(10));
@@ -951,7 +951,7 @@ TEST_F(ProbeFixture, ConflictingResponseRenamesWithTheBoundedSuffix) {
 TEST_F(ProbeFixture, IdenticalRdataFromAPeerIsNeverAConflict) {
   // The two-gateway coexistence property at engine level: a response (or
   // probe) carrying byte-identical records must not rename or defer us.
-  ProbeEngine engine(host, {}, callbacks());
+  ProbeEngine engine(host, callbacks());
   const std::string name = "clock1._clock._tcp.local";
   const std::string url = "soap://10.0.0.2:4006/a";
   engine.claim(name, claim_records(name, url));
@@ -987,7 +987,7 @@ TEST_F(ProbeFixture, IdenticalRdataFromAPeerIsNeverAConflict) {
 }
 
 TEST_F(ProbeFixture, EstablishedNamesAreDefendedWithCacheFlushAnswers) {
-  ProbeEngine engine(host, {}, callbacks());
+  ProbeEngine engine(host, callbacks());
   const std::string name = "clock1._clock._tcp.local";
   engine.claim(name, claim_records(name, "soap://10.0.0.2:4006/a"));
   scheduler.run_for(sim::seconds(2));
@@ -1034,7 +1034,7 @@ TEST_F(ProbeFixture, ConflictStormEngagesExponentialBackoff) {
     host.schedule(transport::millis(1),
                   [&, conflict]() { engine_ptr->handle_response(conflict); });
   };
-  ProbeEngine hostile_target(host, {}, std::move(cb));
+  ProbeEngine hostile_target(host, std::move(cb));
   engine_ptr = &hostile_target;
   hostile_target.claim(name, claim_records(name, "soap://10.0.0.2:4006/a"));
 

@@ -316,7 +316,7 @@ TEST(MdnsAllocs, PostProbeAnnouncePathIsZeroAllocSteadyState) {
   net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
   MdnsUnitConfig config;
   config.probe = true;
-  TestMdnsUnit unit(host, config);
+  TestMdnsUnit unit(host, {}, config);
   Session session = foreign_alive_session(
       "clock", "service:clock:soap://10.0.0.2:4005/alloc-clock");
 
