@@ -100,9 +100,9 @@ void Monitor::on_datagram(SdpId sdp, const net::Datagram& datagram) {
     stats_.filtered += 1;
     return;
   }
-  // Shed floods before spending any translation work on them (the per-unit
-  // parse behind forward costs ~translate_delay each; an advert storm from
-  // one source must not starve the rest of the fleet).
+  // Shed floods before spending any translation work on them (forward
+  // queues a per-unit parse hop for each; an advert storm from one source
+  // must not starve the rest of the fleet).
   if (config_.rate_limit_per_sec > 0.0 && !admit(datagram.source.address)) {
     stats_.rate_limited += 1;
     return;

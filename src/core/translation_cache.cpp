@@ -73,7 +73,7 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
     entries_.emplace(key, std::move(bundle));
   }
   // Retire origin sessions that can no longer receive frames: the bundle
-  // has settled (composes land within translate_delay, long before settle),
+  // has settled (composes land one unit hop later, long before settle),
   // was evicted, or belongs to a stale generation. Without this the ring
   // only ever shrinks via the overflow below — and a sustained miss burst
   // (the cycle after a generation bump, or a fleet of 65+ distinct wires)
@@ -87,13 +87,14 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   });
   // Remember which origin session feeds this bundle; target units report
   // their composed frames under that session id. The ring is bounded: an
-  // advertisement's composes land within translate_delay, long before 64
-  // further advertisements have been dispatched. When a burst does overflow
-  // it (65+ distinct advertisements in one scheduler instant), the evicted
-  // session's half-built bundle is erased with it — leaving it behind would
-  // cache an empty *negative* entry that silently swallowed every future
-  // repeat; erasing degrades to a plain miss that re-translates and, once
-  // the burst's bundles settle, re-caches.
+  // advertisement's composes land one unit hop later (translate_delay on the
+  // simulator, as soon as the ingress task returns on a real clock), long
+  // before 64 further advertisements have been dispatched. When a burst does
+  // overflow it (65+ distinct advertisements in one scheduler instant), the
+  // evicted session's half-built bundle is erased with it — leaving it
+  // behind would cache an empty *negative* entry that silently swallowed
+  // every future repeat; erasing degrades to a plain miss that re-translates
+  // and, once the burst's bundles settle, re-caches.
   open_sessions_.push_back(OpenSession{source, origin_session, key});
   if (open_sessions_.size() > 64) {
     auto overflowed = entries_.find(open_sessions_.front().key);

@@ -30,8 +30,9 @@
 //  - Entries are validated by full byte comparison (the stored wire copy),
 //    not just the 64-bit hash, so collisions cannot replay a wrong frame.
 //  - A bundle only becomes replayable `settle` after creation, giving every
-//    target unit's deferred compose (translate_delay) time to land; until
-//    then repeats parse normally (counted as misses) without disturbing the
+//    target unit's deferred compose (one unit hop: translate_delay on the
+//    simulator, zero delay on a real clock) time to land; until then
+//    repeats parse normally (counted as misses) without disturbing the
 //    bundle.
 //  - Generation-based invalidation: bump_generation() logically empties the
 //    cache in O(1). The owner bumps whenever the translated output could
@@ -69,8 +70,9 @@ class TranslationCache {
     /// LRU bound on cached wire bundles.
     std::size_t max_entries = 256;
     /// A bundle replays only this long after creation, so every target
-    /// unit's deferred compose has landed. Keep well above the units'
-    /// translate_delay and well below the shortest re-announcement period.
+    /// unit's deferred compose has landed. Keep well above one unit hop
+    /// (translate_delay on the simulator) and well below the shortest
+    /// re-announcement period.
     transport::Duration settle = transport::millis(200);
   };
 

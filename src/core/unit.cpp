@@ -25,7 +25,11 @@ MessageContext context_of(const net::Datagram& datagram,
 }  // namespace
 
 Unit::Unit(SdpId sdp, transport::Transport& transport, Options options)
-    : sdp_(sdp), host_(transport), options_(std::move(options)) {}
+    : sdp_(sdp),
+      host_(transport),
+      options_(std::move(options)),
+      hop_delay_(host_.simulated_clock() ? options_.translate_delay
+                                         : transport::Duration::zero()) {}
 
 Unit::~Unit() {
   for (auto& [id, socket] : client_sockets_) socket->close();
@@ -65,7 +69,7 @@ Session& Unit::open_session(Session::Origin origin) {
   // Completed sessions awaiting retirement are skipped: they neither count
   // nor get evicted. Safe here because open_session only runs at
   // scheduler-task top level (every entry point defers through
-  // schedule_guarded), so no evicted session's frame is on the call stack.
+  // schedule_hop), so no evicted session's frame is on the call stack.
   if (options_.max_open_sessions > 0 &&
       live_sessions_ >= options_.max_open_sessions) {
     auto oldest = sessions_.begin();
@@ -177,8 +181,9 @@ void Unit::parse_into_session(Session& session, BytesView raw,
 }
 
 void Unit::on_native_message(const net::Datagram& datagram) {
-  // INDISS's own processing cost for intercepting + parsing a message.
-  schedule_guarded(options_.translate_delay, [this, datagram]() {
+  // One hop for intercepting + parsing a message (its modelled cost on the
+  // simulator).
+  schedule_hop([this, datagram]() {
     // Short-circuit: a byte-identical advertisement translated before
     // replays its composed outbound frames without a session or a parse.
     // In directory mode the advert's index record re-arms its TTL too —
@@ -253,23 +258,21 @@ void Unit::on_peer_stream(SdpId origin_sdp, std::uint64_t origin_session,
                           SharedStream stream) {
   // The shared buffer rides into the deferred delivery by refcount — no
   // per-subscriber copy of the events.
-  schedule_guarded(options_.translate_delay,
-                   [this, origin_sdp, origin_session,
-                    stream = std::move(stream)]() {
-                     Session& session = open_session(Session::Origin::kPeer);
-                     session.origin_sdp = origin_sdp;
-                     session.origin_session = origin_session;
-                     feed_stream(session, *stream);
-                   });
+  schedule_hop(
+      [this, origin_sdp, origin_session, stream = std::move(stream)]() {
+        Session& session = open_session(Session::Origin::kPeer);
+        session.origin_sdp = origin_sdp;
+        session.origin_session = origin_session;
+        feed_stream(session, *stream);
+      });
 }
 
 void Unit::on_reply_stream(std::uint64_t session_id, SharedStream stream) {
-  schedule_guarded(options_.translate_delay,
-                   [this, session_id, stream = std::move(stream)]() {
-                     Session* session = find_session(session_id);
-                     if (session == nullptr || session->done) return;
-                     feed_stream(*session, *stream);
-                   });
+  schedule_hop([this, session_id, stream = std::move(stream)]() {
+    Session* session = find_session(session_id);
+    if (session == nullptr || session->done) return;
+    feed_stream(*session, *stream);
+  });
 }
 
 void Unit::probe(const std::string& canonical_type) {
@@ -290,7 +293,7 @@ transport::UdpSocket& Unit::open_query_socket(const Session& session) {
   std::uint64_t session_id = session.id;
   socket->set_receive_handler([this, session_id](const net::Datagram& d) {
     MessageContext ctx = context_of(d, host_.address());
-    schedule_guarded(options_.translate_delay, [this, session_id, d, ctx]() {
+    schedule_hop([this, session_id, d, ctx]() {
       on_native_response(session_id, d.payload, ctx);
     });
   });
@@ -514,12 +517,11 @@ bool Unit::try_answer_from_directory(Session& session) {
   stats_.directory_answers += 1;
 
   std::uint64_t id = session.id;
-  schedule_guarded(options_.translate_delay,
-                   [this, id, stream = std::move(stream)]() {
-                     Session* answered = find_session(id);
-                     if (answered == nullptr || answered->done) return;
-                     feed_stream(*answered, *stream);
-                   });
+  schedule_hop([this, id, stream = std::move(stream)]() {
+    Session* answered = find_session(id);
+    if (answered == nullptr || answered->done) return;
+    feed_stream(*answered, *stream);
+  });
   return true;
 }
 

@@ -43,9 +43,11 @@ namespace indiss::core {
 inline constexpr transport::Duration kSessionTimeout = transport::seconds(10);
 
 struct UnitOptions {
-  /// INDISS's own per-message processing cost (parse or compose). This is
-  /// the system's overhead knob; Ablation A1 measures the real wall-clock
-  /// cost, this models it in simulated time.
+  /// INDISS's own per-message processing cost (parse or compose), charged
+  /// on a simulated clock only (Transport::simulated_clock). This is the
+  /// system's overhead knob; Ablation A1 measures the real wall-clock cost,
+  /// this models it in simulated time. On a real clock the processing takes
+  /// its own time, so every unit hop runs at zero delay instead.
   transport::Duration translate_delay = transport::micros(20);
   /// Own-endpoint registry shared with the monitor (loop prevention). May
   /// be null for standalone unit tests.
@@ -229,8 +231,8 @@ class Unit {
 
   /// Opens the ephemeral socket the native request for `session` goes out
   /// on (the unit acting as a native client). The socket is marked own,
-  /// every datagram it receives is parsed into the session after
-  /// translate_delay, and it is closed when the session completes, times
+  /// every datagram it receives is parsed into the session one hop later
+  /// (schedule_hop), and it is closed when the session completes, times
   /// out or is evicted, or when the unit goes away.
   transport::UdpSocket& open_query_socket(const Session& session);
 
@@ -262,6 +264,14 @@ class Unit {
   /// `this` safely. Sessions completed during `fn` are erased when it
   /// returns.
   void schedule_guarded(transport::Duration delay, std::function<void()> fn);
+
+  /// One pipeline hop (ingress parse, peer delivery, reply delivery,
+  /// response parse): schedule_guarded after translate_delay on a simulated
+  /// clock, at zero delay on a real one. Either way `fn` never runs inside
+  /// the caller; it runs once the current task or handler returns.
+  void schedule_hop(std::function<void()> fn) {
+    schedule_guarded(hop_delay_, std::move(fn));
+  }
 
   /// Lifetime token for guards in subclass-owned callbacks (HTTP fetches,
   /// socket handlers): bail out when expired.
@@ -340,6 +350,8 @@ class Unit {
   SdpId sdp_;
   transport::Transport& host_;
   Options options_;
+  /// translate_delay on a simulated clock, zero on a real one.
+  transport::Duration hop_delay_;
   EventBus* bus_ = nullptr;
   std::shared_ptr<void> alive_ = std::make_shared<char>('\0');
   StreamPool stream_pool_;

@@ -359,11 +359,9 @@ void UpnpUnit::compose_follow_up(Session& session, const Event&) {
                    if (alive.expired()) return;  // unit detached mid-fetch
                    if (!response.has_value()) return;  // session will time out
                    Bytes raw = to_bytes(response->serialize());
-                   schedule_guarded(
-                       options().translate_delay,
-                       [this, session_id, raw]() {
-                         on_native_response(session_id, raw, MessageContext{});
-                       });
+                   schedule_hop([this, session_id, raw]() {
+                     on_native_response(session_id, raw, MessageContext{});
+                   });
                  });
 }
 

@@ -55,8 +55,15 @@ transport::TimePoint EventLoop::now() const {
 
 transport::TaskHandle EventLoop::schedule(transport::Duration delay,
                                           transport::InlineTask task) {
-  // The wheel's clock trails real time by at most one pump iteration; delays
-  // are relative to real now so back-to-back schedules stay monotone.
+  // Zero delay is due now on the wheel's own clock, the simulator's rule: a
+  // task queued by a running task fires in the same run_until once that
+  // task returns, one queued by an fd handler at the top of the next pump
+  // iteration. Neither touches the timerfd.
+  if (delay <= transport::Duration::zero()) {
+    return scheduler_.schedule(transport::Duration::zero(), std::move(task));
+  }
+  // The wheel's clock trails real time by at most one pump iteration; other
+  // delays are relative to real now so back-to-back schedules stay monotone.
   transport::Duration lag = now() - scheduler_.now();
   if (lag.count() < 0) lag = transport::Duration::zero();
   return scheduler_.schedule(delay + lag, std::move(task));
@@ -94,17 +101,23 @@ void EventLoop::unwatch(int fd) {
 }
 
 void EventLoop::arm_timerfd(transport::TimePoint wake) {
+  const bool disarm = wake == transport::TimePoint::max();
+  const std::int64_t now_ns = monotonic_ns();
+  const std::int64_t abs_ns = disarm ? 0 : epoch_ns_ + wake.count();
+  // The timerfd already holds this deadline and it has not expired, so it
+  // will still fire (or stays disarmed): skip the syscall.
+  if (wake == armed_ && (disarm || abs_ns > now_ns)) return;
+  armed_ = wake;
   itimerspec spec{};
-  if (wake == transport::TimePoint::max()) {
+  if (disarm) {
     // No pending timer and no pump deadline: disarm; epoll's bounded wait
     // keeps the loop responsive.
     ::timerfd_settime(timer_fd_, 0, &spec, nullptr);
     return;
   }
-  std::int64_t abs_ns = epoch_ns_ + wake.count();
-  if (abs_ns <= monotonic_ns()) abs_ns = monotonic_ns() + 1;
-  spec.it_value.tv_sec = abs_ns / 1'000'000'000;
-  spec.it_value.tv_nsec = abs_ns % 1'000'000'000;
+  const std::int64_t at_ns = abs_ns > now_ns ? abs_ns : now_ns + 1;
+  spec.it_value.tv_sec = at_ns / 1'000'000'000;
+  spec.it_value.tv_nsec = at_ns % 1'000'000'000;
   if (::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &spec, nullptr) != 0) {
     throw_errno("timerfd_settime");
   }

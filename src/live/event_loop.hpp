@@ -4,7 +4,10 @@
 // Rather than reimplementing timers, the loop embeds a sim::Scheduler and
 // drives it with real time: each pump iteration advances the scheduler's
 // clock to CLOCK_MONOTONIC-elapsed-since-epoch (firing everything due), then
-// arms a timerfd at the scheduler's next deadline and sleeps in epoll_wait.
+// arms a timerfd at the scheduler's next deadline (skipped when that
+// deadline is already armed) and sleeps in epoll_wait. A zero delay is due
+// at the scheduler's current reading, as on the simulator, so zero-delay
+// work (the units' pipeline hops) runs without ever arming the timerfd.
 // TaskHandle cancellation/liveness therefore shares the exact slot/generation
 // machinery with the simulated backend — identical semantics by construction,
 // which is what lets the transport-conformance suite run unmodified against
@@ -41,6 +44,10 @@ class EventLoop {
 
   [[nodiscard]] transport::TimePoint now() const;
 
+  /// Runs `task` `delay` after real now. A zero delay is due now on the
+  /// timer wheel's clock instead: the task runs once the running task
+  /// returns (same run_for) or, queued by an fd handler, at the top of the
+  /// next pump iteration before epoll_wait — never inside its caller.
   transport::TaskHandle schedule(transport::Duration delay,
                                  transport::InlineTask task);
   transport::TaskHandle schedule_periodic(transport::Duration period,
@@ -83,6 +90,9 @@ class EventLoop {
   int epoll_fd_ = -1;
   int timer_fd_ = -1;
   std::int64_t epoch_ns_ = 0;
+  /// Deadline the timerfd holds (max = disarmed), so an unchanged next
+  /// deadline costs no timerfd_settime.
+  transport::TimePoint armed_ = transport::TimePoint::max();
   std::atomic<bool> stop_requested_{false};
   sim::Scheduler scheduler_;
   std::unordered_map<int, FdHandler> handlers_;

@@ -66,8 +66,13 @@ class LiveUdpSocket : public transport::UdpSocket,
     fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd_ < 0) throw_errno("socket(udp)");
     int one = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+    // Sharing is for the well-known SDP ports only. On port 0 the options
+    // would let the kernel hand a new socket the port of a live one, and
+    // the two would split its replies.
+    if (port != 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+      ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+    }
     // Destination address of each datagram (multicast classification).
     ::setsockopt(fd_, IPPROTO_IP, IP_PKTINFO, &one, sizeof(one));
 

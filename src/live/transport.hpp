@@ -6,9 +6,11 @@
 // is one LiveTransport + one core::Indiss on an event loop.
 //
 // Conformance notes (pinned by tests/transport/conformance_test.cpp):
-//   - UDP sockets bind INADDR_ANY:port with SO_REUSEADDR|SO_REUSEPORT so
-//     several INDISS processes on one machine can share the well-known SDP
-//     ports (multicast datagrams are delivered to every bound socket).
+//   - UDP sockets bind INADDR_ANY:port. A well-known port is bound with
+//     SO_REUSEADDR|SO_REUSEPORT so several INDISS processes on one machine
+//     can share the SDP ports (multicast datagrams are delivered to every
+//     bound socket); port 0 is bound without them, so every ephemeral
+//     socket gets a port of its own.
 //   - Multicast joins and egress are pinned to one interface
 //     (LiveConfig::interface / address): joins use ip_mreqn with the
 //     interface index, sends set IP_MULTICAST_IF to the configured source

@@ -58,6 +58,7 @@ class Host : public transport::Transport {
                                  transport::InlineTask task) override;
   transport::TaskHandle schedule_periodic(transport::Duration period,
                                           transport::InlineTask task) override;
+  [[nodiscard]] bool simulated_clock() const override { return true; }
   [[nodiscard]] const TrafficStats& stats() const override;
   [[nodiscard]] transport::Random& random() override;
 

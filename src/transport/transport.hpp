@@ -26,7 +26,9 @@
 //     (ECONNREFUSED), never a half-open socket.
 //   - timers: schedule/schedule_periodic return TaskHandles with
 //     slot/generation semantics (transport/task.hpp); equal-deadline tasks
-//     fire in scheduling order.
+//     fire in scheduling order. A zero delay is due at the clock's current
+//     reading: a task queued at zero delay by a running task runs as soon
+//     as that task returns, before any timer due later.
 #pragma once
 
 #include <cstdint>
@@ -136,6 +138,12 @@ class Transport {
   /// Schedules `task` every `period`, first run after `period`. The
   /// returned handle cancels all future occurrences.
   virtual TaskHandle schedule_periodic(Duration period, InlineTask task) = 0;
+
+  /// True when now() is a modelled clock that only moves as scheduled work
+  /// runs (the simulator). Modelled processing costs, such as a unit's
+  /// translate_delay, are charged only on such a clock; on real time the
+  /// work itself takes the time, so the units' hops run at zero delay.
+  [[nodiscard]] virtual bool simulated_clock() const { return false; }
 
   // --- Environment --------------------------------------------------------
 

@@ -63,6 +63,11 @@ class RecordingTransport : public transport::Transport {
                                           transport::InlineTask task) override {
     return host_.schedule_periodic(period, std::move(task));
   }
+  // The units charge translate_delay only on a simulated clock; without
+  // this the gateway would run its hops at zero delay.
+  [[nodiscard]] bool simulated_clock() const override {
+    return host_.simulated_clock();
+  }
   [[nodiscard]] const net::TrafficStats& stats() const override {
     return host_.stats();
   }

@@ -4,14 +4,17 @@
 // (scan_ports=false, so nothing binds the well-known ports). This binary is
 // the primary ThreadSanitizer target for the sharded pipeline; it sends real
 // multicast on loopback when units egress, hence RUN_SERIAL in
-// tests/CMakeLists.txt.
+// tests/CMakeLists.txt. LiveHops checks the same pipeline on one unsharded
+// Indiss on the test's own loop: a unit hop needs no timer on real time.
 //
 // Timing notes: shard gateways run on real time, so the test waits on the
 // rings' cross-thread progress counters (consumed == accepted) plus a real
-// grace period covering the units' translate_delay (20us) and the
-// translation cache's settle window (200ms) before expecting repeats to
-// short-circuit. The waits are generous upper bounds, not sleeps the test
-// depends on exactly; under TSan the polling just takes more laps.
+// grace period covering the translation cache's settle window (200ms)
+// before expecting repeats to short-circuit. On a live transport the units'
+// hops run at zero delay (translate_delay is charged on the simulator
+// only), so no grace period is needed for them. The waits are generous
+// upper bounds, not sleeps the test depends on exactly; under TSan the
+// polling just takes more laps.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/gateway.hpp"
+#include "core/indiss.hpp"
 #include "core/shard/router.hpp"
 #include "core/units/mdns_unit.hpp"
 #include "live/event_loop.hpp"
@@ -125,8 +129,8 @@ TEST(ThreadedGateway, HashedAdvertisementsSpreadAndRepeatsShortCircuit) {
     gateway.ingest(SdpId::kUpnp, make_datagram(wire));
   }
   ASSERT_TRUE(wait_drained(rig)) << "shard threads never drained";
-  // Past translate_delay and the 200ms cache settle window, so the repeats
-  // below are eligible for short-circuit replay.
+  // Past the 200ms cache settle window, so the repeats below are eligible
+  // for short-circuit replay.
   rig.loop.run_for(transport::millis(450));
 
   for (const Bytes& wire : wires) {
@@ -235,6 +239,33 @@ TEST(ThreadedGateway, StopWithBackloggedRingsIsPromptAndAccountsEveryOffer) {
   gateway.ingest(SdpId::kUpnp, make_datagram(upnp_alive(0)));
   EXPECT_EQ(gateway.datagrams_dispatched(),
             static_cast<std::uint64_t>(kFlood));
+}
+
+// On a live transport a unit hop is due as soon as the task or handler that
+// queued it returns: one zero-length pump runs the whole advert pipeline,
+// the UPnP unit's ingress parse and the mDNS unit's compose, with no timer
+// in between.
+TEST(LiveHops, OneZeroLengthPumpRunsIngressParseAndPeerCompose) {
+  EventLoop loop;
+  LiveTransport transport(loop, front_config());
+  core::IndissConfig config = make_config(1).indiss;
+  core::Indiss indiss(transport, config);
+  indiss.start();
+  core::Unit* upnp = indiss.unit(SdpId::kUpnp);
+  const auto* mdns = indiss.unit_as<core::MdnsUnit>(SdpId::kMdns);
+  ASSERT_NE(upnp, nullptr);
+  ASSERT_NE(mdns, nullptr);
+
+  upnp->on_native_message(make_datagram(upnp_alive(7)));
+  EXPECT_EQ(upnp->stats().messages_parsed, 0u)
+      << "a hop never runs inside its caller";
+
+  loop.run_for(transport::Duration::zero());
+
+  EXPECT_EQ(upnp->stats().messages_parsed, 1u);
+  EXPECT_EQ(mdns->stats().sessions_opened, 1u) << "peer delivery hop";
+  EXPECT_EQ(mdns->announcements_sent(), 1u) << "mDNS compose";
+  indiss.stop();
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 // pinned here so the two backends cannot drift apart.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +91,20 @@ TEST_P(ConformanceTest, EphemeralUdpBindsDistinctNonzeroPorts) {
   EXPECT_FALSE(a->closed());
   a->close();
   EXPECT_TRUE(a->closed());
+}
+
+// Per-query sockets are opened by the hundred under query load; if two
+// live ones ever shared a port they would split each other's replies.
+TEST_P(ConformanceTest, ConcurrentEphemeralSocketsNeverSharePorts) {
+  constexpr std::size_t kSockets = 500;
+  std::vector<std::shared_ptr<transport::UdpSocket>> sockets;
+  std::set<std::uint16_t> ports;
+  for (std::size_t i = 0; i < kSockets; ++i) {
+    sockets.push_back(node().open_udp(0));
+    ports.insert(sockets.back()->local_endpoint().port);
+  }
+  EXPECT_EQ(ports.size(), kSockets) << "ephemeral sockets share a port";
+  for (auto& socket : sockets) socket->close();
 }
 
 TEST_P(ConformanceTest, UdpUnicastDeliversOnNode) {
@@ -305,6 +321,76 @@ TEST_P(ConformanceTest, HttpRequestStateIsFreedAfterEveryOutcome) {
 
   reply = "HTTP/1.1 999 Nope\r\n\r\n";
   EXPECT_FALSE(request(listener->port()).has_value());
+}
+
+// A zero delay is due now on the backend's clock: a task queued at zero
+// delay by a running task runs once that task returns, ahead of a timer
+// that was already due 10us later.
+TEST_P(ConformanceTest, ZeroDelayTaskRunsAfterItsCallerBeforeLaterTimer) {
+  std::vector<std::string> order;
+  node().schedule(transport::micros(10), [&]() { order.push_back("timer"); });
+  node().schedule(transport::Duration::zero(), [&]() {
+    order.push_back("caller");
+    node().schedule(transport::Duration::zero(),
+                    [&]() { order.push_back("hop"); });
+    order.push_back("caller returns");
+  });
+
+  run_for(transport::millis(5));
+
+  EXPECT_EQ(order, (std::vector<std::string>{"caller", "caller returns",
+                                             "hop", "timer"}));
+}
+
+TEST_P(ConformanceTest, ZeroDelayTasksRunInFifoOrder) {
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    node().schedule(transport::Duration::zero(), [&, i]() {
+      order.push_back(i);
+      if (i == 0) {
+        // Queued by a running task: behind everything queued before it.
+        node().schedule(transport::Duration::zero(),
+                        [&]() { order.push_back(4); });
+      }
+    });
+  }
+
+  run_for(transport::Duration::zero());
+
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// A unit pipeline is a chain of zero-delay hops; the whole chain must run
+// within one zero-length run, without waiting on a timer per hop.
+TEST_P(ConformanceTest, ZeroDelayHopChainCompletesInOneZeroLengthRun) {
+  constexpr int kHops = 1000;
+  int hops = 0;
+  std::function<void()> hop = [&]() {
+    if (++hops < kHops) node().schedule(transport::Duration::zero(), hop);
+  };
+  node().schedule(transport::Duration::zero(), hop);
+
+  run_for(transport::Duration::zero());
+
+  EXPECT_EQ(hops, kHops);
+}
+
+TEST_P(ConformanceTest, ZeroDelayTaskHandleCancelsLikeAnyOther) {
+  int fired = 0;
+  auto cancelled =
+      node().schedule(transport::Duration::zero(), [&]() { fired += 1; });
+  auto kept =
+      node().schedule(transport::Duration::zero(), [&]() { fired += 10; });
+  EXPECT_TRUE(cancelled.pending());
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(kept.pending());
+
+  run_for(transport::Duration::zero());
+
+  EXPECT_EQ(fired, 10);
+  EXPECT_FALSE(kept.pending());
+  kept.cancel();  // fired handle: a no-op
 }
 
 TEST_P(ConformanceTest, TimeAdvancesAcrossRun) {
