@@ -100,11 +100,13 @@ void BM_DescriptionParseToEvents(benchmark::State& state) {
   continuation.continuation = true;
   core::StreamPool pool;
   core::CollectingSink sink(pool);
+  std::uint64_t allocs_before = indiss::testing::g_heap_allocs;
   for (auto _ : state) {
     sink.reset();
     parser.parse(wire, continuation, sink);
     benchmark::DoNotOptimize(sink.stream());
   }
+  report(state, allocs_before, 0);
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * xml.size()));
 }

@@ -76,6 +76,24 @@ std::vector<Golden> ssdp_goldens() {
 
   goldens.push_back(
       {"description", to_bytes(upnp::make_clock_device().to_xml())});
+  // A foreign description the reader must partly ignore: an embedded
+  // <deviceList>, a second <serviceList>, mixed content, comments, CDATA and
+  // character references.
+  goldens.push_back(
+      {"descriptionnested",
+       to_bytes("<?xml version=\"1.0\"?>\n"
+                "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">"
+                "<specVersion><major/><minor>1</minor></specVersion>"
+                "<device><deviceList><device><deviceType>inner</deviceType>"
+                "<UDN>uuid:inner</UDN></device></deviceList>"
+                "<deviceType>urn:schemas-upnp-org:device:clock:1</deviceType>"
+                "<friendlyName> Big <b>bold</b> Clock &amp; &#x41;"
+                "<!-- c --><![CDATA[<raw>]]></friendlyName>"
+                "<UDN>uuid:Nested</UDN>"
+                "<serviceList><service><controlURL>/c1</controlURL>"
+                "<controlURL>/c2</controlURL></service><other/></serviceList>"
+                "<serviceList><service><controlURL>/c3</controlURL></service>"
+                "</serviceList></device></root>\n")});
   return goldens;
 }
 

@@ -59,6 +59,22 @@ inline void check_parser(core::SdpParser& parser, BytesView raw) {
   }
 }
 
+/// Feeds one input to a continuation parser (one the unit switched to
+/// mid-message, so its stream has no START) and aborts unless the stream is
+/// non-empty and ends in SDP_C_STOP.
+inline void check_continuation(core::SdpParser& parser, BytesView raw) {
+  core::MessageContext ctx = hostile_ctx();
+  ctx.continuation = true;
+  core::CollectingSink sink;
+  parser.parse(raw, ctx, sink);
+  const core::EventStream& stream = sink.stream();
+  if (stream.empty() || stream.back().type != core::EventType::kControlStop) {
+    std::fprintf(stderr, "continuation parser %.*s did not end in SDP_C_STOP\n",
+                 static_cast<int>(parser.name().size()), parser.name().data());
+    std::abort();
+  }
+}
+
 }  // namespace indiss::fuzz
 
 #ifndef INDISS_FUZZ_LIBFUZZER

@@ -218,18 +218,19 @@ void SsdpEventParser::parse(BytesView raw, const MessageContext& ctx,
 
 void UpnpDescriptionParser::parse(BytesView raw, const MessageContext&,
                                   EventSink& sink) {
-  auto description = upnp::DeviceDescription::from_xml(to_string(raw));
+  auto description = upnp::DeviceDescription::from_xml(std::string_view(
+      reinterpret_cast<const char*>(raw.data()), raw.size()));
   if (!description.has_value()) {
-    sink.emit(Event(EventType::kResErr, {{"code", "xml-parse"}}));
-    sink.emit(Event(EventType::kControlStop));
+    emit_error(sink, "xml-parse");
     return;
   }
 
-  auto attr = [&](std::string_view key, const std::string& value) {
-    if (!value.empty()) {
-      sink.emit(Event(EventType::kServiceAttr,
-                      {{"key", std::string(key)}, {"value", value}}));
-    }
+  auto attr = [&](std::string_view key, std::string_view value) {
+    if (value.empty()) return;
+    Event event = sink.scratch(EventType::kServiceAttr);
+    event.set("key", key);
+    event.set("value", value);
+    sink.emit(std::move(event));
   };
   attr("friendlyName", description->friendly_name);
   attr("manufacturer", description->manufacturer);
@@ -241,16 +242,18 @@ void UpnpDescriptionParser::parse(BytesView raw, const MessageContext&,
   attr("major", std::to_string(description->spec_major));
   attr("minor", std::to_string(description->spec_minor));
 
-  sink.emit(Event(EventType::kServiceTypeIs,
-                  {{"type", canonical_from_upnp(description->device_type)},
-                   {"native", description->device_type}}));
+  Event type = sink.scratch(EventType::kServiceTypeIs);
+  type.set("type", canonical_from_upnp(description->device_type));
+  type.set("native", description->device_type);
+  sink.emit(std::move(type));
   if (!description->services.empty()) {
     // The control URL is the endpoint an SLP client can be handed directly.
-    sink.emit(Event(EventType::kResServUrl,
-                    {{"url", description->services.front().control_url},
-                     {"scheme", "soap"}}));
+    Event url = sink.scratch(EventType::kResServUrl);
+    url.set("url", description->services.front().control_url);
+    url.set("scheme", "soap");
+    sink.emit(std::move(url));
   }
-  sink.emit(Event(EventType::kControlStop));
+  sink.emit(sink.scratch(EventType::kControlStop));
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace indiss::upnp {
@@ -42,11 +43,12 @@ struct DeviceDescription {
   bool operator==(const DeviceDescription&) const = default;
 
   /// Serializes the UDA 1.0 <root> document.
-  [[nodiscard]] std::string to_xml(const std::string& url_base = "") const;
+  [[nodiscard]] std::string to_xml() const;
 
   /// Parses a description document; nullopt when the XML is malformed or the
-  /// required elements (deviceType, UDN) are missing.
-  static std::optional<DeviceDescription> from_xml(const std::string& xml);
+  /// required elements (deviceType, UDN) are missing. Which elements count is
+  /// documented at the reader in description.cpp.
+  static std::optional<DeviceDescription> from_xml(std::string_view xml);
 
   /// The USN for this device: "uuid:X::urn:...". `nt` selects the suffix.
   [[nodiscard]] std::string usn_for(const std::string& nt) const;

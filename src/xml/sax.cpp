@@ -1,12 +1,18 @@
 #include "xml/sax.hpp"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/strings.hpp"
 
 namespace indiss::xml {
 
 namespace {
+
+bool is_name_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
+         c == ':' || c == '.';
+}
 
 class Cursor {
  public:
@@ -17,6 +23,20 @@ class Cursor {
   [[nodiscard]] std::size_t pos() const { return pos_; }
   char take() { return doc_[pos_++]; }
   void skip(std::size_t n) { pos_ += n; }
+
+  /// Takes the longest run of name characters (possibly empty) as a view.
+  [[nodiscard]] std::string_view take_name() {
+    std::size_t start = pos_;
+    while (!eof() && is_name_char(peek())) ++pos_;
+    return doc_.substr(start, pos_ - start);
+  }
+
+  /// Takes everything up to (not including) `stop` or the end as a view.
+  [[nodiscard]] std::string_view take_until_char(char stop) {
+    std::size_t start = pos_;
+    while (!eof() && peek() != stop) ++pos_;
+    return doc_.substr(start, pos_ - start);
+  }
 
   [[nodiscard]] bool starts_with(std::string_view s) const {
     return doc_.substr(pos_, s.size()) == s;
@@ -41,54 +61,58 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-         c == ':' || c == '.';
+// "#65" / "#x41" (the text between '&' and ';'): one or more decimal or hex
+// digits and nothing else, naming a character XML 1.0 allows within ASCII —
+// tab, LF, CR or 32-127. SDP documents carry ASCII payloads only.
+bool decode_char_ref(std::string_view ref, char* out) {
+  ref.remove_prefix(1);  // '#'
+  int base = 10;
+  if (!ref.empty() && (ref[0] == 'x' || ref[0] == 'X')) {
+    base = 16;
+    ref.remove_prefix(1);
+  }
+  unsigned code = 0;
+  const char* end = ref.data() + ref.size();
+  auto [ptr, ec] = std::from_chars(ref.data(), end, code, base);
+  if (ec != std::errc{} || ptr != end) return false;
+  if (code != '\t' && code != '\n' && code != '\r' &&
+      (code < 32 || code > 127)) {
+    return false;
+  }
+  *out = static_cast<char>(code);
+  return true;
 }
 
-std::string unescape(std::string_view text, bool* ok) {
-  std::string out;
-  out.reserve(text.size());
+/// Appends `text` with its entity references decoded; false on a bad one.
+bool unescape_into(std::string_view text, std::string& out) {
   for (std::size_t i = 0; i < text.size();) {
     if (text[i] != '&') {
       out += text[i++];
       continue;
     }
     auto end = text.find(';', i);
-    if (end == std::string_view::npos) {
-      *ok = false;
-      return out;
-    }
+    if (end == std::string_view::npos) return false;
     std::string_view entity = text.substr(i + 1, end - i - 1);
+    char decoded = 0;
     if (entity == "amp") out += '&';
     else if (entity == "lt") out += '<';
     else if (entity == "gt") out += '>';
     else if (entity == "quot") out += '"';
     else if (entity == "apos") out += '\'';
-    else if (!entity.empty() && entity[0] == '#') {
-      long code = entity[1] == 'x' || entity[1] == 'X'
-                      ? std::strtol(std::string(entity.substr(2)).c_str(),
-                                    nullptr, 16)
-                      : indiss::str::parse_long(entity.substr(1), -1);
-      if (code < 0 || code > 127) {  // ASCII payloads only in SDP documents
-        *ok = false;
-        return out;
-      }
-      out += static_cast<char>(code);
+    else if (!entity.empty() && entity[0] == '#' &&
+             decode_char_ref(entity, &decoded)) {
+      out += decoded;
     } else {
-      *ok = false;
-      return out;
+      return false;
     }
     i = end + 1;
   }
-  return out;
+  return true;
 }
 
 }  // namespace
 
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+void escape_into(std::string& out, std::string_view text) {
   for (char c : text) {
     switch (c) {
       case '&': out += "&amp;"; break;
@@ -99,12 +123,11 @@ std::string escape(std::string_view text) {
       default: out += c;
     }
   }
-  return out;
 }
 
 ParseResult parse(std::string_view document, SaxHandler& handler) {
   Cursor cur(document);
-  std::vector<std::string> stack;
+  std::vector<std::string_view> stack;
   std::string pending_text;
 
   auto error = [&](std::string what) {
@@ -126,14 +149,10 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
         cur.take();
         continue;
       }
-      bool ok = true;
-      std::string_view raw;
       // Collect character data until the next markup.
-      std::size_t start = cur.pos();
-      while (!cur.eof() && cur.peek() != '<') cur.take();
-      raw = document.substr(start, cur.pos() - start);
-      pending_text += unescape(raw, &ok);
-      if (!ok) return error("bad entity reference");
+      if (!unescape_into(cur.take_until_char('<'), pending_text)) {
+        return error("bad entity reference");
+      }
       continue;
     }
 
@@ -154,7 +173,7 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
       cur.skip(9);
       std::string_view cdata;
       if (!cur.take_until("]]>", &cdata)) return error("unterminated CDATA");
-      pending_text += std::string(cdata);
+      pending_text += cdata;
       continue;
     }
     if (cur.starts_with("<!")) {
@@ -162,12 +181,11 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
     }
     if (cur.starts_with("</")) {
       cur.skip(2);
-      std::string name;
-      while (!cur.eof() && is_name_char(cur.peek())) name += cur.take();
+      std::string_view name = cur.take_name();
       cur.skip_whitespace();
       if (cur.eof() || cur.take() != '>') return error("malformed end tag");
       if (stack.empty() || stack.back() != name) {
-        return error("mismatched end tag </" + name + ">");
+        return error("mismatched end tag </" + std::string(name) + ">");
       }
       flush_text();
       stack.pop_back();
@@ -177,8 +195,7 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
 
     // Start tag.
     cur.take();  // '<'
-    std::string name;
-    while (!cur.eof() && is_name_char(cur.peek())) name += cur.take();
+    std::string_view name = cur.take_name();
     if (name.empty()) return error("empty element name");
     if (stack.empty() && seen_root) return error("multiple root elements");
 
@@ -196,8 +213,7 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
         self_closing = true;
         break;
       }
-      std::string attr_name;
-      while (!cur.eof() && is_name_char(cur.peek())) attr_name += cur.take();
+      std::string_view attr_name = cur.take_name();
       if (attr_name.empty()) return error("malformed attribute");
       cur.skip_whitespace();
       if (cur.eof() || cur.take() != '=') return error("attribute missing =");
@@ -205,13 +221,14 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
       if (cur.eof()) return error("attribute missing value");
       char quote = cur.take();
       if (quote != '"' && quote != '\'') return error("unquoted attribute");
-      std::string raw_value;
-      while (!cur.eof() && cur.peek() != quote) raw_value += cur.take();
+      std::string_view raw_value = cur.take_until_char(quote);
       if (cur.eof()) return error("unterminated attribute value");
       cur.take();  // closing quote
-      bool ok = true;
-      attributes.emplace_back(attr_name, unescape(raw_value, &ok));
-      if (!ok) return error("bad entity in attribute");
+      std::string& value =
+          attributes.emplace_back(std::string(attr_name), std::string()).second;
+      if (!unescape_into(raw_value, value)) {
+        return error("bad entity in attribute");
+      }
     }
 
     flush_text();
@@ -225,7 +242,7 @@ ParseResult parse(std::string_view document, SaxHandler& handler) {
   }
 
   if (!stack.empty()) {
-    return error("unclosed element <" + stack.back() + ">");
+    return error("unclosed element <" + std::string(stack.back()) + ">");
   }
   if (!seen_root) return error("no root element");
   return ParseResult{};

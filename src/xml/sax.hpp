@@ -3,13 +3,17 @@
 // UPnP device descriptions are XML; in the paper's §2.4 scenario the UPnP
 // unit's SSDP parser emits SDP_C_PARSER_SWITCH and the unit continues parsing
 // the HTTP body with an XML parser. This is that parser: it pushes start/
-// text/end events to a handler, from which the unit derives SDP_RES_ATTR and
-// SDP_RES_SERV_URL semantic events.
+// text/end events to a handler. The one handler in the gateway is
+// upnp::DeviceDescription::from_xml's extractor, which keeps only the
+// elements a description counts and fills the fields the unit turns into
+// semantic events; no document tree is ever built. Element names reach the
+// handler as views into the document.
 //
 // Supported: elements, attributes, character data, XML declaration, comments,
-// CDATA, and the five predefined entities. Not supported (rejected):
-// DOCTYPE/external entities — none of the SDP payloads use them and they are
-// a classic attack surface.
+// CDATA, the five predefined entities and numeric character references
+// ("&#65;", "&#x41;": one or more digits, naming tab, LF, CR or 32-127).
+// Not supported (rejected): DOCTYPE/external entities — none of the SDP
+// payloads use them and they are a classic attack surface.
 #pragma once
 
 #include <string>
@@ -40,7 +44,8 @@ struct ParseResult {
 /// well-formedness (tag balance); stops at the first error.
 ParseResult parse(std::string_view document, SaxHandler& handler);
 
-/// Escapes <, >, &, ", ' for use in text content or attribute values.
-[[nodiscard]] std::string escape(std::string_view text);
+/// Appends `text` to `out` with <, >, &, ", ' escaped, for use in text
+/// content or attribute values.
+void escape_into(std::string& out, std::string_view text);
 
 }  // namespace indiss::xml

@@ -2,6 +2,9 @@
 // device behaviour and control-point discovery.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "net/host.hpp"
 #include "net/udp.hpp"
 #include "net/network.hpp"
@@ -78,6 +81,239 @@ TEST(Description, RejectsMissingMandatoryFields) {
   EXPECT_FALSE(DeviceDescription::from_xml("<root><device/></root>")
                    .has_value());
   EXPECT_FALSE(DeviceDescription::from_xml("not xml").has_value());
+}
+
+// --- Description goldens -----------------------------------------------------
+//
+// The writer's exact bytes and the reader's extraction rule. A served
+// description is part of the wire, and the rule decides which elements of a
+// foreign document count, so an expected value here changes only with the
+// protocol behaviour it pins.
+
+std::string fields(const std::optional<DeviceDescription>& d) {
+  if (!d.has_value()) return "nullopt";
+  std::string out = d->device_type + "|" + d->friendly_name + "|" +
+                    d->manufacturer + "|" + d->manufacturer_url + "|" +
+                    d->model_description + "|" + d->model_name + "|" +
+                    d->model_number + "|" + d->model_url + "|" + d->udn + "|" +
+                    d->presentation_url + "|" + std::to_string(d->spec_major) +
+                    "." + std::to_string(d->spec_minor);
+  for (const auto& s : d->services) {
+    out += "|[" + s.service_type + "," + s.service_id + "," + s.scpd_url +
+           "," + s.control_url + "," + s.event_sub_url + "]";
+  }
+  return out;
+}
+
+constexpr char kClockXml[] =
+    "<?xml version=\"1.0\"?>\n"
+    "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">\n"
+    "  <specVersion>\n"
+    "    <major>1</major>\n"
+    "    <minor>0</minor>\n"
+    "  </specVersion>\n"
+    "  <device>\n"
+    "    <deviceType>urn:schemas-upnp-org:device:clock:1</deviceType>\n"
+    "    <friendlyName>CyberGarage Clock Device</friendlyName>\n"
+    "    <manufacturer>CyberGarage</manufacturer>\n"
+    "    <manufacturerURL>http://www.cybergarage.org</manufacturerURL>\n"
+    "    <modelDescription>CyberUPnP Clock Device</modelDescription>\n"
+    "    <modelName>Clock</modelName>\n"
+    "    <modelNumber>1.0</modelNumber>\n"
+    "    <modelURL>http://www.cybergarage.org</modelURL>\n"
+    "    <UDN>uuid:ClockDevice</UDN>\n"
+    "    <serviceList>\n"
+    "      <service>\n"
+    "        <serviceType>urn:schemas-upnp-org:service:timer:1</serviceType>\n"
+    "        <serviceId>urn:upnp-org:serviceId:timer</serviceId>\n"
+    "        <SCPDURL>/service/timer/scpd.xml</SCPDURL>\n"
+    "        <controlURL>/service/timer/control</controlURL>\n"
+    "        <eventSubURL>/service/timer/event</eventSubURL>\n"
+    "      </service>\n"
+    "    </serviceList>\n"
+    "  </device>\n"
+    "</root>\n";
+
+constexpr char kEmptyXml[] =
+    "<?xml version=\"1.0\"?>\n"
+    "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">\n"
+    "  <specVersion>\n"
+    "    <major>2</major>\n"
+    "    <minor>7</minor>\n"
+    "  </specVersion>\n"
+    "  <device>\n"
+    "    <deviceType>urn:schemas-upnp-org:device:empty:1</deviceType>\n"
+    "    <friendlyName/>\n"
+    "    <manufacturer/>\n"
+    "    <modelName/>\n"
+    "    <UDN>uuid:Empty</UDN>\n"
+    "    <serviceList>\n"
+    "      <service>\n"
+    "        <serviceType/>\n"
+    "        <serviceId/>\n"
+    "        <SCPDURL/>\n"
+    "        <controlURL/>\n"
+    "        <eventSubURL/>\n"
+    "      </service>\n"
+    "    </serviceList>\n"
+    "  </device>\n"
+    "</root>\n";
+
+constexpr char kEscapedXml[] =
+    "<?xml version=\"1.0\"?>\n"
+    "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">\n"
+    "  <specVersion>\n"
+    "    <major>1</major>\n"
+    "    <minor>0</minor>\n"
+    "  </specVersion>\n"
+    "  <device>\n"
+    "    <deviceType>urn:schemas-upnp-org:device:clock:1</deviceType>\n"
+    "    <friendlyName>Tom &amp; Jerry&apos;s &lt;&quot;Clock&quot;&gt;"
+    "</friendlyName>\n"
+    "    <manufacturer>CyberGarage</manufacturer>\n"
+    "    <manufacturerURL>http://www.cybergarage.org</manufacturerURL>\n"
+    "    <modelDescription>CyberUPnP Clock Device</modelDescription>\n"
+    "    <modelName>Clock</modelName>\n"
+    "    <modelNumber>1.0</modelNumber>\n"
+    "    <modelURL>http://www.cybergarage.org</modelURL>\n"
+    "    <UDN>uuid:&lt;&amp;&gt;</UDN>\n"
+    "    <presentationURL>/present?a&amp;b</presentationURL>\n"
+    "    <serviceList>\n"
+    "      <service>\n"
+    "        <serviceType>urn:schemas-upnp-org:service:timer:1</serviceType>\n"
+    "        <serviceId>urn:upnp-org:serviceId:timer</serviceId>\n"
+    "        <SCPDURL>/service/timer/scpd.xml</SCPDURL>\n"
+    "        <controlURL>/c?a=1&amp;b=&apos;2&apos;</controlURL>\n"
+    "        <eventSubURL>/service/timer/event</eventSubURL>\n"
+    "      </service>\n"
+    "    </serviceList>\n"
+    "  </device>\n"
+    "</root>\n";
+
+TEST(DescriptionGolden, ClockDeviceBytes) {
+  EXPECT_EQ(make_clock_device().to_xml(), kClockXml);
+}
+
+TEST(DescriptionGolden, EmptyOptionalFieldsBytes) {
+  DeviceDescription device;
+  device.device_type = "urn:schemas-upnp-org:device:empty:1";
+  device.udn = "uuid:Empty";
+  device.spec_major = 2;
+  device.spec_minor = 7;
+  device.services.push_back(ServiceDescription{});
+  std::string xml = device.to_xml();
+  EXPECT_EQ(xml, kEmptyXml);
+  EXPECT_EQ(DeviceDescription::from_xml(xml), device);
+}
+
+TEST(DescriptionGolden, EscapedFieldBytes) {
+  DeviceDescription device = make_clock_device("uuid:<&>");
+  device.friendly_name = "Tom & Jerry's <\"Clock\">";
+  device.presentation_url = "/present?a&b";
+  device.services.front().control_url = "/c?a=1&b='2'";
+  std::string xml = device.to_xml();
+  EXPECT_EQ(xml, kEscapedXml);
+  EXPECT_EQ(DeviceDescription::from_xml(xml), device);
+}
+
+TEST(DescriptionGolden, FirstElementOfEachNameWins) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><device>"
+                "<deviceType>urn:a:device:first:1</deviceType>"
+                "<deviceType>urn:a:device:second:1</deviceType>"
+                "<UDN>uuid:one</UDN><UDN>uuid:two</UDN>"
+                "<friendlyName/><friendlyName>late</friendlyName>"
+                "</device></root>")),
+            "urn:a:device:first:1||||||||uuid:one||1.0");
+}
+
+TEST(DescriptionGolden, EmbeddedDeviceListIgnored) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><device><deviceList><device>"
+                "<deviceType>urn:a:device:inner:1</deviceType>"
+                "<friendlyName>Inner</friendlyName><UDN>uuid:inner</UDN>"
+                "<serviceList><service><serviceType>inner-svc</serviceType>"
+                "</service></serviceList>"
+                "</device></deviceList>"
+                "<deviceType>urn:a:device:outer:1</deviceType>"
+                "<UDN>uuid:outer</UDN></device></root>")),
+            "urn:a:device:outer:1||||||||uuid:outer||1.0");
+}
+
+TEST(DescriptionGolden, OnlyServicesOfTheFirstServiceListCount) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><device><deviceType>t</deviceType><UDN>u</UDN>"
+                "<serviceList>"
+                "<service><serviceType>s1</serviceType>"
+                "<serviceType>s1b</serviceType><controlURL>/c1</controlURL>"
+                "</service>"
+                "<other><serviceType>x</serviceType></other>"
+                "<service><controlURL>/c2</controlURL></service>"
+                "</serviceList>"
+                "<serviceList><service><serviceType>s3</serviceType>"
+                "</service></serviceList>"
+                "</device></root>")),
+            "t||||||||u||1.0|[s1,,,/c1,]|[,,,/c2,]");
+}
+
+TEST(DescriptionGolden, MixedContentKeepsOnlyOwnTrimmedText) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><device><deviceType>t</deviceType><UDN>u</UDN>"
+                "<friendlyName> Big <b>bold</b> Clock </friendlyName>"
+                "<modelName>a<x>b<y>c</y></x>d</modelName>"
+                "</device></root>")),
+            "t|BigClock||||ad|||u||1.0");
+}
+
+TEST(DescriptionGolden, CommentsCdataAndEntities) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<?xml version=\"1.0\"?><!-- lead --><root><device>"
+                "<deviceType>t</deviceType><UDN>u&#x41;&#66;</UDN>"
+                "<friendlyName>A &amp; B<!-- c --> <![CDATA[<C> & D]]> "
+                "&lt;E&gt;</friendlyName>"
+                "<modelNumber><![CDATA[]]></modelNumber>"
+                "</device></root>")),
+            "t|A & B <C> & D <E>|||||||uAB||1.0");
+}
+
+TEST(DescriptionGolden, RootAndDevicePlacement) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<notroot><device><deviceType>t</deviceType><UDN>u</UDN>"
+                "</device></notroot>")),
+            "nullopt");
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><wrapper><device><deviceType>t</deviceType><UDN>u</UDN>"
+                "</device></wrapper></root>")),
+            "nullopt");
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><device><specVersion><major>5</major></specVersion>"
+                "<deviceType>t</deviceType></device></root>")),
+            "nullopt");
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><device><deviceType>t</deviceType>"
+                "<UDN><!-- only a comment --></UDN></device></root>")),
+            "nullopt");
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">"
+                "<device a=\"1\"><deviceType>t</deviceType><UDN>u</UDN>"
+                "<serviceList/></device></root>")),
+            "t||||||||u||1.0");
+}
+
+TEST(DescriptionGolden, SpecVersionDefaults) {
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><specVersion><major/><minor></minor></specVersion>"
+                "<device><deviceType>t</deviceType><UDN>u</UDN></device>"
+                "</root>")),
+            "t||||||||u||1.0");
+  EXPECT_EQ(fields(DeviceDescription::from_xml(
+                "<root><specVersion><major> 3 </major><major>4</major>"
+                "<minor>x</minor></specVersion>"
+                "<specVersion><major>9</major><minor>9</minor></specVersion>"
+                "<device><deviceType>t</deviceType><UDN>u</UDN></device>"
+                "<device><deviceType>t2</deviceType><UDN>u2</UDN>"
+                "<friendlyName>second</friendlyName></device></root>")),
+            "t||||||||u||3.0");
 }
 
 TEST(Description, UsnForms) {
