@@ -60,7 +60,7 @@ Bytes upnp_alive(int device) {
                "::urn:schemas-upnp-org:device:clock:1";
   notify.location = "http://10.0.1." + std::to_string(device % 250) +
                     ":4004/description.xml";
-  return to_bytes(notify.to_http().serialize());
+  return upnp::encode(notify);
 }
 
 Bytes mdns_announce(int device) {
@@ -464,7 +464,7 @@ Bytes churn_wire(int id, bool byebye) {
       if (!byebye) {
         notify.location = "http://" + host + ":4004/" + name + ".xml";
       }
-      return to_bytes(notify.to_http().serialize());
+      return upnp::encode(notify);
     }
     default: {
       mdns::DnsMessage message;

@@ -79,7 +79,7 @@ BENCHMARK(BM_SlpParseToEvents);
 void BM_SsdpParseToEvents(benchmark::State& state) {
   upnp::SearchRequest request;
   request.st = "urn:schemas-upnp-org:device:clock:1";
-  Bytes wire = to_bytes(request.to_http().serialize());
+  Bytes wire = upnp::encode(request);
   core::SsdpEventParser parser;
   core::StreamPool pool;
   core::CollectingSink sink(pool);
@@ -165,7 +165,7 @@ void BM_SsdpRoundTripAllocations(benchmark::State& state) {
   notify.nt = "urn:schemas-upnp-org:device:clock:1";
   notify.usn = "uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1";
   notify.location = "http://10.0.0.2:4004/description.xml";
-  Bytes wire = to_bytes(notify.to_http().serialize());
+  Bytes wire = upnp::encode(notify);
   core::SsdpEventParser parser;
   core::StreamPool pool;
   core::CollectingSink sink(pool);
@@ -335,7 +335,7 @@ void BM_SsdpSerializeParseRoundTrip(benchmark::State& state) {
   response.usn = "uuid:ClockDevice::upnp:clock";
   response.location = "http://10.0.0.2:4004/description.xml";
   for (auto _ : state) {
-    auto wire = to_bytes(response.to_http().serialize());
+    auto wire = upnp::encode(response);
     auto parsed = upnp::parse_ssdp(wire);
     benchmark::DoNotOptimize(parsed);
   }

@@ -52,8 +52,7 @@ int main() {
   core::SsdpEventParser ssdp_parser;
   core::CollectingSink ssdp_sink;
   core::MessageContext unicast_ctx;
-  ssdp_parser.parse(to_bytes(response.to_http().serialize()), unicast_ctx,
-                    ssdp_sink);
+  ssdp_parser.parse(upnp::encode(response), unicast_ctx, ssdp_sink);
   dump("UPnP search response -> events (Fig 4, step 2):", ssdp_sink.stream());
 
   // Step 3: the description document, after the parser switch.

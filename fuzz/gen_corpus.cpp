@@ -59,20 +59,38 @@ std::vector<Golden> ssdp_goldens() {
   std::vector<Golden> goldens;
   upnp::SearchRequest search;
   search.st = "urn:schemas-upnp-org:device:clock:1";
-  goldens.push_back({"msearch", to_bytes(search.to_http().serialize())});
+  goldens.push_back({"msearch", upnp::encode(search)});
 
   upnp::SearchResponse response;
   response.st = "urn:schemas-upnp-org:device:clock:1";
   response.usn = "uuid:ClockDevice::upnp:clock";
   response.location = "http://10.0.0.2:4004/description.xml";
-  goldens.push_back({"searchresponse",
-                     to_bytes(response.to_http().serialize())});
+  goldens.push_back({"searchresponse", upnp::encode(response)});
 
   upnp::Notify notify;
   notify.nt = "urn:schemas-upnp-org:device:clock:1";
   notify.usn = "uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1";
   notify.location = "http://10.0.0.2:4004/description.xml";
-  goldens.push_back({"notifyalive", to_bytes(notify.to_http().serialize())});
+  goldens.push_back({"notifyalive", upnp::encode(notify)});
+
+  // Malformed NOTIFYs the reading rule settles (docs/protocols.md): the
+  // first NT wins, two messages in one datagram are invalid, and max-age is
+  // read on a NOTIFY as on a search response.
+  std::string alive;
+  notify.serialize_into(alive);
+  std::string duplicated = alive;
+  duplicated.insert(duplicated.find("NTS:"),
+                    "NT: urn:schemas-upnp-org:device:other:1\r\n");
+  goldens.push_back({"notifyduplicatent", to_bytes(duplicated)});
+  upnp::Notify second = notify;
+  second.nt = "urn:schemas-upnp-org:device:other:1";
+  second.usn = "uuid:OtherDevice::" + second.nt;
+  std::string two_messages;
+  second.serialize_into(two_messages);
+  goldens.push_back({"notifytwice", to_bytes(alive + two_messages)});
+  upnp::Notify short_lived = notify;
+  short_lived.max_age_seconds = 120;
+  goldens.push_back({"notifymaxage", upnp::encode(short_lived)});
 
   goldens.push_back(
       {"description", to_bytes(upnp::make_clock_device().to_xml())});

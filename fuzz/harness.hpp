@@ -35,8 +35,8 @@ inline core::MessageContext hostile_ctx() {
 }
 
 /// Feeds one input to `parser` and aborts (libFuzzer's crash signal) if the
-/// framing invariant breaks.
-inline void check_parser(core::SdpParser& parser, BytesView raw) {
+/// framing invariant breaks. Returns the stream for target-specific checks.
+inline core::EventStream check_parser(core::SdpParser& parser, BytesView raw) {
   core::CollectingSink sink;
   parser.parse(raw, hostile_ctx(), sink);
   const core::EventStream& stream = sink.stream();
@@ -57,6 +57,7 @@ inline void check_parser(core::SdpParser& parser, BytesView raw) {
                  static_cast<int>(name.size()), name.data());
     std::abort();
   }
+  return sink.take();
 }
 
 /// Feeds one input to a continuation parser (one the unit switched to

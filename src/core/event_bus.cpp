@@ -5,40 +5,36 @@
 
 namespace indiss::core {
 
-void EventBus::subscribe(Unit& unit, StreamFilter filter) {
+void EventBus::subscribe(Unit& unit) {
   auto it = subscriptions_.find(unit.sdp());
-  if (it != subscriptions_.end() && it->second.unit != &unit) {
+  if (it != subscriptions_.end() && it->second != &unit) {
     // A different unit held this SDP slot: unbind it so it does not keep a
     // stale bus pointer (and try to unsubscribe a bus it is not on).
-    it->second.unit->bind_bus(nullptr);
+    it->second->bind_bus(nullptr);
   }
-  subscriptions_[unit.sdp()] = Subscription{&unit, std::move(filter)};
+  subscriptions_[unit.sdp()] = &unit;
   unit.bind_bus(this);
 }
 
 void EventBus::unsubscribe(Unit& unit) {
   auto it = subscriptions_.find(unit.sdp());
-  if (it == subscriptions_.end() || it->second.unit != &unit) return;
+  if (it == subscriptions_.end() || it->second != &unit) return;
   subscriptions_.erase(it);
   unit.bind_bus(nullptr);
 }
 
 Unit* EventBus::subscriber(SdpId sdp) const {
   auto it = subscriptions_.find(sdp);
-  return it == subscriptions_.end() ? nullptr : it->second.unit;
+  return it == subscriptions_.end() ? nullptr : it->second;
 }
 
 void EventBus::publish(Unit& origin, std::uint64_t origin_session,
                        SharedStream stream) {
   stats_.streams_published += 1;
-  for (auto& [sdp, subscription] : subscriptions_) {
-    if (subscription.unit == &origin) continue;
-    if (subscription.filter && !subscription.filter(*stream)) {
-      stats_.filtered += 1;
-      continue;
-    }
+  for (auto& [sdp, unit] : subscriptions_) {
+    if (unit == &origin) continue;
     stats_.deliveries += 1;
-    subscription.unit->on_peer_stream(origin.sdp(), origin_session, stream);
+    unit->on_peer_stream(origin.sdp(), origin_session, stream);
   }
 }
 

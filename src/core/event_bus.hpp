@@ -3,18 +3,16 @@
 // Units used to be wired all-to-all by raw pointer — exactly the N² coupling
 // the event architecture exists to avoid. The bus replaces that mesh with a
 // subscription registry: a unit publishes the streams its parser produces,
-// and the bus fans them out to every other subscriber whose filter admits
-// the stream; translated replies are routed back to the originating unit by
-// SDP id. Attaching or detaching a unit at run time (the Fig 5 evolution of
-// an INDISS configuration) is one (un)subscribe call — no peer lists to
-// repair on any other unit.
+// and the bus fans them out to every other subscriber; translated replies
+// are routed back to the originating unit by SDP id. Attaching or detaching
+// a unit at run time (the Fig 5 evolution of an INDISS configuration) is one
+// (un)subscribe call — no peer lists to repair on any other unit.
 //
 // Streams travel as SharedStream (shared_ptr<const EventStream>): one parsed
 // buffer serves every subscriber and every deferred delivery without copies.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
 #include "core/event.hpp"
@@ -24,17 +22,12 @@ namespace indiss::core {
 
 class Unit;
 
-/// Per-subscription delivery filter: return false to skip handing a
-/// published stream to that subscriber. Null means "accept everything" (the
-/// poorest-SDP default — composers already ignore events they do not
-/// understand, paper §2.3).
-using StreamFilter = std::function<bool(const EventStream&)>;
-
 class EventBus {
  public:
   /// Registers `unit` as an event listener for every other subscriber's
-  /// streams (idempotent; a re-subscribe replaces the filter).
-  void subscribe(Unit& unit, StreamFilter filter = nullptr);
+  /// streams (idempotent). Every subscriber hears every stream: composers
+  /// ignore events they do not understand (paper §2.3).
+  void subscribe(Unit& unit);
   void unsubscribe(Unit& unit);
 
   [[nodiscard]] bool subscribed(SdpId sdp) const {
@@ -60,19 +53,13 @@ class EventBus {
   struct Stats {
     std::uint64_t streams_published = 0;
     std::uint64_t deliveries = 0;        // stream x subscriber pairs delivered
-    std::uint64_t filtered = 0;          // skipped by a subscription filter
     std::uint64_t replies_routed = 0;
     std::uint64_t replies_dropped = 0;   // origin no longer subscribed
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Subscription {
-    Unit* unit = nullptr;
-    StreamFilter filter;
-  };
-
-  std::map<SdpId, Subscription> subscriptions_;
+  std::map<SdpId, Unit*> subscriptions_;
   Stats stats_;
 };
 

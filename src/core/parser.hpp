@@ -7,6 +7,7 @@
 // free to ignore anything else.
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -41,6 +42,23 @@ class EventSink {
   /// heap allocation in steady state (the mDNS hot path is pinned on this).
   [[nodiscard]] virtual Event scratch(EventType type) { return Event(type); }
 };
+
+/// Emits the SDP Network Events every parser opens a native message with:
+/// SDP_NET_TYPE naming `sdp`, SDP_NET_MULTICAST or SDP_NET_UNICAST, and
+/// SDP_NET_SOURCE_ADDR. Scratch events keep it allocation-free.
+inline void emit_net_events(EventSink& sink, const MessageContext& ctx,
+                            std::string_view sdp) {
+  Event net = sink.scratch(EventType::kNetType);
+  net.set("sdp", sdp);
+  sink.emit(std::move(net));
+  sink.emit(sink.scratch(ctx.multicast ? EventType::kNetMulticast
+                                       : EventType::kNetUnicast));
+  Event src = sink.scratch(EventType::kNetSourceAddr);
+  src.set("addr", ctx.source.address.to_string());
+  src.set("port", std::to_string(ctx.source.port));
+  src.set("local", ctx.from_local_host ? "1" : "0");
+  sink.emit(std::move(src));
+}
 
 class SdpParser {
  public:

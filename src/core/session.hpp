@@ -41,9 +41,6 @@ struct Session {
   /// Events of the in-progress message (between START and STOP).
   EventStream collected;
 
-  /// The request stream that opened the session (kept for composing).
-  EventStream request;
-
   /// Name of the parser currently active for this session (parser switch).
   std::string active_parser;
 

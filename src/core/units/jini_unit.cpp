@@ -28,20 +28,7 @@ void join_into(const std::vector<std::string>& parts, std::string& out) {
 void JiniEventParser::parse(BytesView raw, const MessageContext& ctx,
                             EventSink& sink) {
   if (!ctx.continuation) sink.emit(sink.scratch(EventType::kControlStart));
-  {
-    Event net = sink.scratch(EventType::kNetType);
-    net.set("sdp", "jini");
-    sink.emit(std::move(net));
-  }
-  sink.emit(sink.scratch(ctx.multicast ? EventType::kNetMulticast
-                                       : EventType::kNetUnicast));
-  {
-    Event src = sink.scratch(EventType::kNetSourceAddr);
-    src.set("addr", ctx.source.address.to_string());
-    src.set("port", std::to_string(ctx.source.port));
-    src.set("local", ctx.from_local_host ? "1" : "0");
-    sink.emit(std::move(src));
-  }
+  emit_net_events(sink, ctx, "jini");
 
   auto kind = jini::packet_kind(raw);
   if (!kind.has_value()) {

@@ -130,20 +130,7 @@ void MdnsEventParser::parse(BytesView raw, const MessageContext& ctx,
   }
   const mdns::DnsMessage& message = scratch_;
 
-  {
-    Event net = sink.scratch(EventType::kNetType);
-    net.set("sdp", "mdns");
-    sink.emit(std::move(net));
-  }
-  sink.emit(sink.scratch(ctx.multicast ? EventType::kNetMulticast
-                                       : EventType::kNetUnicast));
-  {
-    Event src = sink.scratch(EventType::kNetSourceAddr);
-    src.set("addr", ctx.source.address.to_string());
-    src.set("port", std::to_string(ctx.source.port));
-    src.set("local", ctx.from_local_host ? "1" : "0");
-    sink.emit(std::move(src));
-  }
+  emit_net_events(sink, ctx, "mdns");
 
   std::string_view stamp = has_bridge_marker(message) ? kBridgeStamp : "";
 

@@ -12,20 +12,6 @@ namespace {
 /// Lifetime advertised in composed SrvRply URL entries.
 constexpr std::uint16_t kReplyLifetimeSeconds = 65535;
 
-void emit_net_events(EventSink& sink, const MessageContext& ctx,
-                     std::string_view sdp) {
-  Event net = sink.scratch(EventType::kNetType);
-  net.set("sdp", sdp);
-  sink.emit(std::move(net));
-  sink.emit(sink.scratch(ctx.multicast ? EventType::kNetMulticast
-                                       : EventType::kNetUnicast));
-  Event src = sink.scratch(EventType::kNetSourceAddr);
-  src.set("addr", ctx.source.address.to_string());
-  src.set("port", std::to_string(ctx.source.port));
-  src.set("local", ctx.from_local_host ? "1" : "0");
-  sink.emit(std::move(src));
-}
-
 void emit_attrs(EventSink& sink, std::string_view attr_list) {
   slp::for_each_attribute(attr_list,
                           [&](std::string_view k, std::string_view v) {

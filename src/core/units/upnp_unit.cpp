@@ -22,19 +22,6 @@ BytesView view_of(const std::string& frame) {
                    frame.size());
 }
 
-void emit_net_events(EventSink& sink, const MessageContext& ctx) {
-  Event net = sink.scratch(EventType::kNetType);
-  net.set("sdp", "upnp");
-  sink.emit(std::move(net));
-  sink.emit(sink.scratch(ctx.multicast ? EventType::kNetMulticast
-                                       : EventType::kNetUnicast));
-  Event src = sink.scratch(EventType::kNetSourceAddr);
-  src.set("addr", ctx.source.address.to_string());
-  src.set("port", std::to_string(ctx.source.port));
-  src.set("local", ctx.from_local_host ? "1" : "0");
-  sink.emit(std::move(src));
-}
-
 void emit_error(EventSink& sink, std::string_view code) {
   Event err = sink.scratch(EventType::kResErr);
   err.set("code", code);
@@ -48,167 +35,99 @@ void emit_error(EventSink& sink, std::string_view code) {
 // SsdpEventParser
 // ---------------------------------------------------------------------------
 
-void SsdpEventParser::on_request_line(std::string_view method, std::string_view,
-                                      std::string_view) {
-  method_.assign(method);
-  is_response_ = false;
-}
-
-void SsdpEventParser::on_status_line(int status, std::string_view,
-                                     std::string_view) {
-  status_ = status;
-  is_response_ = true;
-}
-
-void SsdpEventParser::on_header(std::string_view name, std::string_view value) {
-  if (str::iequals(name, "ST")) {
-    st_.assign(value);
-    has_st_ = true;
-  } else if (str::iequals(name, "NT")) {
-    nt_.assign(value);
-    has_nt_ = true;
-  } else if (str::iequals(name, "NTS")) {
-    nts_.assign(value);
-    has_nts_ = true;
-  } else if (str::iequals(name, "USN")) {
-    usn_.assign(value);
-    has_usn_ = true;
-  } else if (str::iequals(name, "LOCATION")) {
-    location_.assign(value);
-  } else if (str::iequals(name, "SERVER")) {
-    server_.assign(value);
-  } else if (str::iequals(name, "USER-AGENT")) {
-    user_agent_.assign(value);
-  } else if (str::iequals(name, "CACHE-CONTROL")) {
-    auto eq = value.find('=');
-    if (eq != std::string_view::npos) {
-      max_age_ =
-          static_cast<int>(str::parse_long(value.substr(eq + 1), 1800));
-    }
-  }
-}
-
-void SsdpEventParser::on_body(std::string_view chunk) { body_.append(chunk); }
-
-void SsdpEventParser::on_message_complete() { complete_ = true; }
-
-void SsdpEventParser::on_parse_error(std::string_view) {}
-
-void SsdpEventParser::reset_fields() {
-  method_.clear();
-  st_.clear();
-  nt_.clear();
-  nts_.clear();
-  usn_.clear();
-  location_.clear();
-  server_.clear();
-  user_agent_.clear();
-  body_.clear();
-  status_ = 0;
-  max_age_ = 1800;
-  is_response_ = false;
-  has_st_ = has_nt_ = has_nts_ = has_usn_ = false;
-  complete_ = false;
-}
-
 void SsdpEventParser::parse(BytesView raw, const MessageContext& ctx,
                             EventSink& sink) {
   if (!ctx.continuation) sink.emit(sink.scratch(EventType::kControlStart));
 
-  // One HTTPU datagram carries one message: run it through the incremental
-  // parser and classify from the collected fields.
-  reset_fields();
-  http_.reset();
-  http_.feed(raw);
-  http_.finish();
-  if (http_.failed() || !complete_) {
-    emit_error(sink, "parse");
+  using Kind = upnp::SsdpReader::Kind;
+  const Kind kind = reader_.read(raw);
+  if (kind == Kind::kInvalid) {
+    emit_error(sink, reader_.one_http_message() ? "ssdp-parse" : "parse");
     return;
   }
+  emit_net_events(sink, ctx, "upnp");
 
-  // HTTP description responses (from the unit's own GET): hand the XML body
-  // to the description parser — the paper's SDP_C_PARSER_SWITCH moment.
-  if (is_response_ && !has_st_ && !has_nt_) {
-    emit_net_events(sink, ctx);
-    if (status_ == 200) {
+  switch (kind) {
+    case Kind::kHttpResponse: {
+      // An HTTP description response (from the unit's own GET): hand the XML
+      // body to the description parser — the paper's SDP_C_PARSER_SWITCH.
+      if (reader_.status() != 200) {
+        emit_error(sink, std::to_string(reader_.status()));
+        return;
+      }
       sink.emit(sink.scratch(EventType::kResOk));
       Event sw = sink.scratch(EventType::kControlParserSwitch);
       sw.set("parser", "upnp-xml");
-      sw.set("payload", body_);
+      sw.set("payload", reader_.body());
       sink.emit(std::move(sw));
       // The description parser continues the stream and emits SDP_C_STOP.
       return;
     }
-    emit_error(sink, std::to_string(status_));
-    return;
-  }
-
-  if (!is_response_ && str::iequals(method_, "M-SEARCH") && has_st_) {
-    emit_net_events(sink, ctx);
-    // USER-AGENT rides on the head event so the FSM's bridge-echo guard can
-    // drop searches composed by a peer INDISS node.
-    Event head = sink.scratch(EventType::kServiceRequest);
-    head.set("server", user_agent_);
-    sink.emit(std::move(head));
-    Event target = sink.scratch(EventType::kUpnpSearchTarget);
-    target.set("st", st_);
-    sink.emit(std::move(target));
-    Event type = sink.scratch(EventType::kServiceTypeIs);
-    type.set("type", canonical_from_upnp_view(st_));
-    type.set("native", st_);
-    sink.emit(std::move(type));
-  } else if (is_response_ && status_ == 200 && has_st_ && has_usn_) {
-    emit_net_events(sink, ctx);
-    sink.emit(sink.scratch(EventType::kServiceResponse));
-    sink.emit(sink.scratch(EventType::kResOk));
-    Event usn = sink.scratch(EventType::kUpnpUsn);
-    usn.set("usn", usn_);
-    sink.emit(std::move(usn));
-    Event server = sink.scratch(EventType::kUpnpServerHeader);
-    server.set("server", server_);
-    sink.emit(std::move(server));
-    Event type = sink.scratch(EventType::kServiceTypeIs);
-    type.set("type", canonical_from_upnp_view(st_));
-    type.set("native", st_);
-    sink.emit(std::move(type));
-    Event ttl = sink.scratch(EventType::kResTtl);
-    ttl.set("seconds", std::to_string(max_age_));
-    sink.emit(std::move(ttl));
-    // Note: no SDP_RES_SERV_URL — a UPnP search response only carries the
-    // description LOCATION; the FSM must chase it (paper §2.4).
-    Event desc = sink.scratch(EventType::kUpnpDeviceUrlDesc);
-    desc.set("url", location_);
-    sink.emit(std::move(desc));
-  } else if (!is_response_ && str::iequals(method_, "NOTIFY") && has_nt_ &&
-             has_nts_ && has_usn_ &&
-             (str::iequals(nts_, "ssdp:alive") ||
-              str::iequals(nts_, "ssdp:byebye"))) {
-    emit_net_events(sink, ctx);
-    bool alive = str::iequals(nts_, "ssdp:alive");
-    Event head = sink.scratch(alive ? EventType::kServiceAlive
-                                    : EventType::kServiceByeBye);
-    head.set("server", server_);
-    sink.emit(std::move(head));
-    Event usn = sink.scratch(EventType::kUpnpUsn);
-    usn.set("usn", usn_);
-    sink.emit(std::move(usn));
-    Event type = sink.scratch(EventType::kServiceTypeIs);
-    type.set("type", canonical_from_upnp_view(nt_));
-    type.set("native", nt_);
-    sink.emit(std::move(type));
-    if (!location_.empty()) {
-      Event desc = sink.scratch(EventType::kUpnpDeviceUrlDesc);
-      desc.set("url", location_);
-      sink.emit(std::move(desc));
+    case Kind::kSearch: {
+      // USER-AGENT rides on the head event so the FSM's bridge-echo guard
+      // can drop searches composed by a peer INDISS node.
+      Event head = sink.scratch(EventType::kServiceRequest);
+      head.set("server", reader_.user_agent());
+      sink.emit(std::move(head));
+      Event target = sink.scratch(EventType::kUpnpSearchTarget);
+      target.set("st", reader_.st());
+      sink.emit(std::move(target));
+      Event type = sink.scratch(EventType::kServiceTypeIs);
+      type.set("type", canonical_from_upnp_view(reader_.st()));
+      type.set("native", reader_.st());
+      sink.emit(std::move(type));
+      break;
     }
-    Event ttl = sink.scratch(EventType::kResTtl);
-    ttl.set("seconds", std::to_string(max_age_));
-    sink.emit(std::move(ttl));
-  } else {
-    emit_error(sink, "ssdp-parse");
-    return;
+    case Kind::kSearchResponse: {
+      sink.emit(sink.scratch(EventType::kServiceResponse));
+      sink.emit(sink.scratch(EventType::kResOk));
+      Event usn = sink.scratch(EventType::kUpnpUsn);
+      usn.set("usn", reader_.usn());
+      sink.emit(std::move(usn));
+      Event server = sink.scratch(EventType::kUpnpServerHeader);
+      server.set("server", reader_.server());
+      sink.emit(std::move(server));
+      Event type = sink.scratch(EventType::kServiceTypeIs);
+      type.set("type", canonical_from_upnp_view(reader_.st()));
+      type.set("native", reader_.st());
+      sink.emit(std::move(type));
+      Event ttl = sink.scratch(EventType::kResTtl);
+      ttl.set("seconds", std::to_string(reader_.max_age()));
+      sink.emit(std::move(ttl));
+      // Note: no SDP_RES_SERV_URL — a UPnP search response only carries the
+      // description LOCATION; the FSM must chase it (paper §2.4).
+      Event desc = sink.scratch(EventType::kUpnpDeviceUrlDesc);
+      desc.set("url", reader_.location());
+      sink.emit(std::move(desc));
+      break;
+    }
+    case Kind::kAlive:
+    case Kind::kByeBye: {
+      Event head = sink.scratch(kind == Kind::kAlive
+                                    ? EventType::kServiceAlive
+                                    : EventType::kServiceByeBye);
+      head.set("server", reader_.server());
+      sink.emit(std::move(head));
+      Event usn = sink.scratch(EventType::kUpnpUsn);
+      usn.set("usn", reader_.usn());
+      sink.emit(std::move(usn));
+      Event type = sink.scratch(EventType::kServiceTypeIs);
+      type.set("type", canonical_from_upnp_view(reader_.nt()));
+      type.set("native", reader_.nt());
+      sink.emit(std::move(type));
+      if (!reader_.location().empty()) {
+        Event desc = sink.scratch(EventType::kUpnpDeviceUrlDesc);
+        desc.set("url", reader_.location());
+        sink.emit(std::move(desc));
+      }
+      Event ttl = sink.scratch(EventType::kResTtl);
+      ttl.set("seconds", std::to_string(reader_.max_age()));
+      sink.emit(std::move(ttl));
+      break;
+    }
+    case Kind::kInvalid:
+      break;  // handled above
   }
-
   sink.emit(sink.scratch(EventType::kControlStop));
 }
 
@@ -518,20 +437,22 @@ UpnpUnit::ServedDescription& UpnpUnit::serve_description(
   service.event_sub_url = url;
   description.services.push_back(std::move(service));
 
-  served.description = description;
   served.usn = description.usn_for(description.device_type);
+  served.description = std::move(description);
   served.expires_at = bridged_state_deadline(scan_advert(session.collected));
 
-  http_server_->route(served.path, [description](const http::HttpMessage&) {
+  // The route renders the one stored copy; it lives exactly as long as the
+  // entry (withdrawal and expiry unroute before they erase).
+  std::uint64_t key = served_key(table.intern(type), table.intern(url));
+  http_server_->route(served.path, [this, key](const http::HttpMessage&) {
     auto response = http::HttpMessage::response(200, "OK");
     response.headers.set("CONTENT-TYPE", "text/xml");
     response.headers.set("SERVER", std::string(kBridgeServer));
-    response.body = description.to_xml();
+    response.body = served_descriptions_.at(key).description.to_xml();
     return response;
   });
 
-  auto [inserted, ok] = served_descriptions_.emplace(
-      served_key(table.intern(type), table.intern(url)), std::move(served));
+  auto [inserted, ok] = served_descriptions_.emplace(key, std::move(served));
   return inserted->second;
 }
 

@@ -15,7 +15,6 @@
 #include "common/interning.hpp"
 #include "core/unit.hpp"
 #include "core/units/standard_fsm.hpp"
-#include "http/parser.hpp"
 #include "upnp/description.hpp"
 #include "upnp/http_server.hpp"
 #include "upnp/ssdp.hpp"
@@ -26,40 +25,18 @@ namespace indiss::core {
 /// description responses produce RES_OK followed by SDP_C_PARSER_SWITCH
 /// carrying the XML body for the description parser.
 ///
-/// Layered directly on the incremental HttpParser (the paper's event-based
-/// parsing reuse): syntactic header events land in reused member strings and
-/// the semantic SDP events come from sink.scratch(), so a warm parser
-/// performs zero heap allocations per SSDP datagram (the scratch recipe,
-/// docs/events.md).
-class SsdpEventParser : public SdpParser, private http::HttpEventHandler {
+/// Maps the fields of the one SSDP reader (upnp::SsdpReader, layered on the
+/// incremental HttpParser — the paper's event-based parsing reuse) to SDP
+/// events drawn from sink.scratch(), so a warm parser performs zero heap
+/// allocations per SSDP datagram (the scratch recipe, docs/events.md).
+class SsdpEventParser : public SdpParser {
  public:
-  SsdpEventParser() : http_(*this) {}
   [[nodiscard]] std::string_view name() const override { return "ssdp"; }
   void parse(BytesView raw, const MessageContext& ctx,
              EventSink& sink) override;
 
  private:
-  // HttpEventHandler: collect the fields SSDP classification needs into
-  // reused storage (views die with the callback).
-  void on_request_line(std::string_view method, std::string_view target,
-                       std::string_view version) override;
-  void on_status_line(int status, std::string_view reason,
-                      std::string_view version) override;
-  void on_header(std::string_view name, std::string_view value) override;
-  void on_body(std::string_view chunk) override;
-  void on_message_complete() override;
-  void on_parse_error(std::string_view reason) override;
-
-  void reset_fields();
-
-  http::HttpParser http_;
-  std::string method_;
-  std::string st_, nt_, nts_, usn_, location_, server_, user_agent_, body_;
-  int status_ = 0;
-  int max_age_ = 1800;
-  bool is_response_ = false;
-  bool has_st_ = false, has_nt_ = false, has_nts_ = false, has_usn_ = false;
-  bool complete_ = false;
+  upnp::SsdpReader reader_;
 };
 
 /// UPnP description-document parser (the parser-switch target): walks the

@@ -1,7 +1,6 @@
 #include "http/message.hpp"
 
 #include "common/strings.hpp"
-#include "http/parser.hpp"
 
 namespace indiss::http {
 
@@ -24,12 +23,6 @@ std::optional<std::string> Headers::get(std::string_view name) const {
     if (str::iequals(n, name)) return v;
   }
   return std::nullopt;
-}
-
-std::string Headers::get_or(std::string_view name,
-                            std::string_view fallback) const {
-  auto v = get(name);
-  return v ? *v : std::string(fallback);
 }
 
 bool Headers::contains(std::string_view name) const {
@@ -72,16 +65,5 @@ std::string HttpMessage::serialize() const {
 }
 
 Bytes HttpMessage::serialize_bytes() const { return to_bytes(serialize()); }
-
-std::optional<HttpMessage> HttpMessage::parse(std::string_view text) {
-  MessageCollector collector;
-  HttpParser parser(collector);
-  parser.feed(text);
-  parser.finish();
-  if (collector.messages().size() != 1 || parser.failed()) {
-    return std::nullopt;
-  }
-  return collector.messages().front();
-}
 
 }  // namespace indiss::http

@@ -1,7 +1,6 @@
-// HTTP/1.1 message model shared by two transports:
-//   - HTTPU: SSDP carries HTTP-formatted messages in single UDP datagrams
-//     (M-SEARCH, NOTIFY, and 200 OK search responses), and
-//   - TCP: UPnP description retrieval (GET /description.xml).
+// HTTP/1.1 message model for UPnP description retrieval over TCP
+// (GET /description.xml). SSDP's HTTPU datagrams skip this model: they are
+// read straight off the event parser and written directly (upnp/ssdp.hpp).
 // Header field names are case-insensitive per RFC 2616; insertion order is
 // preserved so serialized messages are stable for tests.
 #pragma once
@@ -22,8 +21,6 @@ class Headers {
   void set(std::string_view name, std::string_view value);
   void add(std::string_view name, std::string_view value);
   [[nodiscard]] std::optional<std::string> get(std::string_view name) const;
-  [[nodiscard]] std::string get_or(std::string_view name,
-                                   std::string_view fallback) const;
   [[nodiscard]] bool contains(std::string_view name) const;
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& all()
       const {
@@ -59,10 +56,6 @@ struct HttpMessage {
 
   static HttpMessage request(std::string method, std::string target);
   static HttpMessage response(int status, std::string reason);
-
-  /// One-shot parse of a complete message (the HTTPU case: one datagram, one
-  /// message). Returns nullopt on malformed input.
-  static std::optional<HttpMessage> parse(std::string_view text);
 };
 
 }  // namespace indiss::http

@@ -36,7 +36,7 @@ void ControlPoint::search(const std::string& st, ResponseHandler on_response,
   request.mx = config_.mx;
   searches_sent_ += 1;
   search_socket_->send_to(net::Endpoint{kSsdpMulticastGroup, kSsdpPort},
-                          to_bytes(request.to_http().serialize()));
+                          encode(request));
 
   schedule_guarded(host_, alive_, config_.search_window, [this, id]() {
     auto it = sessions_.find(id);

@@ -126,7 +126,7 @@ void RootDevice::handle_search(const SearchRequest& request,
   schedule_guarded(host_, alive_, delay, [this, response, from]() {
     if (!running_) return;
     responses_sent_ += 1;
-    ssdp_socket_->send_to(from, to_bytes(response.to_http().serialize()));
+    ssdp_socket_->send_to(from, encode(response));
   });
 }
 
@@ -158,7 +158,7 @@ void RootDevice::notify(Notify::Kind kind, const std::string& nt) {
   message.max_age_seconds = profile_.max_age_seconds;
   notifies_sent_ += 1;
   ssdp_socket_->send_to(net::Endpoint{kSsdpMulticastGroup, kSsdpPort},
-                        to_bytes(message.to_http().serialize()));
+                        encode(message));
 }
 
 }  // namespace indiss::upnp

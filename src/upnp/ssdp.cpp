@@ -22,17 +22,6 @@ void append_header(std::string& out, std::string_view name,
 
 }  // namespace
 
-http::HttpMessage SearchRequest::to_http() const {
-  auto m = http::HttpMessage::request("M-SEARCH", "*");
-  m.headers.set("HOST", kSsdpMulticastGroup.to_string() + ":" +
-                            std::to_string(kSsdpPort));
-  m.headers.set("MAN", man);
-  m.headers.set("MX", std::to_string(mx));
-  m.headers.set("ST", st);
-  if (!user_agent.empty()) m.headers.set("USER-AGENT", user_agent);
-  return m;
-}
-
 void SearchRequest::serialize_into(std::string& out) const {
   out.clear();
   out += "M-SEARCH * HTTP/1.1\r\n";
@@ -44,33 +33,6 @@ void SearchRequest::serialize_into(std::string& out) const {
   append_header(out, "ST", st);
   if (!user_agent.empty()) append_header(out, "USER-AGENT", user_agent);
   out += "\r\n";
-}
-
-std::optional<SearchRequest> SearchRequest::from_http(
-    const http::HttpMessage& m) {
-  if (!m.is_request() || !str::iequals(m.method, "M-SEARCH")) {
-    return std::nullopt;
-  }
-  SearchRequest out;
-  auto st = m.headers.get("ST");
-  if (!st.has_value()) return std::nullopt;
-  out.st = *st;
-  out.man = m.headers.get_or("MAN", "\"ssdp:discover\"");
-  out.mx = static_cast<int>(str::parse_long(m.headers.get_or("MX", "3"), 3));
-  out.user_agent = m.headers.get_or("USER-AGENT", "");
-  return out;
-}
-
-http::HttpMessage SearchResponse::to_http() const {
-  auto m = http::HttpMessage::response(200, "OK");
-  m.headers.set("CACHE-CONTROL", "max-age=" + std::to_string(max_age_seconds));
-  m.headers.set("EXT", "");
-  m.headers.set("LOCATION", location);
-  m.headers.set("SERVER", server);
-  m.headers.set("ST", st);
-  m.headers.set("USN", usn);
-  m.headers.set("Content-Length", "0");
-  return m;
 }
 
 void SearchResponse::serialize_into(std::string& out) const {
@@ -85,44 +47,6 @@ void SearchResponse::serialize_into(std::string& out) const {
   append_header(out, "ST", st);
   append_header(out, "USN", usn);
   out += "Content-Length: 0\r\n\r\n";
-}
-
-std::optional<SearchResponse> SearchResponse::from_http(
-    const http::HttpMessage& m) {
-  if (m.is_request() || m.status != 200) return std::nullopt;
-  // A search response must carry ST and USN; that distinguishes it from a
-  // plain HTTP 200.
-  auto st = m.headers.get("ST");
-  auto usn = m.headers.get("USN");
-  if (!st.has_value() || !usn.has_value()) return std::nullopt;
-  SearchResponse out;
-  out.st = *st;
-  out.usn = *usn;
-  out.location = m.headers.get_or("LOCATION", "");
-  out.server = m.headers.get_or("SERVER", "");
-  auto cache = m.headers.get_or("CACHE-CONTROL", "");
-  auto eq = cache.find('=');
-  if (eq != std::string::npos) {
-    out.max_age_seconds = static_cast<int>(
-        str::parse_long(std::string_view(cache).substr(eq + 1), 1800));
-  }
-  return out;
-}
-
-http::HttpMessage Notify::to_http() const {
-  auto m = http::HttpMessage::request("NOTIFY", "*");
-  m.headers.set("HOST", kSsdpMulticastGroup.to_string() + ":" +
-                            std::to_string(kSsdpPort));
-  m.headers.set("NT", nt);
-  m.headers.set("NTS", kind == Kind::kAlive ? "ssdp:alive" : "ssdp:byebye");
-  m.headers.set("USN", usn);
-  if (kind == Kind::kAlive) {
-    m.headers.set("CACHE-CONTROL",
-                  "max-age=" + std::to_string(max_age_seconds));
-    m.headers.set("LOCATION", location);
-    m.headers.set("SERVER", server);
-  }
-  return m;
 }
 
 void Notify::serialize_into(std::string& out) const {
@@ -143,38 +67,126 @@ void Notify::serialize_into(std::string& out) const {
   out += "\r\n";
 }
 
-std::optional<Notify> Notify::from_http(const http::HttpMessage& m) {
-  if (!m.is_request() || !str::iequals(m.method, "NOTIFY")) {
-    return std::nullopt;
+// ---------------------------------------------------------------------------
+// SsdpReader
+// ---------------------------------------------------------------------------
+
+void SsdpReader::on_request_line(std::string_view method, std::string_view,
+                                 std::string_view) {
+  start_lines_ += 1;
+  method_.assign(method);
+  status_ = 0;
+}
+
+void SsdpReader::on_status_line(int status, std::string_view,
+                                std::string_view) {
+  start_lines_ += 1;
+  status_ = status;
+}
+
+void SsdpReader::on_header(std::string_view name, std::string_view value) {
+  // Indexed by Field. The only place SSDP header names are matched.
+  static constexpr std::array<std::string_view, kFieldCount> kNames = {
+      "ST",     "NT",         "NTS", "USN", "LOCATION",
+      "SERVER", "USER-AGENT", "MAN", "MX",  "CACHE-CONTROL"};
+  for (int f = 0; f < kFieldCount; ++f) {
+    if (!str::iequals(name, kNames[f])) continue;
+    if (!has(Field(f))) {
+      values_[f].assign(value);
+      seen_ |= 1U << f;
+    }
+    return;
   }
-  auto nt = m.headers.get("NT");
-  auto nts = m.headers.get("NTS");
-  auto usn = m.headers.get("USN");
-  if (!nt.has_value() || !nts.has_value() || !usn.has_value()) {
-    return std::nullopt;
+}
+
+void SsdpReader::on_body(std::string_view chunk) { body_.append(chunk); }
+
+void SsdpReader::on_message_complete() { complete_ = true; }
+
+void SsdpReader::on_parse_error(std::string_view) {}
+
+SsdpReader::Kind SsdpReader::read(BytesView datagram) {
+  seen_ = 0;
+  method_.clear();
+  body_.clear();
+  status_ = 0;
+  start_lines_ = 0;
+  complete_ = false;
+  http_.reset();
+  http_.feed(datagram);
+  http_.finish();
+  one_message_ = !http_.failed() && complete_ && start_lines_ == 1;
+  return one_message_ ? classify() : Kind::kInvalid;
+}
+
+SsdpReader::Kind SsdpReader::classify() const {
+  if (status_ != 0) {  // a response: the HTTP parser admits 100-599 only
+    if (!has(kSt) && !has(kNt)) return Kind::kHttpResponse;
+    return status_ == 200 && has(kSt) && has(kUsn) ? Kind::kSearchResponse
+                                                   : Kind::kInvalid;
   }
-  Notify out;
-  out.nt = *nt;
-  out.usn = *usn;
-  if (str::iequals(*nts, "ssdp:alive")) {
-    out.kind = Kind::kAlive;
-  } else if (str::iequals(*nts, "ssdp:byebye")) {
-    out.kind = Kind::kByeBye;
-  } else {
-    return std::nullopt;
+  if (str::iequals(method_, "M-SEARCH")) {
+    return has(kSt) ? Kind::kSearch : Kind::kInvalid;
   }
-  out.location = m.headers.get_or("LOCATION", "");
-  out.server = m.headers.get_or("SERVER", "");
-  return out;
+  if (str::iequals(method_, "NOTIFY") && has(kNt) && has(kUsn)) {
+    if (str::iequals(field(kNts), "ssdp:alive")) return Kind::kAlive;
+    if (str::iequals(field(kNts), "ssdp:byebye")) return Kind::kByeBye;
+  }
+  return Kind::kInvalid;
+}
+
+std::string_view SsdpReader::man() const {
+  return has(kMan) ? field(kMan) : "\"ssdp:discover\"";
+}
+
+int SsdpReader::mx() const {
+  return static_cast<int>(str::parse_long(field(kMx), 3));
+}
+
+int SsdpReader::max_age() const {
+  std::string_view cache = field(kCacheControl);
+  auto eq = cache.find('=');
+  if (eq == std::string_view::npos) return 1800;
+  return static_cast<int>(str::parse_long(cache.substr(eq + 1), 1800));
 }
 
 std::optional<SsdpMessage> parse_ssdp(BytesView datagram) {
-  auto text = to_string(datagram);
-  auto m = http::HttpMessage::parse(text);
-  if (!m.has_value()) return std::nullopt;
-  if (auto req = SearchRequest::from_http(*m)) return SsdpMessage(*req);
-  if (auto rsp = SearchResponse::from_http(*m)) return SsdpMessage(*rsp);
-  if (auto ntf = Notify::from_http(*m)) return SsdpMessage(*ntf);
+  SsdpReader reader;
+  const SsdpReader::Kind kind = reader.read(datagram);
+  switch (kind) {
+    case SsdpReader::Kind::kSearch: {
+      SearchRequest request;
+      request.st = reader.st();
+      request.mx = reader.mx();
+      request.man = reader.man();
+      request.user_agent = reader.user_agent();
+      return request;
+    }
+    case SsdpReader::Kind::kSearchResponse: {
+      SearchResponse response;
+      response.st = reader.st();
+      response.usn = reader.usn();
+      response.location = reader.location();
+      response.server = reader.server();
+      response.max_age_seconds = reader.max_age();
+      return response;
+    }
+    case SsdpReader::Kind::kAlive:
+    case SsdpReader::Kind::kByeBye: {
+      Notify notify;
+      notify.kind = kind == SsdpReader::Kind::kAlive ? Notify::Kind::kAlive
+                                                     : Notify::Kind::kByeBye;
+      notify.nt = reader.nt();
+      notify.usn = reader.usn();
+      notify.location = reader.location();
+      notify.server = reader.server();
+      notify.max_age_seconds = reader.max_age();
+      return notify;
+    }
+    case SsdpReader::Kind::kHttpResponse:
+    case SsdpReader::Kind::kInvalid:
+      break;
+  }
   return std::nullopt;
 }
 

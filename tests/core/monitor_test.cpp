@@ -60,7 +60,7 @@ TEST_F(MonitorFixture, DetectsUpnpIndependently) {
   upnp::SearchRequest request;
   request.st = "ssdp:all";
   socket->send_to(net::Endpoint{upnp::kSsdpMulticastGroup, upnp::kSsdpPort},
-                  to_bytes(request.to_http().serialize()));
+                  upnp::encode(request));
   scheduler.run_all();
   EXPECT_TRUE(monitor.has_detected(SdpId::kUpnp));
   EXPECT_FALSE(monitor.has_detected(SdpId::kSlp));

@@ -96,7 +96,7 @@ TEST(SsdpParser, MSearchProducesRequestEvents) {
   SsdpEventParser parser;
   CollectingSink sink;
   auto ctx = multicast_ctx();
-  parser.parse(to_bytes(request.to_http().serialize()), ctx, sink);
+  parser.parse(upnp::encode(request), ctx, sink);
   const EventStream& s = sink.stream();
   EXPECT_TRUE(well_framed(s));
   EXPECT_TRUE(has_event(s, EventType::kServiceRequest));
@@ -115,7 +115,7 @@ TEST(SsdpParser, SearchResponseLacksServUrlButHasDescriptionUrl) {
   SsdpEventParser parser;
   CollectingSink sink;
   MessageContext ctx;
-  parser.parse(to_bytes(response.to_http().serialize()), ctx, sink);
+  parser.parse(upnp::encode(response), ctx, sink);
   const EventStream& s = sink.stream();
   EXPECT_FALSE(has_event(s, EventType::kResServUrl));
   EXPECT_EQ(find_event(s, EventType::kUpnpDeviceUrlDesc)->get("url"),

@@ -71,20 +71,19 @@ std::vector<Golden> upnp_goldens() {
   std::vector<Golden> goldens;
   upnp::SearchRequest search;
   search.st = "urn:schemas-upnp-org:device:clock:1";
-  goldens.push_back({"MSearch", to_bytes(search.to_http().serialize())});
+  goldens.push_back({"MSearch", upnp::encode(search)});
 
   upnp::SearchResponse response;
   response.st = "urn:schemas-upnp-org:device:clock:1";
   response.usn = "uuid:ClockDevice::upnp:clock";
   response.location = "http://10.0.0.2:4004/description.xml";
-  goldens.push_back({"SearchResponse",
-                     to_bytes(response.to_http().serialize())});
+  goldens.push_back({"SearchResponse", upnp::encode(response)});
 
   upnp::Notify notify;
   notify.nt = "urn:schemas-upnp-org:device:clock:1";
   notify.usn = "uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1";
   notify.location = "http://10.0.0.2:4004/description.xml";
-  goldens.push_back({"NotifyAlive", to_bytes(notify.to_http().serialize())});
+  goldens.push_back({"NotifyAlive", upnp::encode(notify)});
 
   goldens.push_back(
       {"Description", to_bytes(upnp::make_clock_device().to_xml())});

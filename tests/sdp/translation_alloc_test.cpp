@@ -120,7 +120,7 @@ TEST(SsdpAllocs, NotifyParseComposeRoundTripIsZeroAllocSteadyState) {
   notify.nt = "urn:schemas-upnp-org:device:clock:1";
   notify.usn = "uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1";
   notify.location = "http://10.0.0.2:4004/description.xml";
-  Bytes wire = to_bytes(notify.to_http().serialize());
+  Bytes wire = upnp::encode(notify);
 
   SsdpEventParser parser;
   StreamPool pool;
@@ -152,7 +152,7 @@ TEST(SsdpAllocs, NotifyParseComposeRoundTripIsZeroAllocSteadyState) {
 TEST(SsdpAllocs, SearchRequestParseIsZeroAllocSteadyState) {
   upnp::SearchRequest request;
   request.st = "urn:schemas-upnp-org:device:clock:1";
-  Bytes wire = to_bytes(request.to_http().serialize());
+  Bytes wire = upnp::encode(request);
 
   SsdpEventParser parser;
   StreamPool pool;

@@ -22,7 +22,7 @@ TEST(Ssdp, SearchRequestRoundTrip) {
   SearchRequest request;
   request.st = "urn:schemas-upnp-org:device:clock:1";
   request.mx = 2;
-  auto parsed = parse_ssdp(to_bytes(request.to_http().serialize()));
+  auto parsed = parse_ssdp(encode(request));
   ASSERT_TRUE(parsed.has_value());
   auto* req = std::get_if<SearchRequest>(&*parsed);
   ASSERT_NE(req, nullptr);
@@ -36,7 +36,7 @@ TEST(Ssdp, SearchResponseRoundTrip) {
   response.usn = "uuid:ClockDevice::upnp:clock";
   response.location = "http://128.93.8.112:4004/description.xml";
   response.max_age_seconds = 900;
-  auto parsed = parse_ssdp(to_bytes(response.to_http().serialize()));
+  auto parsed = parse_ssdp(encode(response));
   ASSERT_TRUE(parsed.has_value());
   auto* rsp = std::get_if<SearchResponse>(&*parsed);
   ASSERT_NE(rsp, nullptr);
@@ -50,7 +50,7 @@ TEST(Ssdp, NotifyAliveAndByeByeRoundTrip) {
   alive.nt = "urn:schemas-upnp-org:device:clock:1";
   alive.usn = "uuid:X::" + alive.nt;
   alive.location = "http://10.0.0.2:4004/description.xml";
-  auto parsed = parse_ssdp(to_bytes(alive.to_http().serialize()));
+  auto parsed = parse_ssdp(encode(alive));
   auto* a = std::get_if<Notify>(&*parsed);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->kind, Notify::Kind::kAlive);
@@ -58,7 +58,7 @@ TEST(Ssdp, NotifyAliveAndByeByeRoundTrip) {
 
   Notify bye = alive;
   bye.kind = Notify::Kind::kByeBye;
-  auto parsed2 = parse_ssdp(to_bytes(bye.to_http().serialize()));
+  auto parsed2 = parse_ssdp(encode(bye));
   auto* b = std::get_if<Notify>(&*parsed2);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->kind, Notify::Kind::kByeBye);
@@ -67,6 +67,162 @@ TEST(Ssdp, NotifyAliveAndByeByeRoundTrip) {
 TEST(Ssdp, RejectsNonSsdpTraffic) {
   EXPECT_FALSE(parse_ssdp(to_bytes("GET / HTTP/1.1\r\n\r\n")).has_value());
   EXPECT_FALSE(parse_ssdp(to_bytes("binary\x01\x02garbage")).has_value());
+}
+
+// The reading rule for malformed input, shared by the native stacks
+// (parse_ssdp) and the gateway (SsdpEventParser) through SsdpReader.
+TEST(SsdpReader, FirstOccurrenceOfAHeaderWins) {
+  auto parsed = parse_ssdp(to_bytes(
+      "NOTIFY * HTTP/1.1\r\nNT: urn:a\r\nNT: urn:b\r\nNTS: ssdp:alive\r\n"
+      "USN: uuid:1\r\nUSN: uuid:2\r\n\r\n"));
+  ASSERT_TRUE(parsed.has_value());
+  const auto& notify = std::get<Notify>(*parsed);
+  EXPECT_EQ(notify.nt, "urn:a");
+  EXPECT_EQ(notify.usn, "uuid:1");
+}
+
+TEST(SsdpReader, MoreThanOneMessageIsInvalid) {
+  std::string one =
+      "NOTIFY * HTTP/1.1\r\nNT: urn:a\r\nNTS: ssdp:alive\r\nUSN: uuid:1\r\n"
+      "\r\n";
+  EXPECT_TRUE(parse_ssdp(to_bytes(one)).has_value());
+  EXPECT_FALSE(parse_ssdp(to_bytes(one + one)).has_value());
+  // A second start line alone is already a second message.
+  EXPECT_FALSE(parse_ssdp(to_bytes(one + "NOTIFY * HTTP/1.1\r\n")).has_value());
+  SsdpReader reader;
+  EXPECT_EQ(reader.read(to_bytes(one + one)), SsdpReader::Kind::kInvalid);
+  EXPECT_EQ(reader.read(to_bytes(one)), SsdpReader::Kind::kAlive);
+}
+
+TEST(SsdpReader, MaxAgeReadOnNotifyAndResponse) {
+  auto notify = parse_ssdp(to_bytes(
+      "NOTIFY * HTTP/1.1\r\nNT: urn:a\r\nNTS: ssdp:alive\r\nUSN: uuid:1\r\n"
+      "CACHE-CONTROL: max-age=120\r\n\r\n"));
+  ASSERT_TRUE(notify.has_value());
+  EXPECT_EQ(std::get<Notify>(*notify).max_age_seconds, 120);
+  auto response = parse_ssdp(to_bytes(
+      "HTTP/1.1 200 OK\r\nST: urn:a\r\nUSN: uuid:1\r\n"
+      "CACHE-CONTROL: max-age=60\r\nCACHE-CONTROL: max-age=5\r\n\r\n"));
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(std::get<SearchResponse>(*response).max_age_seconds, 60);
+}
+
+TEST(SsdpReader, SortsEveryKind) {
+  SsdpReader reader;
+  SearchRequest search;
+  search.st = "ssdp:all";
+  EXPECT_EQ(reader.read(encode(search)), SsdpReader::Kind::kSearch);
+  EXPECT_EQ(reader.mx(), 3);
+  EXPECT_EQ(reader.man(), "\"ssdp:discover\"");
+  SearchResponse response;
+  response.st = "upnp:rootdevice";
+  response.usn = "uuid:1";
+  EXPECT_EQ(reader.read(encode(response)), SsdpReader::Kind::kSearchResponse);
+  Notify bye;
+  bye.kind = Notify::Kind::kByeBye;
+  bye.nt = "upnp:rootdevice";
+  bye.usn = "uuid:1";
+  EXPECT_EQ(reader.read(encode(bye)), SsdpReader::Kind::kByeBye);
+  EXPECT_EQ(reader.read(to_bytes("HTTP/1.1 404 Not Found\r\n"
+                                 "Content-Length: 3\r\n\r\nabc")),
+            SsdpReader::Kind::kHttpResponse);
+  EXPECT_EQ(reader.status(), 404);
+  EXPECT_EQ(reader.body(), "abc");
+  // A response with ST but no USN is neither a search response nor a plain
+  // HTTP response.
+  EXPECT_EQ(reader.read(to_bytes("HTTP/1.1 200 OK\r\nST: x\r\n\r\n")),
+            SsdpReader::Kind::kInvalid);
+  EXPECT_EQ(reader.read(to_bytes("NOTIFY * HTTP/1.1\r\nNT: x\r\nUSN: u\r\n"
+                                 "NTS: ssdp:update\r\n\r\n")),
+            SsdpReader::Kind::kInvalid);
+}
+
+// Exact SSDP wire bytes, one golden per message kind. They pin the writer:
+// every SSDP frame a native stack or the gateway sends comes out of
+// serialize_into.
+std::string serialized(const auto& message) {
+  std::string out = "stale scratch contents";
+  message.serialize_into(out);
+  return out;
+}
+
+TEST(SsdpGolden, SearchRequestWithUserAgentBytes) {
+  SearchRequest request;
+  request.st = "urn:schemas-upnp-org:device:clock:1";
+  request.mx = 2;
+  request.user_agent = "INDISS-bridge/1.0 UPnP/1.0";
+  EXPECT_EQ(serialized(request),
+            "M-SEARCH * HTTP/1.1\r\n"
+            "HOST: 239.255.255.250:1900\r\n"
+            "MAN: \"ssdp:discover\"\r\n"
+            "MX: 2\r\n"
+            "ST: urn:schemas-upnp-org:device:clock:1\r\n"
+            "USER-AGENT: INDISS-bridge/1.0 UPnP/1.0\r\n"
+            "\r\n");
+}
+
+TEST(SsdpGolden, SearchRequestWithoutUserAgentBytes) {
+  SearchRequest request;
+  request.st = "ssdp:all";
+  EXPECT_EQ(serialized(request),
+            "M-SEARCH * HTTP/1.1\r\n"
+            "HOST: 239.255.255.250:1900\r\n"
+            "MAN: \"ssdp:discover\"\r\n"
+            "MX: 3\r\n"
+            "ST: ssdp:all\r\n"
+            "\r\n");
+}
+
+TEST(SsdpGolden, SearchResponseBytes) {
+  SearchResponse response;
+  response.st = "urn:schemas-upnp-org:device:clock:1";
+  response.usn = "uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1";
+  response.location = "http://10.0.0.2:4004/description.xml";
+  response.max_age_seconds = 900;
+  EXPECT_EQ(serialized(response),
+            "HTTP/1.1 200 OK\r\n"
+            "CACHE-CONTROL: max-age=900\r\n"
+            "EXT: \r\n"
+            "LOCATION: http://10.0.0.2:4004/description.xml\r\n"
+            "SERVER: INDISS-sim/1.0 UPnP/1.0\r\n"
+            "ST: urn:schemas-upnp-org:device:clock:1\r\n"
+            "USN: uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1\r\n"
+            "Content-Length: 0\r\n"
+            "\r\n");
+}
+
+TEST(SsdpGolden, NotifyAliveBytes) {
+  Notify notify;
+  notify.nt = "upnp:rootdevice";
+  notify.usn = "uuid:ClockDevice::upnp:rootdevice";
+  notify.location = "http://10.0.0.2:4004/description.xml";
+  notify.server = "INDISS-bridge/1.0 UPnP/1.0";
+  notify.max_age_seconds = 120;
+  EXPECT_EQ(serialized(notify),
+            "NOTIFY * HTTP/1.1\r\n"
+            "HOST: 239.255.255.250:1900\r\n"
+            "NT: upnp:rootdevice\r\n"
+            "NTS: ssdp:alive\r\n"
+            "USN: uuid:ClockDevice::upnp:rootdevice\r\n"
+            "CACHE-CONTROL: max-age=120\r\n"
+            "LOCATION: http://10.0.0.2:4004/description.xml\r\n"
+            "SERVER: INDISS-bridge/1.0 UPnP/1.0\r\n"
+            "\r\n");
+}
+
+TEST(SsdpGolden, NotifyByeByeBytes) {
+  Notify notify;
+  notify.kind = Notify::Kind::kByeBye;
+  notify.nt = "urn:schemas-upnp-org:device:clock:1";
+  notify.usn = "uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1";
+  notify.location = "http://10.0.0.2:4004/description.xml";  // not written
+  EXPECT_EQ(serialized(notify),
+            "NOTIFY * HTTP/1.1\r\n"
+            "HOST: 239.255.255.250:1900\r\n"
+            "NT: urn:schemas-upnp-org:device:clock:1\r\n"
+            "NTS: ssdp:byebye\r\n"
+            "USN: uuid:ClockDevice::urn:schemas-upnp-org:device:clock:1\r\n"
+            "\r\n");
 }
 
 TEST(Description, XmlRoundTripPreservesEverything) {

@@ -45,13 +45,13 @@ Bytes upnp_alive(int device) {
                "::urn:schemas-upnp-org:device:clock:1";
   notify.location =
       "http://10.0.1." + std::to_string(device % 250) + ":4004/desc.xml";
-  return to_bytes(notify.to_http().serialize());
+  return upnp::encode(notify);
 }
 
 Bytes upnp_msearch() {
   upnp::SearchRequest request;
   request.st = "ssdp:all";
-  return to_bytes(request.to_http().serialize());
+  return upnp::encode(request);
 }
 
 net::Datagram make_datagram(Bytes payload) {

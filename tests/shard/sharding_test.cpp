@@ -53,13 +53,13 @@ Bytes upnp_notify(upnp::Notify::Kind kind) {
   notify.nt = "urn:schemas-upnp-org:device:clock:1";
   notify.usn = "uuid:Dev7::urn:schemas-upnp-org:device:clock:1";
   notify.location = "http://10.0.1.7:4004/description.xml";
-  return to_bytes(notify.to_http().serialize());
+  return upnp::encode(notify);
 }
 
 Bytes upnp_msearch() {
   upnp::SearchRequest request;
   request.st = "ssdp:all";
-  return to_bytes(request.to_http().serialize());
+  return upnp::encode(request);
 }
 
 Bytes mdns_message(bool response, std::uint32_t ttl) {

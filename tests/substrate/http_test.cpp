@@ -1,18 +1,31 @@
 // Unit tests for the event-based HTTP parser and message model.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+
 #include "http/message.hpp"
 #include "http/parser.hpp"
 
 namespace indiss::http {
 namespace {
 
+/// Parses `text` as exactly one complete message; nullopt otherwise.
+std::optional<HttpMessage> parse_one(std::string_view text) {
+  MessageCollector collector;
+  HttpParser parser(collector);
+  parser.feed(text);
+  parser.finish();
+  if (parser.failed() || collector.messages().size() != 1) return std::nullopt;
+  return collector.messages().front();
+}
+
 TEST(Headers, CaseInsensitiveAccessPreservingOrder) {
   Headers h;
   h.set("HOST", "239.255.255.250:1900");
   h.set("ST", "ssdp:all");
   EXPECT_EQ(h.get("host").value(), "239.255.255.250:1900");
-  EXPECT_EQ(h.get_or("missing", "fallback"), "fallback");
+  EXPECT_FALSE(h.get("missing").has_value());
   h.set("st", "upnp:rootdevice");  // overwrite, case-insensitively
   EXPECT_EQ(h.get("ST").value(), "upnp:rootdevice");
   EXPECT_EQ(h.size(), 2u);
@@ -35,7 +48,7 @@ TEST(HttpMessage, SerializeRequestMatchesSsdpShape) {
 TEST(HttpMessage, ParseRoundTripRequest) {
   auto m = HttpMessage::request("GET", "/description.xml");
   m.headers.set("HOST", "10.0.0.2:4004");
-  auto parsed = HttpMessage::parse(m.serialize());
+  auto parsed = parse_one(m.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->is_request());
   EXPECT_EQ(parsed->method, "GET");
@@ -47,7 +60,7 @@ TEST(HttpMessage, ParseRoundTripResponseWithBody) {
   auto m = HttpMessage::response(200, "OK");
   m.headers.set("CONTENT-TYPE", "text/xml");
   m.body = "<root><device/></root>";
-  auto parsed = HttpMessage::parse(m.serialize());
+  auto parsed = parse_one(m.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->is_request());
   EXPECT_EQ(parsed->status, 200);
@@ -160,7 +173,7 @@ TEST(HttpParser, ResetRecoversFromFailure) {
 }
 
 TEST(HttpMessage, ParseRejectsTrailingGarbage) {
-  EXPECT_FALSE(HttpMessage::parse("not http at all").has_value());
+  EXPECT_FALSE(parse_one("not http at all").has_value());
 }
 
 }  // namespace
