@@ -6,6 +6,14 @@
 // USN and TTL. Every message parse_ssdp accepts must also re-serialize into
 // bytes that parse again and re-serialize to the same bytes.
 //
+// Every input is also served as the response to a description GET, framed
+// by upnp::http_get over a simulated TCP connection. The unit and the control
+// point must read what the client hands over alike: the control point finds a
+// description only in a 200 description response (SsdpReader's
+// kHttpResponse), and its body must be the payload of the unit's
+// SDP_C_PARSER_SWITCH; any other status of a description response must be
+// the code of the unit's SDP_RES_ERR.
+//
 // Every input is also read as a UPnP device description: the document reader
 // must reproduce any description it accepts from its own output, and the
 // description parser (the unit's continuation after SDP_C_PARSER_SWITCH) must
@@ -14,12 +22,19 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
 
+#include "common/uri.hpp"
 #include "core/units/upnp_unit.hpp"
+#include "net/host.hpp"
+#include "net/network.hpp"
+#include "sim/scheduler.hpp"
 #include "upnp/description.hpp"
+#include "upnp/http_client.hpp"
 #include "upnp/ssdp.hpp"
 
 namespace indiss::fuzz {
@@ -103,6 +118,78 @@ void check_round_trip(const upnp::SsdpMessage& message) {
   expect(reserialize(*again) == first, "SSDP does not re-serialize stably");
 }
 
+/// Serves `input` as the response to a description GET, in two TCP segments
+/// followed by a close, and returns what upnp::http_get hands its caller.
+std::optional<Bytes> fetch_as_response(BytesView input) {
+  static sim::Scheduler scheduler;
+  static net::Network network(scheduler);
+  static net::Host& client =
+      network.add_host("cp", net::IpAddress(10, 0, 0, 1));
+  static net::Host& server =
+      network.add_host("dev", net::IpAddress(10, 0, 0, 2));
+  static Bytes reply;
+  static const std::shared_ptr<transport::TcpListener> listener = [] {
+    auto tcp = server.listen_tcp(80);
+    tcp->set_accept_handler([](std::shared_ptr<transport::TcpSocket> socket) {
+      socket->set_data_handler([socket](BytesView) {
+        auto half = reply.begin() + static_cast<long>(reply.size() / 2);
+        socket->send(Bytes(reply.begin(), half));
+        socket->send(Bytes(half, reply.end()));
+        // A simulated close drops bytes still in flight: close once they
+        // have landed.
+        server.schedule(sim::millis(10), [socket]() { socket->close(); });
+      });
+    });
+    return tcp;
+  }();
+
+  reply.assign(input.begin(), input.end());
+  Uri uri;
+  uri.scheme = "http";
+  uri.host = "10.0.0.2";
+  uri.port = listener->port();
+  uri.path = "/description.xml";
+  bool called = false;
+  std::optional<Bytes> response;
+  upnp::http_get(client, uri, [&](std::optional<Bytes> r) {
+    called = true;
+    response = std::move(r);
+  });
+  scheduler.run_for(sim::seconds(1));
+  expect(called, "description GET never finished");
+  return response;
+}
+
+void check_http_agreement(BytesView input) {
+  using core::EventType;
+  std::optional<Bytes> response = fetch_as_response(input);
+  if (!response.has_value()) return;
+
+  static core::SsdpEventParser parser;
+  core::EventStream stream = check_parser(parser, *response);
+  const core::Event* parser_switch =
+      core::find_event(stream, EventType::kControlParserSwitch);
+  const core::Event* error = core::find_event(stream, EventType::kResErr);
+
+  // The control point's reading.
+  upnp::SsdpReader reader;
+  bool description_response =
+      reader.read(*response) == upnp::SsdpReader::Kind::kHttpResponse;
+  if (description_response && reader.status() == 200) {
+    expect(parser_switch != nullptr, "200 without SDP_C_PARSER_SWITCH");
+    expect(parser_switch->get("payload") == reader.body(),
+           "parser-switch payload differs from the control point's body");
+    return;
+  }
+  expect(parser_switch == nullptr,
+         "unit switches parser where the control point reads no description");
+  if (description_response) {
+    expect(error != nullptr && error->get("code") ==
+                                   std::to_string(reader.status()),
+           "SDP_RES_ERR code differs from the control point's status");
+  }
+}
+
 }  // namespace
 }  // namespace indiss::fuzz
 
@@ -115,6 +202,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   static core::SsdpEventParser parser;
   fuzz::check_agreement(message, fuzz::check_parser(parser, wire));
   if (message.has_value()) fuzz::check_round_trip(*message);
+  fuzz::check_http_agreement(wire);
 
   auto description = upnp::DeviceDescription::from_xml(
       std::string_view(reinterpret_cast<const char*>(data), size));

@@ -19,6 +19,7 @@
 #include "net/address.hpp"
 #include "slp/wire.hpp"
 #include "upnp/description.hpp"
+#include "upnp/http_server.hpp"
 #include "upnp/ssdp.hpp"
 
 namespace indiss {
@@ -112,6 +113,23 @@ std::vector<Golden> ssdp_goldens() {
                 "<controlURL>/c2</controlURL></service><other/></serviceList>"
                 "<serviceList><service><controlURL>/c3</controlURL></service>"
                 "</serviceList></device></root>\n")});
+
+  // Description responses, as a device serves them: framed by
+  // Content-Length or read until close, a 404, and a 200 carrying an ST
+  // header (an SSDP response to the reader, not a description).
+  std::string xml = upnp::make_clock_device().to_xml();
+  goldens.push_back({"http200length",
+                     upnp::http_response("200 OK", "INDISS-sim/1.0 UPnP/1.0",
+                                         xml)});
+  goldens.push_back(
+      {"http200close",
+       to_bytes("HTTP/1.1 200 OK\r\nCONTENT-TYPE: text/xml\r\n\r\n" + xml)});
+  goldens.push_back({"http404", upnp::http_response("404 Not Found", {}, {})});
+  goldens.push_back(
+      {"http200st",
+       to_bytes("HTTP/1.1 200 OK\r\nST: urn:schemas-upnp-org:device:clock:1\r\n"
+                "Content-Length: " +
+                std::to_string(xml.size()) + "\r\n\r\n" + xml)});
   return goldens;
 }
 

@@ -4,7 +4,8 @@
 #
 #   scripts/check.sh            # Debug (default)
 #   BUILD_TYPE=Release scripts/check.sh
-#   SANITIZE=ON scripts/check.sh
+#   SANITIZE=ON scripts/check.sh   # CI's ASan/UBSan job: tier-1 tests plus
+#                                  # the fuzz corpus replay
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,18 +25,35 @@ LAUNCHER_ARGS=()
 if command -v ccache > /dev/null; then
   LAUNCHER_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
+# The sanitize job in CI also builds the fuzz harnesses (their corpus replay
+# carries fuzz_ssdp's agreement checks) and skips benches and examples.
+SANITIZE_ARGS=()
+if [[ "${SANITIZE}" == "ON" ]]; then
+  SANITIZE_ARGS+=(-DINDISS_FUZZ=ON -DINDISS_BUILD_BENCH=OFF
+                  -DINDISS_BUILD_EXAMPLES=OFF)
+fi
 
 echo "== configure (${BUILD_TYPE}, sanitize=${SANITIZE}) =="
 cmake -B "${BUILD_DIR}" -S . \
   ${GENERATOR_ARGS[@]+"${GENERATOR_ARGS[@]}"} \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"} \
+  ${SANITIZE_ARGS[@]+"${SANITIZE_ARGS[@]}"} \
   -DCMAKE_BUILD_TYPE="${BUILD_TYPE}" -DINDISS_SANITIZE="${SANITIZE}"
 
 echo "== build =="
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "== test =="
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
+if [[ "${SANITIZE}" == "ON" ]]; then
+  export ASAN_OPTIONS="strict_string_checks=1:detect_stack_use_after_return=1"
+  export UBSAN_OPTIONS="print_stacktrace=1"
+  echo "== test (tier1) =="
+  ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
+  echo "== fuzz corpus replay =="
+  ctest --test-dir "${BUILD_DIR}" -L fuzz --output-on-failure -j "${JOBS}"
+else
+  echo "== test =="
+  ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
+fi
 
 echo "== format check =="
 if command -v clang-format > /dev/null; then

@@ -530,13 +530,7 @@ void MdnsUnit::on_advertisement(Session& session) {
     // carries the description LOCATION): announce the resolved URL instead,
     // the same way the SLP and Jini units remember it — it still identifies
     // the service.
-    EventStream minimal = stream_pool().acquire();
-    minimal.push_back(Event(EventType::kControlStart));
-    minimal.push_back(Event(EventType::kResServUrl, {{"url", url}}));
-    minimal.push_back(Event(EventType::kControlStop));
-    groups = compose_dnssd_answers(minimal, qname_scratch_, kRecordTtl,
-                                   compose_scratch_, &name_overrides_);
-    stream_pool().release(std::move(minimal));
+    groups = compose_url_records(url, qname_scratch_, kRecordTtl);
   }
   if (groups == 0) return;
   compose_scratch_.id = 0;
@@ -652,11 +646,7 @@ void MdnsUnit::announce_bridged(const std::string& name,
   }
   append_marker(compose_scratch_, &additionals);
   compose_scratch_.additionals.resize(additionals);
-  compose_scratch_.id = 0;
-
-  BytesView wire = encoder_.encode(compose_scratch_);
-  reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
-  announcements_sent_ += 1;
+  multicast_composed();
 }
 
 void MdnsUnit::on_probe_renamed(const std::string& old_name,
@@ -682,22 +672,32 @@ void MdnsUnit::on_probe_renamed(const std::string& old_name,
   if (directory() != nullptr) directory()->bump_generation();
 }
 
-void MdnsUnit::send_goodbye(std::string_view url,
-                            std::string_view canonical_type) {
-  dnssd_from_canonical_into(canonical_type, qname_scratch_);
-  EventStream goodbye = stream_pool().acquire();
-  goodbye.push_back(Event(EventType::kControlStart));
-  goodbye.push_back(Event(EventType::kResServUrl, {{"url", url}}));
-  goodbye.push_back(Event(EventType::kControlStop));
-  std::size_t groups = compose_dnssd_answers(goodbye, qname_scratch_,
-                                             /*ttl=*/0, compose_scratch_,
+std::size_t MdnsUnit::compose_url_records(std::string_view url,
+                                          std::string_view qname,
+                                          std::uint32_t ttl) {
+  EventStream stream = stream_pool().acquire();
+  stream.push_back(Event(EventType::kControlStart));
+  stream.push_back(Event(EventType::kResServUrl, {{"url", url}}));
+  stream.push_back(Event(EventType::kControlStop));
+  std::size_t groups = compose_dnssd_answers(stream, qname, ttl,
+                                             compose_scratch_,
                                              &name_overrides_);
-  stream_pool().release(std::move(goodbye));
-  if (groups == 0) return;
+  stream_pool().release(std::move(stream));
+  return groups;
+}
+
+void MdnsUnit::multicast_composed() {
   compose_scratch_.id = 0;
   BytesView wire = encoder_.encode(compose_scratch_);
   reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
   announcements_sent_ += 1;
+}
+
+void MdnsUnit::send_goodbye(std::string_view url,
+                            std::string_view canonical_type) {
+  dnssd_from_canonical_into(canonical_type, qname_scratch_);
+  if (compose_url_records(url, qname_scratch_, /*ttl=*/0) == 0) return;
+  multicast_composed();
 }
 
 void MdnsUnit::release_probe_state(std::string_view url,
@@ -733,32 +733,20 @@ void MdnsUnit::withdraw_foreign_service(std::string_view url_hint,
   if (known == nullptr) return;
   std::string url = known->url;
   std::string canonical_type = known->canonical_type;
-  std::string qname = dnssd_from_canonical(canonical_type);
   foreign_services_.erase_url(url);
 
   // The goodbye must name the same hash-stable instance the announcement
-  // created, so compose from a minimal stream carrying the resolved URL
-  // (the byebye stream itself may have named only the USN).
-  EventStream goodbye = stream_pool().acquire();
-  goodbye.push_back(Event(EventType::kControlStart));
-  goodbye.push_back(Event(EventType::kResServUrl, {{"url", url}}));
-  goodbye.push_back(Event(EventType::kControlStop));
-  std::size_t groups = compose_dnssd_answers(goodbye, qname, /*ttl=*/0,
-                                             compose_scratch_,
-                                             &name_overrides_);
-  stream_pool().release(std::move(goodbye));
-  if (groups == 0) return;
+  // created, so compose from the resolved URL (the byebye stream itself may
+  // have named only the USN).
+  dnssd_from_canonical_into(canonical_type, qname_scratch_);
+  if (compose_url_records(url, qname_scratch_, /*ttl=*/0) == 0) return;
   // A name still probing was never announced: forget it silently instead of
   // multicasting a goodbye nobody heard an announcement for.
   bool announced = !blocked_by_probing(compose_scratch_);
   release_probe_state(url, canonical_type);
-  if (!announced) return;
-  compose_scratch_.id = 0;
-  BytesView wire = encoder_.encode(compose_scratch_);
-  reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
   // No cache_outbound_frame here: byebyes are never cached (Unit keeps
   // their state changes on the parse path).
-  announcements_sent_ += 1;
+  if (announced) multicast_composed();
 }
 
 // TTL expiry: silent forget (no composed goodbye — native Bonjour caches

@@ -123,6 +123,14 @@ class MdnsUnit : public Unit {
   /// is won).
   [[nodiscard]] bool blocked_by_probing(const mdns::DnsMessage& composed)
       const;
+  /// Composes the records for `url` alone, named under `qname`, into
+  /// compose_scratch_: the one-URL stream behind goodbyes and adverts that
+  /// named no service URL. Returns the number of bridged groups (0 = nothing
+  /// to send).
+  std::size_t compose_url_records(std::string_view url, std::string_view qname,
+                                  std::uint32_t ttl);
+  /// Multicasts compose_scratch_ as an unsolicited response.
+  void multicast_composed();
   /// Composes and multicasts a TTL-0 goodbye for `url` under its current
   /// instance name.
   void send_goodbye(std::string_view url, std::string_view canonical_type);

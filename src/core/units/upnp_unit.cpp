@@ -277,11 +277,11 @@ void UpnpUnit::compose_follow_up(Session& session, const Event&) {
   // detached while the description GET is in flight.
   upnp::http_get(transport(), *uri,
                  [this, session_id, alive = lifetime()](
-                     std::optional<http::HttpMessage> response) {
+                     std::optional<Bytes> response) {
                    if (alive.expired()) return;  // unit detached mid-fetch
                    if (!response.has_value()) return;  // session will time out
-                   Bytes raw = to_bytes(response->serialize());
-                   schedule_hop([this, session_id, raw]() {
+                   schedule_hop([this, session_id,
+                                 raw = std::move(*response)]() {
                      on_native_response(session_id, raw, MessageContext{});
                    });
                  });
@@ -338,11 +338,9 @@ void UpnpUnit::do_finalize_reply(Session& session) {
 // impersonate a device — serve a generated description and send the SSDP
 // search response, paced when the search came from the shared medium.
 void UpnpUnit::compose_native_reply(Session& session) {
-  bool have_url = false;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl) have_url = true;
+  if (find_event(session.collected, EventType::kResServUrl) == nullptr) {
+    return;  // nothing discovered: SSDP answers with silence
   }
-  if (!have_url) return;  // nothing discovered: SSDP answers with silence
 
   ServedDescription& served = serve_description(session);
 
@@ -352,8 +350,7 @@ void UpnpUnit::compose_native_reply(Session& session) {
                     ? served.description.device_type
                     : st;
   response.usn = served.usn;
-  response.location = "http://" + transport().address().to_string() + ":" +
-                      std::to_string(http_server_->port()) + served.path;
+  response.location = location_of(served);
   response.server = std::string(kBridgeServer);
 
   auto to = requester(session);
@@ -444,12 +441,10 @@ UpnpUnit::ServedDescription& UpnpUnit::serve_description(
   // The route renders the one stored copy; it lives exactly as long as the
   // entry (withdrawal and expiry unroute before they erase).
   std::uint64_t key = served_key(table.intern(type), table.intern(url));
-  http_server_->route(served.path, [this, key](const http::HttpMessage&) {
-    auto response = http::HttpMessage::response(200, "OK");
-    response.headers.set("CONTENT-TYPE", "text/xml");
-    response.headers.set("SERVER", std::string(kBridgeServer));
-    response.body = served_descriptions_.at(key).description.to_xml();
-    return response;
+  http_server_->route(served.path, [this, key]() {
+    return upnp::http_response(
+        "200 OK", kBridgeServer,
+        served_descriptions_.at(key).description.to_xml());
   });
 
   auto [inserted, ok] = served_descriptions_.emplace(key, std::move(served));
@@ -464,11 +459,7 @@ void UpnpUnit::on_advertisement(Session& session) {
     withdraw_foreign_service(session);
     return;
   }
-  bool have_url = false;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl) have_url = true;
-  }
-  if (!have_url) return;
+  if (find_event(session.collected, EventType::kResServUrl) == nullptr) return;
   if (!meaningful_advert_type(session.var("service_type"))) return;
   ServedDescription& served = serve_description(session);
   if (config_.active_advertising) {
@@ -478,13 +469,21 @@ void UpnpUnit::on_advertisement(Session& session) {
   }
 }
 
+std::string UpnpUnit::location_of(const ServedDescription& served) {
+  std::string location = "http://";
+  location += transport().address().to_string();
+  location += ':';
+  location += std::to_string(http_server_->port());
+  location += served.path;
+  return location;
+}
+
 void UpnpUnit::notify_alive(const ServedDescription& served) {
   upnp::Notify notify;
   notify.kind = upnp::Notify::Kind::kAlive;
   notify.nt = served.description.device_type;
   notify.usn = served.usn;
-  notify.location = "http://" + transport().address().to_string() + ":" +
-                    std::to_string(http_server_->port()) + served.path;
+  notify.location = location_of(served);
   notify.server = std::string(kBridgeServer);
   notify.max_age_seconds = kNotifyMaxAge;
   notify.serialize_into(ssdp_scratch_);

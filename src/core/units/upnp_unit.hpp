@@ -107,6 +107,8 @@ class UpnpUnit : public Unit {
   /// Builds (or reuses) a served description for a translated reply stream /
   /// advertisement and returns its LOCATION URL + USN.
   ServedDescription& serve_description(const Session& session);
+  /// The LOCATION URL of a served device's description.
+  [[nodiscard]] std::string location_of(const ServedDescription& served);
   /// Multicasts NOTIFY ssdp:alive for a served device; the frame stays in
   /// ssdp_scratch_ until the next compose.
   void notify_alive(const ServedDescription& served);

@@ -7,6 +7,7 @@ namespace indiss::http {
 void HttpParser::reset() {
   state_ = State::kStartLine;
   buffer_.clear();
+  consumed_ = 0;
   remaining_body_ = 0;
   body_until_close_ = false;
   current_is_response_ = false;
@@ -26,6 +27,7 @@ void HttpParser::feed(std::string_view bytes) {
     if (state_ == State::kBody) {
       if (body_until_close_) {
         if (!buffer_.empty()) {
+          consumed_ += buffer_.size();
           handler_.on_body(buffer_);
           buffer_.clear();
         }
@@ -35,6 +37,7 @@ void HttpParser::feed(std::string_view bytes) {
         std::size_t take = std::min(buffer_.size(),
                                     static_cast<std::size_t>(remaining_body_));
         if (take == 0) return;  // need more data
+        consumed_ += take;
         handler_.on_body(std::string_view(buffer_).substr(0, take));
         buffer_.erase(0, take);
         remaining_body_ -= static_cast<long>(take);
@@ -51,6 +54,7 @@ void HttpParser::feed(std::string_view bytes) {
     if (eol == std::string::npos) return;  // need more data
     std::string_view line(buffer_.data(), eol);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    consumed_ += eol + 1;  // counted before a message can complete
     process_line(line);
     buffer_.erase(0, eol + 1);
   }
@@ -147,37 +151,6 @@ void HttpParser::finish() {
   if (state_ == State::kBody && remaining_body_ > 0) {
     fail("stream ended mid-body");
   }
-}
-
-void MessageCollector::on_request_line(std::string_view method,
-                                       std::string_view target,
-                                       std::string_view version) {
-  current_ = HttpMessage::request(std::string(method), std::string(target));
-  current_.version = std::string(version);
-}
-
-void MessageCollector::on_status_line(int status, std::string_view reason,
-                                      std::string_view version) {
-  current_ = HttpMessage::response(status, std::string(reason));
-  current_.version = std::string(version);
-}
-
-void MessageCollector::on_header(std::string_view name,
-                                 std::string_view value) {
-  current_.headers.add(name, value);
-}
-
-void MessageCollector::on_body(std::string_view chunk) {
-  current_.body.append(chunk);
-}
-
-void MessageCollector::on_message_complete() {
-  messages_.push_back(std::move(current_));
-  current_ = HttpMessage{};
-}
-
-void MessageCollector::on_parse_error(std::string_view reason) {
-  last_error_ = std::string(reason);
 }
 
 }  // namespace indiss::http

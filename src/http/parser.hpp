@@ -1,39 +1,44 @@
-// Incremental, event-based HTTP/1.1 parser.
+// Incremental, event-based HTTP/1.1 parser: the one HTTP reader.
 //
 // This is the concrete realization of the "event-based parsing" technique the
 // paper builds on (Ryan & Wolf, ICSE'04): raw bytes are pushed in and the
 // parser emits fine-grained syntactic events (start line, header, body,
-// message complete) to a handler. INDISS's SSDP parser layers *semantic* SDP
-// events on top of these syntactic ones; the same parser instance is reused
-// for TCP description responses — precisely the component reuse across units
-// that §3 of the paper calls out.
+// message complete) to a handler. INDISS's SSDP reader layers *semantic* SDP
+// events on top of these syntactic ones; the same parser frames the TCP
+// description exchange on both ends (upnp/http_client.hpp,
+// upnp/http_server.hpp) — precisely the component reuse across units that §3
+// of the paper calls out. HTTP is written directly, never through a message
+// model.
 //
 // Framing: Content-Length when present, otherwise an empty body. Chunked
 // transfer encoding is not needed by any SDP here and is rejected explicitly.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "http/message.hpp"
+#include "common/bytes.hpp"
 
 namespace indiss::http {
 
-/// Receiver of syntactic HTTP events.
+/// Receiver of syntactic HTTP events. Every event defaults to a no-op: a
+/// reader overrides the ones it reads.
 class HttpEventHandler {
  public:
   virtual ~HttpEventHandler() = default;
 
-  virtual void on_request_line(std::string_view method, std::string_view target,
-                               std::string_view version) = 0;
-  virtual void on_status_line(int status, std::string_view reason,
-                              std::string_view version) = 0;
-  virtual void on_header(std::string_view name, std::string_view value) = 0;
+  virtual void on_request_line(std::string_view /*method*/,
+                               std::string_view /*target*/,
+                               std::string_view /*version*/) {}
+  virtual void on_status_line(int /*status*/, std::string_view /*reason*/,
+                              std::string_view /*version*/) {}
+  virtual void on_header(std::string_view /*name*/,
+                         std::string_view /*value*/) {}
   virtual void on_headers_complete() {}
-  virtual void on_body(std::string_view chunk) = 0;
-  virtual void on_message_complete() = 0;
-  virtual void on_parse_error(std::string_view reason) = 0;
+  virtual void on_body(std::string_view /*chunk*/) {}
+  virtual void on_message_complete() {}
+  virtual void on_parse_error(std::string_view /*reason*/) {}
 };
 
 class HttpParser {
@@ -54,6 +59,10 @@ class HttpParser {
   void finish();
 
   [[nodiscard]] bool failed() const { return state_ == State::kFailed; }
+  /// Bytes of the stream consumed since construction or reset(). Inside
+  /// on_message_complete it is the offset just past that message, so a
+  /// reader can cut one message out of the bytes it fed.
+  [[nodiscard]] std::size_t consumed() const { return consumed_; }
 
   /// Drops any partially parsed message and resumes at start-line state.
   void reset();
@@ -68,35 +77,11 @@ class HttpParser {
   HttpEventHandler& handler_;
   State state_ = State::kStartLine;
   std::string buffer_;
+  std::size_t consumed_ = 0;
   long remaining_body_ = 0;
   bool body_until_close_ = false;
   bool current_is_response_ = false;
   bool have_length_ = false;
-};
-
-/// Convenience handler that assembles complete HttpMessage values — used by
-/// tests and by endpoints that want whole messages rather than events.
-class MessageCollector : public HttpEventHandler {
- public:
-  void on_request_line(std::string_view method, std::string_view target,
-                       std::string_view version) override;
-  void on_status_line(int status, std::string_view reason,
-                      std::string_view version) override;
-  void on_header(std::string_view name, std::string_view value) override;
-  void on_body(std::string_view chunk) override;
-  void on_message_complete() override;
-  void on_parse_error(std::string_view reason) override;
-
-  [[nodiscard]] const std::vector<HttpMessage>& messages() const {
-    return messages_;
-  }
-  [[nodiscard]] std::vector<HttpMessage>& messages() { return messages_; }
-  [[nodiscard]] const std::string& last_error() const { return last_error_; }
-
- private:
-  HttpMessage current_;
-  std::vector<HttpMessage> messages_;
-  std::string last_error_;
 };
 
 }  // namespace indiss::http

@@ -7,6 +7,23 @@
 
 namespace indiss::upnp {
 
+namespace {
+
+/// The description a fetched response carries: read by the one SSDP reader,
+/// only a description response (no ST or NT) with status 200 has one.
+std::optional<DeviceDescription> description_of(
+    const std::optional<Bytes>& response) {
+  if (!response.has_value()) return std::nullopt;
+  SsdpReader reader;
+  if (reader.read(*response) != SsdpReader::Kind::kHttpResponse ||
+      reader.status() != 200) {
+    return std::nullopt;
+  }
+  return DeviceDescription::from_xml(reader.body());
+}
+
+}  // namespace
+
 ControlPoint::ControlPoint(transport::Transport& host, ControlPointConfig config)
     : host_(host), config_(config) {
   search_socket_ = host_.open_udp(0);
@@ -104,14 +121,12 @@ void ControlPoint::fetch_description(std::uint64_t session_id,
   }
   http_get(host_, *uri,
            [this, session_id, device = std::move(device)](
-               std::optional<http::HttpMessage> response) mutable {
+               std::optional<Bytes> response) mutable {
              auto it = sessions_.find(session_id);
              if (it == sessions_.end()) return;
              SearchSession& session = it->second;
              session.fetches_in_flight -= 1;
-             if (response.has_value() && response->status == 200) {
-               device.description = DeviceDescription::from_xml(response->body);
-             }
+             device.description = description_of(response);
              session.devices.push_back(std::move(device));
              if (session.on_device) session.on_device(session.devices.back());
              maybe_complete(session_id);
@@ -151,11 +166,8 @@ void ControlPoint::on_group_datagram(const net::Datagram& datagram) {
     if (!uri.has_value()) return;
     http_get(host_, *uri,
              [this, device = std::move(device)](
-                 std::optional<http::HttpMessage> response) mutable {
-               if (response.has_value() && response->status == 200) {
-                 device.description =
-                     DeviceDescription::from_xml(response->body);
-               }
+                 std::optional<Bytes> response) mutable {
+               device.description = description_of(response);
                if (on_alive_) on_alive_(device);
              });
   } else {

@@ -28,24 +28,19 @@ void RootDevice::start() {
 
   http_server_ = std::make_unique<HttpServer>(host_, http_port_,
                                               profile_.description_handling);
-  http_server_->route("/description.xml", [this](const http::HttpMessage&) {
-    auto response = http::HttpMessage::response(200, "OK");
-    response.headers.set("CONTENT-TYPE", "text/xml");
-    response.headers.set("SERVER", "INDISS-sim/1.0 UPnP/1.0");
-    response.body = description_.to_xml();
-    return response;
+  http_server_->route("/description.xml", [this]() {
+    return http_response("200 OK", "INDISS-sim/1.0 UPnP/1.0",
+                         description_.to_xml());
   });
   // Sample control endpoint so examples can invoke the clock service.
   for (const auto& service : description_.services) {
-    http_server_->route(service.control_url, [](const http::HttpMessage&) {
-      auto response = http::HttpMessage::response(200, "OK");
-      response.headers.set("CONTENT-TYPE", "text/xml");
-      response.body =
+    http_server_->route(service.control_url, []() {
+      return http_response(
+          "200 OK", {},
           "<?xml version=\"1.0\"?>\n"
           "<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">"
           "<s:Body><u:GetTimeResponse><CurrentTime>00:00:00"
-          "</CurrentTime></u:GetTimeResponse></s:Body></s:Envelope>\n";
-      return response;
+          "</CurrentTime></u:GetTimeResponse></s:Body></s:Envelope>\n");
     });
   }
 

@@ -1,16 +1,51 @@
 #include "upnp/http_server.hpp"
 
+#include <vector>
+
 #include "http/parser.hpp"
 
 namespace indiss::upnp {
 
-struct HttpServer::Connection : std::enable_shared_from_this<Connection> {
+Bytes http_response(std::string_view status, std::string_view server,
+                    std::string_view body) {
+  std::string out = "HTTP/1.1 ";
+  out += status;
+  out += "\r\n";
+  if (!body.empty()) out += "CONTENT-TYPE: text/xml\r\n";
+  if (!server.empty()) {
+    out += "SERVER: ";
+    out += server;
+    out += "\r\n";
+  }
+  out += "Content-Length: ";
+  out += std::to_string(body.size());
+  out += "\r\n\r\n";
+  out += body;
+  return to_bytes(out);
+}
+
+/// One accepted connection: its parser collects the target of every complete
+/// request, and each is answered once the bytes that completed it are
+/// parsed.
+struct HttpServer::Connection : http::HttpEventHandler {
   explicit Connection(std::shared_ptr<transport::TcpSocket> s)
-      : socket(std::move(s)), parser(collector) {}
+      : socket(std::move(s)), parser(*this) {}
 
   std::shared_ptr<transport::TcpSocket> socket;
-  http::MessageCollector collector;
   http::HttpParser parser;
+  std::string target;                // of the message being parsed
+  std::vector<std::string> pending;  // targets of complete messages
+
+  void on_request_line(std::string_view, std::string_view request_target,
+                       std::string_view) override {
+    target.assign(request_target);
+  }
+  // A response sent to the server has no target: it is answered as one
+  // for an unknown path.
+  void on_status_line(int, std::string_view, std::string_view) override {
+    target.clear();
+  }
+  void on_message_complete() override { pending.push_back(target); }
 };
 
 HttpServer::HttpServer(transport::Transport& host, std::uint16_t port,
@@ -43,33 +78,25 @@ void HttpServer::on_accept(std::shared_ptr<transport::TcpSocket> socket) {
       connection->socket->close();
       return;
     }
-    auto& messages = connection->collector.messages();
-    while (!messages.empty()) {
-      http::HttpMessage request = std::move(messages.front());
-      messages.erase(messages.begin());
-      respond(connection, request);
+    for (const std::string& target : connection->pending) {
+      respond(connection, target);
     }
+    connection->pending.clear();
   });
 }
 
 void HttpServer::respond(const std::shared_ptr<Connection>& connection,
-                         const http::HttpMessage& request) {
-  requests_served_ += 1;
-  http::HttpMessage response;
-  auto it = routes_.find(request.target);
-  if (it == routes_.end()) {
-    response = http::HttpMessage::response(404, "Not Found");
-    response.headers.set("Content-Length", "0");
-  } else {
-    response = it->second(request);
-  }
+                         const std::string& target) {
+  auto it = routes_.find(target);
+  Bytes response = it == routes_.end() ? http_response("404 Not Found", {}, {})
+                                       : it->second();
   // Device-stack processing cost before the response hits the wire.
-  host_.schedule(
-      handling_delay_, [connection, response = std::move(response)]() {
-        if (connection->socket->open()) {
-          connection->socket->send(response.serialize_bytes());
-        }
-      });
+  host_.schedule(handling_delay_,
+                 [connection, response = std::move(response)]() {
+                   if (connection->socket->open()) {
+                     connection->socket->send(response);
+                   }
+                 });
 }
 
 }  // namespace indiss::upnp

@@ -103,8 +103,6 @@ void SsdpReader::on_body(std::string_view chunk) { body_.append(chunk); }
 
 void SsdpReader::on_message_complete() { complete_ = true; }
 
-void SsdpReader::on_parse_error(std::string_view) {}
-
 SsdpReader::Kind SsdpReader::read(BytesView datagram) {
   seen_ = 0;
   method_.clear();

@@ -136,7 +136,6 @@ class SsdpReader : private http::HttpEventHandler {
   void on_header(std::string_view name, std::string_view value) override;
   void on_body(std::string_view chunk) override;
   void on_message_complete() override;
-  void on_parse_error(std::string_view reason) override;
 
   [[nodiscard]] bool has(Field f) const { return (seen_ >> f) & 1U; }
   [[nodiscard]] std::string_view field(Field f) const {

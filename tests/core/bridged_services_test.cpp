@@ -22,6 +22,7 @@
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 #include "upnp/http_client.hpp"
+#include "upnp/ssdp.hpp"
 
 #include "tests/support/alloc_meter.hpp"
 
@@ -312,8 +313,13 @@ TEST_F(TableFixture, UpnpDescriptionRoutesGoWithTheirDevices) {
                    *Uri::parse("http://10.0.0.3:4100/indiss/" +
                                      std::to_string(device_index) +
                                      "/description.xml"),
-                   [&](std::optional<http::HttpMessage> response) {
-                     status = response ? response->status : -1;
+                   [&](std::optional<Bytes> response) {
+                     upnp::SsdpReader reader;
+                     status = response.has_value() &&
+                                      reader.read(*response) ==
+                                          upnp::SsdpReader::Kind::kHttpResponse
+                                  ? reader.status()
+                                  : -1;
                    });
     scheduler.run_for(sim::seconds(1));
     return status;

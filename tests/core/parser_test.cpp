@@ -7,6 +7,7 @@
 #include "jini/discovery.hpp"
 #include "slp/wire.hpp"
 #include "upnp/description.hpp"
+#include "upnp/http_server.hpp"
 #include "upnp/ssdp.hpp"
 
 namespace indiss::core {
@@ -124,20 +125,17 @@ TEST(SsdpParser, SearchResponseLacksServUrlButHasDescriptionUrl) {
 }
 
 TEST(SsdpParser, HttpDescriptionResponseEmitsParserSwitch) {
-  auto description = upnp::make_clock_device();
-  auto http = http::HttpMessage::response(200, "OK");
-  http.headers.set("CONTENT-TYPE", "text/xml");
-  http.body = description.to_xml();
+  std::string xml = upnp::make_clock_device().to_xml();
 
   SsdpEventParser parser;
   CollectingSink sink;
   MessageContext ctx;
-  parser.parse(to_bytes(http.serialize()), ctx, sink);
+  parser.parse(upnp::http_response("200 OK", {}, xml), ctx, sink);
   const EventStream& s = sink.stream();
   const Event* sw = find_event(s, EventType::kControlParserSwitch);
   ASSERT_NE(sw, nullptr);
   EXPECT_EQ(sw->get("parser"), "upnp-xml");
-  EXPECT_EQ(sw->get("payload"), http.body);
+  EXPECT_EQ(sw->get("payload"), xml);
   // The SSDP parser stops at the switch; SDP_C_STOP comes from the XML
   // parser continuation.
   EXPECT_NE(s.back().type, EventType::kControlStop);

@@ -2,9 +2,14 @@
 // device behaviour and control-point discovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "core/units/upnp_unit.hpp"
 #include "net/host.hpp"
 #include "net/udp.hpp"
 #include "net/network.hpp"
@@ -603,41 +608,386 @@ TEST_F(UpnpFixture, SearchCompleteDeliversAllDevices) {
   EXPECT_EQ(all.size(), 2u);
 }
 
+/// Reads a fetched response the way the control point does.
+struct FetchedResponse {
+  SsdpReader::Kind kind = SsdpReader::Kind::kInvalid;
+  int status = 0;
+  std::string body;
+};
+
+FetchedResponse read_fetched(BytesView response) {
+  SsdpReader reader;
+  FetchedResponse fetched;
+  fetched.kind = reader.read(response);
+  fetched.status = reader.status();
+  fetched.body = reader.body();
+  return fetched;
+}
+
 TEST_F(UpnpFixture, HttpGetAgainstDeviceServer) {
   RootDevice device(device_host, make_clock_device(), 4004);
   device.start();
-  std::optional<http::HttpMessage> response;
+  std::optional<Bytes> response;
   http_get(client_host,
            *Uri::parse("http://10.0.0.2:4004/description.xml"),
-           [&](std::optional<http::HttpMessage> r) { response = std::move(r); });
+           [&](std::optional<Bytes> r) { response = std::move(r); });
   scheduler.run_for(sim::seconds(1));
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 200);
-  EXPECT_TRUE(DeviceDescription::from_xml(response->body).has_value());
+  FetchedResponse fetched = read_fetched(*response);
+  EXPECT_EQ(fetched.kind, SsdpReader::Kind::kHttpResponse);
+  EXPECT_EQ(fetched.status, 200);
+  EXPECT_TRUE(DeviceDescription::from_xml(fetched.body).has_value());
 }
 
 TEST_F(UpnpFixture, HttpGet404ForUnknownPath) {
   RootDevice device(device_host, make_clock_device(), 4004);
   device.start();
-  std::optional<http::HttpMessage> response;
+  std::optional<Bytes> response;
   http_get(client_host, *Uri::parse("http://10.0.0.2:4004/nope"),
-           [&](std::optional<http::HttpMessage> r) { response = std::move(r); });
+           [&](std::optional<Bytes> r) { response = std::move(r); });
   scheduler.run_for(sim::seconds(1));
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 404);
+  EXPECT_EQ(read_fetched(*response).status, 404);
+}
+
+// The client hands over the bytes of the first response exactly as
+// received: a second message in the same segment is cut off, and a response
+// without Content-Length runs to the close.
+TEST_F(UpnpFixture, HttpGetHandsOverTheFirstResponseAsReceived) {
+  const std::string first =
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 3\r\n\r\nabc";
+  const std::string until_close =
+      "HTTP/1.1 200 OK\r\nSERVER: x\r\n\r\n<root/>";
+  std::string reply;
+  std::vector<std::shared_ptr<transport::TcpSocket>> accepted;
+  auto listener = device_host.listen_tcp(4004);
+  listener->set_accept_handler(
+      [&](std::shared_ptr<transport::TcpSocket> socket) {
+        transport::TcpSocket* server = socket.get();
+        socket->set_data_handler([&, server](BytesView) {
+          server->send(to_bytes(reply));
+          // A simulated close drops bytes still in flight.
+          device_host.schedule(sim::millis(10),
+                               [server]() { server->close(); });
+        });
+        accepted.push_back(std::move(socket));
+      });
+  auto fetch = [&](std::string bytes) {
+    reply = std::move(bytes);
+    std::optional<Bytes> response;
+    http_get(client_host, *Uri::parse("http://10.0.0.2:4004/description.xml"),
+             [&](std::optional<Bytes> r) { response = std::move(r); });
+    scheduler.run_for(sim::seconds(1));
+    return response;
+  };
+
+  EXPECT_EQ(fetch(first + "HTTP/1.1 200 OK\r\n\r\n"), to_bytes(first));
+  EXPECT_EQ(fetch(until_close), to_bytes(until_close));
+  EXPECT_FALSE(fetch(first.substr(0, first.size() - 1)).has_value())
+      << "a response cut short by the close is no response";
 }
 
 TEST_F(UpnpFixture, HttpGetConnectionRefusedReportsFailure) {
   bool called = false;
-  std::optional<http::HttpMessage> response;
+  std::optional<Bytes> response;
   http_get(client_host, *Uri::parse("http://10.0.0.2:4004/description.xml"),
-           [&](std::optional<http::HttpMessage> r) {
+           [&](std::optional<Bytes> r) {
              called = true;
              response = std::move(r);
            });
   scheduler.run_for(sim::seconds(1));
   EXPECT_TRUE(called);
   EXPECT_FALSE(response.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Exact HTTP bytes on TCP. Raw sockets capture what goes on the wire, so
+// these goldens pin the request and response writers whatever builds the
+// frames: the gateway's description GET, the 200s a native device and the
+// gateway's impersonated device serve, and the 404.
+// ---------------------------------------------------------------------------
+
+std::string text_of(BytesView data) {
+  return std::string(reinterpret_cast<const char*>(data.data()), data.size());
+}
+
+/// Passes every event a wrapped parser emits on, logging it first.
+class RecordingParser : public core::SdpParser {
+ public:
+  RecordingParser(std::unique_ptr<core::SdpParser> inner,
+                  std::vector<std::string>& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+  void parse(BytesView raw, const core::MessageContext& ctx,
+             core::EventSink& sink) override {
+    struct Sink : core::EventSink {
+      core::EventSink& inner;
+      std::vector<std::string>& log;
+      Sink(core::EventSink& i, std::vector<std::string>& l)
+          : inner(i), log(l) {}
+      void emit(core::Event event) override {
+        log.push_back(event.to_string());
+        inner.emit(std::move(event));
+      }
+      core::Event scratch(core::EventType type) override {
+        return inner.scratch(type);
+      }
+    } recording(sink, log_);
+    inner_->parse(raw, ctx, recording);
+  }
+
+ private:
+  std::unique_ptr<core::SdpParser> inner_;
+  std::vector<std::string>& log_;
+};
+
+/// The UPnP unit with both of its parsers logging what they emit.
+struct RecordingUpnpUnit : core::UpnpUnit {
+  RecordingUpnpUnit(transport::Transport& host, core::UpnpUnitConfig config)
+      : UpnpUnit(host, {}, config) {
+    register_parser(std::make_unique<RecordingParser>(
+        std::make_unique<core::SsdpEventParser>(), events));
+    register_parser(std::make_unique<RecordingParser>(
+        std::make_unique<core::UpnpDescriptionParser>(), events));
+  }
+  using UpnpUnit::on_advertisement;
+
+  std::vector<std::string> events;
+};
+
+constexpr std::string_view kSmallDescription =
+    "<?xml version=\"1.0\"?>\n"
+    "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">"
+    "<specVersion><major>1</major><minor>0</minor></specVersion>"
+    "<device><deviceType>urn:schemas-upnp-org:device:clock:1</deviceType>"
+    "<friendlyName>Clock</friendlyName><UDN>uuid:Clock</UDN>"
+    "<serviceList><service><controlURL>/control</controlURL></service>"
+    "</serviceList></device></root>\n";
+
+/// The description the gateway serves for a bridged clock service.
+constexpr char kBridgedClockXml[] =
+    "<?xml version=\"1.0\"?>\n"
+    "<root xmlns=\"urn:schemas-upnp-org:device-1-0\">\n"
+    "  <specVersion>\n"
+    "    <major>1</major>\n"
+    "    <minor>0</minor>\n"
+    "  </specVersion>\n"
+    "  <device>\n"
+    "    <deviceType>urn:schemas-upnp-org:device:clock:1</deviceType>\n"
+    "    <friendlyName>INDISS bridged clock</friendlyName>\n"
+    "    <manufacturer>INDISS</manufacturer>\n"
+    "    <modelDescription>Foreign clock service bridged by INDISS"
+    "</modelDescription>\n"
+    "    <modelName>clock</modelName>\n"
+    "    <UDN>uuid:indiss-1</UDN>\n"
+    "    <serviceList>\n"
+    "      <service>\n"
+    "        <serviceType>urn:schemas-upnp-org:service:clock:1</serviceType>\n"
+    "        <serviceId>urn:upnp-org:serviceId:clock</serviceId>\n"
+    "        <SCPDURL>/indiss/1/description.xml</SCPDURL>\n"
+    "        <controlURL>soap://10.0.1.7:4005/clock</controlURL>\n"
+    "        <eventSubURL>soap://10.0.1.7:4005/clock</eventSubURL>\n"
+    "      </service>\n"
+    "    </serviceList>\n"
+    "  </device>\n"
+    "</root>\n";
+
+/// What the unit's parsers emit for kSmallDescription served with a 200,
+/// whichever way the response is framed: SDP_C_PARSER_SWITCH hands the
+/// body to the description parser, which closes the stream.
+const std::vector<std::string> kExpectedDescriptionEvents = {
+    "SDP_C_START",
+    "SDP_NET_TYPE{sdp=upnp}",
+    "SDP_NET_UNICAST",
+    "SDP_NET_SOURCE_ADDR{addr=0.0.0.0, port=0, local=0}",
+    "SDP_RES_OK",
+    "SDP_C_PARSER_SWITCH{parser=upnp-xml, payload=" +
+        std::string(kSmallDescription) + "}",
+    "SDP_SERVICE_ATTR{key=friendlyName, value=Clock}",
+    "SDP_SERVICE_ATTR{key=major, value=1}",
+    "SDP_SERVICE_ATTR{key=minor, value=0}",
+    "SDP_SERVICE_TYPE{type=clock, native=urn:schemas-upnp-org:device:clock:1}",
+    "SDP_RES_SERV_URL{url=/control, scheme=soap}",
+    "SDP_C_STOP",
+};
+
+struct HttpGolden : UpnpFixture {
+  net::Host& gateway_host =
+      network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+
+  /// Sends `request` on a fresh connection from the control point's host
+  /// and returns every byte that comes back within a second.
+  std::string exchange(std::uint16_t port, std::string_view request,
+                       net::IpAddress to = net::IpAddress(10, 0, 0, 2)) {
+    std::string received;
+    auto socket = client_host.connect_tcp(net::Endpoint{to, port});
+    EXPECT_NE(socket, nullptr);
+    if (socket == nullptr) return received;
+    socket->set_data_handler(
+        [&received](BytesView data) { received += text_of(data); });
+    socket->send(to_bytes(std::string(request)));
+    scheduler.run_for(sim::seconds(1));
+    socket->close();
+    scheduler.run_for(sim::seconds(1));  // deliver the FIN
+    return received;
+  }
+
+  /// Runs a probe through `unit` whose one SSDP answer points at a
+  /// description server on the device's host. The server replies
+  /// `response` to the first request, then closes the connection when
+  /// `close_after` (read-until-close framing). Returns the request bytes
+  /// the server read.
+  std::string chase_description(RecordingUpnpUnit& unit,
+                                const std::string& response,
+                                bool close_after) {
+    auto ssdp = device_host.open_udp(kSsdpPort);
+    ssdp->join_group(kSsdpMulticastGroup);
+    transport::UdpSocket* responder = ssdp.get();
+    ssdp->set_receive_handler([responder](const net::Datagram& datagram) {
+      SearchResponse answer;
+      answer.st = "urn:schemas-upnp-org:device:clock:1";
+      answer.usn = "uuid:Clock::urn:schemas-upnp-org:device:clock:1";
+      answer.location = "http://10.0.0.2:4004/description.xml";
+      responder->send_to(datagram.source, encode(answer));
+    });
+    std::string request;
+    std::vector<std::shared_ptr<transport::TcpSocket>> accepted;
+    auto listener = device_host.listen_tcp(4004);
+    listener->set_accept_handler(
+        [&](std::shared_ptr<transport::TcpSocket> socket) {
+          transport::TcpSocket* server = socket.get();
+          socket->set_data_handler([&, server](BytesView data) {
+            request += text_of(data);
+            if (request.find("\r\n\r\n") == std::string::npos) return;
+            server->send(to_bytes(response));
+            // A simulated close drops bytes still in flight: let the
+            // response land first.
+            if (close_after) {
+              device_host.schedule(sim::millis(10),
+                                   [server]() { server->close(); });
+            }
+          });
+          accepted.push_back(std::move(socket));
+        });
+    unit.probe("clock");
+    scheduler.run_for(sim::seconds(2));
+    listener->close();
+    ssdp->close();
+    return request;
+  }
+
+  /// The events the unit's parsers emitted from the description response
+  /// on: the last SDP_C_START and everything after it.
+  static std::vector<std::string> description_events(
+      const RecordingUpnpUnit& unit) {
+    auto start = std::find(unit.events.rbegin(), unit.events.rend(),
+                           std::string("SDP_C_START"));
+    if (start == unit.events.rend()) return {};
+    return std::vector<std::string>(std::prev(start.base()),
+                                    unit.events.end());
+  }
+};
+
+TEST_F(HttpGolden, UnitDescriptionGetBytes) {
+  RecordingUpnpUnit unit(gateway_host, {});
+  std::string response = "HTTP/1.1 200 OK\r\nContent-Length: " +
+                         std::to_string(kSmallDescription.size()) +
+                         "\r\n\r\n" + std::string(kSmallDescription);
+  EXPECT_EQ(chase_description(unit, response, false),
+            "GET /description.xml HTTP/1.1\r\n"
+            "HOST: 10.0.0.2:4004\r\n"
+            "\r\n");
+}
+
+TEST_F(HttpGolden, UnitEventsForContentLengthResponse) {
+  RecordingUpnpUnit unit(gateway_host, {});
+  std::string response =
+      "HTTP/1.1 200 OK\r\nCONTENT-TYPE: text/xml\r\nContent-Length: " +
+      std::to_string(kSmallDescription.size()) + "\r\n\r\n" +
+      std::string(kSmallDescription);
+  chase_description(unit, response, false);
+  EXPECT_EQ(description_events(unit), kExpectedDescriptionEvents);
+}
+
+TEST_F(HttpGolden, UnitEventsForResponseReadUntilClose) {
+  RecordingUpnpUnit unit(gateway_host, {});
+  std::string response = "HTTP/1.1 200 OK\r\nSERVER: x\r\n\r\n" +
+                         std::string(kSmallDescription);
+  chase_description(unit, response, true);
+  EXPECT_EQ(description_events(unit), kExpectedDescriptionEvents);
+}
+
+TEST_F(HttpGolden, UnitImpersonatedDeviceResponseBytes) {
+  core::UpnpUnitConfig config;
+  config.http_port = 4100;
+  RecordingUpnpUnit unit(gateway_host, config);
+  core::Session session;
+  session.id = 1;
+  session.origin = core::Session::Origin::kPeer;
+  session.set_var("kind", "alive");
+  session.set_var("service_type", "clock");
+  session.collected.push_back(core::Event(core::EventType::kControlStart));
+  session.collected.push_back(core::Event(core::EventType::kServiceAlive));
+  session.collected.push_back(core::Event(
+      core::EventType::kResServUrl, {{"url", "soap://10.0.1.7:4005/clock"}}));
+  session.collected.push_back(core::Event(core::EventType::kControlStop));
+  unit.on_advertisement(session);
+  ASSERT_EQ(unit.impersonated_devices(), 1u);
+
+  EXPECT_EQ(exchange(4100,
+                     "GET /indiss/1/description.xml HTTP/1.1\r\n"
+                     "HOST: 10.0.0.3:4100\r\n\r\n",
+                     net::IpAddress(10, 0, 0, 3)),
+            "HTTP/1.1 200 OK\r\n"
+            "CONTENT-TYPE: text/xml\r\n"
+            "SERVER: INDISS-bridge/1.0 UPnP/1.0\r\n"
+            "Content-Length: 854\r\n"
+            "\r\n" +
+                std::string(kBridgedClockXml));
+}
+
+TEST_F(HttpGolden, RootDeviceDescriptionResponseBytes) {
+  RootDevice device(device_host, make_clock_device(), 4004);
+  device.start();
+  EXPECT_EQ(exchange(4004,
+                     "GET /description.xml HTTP/1.1\r\n"
+                     "HOST: 10.0.0.2:4004\r\n\r\n"),
+            "HTTP/1.1 200 OK\r\n"
+            "CONTENT-TYPE: text/xml\r\n"
+            "SERVER: INDISS-sim/1.0 UPnP/1.0\r\n"
+            "Content-Length: 990\r\n"
+            "\r\n" +
+                std::string(kClockXml));
+}
+
+TEST_F(HttpGolden, RootDeviceControlResponseBytes) {
+  RootDevice device(device_host, make_clock_device(), 4004);
+  device.start();
+  EXPECT_EQ(exchange(4004,
+                     "GET /service/timer/control HTTP/1.1\r\n"
+                     "HOST: 10.0.0.2:4004\r\n\r\n"),
+            "HTTP/1.1 200 OK\r\n"
+            "CONTENT-TYPE: text/xml\r\n"
+            "Content-Length: 191\r\n"
+            "\r\n"
+            "<?xml version=\"1.0\"?>\n"
+            "<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+            "<s:Body><u:GetTimeResponse><CurrentTime>00:00:00"
+            "</CurrentTime></u:GetTimeResponse></s:Body></s:Envelope>\n");
+}
+
+TEST_F(HttpGolden, NotFoundBytes) {
+  RootDevice device(device_host, make_clock_device(), 4004);
+  device.start();
+  EXPECT_EQ(exchange(4004,
+                     "GET /nope HTTP/1.1\r\n"
+                     "HOST: 10.0.0.2:4004\r\n\r\n"),
+            "HTTP/1.1 404 Not Found\r\n"
+            "Content-Length: 0\r\n"
+            "\r\n");
 }
 
 }  // namespace
