@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/indiss.hpp"
@@ -224,8 +225,33 @@ ChaosOutcome run_chaos_scenario(std::uint64_t seed) {
   return outcome;
 }
 
+// The fingerprints of seeds 11, 23 and 24, pinned as literals: bridged-state
+// refactors must leave every seeded hostile run bit-identical.
+constexpr std::string_view kChaosFingerprint11 =
+    "313|218|78|1|39|1858|99|http://10.0.0.2:4004/description.xml;"
+    "soap://10.0.0.5:4007/mdns-clock;"
+    "service:clock:soap://10.0.0.5:4007/mdns-clock;"
+    "http://10.0.0.2:4004/description.xml;";
+constexpr std::string_view kChaosFingerprint23 =
+    "316|167|81|1|34|1913|108|http://10.0.0.2:4004/description.xml;"
+    "soap://10.0.0.5:4007/mdns-clock;"
+    "service:clock:soap://10.0.0.5:4007/mdns-clock;"
+    "service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "bridged-by:\"INDISS\";bridged-by:\"INDISS\";bridged-by:\"INDISS\";"
+    "service:clock:http://10.0.0.2:4004/description.xml;"
+    "bridged-by:\"INDISS\";bridged-by:\"INDISS\";bridged-by:\"INDISS\";"
+    "service:clock:soap://10.0.0.5:4007/mdns-clock;"
+    "bridged-by:\"INDISS\";bridged-by:\"INDISS\";bridged-by:\"INDISS\";"
+    "http://10.0.0.2:4004/description.xml;";
+constexpr std::string_view kChaosFingerprint24 =
+    "289|221|91|1|35|1856|105|http://10.0.0.2:4004/description.xml;"
+    "soap://10.0.0.5:4007/mdns-clock;"
+    "service:clock:soap://10.0.0.5:4007/mdns-clock;"
+    "http://10.0.0.2:4004/description.xml;";
+
 TEST(ChaosChurn, GatewaySurvivesChurnFloodAndPartitionWithDefensesOn) {
   ChaosOutcome outcome = run_chaos_scenario(/*seed=*/11);
+  EXPECT_EQ(outcome.fingerprint, kChaosFingerprint11);
 
   EXPECT_EQ(outcome.plan_fired, outcome.plan_size) << "scripted steps ran";
   EXPECT_GT(outcome.rate_limited, 0u) << "the flood must hit the limiter";
@@ -245,7 +271,9 @@ TEST(ChaosChurn, HostileRunsAreBitIdenticalUnderTheSameSeed) {
   ChaosOutcome a = run_chaos_scenario(/*seed=*/23);
   ChaosOutcome b = run_chaos_scenario(/*seed=*/23);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.fingerprint, kChaosFingerprint23);
   ChaosOutcome c = run_chaos_scenario(/*seed=*/24);
+  EXPECT_EQ(c.fingerprint, kChaosFingerprint24);
   EXPECT_NE(a.fingerprint, c.fingerprint)
       << "a different seed must actually vary the hostile run";
 }

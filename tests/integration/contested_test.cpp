@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -317,8 +318,31 @@ RoamOutcome run_roaming_scenario(std::uint64_t seed) {
   return outcome;
 }
 
+// The fingerprints of seeds 41, 43 and 44, pinned as literals: bridged-state
+// refactors must leave every seeded roaming run bit-identical.
+constexpr std::string_view kRoamingFingerprint41 =
+    "34|1|0|0|6|client -> zone 1;client -> zone 0;chaff -> zone 2;"
+    "chaff -> zone 0;chaff -> zone 2;chaff -> zone 0;chaff -> zone 2;"
+    "chaff -> zone 1;[service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "][][service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "]soap://10.0.0.4:4006/mdns-clock;";
+constexpr std::string_view kRoamingFingerprint43 =
+    "37|1|0|0|3|client -> zone 1;client -> zone 0;chaff -> zone 1;"
+    "chaff -> zone 0;chaff -> zone 2;chaff -> zone 1;chaff -> zone 2;"
+    "chaff -> zone 0;chaff -> zone 1;chaff -> zone 2;"
+    "[service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "][][service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "]soap://10.0.0.4:4006/mdns-clock;";
+constexpr std::string_view kRoamingFingerprint44 =
+    "23|3|0|0|5|client -> zone 1;client -> zone 0;chaff -> zone 1;"
+    "chaff -> zone 2;chaff -> zone 0;chaff -> zone 1;chaff -> zone 2;"
+    "chaff -> zone 1;[service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "][][service:clock:soap://10.0.0.4:4006/mdns-clock;"
+    "]soap://10.0.0.4:4006/mdns-clock;";
+
 TEST(ContestedMobility, DiscoveryTracksTheClientsReachabilityZone) {
   RoamOutcome outcome = run_roaming_scenario(/*seed=*/41);
+  EXPECT_EQ(outcome.fingerprint, kRoamingFingerprint41);
   EXPECT_TRUE(outcome.found_in_range)
       << "in-range discovery must work through the lossy link";
   EXPECT_TRUE(outcome.lost_out_of_range)
@@ -334,7 +358,9 @@ TEST(ContestedMobility, RoamingRunsAreBitIdenticalUnderTheSameSeed) {
   RoamOutcome a = run_roaming_scenario(/*seed=*/43);
   RoamOutcome b = run_roaming_scenario(/*seed=*/43);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.fingerprint, kRoamingFingerprint43);
   RoamOutcome c = run_roaming_scenario(/*seed=*/44);
+  EXPECT_EQ(c.fingerprint, kRoamingFingerprint44);
   EXPECT_NE(a.fingerprint, c.fingerprint)
       << "a different seed must vary both the link faults and the roaming";
 }
