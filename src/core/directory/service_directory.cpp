@@ -84,6 +84,7 @@ bool ServiceDirectory::record_advertisement(SdpId origin,
   Symbol record_type = record.canonical_type;
   bucket_for(record_type)[record_type].push_back(url);
   if (wkey != 0) by_wire_[wkey] = url;
+  if (record.usn != kNoSymbol) by_usn_[record.usn].push_back(url);
   records_.emplace(url, std::move(record));
   sdp_stats(origin).records_stored += 1;
   bump_type_epoch(record_type);
@@ -96,18 +97,13 @@ std::size_t ServiceDirectory::withdraw(SdpId origin,
   AdvertView v = scan_advert(stream);
   SymbolTable& table = SymbolTable::global();
 
-  Symbol url = v.url.empty() ? kNoSymbol : table.find(v.url);
-  if (url == kNoSymbol && !v.usn.empty()) {
+  Symbol url = kNoSymbol;
+  if (!v.url.empty()) {
+    url = table.find(v.url);
+  } else if (!v.usn.empty()) {
     // Byebyes may carry only a USN (UPnP): resolve the record by it.
-    Symbol usn = table.find(v.usn);
-    if (usn != kNoSymbol) {
-      for (const auto& [key, record] : records_) {
-        if (record.usn == usn) {
-          url = key;
-          break;
-        }
-      }
-    }
+    auto carriers = by_usn_.find(table.find(v.usn));
+    if (carriers != by_usn_.end()) url = carriers->second.front();
   }
   if (url == kNoSymbol || records_.find(url) == records_.end()) return 0;
   erase_record(url);
@@ -190,6 +186,12 @@ void ServiceDirectory::unindex(const Record& record) {
   if (record.wire_key != 0) {
     auto wit = by_wire_.find(record.wire_key);
     if (wit != by_wire_.end() && wit->second == record.url) by_wire_.erase(wit);
+  }
+  if (record.usn != kNoSymbol) {
+    auto carriers = by_usn_.find(record.usn);
+    auto& urls = carriers->second;
+    urls.erase(std::find(urls.begin(), urls.end(), record.url));
+    if (urls.empty()) by_usn_.erase(carriers);
   }
 }
 

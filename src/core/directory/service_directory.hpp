@@ -131,8 +131,9 @@ class ServiceDirectory {
   bool record_advertisement(SdpId origin, const EventStream& stream,
                             BytesView wire, transport::TimePoint now);
 
-  /// Tombstones the record a byebye stream withdraws (matched by URL, then
-  /// by USN). Returns how many records were erased.
+  /// Tombstones the record a byebye stream withdraws: the one its URL
+  /// names or, when it names none, the oldest record carrying its USN (the
+  /// units' rule). Returns how many records were erased.
   std::size_t withdraw(SdpId origin, const EventStream& stream);
 
   /// TranslationCache short-circuit hook: re-arms the deadline of the record
@@ -234,8 +235,8 @@ class ServiceDirectory {
     return buckets_[static_cast<std::size_t>(type) % buckets_.size()];
   }
 
-  /// Drops `record` from the type and wire indexes, and so changes what
-  /// its type answers.
+  /// Drops `record` from the type, wire and USN indexes, and so changes
+  /// what its type answers.
   void unindex(const Record& record);
   /// Counts the fresh, current-generation records of `type` (what collect()
   /// returns) and reports the earliest deadline among them.
@@ -258,6 +259,8 @@ class ServiceDirectory {
   std::unordered_map<Symbol, Record> records_;  // by URL symbol
   std::vector<TypeBucket> buckets_;             // type -> URLs, hash-sharded
   std::unordered_map<std::uint64_t, Symbol> by_wire_;  // advert wire -> URL
+  /// Per USN, the URLs of the records carrying it, oldest first.
+  std::unordered_map<Symbol, std::vector<Symbol>> by_usn_;
   std::vector<Answer> answers_;
   /// Per-type answer epochs; never erased, so an epoch never repeats.
   std::unordered_map<Symbol, std::uint64_t> type_epochs_;

@@ -134,8 +134,6 @@ void Indiss::subscribe_units() {
 }
 
 void Indiss::run_expiry_sweep() {
-  // The bugfix for sweep-on-touch-only expiry: an idle unit's dead entries
-  // now age out on the timer even when no further message ever arrives.
   for (auto& [sdp, unit] : units_) unit->sweep_bridged_state();
   if (directory_ != nullptr) directory_->sweep(host_.now());
 }

@@ -206,7 +206,6 @@ void Unit::on_native_message(const net::Datagram& datagram) {
     if (dir != nullptr &&
         dir->replay_answer(sdp_, datagram.payload, datagram.source, now())) {
       dir->count_answered(sdp_);
-      stats_.directory_answers += 1;
       return;
     }
 
@@ -514,7 +513,6 @@ bool Unit::try_answer_from_directory(Session& session) {
   }
   session.set_var("directory_answer", "1");
   dir->count_answered(sdp_);
-  stats_.directory_answers += 1;
 
   std::uint64_t id = session.id;
   schedule_hop([this, id, stream = std::move(stream)]() {
@@ -564,20 +562,59 @@ void Unit::do_switch(Session& session, const Event& event) {
 
 void Unit::compose_follow_up(Session&, const Event&) {}
 
-void Unit::on_advertisement(Session&) {}
+void Unit::on_advertisement(Session& session) {
+  // View-based extraction: the alive refresh (the steady-state case for a
+  // chatty announcer) touches only views into the session's events.
+  AdvertView advert = scan_advert(session.collected);
+  if (session.var("kind") == "byebye") {
+    const ForeignService* known = advert.url.empty()
+                                      ? bridged_.oldest_with_usn(advert.usn)
+                                      : bridged_.find(advert.url);
+    if (known == nullptr) return;
+    forget_bridged(*known, Forget::kWithdrawn);
+    bridged_.erase_url(known->url);
+    return;
+  }
+  std::string_view type = session.var("service_type");
+  if (advert.url.empty() || !meaningful_advert_type(type)) return;
+  auto [service, fresh] = bridge(type, advert);
+  on_bridged(session, service, fresh);
+}
 
-std::size_t Unit::expire_bridged_state(transport::TimePoint) { return 0; }
+Unit::Bridged Unit::bridge(std::string_view type, const AdvertView& advert) {
+  // The deadline reads the advert's first SDP_RES_TTL, or kDefaultAdvertTtl
+  // when that is absent or not positive.
+  transport::TimePoint deadline =
+      now() + (advert.first_ttl_seconds > 0
+                   ? transport::seconds(advert.first_ttl_seconds)
+                   : kDefaultAdvertTtl);
+  if (ForeignService* known = bridged_.find(advert.url)) {
+    known->expires_at = deadline;
+    return {*known, false};
+  }
+  ForeignService service;
+  service.canonical_type.assign(type);
+  service.url.assign(advert.url);
+  service.usn.assign(advert.usn);
+  service.expires_at = deadline;
+  return {bridged_.insert(std::move(service)), true};
+}
+
+void Unit::on_bridged(Session&, ForeignService&, bool) {}
+
+void Unit::forget_bridged(const ForeignService&, Forget) {}
+
+std::size_t Unit::expire_bridged_state(transport::TimePoint now) {
+  return bridged_.erase_if([this, now](const ForeignService& service) {
+    if (service.expires_at > now) return false;
+    forget_bridged(service, Forget::kExpired);
+    return true;
+  });
+}
 
 void Unit::sweep_bridged_state() {
   if (!options_.expire_bridged_state) return;
   stats_.bridged_state_expired += expire_bridged_state(now());
-}
-
-transport::TimePoint Unit::bridged_state_deadline(
-    const AdvertView& advert) const {
-  return now() + (advert.first_ttl_seconds > 0
-                      ? transport::seconds(advert.first_ttl_seconds)
-                      : kDefaultAdvertTtl);
 }
 
 }  // namespace indiss::core

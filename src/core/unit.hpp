@@ -32,6 +32,7 @@
 #include "core/session.hpp"
 #include "core/translation_cache.hpp"
 #include "core/types.hpp"
+#include "core/units/bridged_services.hpp"
 #include "net/packet.hpp"
 #include "transport/transport.hpp"
 
@@ -62,14 +63,14 @@ struct UnitOptions {
   /// bounded by this instead of accumulating for a whole kSessionTimeout
   /// (docs/chaos.md).
   std::size_t max_open_sessions = 0;
-  /// When true the unit expires bridged foreign-service state whose
-  /// advertised TTL elapsed. Expiry runs sweep-on-touch (before the unit
-  /// serves or updates its bridged containers) *and* from the gateway's
-  /// low-frequency timer sweep (Indiss schedules it on the transport
-  /// scheduler; docs/chaos.md, docs/directory.md), so an idle unit's dead
-  /// entries age out even when no further message ever arrives. Off by
-  /// default: expiry changes steady-state re-announcement behaviour, so
-  /// calibrated runs keep it off.
+  /// When true the unit's bridged-service table drops the entries whose
+  /// advertised TTL elapsed (Unit::sweep_bridged_state). The one sweep runs
+  /// on touch (before the unit serves or updates its bridged state) *and*
+  /// from the gateway's low-frequency timer (Indiss schedules it on the
+  /// transport scheduler; docs/chaos.md, docs/directory.md), so an idle
+  /// unit's dead entries age out even when no further message ever arrives.
+  /// Off by default: expiry changes steady-state re-announcement behaviour,
+  /// so calibrated runs keep it off.
   bool expire_bridged_state = false;
   /// Directory mode (docs/directory.md): the shared per-gateway service
   /// index (null = off). When set, the unit records every advertisement it
@@ -166,9 +167,6 @@ class Unit {
     std::uint64_t sessions_evicted = 0;
     /// Bridged foreign-service entries expired by TTL sweeps.
     std::uint64_t bridged_state_expired = 0;
-    /// Native queries answered from the service directory (synthesized
-    /// reply streams plus replayed cached answers), never bridged out.
-    std::uint64_t directory_answers = 0;
 
     /// Merge-on-read accumulation across shard instances (docs/sharding.md).
     /// Counters stay plain members — each shard's scheduler thread owns its
@@ -185,7 +183,6 @@ class Unit {
       cache_short_circuits += other.cache_short_circuits;
       sessions_evicted += other.sessions_evicted;
       bridged_state_expired += other.bridged_state_expired;
-      directory_answers += other.directory_answers;
       return *this;
     }
   };
@@ -198,10 +195,16 @@ class Unit {
   /// Looks up a live session (tests and subclasses).
   [[nodiscard]] Session* find_session(std::uint64_t id);
 
+  /// The foreign services this unit bridged into its SDP: one entry per
+  /// URL, in no particular order (bridged_services.hpp).
+  [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
+    return bridged_.entries();
+  }
+
   /// TTL-derived expiry of bridged foreign-service state (docs/chaos.md).
   /// No-op unless options().expire_bridged_state; called lazily before the
   /// unit touches its bridged state (advertisement delivery, native reply
-  /// composition) and callable directly by tests and the context manager.
+  /// composition) and by the gateway's timer sweep.
   void sweep_bridged_state();
 
  protected:
@@ -216,18 +219,48 @@ class Unit {
   virtual void compose_native_request(Session& session) = 0;
   virtual void compose_native_reply(Session& session) = 0;
   virtual void compose_follow_up(Session& session, const Event& event);
-  /// A peer advertisement stream was delivered (alive/byebye). Default:
-  /// ignore (poorest-SDP behaviour).
-  virtual void on_advertisement(Session& session);
-  /// Drops every bridged foreign-service entry whose deadline is <= now and
-  /// returns how many were dropped. Default: no bridged state.
-  virtual std::size_t expire_bridged_state(transport::TimePoint now);
 
-  /// Deadline for bridged state learned from an advertisement: now() plus
-  /// its first SDP_RES_TTL or, when that is absent or not positive,
-  /// kDefaultAdvertTtl.
-  [[nodiscard]] transport::TimePoint bridged_state_deadline(
-      const AdvertView& advert) const;
+  // --- Bridged services (docs/protocols.md) ---------------------------------
+  //
+  // The unit owns the table of foreign services it re-exposes and the one
+  // rule over it; a subclass only reacts through on_bridged and
+  // forget_bridged.
+
+  /// A peer advertisement stream was delivered (deliver_advertisement).
+  /// A byebye forgets the entry its URL names or, when it names none, the
+  /// oldest entry carrying its USN. An alive with a URL and a meaningful
+  /// type goes through bridge() and then on_bridged().
+  void on_advertisement(Session& session);
+
+  /// The one refresh rule: records `advert`'s URL under `type` with a fresh
+  /// deadline, or re-arms the deadline of the entry already holding that
+  /// URL, whatever type the refresh names (a URL still announced is alive).
+  /// Identity fields are never rewritten, so a refresh allocates nothing.
+  /// The UPnP unit also calls it for the services its search replies
+  /// impersonate.
+  struct Bridged {
+    ForeignService& service;
+    bool fresh;  // recorded just now
+  };
+  Bridged bridge(std::string_view type, const AdvertView& advert);
+
+  /// An alive was recorded or refreshed: re-expose the service in this SDP.
+  /// Default: keep the entry only (the SLP unit).
+  virtual void on_bridged(Session& session, ForeignService& service,
+                          bool fresh);
+
+  /// Why an entry leaves the table: a peer withdrew it (byebye), or its TTL
+  /// ran out without a refresh.
+  enum class Forget { kWithdrawn, kExpired };
+  /// `service` is about to be erased: retract what on_bridged put in this
+  /// SDP. Must not touch the table. Default: nothing to retract.
+  virtual void forget_bridged(const ForeignService& service, Forget why);
+
+  /// The one TTL sweep: erases every entry whose deadline is <= now, after
+  /// forget_bridged(kExpired), and returns how many.
+  std::size_t expire_bridged_state(transport::TimePoint now);
+
+  [[nodiscard]] BridgedServiceTable& bridged_services() { return bridged_; }
 
   /// Opens the ephemeral socket the native request for `session` goes out
   /// on (the unit acting as a native client). The socket is marked own,
@@ -377,6 +410,7 @@ class Unit {
   net::Endpoint pending_query_source_{};
   /// collect() scratch (capacity reused across queries).
   std::vector<const ServiceDirectory::Record*> directory_matches_;
+  BridgedServiceTable bridged_;
 };
 
 }  // namespace indiss::core

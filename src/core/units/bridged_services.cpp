@@ -30,18 +30,6 @@ bool BridgedServiceTable::erase_url(std::string_view url) {
   return true;
 }
 
-std::size_t BridgedServiceTable::erase_usn(std::string_view usn) {
-  if (usn.empty()) return 0;
-  std::size_t erased = 0;
-  // erase_at drops the bucket with its last entry.
-  for (auto it = by_usn_.find(usn); it != by_usn_.end();
-       it = by_usn_.find(usn)) {
-    erase_at(it->second.front());
-    erased += 1;
-  }
-  return erased;
-}
-
 void BridgedServiceTable::erase_at(std::size_t index) {
   ForeignService& victim = services_[index];
   by_url_.erase(victim.url);

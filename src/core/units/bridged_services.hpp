@@ -1,6 +1,7 @@
 // The bridged-service table: the foreign services a unit learned about from
-// peer advertisements and re-exposes in its own SDP (the SLP and mDNS units
-// hold one each).
+// peer advertisements and re-exposes in its own SDP. core::Unit holds one
+// per unit and applies the one refresh, withdrawal and expiry rule to it
+// (docs/protocols.md); the units only react to what it records and forgets.
 //
 // Every alive refresh, byebye and TTL sweep of the advertisement path lands
 // here, so the per-message operations are hash lookups instead of scans over
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -29,15 +31,18 @@ namespace indiss::core {
 
 /// A foreign service a unit learned about from peer advertisements.
 struct ForeignService {
+  /// The type it was first learned under; refreshes never rewrite it.
   std::string canonical_type;
   std::string url;
   /// Origin identity when the advertisement carried one (UPnP USN) — the
   /// withdrawal key for byebyes that name no URL.
   std::string usn;
-  std::vector<std::pair<std::string, std::string>> attributes;
-  /// TTL-derived expiry instant (zero = never; only enforced when the unit
-  /// runs with expire_bridged_state — docs/chaos.md).
+  /// TTL-derived expiry instant (enforced only when the unit runs with
+  /// expire_bridged_state — docs/chaos.md).
   transport::TimePoint expires_at{0};
+  /// What the unit put in its own SDP for this service, 0 until then: the
+  /// Jini unit's registrar lease, the UPnP unit's impersonated-device index.
+  std::uint64_t handle = 0;
 };
 
 class BridgedServiceTable {
@@ -56,8 +61,6 @@ class BridgedServiceTable {
   ForeignService& insert(ForeignService service);
   /// Erases the entry for `url`; returns whether there was one.
   bool erase_url(std::string_view url);
-  /// Erases every entry carrying `usn`; returns how many.
-  std::size_t erase_usn(std::string_view usn);
 
   /// Linear sweep: erases every entry `pred` selects and returns how many.
   /// `pred` sees each entry once and must not modify the table.

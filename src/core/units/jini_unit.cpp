@@ -14,6 +14,8 @@ namespace {
 
 /// Lease requested for each foreign service registered with the registrar.
 constexpr std::uint32_t kLeaseSeconds = 300;
+/// ForeignService::handle while a registration awaits its lease.
+constexpr std::uint64_t kLeasePending = ~std::uint64_t{0};
 
 void join_into(const std::vector<std::string>& parts, std::string& out) {
   out.clear();
@@ -225,37 +227,14 @@ void JiniUnit::compose_native_request(Session& session) {
 void JiniUnit::compose_native_reply(Session&) {}
 
 // Translate a foreign advertisement into a registrar registration so native
-// Jini clients can look the service up; a byebye cancels the lease so they
-// stop finding it.
-void JiniUnit::on_advertisement(Session& session) {
-  // View-based extraction: the alive-refresh path (the steady-state case for
-  // a chatty announcer) must not build strings or attribute vectors it then
-  // throws away. Views stay valid for the duration of this call — they point
-  // into the session's collected events.
-  AdvertView advert = scan_advert(session.collected);
-  std::string_view url = advert.url;
-  std::string_view usn = advert.usn;
-
-  if (session.var("kind") == "byebye") {
-    withdraw_foreign_service(url, usn);
-    return;
-  }
-
-  if (url.empty() || !registrar_.has_value()) return;
-  if (!meaningful_advert_type(session.var("service_type"))) return;
-  auto& table = SymbolTable::global();
-  // One registration per foreign endpoint; alive bursts repeat the URL
-  // under several notification types.
-  Symbol url_sym = table.find(url);
-  if (url_sym != kNoSymbol && registered_urls_.contains(url_sym)) {
-    // Alive refresh: re-arm the TTL clock; the registrar lease is untouched.
-    expiry_by_url_[url_sym] = bridged_state_deadline(advert);
-    return;
-  }
-  url_sym = table.intern(url);
-  registered_urls_.insert(url_sym);
-  if (!usn.empty()) url_by_usn_[table.intern(usn)] = url_sym;
-  expiry_by_url_[url_sym] = bridged_state_deadline(advert);
+// Jini clients can look the service up. One registration per bridged entry:
+// alive bursts repeat the URL under several notification types, and a
+// refresh only re-arms the entry — unless no registrar was known when the
+// entry was recorded, in which case the first refresh after one appears
+// registers it.
+void JiniUnit::on_bridged(Session& session, ForeignService& service, bool) {
+  if (service.handle != 0 || !registrar_.has_value()) return;
+  service.handle = kLeasePending;
 
   jini::EntryAttributes attributes;
   for (const auto& event : session.collected) {
@@ -267,7 +246,7 @@ void JiniUnit::on_advertisement(Session& session) {
   jini::ServiceItem item;
   item.id = jini::ServiceId{0x1D15500000000000ULL, next_service_id_++};
   item.service_type = session.var("service_type", "service");
-  attributes.emplace_back("url", url);
+  attributes.emplace_back("url", service.url);
   attributes.emplace_back("bridged-by", "INDISS");
   item.attributes = std::move(attributes);
 
@@ -275,12 +254,13 @@ void JiniUnit::on_advertisement(Session& session) {
   w.u8(jini::kOpRegister);
   item.encode(w);
   w.u32(kLeaseSeconds);
-  registrar_op(w.take(), [this, url_sym](Bytes reply) {
+  registrar_op(w.take(), [this, url = service.url](Bytes reply) {
     try {
       ByteReader r(reply);
       if (reply.empty() || r.u8() != jini::kStatusOk) return;
       std::uint64_t lease = r.u64();
-      if (registered_urls_.count(url_sym) == 0) {
+      ForeignService* registered = bridged_services().find(url);
+      if (registered == nullptr) {
         // Withdrawn while the registration was in flight: cancel the lease
         // we were just granted instead of stranding it at the registrar.
         ByteWriter cancel;
@@ -291,68 +271,26 @@ void JiniUnit::on_advertisement(Session& session) {
       }
       foreign_registrations_ += 1;
       // Remember the granted lease: a later byebye cancels it.
-      leases_by_url_[url_sym] = lease;
+      registered->handle = lease;
     } catch (const DecodeError&) {
     }
   });
 }
 
-// TTL expiry of registered foreign services (crash without byebye): forget
-// the registration locally — registered_urls_, the lease handle, the USN
-// alias. No kOpCancel is sent: the registrar's lease expires by its own
+// Withdrawal cancels the lease the registration was granted, so native Jini
+// lookups stop returning the departed service. Expiry (crash without
+// byebye) sends no kOpCancel: the registrar's lease expires by its own
 // clock, and racing a cancel against a dead lease just burns a TCP connect.
-// Forgetting locally is what matters — a rejoining device (new endpoint,
-// fresh URL) registers cleanly instead of being swallowed by the
-// one-registration-per-URL guard.
-std::size_t JiniUnit::expire_bridged_state(transport::TimePoint now) {
-  std::size_t expired = 0;
-  for (auto it = expiry_by_url_.begin(); it != expiry_by_url_.end();) {
-    if (it->second.count() == 0 || it->second > now) {
-      ++it;
-      continue;
-    }
-    Symbol url = it->first;
-    registered_urls_.erase(url);
-    leases_by_url_.erase(url);
-    std::erase_if(url_by_usn_,
-                  [url](const auto& entry) { return entry.second == url; });
-    it = expiry_by_url_.erase(it);
-    expired += 1;
+// Forgetting the entry locally is what matters — a rejoining device (new
+// endpoint, fresh URL) registers cleanly.
+void JiniUnit::forget_bridged(const ForeignService& service, Forget why) {
+  if (why == Forget::kExpired || service.handle == 0 ||
+      service.handle == kLeasePending || !registrar_.has_value()) {
+    return;
   }
-  return expired;
-}
-
-// Withdrawal: cancel the lease the registration was granted (matching by
-// URL, or by USN for UPnP byebyes that name no URL) so native Jini lookups
-// stop returning the departed service. Lookup-only symbol resolution: a
-// never-interned URL/USN was never registered, so there is nothing to undo.
-void JiniUnit::withdraw_foreign_service(std::string_view url,
-                                        std::string_view usn) {
-  auto& table = SymbolTable::global();
-  Symbol key = kNoSymbol;
-  if (!url.empty()) {
-    key = table.find(url);
-  } else if (!usn.empty()) {
-    Symbol usn_sym = table.find(usn);
-    if (usn_sym != kNoSymbol) {
-      auto aliased = url_by_usn_.find(usn_sym);
-      if (aliased != url_by_usn_.end()) key = aliased->second;
-    }
-  }
-  if (key == kNoSymbol) return;
-  if (registered_urls_.erase(key) == 0) return;
-  if (!usn.empty()) {
-    Symbol usn_sym = table.find(usn);
-    if (usn_sym != kNoSymbol) url_by_usn_.erase(usn_sym);
-  }
-  expiry_by_url_.erase(key);
-
-  auto lease = leases_by_url_.find(key);
-  if (lease == leases_by_url_.end() || !registrar_.has_value()) return;
   ByteWriter w;
   w.u8(jini::kOpCancel);
-  w.u64(lease->second);
-  leases_by_url_.erase(lease);
+  w.u64(service.handle);
   registrar_op(w.take(), [this](Bytes reply) {
     if (!reply.empty() && reply[0] == jini::kStatusOk) {
       foreign_deregistrations_ += 1;

@@ -13,11 +13,8 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/interning.hpp"
 #include "core/unit.hpp"
 #include "core/units/standard_fsm.hpp"
 #include "jini/lookup.hpp"
@@ -64,8 +61,9 @@ class JiniUnit : public Unit {
  protected:
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
-  void on_advertisement(Session& session) override;
-  std::size_t expire_bridged_state(transport::TimePoint now) override;
+  void on_bridged(Session& session, ForeignService& service,
+                  bool fresh) override;
+  void forget_bridged(const ForeignService& service, Forget why) override;
   /// Native Jini clients resolve services through a registrar, never by
   /// multicast query, so there is no request for the directory to answer.
   [[nodiscard]] bool answers_from_directory() const override { return false; }
@@ -73,22 +71,10 @@ class JiniUnit : public Unit {
  private:
   static Action note_registrar();
   void do_note_registrar(const Event& event);
-  void withdraw_foreign_service(std::string_view url, std::string_view usn);
   /// One-shot unicast registrar op; hands raw reply bytes to the handler.
   void registrar_op(Bytes request, std::function<void(Bytes)> handler);
 
   std::optional<net::Endpoint> registrar_;
-  // Per-URL bookkeeping keyed on interned symbols: an alive burst repeating
-  // a known URL touches only symbol lookups (no per-refresh string churn),
-  // and the URL spelling lives once in the process-wide SymbolTable.
-  std::unordered_set<Symbol> registered_urls_;
-  /// Lease granted per registered foreign URL — the handle a byebye cancels.
-  std::unordered_map<Symbol, std::uint64_t> leases_by_url_;
-  /// UPnP byebyes identify the device by USN, not URL.
-  std::unordered_map<Symbol, Symbol> url_by_usn_;
-  /// TTL-derived expiry instant per registered URL (only enforced when the
-  /// unit runs with expire_bridged_state — docs/chaos.md).
-  std::unordered_map<Symbol, transport::TimePoint> expiry_by_url_;
   std::uint64_t foreign_registrations_ = 0;
   std::uint64_t foreign_deregistrations_ = 0;
   std::uint64_t next_service_id_ = 0x1D155;

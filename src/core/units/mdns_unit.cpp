@@ -478,49 +478,11 @@ void MdnsUnit::compose_native_reply(Session& session) {
   });
 }
 
-// A peer advertised (or withdrew) a foreign service: re-announce it in the
-// Bonjour world as an unsolicited multicast response (TTL 0 for goodbyes).
-void MdnsUnit::on_advertisement(Session& session) {
-  // View-based extraction: the alive-refresh path (the steady-state case
-  // for a chatty announcer) must not build the strings and attribute vector
-  // a new ForeignService needs — views into the collected events are
-  // enough to recognize a repeat.
+// A peer advertised a foreign service: re-announce it in the Bonjour world
+// as an unsolicited multicast response.
+void MdnsUnit::on_bridged(Session& session, ForeignService& service,
+                          bool fresh) {
   std::string_view type = session.var("service_type");
-  AdvertView advert = scan_advert(session.collected);
-  std::string_view url = advert.url;
-  std::string_view usn = advert.usn;
-
-  if (session.var("kind") == "byebye") {
-    withdraw_foreign_service(url, usn);
-    return;
-  }
-
-  if (url.empty()) return;
-  if (!meaningful_advert_type(type)) return;
-  transport::TimePoint deadline = bridged_state_deadline(advert);
-
-  ForeignService* known = foreign_services_.find(url);
-  bool first_announcement = known == nullptr;
-  if (first_announcement) {
-    ForeignService service;
-    service.canonical_type.assign(type);
-    service.url.assign(url);
-    service.usn.assign(usn);
-    for (const auto& event : session.collected) {
-      if (event.type == EventType::kServiceAttr) {
-        service.attributes.emplace_back(event.get("key"), event.get("value"));
-      }
-    }
-    service.expires_at = deadline;
-    foreign_services_.insert(std::move(service));
-  } else if (known->canonical_type == type) {
-    // Alive refresh: re-arm the TTL clock on the same-typed entry (a UPnP
-    // alive burst repeats one URL under several notification types); the
-    // announced instance's identity (qname, USN) stays the one actually put
-    // on the wire, so nothing else needs rebuilding.
-    known->expires_at = deadline;
-  }
-
   dnssd_from_canonical_into(type, qname_scratch_);
   std::size_t groups =
       compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
@@ -528,14 +490,14 @@ void MdnsUnit::on_advertisement(Session& session) {
   if (groups == 0) {
     // The advertisement named no service URL directly (a UPnP alive only
     // carries the description LOCATION): announce the resolved URL instead,
-    // the same way the SLP and Jini units remember it — it still identifies
-    // the service.
-    groups = compose_url_records(url, qname_scratch_, kRecordTtl);
+    // the one the bridged entry is keyed by — it still identifies the
+    // service.
+    groups = compose_url_records(service.url, qname_scratch_, kRecordTtl);
   }
   if (groups == 0) return;
   compose_scratch_.id = 0;
 
-  if (probe_ && first_announcement) {
+  if (probe_ && fresh) {
     // RFC 6762 §8.1: claim the composed instance names first; the
     // announcement fires from on_probe_established. Nothing is cached yet —
     // a replayed frame must never announce an unprobed name.
@@ -552,7 +514,7 @@ void MdnsUnit::on_advertisement(Session& session) {
   // re-announcement is still handed to the translation cache: replaying it
   // is how byte-identical periodic repeats keep refreshing the Bonjour
   // world — including after a generation bump forced a re-parse.
-  if (first_announcement) {
+  if (fresh) {
     reply_socket_->send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
     announcements_sent_ += 1;
   }
@@ -721,45 +683,29 @@ void MdnsUnit::release_probe_state(std::string_view url,
   bridged_claims_.erase(name);
 }
 
-// Goodbye propagation: resolve which bridged instance the byebye names (by
-// URL when it carries one — SLP SrvDeReg, mDNS goodbye — or by USN for UPnP
-// byebyes, which only identify the device), multicast the RFC 6762 TTL-0
-// goodbye for it, and forget it.
-void MdnsUnit::withdraw_foreign_service(std::string_view url_hint,
-                                        std::string_view usn) {
-  const ForeignService* known = url_hint.empty()
-                                   ? foreign_services_.oldest_with_usn(usn)
-                                   : foreign_services_.find(url_hint);
-  if (known == nullptr) return;
-  std::string url = known->url;
-  std::string canonical_type = known->canonical_type;
-  foreign_services_.erase_url(url);
-
+// A bridged service left: a withdrawn one gets the RFC 6762 TTL-0 goodbye,
+// an expired one is forgotten silently (native Bonjour caches age its
+// records out by their own TTLs). Either way its probe state goes, so a
+// device that rejoins re-probes from its base name.
+void MdnsUnit::forget_bridged(const ForeignService& service, Forget why) {
+  if (why == Forget::kExpired) {
+    release_probe_state(service.url, service.canonical_type);
+    return;
+  }
   // The goodbye must name the same hash-stable instance the announcement
-  // created, so compose from the resolved URL (the byebye stream itself may
+  // created, so compose from the entry's URL (the byebye stream itself may
   // have named only the USN).
-  dnssd_from_canonical_into(canonical_type, qname_scratch_);
-  if (compose_url_records(url, qname_scratch_, /*ttl=*/0) == 0) return;
+  dnssd_from_canonical_into(service.canonical_type, qname_scratch_);
+  if (compose_url_records(service.url, qname_scratch_, /*ttl=*/0) == 0) {
+    return;
+  }
   // A name still probing was never announced: forget it silently instead of
   // multicasting a goodbye nobody heard an announcement for.
   bool announced = !blocked_by_probing(compose_scratch_);
-  release_probe_state(url, canonical_type);
+  release_probe_state(service.url, service.canonical_type);
   // No cache_outbound_frame here: byebyes are never cached (Unit keeps
   // their state changes on the parse path).
   if (announced) multicast_composed();
-}
-
-// TTL expiry: silent forget (no composed goodbye — native Bonjour caches
-// age the bridged records out by their own TTLs). The entry goes with it, so
-// a device that rejoins after a crash re-announces instead of being treated
-// as an already-bridged repeat.
-std::size_t MdnsUnit::expire_bridged_state(transport::TimePoint now) {
-  return foreign_services_.erase_if([this, now](const ForeignService& s) {
-    bool gone = s.expires_at.count() != 0 && s.expires_at <= now;
-    // A rejoining service re-probes from its base name.
-    if (gone) release_probe_state(s.url, s.canonical_type);
-    return gone;
-  });
 }
 
 }  // namespace indiss::core

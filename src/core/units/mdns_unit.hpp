@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/unit.hpp"
-#include "core/units/bridged_services.hpp"
 #include "core/units/standard_fsm.hpp"
 #include "mdns/dns.hpp"
 #include "mdns/probe.hpp"
@@ -65,10 +64,6 @@ class MdnsUnit : public Unit {
                     Config config = {});
   ~MdnsUnit() override;
 
-  /// The foreign services bridged into the Bonjour world.
-  [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
-    return foreign_services_.entries();
-  }
   [[nodiscard]] std::uint64_t announcements_sent() const {
     return announcements_sent_;
   }
@@ -94,8 +89,9 @@ class MdnsUnit : public Unit {
  protected:
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
-  void on_advertisement(Session& session) override;
-  std::size_t expire_bridged_state(transport::TimePoint now) override;
+  void on_bridged(Session& session, ForeignService& service,
+                  bool fresh) override;
+  void forget_bridged(const ForeignService& service, Forget why) override;
 
  private:
   /// Per-claim bookkeeping: which bridged URL a probe claim stands for and
@@ -106,7 +102,6 @@ class MdnsUnit : public Unit {
     bool announced = false;
   };
 
-  void withdraw_foreign_service(std::string_view url, std::string_view usn);
   /// Starts §8.1 claims for every instance in the freshly composed
   /// announcement; the announcement itself is deferred to
   /// on_probe_established.
@@ -140,8 +135,6 @@ class MdnsUnit : public Unit {
                            std::string_view canonical_type);
 
   std::shared_ptr<transport::UdpSocket> reply_socket_;
-  /// One entry per announced URL: an alive refresh is one hash lookup.
-  BridgedServiceTable foreign_services_;
   mdns::DnsMessage compose_scratch_;
   std::string qname_scratch_;
   mdns::DnsEncoder encoder_;
@@ -168,7 +161,7 @@ class MdnsUnit : public Unit {
 /// `overrides` (URL-hash → label) substitutes post-conflict renamed labels
 /// when RFC 6762 §8 probing forced a rename (null/empty = default names).
 /// Returns the number of bridged groups (0 = nothing to answer). Shared by
-/// MdnsUnit::compose_native_reply / on_advertisement and the
+/// MdnsUnit::compose_native_reply / on_bridged and the
 /// zero-allocation round-trip pin in tests/sdp/mdns_test.cpp.
 std::size_t compose_dnssd_answers(
     const EventStream& stream, std::string_view qname, std::uint32_t ttl,

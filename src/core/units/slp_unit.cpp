@@ -262,52 +262,4 @@ void SlpUnit::announce_directory_agent() {
                          slp::encode(slp::Message(std::move(advert))));
 }
 
-void SlpUnit::on_advertisement(Session& session) {
-  // Remember foreign services announced by peers; the context manager and
-  // Table-2-style introspection read this, and it feeds dynamic composition.
-  // Extraction stays view-based (into the session's collected events) so
-  // the steady-state refresh of an already-known service allocates nothing.
-  // A UPnP NOTIFY only carries the description LOCATION; it still
-  // identifies the service well enough to remember.
-  std::string_view type = session.var("service_type");
-  AdvertView advert = scan_advert(session.collected);
-  std::string_view url = advert.url;
-  std::string_view usn = advert.usn;
-
-  if (session.var("kind") == "byebye") {
-    // Withdrawal: forget the service, matching by URL when the byebye names
-    // one (SLP SrvDeReg, mDNS goodbye) or by USN (UPnP byebye).
-    if (!url.empty()) foreign_services_.erase_url(url);
-    foreign_services_.erase_usn(usn);
-    return;
-  }
-
-  if (url.empty()) return;
-  if (!meaningful_advert_type(type)) return;
-  if (ForeignService* existing = foreign_services_.find(url)) {
-    // Refresh: re-arm the TTL deadline only. In steady state the repeat is
-    // byte-identical to the advertisement that built the entry, so
-    // rewriting identity or attributes would only allocate.
-    existing->expires_at = bridged_state_deadline(advert);
-    return;
-  }
-  ForeignService service;
-  service.canonical_type = std::string(type);
-  service.url = std::string(url);
-  service.usn = std::string(usn);
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kServiceAttr) {
-      service.attributes.emplace_back(event.get("key"), event.get("value"));
-    }
-  }
-  service.expires_at = bridged_state_deadline(advert);
-  foreign_services_.insert(std::move(service));
-}
-
-std::size_t SlpUnit::expire_bridged_state(transport::TimePoint now) {
-  return foreign_services_.erase_if([now](const ForeignService& s) {
-    return s.expires_at.count() != 0 && s.expires_at <= now;
-  });
-}
-
 }  // namespace indiss::core

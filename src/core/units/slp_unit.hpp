@@ -4,10 +4,8 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/unit.hpp"
-#include "core/units/bridged_services.hpp"
 #include "core/units/standard_fsm.hpp"
 #include "slp/service.hpp"
 #include "slp/wire.hpp"
@@ -49,10 +47,6 @@ class SlpUnit : public Unit {
   explicit SlpUnit(transport::Transport& transport, UnitOptions options = {});
   ~SlpUnit() override;
 
-  [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
-    return foreign_services_.entries();
-  }
-
   /// Directory mode: multicast an unsolicited DAAdvert so native SLP agents
   /// discover the gateway as their Directory Agent (RFC 2608 §12.1) — UAs
   /// then query it unicast and SAs register with it, both of which feed and
@@ -62,12 +56,9 @@ class SlpUnit : public Unit {
  protected:
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
-  void on_advertisement(Session& session) override;
-  std::size_t expire_bridged_state(transport::TimePoint now) override;
 
  private:
   std::shared_ptr<transport::UdpSocket> reply_socket_;
-  BridgedServiceTable foreign_services_;
   std::uint16_t next_xid_ = 0x4000;  // distinct from native agents' ranges
   // Compose-side scratch (slot-reused across replies; docs/events.md).
   slp::Message compose_scratch_ = slp::SrvRply{};

@@ -22,6 +22,21 @@ BytesView view_of(const std::string& frame) {
                    frame.size());
 }
 
+/// The impersonated device numbered `index` (ForeignService::handle): its
+/// UDN, its USN for `device_type`, and the path of its description.
+std::string device_udn(std::uint64_t index) {
+  return "uuid:indiss-" + std::to_string(index);
+}
+std::string device_usn(std::uint64_t index, std::string_view device_type) {
+  std::string usn = device_udn(index);
+  usn += "::";
+  usn += device_type;
+  return usn;
+}
+std::string device_path(std::uint64_t index) {
+  return "/indiss/" + std::to_string(index) + "/description.xml";
+}
+
 void emit_error(EventSink& sink, std::string_view code) {
   Event err = sink.scratch(EventType::kResErr);
   err.set("code", code);
@@ -338,19 +353,25 @@ void UpnpUnit::do_finalize_reply(Session& session) {
 // impersonate a device — serve a generated description and send the SSDP
 // search response, paced when the search came from the shared medium.
 void UpnpUnit::compose_native_reply(Session& session) {
-  if (find_event(session.collected, EventType::kResServUrl) == nullptr) {
+  AdvertView answer = scan_advert(session.collected);
+  if (answer.url.empty()) {
     return;  // nothing discovered: SSDP answers with silence
   }
 
-  ServedDescription& served = serve_description(session);
+  // The answered service is bridged like an advertised one: recorded (or
+  // re-armed) in the unit's table and impersonated as a device.
+  ForeignService& service =
+      bridge(session.var("service_type", "service"), answer).service;
+  serve(session, service);
 
   upnp::SearchResponse response;
+  std::string device_type = upnp_device_from_canonical(service.canonical_type);
   std::string st(session.var("st"));
+  response.usn = device_usn(service.handle, device_type);
   response.st = st.empty() || str::iequals(st, upnp::kSearchTargetAll)
-                    ? served.description.device_type
-                    : st;
-  response.usn = served.usn;
-  response.location = location_of(served);
+                    ? std::move(device_type)
+                    : std::move(st);
+  response.location = location_of(service);
   response.server = std::string(kBridgeServer);
 
   auto to = requester(session);
@@ -378,43 +399,19 @@ void UpnpUnit::compose_native_reply(Session& session) {
   });
 }
 
-UpnpUnit::ServedDescription& UpnpUnit::serve_description(
-    const Session& session) {
+void UpnpUnit::serve(const Session& session, ForeignService& service) {
   ensure_http_server();
+  if (service.handle != 0) return;  // a refresh: the device already exists
 
-  // View-based extraction: an alive refresh (the steady-state case) resolves
-  // the (type, url) identity through interned symbols and re-arms the TTL
-  // clock without building a single string.
-  std::string_view type_view = session.var("service_type", "service");
-  std::string_view url_view;
   std::string_view friendly_name;
   for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl && url_view.empty()) {
-      url_view = event.get("url");
-    }
     if (event.type == EventType::kServiceAttr &&
         event.get("key") == "friendlyName") {
       friendly_name = event.get("value");
     }
   }
-  auto& table = SymbolTable::global();
-  Symbol type_sym = table.find(type_view);
-  Symbol url_sym = table.find(url_view);
-  if (type_sym != kNoSymbol && url_sym != kNoSymbol) {
-    auto it = served_descriptions_.find(served_key(type_sym, url_sym));
-    if (it != served_descriptions_.end()) {
-      // A refresh re-arms the TTL clock, like a native device re-announcing.
-      it->second.expires_at =
-          bridged_state_deadline(scan_advert(session.collected));
-      return it->second;
-    }
-  }
-
-  std::string type(type_view);
-  std::string url(url_view);
-  ServedDescription served;
-  std::uint64_t index = next_device_index_++;
-  served.path = "/indiss/" + std::to_string(index) + "/description.xml";
+  const std::string& type = service.canonical_type;
+  service.handle = next_device_index_++;
 
   upnp::DeviceDescription description;
   description.device_type = upnp_device_from_canonical(type);
@@ -425,116 +422,70 @@ UpnpUnit::ServedDescription& UpnpUnit::serve_description(
   description.model_name = type;
   description.model_description = "Foreign " + type + " service bridged by "
                                   "INDISS";
-  description.udn = "uuid:indiss-" + std::to_string(index);
-  upnp::ServiceDescription service;
-  service.service_type = "urn:schemas-upnp-org:service:" + type + ":1";
-  service.service_id = "urn:upnp-org:serviceId:" + type;
-  service.control_url = url;  // absolute foreign endpoint, handed through
-  service.scpd_url = served.path;
-  service.event_sub_url = url;
-  description.services.push_back(std::move(service));
+  description.udn = device_udn(service.handle);
+  upnp::ServiceDescription served;
+  served.service_type = "urn:schemas-upnp-org:service:" + type + ":1";
+  served.service_id = "urn:upnp-org:serviceId:" + type;
+  served.control_url = service.url;  // the foreign endpoint, handed through
+  served.scpd_url = device_path(service.handle);
+  served.event_sub_url = service.url;
+  description.services.push_back(std::move(served));
 
-  served.usn = description.usn_for(description.device_type);
-  served.description = std::move(description);
-  served.expires_at = bridged_state_deadline(scan_advert(session.collected));
-
-  // The route renders the one stored copy; it lives exactly as long as the
-  // entry (withdrawal and expiry unroute before they erase).
-  std::uint64_t key = served_key(table.intern(type), table.intern(url));
-  http_server_->route(served.path, [this, key]() {
-    return upnp::http_response(
-        "200 OK", kBridgeServer,
-        served_descriptions_.at(key).description.to_xml());
-  });
-
-  auto [inserted, ok] = served_descriptions_.emplace(key, std::move(served));
-  return inserted->second;
+  // The route owns the one copy of the description; it lives exactly as
+  // long as the entry (forget_bridged unroutes it).
+  http_server_->route(device_path(service.handle),
+                      [description = std::move(description)]() {
+                        return upnp::http_response("200 OK", kBridgeServer,
+                                                   description.to_xml());
+                      });
 }
 
 // A peer advertised a foreign service: impersonate it so native UPnP control
-// points can find it, and (in active mode) announce it immediately. A peer
-// byebye retracts the impersonation with an ssdp:byebye NOTIFY.
-void UpnpUnit::on_advertisement(Session& session) {
-  if (session.var("kind") == "byebye") {
-    withdraw_foreign_service(session);
-    return;
-  }
-  if (find_event(session.collected, EventType::kResServUrl) == nullptr) return;
-  if (!meaningful_advert_type(session.var("service_type"))) return;
-  ServedDescription& served = serve_description(session);
+// points can find it, and (in active mode) announce it immediately.
+void UpnpUnit::on_bridged(Session& session, ForeignService& service, bool) {
+  serve(session, service);
   if (config_.active_advertising) {
-    notify_alive(served);
+    notify_alive(service);
     cache_outbound_frame(session, reply_socket_, kSsdpGroup,
                          view_of(ssdp_scratch_));
   }
 }
 
-std::string UpnpUnit::location_of(const ServedDescription& served) {
+std::string UpnpUnit::location_of(const ForeignService& service) {
   std::string location = "http://";
   location += transport().address().to_string();
   location += ':';
   location += std::to_string(http_server_->port());
-  location += served.path;
+  location += device_path(service.handle);
   return location;
 }
 
-void UpnpUnit::notify_alive(const ServedDescription& served) {
+void UpnpUnit::notify_alive(const ForeignService& service) {
   upnp::Notify notify;
   notify.kind = upnp::Notify::Kind::kAlive;
-  notify.nt = served.description.device_type;
-  notify.usn = served.usn;
-  notify.location = location_of(served);
+  notify.nt = upnp_device_from_canonical(service.canonical_type);
+  notify.usn = device_usn(service.handle, notify.nt);
+  notify.location = location_of(service);
   notify.server = std::string(kBridgeServer);
   notify.max_age_seconds = kNotifyMaxAge;
   notify.serialize_into(ssdp_scratch_);
   reply_socket_->send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
 }
 
-// A peer withdrew a service this unit impersonates: multicast the
-// ssdp:byebye for the served device and stop serving it.
-void UpnpUnit::withdraw_foreign_service(Session& session) {
-  std::string_view url;
-  for (const auto& event : session.collected) {
-    if (event.type == EventType::kResServUrl && url.empty()) {
-      url = event.get("url");
-    }
+// A bridged service left: stop describing its device, so M-SEARCHes stop
+// advertising a dead endpoint. A withdrawn one also gets an ssdp:byebye; an
+// expired one does not (crash without byebye): native control points age
+// the device out by its own CACHE-CONTROL max-age.
+void UpnpUnit::forget_bridged(const ForeignService& service, Forget why) {
+  if (why == Forget::kWithdrawn) {
+    upnp::Notify notify;
+    notify.kind = upnp::Notify::Kind::kByeBye;
+    notify.nt = upnp_device_from_canonical(service.canonical_type);
+    notify.usn = device_usn(service.handle, notify.nt);
+    notify.serialize_into(ssdp_scratch_);
+    reply_socket_->send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
   }
-  if (url.empty()) return;
-  // Lookup-only symbol resolution: a never-interned (type, url) pair was
-  // never served, so there is nothing to retract.
-  auto& table = SymbolTable::global();
-  Symbol type_sym = table.find(session.var("service_type", "service"));
-  Symbol url_sym = table.find(url);
-  if (type_sym == kNoSymbol || url_sym == kNoSymbol) return;
-  auto it = served_descriptions_.find(served_key(type_sym, url_sym));
-  if (it == served_descriptions_.end()) return;
-
-  upnp::Notify notify;
-  notify.kind = upnp::Notify::Kind::kByeBye;
-  notify.nt = it->second.description.device_type;
-  notify.usn = it->second.usn;
-  notify.serialize_into(ssdp_scratch_);
-  reply_socket_->send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
-  http_server_->unroute(it->second.path);
-  served_descriptions_.erase(it);
-}
-
-void UpnpUnit::announce_foreign_services() {
-  ensure_http_server();
-  for (const auto& [key, served] : served_descriptions_) notify_alive(served);
-}
-
-// TTL expiry of impersonated devices (crash without byebye): drop the served
-// description and its route so M-SEARCHes stop advertising a dead endpoint.
-// No byebye NOTIFY is multicast: native control points age the device out
-// by its own CACHE-CONTROL max-age.
-std::size_t UpnpUnit::expire_bridged_state(transport::TimePoint now) {
-  return std::erase_if(served_descriptions_, [this, now](const auto& entry) {
-    const ServedDescription& served = entry.second;
-    bool gone = served.expires_at.count() != 0 && served.expires_at <= now;
-    if (gone) http_server_->unroute(served.path);
-    return gone;
-  });
+  http_server_->unroute(device_path(service.handle));
 }
 
 }  // namespace indiss::core

@@ -9,10 +9,8 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/interning.hpp"
 #include "core/unit.hpp"
 #include "core/units/standard_fsm.hpp"
 #include "upnp/description.hpp"
@@ -71,18 +69,16 @@ class UpnpUnit : public Unit {
                     Config config = {});
   ~UpnpUnit() override;
 
-  /// Foreign services currently impersonated as UPnP devices.
+  /// Foreign services currently impersonated as UPnP devices: every
+  /// bridged entry has one.
   [[nodiscard]] std::size_t impersonated_devices() const {
-    return served_descriptions_.size();
+    return foreign_services().size();
   }
   /// Description documents the unit's HTTP server currently serves (one per
   /// impersonated device).
   [[nodiscard]] std::size_t description_routes() const {
     return http_server_ ? http_server_->route_count() : 0;
   }
-  /// Multicasts NOTIFY alive for every impersonated foreign service (used by
-  /// the context manager in active mode).
-  void announce_foreign_services();
 
   void set_active_advertising(bool on) { config_.active_advertising = on; }
   [[nodiscard]] const Config& config() const { return config_; }
@@ -91,46 +87,29 @@ class UpnpUnit : public Unit {
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
   void compose_follow_up(Session& session, const Event& event) override;
-  void on_advertisement(Session& session) override;
-  std::size_t expire_bridged_state(transport::TimePoint now) override;
+  void on_bridged(Session& session, ForeignService& service,
+                  bool fresh) override;
+  void forget_bridged(const ForeignService& service, Forget why) override;
 
  private:
-  struct ServedDescription {
-    std::string path;  // "/indiss/<n>/description.xml"
-    upnp::DeviceDescription description;
-    std::string usn;
-    /// TTL-derived expiry instant (zero = never; enforced only with
-    /// expire_bridged_state — docs/chaos.md).
-    transport::TimePoint expires_at{0};
-  };
-
-  /// Builds (or reuses) a served description for a translated reply stream /
-  /// advertisement and returns its LOCATION URL + USN.
-  ServedDescription& serve_description(const Session& session);
-  /// The LOCATION URL of a served device's description.
-  [[nodiscard]] std::string location_of(const ServedDescription& served);
-  /// Multicasts NOTIFY ssdp:alive for a served device; the frame stays in
-  /// ssdp_scratch_ until the next compose.
-  void notify_alive(const ServedDescription& served);
-  /// Peer byebye: multicast ssdp:byebye for the served device and drop it.
-  void withdraw_foreign_service(Session& session);
+  /// Impersonates `service` as a UPnP device the first time it is seen:
+  /// numbers the device (ForeignService::handle) and routes its generated
+  /// description, built from `session`'s events.
+  void serve(const Session& session, ForeignService& service);
+  /// The LOCATION URL of an impersonated device's description.
+  [[nodiscard]] std::string location_of(const ForeignService& service);
+  /// Multicasts NOTIFY ssdp:alive for an impersonated device; the frame
+  /// stays in ssdp_scratch_ until the next compose.
+  void notify_alive(const ForeignService& service);
   void ensure_http_server();
   /// Rewrites session.collected into a clean, absolute reply stream before
   /// it is sent back to the origin unit (the finalize step of §2.4).
   static Action finalize_reply();
   void do_finalize_reply(Session& session);
 
-  /// Identity of a served description: interned (type, url) symbols packed
-  /// into one integer key — the refresh lookup for an alive burst touches no
-  /// string construction at all.
-  [[nodiscard]] static std::uint64_t served_key(Symbol type, Symbol url) {
-    return (static_cast<std::uint64_t>(type) << 32) | url;
-  }
-
   Config config_;
   std::shared_ptr<transport::UdpSocket> reply_socket_;
   std::unique_ptr<upnp::HttpServer> http_server_;
-  std::unordered_map<std::uint64_t, ServedDescription> served_descriptions_;
   std::uint64_t next_device_index_ = 1;
   // Compose-side scratch: SSDP messages serialize into this reused buffer
   // (docs/events.md scratch recipe) before the one unavoidable payload copy.

@@ -1,9 +1,10 @@
-// Bridged-state tests: the indexed table behind the SLP and mDNS units
-// checked against plain-vector references of the units' bridging semantics
-// over seeded histories of adverts, refreshes, URL and USN withdrawals and
-// expiry sweeps; the zero-allocation pin for a warm refresh of a known URL;
-// the UPnP unit's description routes, which must go with the devices they
-// describe; and the TTL each caller of the shared advert scan takes.
+// Bridged-state tests: the one table and rule core::Unit applies for every
+// unit, checked against a plain-vector reference of the rule through the
+// SLP, mDNS, UPnP and Jini units over seeded histories of adverts,
+// refreshes, URL and USN withdrawals and expiry sweeps; the zero-allocation
+// pin for a warm refresh of a known URL; the UPnP unit's description
+// routes, which must go with the devices they describe; and the TTL each
+// caller of the shared advert scan takes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +15,12 @@
 
 #include "core/directory/service_directory.hpp"
 #include "core/units/bridged_services.hpp"
+#include "core/units/jini_unit.hpp"
 #include "core/units/mdns_unit.hpp"
 #include "core/units/slp_unit.hpp"
 #include "core/units/upnp_unit.hpp"
+#include "jini/discovery.hpp"
+#include "jini/lookup.hpp"
 #include "mdns/dns.hpp"
 #include "net/host.hpp"
 #include "net/network.hpp"
@@ -45,6 +49,12 @@ struct TestUpnpUnit : UpnpUnit {
   using UpnpUnit::expire_bridged_state;
   using UpnpUnit::on_advertisement;
   using UpnpUnit::UpnpUnit;
+};
+
+struct TestJiniUnit : JiniUnit {
+  using JiniUnit::expire_bridged_state;
+  using JiniUnit::JiniUnit;
+  using JiniUnit::on_advertisement;
 };
 
 /// A peer advertisement (or byebye) session the way deliver_advertisement
@@ -76,7 +86,7 @@ Session advert_session(bool byebye, std::string_view type,
   return session;
 }
 
-/// Plain-vector reference of the units' bridging semantics, in arrival
+/// Plain-vector reference of the one bridged-service rule, in arrival
 /// order, with every lookup a linear scan.
 struct VectorReference {
   std::vector<ForeignService> services;
@@ -87,62 +97,37 @@ struct VectorReference {
     }
     return nullptr;
   }
-  void add(std::string_view type, std::string_view url, std::string_view usn,
-           transport::TimePoint deadline) {
-    ForeignService service;
-    service.canonical_type = type;
-    service.url = url;
-    service.usn = usn;
-    service.attributes = {{"room", "lab"}};
-    service.expires_at = deadline;
-    services.push_back(std::move(service));
-  }
 
-  // SLP: refresh re-arms by URL; a byebye forgets every entry matching its
-  // URL or its USN.
-  void slp_advert(std::string_view type, std::string_view url,
-                  std::string_view usn, transport::TimePoint deadline) {
-    if (url.empty()) return;
+  // An alive with a URL and a meaningful type re-arms the entry holding its
+  // URL, whatever type it names, or else adds one.
+  void advert(std::string_view type, std::string_view url,
+              std::string_view usn, transport::TimePoint deadline) {
+    if (url.empty() || !meaningful_advert_type(type)) return;
     if (ForeignService* known = find(url)) {
       known->expires_at = deadline;
       return;
     }
-    add(type, url, usn, deadline);
-  }
-  void slp_byebye(std::string_view url, std::string_view usn) {
-    std::erase_if(services, [&](const ForeignService& s) {
-      return (!url.empty() && s.url == url) || (!usn.empty() && s.usn == usn);
-    });
+    ForeignService service;
+    service.canonical_type = type;
+    service.url = url;
+    service.usn = usn;
+    service.expires_at = deadline;
+    services.push_back(std::move(service));
   }
 
-  // mDNS: refresh re-arms only the same-typed entry; a byebye resolves to
-  // one URL — by URL when it names one, else the oldest entry with its USN.
-  void mdns_advert(std::string_view type, std::string_view url,
-                   std::string_view usn, transport::TimePoint deadline) {
-    if (url.empty()) return;
-    if (ForeignService* known = find(url)) {
-      if (known->canonical_type == type) known->expires_at = deadline;
-      return;
-    }
-    add(type, url, usn, deadline);
-  }
-  void mdns_byebye(std::string_view url, std::string_view usn) {
-    std::string resolved;
-    for (const auto& s : services) {
-      if ((!url.empty() && s.url == url) ||
-          (url.empty() && !usn.empty() && s.usn == usn)) {
-        resolved = s.url;
-        break;
-      }
-    }
-    if (resolved.empty()) return;
-    std::erase_if(services,
-                  [&](const ForeignService& s) { return s.url == resolved; });
+  // A byebye forgets one entry: by URL when it names one, else the oldest
+  // entry carrying its USN.
+  void byebye(std::string_view url, std::string_view usn) {
+    auto gone = std::find_if(
+        services.begin(), services.end(), [&](const ForeignService& s) {
+          return url.empty() ? !usn.empty() && s.usn == usn : s.url == url;
+        });
+    if (gone != services.end()) services.erase(gone);
   }
 
   std::size_t sweep(transport::TimePoint now) {
     return std::erase_if(services, [now](const ForeignService& s) {
-      return s.expires_at.count() != 0 && s.expires_at <= now;
+      return s.expires_at <= now;
     });
   }
 };
@@ -153,7 +138,6 @@ using Row = std::tuple<std::string, std::string, std::string,
 std::vector<Row> rows(const std::vector<ForeignService>& services) {
   std::vector<Row> out;
   for (const auto& s : services) {
-    EXPECT_EQ(s.attributes.size(), 1u);
     out.emplace_back(s.url, s.usn, s.canonical_type, s.expires_at.count());
   }
   std::sort(out.begin(), out.end());
@@ -166,12 +150,17 @@ struct TableFixture : ::testing::Test {
   net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
 };
 
-// Both units run the same seeded history side by side with their
-// references. URLs come from a small universe so refreshes and repeat
-// withdrawals are common; USNs are shared by several URLs, and a URL's
-// adverts may carry a different USN than the one it was first learned with.
-TEST_F(TableFixture, UnitsMatchPlainVectorReferencesOverSeededHistories) {
-  const std::vector<std::string> types = {"clock", "printer"};
+// All four units run the same seeded history side by side with the one
+// reference (the Jini unit with a registrar, so its entries register and
+// cancel leases). URLs come from a small universe so refreshes and repeat
+// withdrawals are common; a URL is refreshed under either type; USNs are
+// shared by several URLs, and a URL's adverts may carry a different USN
+// than the one it was first learned with.
+TEST_F(TableFixture, UnitsMatchTheOneRuleOverSeededHistories) {
+  net::Host& registrar_host =
+      network.add_host("reggie", net::IpAddress(10, 0, 0, 9));
+  jini::LookupService registrar(registrar_host);
+  const std::vector<std::string> types = {"clock", "printer", "*"};
   std::vector<std::string> urls;
   for (int i = 0; i < 16; ++i) {
     urls.push_back("soap://10.0.1." + std::to_string(i) + ":4005/dev" +
@@ -184,8 +173,28 @@ TEST_F(TableFixture, UnitsMatchPlainVectorReferencesOverSeededHistories) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     TestSlpUnit slp(host);
     TestMdnsUnit mdns(host);
-    VectorReference slp_ref;
-    VectorReference mdns_ref;
+    TestUpnpUnit upnp(host);
+    TestJiniUnit jini(host);
+    jini::MulticastAnnouncement announcement;
+    announcement.registrar_host = "10.0.0.9";
+    announcement.registrar_port = jini::kJiniPort;
+    announcement.registrar_id = registrar.registrar_id();
+    net::Datagram datagram;
+    datagram.source = net::Endpoint{registrar_host.address(), jini::kJiniPort};
+    datagram.multicast = true;
+    datagram.payload = announcement.encode();
+    jini.on_native_message(datagram);
+    scheduler.run_for(sim::millis(10));
+    ASSERT_TRUE(jini.known_registrar().has_value());
+
+    std::vector<Unit*> units = {&slp, &mdns, &upnp, &jini};
+    auto deliver = [&](Session& session) {
+      slp.on_advertisement(session);
+      mdns.on_advertisement(session);
+      upnp.on_advertisement(session);
+      jini.on_advertisement(session);
+    };
+    VectorReference ref;
     std::mt19937 rng(seed);
     auto pick = [&](std::size_t n) {
       return static_cast<std::size_t>(rng() % static_cast<std::uint32_t>(n));
@@ -200,11 +209,8 @@ TEST_F(TableFixture, UnitsMatchPlainVectorReferencesOverSeededHistories) {
       if (op < 55) {
         int ttl = 1 + static_cast<int>(pick(6));
         Session session = advert_session(false, type, url, usn, ttl);
-        transport::TimePoint deadline = host.now() + transport::seconds(ttl);
-        slp.on_advertisement(session);
-        mdns.on_advertisement(session);
-        slp_ref.slp_advert(type, url, usn, deadline);
-        mdns_ref.mdns_advert(type, url, usn, deadline);
+        deliver(session);
+        ref.advert(type, url, usn, host.now() + transport::seconds(ttl));
       } else if (op < 80) {
         // Withdrawals: by URL, by USN only (a UPnP byebye), or both.
         std::size_t shape = pick(3);
@@ -212,24 +218,28 @@ TEST_F(TableFixture, UnitsMatchPlainVectorReferencesOverSeededHistories) {
         std::string_view by_usn = shape == 0 ? std::string_view() : usn;
         if (by_url.empty() && !by_usn.empty()) usn_withdrawals += 1;
         Session session = advert_session(true, type, by_url, by_usn, 0);
-        slp.on_advertisement(session);
-        mdns.on_advertisement(session);
-        slp_ref.slp_byebye(by_url, by_usn);
-        mdns_ref.mdns_byebye(by_url, by_usn);
+        deliver(session);
+        ref.byebye(by_url, by_usn);
       } else if (op < 90) {
-        ASSERT_EQ(slp.expire_bridged_state(host.now()),
-                  slp_ref.sweep(host.now()));
-        ASSERT_EQ(mdns.expire_bridged_state(host.now()),
-                  mdns_ref.sweep(host.now()));
+        std::size_t expired = ref.sweep(host.now());
+        ASSERT_EQ(slp.expire_bridged_state(host.now()), expired);
+        ASSERT_EQ(mdns.expire_bridged_state(host.now()), expired);
+        ASSERT_EQ(upnp.expire_bridged_state(host.now()), expired);
+        ASSERT_EQ(jini.expire_bridged_state(host.now()), expired);
       } else {
         scheduler.run_for(sim::millis(static_cast<std::int64_t>(pick(1500))));
       }
-      ASSERT_EQ(rows(slp.foreign_services()), rows(slp_ref.services))
-          << "SLP diverged at step " << step;
-      ASSERT_EQ(rows(mdns.foreign_services()), rows(mdns_ref.services))
-          << "mDNS diverged at step " << step;
+      for (Unit* unit : units) {
+        ASSERT_EQ(rows(unit->foreign_services()), rows(ref.services))
+            << sdp_name(unit->sdp()) << " diverged at step " << step;
+      }
+      // Every entry has its impersonated device, and only entries have one.
+      ASSERT_EQ(upnp.description_routes(), ref.services.size());
     }
     EXPECT_GT(usn_withdrawals, 0u);
+    scheduler.run_for(sim::seconds(1));
+    EXPECT_GT(jini.foreign_registrations(), 0u);
+    EXPECT_GT(jini.foreign_deregistrations(), 0u);
   }
 }
 
@@ -257,8 +267,9 @@ TEST(BridgedServiceTable, UsnBucketsStayOldestFirstAcrossSwapErases) {
 
   EXPECT_FALSE(table.erase_url("u0"));
   EXPECT_EQ(table.oldest_with_usn(""), nullptr);
-  EXPECT_EQ(table.erase_usn(""), 0u);
-  EXPECT_EQ(table.erase_usn("shared"), 2u);
+  ASSERT_TRUE(table.erase_url("u2"));
+  EXPECT_EQ(table.oldest_with_usn("shared")->url, "u3");
+  ASSERT_TRUE(table.erase_url("u3"));
   EXPECT_EQ(table.oldest_with_usn("shared"), nullptr);
   ASSERT_EQ(table.entries().size(), 1u);
   EXPECT_EQ(table.find("u1")->usn, "other");

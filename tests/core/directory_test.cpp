@@ -1,6 +1,7 @@
 // ServiceDirectory tests (docs/directory.md): record/collect keying, the
 // never-serve-stale collect guard, withdraw tombstones (by URL and by USN),
-// generation-bump invalidation, LRU eviction, the wire-hash touch() refresh,
+// the oldest-first USN withdrawal against a linear scan, generation-bump
+// invalidation, LRU eviction, the wire-hash touch() refresh,
 // and the answer cache's replay, per-type epoch and deadline rules — then the
 // end-to-end legs: the idle-unit bridged-state expiry regression (timer
 // sweep, not sweep-on-touch), the SLP-browse-answered-from-mDNS-announcement
@@ -9,6 +10,8 @@
 // DAAdvert the gateway multicasts when directory mode turns on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <variant>
 #include <vector>
@@ -177,6 +180,95 @@ TEST(ServiceDirectory, WithdrawTombstonesByUrlAndByUsn) {
   // Withdrawing the unknown is a no-op, not a crash or a counter bump.
   EXPECT_EQ(dir.withdraw(SdpId::kSlp, byebye_stream("service:clock://never")),
             0u);
+}
+
+// A byebye naming only a USN withdraws the oldest record carrying it, the
+// rule the units apply to their bridged entries.
+TEST(ServiceDirectory, UsnOnlyWithdrawalTakesTheOldestRecordCarryingIt) {
+  ServiceDirectory dir;
+  for (std::string_view url : {"http://a/desc", "http://b/desc"}) {
+    ASSERT_TRUE(dir.record_advertisement(
+        SdpId::kUpnp, advert_stream("clock", url, 60, "uuid:shared"), {},
+        at_s(0)));
+  }
+  // A refresh keeps the record's place: it is still the oldest.
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kUpnp, advert_stream("clock", "http://a/desc", 60, "uuid:shared"),
+      {}, at_s(1)));
+
+  EXPECT_EQ(dir.withdraw(SdpId::kUpnp, byebye_stream("", "uuid:shared")), 1u);
+  EXPECT_EQ(dir.find("http://a/desc"), nullptr);
+  EXPECT_NE(dir.find("http://b/desc"), nullptr);
+  EXPECT_EQ(dir.withdraw(SdpId::kUpnp, byebye_stream("", "uuid:shared")), 1u);
+  EXPECT_EQ(dir.size(), 0u);
+  EXPECT_EQ(dir.withdraw(SdpId::kUpnp, byebye_stream("", "uuid:shared")), 0u);
+}
+
+// The USN index against a linear scan over the records in arrival order, on
+// seeded histories of adverts, refreshes, URL and USN withdrawals, expiry
+// sweeps, generation bumps and LRU evictions. Records the directory drops by
+// itself (sweep, eviction) leave the reference too; the reference decides
+// only which record each withdrawal takes.
+TEST(ServiceDirectory, WithdrawMatchesALinearScanOverSeededHistories) {
+  std::vector<std::string> urls;
+  for (int i = 0; i < 12; ++i) {
+    urls.push_back("http://10.0.2." + std::to_string(i) + "/desc");
+  }
+  const std::vector<std::string> usns = {"", "uuid:scan-a", "uuid:scan-b"};
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ServiceDirectory dir({.max_records = 8, .type_buckets = 4});
+    std::vector<std::pair<std::string, std::string>> arrivals;  // url, usn
+    std::mt19937 rng(seed);
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % static_cast<std::uint32_t>(n));
+    };
+    std::int64_t now = 0;
+    std::size_t usn_withdrawals = 0;
+    for (int step = 0; step < 800; ++step) {
+      std::size_t op = pick(100);
+      const std::string& url = urls[pick(urls.size())];
+      const std::string& usn = usns[pick(usns.size())];
+      if (op < 55) {
+        auto known =
+            std::find_if(arrivals.begin(), arrivals.end(),
+                         [&](const auto& a) { return a.first == url; });
+        ASSERT_TRUE(dir.record_advertisement(
+            SdpId::kUpnp, advert_stream("clock", url, 1 + pick(8), usn), {},
+            at_s(now)));
+        if (known == arrivals.end()) arrivals.emplace_back(url, usn);
+      } else if (op < 85) {
+        bool by_usn = pick(2) == 0;
+        std::string expected;
+        for (const auto& [u, n] : arrivals) {
+          if (by_usn ? !usn.empty() && n == usn : u == url) {
+            expected = u;
+            break;
+          }
+        }
+        if (by_usn) usn_withdrawals += 1;
+        EventStream byebye =
+            by_usn ? byebye_stream("", usn) : byebye_stream(url);
+        ASSERT_EQ(dir.withdraw(SdpId::kUpnp, byebye),
+                  expected.empty() ? 0u : 1u)
+            << "step " << step;
+        if (!expected.empty()) {
+          EXPECT_EQ(dir.find(expected), nullptr) << "step " << step;
+        }
+      } else if (op < 95) {
+        now += static_cast<std::int64_t>(pick(4));
+        dir.sweep(at_s(now));
+      } else {
+        dir.bump_generation();
+      }
+      std::erase_if(arrivals, [&](const auto& a) {
+        return dir.find(a.first) == nullptr;
+      });
+      ASSERT_EQ(arrivals.size(), dir.size()) << "step " << step;
+    }
+    EXPECT_GT(usn_withdrawals, 0u);
+    EXPECT_GT(dir.evictions(), 0u);
+  }
 }
 
 TEST(ServiceDirectory, GenerationBumpLogicallyEmptiesTheIndex) {

@@ -250,12 +250,14 @@ TEST(DirectoryAllocs, RefreshTouchAndCollectAreZeroAllocSteadyState) {
   EXPECT_EQ(dir.stats(SdpId::kSlp).records_stored, 1u);
 }
 
-// --- Unit bridged-state refresh paths (PR 9 symbol re-keying) ---------------
+// --- Unit bridged-state refresh paths ----------------------------------------
 //
-// The units' foreign-state containers key on interned Symbols so the
-// alive-refresh path — the steady-state case for a chatty announcer — only
-// re-arms TTL clocks. A hand-built peer session drives the protected
-// on_advertisement hook directly, the way deliver_advertisement does.
+// core::Unit finds a known URL in its bridged-service table through a
+// transparent string_view hash, so the alive-refresh path — the steady-state
+// case for a chatty announcer — only re-arms TTL clocks, and each unit's
+// on_bridged hook adds no heap traffic to it. A hand-built peer session
+// drives the protected Unit::on_advertisement directly, the way
+// deliver_advertisement does.
 
 Session foreign_alive_session(std::string_view type, std::string_view url,
                               std::string_view usn = "") {
