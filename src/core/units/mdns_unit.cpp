@@ -484,17 +484,13 @@ void MdnsUnit::on_bridged(Session& session, ForeignService& service,
                           bool fresh) {
   std::string_view type = session.var("service_type");
   dnssd_from_canonical_into(type, qname_scratch_);
-  std::size_t groups =
-      compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
-                            compose_scratch_, &name_overrides_);
-  if (groups == 0) {
+  if (compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
+                            compose_scratch_, &name_overrides_) == 0) {
     // The advertisement named no service URL directly (a UPnP alive only
-    // carries the description LOCATION): announce the resolved URL instead,
-    // the one the bridged entry is keyed by — it still identifies the
-    // service.
-    groups = compose_url_records(service.url, qname_scratch_, kRecordTtl);
+    // carries the description LOCATION): announce the URL the bridged entry
+    // is keyed by instead — it still identifies the service.
+    compose_url_records(service.url, qname_scratch_, kRecordTtl);
   }
-  if (groups == 0) return;
   compose_scratch_.id = 0;
 
   if (probe_ && fresh) {
@@ -688,24 +684,19 @@ void MdnsUnit::release_probe_state(std::string_view url,
 // records out by their own TTLs). Either way its probe state goes, so a
 // device that rejoins re-probes from its base name.
 void MdnsUnit::forget_bridged(const ForeignService& service, Forget why) {
-  if (why == Forget::kExpired) {
-    release_probe_state(service.url, service.canonical_type);
-    return;
+  if (why == Forget::kWithdrawn) {
+    // The goodbye must name the same hash-stable instance the announcement
+    // created, so compose from the entry's URL (the byebye stream itself
+    // may have named only the USN).
+    dnssd_from_canonical_into(service.canonical_type, qname_scratch_);
+    compose_url_records(service.url, qname_scratch_, /*ttl=*/0);
+    // A name still probing was never announced: forget it silently instead
+    // of multicasting a goodbye nobody heard an announcement for. No
+    // cache_outbound_frame: byebyes are never cached (Unit keeps their
+    // state changes on the parse path).
+    if (!blocked_by_probing(compose_scratch_)) multicast_composed();
   }
-  // The goodbye must name the same hash-stable instance the announcement
-  // created, so compose from the entry's URL (the byebye stream itself may
-  // have named only the USN).
-  dnssd_from_canonical_into(service.canonical_type, qname_scratch_);
-  if (compose_url_records(service.url, qname_scratch_, /*ttl=*/0) == 0) {
-    return;
-  }
-  // A name still probing was never announced: forget it silently instead of
-  // multicasting a goodbye nobody heard an announcement for.
-  bool announced = !blocked_by_probing(compose_scratch_);
   release_probe_state(service.url, service.canonical_type);
-  // No cache_outbound_frame here: byebyes are never cached (Unit keeps
-  // their state changes on the parse path).
-  if (announced) multicast_composed();
 }
 
 }  // namespace indiss::core
