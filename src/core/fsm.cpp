@@ -8,24 +8,64 @@ Guard any() {
   return [](const Event&, const Session&) { return true; };
 }
 
-void StateMachine::add_tuple(std::string from, EventType trigger, Guard guard,
-                             std::string to, std::vector<Action> actions) {
-  if (!guard) guard = any();
-  transitions_.push_back(Transition{std::move(from), trigger, std::move(guard),
-                                    std::move(to), std::move(actions)});
+StateId StateMachine::state_id(std::string_view name) {
+  StateId known = find_state(name);
+  if (known != kNoState) return known;
+  names_.emplace_back(name);
+  accepting_.push_back(false);
+  cells_.resize(names_.size() * kEventTypeCount, kNoTransition);
+  return static_cast<StateId>(names_.size() - 1);
 }
 
-const Transition* StateMachine::match(const std::string& state,
-                                      const Event& event,
+StateId StateMachine::find_state(std::string_view name) const {
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    if (names_[i] == name) return static_cast<StateId>(i);
+  }
+  return kNoState;
+}
+
+std::string_view StateMachine::state_name(StateId id) const {
+  return id < names_.size() ? std::string_view(names_[id])
+                            : std::string_view();
+}
+
+void StateMachine::add_accepting(std::string_view state) {
+  accepting_[state_id(state)] = true;
+}
+
+bool StateMachine::is_accepting(std::string_view state) const {
+  StateId id = find_state(state);
+  return id != kNoState && accepting_[id];
+}
+
+void StateMachine::add_tuple(std::string_view from, EventType trigger,
+                             Guard guard, std::string_view to,
+                             std::vector<Action> actions) {
+  if (!guard) guard = any();
+  StateId from_id = state_id(from);
+  StateId to_id = state_id(to);
+  auto index = static_cast<std::uint32_t>(transitions_.size());
+  transitions_.push_back(Transition{from_id, trigger, std::move(guard), to_id,
+                                    std::move(actions), kNoTransition});
+  // Append to the cell's chain, so guards run in the order they were added.
+  std::uint32_t* link = &cells_[cell(from_id, trigger)];
+  while (*link != kNoTransition) link = &transitions_[*link].next_in_cell;
+  *link = index;
+}
+
+const Transition* StateMachine::match(StateId state, const Event& event,
                                       const Session& session) const {
+  if (state >= names_.size()) return nullptr;
   const Transition* found = nullptr;
-  for (const auto& t : transitions_) {
-    if (t.from != state || t.trigger != event.type) continue;
+  for (std::uint32_t i = cells_[cell(state, event.type)]; i != kNoTransition;
+       i = transitions_[i].next_in_cell) {
+    const Transition& t = transitions_[i];
     if (!t.guard(event, session)) continue;
     if (found != nullptr) {
       throw std::logic_error(
-          "nondeterministic state machine: state '" + state + "' has two "
-          "enabled transitions on " + std::string(event_name(event.type)));
+          "nondeterministic state machine: state '" +
+          std::string(state_name(state)) + "' has two enabled transitions "
+          "on " + std::string(event_name(event.type)));
     }
     found = &t;
   }
@@ -33,17 +73,17 @@ const Transition* StateMachine::match(const std::string& state,
 }
 
 std::set<std::string> StateMachine::states() const {
-  std::set<std::string> out{start_};
+  std::set<std::string> out{std::string(state_name(start_))};
   for (const auto& t : transitions_) {
-    out.insert(t.from);
-    out.insert(t.to);
+    out.emplace(state_name(t.from));
+    out.emplace(state_name(t.to));
   }
   return out;
 }
 
 bool fsm_step(const StateMachine& machine, Unit& unit, Session& session,
               const Event& event) {
-  if (session.state.empty()) session.state = machine.start();
+  if (session.state == kNoState) session.state = machine.start();
   const Transition* transition = machine.match(session.state, event, session);
   if (transition == nullptr) return false;
   session.state = transition->to;

@@ -1,8 +1,15 @@
 // A Session is one coordination process run by a unit's FSM: the translation
 // of a single discovery transaction (or advertisement). It holds the DFA's
-// current state and the recorded state variables that later actions (reply
-// composition) draw on — "events data from previous states are recorded using
-// state variables" (paper §2.3).
+// current state (the StateId its machine numbered at build time) and the
+// recorded state variables that later actions (reply composition) draw on —
+// "events data from previous states are recorded using state variables"
+// (paper §2.3).
+//
+// The events of the message in progress are read through events(). A native
+// parse collects them into `collected`; a stream shared by a peer unit (a
+// peer request or advertisement, a translated reply, a directory answer) is
+// stepped through in place and kept by reference in `shared`
+// (docs/events.md's shared-feeding contract).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +25,11 @@
 
 namespace indiss::core {
 
+/// A state's number within its StateMachine (core/fsm.hpp).
+using StateId = std::uint16_t;
+/// No state yet: fsm_step starts such a session at its machine's start.
+inline constexpr StateId kNoState = 0xFFFF;
+
 struct Session {
   enum class Origin {
     kNative,  // created by a native message arriving through the monitor
@@ -27,7 +39,7 @@ struct Session {
 
   std::uint64_t id = 0;
   Origin origin = Origin::kNative;
-  std::string state;  // FSM state
+  StateId state = kNoState;  // FSM state
 
   // Reply routing for kPeer sessions: where the translated response stream
   // must be sent back.
@@ -38,8 +50,17 @@ struct Session {
   /// interned-key record: var() lookups allocate nothing.
   SmallRecord vars;
 
-  /// Events of the in-progress message (between START and STOP).
+  /// Events of the in-progress native message (between START and STOP).
   EventStream collected;
+  /// The peer stream the session was last stepped through, held by
+  /// reference; reset when a native message starts collecting.
+  SharedStream shared;
+
+  /// The events of the message in progress: the shared stream when the
+  /// session was fed one, else the collected native message.
+  [[nodiscard]] const EventStream& events() const {
+    return shared != nullptr ? *shared : collected;
+  }
 
   /// Name of the parser currently active for this session (parser switch).
   std::string active_parser;

@@ -38,19 +38,6 @@ Unit::~Unit() {
   if (bus_ != nullptr) bus_->unsubscribe(*this);
 }
 
-void Unit::schedule_guarded(transport::Duration delay,
-                            std::function<void()> fn) {
-  // The guard aliases the lifetime token onto `this`, so the task carries
-  // one weak pointer and stays inside the scheduler's inline task storage.
-  host_.schedule(delay, [unit = std::weak_ptr<Unit>(
-                             std::shared_ptr<Unit>(alive_, this)),
-                         fn = std::move(fn)]() {
-    if (unit.expired()) return;
-    fn();
-    if (auto self = unit.lock()) self->retire_finished_sessions();
-  });
-}
-
 void Unit::register_parser(std::unique_ptr<SdpParser> parser) {
   std::string name(parser->name());
   if (default_parser_.empty()) default_parser_ = name;
@@ -77,21 +64,32 @@ Session& Unit::open_session(Session::Origin origin) {
     stats_.sessions_evicted += 1;
     close_session(oldest->first);
   }
+  // A retired node is reused with its buffers (vars, collected): a unit
+  // translating a steady message flow stops allocating sessions once warm.
   std::uint64_t id = next_session_id_++;
-  Session session;
+  decltype(sessions_)::iterator it;
+  if (spare_sessions_.empty()) {
+    it = sessions_.emplace_hint(sessions_.end(), id, Session{});
+    it->second.collected = stream_pool_.acquire();
+  } else {
+    auto node = std::move(spare_sessions_.back());
+    spare_sessions_.pop_back();
+    node.key() = id;
+    it = sessions_.insert(sessions_.end(), std::move(node));
+  }
+  Session& session = it->second;
   session.id = id;
   session.origin = origin;
   session.state = fsm_.start();
+  session.origin_sdp = SdpId::kSlp;
+  session.origin_session = 0;
   session.active_parser = default_parser_;
+  session.done = false;
   session.created_at = now();
-  // The collected buffer is pooled: a unit translating a steady message flow
-  // stops allocating stream storage once the pool is warm.
-  session.collected = stream_pool_.acquire();
   stats_.sessions_opened += 1;
   live_sessions_ += 1;
-  auto [it, inserted] = sessions_.emplace(id, std::move(session));
   arm_session_timer();
-  return it->second;
+  return session;
 }
 
 void Unit::close_session(std::uint64_t id) {
@@ -102,8 +100,16 @@ void Unit::close_session(std::uint64_t id) {
     live_sessions_ -= 1;
     close_query_socket(id);
   }
-  stream_pool_.release(std::move(it->second.collected));
-  sessions_.erase(it);
+  auto node = sessions_.extract(it);
+  Session& session = node.mapped();
+  session.vars.clear();
+  session.collected.clear();
+  session.shared.reset();
+  if (spare_sessions_.size() < kSpare) {
+    spare_sessions_.push_back(std::move(node));
+  } else {
+    stream_pool_.release(std::move(session.collected));
+  }
 }
 
 void Unit::close_query_socket(std::uint64_t session_id) {
@@ -143,6 +149,7 @@ void Unit::feed_event(Session& session, Event event) {
   stats_.events_emitted += 1;
   if (event.type == EventType::kControlStart) {
     session.collected.clear();
+    session.shared.reset();
   }
   session.collected.push_back(std::move(event));
   if (!fsm_step(fsm_, *this, session, session.collected.back())) {
@@ -150,10 +157,14 @@ void Unit::feed_event(Session& session, Event event) {
   }
 }
 
-void Unit::feed_stream(Session& session, const EventStream& stream) {
-  for (const auto& event : stream) {
+void Unit::feed_stream(Session& session, SharedStream stream) {
+  // The local reference keeps the stream alive even if an action replaces
+  // session.shared mid-stream.
+  session.shared = stream;
+  for (const auto& event : *stream) {
     if (session.done) return;
-    feed_event(session, event);
+    stats_.events_emitted += 1;
+    if (!fsm_step(fsm_, *this, session, event)) stats_.events_ignored += 1;
   }
 }
 
@@ -180,77 +191,104 @@ void Unit::parse_into_session(Session& session, BytesView raw,
   it->second->parse(raw, ctx, sink);
 }
 
+Unit::HeldDatagram Unit::hold(const net::Datagram& datagram) {
+  HeldDatagram held;
+  if (spare_datagrams_.empty()) {
+    held = std::make_unique<net::Datagram>();
+  } else {
+    held = std::move(spare_datagrams_.back());
+    spare_datagrams_.pop_back();
+  }
+  held->source = datagram.source;
+  held->destination = datagram.destination;
+  held->multicast = datagram.multicast;
+  held->payload.assign(datagram.payload.begin(), datagram.payload.end());
+  return held;
+}
+
+void Unit::recycle(HeldDatagram datagram) {
+  if (spare_datagrams_.size() < kSpare) {
+    spare_datagrams_.push_back(std::move(datagram));
+  }
+}
+
 void Unit::on_native_message(const net::Datagram& datagram) {
   // One hop for intercepting + parsing a message (its modelled cost on the
-  // simulator).
-  schedule_hop([this, datagram]() {
-    // Short-circuit: a byte-identical advertisement translated before
-    // replays its composed outbound frames without a session or a parse.
-    // In directory mode the advert's index record re-arms its TTL too —
-    // short-circuited repeats must keep the record alive.
-    TranslationCache* cache = options_.translation_cache.get();
-    ServiceDirectory* dir = options_.directory.get();
-    if (cache != nullptr) {
-      if (const auto* bundle =
-              cache->lookup(sdp_, datagram.payload, now())) {
-        cache->replay(sdp_, *bundle);
-        stats_.cache_short_circuits += 1;
-        if (dir != nullptr) dir->touch(sdp_, datagram.payload, now());
-        return;
-      }
-    }
+  // simulator). The hop owns a recycled copy of the datagram: the
+  // transport's buffer is only valid during this call.
+  schedule_hop([this, held = hold(datagram)]() mutable {
+    ingest(*held);
+    recycle(std::move(held));
+  });
+}
 
-    // Short-circuit: the identical query from the identical requester was
-    // answered from the directory this epoch — replay the composed reply
-    // frames without a session, a parse or a compose.
-    if (dir != nullptr &&
-        dir->replay_answer(sdp_, datagram.payload, datagram.source, now())) {
-      dir->count_answered(sdp_);
+void Unit::ingest(const net::Datagram& datagram) {
+  // Short-circuit: a byte-identical advertisement translated before
+  // replays its composed outbound frames without a session or a parse.
+  // In directory mode the advert's index record re-arms its TTL too —
+  // short-circuited repeats must keep the record alive.
+  TranslationCache* cache = options_.translation_cache.get();
+  ServiceDirectory* dir = options_.directory.get();
+  if (cache != nullptr) {
+    if (const auto* bundle =
+            cache->lookup(sdp_, datagram.payload, now())) {
+      cache->replay(sdp_, *bundle);
+      stats_.cache_short_circuits += 1;
+      if (dir != nullptr) dir->touch(sdp_, datagram.payload, now());
       return;
     }
+  }
 
-    Session& session = open_session(Session::Origin::kNative);
-    std::uint64_t session_id = session.id;
-    MessageContext ctx = context_of(datagram, host_.address());
+  // Short-circuit: the identical query from the identical requester was
+  // answered from the directory this epoch — replay the composed reply
+  // frames without a session, a parse or a compose.
+  if (dir != nullptr &&
+      dir->replay_answer(sdp_, datagram.payload, datagram.source, now())) {
+    dir->count_answered(sdp_);
+    return;
+  }
+
+  Session& session = open_session(Session::Origin::kNative);
+  std::uint64_t session_id = session.id;
+  MessageContext ctx = context_of(datagram, host_.address());
+  if (dir != nullptr) {
+    pending_query_wire_ = datagram.payload;
+    pending_query_source_ = datagram.source;
+  }
+  parse_into_session(session, datagram.payload, ctx);
+  pending_query_wire_ = {};
+
+  // The FSM ran to SDP_C_STOP inside the parse; advertisement kinds were
+  // dispatched to the peers, whose composed frames will land in the
+  // bundle opened here (their deferred deliveries fire strictly after
+  // this callback). Byebyes are deliberately NEVER cached: their per-unit
+  // state changes (lease cancels, impersonation drops, goodbye-side
+  // bookkeeping) must run on every arrival, so each one re-parses and
+  // invalidates everything cached under the pre-withdrawal world.
+  Session* parsed = find_session(session_id);
+  if (parsed != nullptr) {
+    auto kind = parsed->var("kind");
+    if (cache != nullptr) {
+      if (kind == "byebye") {
+        cache->bump_generation();
+      } else if (kind == "alive" || kind == "register" ||
+                 kind == "repo_announce") {
+        cache->open_bundle(sdp_, datagram.payload, session_id,
+                           now());
+      }
+    }
+    // Directory population rides the same classification: adverts are
+    // recorded (or TTL-refreshed), byebyes tombstone their record so a
+    // withdrawn service is never answered from the index again.
     if (dir != nullptr) {
-      pending_query_wire_ = datagram.payload;
-      pending_query_source_ = datagram.source;
-    }
-    parse_into_session(session, datagram.payload, ctx);
-    pending_query_wire_ = {};
-
-    // The FSM ran to SDP_C_STOP inside the parse; advertisement kinds were
-    // dispatched to the peers, whose composed frames will land in the
-    // bundle opened here (their deferred deliveries fire strictly after
-    // this callback). Byebyes are deliberately NEVER cached: their per-unit
-    // state changes (lease cancels, impersonation drops, goodbye-side
-    // bookkeeping) must run on every arrival, so each one re-parses and
-    // invalidates everything cached under the pre-withdrawal world.
-    Session* parsed = find_session(session_id);
-    if (parsed != nullptr) {
-      auto kind = parsed->var("kind");
-      if (cache != nullptr) {
-        if (kind == "byebye") {
-          cache->bump_generation();
-        } else if (kind == "alive" || kind == "register" ||
-                   kind == "repo_announce") {
-          cache->open_bundle(sdp_, datagram.payload, session_id,
-                             now());
-        }
-      }
-      // Directory population rides the same classification: adverts are
-      // recorded (or TTL-refreshed), byebyes tombstone their record so a
-      // withdrawn service is never answered from the index again.
-      if (dir != nullptr) {
-        if (kind == "byebye") {
-          dir->withdraw(sdp_, parsed->collected);
-        } else if (kind == "alive" || kind == "register") {
-          dir->record_advertisement(sdp_, parsed->collected, datagram.payload,
-                                    now());
-        }
+      if (kind == "byebye") {
+        dir->withdraw(sdp_, parsed->events());
+      } else if (kind == "alive" || kind == "register") {
+        dir->record_advertisement(sdp_, parsed->events(), datagram.payload,
+                                  now());
       }
     }
-  });
+  }
 }
 
 void Unit::on_peer_stream(SdpId origin_sdp, std::uint64_t origin_session,
@@ -262,28 +300,25 @@ void Unit::on_peer_stream(SdpId origin_sdp, std::uint64_t origin_session,
         Session& session = open_session(Session::Origin::kPeer);
         session.origin_sdp = origin_sdp;
         session.origin_session = origin_session;
-        feed_stream(session, *stream);
+        feed_stream(session, std::move(stream));
       });
 }
 
 void Unit::on_reply_stream(std::uint64_t session_id, SharedStream stream) {
-  schedule_hop([this, session_id, stream = std::move(stream)]() {
+  schedule_hop([this, session_id, stream = std::move(stream)]() mutable {
     Session* session = find_session(session_id);
     if (session == nullptr || session->done) return;
-    feed_stream(*session, *stream);
+    feed_stream(*session, std::move(stream));
   });
 }
 
 void Unit::probe(const std::string& canonical_type) {
   Session& session = open_session(Session::Origin::kLocal);
-  EventStream stream = stream_pool_.acquire();
-  stream.push_back(Event(EventType::kControlStart));
-  stream.push_back(Event(EventType::kServiceRequest));
-  stream.push_back(
-      Event(EventType::kServiceTypeIs, {{"type", canonical_type}}));
-  stream.push_back(Event(EventType::kControlStop));
-  feed_stream(session, stream);
-  stream_pool_.release(std::move(stream));
+  feed_event(session, Event(EventType::kControlStart));
+  feed_event(session, Event(EventType::kServiceRequest));
+  feed_event(session,
+             Event(EventType::kServiceTypeIs, {{"type", canonical_type}}));
+  feed_event(session, Event(EventType::kControlStop));
 }
 
 transport::UdpSocket& Unit::open_query_socket(const Session& session) {
@@ -291,9 +326,10 @@ transport::UdpSocket& Unit::open_query_socket(const Session& session) {
   mark_own(*socket);
   std::uint64_t session_id = session.id;
   socket->set_receive_handler([this, session_id](const net::Datagram& d) {
-    MessageContext ctx = context_of(d, host_.address());
-    schedule_hop([this, session_id, d, ctx]() {
-      on_native_response(session_id, d.payload, ctx);
+    schedule_hop([this, session_id, held = hold(d)]() mutable {
+      on_native_response(session_id, held->payload,
+                         context_of(*held, host_.address()));
+      recycle(std::move(held));
     });
   });
   auto& entry = client_sockets_[session_id];
@@ -324,17 +360,18 @@ void Unit::on_native_response(std::uint64_t session_id, BytesView raw,
 // Action factories
 // ---------------------------------------------------------------------------
 
-Action Unit::record(std::string var, std::string data_key) {
-  return [var = std::move(var), data_key = std::move(data_key)](
+Action Unit::record(std::string_view var, std::string_view data_key) {
+  SymbolTable& table = SymbolTable::global();
+  return [var = table.intern(var), key = table.intern(data_key)](
              Unit&, const Event& event, Session& session) {
-    if (event.has(data_key)) session.set_var(var, event.get(data_key));
+    if (event.data.has(key)) session.vars.set(var, event.data.get(key));
   };
 }
 
-Action Unit::set(std::string var, std::string value) {
-  return [var = std::move(var), value = std::move(value)](
+Action Unit::set(std::string_view var, std::string value) {
+  return [var = SymbolTable::global().intern(var), value = std::move(value)](
              Unit&, const Event&, Session& session) {
-    session.set_var(var, value);
+    session.vars.set(var, value);
   };
 }
 
@@ -447,10 +484,14 @@ void Unit::do_dispatch_to_peers(Session& session) {
     dir->count_bridged(sdp_);
   }
   stats_.streams_dispatched += 1;
-  // One copy into a shared buffer, however many subscribers the bus fans
-  // out to (the hand-wired mesh copied the stream once per peer).
-  bus_->publish(*this, session.id,
-                std::make_shared<const EventStream>(session.collected));
+  // One shared buffer, however many subscribers the bus fans out to (the
+  // hand-wired mesh copied the stream once per peer).
+  bus_->publish(*this, session.id, share_events(session));
+}
+
+SharedStream Unit::share_events(const Session& session) const {
+  if (session.shared != nullptr) return session.shared;
+  return std::make_shared<const EventStream>(session.collected);
 }
 
 bool Unit::try_answer_from_directory(Session& session) {
@@ -471,37 +512,39 @@ bool Unit::try_answer_from_directory(Session& session) {
   // it back after the usual translate delay — the session's own
   // await_foreign -> collect_reply -> send_native_reply machinery then
   // composes a reply byte-compatible with the bridged one.
+  // Keys are interned once per answer, not once per record.
   SymbolTable& table = SymbolTable::global();
+  const Symbol type_key = table.intern("type");
+  const Symbol usn_key = table.intern("usn");
+  const Symbol attr_key = table.intern("key");
+  const Symbol value_key = table.intern("value");
+  const Symbol seconds_key = table.intern("seconds");
+  const Symbol url_key = table.intern("url");
   auto stream = std::make_shared<EventStream>();
   stream->reserve(3 + 5 * directory_matches_.size());
   stream->push_back(Event(EventType::kControlStart));
   stream->push_back(Event(EventType::kServiceResponse));
   stream->push_back(Event(EventType::kResOk));
   for (const ServiceDirectory::Record* record : directory_matches_) {
-    Event type_event(EventType::kServiceTypeIs);
-    type_event.set("type", table.name(record->canonical_type));
-    stream->push_back(std::move(type_event));
+    Event& type_event = stream->emplace_back(EventType::kServiceTypeIs);
+    type_event.data.set(type_key, table.name(record->canonical_type));
     if (record->usn != kNoSymbol) {
-      Event usn_event(EventType::kUpnpUsn);
-      usn_event.set("usn", table.name(record->usn));
-      stream->push_back(std::move(usn_event));
+      Event& usn_event = stream->emplace_back(EventType::kUpnpUsn);
+      usn_event.data.set(usn_key, table.name(record->usn));
     }
     for (std::size_t i = 0; i < record->attr_count; ++i) {
-      Event attr_event(EventType::kServiceAttr);
-      attr_event.set("key", table.name(record->attributes[i].first));
-      attr_event.set("value", record->attributes[i].second);
-      stream->push_back(std::move(attr_event));
+      Event& attr_event = stream->emplace_back(EventType::kServiceAttr);
+      attr_event.data.set(attr_key, table.name(record->attributes[i].first));
+      attr_event.data.set(value_key, record->attributes[i].second);
     }
-    Event ttl_event(EventType::kResTtl);
-    ttl_event.set(
-        "seconds",
+    Event& ttl_event = stream->emplace_back(EventType::kResTtl);
+    ttl_event.data.set(
+        seconds_key,
         std::to_string(
             std::chrono::duration_cast<std::chrono::seconds>(record->ttl)
                 .count()));
-    stream->push_back(std::move(ttl_event));
-    Event url_event(EventType::kResServUrl);
-    url_event.set("url", table.name(record->url));
-    stream->push_back(std::move(url_event));
+    Event& url_event = stream->emplace_back(EventType::kResServUrl);
+    url_event.data.set(url_key, table.name(record->url));
   }
   stream->push_back(Event(EventType::kControlStop));
 
@@ -515,10 +558,10 @@ bool Unit::try_answer_from_directory(Session& session) {
   dir->count_answered(sdp_);
 
   std::uint64_t id = session.id;
-  schedule_hop([this, id, stream = std::move(stream)]() {
+  schedule_hop([this, id, stream = SharedStream(std::move(stream))]() mutable {
     Session* answered = find_session(id);
     if (answered == nullptr || answered->done) return;
-    feed_stream(*answered, *stream);
+    feed_stream(*answered, std::move(stream));
   });
   return true;
 }
@@ -530,7 +573,7 @@ void Unit::do_reply_to_origin(Session& session) {
   }
   stats_.streams_dispatched += 1;
   bus_->reply(session.origin_sdp, session.origin_session,
-              std::make_shared<const EventStream>(session.collected));
+              share_events(session));
 }
 
 void Unit::do_complete(Session& session) {
@@ -565,7 +608,7 @@ void Unit::compose_follow_up(Session&, const Event&) {}
 void Unit::on_advertisement(Session& session) {
   // View-based extraction: the alive refresh (the steady-state case for a
   // chatty announcer) touches only views into the session's events.
-  AdvertView advert = scan_advert(session.collected);
+  AdvertView advert = scan_advert(session.events());
   if (session.var("kind") == "byebye") {
     const ForeignService* known = advert.url.empty()
                                       ? bridged_.oldest_with_usn(advert.usn)

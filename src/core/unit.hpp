@@ -22,6 +22,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/directory/service_directory.hpp"
@@ -124,13 +126,14 @@ class Unit {
 
   // --- FSM action API (invoked by transitions) ------------------------------
 
-  /// Records event data under a session state variable.
-  static Action record(std::string var, std::string data_key);
+  /// Records event data under a session state variable. Both keys are
+  /// interned here, when the machine is built.
+  static Action record(std::string_view var, std::string_view data_key);
   /// Sets a session state variable to a constant.
-  static Action set(std::string var, std::string value);
-  /// Publishes the session's collected stream on the bus.
+  static Action set(std::string_view var, std::string value);
+  /// Publishes the session's events on the bus.
   static Action dispatch_to_peers();
-  /// Sends the session's collected stream back to the originating unit.
+  /// Sends the session's events back to the originating unit.
   static Action reply_to_origin();
   /// Asks the composer to build and send the native request for a
   /// peer-originated session.
@@ -144,7 +147,7 @@ class Unit {
   /// Swaps the session's active parser (SDP_C_PARSER_SWITCH) and continues
   /// parsing the event's payload with it.
   static Action do_parser_switch();
-  /// Hands the collected advertisement stream to the subclass.
+  /// Hands the advertisement stream to the subclass.
   static Action deliver_advertisement();
   /// Marks the session finished; the unit erases it once the current
   /// scheduled task returns.
@@ -280,12 +283,14 @@ class Unit {
   void on_native_response(std::uint64_t session_id, BytesView raw,
                           const MessageContext& ctx);
 
-  /// Creates a session and runs `stream` through the FSM as if parsed.
+  /// Creates a session in the machine's start state.
   Session& open_session(Session::Origin origin);
 
-  /// Feeds one event: collects it and steps the FSM.
+  /// Feeds one event of a native message: collects it and steps the FSM.
   void feed_event(Session& session, Event event);
-  void feed_stream(Session& session, const EventStream& stream);
+  /// Steps the FSM through a stream shared by a peer unit without copying
+  /// it; the session keeps the stream as its events() (docs/events.md).
+  void feed_stream(Session& session, SharedStream stream);
 
   /// Per-unit recycled stream buffers (session `collected` storage and any
   /// composer-built streams draw from here).
@@ -296,13 +301,32 @@ class Unit {
   /// dynamic detach (Indiss::disable_unit) or stop() — `fn` may capture
   /// `this` safely. Sessions completed during `fn` are erased when it
   /// returns.
-  void schedule_guarded(transport::Duration delay, std::function<void()> fn);
+  ///
+  /// `fn` and the guard travel together in the scheduler's InlineTask,
+  /// which must hold them in place: a hop never allocates its callable.
+  template <typename Fn>
+  void schedule_guarded(transport::Duration delay, Fn fn) {
+    // The guard aliases the lifetime token onto `this`, so the task carries
+    // one weak pointer next to `fn`.
+    auto task = [unit = std::weak_ptr<Unit>(
+                     std::shared_ptr<Unit>(alive_, this)),
+                 fn = std::move(fn)]() mutable {
+      if (unit.expired()) return;
+      fn();
+      if (auto self = unit.lock()) self->retire_finished_sessions();
+    };
+    static_assert(sizeof(task) <= transport::InlineTask::kInlineSize &&
+                      std::is_nothrow_move_constructible_v<decltype(task)>,
+                  "a unit task must fit InlineTask's inline storage");
+    host_.schedule(delay, std::move(task));
+  }
 
   /// One pipeline hop (ingress parse, peer delivery, reply delivery,
   /// response parse): schedule_guarded after translate_delay on a simulated
   /// clock, at zero delay on a real one. Either way `fn` never runs inside
   /// the caller; it runs once the current task or handler returns.
-  void schedule_hop(std::function<void()> fn) {
+  template <typename Fn>
+  void schedule_hop(Fn fn) {
     schedule_guarded(hop_delay_, std::move(fn));
   }
 
@@ -357,6 +381,16 @@ class Unit {
   void bind_bus(EventBus* bus) { bus_ = bus; }
 
   void do_dispatch_to_peers(Session& session);
+  /// The session's events as a shared stream: the one it was fed, or a
+  /// copy of what it collected.
+  [[nodiscard]] SharedStream share_events(const Session& session) const;
+  /// A native datagram held for its parse hop, in a recycled box whose
+  /// payload keeps its capacity (hold/recycle).
+  using HeldDatagram = std::unique_ptr<net::Datagram>;
+  HeldDatagram hold(const net::Datagram& datagram);
+  void recycle(HeldDatagram datagram);
+  /// Parses a native datagram arriving at the monitor (the ingress hop).
+  void ingest(const net::Datagram& datagram);
   /// Directory-mode interception of a native query's dispatch: when the
   /// index holds fresh records of the requested type, schedules a
   /// synthesized foreign-reply stream back into the session (so the normal
@@ -391,6 +425,11 @@ class Unit {
   /// Keyed by id, which is creation order: with one shared timeout the
   /// first session always has the nearest deadline.
   std::map<std::uint64_t, Session> sessions_;
+  /// Retired session nodes, reused with their buffers by open_session, and
+  /// recycled datagram boxes (hold/recycle); at most kSpare of each.
+  static constexpr std::size_t kSpare = 64;
+  std::vector<std::map<std::uint64_t, Session>::node_type> spare_sessions_;
+  std::vector<HeldDatagram> spare_datagrams_;
   /// Per-query sockets by session id (open_query_socket).
   std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
       client_sockets_;

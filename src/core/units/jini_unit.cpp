@@ -217,7 +217,7 @@ void JiniUnit::compose_native_request(Session& session) {
 
     Session* session = find_session(session_id);
     if (session == nullptr || session->done) return;
-    feed_stream(*session, stream);
+    for (Event& event : stream) feed_event(*session, std::move(event));
   });
 }
 
@@ -237,7 +237,7 @@ void JiniUnit::on_bridged(Session& session, ForeignService& service, bool) {
   service.handle = kLeasePending;
 
   jini::EntryAttributes attributes;
-  for (const auto& event : session.collected) {
+  for (const auto& event : session.events()) {
     if (event.type == EventType::kServiceAttr) {
       attributes.emplace_back(event.get("key"), event.get("value"));
     }

@@ -448,7 +448,7 @@ void MdnsUnit::compose_native_reply(Session& session) {
   } else {
     qname_scratch_.assign(recorded_qname);
   }
-  if (compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
+  if (compose_dnssd_answers(session.events(), qname_scratch_, kRecordTtl,
                             compose_scratch_, &name_overrides_) == 0) {
     return;  // nothing found: mDNS answers with silence
   }
@@ -484,7 +484,7 @@ void MdnsUnit::on_bridged(Session& session, ForeignService& service,
                           bool fresh) {
   std::string_view type = session.var("service_type");
   dnssd_from_canonical_into(type, qname_scratch_);
-  if (compose_dnssd_answers(session.collected, qname_scratch_, kRecordTtl,
+  if (compose_dnssd_answers(session.events(), qname_scratch_, kRecordTtl,
                             compose_scratch_, &name_overrides_) == 0) {
     // The advertisement named no service URL directly (a UPnP alive only
     // carries the description LOCATION): announce the URL the bridged entry

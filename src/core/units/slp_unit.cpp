@@ -239,7 +239,7 @@ void SlpUnit::compose_native_reply(Session& session) {
   auto xid = static_cast<std::uint16_t>(
       str::parse_long(session.var("xid", "0"), 0));
   auto& reply = std::get<slp::SrvRply>(compose_scratch_);
-  if (compose_slp_reply(session.collected,
+  if (compose_slp_reply(session.events(),
                         session.var("service_type", "service"), xid,
                         kReplyLifetimeSeconds, /*attrs_in_url=*/true, reply,
                         attr_scratch_) == 0) {

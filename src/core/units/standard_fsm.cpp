@@ -20,6 +20,8 @@ Action response_to_advert() {
 
 void build_standard_fsm(StateMachine& fsm, StandardFsmOptions options) {
   using ET = EventType;
+  const Symbol kind = SymbolTable::global().intern("kind");
+  const Symbol server = SymbolTable::global().intern("server");
   fsm.set_start("idle");
   fsm.add_accepting("done");
 
@@ -38,8 +40,8 @@ void build_standard_fsm(StateMachine& fsm, StandardFsmOptions options) {
   // nodes forever. Requests carry the stamp in the native protocol's own
   // loop-prevention slot (SSDP USER-AGENT, SLP previous-responder list),
   // surfaced by the parser as the head event's "server" attribute.
-  auto from_bridge = [](const Event& e, const Session&) {
-    return e.get("server").find("INDISS-bridge") != std::string::npos;
+  auto from_bridge = [server](const Event& e, const Session&) {
+    return e.data.get(server).find("INDISS-bridge") != std::string::npos;
   };
   auto not_from_bridge = [from_bridge](const Event& e, const Session& s) {
     return !from_bridge(e, s);
@@ -77,10 +79,10 @@ void build_standard_fsm(StateMachine& fsm, StandardFsmOptions options) {
                 {Unit::dispatch_to_peers(), Unit::complete()});
   fsm.add_tuple(
       "parsing", ET::kControlStop,
-      [](const Event&, const Session& s) {
-        auto kind = s.var("kind");
-        return kind != "request" && kind != "alive" && kind != "register" &&
-               kind != "byebye";
+      [kind](const Event&, const Session& s) {
+        std::string_view k = s.vars.get(kind);
+        return k != "request" && k != "alive" && k != "register" &&
+               k != "byebye";
       },
       "done", {Unit::complete()});
 
@@ -109,17 +111,16 @@ void build_standard_fsm(StateMachine& fsm, StandardFsmOptions options) {
   fsm.add_tuple("composing", ET::kControlStop, kind_is("request"),
                 "await_native", {Unit::begin_native_request()});
   fsm.add_tuple("composing", ET::kControlStop,
-                [](const Event&, const Session& s) {
-                  auto kind = s.var("kind");
-                  return kind == "alive" || kind == "byebye" ||
-                         kind == "register";
+                [kind](const Event&, const Session& s) {
+                  std::string_view k = s.vars.get(kind);
+                  return k == "alive" || k == "byebye" || k == "register";
                 },
                 "done", {Unit::deliver_advertisement(), Unit::complete()});
   fsm.add_tuple("composing", ET::kControlStop,
-                [](const Event&, const Session& s) {
-                  auto kind = s.var("kind");
-                  return kind != "request" && kind != "alive" &&
-                         kind != "byebye" && kind != "register";
+                [kind](const Event&, const Session& s) {
+                  std::string_view k = s.vars.get(kind);
+                  return k != "request" && k != "alive" && k != "byebye" &&
+                         k != "register";
                 },
                 "done", {Unit::complete()});
 

@@ -15,13 +15,14 @@
 //   parsing         native inbound message streaming through the parser
 //   await_foreign   native request dispatched; waiting for peer reply streams
 //   collect_reply   translated reply stream arriving
-//   composing       peer/local stream being collected
+//   composing       peer/local stream being stepped through
 //   await_native    native request sent by our composer; awaiting a response
 //   collect_native  native response streaming through the parser
 //   done            accepting
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/fsm.hpp"
 #include "core/unit.hpp"
@@ -29,16 +30,22 @@
 namespace indiss::core {
 
 // --- Guard helpers ----------------------------------------------------------
+//
+// Keys are interned when the guard is built, so a step compares symbols and
+// never takes the SymbolTable's lock.
 
 [[nodiscard]] inline Guard kind_is(std::string kind) {
-  return [kind = std::move(kind)](const Event&, const Session& s) {
-    return s.var("kind") == kind;
+  return [key = SymbolTable::global().intern("kind"),
+          kind = std::move(kind)](const Event&, const Session& s) {
+    return s.vars.get(key) == kind;
   };
 }
 
 [[nodiscard]] inline Guard kind_in(std::string a, std::string b) {
-  return [a = std::move(a), b = std::move(b)](const Event&, const Session& s) {
-    return s.var("kind") == a || s.var("kind") == b;
+  return [key = SymbolTable::global().intern("kind"), a = std::move(a),
+          b = std::move(b)](const Event&, const Session& s) {
+    std::string_view kind = s.vars.get(key);
+    return kind == a || kind == b;
   };
 }
 
@@ -61,15 +68,17 @@ namespace indiss::core {
   };
 }
 
-[[nodiscard]] inline Guard has_var(std::string key) {
-  return [key = std::move(key)](const Event&, const Session& s) {
-    return s.has_var(key);
+[[nodiscard]] inline Guard has_var(std::string_view key) {
+  return [key = SymbolTable::global().intern(key)](const Event&,
+                                                   const Session& s) {
+    return s.vars.has(key);
   };
 }
 
-[[nodiscard]] inline Guard lacks_var(std::string key) {
-  return [key = std::move(key)](const Event&, const Session& s) {
-    return !s.has_var(key);
+[[nodiscard]] inline Guard lacks_var(std::string_view key) {
+  return [key = SymbolTable::global().intern(key)](const Event&,
+                                                   const Session& s) {
+    return !s.vars.has(key);
   };
 }
 
@@ -88,7 +97,8 @@ namespace indiss::core {
 
 /// Rewrites a response stream into an advertisement stream (probe mode):
 /// SERVICE_RESPONSE becomes SERVICE_ALIVE so peers treat it as an
-/// advertisement to re-announce.
+/// advertisement to re-announce. Runs only where the session collected a
+/// native response (a shared stream is never mutated).
 [[nodiscard]] Action response_to_advert();
 
 /// True when a canonical service type names an actual service category —

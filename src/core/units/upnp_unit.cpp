@@ -309,7 +309,9 @@ Action UpnpUnit::finalize_reply() {
 }
 
 // Rewrite the collected description events into a clean, self-contained
-// reply stream: absolute service URL, canonical type, TTL.
+// reply stream: absolute service URL, canonical type, TTL. Runs only where
+// the session collected the native description (a shared stream is never
+// mutated).
 void UpnpUnit::do_finalize_reply(Session& session) {
   std::string url(session.var("url"));
   if (str::starts_with(url, "/")) {
@@ -353,7 +355,7 @@ void UpnpUnit::do_finalize_reply(Session& session) {
 // impersonate a device — serve a generated description and send the SSDP
 // search response, paced when the search came from the shared medium.
 void UpnpUnit::compose_native_reply(Session& session) {
-  AdvertView answer = scan_advert(session.collected);
+  AdvertView answer = scan_advert(session.events());
   if (answer.url.empty()) {
     return;  // nothing discovered: SSDP answers with silence
   }
@@ -404,7 +406,7 @@ void UpnpUnit::serve(const Session& session, ForeignService& service) {
   if (service.handle != 0) return;  // a refresh: the device already exists
 
   std::string_view friendly_name;
-  for (const auto& event : session.collected) {
+  for (const auto& event : session.events()) {
     if (event.type == EventType::kServiceAttr &&
         event.get("key") == "friendlyName") {
       friendly_name = event.get("value");

@@ -20,13 +20,13 @@
 namespace indiss::transport {
 
 /// Move-only callable with small-buffer optimization: callables up to
-/// kInlineSize bytes (a delivery lambda capturing this + target + two
-/// shared_ptrs) are stored in place; larger ones fall back to the heap. This
-/// replaces std::function in the scheduler hot path so scheduling a typical
-/// task allocates nothing.
+/// kInlineSize bytes (a unit's peer-delivery hop: its lifetime guard, this,
+/// the origin and a shared stream) are stored in place; larger ones fall
+/// back to the heap. This replaces std::function in the scheduler hot path
+/// so scheduling a typical task allocates nothing.
 class InlineTask {
  public:
-  static constexpr std::size_t kInlineSize = 48;
+  static constexpr std::size_t kInlineSize = 64;
 
   InlineTask() = default;
 

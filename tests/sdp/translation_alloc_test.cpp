@@ -339,6 +339,38 @@ TEST(MdnsAllocs, PostProbeAnnouncePathIsZeroAllocSteadyState) {
   EXPECT_EQ(unit.foreign_services().size(), 1u);
 }
 
+// The whole peer hop, not just the refresh hook: a peer's shared alive
+// stream delivered through on_peer_stream opens a session (a reused node),
+// steps the FSM over the stream in place, refreshes the bridged entry and
+// retires the session. The hop's callable, the session and the stream all
+// stay off the heap once warm.
+TEST(MdnsAllocs, WarmPeerStreamDeliveryIsZeroAlloc) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 7};
+  net::Host& host = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  MdnsUnit unit(host);
+  auto stream = std::make_shared<const EventStream>(
+      foreign_alive_session("clock",
+                            "service:clock:soap://10.0.0.2:4005/alloc-clock")
+          .collected);
+
+  std::uint64_t origin_session = 1;
+  auto deliver = [&]() {
+    unit.on_peer_stream(SdpId::kSlp, origin_session++, stream);
+    scheduler.run_for(sim::millis(1));
+  };
+  for (int i = 0; i < 16; ++i) deliver();
+  ASSERT_EQ(unit.foreign_services().size(), 1u);
+
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  for (int i = 0; i < 256; ++i) deliver();
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "warm peer-stream delivery must not allocate";
+  EXPECT_EQ(unit.stats().sessions_completed, 16u + 256u);
+  EXPECT_EQ(unit.open_sessions(), 0u);
+  EXPECT_EQ(unit.foreign_services().size(), 1u);
+}
+
 struct TestUpnpUnit : UpnpUnit {
   using UpnpUnit::UpnpUnit;
   using UpnpUnit::on_advertisement;
