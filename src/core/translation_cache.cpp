@@ -72,19 +72,18 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
     bundle.lru = lru_.insert(lru_.end(), key);
     entries_.emplace(key, std::move(bundle));
   }
-  // Retire origin sessions that can no longer receive frames: the bundle
-  // has settled (composes land one unit hop later, long before settle),
-  // was evicted, or belongs to a stale generation. Without this the ring
-  // only ever shrinks via the overflow below — and a sustained miss burst
-  // (the cycle after a generation bump, or a fleet of 65+ distinct wires)
-  // wraps it, making the overflow erase live settled bundles whose repeats
-  // then miss and push yet more sessions: a permanent cache collapse.
-  std::erase_if(open_sessions_, [&](const OpenSession& s) {
-    auto entry = entries_.find(s.key);
-    return entry == entries_.end() ||
-           entry->second.generation != generation_ ||
-           now - entry->second.created_at > config_.settle;
-  });
+  // Retire origin sessions that can no longer receive frames: their bundle
+  // has settled (composes land one unit hop later, long before settle).
+  // Pushes come in time order, so they are the ring's front; a generation
+  // bump empties the ring and an eviction drops its own sessions. Without
+  // this the ring only ever shrinks via the overflow below — and a sustained
+  // miss burst (the cycle after a generation bump, or a fleet of 65+
+  // distinct wires) wraps it, making the overflow erase live settled
+  // bundles whose repeats then miss and push yet more sessions: a permanent
+  // cache collapse.
+  while (open_count_ > 0 && now - open_at(0).opened_at > config_.settle) {
+    pop_open();
+  }
   // Remember which origin session feeds this bundle; target units report
   // their composed frames under that session id. The ring is bounded: an
   // advertisement's composes land one unit hop later (translate_delay on the
@@ -95,26 +94,28 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   // behind would cache an empty *negative* entry that silently swallowed
   // every future repeat; erasing degrades to a plain miss that re-translates
   // and, once the burst's bundles settle, re-caches.
-  open_sessions_.push_back(OpenSession{source, origin_session, key});
-  if (open_sessions_.size() > 64) {
-    auto overflowed = entries_.find(open_sessions_.front().key);
+  if (open_count_ == kOpenRing) {
+    auto overflowed = entries_.find(open_at(0).key);
     if (overflowed != entries_.end()) erase(overflowed);
-    open_sessions_.erase(open_sessions_.begin());
+    pop_open();
   }
+  open_at(open_count_) = OpenSession{source, origin_session, key, now};
+  open_count_ += 1;
 }
 
 void TranslationCache::add_frame(SdpId origin_sdp,
                                  std::uint64_t origin_session, Frame frame) {
-  auto open = std::find_if(
-      open_sessions_.rbegin(), open_sessions_.rend(),
-      [&](const OpenSession& s) {
-        return s.origin_sdp == origin_sdp &&
-               s.origin_session == origin_session;
-      });
-  if (open == open_sessions_.rend()) return;
-  auto it = entries_.find(open->key);
-  if (it == entries_.end() || it->second.generation != generation_) return;
-  it->second.frames.push_back(std::move(frame));
+  for (std::size_t i = open_count_; i > 0; --i) {
+    const OpenSession& open = open_at(i - 1);
+    if (open.origin_sdp != origin_sdp ||
+        open.origin_session != origin_session) {
+      continue;
+    }
+    auto it = entries_.find(open.key);
+    if (it == entries_.end() || it->second.generation != generation_) return;
+    it->second.frames.push_back(std::move(frame));
+    return;
+  }
 }
 
 void TranslationCache::evict_if_needed() {
@@ -122,11 +123,13 @@ void TranslationCache::evict_if_needed() {
   // The LRU front: stale-generation entries first (they were all last used
   // before the bump that staled them), otherwise the least recently used.
   auto victim = entries_.find(lru_.front());
-  // Drop the open-session pointers into the evicted bundle so late frames
-  // cannot land in a recycled slot.
-  std::erase_if(open_sessions_, [&](const OpenSession& s) {
-    return KeyEq{}(s.key, victim->first);
-  });
+  // Drop the open sessions of the evicted bundle so late frames cannot land
+  // in a recycled slot (the ring keeps its order).
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < open_count_; ++i) {
+    if (!KeyEq{}(open_at(i).key, victim->first)) open_at(kept++) = open_at(i);
+  }
+  open_count_ = kept;
   erase(victim);
   evictions_ += 1;
 }

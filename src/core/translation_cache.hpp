@@ -48,6 +48,7 @@
 // Like the rest of the substrate, not thread-safe: one scheduler thread.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -147,8 +148,12 @@ class TranslationCache {
   /// evicted bundles, stale generations).
   void add_frame(SdpId origin_sdp, std::uint64_t origin_session, Frame frame);
 
-  /// O(1) logical invalidation of every entry.
-  void bump_generation() { generation_ += 1; }
+  /// O(1) logical invalidation of every entry. No open session can
+  /// receive frames any more either, so the ring empties.
+  void bump_generation() {
+    generation_ += 1;
+    open_count_ = 0;
+  }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   [[nodiscard]] const SdpStats& stats(SdpId source) const {
@@ -174,12 +179,23 @@ class TranslationCache {
     }
   };
 
-  /// Origin sessions with a bundle still collecting frames, newest last.
+  /// An origin session whose bundle is still collecting frames.
   struct OpenSession {
     SdpId origin_sdp;
     std::uint64_t origin_session;
     Key key;
+    transport::TimePoint opened_at;  // == the bundle's created_at
   };
+  /// The ring of open sessions, oldest first. Pushes come in time order, so
+  /// the settled ones are always a prefix.
+  static constexpr std::size_t kOpenRing = 64;
+  [[nodiscard]] OpenSession& open_at(std::size_t i) {
+    return open_ring_[(open_head_ + i) % kOpenRing];
+  }
+  void pop_open() {
+    open_head_ = (open_head_ + 1) % kOpenRing;
+    open_count_ -= 1;
+  }
 
   using Entries = std::unordered_map<Key, Bundle, KeyHash, KeyEq>;
 
@@ -191,7 +207,9 @@ class TranslationCache {
   Config config_;
   Entries entries_;
   std::list<Key> lru_;
-  std::vector<OpenSession> open_sessions_;
+  std::array<OpenSession, kOpenRing> open_ring_{};
+  std::size_t open_head_ = 0;
+  std::size_t open_count_ = 0;
   std::uint64_t generation_ = 0;
   std::uint64_t evictions_ = 0;
   SdpStats stats_[4];

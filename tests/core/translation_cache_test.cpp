@@ -317,7 +317,12 @@ class ScanEvictionCache {
     it->second.frames += 1;
   }
 
-  void bump_generation() { generation_ += 1; }
+  // A bump empties the ring: no session opened before it may add frames to
+  // a bundle recycled after it.
+  void bump_generation() {
+    generation_ += 1;
+    open_.clear();
+  }
 
   [[nodiscard]] bool contains(SdpId source, const Bytes& wire) const {
     return entries_.contains(Key{source, wire});
@@ -367,6 +372,26 @@ class ScanEvictionCache {
   std::uint64_t generation_ = 0;
   std::uint64_t tick_ = 0;
 };
+
+// A late frame from a session opened before a generation bump must not land
+// in the bundle the same wire re-opened after it: the bump empties the ring.
+TEST_F(CacheFixture, SessionOpenedBeforeABumpCannotFeedTheRecycledBundle) {
+  TranslationCache cache({.max_entries = 8, .settle = sim::millis(200)});
+  Bytes wire = wire_bytes("NOTIFY alive #1");
+  auto socket = host.udp_socket(0);
+  const net::Endpoint group{net::IpAddress(224, 0, 0, 251), 5353};
+
+  cache.open_bundle(SdpId::kUpnp, wire, /*origin_session=*/1, at_ms(0));
+  cache.bump_generation();
+  cache.open_bundle(SdpId::kUpnp, wire, /*origin_session=*/2, at_ms(10));
+  cache.add_frame(SdpId::kUpnp, 1, frame_to(socket, group, "stale frame"));
+  cache.add_frame(SdpId::kUpnp, 2, frame_to(socket, group, "fresh frame"));
+
+  const auto* bundle = cache.lookup(SdpId::kUpnp, wire, at_ms(300));
+  ASSERT_NE(bundle, nullptr);
+  ASSERT_EQ(bundle->frames.size(), 1u);
+  EXPECT_EQ(*bundle->frames[0].payload, wire_bytes("fresh frame"));
+}
 
 TEST_F(CacheFixture, LruListEvictsExactlyWhatTheLinearScanEvicted) {
   struct Shape {
