@@ -5,6 +5,7 @@
 #
 #   scripts/bench.sh                         # all benches, full run
 #   scripts/bench.sh translation             # bench_abl_translation + _storm
+#                                            # + bench_abl_fsm
 #   scripts/bench.sh scaling                 # only bench_abl_substrate
 #   scripts/bench.sh --benchmark_min_time=0.01x      # CI smoke run
 #   scripts/bench.sh scaling --compare old.json      # exit 1 on >20%
@@ -24,7 +25,8 @@
 #   BENCH_translation.json — event-layer round trips (allocs/op +
 #                            events_per_sec counters) merged with the
 #                            abl_storm announcement-storm record (cache
-#                            hit rate, enabled-vs-disabled throughput)
+#                            hit rate, enabled-vs-disabled throughput) and
+#                            the abl_fsm DFA-step record
 #   BENCH_scaling.json     — substrate throughput: slot-arena scheduler +
 #                            shared-datagram fan-out, plus the macro scaling
 #                            topology
@@ -188,29 +190,33 @@ EOF
 if [ "${COMPARE_ONLY}" = 0 ]; then
   # Plain ifs rather than a ;;& fallthrough case: bash 3.2 (macOS) lacks ;;&.
   if [ "${FILTER}" = "translation" ] || [ "${FILTER}" = "all" ]; then
-    # The translation record is two binaries: the per-message round trips
-    # (bench_abl_translation) and the announcement-storm macro bench
-    # (bench_abl_storm); their benchmark arrays merge into one JSON.
+    # The translation record is three binaries: the per-message round trips
+    # (bench_abl_translation), the announcement-storm macro bench
+    # (bench_abl_storm) and the unit FSM's step cost (bench_abl_fsm); their
+    # benchmark arrays merge into one JSON.
     run_bench bench_abl_translation "${OUT_TRANSLATION}.roundtrip.tmp"
     run_bench bench_abl_storm "${OUT_TRANSLATION}.storm.tmp"
+    run_bench bench_abl_fsm "${OUT_TRANSLATION}.fsm.tmp"
     python3 - "${OUT_TRANSLATION}.roundtrip.tmp" "${OUT_TRANSLATION}.storm.tmp" \
-        "${OUT_TRANSLATION}" <<EOF
+        "${OUT_TRANSLATION}.fsm.tmp" "${OUT_TRANSLATION}" <<EOF
 ${LOAD_BENCH_JSON}
 import sys
 
 merged = load_bench_json(sys.argv[1])
-storm = load_bench_json(sys.argv[2])
-merged["benchmarks"].extend(storm.get("benchmarks", []))
-# The shards axis is stamped on the storm run's context; keep it on the
-# merged document (the round-trip binary has no sharded benchmarks).
-if "shards" in storm.get("context", {}):
-    merged.setdefault("context", {})["shards"] = storm["context"]["shards"]
-with open(sys.argv[3], "w") as f:
+for extra_path in sys.argv[2:-1]:
+    extra = load_bench_json(extra_path)
+    merged["benchmarks"].extend(extra.get("benchmarks", []))
+    # The shards axis is stamped on the storm run's context; keep it on the
+    # merged document (the other binaries have no sharded benchmarks).
+    if "shards" in extra.get("context", {}):
+        merged.setdefault("context", {})["shards"] = extra["context"]["shards"]
+with open(sys.argv[-1], "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
 EOF
-    rm -f "${OUT_TRANSLATION}.roundtrip.tmp" "${OUT_TRANSLATION}.storm.tmp"
-    echo "== merged storm results into ${OUT_TRANSLATION} =="
+    rm -f "${OUT_TRANSLATION}.roundtrip.tmp" "${OUT_TRANSLATION}.storm.tmp" \
+      "${OUT_TRANSLATION}.fsm.tmp"
+    echo "== merged storm and fsm results into ${OUT_TRANSLATION} =="
   fi
   if [ "${FILTER}" = "scaling" ] || [ "${FILTER}" = "all" ]; then
     run_bench bench_abl_substrate "${OUT_SCALING}"
