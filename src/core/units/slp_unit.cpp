@@ -161,29 +161,50 @@ std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
   out.header.xid = xid;
   out.error = slp::ErrorCode::kOk;
 
-  attr_scratch.clear();
-  if (attrs_in_url) {
-    for (const auto& event : stream) {
-      if (event.type != EventType::kServiceAttr) continue;
-      attr_scratch += ";";
-      attr_scratch += event.get("key");
-      attr_scratch += ":\"";
-      attr_scratch += event.get("value");
-      attr_scratch += "\"";
-    }
-  }
-
+  auto append_attr = [](std::string& to, const Event& attr) {
+    to += ";";
+    to += attr.get("key");
+    to += ":\"";
+    to += attr.get("value");
+    to += "\"";
+  };
+  // Each attribute goes to the URL of its own item. An item's attributes
+  // before its URL wait in attr_scratch (Jini lookups, directory answers,
+  // UPnP replies); those after it go straight to it (an mDNS TXT record
+  // listing `url` first). A type, instance or SRV event ends the item.
   std::size_t count = 0;
+  bool item_has_url = false;
+  attr_scratch.clear();
   for (const auto& event : stream) {
-    if (event.type != EventType::kResServUrl) continue;
-    slp::UrlEntry& entry = slot(out.url_entries, count++);
-    entry.lifetime_seconds = lifetime;
-    entry.url.clear();
-    entry.url += "service:";
-    entry.url += type;
-    entry.url += ":";
-    entry.url += event.get("url");
-    entry.url += attr_scratch;
+    switch (event.type) {
+      case EventType::kServiceAttr:
+        if (!attrs_in_url) break;
+        append_attr(item_has_url ? out.url_entries[count - 1].url
+                                 : attr_scratch,
+                    event);
+        break;
+      case EventType::kResServUrl: {
+        slp::UrlEntry& entry = slot(out.url_entries, count++);
+        entry.lifetime_seconds = lifetime;
+        entry.url.clear();
+        entry.url += "service:";
+        entry.url += type;
+        entry.url += ":";
+        entry.url += event.get("url");
+        entry.url += attr_scratch;
+        attr_scratch.clear();
+        item_has_url = true;
+        break;
+      }
+      case EventType::kServiceTypeIs:
+      case EventType::kMdnsInstance:
+      case EventType::kMdnsSrv:
+        item_has_url = false;
+        attr_scratch.clear();
+        break;
+      default:
+        break;
+    }
   }
   out.url_entries.resize(count);
   return count;

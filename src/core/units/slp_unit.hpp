@@ -32,10 +32,12 @@ class SlpEventParser : public SdpParser {
 
 /// Builds the Fig-4 SrvRply from a translated reply stream the way
 /// SlpUnit::compose_native_reply sends it (lifetime 65535, attributes in
-/// the URL): one URL entry per SDP_RES_SERV_URL, attributes folded into the
-/// URL after ';' when `attrs_in_url`. Reuses the caller's storage
-/// (slot-reused URL entries, scratch attribute-suffix string) so a warm
-/// composer allocates nothing.
+/// the URL): one URL entry per SDP_RES_SERV_URL, each item's own attributes
+/// folded into its URL after ';' when `attrs_in_url`. An item runs from one
+/// SDP_SERVICE_TYPE / SDP_MDNS_INSTANCE / SDP_MDNS_SRV event to the next;
+/// its attributes may come before or after its URL. Reuses the caller's
+/// storage (slot-reused URL entries, scratch attribute-suffix string) so a
+/// warm composer allocates nothing.
 /// Returns the number of URL entries composed (0 = stay silent).
 std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
                               std::uint16_t xid, std::uint16_t lifetime,

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "core/units/jini_unit.hpp"
+#include "core/units/mdns_unit.hpp"
 #include "core/units/slp_unit.hpp"
 #include "core/units/upnp_unit.hpp"
 #include "jini/discovery.hpp"
+#include "mdns/dns.hpp"
 #include "slp/wire.hpp"
 #include "upnp/description.hpp"
 #include "upnp/http_server.hpp"
@@ -89,6 +91,146 @@ TEST(SlpParser, SrvRegBecomesRegistrationEvents) {
   parser.parse(slp::encode(slp::Message(reg)), multicast_ctx(), sink);
   EXPECT_TRUE(has_event(sink.stream(), EventType::kRegRegister));
   EXPECT_TRUE(has_event(sink.stream(), EventType::kServiceAttr));
+}
+
+// --- compose_slp_reply: each attribute goes to its own item's URL ---------
+
+std::vector<std::string> composed_urls(const EventStream& stream) {
+  slp::SrvRply reply;
+  std::string scratch;
+  compose_slp_reply(stream, "clock", 42, 300, /*attrs_in_url=*/true, reply,
+                    scratch);
+  std::vector<std::string> urls;
+  for (const auto& entry : reply.url_entries) urls.push_back(entry.url);
+  return urls;
+}
+
+Event attr(std::string_view key, std::string_view value) {
+  return Event(EventType::kServiceAttr, {{"key", key}, {"value", value}});
+}
+Event url(std::string_view value) {
+  return Event(EventType::kResServUrl, {{"url", value}});
+}
+Event type_is(std::string_view value) {
+  return Event(EventType::kServiceTypeIs, {{"type", value}});
+}
+
+TEST(SlpCompose, JiniLookupItemAttributesPrecedeTheirUrl) {
+  // JiniUnit::compose_native_request's shape: per item its attributes, its
+  // URL, then its type.
+  EventStream stream{Event(EventType::kControlStart),
+                     Event(EventType::kNetType, {{"sdp", "jini"}}),
+                     Event(EventType::kServiceResponse),
+                     attr("room", "hall"),
+                     attr("bridged-by", "INDISS"),
+                     url("soap://10.0.0.2:4005/a"),
+                     type_is("clock"),
+                     attr("bridged-by", "INDISS"),
+                     url("soap://10.0.0.3:4005/b"),
+                     type_is("clock"),
+                     url("soap://10.0.0.4:4005/c"),
+                     type_is("clock"),
+                     Event(EventType::kControlStop)};
+  EXPECT_EQ(composed_urls(stream),
+            (std::vector<std::string>{
+                "service:clock:soap://10.0.0.2:4005/a;room:\"hall\";"
+                "bridged-by:\"INDISS\"",
+                "service:clock:soap://10.0.0.3:4005/b;bridged-by:\"INDISS\"",
+                "service:clock:soap://10.0.0.4:4005/c"}));
+}
+
+TEST(SlpCompose, DirectoryRecordAttributesPrecedeTheirUrl) {
+  // Unit::try_answer_from_directory's shape: per record its type, USN,
+  // attributes, TTL and URL.
+  EventStream stream{Event(EventType::kControlStart),
+                     Event(EventType::kServiceResponse),
+                     Event(EventType::kResOk),
+                     type_is("clock"),
+                     Event(EventType::kUpnpUsn, {{"usn", "uuid:a::clock"}}),
+                     attr("friendlyName", "Hall Clock"),
+                     Event(EventType::kResTtl, {{"seconds", "120"}}),
+                     url("soap://10.0.0.2:4005/a"),
+                     type_is("clock"),
+                     Event(EventType::kResTtl, {{"seconds", "120"}}),
+                     url("soap://10.0.0.3:4005/b"),
+                     type_is("clock"),
+                     attr("friendlyName", "Lab Clock"),
+                     attr("room", "lab"),
+                     Event(EventType::kResTtl, {{"seconds", "120"}}),
+                     url("soap://10.0.0.4:4005/c"),
+                     Event(EventType::kControlStop)};
+  EXPECT_EQ(composed_urls(stream),
+            (std::vector<std::string>{
+                "service:clock:soap://10.0.0.2:4005/a;"
+                "friendlyName:\"Hall Clock\"",
+                "service:clock:soap://10.0.0.3:4005/b",
+                "service:clock:soap://10.0.0.4:4005/c;"
+                "friendlyName:\"Lab Clock\";room:\"lab\""}));
+}
+
+TEST(SlpCompose, MdnsTxtAttributesStayWithTheirInstanceEitherSideOfUrl) {
+  // A DNS-SD response for two instances: the first TXT lists `url` before
+  // its other keys, the second after them.
+  mdns::DnsMessage response;
+  response.flags = mdns::kFlagResponse | mdns::kFlagAuthoritative;
+  for (std::string_view instance : {"hall._clock._tcp.local",
+                                    "lab._clock._tcp.local"}) {
+    mdns::DnsRecord ptr;
+    ptr.name = "_clock._tcp.local";
+    ptr.type = mdns::kTypePtr;
+    ptr.ttl = 120;
+    ptr.target = instance;
+    response.answers.push_back(ptr);
+  }
+  auto srv = [](std::string name, std::uint16_t port) {
+    mdns::DnsRecord record;
+    record.name = std::move(name);
+    record.type = mdns::kTypeSrv;
+    record.ttl = 120;
+    record.target = "host.local";
+    record.port = port;
+    return record;
+  };
+  auto txt = [](std::string name,
+                std::vector<std::pair<std::string, std::string>> entries) {
+    mdns::DnsRecord record;
+    record.name = std::move(name);
+    record.type = mdns::kTypeTxt;
+    record.ttl = 120;
+    record.txt = std::move(entries);
+    return record;
+  };
+  response.additionals.push_back(srv("hall._clock._tcp.local", 4005));
+  response.additionals.push_back(
+      txt("hall._clock._tcp.local",
+          {{"url", "soap://10.0.0.2:4005/a"}, {"room", "hall"}}));
+  response.additionals.push_back(srv("lab._clock._tcp.local", 4006));
+  response.additionals.push_back(
+      txt("lab._clock._tcp.local",
+          {{"room", "lab"}, {"url", "soap://10.0.0.3:4006/b"}}));
+
+  MdnsEventParser parser;
+  CollectingSink sink;
+  MessageContext ctx;
+  ctx.source = net::Endpoint{net::IpAddress(10, 0, 0, 2), mdns::kMdnsPort};
+  parser.parse(mdns::encode(response), ctx, sink);
+  ASSERT_TRUE(well_framed(sink.stream()));
+  EXPECT_EQ(composed_urls(sink.stream()),
+            (std::vector<std::string>{
+                "service:clock:soap://10.0.0.2:4005/a;room:\"hall\"",
+                "service:clock:soap://10.0.0.3:4006/b;room:\"lab\""}));
+}
+
+TEST(SlpCompose, AttributesStayOffTheUrlWhenNotFolded) {
+  EventStream stream{Event(EventType::kControlStart), attr("room", "hall"),
+                     url("soap://10.0.0.2:4005/a"),
+                     Event(EventType::kControlStop)};
+  slp::SrvRply reply;
+  std::string scratch;
+  ASSERT_EQ(compose_slp_reply(stream, "clock", 42, 300,
+                              /*attrs_in_url=*/false, reply, scratch),
+            1u);
+  EXPECT_EQ(reply.url_entries[0].url, "service:clock:soap://10.0.0.2:4005/a");
 }
 
 TEST(SsdpParser, MSearchProducesRequestEvents) {
