@@ -226,7 +226,9 @@ ChaosOutcome run_chaos_scenario(std::uint64_t seed) {
 }
 
 // The fingerprints of seeds 11, 23 and 24, pinned as literals: bridged-state
-// refactors must leave every seeded hostile run bit-identical.
+// refactors must leave every seeded hostile run bit-identical. In seed 23 the
+// SLP UA discovers services through the Jini registrar; each URL carries its
+// own item's one bridged-by attribute.
 constexpr std::string_view kChaosFingerprint11 =
     "313|218|78|1|39|1858|99|http://10.0.0.2:4004/description.xml;"
     "soap://10.0.0.5:4007/mdns-clock;"
@@ -236,12 +238,10 @@ constexpr std::string_view kChaosFingerprint23 =
     "316|167|81|1|34|1913|108|http://10.0.0.2:4004/description.xml;"
     "soap://10.0.0.5:4007/mdns-clock;"
     "service:clock:soap://10.0.0.5:4007/mdns-clock;"
-    "service:clock:soap://10.0.0.4:4006/mdns-clock;"
-    "bridged-by:\"INDISS\";bridged-by:\"INDISS\";bridged-by:\"INDISS\";"
+    "service:clock:soap://10.0.0.4:4006/mdns-clock;bridged-by:\"INDISS\";"
     "service:clock:http://10.0.0.2:4004/description.xml;"
-    "bridged-by:\"INDISS\";bridged-by:\"INDISS\";bridged-by:\"INDISS\";"
-    "service:clock:soap://10.0.0.5:4007/mdns-clock;"
-    "bridged-by:\"INDISS\";bridged-by:\"INDISS\";bridged-by:\"INDISS\";"
+    "bridged-by:\"INDISS\";"
+    "service:clock:soap://10.0.0.5:4007/mdns-clock;bridged-by:\"INDISS\";"
     "http://10.0.0.2:4004/description.xml;";
 constexpr std::string_view kChaosFingerprint24 =
     "289|221|91|1|35|1856|105|http://10.0.0.2:4004/description.xml;"
