@@ -713,6 +713,82 @@ TEST(DirectoryEndToEnd, SlpBrowseAnsweredFromIndexUntilByebyeTombstones) {
   indiss.stop();
 }
 
+/// Successive answers reuse one answer stream, rebuilt in place: each reply
+/// lists exactly the records indexed at that moment, each URL with its own
+/// attributes, whether the answer grows or shrinks.
+TEST(DirectoryEndToEnd, SuccessiveAnswersListExactlyTheCurrentRecords) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 31};
+  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
+  net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kSlp, SdpId::kMdns};
+  config.enable_directory = true;
+  Indiss indiss(gateway, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(10));
+
+  auto announcer = service.udp_socket(0);
+  const net::Endpoint slp_group{slp::kSlpMulticastGroup, slp::kSlpPort};
+  auto url_of = [](std::string_view name) {
+    return "service:clock:soap://10.0.0.2:4005/" + std::string(name);
+  };
+  auto reg = [&](std::string_view name, std::string_view attrs) {
+    slp::SrvReg message;
+    message.url_entry = {600, url_of(name)};
+    message.service_type = "service:clock";
+    message.attr_list = std::string(attrs);
+    announcer->send_to(slp_group, slp::encode(slp::Message(message)));
+    scheduler.run_for(sim::millis(500));
+  };
+  auto dereg = [&](std::string_view name) {
+    slp::SrvDeReg message;
+    message.url_entry = {0, url_of(name)};
+    announcer->send_to(slp_group, slp::encode(slp::Message(message)));
+    scheduler.run_for(sim::millis(500));
+  };
+  auto requester = client.udp_socket(0);
+  std::vector<Bytes> replies;
+  requester->set_receive_handler(
+      [&](const net::Datagram& d) { replies.push_back(d.payload); });
+  std::uint16_t xid = 100;
+  auto browse = [&]() {
+    replies.clear();
+    requester->send_to(slp_group, e2e::clock_query(xid++));
+    scheduler.run_for(sim::seconds(1));
+    EXPECT_EQ(replies.size(), 1u);
+    std::vector<std::string> urls =
+        replies.empty() ? std::vector<std::string>{}
+                        : e2e::rply_urls(replies[0]);
+    std::sort(urls.begin(), urls.end());
+    return urls;
+  };
+  // The index keeps the access URL; the reply prefixes the type once.
+  auto listed = [&](std::string_view name, std::string_view attrs) {
+    return url_of(name) + std::string(attrs);
+  };
+
+  reg("a", "(room=hall)");
+  reg("b", "");
+  reg("c", "(room=lab),(floor=2)");
+  EXPECT_EQ(browse(), (std::vector<std::string>{
+                          listed("a", ";room:\"hall\""), listed("b", ""),
+                          listed("c", ";room:\"lab\";floor:\"2\"")}));
+  dereg("a");
+  dereg("c");
+  EXPECT_EQ(browse(), (std::vector<std::string>{listed("b", "")}));
+  reg("d", "(friendlyName=Long Named Corridor Clock)");
+  reg("a", "(room=hall)");
+  EXPECT_EQ(browse(),
+            (std::vector<std::string>{
+                listed("a", ";room:\"hall\""), listed("b", ""),
+                listed("d", ";friendlyName:\"Long Named Corridor Clock\"")}));
+  EXPECT_EQ(indiss.directory()->stats(SdpId::kSlp).answered, 3u);
+  indiss.stop();
+}
+
 /// The acceptance storm: repeated identical browses are answered from the
 /// index (>=95%) with zero query frames reaching the origin mDNS network.
 TEST(DirectoryEndToEnd, RepeatedBrowseStormIsAnsweredWithZeroOriginFrames) {
