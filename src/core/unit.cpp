@@ -199,10 +199,7 @@ Unit::HeldDatagram Unit::hold(const net::Datagram& datagram) {
     held = std::move(spare_datagrams_.back());
     spare_datagrams_.pop_back();
   }
-  held->source = datagram.source;
-  held->destination = datagram.destination;
-  held->multicast = datagram.multicast;
-  held->payload.assign(datagram.payload.begin(), datagram.payload.end());
+  *held = datagram;  // the payload vector reuses its capacity
   return held;
 }
 
