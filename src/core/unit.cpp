@@ -509,9 +509,7 @@ bool Unit::try_answer_from_directory(Session& session) {
   // it back after the usual translate delay — the session's own
   // await_foreign -> collect_reply -> send_native_reply machinery then
   // composes a reply byte-compatible with the bridged one.
-  // Keys are interned once per answer, not once per record. The stream is
-  // rebuilt in place once no session holds the previous answer any more, so
-  // its events keep their value strings' capacity.
+  // Keys are interned once per answer, not once per record.
   SymbolTable& table = SymbolTable::global();
   const Symbol type_key = table.intern("type");
   const Symbol usn_key = table.intern("usn");
@@ -519,39 +517,33 @@ bool Unit::try_answer_from_directory(Session& session) {
   const Symbol value_key = table.intern("value");
   const Symbol seconds_key = table.intern("seconds");
   const Symbol url_key = table.intern("url");
-  if (answer_stream_ == nullptr || answer_stream_.use_count() > 1) {
-    answer_stream_ = std::make_shared<EventStream>();
-  }
-  EventStream& stream = *answer_stream_;
-  std::size_t count = 0;
-  auto next = [&](EventType type) -> Event& {
-    if (count == stream.size()) stream.emplace_back();
-    Event& event = stream[count++];
-    event.type = type;
-    event.data.clear();
-    return event;
-  };
-  next(EventType::kControlStart);
-  next(EventType::kServiceResponse);
-  next(EventType::kResOk);
+  auto stream = std::make_shared<EventStream>();
+  stream->reserve(3 + 5 * directory_matches_.size());
+  stream->push_back(Event(EventType::kControlStart));
+  stream->push_back(Event(EventType::kServiceResponse));
+  stream->push_back(Event(EventType::kResOk));
   for (const ServiceDirectory::Record* record : directory_matches_) {
-    next(EventType::kServiceTypeIs)
-        .data.set(type_key, table.name(record->canonical_type));
+    Event& type_event = stream->emplace_back(EventType::kServiceTypeIs);
+    type_event.data.set(type_key, table.name(record->canonical_type));
     if (record->usn != kNoSymbol) {
-      next(EventType::kUpnpUsn).data.set(usn_key, table.name(record->usn));
+      Event& usn_event = stream->emplace_back(EventType::kUpnpUsn);
+      usn_event.data.set(usn_key, table.name(record->usn));
     }
     for (std::size_t i = 0; i < record->attr_count; ++i) {
-      Event& attr_event = next(EventType::kServiceAttr);
+      Event& attr_event = stream->emplace_back(EventType::kServiceAttr);
       attr_event.data.set(attr_key, table.name(record->attributes[i].first));
       attr_event.data.set(value_key, record->attributes[i].second);
     }
-    auto ttl = std::chrono::duration_cast<std::chrono::seconds>(record->ttl);
-    next(EventType::kResTtl).data.set(seconds_key, std::to_string(ttl.count()));
-    next(EventType::kResServUrl).data.set(url_key, table.name(record->url));
+    Event& ttl_event = stream->emplace_back(EventType::kResTtl);
+    ttl_event.data.set(
+        seconds_key,
+        std::to_string(
+            std::chrono::duration_cast<std::chrono::seconds>(record->ttl)
+                .count()));
+    Event& url_event = stream->emplace_back(EventType::kResServUrl);
+    url_event.data.set(url_key, table.name(record->url));
   }
-  next(EventType::kControlStop);
-  stream.erase(stream.begin() + static_cast<std::ptrdiff_t>(count),
-               stream.end());
+  stream->push_back(Event(EventType::kControlStop));
 
   // Key the composed reply frames by (query wire, requester) so the
   // identical repeat replays straight from the answer cache.
@@ -563,7 +555,7 @@ bool Unit::try_answer_from_directory(Session& session) {
   dir->count_answered(sdp_);
 
   std::uint64_t id = session.id;
-  schedule_hop([this, id, stream = SharedStream(answer_stream_)]() mutable {
+  schedule_hop([this, id, stream = SharedStream(std::move(stream))]() mutable {
     Session* answered = find_session(id);
     if (answered == nullptr || answered->done) return;
     feed_stream(*answered, std::move(stream));

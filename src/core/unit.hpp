@@ -449,8 +449,6 @@ class Unit {
   net::Endpoint pending_query_source_{};
   /// collect() scratch (capacity reused across queries).
   std::vector<const ServiceDirectory::Record*> directory_matches_;
-  /// The last directory answer stream (try_answer_from_directory).
-  std::shared_ptr<EventStream> answer_stream_;
   BridgedServiceTable bridged_;
 };
 

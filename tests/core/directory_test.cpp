@@ -713,9 +713,8 @@ TEST(DirectoryEndToEnd, SlpBrowseAnsweredFromIndexUntilByebyeTombstones) {
   indiss.stop();
 }
 
-/// Successive answers reuse one answer stream, rebuilt in place: each reply
-/// lists exactly the records indexed at that moment, each URL with its own
-/// attributes, whether the answer grows or shrinks.
+/// Successive answers each list exactly the records indexed at that moment,
+/// each URL with its own attributes, whether the answer grows or shrinks.
 TEST(DirectoryEndToEnd, SuccessiveAnswersListExactlyTheCurrentRecords) {
   sim::Scheduler scheduler;
   net::Network network{scheduler, net::LinkProfile{}, 31};
