@@ -331,6 +331,7 @@ struct FeedWorld {
   net::Host& registrar = network.add_host("reg", net::IpAddress(10, 0, 0, 9));
   std::vector<std::shared_ptr<transport::UdpSocket>> sniffers;
   std::shared_ptr<transport::TcpListener> registrar_listener;
+  std::vector<std::shared_ptr<transport::TcpSocket>> accepted;
   std::vector<std::string> wire;
 
   FeedWorld() {
@@ -347,12 +348,20 @@ struct FeedWorld {
     sniff(upnp::kSsdpPort, upnp::kSsdpMulticastGroup);
     sniff(mdns::kMdnsPort, mdns::kMdnsGroup);
     sniff(41000, std::nullopt);
+    // It answers every request with a failure status and hangs up, so the
+    // unit's registrar connection closes and releases its handlers.
     registrar_listener = registrar.listen_tcp(jini::kJiniPort);
     registrar_listener->set_accept_handler(
         [this](std::shared_ptr<transport::TcpSocket> socket) {
-          socket->set_data_handler([this](BytesView data) {
+          std::weak_ptr<transport::TcpSocket> weak = socket;
+          socket->set_data_handler([this, weak](BytesView data) {
             wire.push_back("tcp|" + std::string(data.begin(), data.end()));
+            if (auto connection = weak.lock()) {
+              connection->send(Bytes{0xFF});
+              connection->close();
+            }
           });
+          accepted.push_back(std::move(socket));
         });
   }
 
