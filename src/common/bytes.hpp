@@ -97,6 +97,21 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// Where a wire format carries its transaction id: `length` bytes at
+/// `offset` (empty when it carries none). A reply echoes the id of its query
+/// at the same offset, so one query's reply answers another that differs
+/// only there once the id is patched in.
+struct IdSpan {
+  std::size_t offset = 0;
+  std::size_t length = 0;
+
+  [[nodiscard]] constexpr bool empty() const { return length == 0; }
+  /// Whether `wire` is long enough to hold the id.
+  [[nodiscard]] constexpr bool fits(BytesView wire) const {
+    return !empty() && wire.size() >= offset + length;
+  }
+};
+
 /// Convenience conversions between text and bytes.
 [[nodiscard]] Bytes to_bytes(std::string_view s);
 [[nodiscard]] std::string to_string(BytesView b);

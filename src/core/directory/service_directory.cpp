@@ -22,6 +22,23 @@ std::uint64_t wire_key_of(BytesView wire) {
   return wire_hash(wire) ^ (static_cast<std::uint64_t>(wire.size()) << 48);
 }
 
+/// The answer-cache key hash: the query bytes around its transaction id.
+/// A wire too short to hold the id is hashed whole.
+std::uint64_t query_hash(BytesView wire, IdSpan id) {
+  if (!id.fits(wire)) return wire_hash(wire);
+  return wire_hash(wire.subspan(id.offset + id.length),
+                   wire_hash(wire.first(id.offset)));
+}
+
+/// Whether two queries are equal in everything but their transaction ids.
+bool same_query(BytesView a, BytesView b, IdSpan id) {
+  if (a.size() != b.size()) return false;
+  if (!id.fits(a)) return std::equal(a.begin(), a.end(), b.begin());
+  std::size_t end = id.offset + id.length;
+  return std::equal(a.begin(), a.begin() + id.offset, b.begin()) &&
+         std::equal(a.begin() + end, a.end(), b.begin() + end);
+}
+
 }  // namespace
 
 bool ServiceDirectory::record_advertisement(SdpId origin,
@@ -226,14 +243,15 @@ void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
                                    BytesView wire,
                                    const net::Endpoint& requester,
                                    std::uint64_t session_id,
-                                   transport::TimePoint now) {
+                                   transport::TimePoint now, IdSpan id) {
   if (config_.max_answers == 0) return;
-  std::uint64_t hash = wire_hash(wire);
+  std::uint64_t hash = query_hash(wire, id);
   Symbol type = SymbolTable::global().intern(canonical_type);
   // The answer holds exactly the records collect() returns for `type` now.
   transport::TimePoint expires_at{};
   std::size_t records = fresh_records(type, now, &expires_at);
   auto stamp = [&](Answer& answer) {
+    answer.wire.assign(wire.begin(), wire.end());
     answer.session_id = session_id;
     answer.type = type;
     answer.generation = generation_;
@@ -245,9 +263,7 @@ void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
   // Reuse the slot of a stale answer for the same key, else append.
   for (auto& answer : answers_) {
     if (answer.sdp == sdp && answer.hash == hash &&
-        answer.requester == requester &&
-        std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
-                   wire.end())) {
+        answer.requester == requester && same_query(answer.wire, wire, id)) {
       answer.frames.clear();
       stamp(answer);
       return;
@@ -264,7 +280,6 @@ void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
   answer.sdp = sdp;
   answer.hash = hash;
   answer.requester = requester;
-  answer.wire.assign(wire.begin(), wire.end());
   stamp(answer);
   answers_.push_back(std::move(answer));
 }
@@ -280,10 +295,10 @@ void ServiceDirectory::add_answer_frame(SdpId sdp, std::uint64_t session_id,
   }
 }
 
-bool ServiceDirectory::replay_answer(SdpId sdp, BytesView wire,
-                                     const net::Endpoint& requester,
-                                     transport::TimePoint now) {
-  std::uint64_t hash = wire_hash(wire);
+const ServiceDirectory::Answer* ServiceDirectory::find_answer(
+    SdpId sdp, BytesView wire, IdSpan id, const net::Endpoint& requester,
+    transport::TimePoint now) {
+  std::uint64_t hash = query_hash(wire, id);
   for (auto& answer : answers_) {
     if (answer.sdp != sdp || answer.hash != hash ||
         !(answer.requester == requester) || answer.frames.empty() ||
@@ -299,16 +314,30 @@ bool ServiceDirectory::replay_answer(SdpId sdp, BytesView wire,
       if (fresh_records(answer.type, now, &next) != answer.records) continue;
       answer.expires_at = next;
     }
-    if (!std::equal(answer.wire.begin(), answer.wire.end(), wire.begin(),
-                    wire.end())) {
-      continue;
-    }
-    for (const auto& frame : answer.frames) frame.send();
+    if (!same_query(answer.wire, wire, id)) continue;
     answer.last_used = ++tick_;
     answer_replays_ += 1;
-    return true;
+    return &answer;
   }
-  return false;
+  return nullptr;
+}
+
+BytesView ServiceDirectory::reply_bytes(const Answer& answer,
+                                        const TranslationCache::Frame& frame,
+                                        BytesView wire, IdSpan id) {
+  BytesView stored = *frame.payload;
+  // The query's id sits where the stored query's did (same_query matched
+  // the lengths), and the reply echoes it at the same offset.
+  if (!id.fits(wire) || !id.fits(stored)) return stored;
+  auto query_id = wire.subspan(id.offset, id.length);
+  if (std::equal(query_id.begin(), query_id.end(),
+                 answer.wire.begin() + id.offset)) {
+    return stored;
+  }
+  replay_scratch_.assign(stored.begin(), stored.end());
+  std::copy(query_id.begin(), query_id.end(),
+            replay_scratch_.begin() + id.offset);
+  return replay_scratch_;
 }
 
 std::size_t ServiceDirectory::fresh_records(

@@ -35,9 +35,12 @@
 //    index without a parse or an allocation.
 //
 // The answer cache (reply-side request caching) lives here too: a composed
-// directory answer is keyed by (wire hash + length, requester endpoint) and
-// replayed frame-for-frame when the identical query repeats — the
-// request-side analogue of the TranslationCache's advertisement bundles.
+// directory answer is keyed by (SDP, query bytes with the transaction id
+// masked, requester endpoint) and replayed frame-for-frame when the same
+// question repeats — the request-side analogue of the TranslationCache's
+// advertisement bundles. Each SDP's codec names where its wire carries the
+// id (IdSpan: the SLP XID, the DNS header ID, none for SSDP), and replies
+// echo it there, so a replay writes the new query's id into the frames.
 // Each answer remembers the canonical type it answered and that type's
 // epoch; an index write bumps only the epoch of the type it touched, and
 // bump_generation() invalidates every answer. An answer also stops
@@ -166,22 +169,45 @@ class ServiceDirectory {
 
   /// Registers a pending answer for the query `wire` from `requester` that
   /// the session (sdp, session_id) is composing from the fresh records of
-  /// `canonical_type`; frames land via add_answer_frame.
+  /// `canonical_type`; frames land via add_answer_frame. `id` is where the
+  /// query's SDP carries its transaction id: the answer is keyed on the
+  /// rest of the query. A slot already holding that key takes the newest
+  /// query's bytes, so its stored id is the one its frames are composed for.
   void open_answer(SdpId sdp, std::string_view canonical_type, BytesView wire,
                    const net::Endpoint& requester, std::uint64_t session_id,
-                   transport::TimePoint now);
+                   transport::TimePoint now, IdSpan id = {});
 
   /// Appends a composed reply frame to the pending answer for (sdp,
   /// session_id). No-op when none is pending.
   void add_answer_frame(SdpId sdp, std::uint64_t session_id,
                         TranslationCache::Frame frame);
 
-  /// Hit path: when the identical query bytes from the identical requester
-  /// were answered, no write has touched the answered type since, and none
-  /// of the answer's records has reached its deadline, re-sends the stored
-  /// frames and returns true.
+  /// Hit path: when a query equal to `wire` outside its transaction id `id`
+  /// came from the identical requester and was answered, no write has
+  /// touched the answered type since, and none of the answer's records has
+  /// reached its deadline, hands every stored frame to `send(frame, bytes)`
+  /// and returns true. `bytes` is the frame's payload carrying `wire`'s id,
+  /// patched in a reused buffer when the ids differ; it is valid only
+  /// during the call.
+  template <typename Send>
+  bool replay_answer(SdpId sdp, BytesView wire, IdSpan id,
+                     const net::Endpoint& requester, transport::TimePoint now,
+                     Send&& send) {
+    const Answer* answer = find_answer(sdp, wire, id, requester, now);
+    if (answer == nullptr) return false;
+    for (const auto& frame : answer->frames) {
+      send(frame, reply_bytes(*answer, frame, wire, id));
+    }
+    return true;
+  }
+
+  /// The same, sending every frame at once.
   bool replay_answer(SdpId sdp, BytesView wire, const net::Endpoint& requester,
-                     transport::TimePoint now);
+                     transport::TimePoint now, IdSpan id = {}) {
+    return replay_answer(sdp, wire, id, requester, now,
+                         [](const TranslationCache::Frame& frame,
+                            BytesView bytes) { frame.send(bytes); });
+  }
 
   // --- Statistics ------------------------------------------------------------
 
@@ -211,9 +237,11 @@ class ServiceDirectory {
 
   struct Answer {
     SdpId sdp = SdpId::kSlp;
-    std::uint64_t hash = 0;
+    std::uint64_t hash = 0;  // of the wire without its transaction id
     net::Endpoint requester;
-    Bytes wire;  // byte-verified on hit, like the TranslationCache
+    /// The newest query that opened the slot: byte-verified outside its id
+    /// on hit, like the TranslationCache; its id is the frames' id.
+    Bytes wire;
     std::vector<TranslationCache::Frame> frames;
     std::uint64_t session_id = 0;  // origin session, while frames collect
     Symbol type = kNoSymbol;       // the canonical type it answered
@@ -235,6 +263,17 @@ class ServiceDirectory {
     return buckets_[static_cast<std::size_t>(type) % buckets_.size()];
   }
 
+  /// The current, fresh answer keyed like (sdp, wire without `id`,
+  /// requester), or nullptr; counts the replay and touches its LRU slot.
+  const Answer* find_answer(SdpId sdp, BytesView wire, IdSpan id,
+                            const net::Endpoint& requester,
+                            transport::TimePoint now);
+  /// `frame`'s payload as the reply to `wire`: the stored bytes when `wire`
+  /// carries the id `answer` was composed for, else a copy in
+  /// replay_scratch_ with `wire`'s id written in.
+  BytesView reply_bytes(const Answer& answer,
+                        const TranslationCache::Frame& frame, BytesView wire,
+                        IdSpan id);
   /// Drops `record` from the type, wire and USN indexes, and so changes
   /// what its type answers.
   void unindex(const Record& record);
@@ -262,6 +301,8 @@ class ServiceDirectory {
   /// Per USN, the URLs of the records carrying it, oldest first.
   std::unordered_map<Symbol, std::vector<Symbol>> by_usn_;
   std::vector<Answer> answers_;
+  /// The patched payload of a replayed frame (capacity reused).
+  Bytes replay_scratch_;
   /// Per-type answer epochs; never erased, so an epoch never repeats.
   std::unordered_map<Symbol, std::uint64_t> type_epochs_;
   std::uint64_t generation_ = 0;

@@ -4,8 +4,8 @@
 
 namespace indiss::core {
 
-std::uint64_t wire_hash(BytesView bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
+std::uint64_t wire_hash(BytesView bytes, std::uint64_t basis) {
+  std::uint64_t hash = basis;
   for (std::uint8_t b : bytes) {
     hash ^= b;
     hash *= 1099511628211ULL;

@@ -62,8 +62,11 @@
 
 namespace indiss::core {
 
-/// FNV-1a 64 over the wire bytes (the cache's key hash).
-[[nodiscard]] std::uint64_t wire_hash(BytesView bytes);
+/// FNV-1a 64 over the wire bytes (the cache's key hash). Passing the hash
+/// of a preceding piece as `basis` continues it over `bytes`.
+inline constexpr std::uint64_t kWireHashBasis = 14695981039346656037ULL;
+[[nodiscard]] std::uint64_t wire_hash(BytesView bytes,
+                                      std::uint64_t basis = kWireHashBasis);
 
 class TranslationCache {
  public:
@@ -88,6 +91,13 @@ class TranslationCache {
     /// Re-sends the frame; inert when the target unit's socket has closed.
     void send() const {
       if (socket != nullptr && !socket->closed()) socket->send_to(to, *payload);
+    }
+    /// Sends `bytes` in the stored payload's place (a replayed answer with
+    /// its query's id patched in); inert like send().
+    void send(BytesView bytes) const {
+      if (socket != nullptr && !socket->closed()) {
+        socket->send_to(to, Bytes(bytes.begin(), bytes.end()));
+      }
     }
   };
 

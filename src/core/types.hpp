@@ -9,7 +9,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
@@ -21,28 +21,39 @@ namespace indiss::core {
 ///
 /// Internally synchronized: in a threaded gateway (docs/sharding.md) units
 /// on shard threads register their socket endpoints while the front monitor
-/// filters inbound traffic against the same set. One hash set is written in
+/// filters inbound traffic against the same set. One hash map is written in
 /// place under the exclusive lock, so an insert (every unit and per-query
 /// socket makes one) costs one node; contains() runs once per inbound
 /// datagram under the shared lock, so readers never block each other.
+///
+/// Each endpoint counts its inserts and leaves the set when as many erases
+/// have followed: a per-query socket's endpoint is erased some time after
+/// the socket closes (Unit::open_query_socket), and a recycled port bound
+/// again meanwhile stays filtered for as long as the new socket needs it.
 class OwnEndpoints {
  public:
   void insert(const net::Endpoint& endpoint) {
     std::unique_lock lock(mu_);
-    set_.insert(endpoint);
+    counts_[endpoint] += 1;
+  }
+  /// Undoes one insert of `endpoint`; unknown endpoints are ignored.
+  void erase(const net::Endpoint& endpoint) {
+    std::unique_lock lock(mu_);
+    auto it = counts_.find(endpoint);
+    if (it != counts_.end() && --it->second == 0) counts_.erase(it);
   }
   [[nodiscard]] bool contains(const net::Endpoint& endpoint) const {
     std::shared_lock lock(mu_);
-    return set_.contains(endpoint);
+    return counts_.contains(endpoint);
   }
   [[nodiscard]] std::size_t size() const {
     std::shared_lock lock(mu_);
-    return set_.size();
+    return counts_.size();
   }
 
  private:
   mutable std::shared_mutex mu_;
-  std::unordered_set<net::Endpoint> set_;
+  std::unordered_map<net::Endpoint, std::uint32_t> counts_;
 };
 
 enum class SdpId : std::uint8_t { kSlp, kUpnp, kJini, kMdns };

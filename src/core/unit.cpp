@@ -32,7 +32,16 @@ Unit::Unit(SdpId sdp, transport::Transport& transport, Options options)
                                          : transport::Duration::zero()) {}
 
 Unit::~Unit() {
-  for (auto& [id, socket] : client_sockets_) socket->close();
+  // The unit's endpoints leave the own-endpoint set with it: nothing is
+  // left to retire them later.
+  OwnEndpoints* own = options_.own_endpoints.get();
+  for (auto& [id, socket] : client_sockets_) {
+    if (own != nullptr) own->erase(socket->local_endpoint());
+    socket->close();
+  }
+  if (own != nullptr) {
+    for (const Retiring& retiring : retiring_) own->erase(retiring.endpoint);
+  }
   // A unit destroyed while still subscribed must not leave a dangling
   // pointer in the bus registry.
   if (bus_ != nullptr) bus_->unsubscribe(*this);
@@ -115,8 +124,27 @@ void Unit::close_session(std::uint64_t id) {
 void Unit::close_query_socket(std::uint64_t session_id) {
   auto it = client_sockets_.find(session_id);
   if (it == client_sockets_.end()) return;
+  if (options_.own_endpoints != nullptr) {
+    retiring_.push_back(
+        {it->second->local_endpoint(), now() + kSessionTimeout});
+    arm_retire_timer();
+  }
   it->second->close();
   client_sockets_.erase(it);
+}
+
+void Unit::arm_retire_timer() {
+  if (retire_timer_armed_ || retiring_.empty()) return;
+  retire_timer_armed_ = true;
+  transport::Duration wait = retiring_.front().at - now();
+  schedule_guarded(std::max(wait, transport::Duration::zero()), [this]() {
+    retire_timer_armed_ = false;
+    while (!retiring_.empty() && retiring_.front().at <= now()) {
+      options_.own_endpoints->erase(retiring_.front().endpoint);
+      retiring_.pop_front();
+    }
+    arm_retire_timer();
+  });
 }
 
 void Unit::retire_finished_sessions() {
@@ -236,13 +264,22 @@ void Unit::ingest(const net::Datagram& datagram) {
     }
   }
 
-  // Short-circuit: the identical query from the identical requester was
-  // answered from the directory this epoch — replay the composed reply
-  // frames without a session, a parse or a compose.
-  if (dir != nullptr &&
-      dir->replay_answer(sdp_, datagram.payload, datagram.source, now())) {
-    dir->count_answered(sdp_);
-    return;
+  // Short-circuit: the same question from the same requester was answered
+  // from the directory this epoch — replay the composed reply frames, with
+  // this query's transaction id, without a session, a parse or a compose.
+  if (dir != nullptr) {
+    bool from_network = datagram.multicast &&
+                        datagram.source.address != host_.address();
+    transport::Duration delay = reply_delay(from_network, now());
+    if (dir->replay_answer(sdp_, datagram.payload, query_id_span(),
+                           datagram.source, now(),
+                           [&](const TranslationCache::Frame& frame,
+                               BytesView bytes) {
+                             send_reply(frame, bytes, delay);
+                           })) {
+      dir->count_answered(sdp_);
+      return;
+    }
   }
 
   Session& session = open_session(Session::Origin::kNative);
@@ -332,6 +369,38 @@ transport::UdpSocket& Unit::open_query_socket(const Session& session) {
   auto& entry = client_sockets_[session_id];
   entry = std::move(socket);
   return *entry;
+}
+
+transport::Duration Unit::reply_delay(bool from_network,
+                                      transport::TimePoint received_at) const {
+  if (!from_network) return transport::Duration::zero();
+  return std::max(network_reply_pacing() - (now() - received_at),
+                  transport::Duration::zero());
+}
+
+transport::Duration Unit::reply_delay(const Session& session) const {
+  return reply_delay(session.var("src_local") != "1" &&
+                         session.var("net") == "multicast",
+                     session.created_at);
+}
+
+transport::Duration Unit::network_reply_pacing() const {
+  return transport::Duration::zero();
+}
+
+void Unit::send_reply(const TranslationCache::Frame& frame, BytesView bytes,
+                      transport::Duration delay) {
+  if (delay == transport::Duration::zero()) {
+    frame.send(bytes);
+    return;
+  }
+  host_.schedule(delay,
+                 [socket = frame.socket, to = frame.to,
+                  payload = Bytes(bytes.begin(), bytes.end())]() mutable {
+                   if (!socket->closed()) {
+                     socket->send_to(to, std::move(payload));
+                   }
+                 });
 }
 
 std::optional<net::Endpoint> Unit::requester(const Session& session) const {
@@ -545,11 +614,11 @@ bool Unit::try_answer_from_directory(Session& session) {
   }
   stream->push_back(Event(EventType::kControlStop));
 
-  // Key the composed reply frames by (query wire, requester) so the
-  // identical repeat replays straight from the answer cache.
+  // Key the composed reply frames by (query wire without its id,
+  // requester) so the same question replays straight from the answer cache.
   if (!pending_query_wire_.empty()) {
     dir->open_answer(sdp_, type, pending_query_wire_, pending_query_source_,
-                     session.id, now());
+                     session.id, now(), query_id_span());
   }
   session.set_var("directory_answer", "1");
   dir->count_answered(sdp_);

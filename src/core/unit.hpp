@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -269,8 +270,24 @@ class Unit {
   /// on (the unit acting as a native client). The socket is marked own,
   /// every datagram it receives is parsed into the session one hop later
   /// (schedule_hop), and it is closed when the session completes, times
-  /// out or is evicted, or when the unit goes away.
+  /// out or is evicted, or when the unit goes away. Its endpoint leaves the
+  /// own-endpoint set kSessionTimeout after the close, so a looped-back
+  /// copy of its last multicast send is still filtered while a later
+  /// socket on the recycled port is not.
   transport::UdpSocket& open_query_socket(const Session& session);
+
+  /// The one pacing rule for a reply to a native query, which a composed
+  /// reply and a replayed one both follow: a query that crossed the shared
+  /// medium (multicast from another host) is answered
+  /// network_reply_pacing() after `received_at`, when the gateway took it
+  /// in; any other query at once.
+  [[nodiscard]] transport::Duration reply_delay(
+      bool from_network, transport::TimePoint received_at) const;
+  /// reply_delay for the native query `session` parsed.
+  [[nodiscard]] transport::Duration reply_delay(const Session& session) const;
+  /// The SDP's pacing of answers to queries from the shared medium (RFC
+  /// 6762 §6 for mDNS, the MX window for SSDP). Default: none.
+  [[nodiscard]] virtual transport::Duration network_reply_pacing() const;
 
   /// The native requester a reply for `session` goes to: the source address
   /// and port its parse recorded. Logs and returns nullopt when there is no
@@ -362,6 +379,11 @@ class Unit {
   /// registrar directly, so the gateway never composes Jini replies.
   [[nodiscard]] virtual bool answers_from_directory() const { return true; }
 
+  /// Where this SDP's queries carry their transaction id (its codec's
+  /// IdSpan; empty when there is none). The directory's answer cache keys
+  /// on the rest of the query and patches the id into replayed replies.
+  [[nodiscard]] virtual IdSpan query_id_span() const { return {}; }
+
   /// Requester-side answer-cache hook: a composer produced an outbound
   /// reply frame for a native session answered from the directory; stores
   /// it keyed by (query wire bytes, requester endpoint) so the identical
@@ -404,8 +426,15 @@ class Unit {
   /// Ends a session (closing its query socket if it never completed) and
   /// erases it. Unknown ids are ignored.
   void close_session(std::uint64_t id);
-  /// Closes and forgets the query socket of `session_id`, if it has one.
+  /// Closes and forgets the query socket of `session_id`, if it has one,
+  /// and queues its endpoint for retirement from the own-endpoint set.
   void close_query_socket(std::uint64_t session_id);
+  /// Keeps the one retirement timer armed for the oldest queued endpoint's
+  /// deadline while any is queued.
+  void arm_retire_timer();
+  /// Sends one replayed answer frame `delay` from now (reply_delay).
+  void send_reply(const TranslationCache::Frame& frame, BytesView bytes,
+                  transport::Duration delay);
   /// Erases the sessions completed since the last call. Runs when a
   /// scheduled task returns, never inside an FSM action: the entry points
   /// still read a session after the parse that completed it.
@@ -435,6 +464,14 @@ class Unit {
       client_sockets_;
   /// Completed sessions awaiting retire_finished_sessions().
   std::vector<std::uint64_t> finished_;
+  /// Endpoints of closed query sockets, oldest first, each with the time
+  /// it leaves the own-endpoint set.
+  struct Retiring {
+    net::Endpoint endpoint;
+    transport::TimePoint at;
+  };
+  std::deque<Retiring> retiring_;
+  bool retire_timer_armed_ = false;
   std::size_t live_sessions_ = 0;
   bool session_timer_armed_ = false;
   // std::less<> so parser names arriving as string_view (parser-switch

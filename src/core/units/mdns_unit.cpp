@@ -461,12 +461,7 @@ void MdnsUnit::compose_native_reply(Session& session) {
   auto to = requester(session);
   if (!to.has_value()) return;
 
-  // RFC 6762 §6 etiquette: pace answers to queries that crossed the shared
-  // medium; loopback interception answers immediately.
-  bool from_network = session.var("src_local") != "1" &&
-                      session.var("net") == "multicast";
-  transport::Duration pacing =
-      from_network ? kResponsePacing : transport::Duration::zero();
+  transport::Duration pacing = reply_delay(session);
   BytesView wire = encoder_.encode(compose_scratch_);
   // Directory-answered sessions remember the composed bytes so a repeated
   // browse replays them without re-compose (docs/directory.md).
@@ -476,6 +471,12 @@ void MdnsUnit::compose_native_reply(Session& session) {
                                 payload = std::move(payload)]() {
     if (!socket->closed()) socket->send_to(to, payload);
   });
+}
+
+// RFC 6762 §6 etiquette: answers to queries that crossed the shared medium
+// wait kResponsePacing; loopback interception is answered immediately.
+transport::Duration MdnsUnit::network_reply_pacing() const {
+  return kResponsePacing;
 }
 
 // A peer advertised a foreign service: re-announce it in the Bonjour world

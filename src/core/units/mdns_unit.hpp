@@ -92,6 +92,8 @@ class MdnsUnit : public Unit {
   void on_bridged(Session& session, ForeignService& service,
                   bool fresh) override;
   void forget_bridged(const ForeignService& service, Forget why) override;
+  [[nodiscard]] transport::Duration network_reply_pacing() const override;
+  [[nodiscard]] IdSpan query_id_span() const override { return mdns::kIdSpan; }
 
  private:
   /// Per-claim bookkeeping: which bridged URL a probe claim stands for and

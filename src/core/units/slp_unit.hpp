@@ -58,6 +58,7 @@ class SlpUnit : public Unit {
  protected:
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
+  [[nodiscard]] IdSpan query_id_span() const override { return slp::kXidSpan; }
 
  private:
   std::shared_ptr<transport::UdpSocket> reply_socket_;

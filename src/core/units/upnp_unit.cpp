@@ -382,15 +382,7 @@ void UpnpUnit::compose_native_reply(Session& session) {
   // MX pacing: only searches that crossed the shared medium are delayed;
   // loopback interception answers immediately (Fig 9b's 0.12 ms hinges on
   // this).
-  bool from_network = session.var("src_local") != "1" &&
-                      session.var("net") == "multicast";
-  transport::Duration pacing = transport::Duration::zero();
-  if (from_network) {
-    auto elapsed = now() - session.created_at;
-    if (elapsed < config_.search_response_pacing) {
-      pacing = config_.search_response_pacing - elapsed;
-    }
-  }
+  transport::Duration pacing = reply_delay(session);
   response.serialize_into(ssdp_scratch_);
   // Directory-answered sessions remember the composed bytes so a repeated
   // search replays them without re-compose (docs/directory.md).

@@ -90,6 +90,9 @@ class UpnpUnit : public Unit {
   void on_bridged(Session& session, ForeignService& service,
                   bool fresh) override;
   void forget_bridged(const ForeignService& service, Forget why) override;
+  [[nodiscard]] transport::Duration network_reply_pacing() const override {
+    return config_.search_response_pacing;
+  }
 
  private:
   /// Impersonates `service` as a UPnP device the first time it is seen:

@@ -47,6 +47,10 @@ inline constexpr std::uint16_t kClassIn = 1;
 /// unicast-response on questions (§5.4).
 inline constexpr std::uint16_t kClassTopBit = 0x8000;
 
+/// The header ID: bytes 0-1. A response echoes its query's ID there (a
+/// legacy unicast querier picks a random one per query, RFC 6762 §6.7).
+inline constexpr IdSpan kIdSpan{0, 2};
+
 // Header flag bits.
 inline constexpr std::uint16_t kFlagResponse = 0x8000;      // QR
 inline constexpr std::uint16_t kFlagAuthoritative = 0x0400;  // AA

@@ -50,6 +50,10 @@ inline constexpr std::uint16_t kFlagOverflow = 0x8000;
 inline constexpr std::uint16_t kFlagFresh = 0x4000;
 inline constexpr std::uint16_t kFlagRequestMcast = 0x2000;
 
+/// The header XID: bytes 10-11, after version, function-id, length, flags
+/// and next-ext. A reply carries its request's XID there.
+inline constexpr IdSpan kXidSpan{10, 2};
+
 struct Header {
   FunctionId function = FunctionId::kSrvRqst;
   std::uint16_t flags = 0;

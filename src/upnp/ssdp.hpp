@@ -10,6 +10,9 @@
 //
 // One writer (serialize_into) and one reader (SsdpReader) serve the native
 // UPnP stacks and the gateway's UPnP unit alike.
+//
+// SSDP carries no transaction id: a search response matches its M-SEARCH by
+// the requester's endpoint and the ST alone (an empty IdSpan).
 #pragma once
 
 #include <array>

@@ -2,15 +2,20 @@
 // never-serve-stale collect guard, withdraw tombstones (by URL and by USN),
 // the oldest-first USN withdrawal against a linear scan, generation-bump
 // invalidation, LRU eviction, the wire-hash touch() refresh,
-// and the answer cache's replay, per-type epoch and deadline rules — then the
+// and the answer cache's replay, per-type epoch and deadline rules; its key
+// without the query's transaction id (patched replays byte-equal to fresh
+// composes, the parts of a query that stay in the key, a seeded
+// cached-vs-uncached differential, the zero-alloc warm replay) — then the
 // end-to-end legs: the idle-unit bridged-state expiry regression (timer
 // sweep, not sweep-on-touch), the SLP-browse-answered-from-mDNS-announcement
 // path with byebye tombstoning, the repeated-browse storm that must be
-// answered from the index with zero origin-network frames, and the SLP
-// DAAdvert the gateway multicasts when directory mode turns on.
+// answered from the index with zero origin-network frames, the replayed
+// network browse paced like the composed one, and the SLP DAAdvert the
+// gateway multicasts when directory mode turns on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <string>
 #include <variant>
@@ -18,6 +23,9 @@
 
 #include "core/directory/service_directory.hpp"
 #include "core/indiss.hpp"
+#include "core/units/mdns_unit.hpp"
+#include "core/units/slp_unit.hpp"
+#include "core/units/upnp_unit.hpp"
 #include "mdns/dns.hpp"
 #include "mdns/dnssd.hpp"
 #include "net/host.hpp"
@@ -26,6 +34,8 @@
 #include "sim/scheduler.hpp"
 #include "slp/agents.hpp"
 #include "slp/wire.hpp"
+#include "tests/support/alloc_meter.hpp"
+#include "upnp/ssdp.hpp"
 
 namespace indiss::core {
 namespace {
@@ -542,6 +552,327 @@ TEST_F(AnswerCacheFixture, ReArmedRecordsCarryTheAnswerPastItsFirstDeadline) {
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(18)));
 }
 
+// --- The answer cache keys on the question, not the transaction -------------
+
+namespace idblind {
+
+Bytes slp_query(std::uint16_t xid, std::string_view type = "service:clock",
+                std::string_view scopes = "DEFAULT",
+                std::string_view prlist = "") {
+  slp::SrvRqst request;
+  request.header.xid = xid;
+  request.service_type = std::string(type);
+  request.scope_list = std::string(scopes);
+  request.previous_responders = std::string(prlist);
+  return slp::encode(slp::Message(request));
+}
+
+Bytes mdns_query(std::uint16_t id,
+                 std::string_view qname = "_clock._tcp.local") {
+  mdns::DnsMessage query;
+  query.id = id;
+  mdns::DnsQuestion question;
+  question.name = std::string(qname);
+  question.qtype = mdns::kTypePtr;
+  question.unicast_response = true;
+  query.questions.push_back(std::move(question));
+  return mdns::encode(query);
+}
+
+Bytes ssdp_search(std::string_view device) {
+  upnp::SearchRequest search;
+  search.st = "urn:schemas-upnp-org:device:" + std::string(device) + ":1";
+  return upnp::encode(search);
+}
+
+std::string service_url(std::string_view type, std::string_view name) {
+  return "service:" + std::string(type) + ":soap://10.0.0.2:4005/" +
+         std::string(name);
+}
+
+Bytes slp_registration(std::string_view type, std::string_view name,
+                       std::uint16_t lifetime) {
+  slp::SrvReg reg;
+  reg.url_entry = {lifetime, service_url(type, name)};
+  reg.service_type = "service:" + std::string(type);
+  reg.attr_list = "(room=" + std::string(name) + ")";
+  return slp::encode(slp::Message(reg));
+}
+
+Bytes slp_deregistration(std::string_view type, std::string_view name) {
+  slp::SrvDeReg dereg;
+  dereg.url_entry = {0, service_url(type, name)};
+  return slp::encode(slp::Message(dereg));
+}
+
+/// A directory-mode gateway wired by hand, so a test picks the answer
+/// cache's bound: SLP, UPnP and mDNS units share one ServiceDirectory and
+/// take native datagrams straight through on_native_message, the monitor's
+/// forward path. Replies travel the sim network to the client sockets.
+struct DirectoryRig {
+  static constexpr int kClients = 3;
+
+  explicit DirectoryRig(std::size_t max_answers) {
+    ServiceDirectory::Config config;
+    config.max_answers = max_answers;
+    directory = std::make_shared<ServiceDirectory>(config);
+    UnitOptions options;
+    options.directory = directory;
+    slp = std::make_unique<SlpUnit>(gateway, options);
+    upnp = std::make_unique<UpnpUnit>(gateway, options);
+    mdns = std::make_unique<MdnsUnit>(gateway, options);
+    for (int c = 0; c < kClients; ++c) {
+      clients.push_back(
+          client.udp_socket(static_cast<std::uint16_t>(7000 + c)));
+      clients.back()->set_receive_handler([this, c](const net::Datagram& d) {
+        replies.emplace_back(c, d.payload);
+      });
+    }
+    scheduler.run_for(sim::millis(10));
+  }
+
+  Unit& unit(SdpId sdp) {
+    if (sdp == SdpId::kUpnp) return *upnp;
+    if (sdp == SdpId::kMdns) return *mdns;
+    return *slp;
+  }
+
+  /// Hands `payload` to the unit of `sdp` as a multicast datagram from
+  /// `from`, then lets every (paced) reply land.
+  void deliver(SdpId sdp, const net::Endpoint& from, Bytes payload) {
+    net::Datagram datagram;
+    datagram.source = from;
+    datagram.destination = net::Endpoint{slp::kSlpMulticastGroup, 427};
+    datagram.multicast = true;
+    datagram.payload = std::move(payload);
+    unit(sdp).on_native_message(datagram);
+    scheduler.run_for(sim::millis(200));
+  }
+  /// A query from client socket `c`.
+  void ask(SdpId sdp, int c, Bytes query) {
+    deliver(sdp, clients[static_cast<std::size_t>(c)]->local_endpoint(),
+            std::move(query));
+  }
+  /// An SLP registration or deregistration from the service host.
+  void write(Bytes message) {
+    deliver(SdpId::kSlp, net::Endpoint{service.address(), 4270},
+            std::move(message));
+  }
+  /// The one reply since the last call (empty unless exactly one came).
+  Bytes take_reply() {
+    Bytes reply = replies.size() == 1 ? replies.front().second : Bytes{};
+    replies.clear();
+    return reply;
+  }
+
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 41};
+  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
+  net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
+  std::shared_ptr<ServiceDirectory> directory;
+  std::unique_ptr<SlpUnit> slp;
+  std::unique_ptr<UpnpUnit> upnp;
+  std::unique_ptr<MdnsUnit> mdns;
+  std::vector<std::shared_ptr<net::UdpSocket>> clients;
+  std::vector<std::pair<int, Bytes>> replies;
+};
+
+constexpr std::size_t kDefaultAnswers = ServiceDirectory::Config{}.max_answers;
+
+std::uint16_t id_at(BytesView wire, IdSpan id) {
+  return static_cast<std::uint16_t>(wire[id.offset] << 8 |
+                                    wire[id.offset + 1]);
+}
+
+}  // namespace idblind
+
+/// A query that differs only in its transaction id replays the stored
+/// answer with the new id written in, and the result is byte-equal to what
+/// a gateway without an answer cache composes for that id.
+TEST(AnswerCacheIdBlind, NewIdReplaysByteEqualToAFreshCompose) {
+  using namespace idblind;
+  struct Case {
+    SdpId sdp;
+    IdSpan id;
+    Bytes (*query)(std::uint16_t);
+  };
+  const Case cases[] = {
+      {SdpId::kSlp, slp::kXidSpan,
+       [](std::uint16_t id) { return slp_query(id); }},
+      {SdpId::kMdns, mdns::kIdSpan,
+       [](std::uint16_t id) { return mdns_query(id); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(sdp_name(c.sdp)));
+    DirectoryRig cached(kDefaultAnswers);
+    DirectoryRig fresh(0);
+    for (DirectoryRig* rig : {&cached, &fresh}) {
+      rig->write(slp_registration("clock", "c1", 600));
+      rig->write(slp_registration("clock", "c2", 600));
+    }
+
+    cached.ask(c.sdp, 0, c.query(100));
+    Bytes first = cached.take_reply();
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(id_at(first, c.id), 100);
+    ASSERT_EQ(cached.directory->answer_replays(), 0u);
+
+    for (std::uint16_t id : {0x1234, 0xBEEF, 100, 7}) {
+      cached.ask(c.sdp, 0, c.query(id));
+      Bytes replayed = cached.take_reply();
+      fresh.ask(c.sdp, 0, c.query(id));
+      Bytes composed = fresh.take_reply();
+      ASSERT_FALSE(composed.empty());
+      EXPECT_EQ(id_at(replayed, c.id), id);
+      EXPECT_EQ(replayed, composed) << "id " << id;
+    }
+    EXPECT_EQ(cached.directory->answer_replays(), 4u);
+    EXPECT_EQ(fresh.directory->answer_replays(), 0u);
+  }
+}
+
+/// Everything but the id stays in the key: another PRList, scope, question
+/// or requester gets an answer of its own instead of a replay.
+TEST(AnswerCacheIdBlind, QueriesThatDifferBeyondTheIdDoNotReplay) {
+  using namespace idblind;
+  DirectoryRig rig(kDefaultAnswers);
+  rig.write(slp_registration("clock", "c1", 600));
+  rig.write(slp_registration("printer", "p1", 600));
+
+  rig.ask(SdpId::kSlp, 0, slp_query(1));
+  rig.ask(SdpId::kMdns, 0, mdns_query(1));
+  ASSERT_EQ(rig.replies.size(), 2u);
+  rig.ask(SdpId::kSlp, 0, slp_query(2));
+  rig.ask(SdpId::kMdns, 0, mdns_query(2));
+  ASSERT_EQ(rig.directory->answer_replays(), 2u);
+
+  rig.ask(SdpId::kSlp, 0, slp_query(3, "service:clock", "DEFAULT", "10.0.0.3"));
+  rig.ask(SdpId::kSlp, 0, slp_query(4, "service:clock", "LAB"));
+  rig.ask(SdpId::kSlp, 0, slp_query(5, "service:printer"));
+  rig.ask(SdpId::kMdns, 0, mdns_query(6, "_printer._tcp.local"));
+  rig.ask(SdpId::kSlp, 1, slp_query(7));
+  rig.ask(SdpId::kMdns, 1, mdns_query(8));
+  EXPECT_EQ(rig.directory->answer_replays(), 2u)
+      << "a different PRList, scope, question or requester must not replay";
+}
+
+/// The seeded differential: one history of queries (mostly fresh ids, three
+/// requesters, three SDPs) and index writes (registrations, refreshes with
+/// and without a new TTL, deregistrations, expiry) runs through a gateway
+/// that caches answers and one that composes every answer. The requesters
+/// must receive the same bytes in the same order.
+TEST(AnswerCacheIdBlind, CachedAndUncachedGatewaysSendIdenticalReplies) {
+  using namespace idblind;
+  for (unsigned seed : {3u, 19u, 71u}) {
+    SCOPED_TRACE(seed);
+    DirectoryRig cached(kDefaultAnswers);
+    DirectoryRig fresh(0);
+    std::mt19937 rng(seed);
+    struct Live {
+      std::string type;
+      std::string name;
+    };
+    std::vector<Live> live;
+    const std::string types[] = {"clock", "printer"};
+    for (int step = 0; step < 400; ++step) {
+      unsigned op = rng() % 20;
+      const std::string& type = types[rng() % 2];
+      std::function<void(DirectoryRig&)> act;
+      if (op < 2) {
+        Live added{type, type + std::to_string(step)};
+        auto lifetime = static_cast<std::uint16_t>(rng() % 2 == 0 ? 600 : 30);
+        live.push_back(added);
+        act = [=](DirectoryRig& rig) {
+          rig.write(slp_registration(added.type, added.name, lifetime));
+        };
+      } else if (op < 4 && !live.empty()) {
+        std::size_t pick = rng() % live.size();
+        Live known = live[pick];
+        if (op == 2) {
+          auto lifetime =
+              static_cast<std::uint16_t>(rng() % 2 == 0 ? 600 : 30);
+          act = [=](DirectoryRig& rig) {
+            rig.write(slp_registration(known.type, known.name, lifetime));
+          };
+        } else {
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+          act = [=](DirectoryRig& rig) {
+            rig.write(slp_deregistration(known.type, known.name));
+          };
+        }
+      } else if (op == 4) {
+        act = [](DirectoryRig& rig) {
+          rig.scheduler.run_for(sim::seconds(20));  // 30 s records expire
+        };
+      } else {
+        int c = static_cast<int>(rng() % DirectoryRig::kClients);
+        auto id = static_cast<std::uint16_t>(rng() % 4 == 0 ? 42 : rng());
+        unsigned via = rng() % 3;
+        SdpId sdp = via == 0 ? SdpId::kSlp
+                    : via == 1 ? SdpId::kMdns
+                               : SdpId::kUpnp;
+        Bytes query = sdp == SdpId::kSlp ? slp_query(id, "service:" + type)
+                      : sdp == SdpId::kMdns
+                          ? mdns_query(id, "_" + type + "._tcp.local")
+                          : ssdp_search(type);
+        act = [=](DirectoryRig& rig) { rig.ask(sdp, c, query); };
+      }
+      act(cached);
+      act(fresh);
+    }
+    EXPECT_GT(cached.replies.size(), 100u);
+    EXPECT_GT(cached.directory->answer_replays(), 50u);
+    EXPECT_EQ(fresh.directory->answer_replays(), 0u);
+    ASSERT_EQ(cached.replies.size(), fresh.replies.size());
+    for (std::size_t i = 0; i < cached.replies.size(); ++i) {
+      ASSERT_EQ(cached.replies[i], fresh.replies[i]) << "reply " << i;
+    }
+  }
+}
+
+/// The warm hit path — id-blind hash, byte verify, id patch into the reused
+/// buffer — allocates nothing. Each frame goes to a sender that only reads
+/// it, so the send's own payload copy (UdpSocket::send_to takes Bytes by
+/// value) stays out of the count.
+TEST_F(AnswerCacheFixture, WarmIdVaryingReplayAllocatesNothing) {
+  ServiceDirectory dir;
+  ASSERT_TRUE(dir.record_advertisement(
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      at_s(0)));
+  dir.open_answer(SdpId::kSlp, "clock", idblind::slp_query(1), requester, 11,
+                  at_s(0), slp::kXidSpan);
+  // Any frame with the XID where an SrvRply carries it will do.
+  Bytes reply = idblind::slp_query(1, "service:clock-reply");
+  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame(to_string(reply)));
+
+  std::vector<Bytes> queries;
+  for (std::uint16_t xid = 2; xid < 2 + 64; ++xid) {
+    queries.push_back(idblind::slp_query(xid));
+  }
+  std::uint64_t ids = 0;
+  auto read_id = [&ids](const TranslationCache::Frame&, BytesView bytes) {
+    ids += idblind::id_at(bytes, slp::kXidSpan);
+  };
+  for (const Bytes& query : queries) {
+    ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, slp::kXidSpan, requester,
+                                  at_s(1), read_id));
+  }
+  ids = 0;
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  for (int round = 0; round < 4; ++round) {
+    for (const Bytes& query : queries) {
+      ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, slp::kXidSpan,
+                                    requester, at_s(2), read_id));
+    }
+  }
+  EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
+      << "a warm id-varying replay must not allocate";
+  std::uint64_t expected = 0;
+  for (std::uint16_t xid = 2; xid < 2 + 64; ++xid) expected += xid;
+  EXPECT_EQ(ids, 4 * expected) << "every replay must carry its query's XID";
+}
+
 // --- End-to-end --------------------------------------------------------------
 
 /// Regression (PR 9): bridged state used to expire only on sweep-on-touch —
@@ -853,6 +1184,65 @@ TEST(DirectoryEndToEnd, RepeatedBrowseStormIsAnsweredWithZeroOriginFrames) {
   EXPECT_GE(indiss.directory()->answer_replays(),
             static_cast<std::uint64_t>(kQueries - 1));
   EXPECT_LE(indiss.unit(SdpId::kSlp)->stats().messages_composed, 2u);
+  indiss.stop();
+}
+
+/// A replayed answer keeps the pacing of the composed one: a browse that
+/// crossed the shared medium is answered the SDP's pacing after it reached
+/// the gateway, whether the answer is composed or replayed with a new id. A
+/// requester on the gateway's own host is answered at once either way.
+TEST(DirectoryEndToEnd, ReplayedNetworkBrowseIsPacedLikeTheComposedOne) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 37};
+  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
+  net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp, SdpId::kMdns};
+  config.enable_directory = true;
+  Indiss indiss(gateway, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(10));
+  auto announcer = service.udp_socket(0);
+  announcer->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                     idblind::slp_registration("clock", "c1", 600));
+  scheduler.run_for(sim::seconds(1));
+
+  /// Sends `query` from `from` to `group` and returns how long the one
+  /// reply took to arrive.
+  auto answer_delay = [&](net::UdpSocket& from, const net::Endpoint& group,
+                          const Bytes& query) {
+    sim::SimTime sent = scheduler.now();
+    std::vector<sim::SimTime> arrivals;
+    from.set_receive_handler(
+        [&](const net::Datagram&) { arrivals.push_back(scheduler.now()); });
+    from.send_to(group, query);
+    scheduler.run_for(sim::seconds(1));
+    EXPECT_EQ(arrivals.size(), 1u);
+    return arrivals.empty() ? sim::SimTime::max() - sent
+                            : arrivals.front() - sent;
+  };
+  const net::Endpoint mdns_group{mdns::kMdnsGroup, mdns::kMdnsPort};
+  const net::Endpoint ssdp_group{upnp::kSsdpMulticastGroup, upnp::kSsdpPort};
+  auto remote = client.udp_socket(7000);
+  auto local = gateway.udp_socket(7001);
+
+  auto composed = answer_delay(*remote, mdns_group, idblind::mdns_query(1));
+  auto replayed = answer_delay(*remote, mdns_group, idblind::mdns_query(2));
+  EXPECT_GE(composed, sim::millis(20));
+  EXPECT_EQ(replayed, composed);
+
+  composed = answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
+  replayed = answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
+  EXPECT_GE(composed, sim::millis(30));
+  EXPECT_EQ(replayed, composed);
+
+  composed = answer_delay(*local, mdns_group, idblind::mdns_query(3));
+  replayed = answer_delay(*local, mdns_group, idblind::mdns_query(4));
+  EXPECT_LT(composed, sim::millis(20));
+  EXPECT_LT(replayed, sim::millis(20));
+  EXPECT_EQ(indiss.directory()->answer_replays(), 3u);
   indiss.stop();
 }
 

@@ -3,7 +3,10 @@
 // (core::Unit::open_query_socket). For SLP, UPnP and mDNS this checks that
 // the socket is closed by every path that can end the session: completion
 // (a native service answered), the session timeout, eviction at the
-// max_open_sessions cap, and detaching the unit.
+// max_open_sessions cap, and detaching the unit. It also checks that the
+// socket's endpoint leaves the own-endpoint loop filter one kSessionTimeout
+// after the close, so the filter stays bounded however many queries the
+// gateway bridges.
 //
 // The gateway runs on a transport that records every ephemeral UDP socket
 // it opens. Unit reply sockets are opened by start(), so every ephemeral
@@ -93,10 +96,13 @@ class QuerySocketLifetime : public ::testing::TestWithParam<SdpId> {
   std::unique_ptr<upnp::RootDevice> upnp_device;
   std::unique_ptr<mdns::MdnsResponder> mdns_responder;
 
+  std::shared_ptr<OwnEndpoints> own = std::make_shared<OwnEndpoints>();
+
   std::unique_ptr<Indiss> start_gateway(std::size_t max_open_sessions = 0) {
     IndissConfig config;
     config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp, SdpId::kMdns};
     config.unit_options.max_open_sessions = max_open_sessions;
+    config.own_endpoints = own;
     auto indiss = std::make_unique<Indiss>(gateway, config);
     indiss->start();
     gateway.ephemeral.clear();  // the units' reply sockets
@@ -191,6 +197,59 @@ TEST_P(QuerySocketLifetime, ClosedWhenTheUnitIsDisabled) {
   EXPECT_FALSE(socket->closed());
   indiss->disable_unit(GetParam());
   EXPECT_TRUE(socket->closed());
+}
+
+/// Until one kSessionTimeout after the close a looped-back copy of the
+/// socket's last send is still the gateway's own traffic; after it, a frame
+/// from that endpoint (a native client on the recycled port) is taken in.
+TEST_P(QuerySocketLifetime, EndpointRetiresOneSessionTimeoutAfterTheClose) {
+  auto indiss = start_gateway();  // nobody answers
+  auto socket = bridge_query(*indiss, 1);
+  const net::Endpoint endpoint = socket->local_endpoint();
+  EXPECT_TRUE(own->contains(endpoint));
+  net::Datagram frame;
+  frame.source = endpoint;
+  frame.multicast = true;
+  frame.payload = to_bytes("x");
+
+  scheduler.run_for(kSessionTimeout + sim::millis(100));
+  ASSERT_TRUE(socket->closed());
+  EXPECT_TRUE(own->contains(endpoint));
+  std::uint64_t filtered = indiss->monitor().stats().filtered;
+  indiss->ingest(GetParam(), frame);
+  EXPECT_EQ(indiss->monitor().stats().filtered, filtered + 1)
+      << "a just-closed socket's endpoint is still filtered";
+
+  scheduler.run_for(kSessionTimeout);
+  EXPECT_FALSE(own->contains(endpoint));
+  std::uint64_t seen = indiss->monitor().stats().seen;
+  indiss->ingest(GetParam(), frame);
+  EXPECT_EQ(indiss->monitor().stats().filtered, filtered + 1);
+  EXPECT_EQ(indiss->monitor().stats().seen, seen + 1)
+      << "a retired endpoint's frame is taken in";
+}
+
+/// Every bridged query opens a socket, and none of their endpoints stays in
+/// the loop filter for good: over thousands of answered queries its size
+/// settles at the sockets closed within the last kSessionTimeout.
+TEST_P(QuerySocketLifetime, OwnEndpointSetStaysFlatOverThousandsOfQueries) {
+  start_service();
+  auto indiss = start_gateway();
+  const std::size_t base = own->size();  // the units' reply sockets
+  constexpr int kQueries = 3000;
+  std::size_t at_half = 0;
+  for (int i = 1; i <= kQueries; ++i) {
+    bridge_query(*indiss, static_cast<std::uint64_t>(i));
+    scheduler.run_for(sim::millis(50));
+    if (i == kQueries / 2) at_half = own->size();
+  }
+  // 10 s of queries at one per 50 ms: ~200 sockets closed recently.
+  EXPECT_GT(at_half, base);
+  EXPECT_LE(own->size(), base + 250);
+  EXPECT_LE(own->size(), at_half + 2);
+  scheduler.run_for(sim::seconds(2));
+  EXPECT_EQ(indiss->unit(GetParam())->open_sessions(), 0u)
+      << "every query was answered, so every socket closed";
 }
 
 INSTANTIATE_TEST_SUITE_P(Sdps, QuerySocketLifetime,

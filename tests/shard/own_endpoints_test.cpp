@@ -2,8 +2,8 @@
 // per-query socket registers in, and every inbound datagram is checked
 // against — from the front monitor's thread while shard threads insert.
 // Pins that an insert costs O(1) allocations (the set is written in place,
-// not copied per generation) and, under the TSan job's `shard` label, that
-// concurrent insert/contains is race-free.
+// not copied per generation), that erase undoes one insert and, under the
+// TSan job's `shard` label, that concurrent insert/contains is race-free.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,6 +41,26 @@ TEST(OwnEndpoints, InsertAllocatesAConstantAmountWhateverTheSize) {
   own.insert(endpoint(7));
   EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u);
   EXPECT_EQ(own.size(), kInserts);
+}
+
+// An endpoint registered twice (a recycled port bound again before the old
+// socket's endpoint retired) stays filtered until both registrations are
+// undone; erasing an unknown endpoint changes nothing.
+TEST(OwnEndpoints, EraseUndoesOneInsert) {
+  OwnEndpoints own;
+  own.insert(endpoint(1));
+  own.insert(endpoint(2));
+  own.insert(endpoint(2));
+  own.erase(endpoint(3));
+  EXPECT_EQ(own.size(), 2u);
+
+  own.erase(endpoint(1));
+  EXPECT_FALSE(own.contains(endpoint(1)));
+  own.erase(endpoint(2));
+  EXPECT_TRUE(own.contains(endpoint(2)));
+  own.erase(endpoint(2));
+  EXPECT_FALSE(own.contains(endpoint(2)));
+  EXPECT_EQ(own.size(), 0u);
 }
 
 // Two shard-like writers register endpoints while two monitor-like readers
