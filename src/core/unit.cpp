@@ -12,6 +12,9 @@ namespace indiss::core {
 
 namespace {
 
+/// The retirement timer's granularity (arm_retire_timer).
+constexpr transport::Duration kRetireBatch = transport::seconds(1);
+
 MessageContext context_of(const net::Datagram& datagram,
                           net::IpAddress local_address) {
   MessageContext ctx;
@@ -136,8 +139,11 @@ void Unit::close_query_socket(std::uint64_t session_id) {
 void Unit::arm_retire_timer() {
   if (retire_timer_armed_ || retiring_.empty()) return;
   retire_timer_armed_ = true;
-  transport::Duration wait = retiring_.front().at - now();
-  schedule_guarded(std::max(wait, transport::Duration::zero()), [this]() {
+  // At most one firing per kRetireBatch however many sockets close: an
+  // endpoint retires up to kRetireBatch after its deadline.
+  transport::Duration wait =
+      std::max(retiring_.front().at - now(), kRetireBatch);
+  schedule_guarded(wait, [this]() {
     retire_timer_armed_ = false;
     while (!retiring_.empty() && retiring_.front().at <= now()) {
       options_.own_endpoints->erase(retiring_.front().endpoint);

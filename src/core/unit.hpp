@@ -271,19 +271,16 @@ class Unit {
   /// every datagram it receives is parsed into the session one hop later
   /// (schedule_hop), and it is closed when the session completes, times
   /// out or is evicted, or when the unit goes away. Its endpoint leaves the
-  /// own-endpoint set kSessionTimeout after the close, so a looped-back
-  /// copy of its last multicast send is still filtered while a later
-  /// socket on the recycled port is not.
+  /// own-endpoint set one kSessionTimeout (and at most a second more) after
+  /// the close, so a looped-back copy of its last multicast send is still
+  /// filtered while a later socket on the recycled port is not.
   transport::UdpSocket& open_query_socket(const Session& session);
 
-  /// The one pacing rule for a reply to a native query, which a composed
-  /// reply and a replayed one both follow: a query that crossed the shared
-  /// medium (multicast from another host) is answered
-  /// network_reply_pacing() after `received_at`, when the gateway took it
-  /// in; any other query at once.
-  [[nodiscard]] transport::Duration reply_delay(
-      bool from_network, transport::TimePoint received_at) const;
-  /// reply_delay for the native query `session` parsed.
+  /// The one pacing rule for a reply to the native query `session` parsed,
+  /// which a composed reply and a replayed one both follow: a query that
+  /// crossed the shared medium (multicast from another host) is answered
+  /// network_reply_pacing() after the gateway took it in; any other query
+  /// at once.
   [[nodiscard]] transport::Duration reply_delay(const Session& session) const;
   /// The SDP's pacing of answers to queries from the shared medium (RFC
   /// 6762 §6 for mDNS, the MX window for SSDP). Default: none.
@@ -386,8 +383,8 @@ class Unit {
 
   /// Requester-side answer-cache hook: a composer produced an outbound
   /// reply frame for a native session answered from the directory; stores
-  /// it keyed by (query wire bytes, requester endpoint) so the identical
-  /// repeat replays without a parse or a compose. No-op without a
+  /// it keyed by (query wire bytes without the transaction id, requester
+  /// endpoint) so the same question replays without a parse or a compose. No-op without a
   /// directory or for sessions not answered from it.
   void cache_reply_frame(const Session& session,
                          std::shared_ptr<transport::UdpSocket> socket,
@@ -432,6 +429,9 @@ class Unit {
   /// Keeps the one retirement timer armed for the oldest queued endpoint's
   /// deadline while any is queued.
   void arm_retire_timer();
+  /// reply_delay for a query that arrived at `received_at`.
+  [[nodiscard]] transport::Duration reply_delay(
+      bool from_network, transport::TimePoint received_at) const;
   /// Sends one replayed answer frame `delay` from now (reply_delay).
   void send_reply(const TranslationCache::Frame& frame, BytesView bytes,
                   transport::Duration delay);
