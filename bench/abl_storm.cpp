@@ -15,11 +15,13 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/indiss.hpp"
 #include "core/shard/router.hpp"
+#include "core/units/mdns_unit.hpp"
 #include "core/units/slp_unit.hpp"
 #include "jini/discovery.hpp"
 #include "jini/lookup.hpp"
@@ -339,21 +341,64 @@ BENCHMARK(BM_StormSharded)
 
 // The query-side storm --directory exists for (docs/directory.md): the
 // fleet announces once, then clients re-browse every period. With the
-// directory on, the gateway answers from the index — byte-identical repeats
-// replay straight from the answer cache — instead of fanning every browse
-// out to the origin networks. answered_ratio is the figure of merit: the
-// fraction of browses that never left the gateway.
-void run_browse_storm(benchmark::State& state, bool directory) {
+// directory on, the gateway answers from the index — repeats of the same
+// question replay straight from the answer cache, whatever their XID —
+// instead of fanning every browse out to the origin networks.
+// answered_ratio is the figure of merit: the fraction of browses that never
+// left the gateway.
+enum class Browse {
+  kBridged,            // directory off: every browse goes to the origin
+  kDirectory,          // byte-identical repeats (a fixed XID 7)
+  kDirectoryFreshXid,  // every browse carries a new XID
+  kDirectoryCompose,   // no answer cache: every answer is composed
+};
+
+/// The SLP + mDNS directory gateway Indiss builds for kDirectory, wired by
+/// hand around a directory that caches no answers (max_answers = 0).
+struct ComposeOnlyGateway {
+  explicit ComposeOnlyGateway(net::Host& host) {
+    core::ServiceDirectory::Config config;
+    config.max_answers = 0;
+    core::UnitOptions options;
+    options.own_endpoints = std::make_shared<core::OwnEndpoints>();
+    options.translation_cache = std::make_shared<core::TranslationCache>();
+    options.directory = std::make_shared<core::ServiceDirectory>(config);
+    slp = std::make_unique<core::SlpUnit>(host, options);
+    mdns = std::make_unique<core::MdnsUnit>(host, options);
+    bus.subscribe(*slp);
+    bus.subscribe(*mdns);
+  }
+  core::EventBus bus;  // outlives the units, which unsubscribe on teardown
+  std::unique_ptr<core::SlpUnit> slp;
+  std::unique_ptr<core::MdnsUnit> mdns;
+};
+
+void run_browse_storm(benchmark::State& state, Browse mode) {
   const int devices = static_cast<int>(state.range(0));
   const int requesters = 16;
   sim::Scheduler scheduler;
   net::Network network{scheduler, net::LinkProfile{}, 17};
   net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
-  core::IndissConfig config;
-  config.enabled_sdps = {core::SdpId::kSlp, core::SdpId::kMdns};
-  config.enable_directory = directory;
-  core::Indiss indiss(gateway, config);
-  indiss.start();
+  std::optional<core::Indiss> indiss;
+  std::optional<ComposeOnlyGateway> compose_only;
+  core::Unit* slp_unit = nullptr;
+  core::Unit* mdns_unit = nullptr;
+  core::ServiceDirectory* directory = nullptr;
+  if (mode == Browse::kDirectoryCompose) {
+    compose_only.emplace(gateway);
+    slp_unit = compose_only->slp.get();
+    mdns_unit = compose_only->mdns.get();
+    directory = slp_unit->options().directory.get();
+  } else {
+    core::IndissConfig config;
+    config.enabled_sdps = {core::SdpId::kSlp, core::SdpId::kMdns};
+    config.enable_directory = mode != Browse::kBridged;
+    indiss.emplace(gateway, config);
+    indiss->start();
+    slp_unit = indiss->unit(core::SdpId::kSlp);
+    mdns_unit = indiss->unit(core::SdpId::kMdns);
+    directory = indiss->directory();
+  }
   scheduler.run_for(sim::millis(10));
 
   // The fleet's periodic mDNS adverts: the first period populates the index,
@@ -369,8 +414,8 @@ void run_browse_storm(benchmark::State& state, bool directory) {
     adverts[i].payload = mdns_announce(i);
   }
 
-  // Byte-identical SrvRqsts from a rotating requester set: each
-  // (wire, source) pair is its own answer-cache entry.
+  // SrvRqsts from a rotating requester set: each (question, source) pair is
+  // its own answer-cache entry.
   slp::SrvRqst request;
   request.header.xid = 7;
   request.service_type = "service:clock";
@@ -383,12 +428,16 @@ void run_browse_storm(benchmark::State& state, bool directory) {
     browses[i].multicast = true;
     browses[i].payload = query;
   }
+  std::uint16_t xid = 7;
   auto cycle = [&] {
-    for (const auto& a : adverts) {
-      indiss.unit(core::SdpId::kMdns)->on_native_message(a);
-    }
-    for (const auto& b : browses) {
-      indiss.unit(core::SdpId::kSlp)->on_native_message(b);
+    for (const auto& a : adverts) mdns_unit->on_native_message(a);
+    for (auto& b : browses) {
+      if (mode == Browse::kDirectoryFreshXid) {
+        xid += 1;
+        b.payload[slp::kXidSpan.offset] = static_cast<std::uint8_t>(xid >> 8);
+        b.payload[slp::kXidSpan.offset + 1] = static_cast<std::uint8_t>(xid);
+      }
+      slp_unit->on_native_message(b);
     }
     scheduler.run_for(sim::seconds(30));
   };
@@ -407,8 +456,8 @@ void run_browse_storm(benchmark::State& state, bool directory) {
       static_cast<double>(indiss::testing::g_heap_allocs - allocs_before) /
       static_cast<double>(queries));
   double answered_ratio = 0.0;
-  if (indiss.directory() != nullptr) {
-    auto stats = indiss.directory()->stats(core::SdpId::kSlp);
+  if (directory != nullptr) {
+    auto stats = directory->stats(core::SdpId::kSlp);
     std::uint64_t total = stats.answered + stats.bridged;
     answered_ratio = total == 0 ? 0.0
                                 : static_cast<double>(stats.answered) /
@@ -419,12 +468,26 @@ void run_browse_storm(benchmark::State& state, bool directory) {
 }
 
 void BM_BrowseStormDirectory(benchmark::State& state) {
-  run_browse_storm(state, true);
+  run_browse_storm(state, Browse::kDirectory);
 }
 BENCHMARK(BM_BrowseStormDirectory)->Arg(64)->Unit(benchmark::kMicrosecond);
 
+void BM_BrowseStormDirectoryFreshXid(benchmark::State& state) {
+  run_browse_storm(state, Browse::kDirectoryFreshXid);
+}
+BENCHMARK(BM_BrowseStormDirectoryFreshXid)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_BrowseStormDirectoryCompose(benchmark::State& state) {
+  run_browse_storm(state, Browse::kDirectoryCompose);
+}
+BENCHMARK(BM_BrowseStormDirectoryCompose)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_BrowseStormBridged(benchmark::State& state) {
-  run_browse_storm(state, false);
+  run_browse_storm(state, Browse::kBridged);
 }
 BENCHMARK(BM_BrowseStormBridged)->Arg(64)->Unit(benchmark::kMicrosecond);
 
