@@ -359,6 +359,7 @@ struct ComposeOnlyGateway {
   explicit ComposeOnlyGateway(net::Host& host) {
     core::ServiceDirectory::Config config;
     config.max_answers = 0;
+    config.answer_queries = true;
     core::UnitOptions options;
     options.own_endpoints = std::make_shared<core::OwnEndpoints>();
     options.translation_cache = std::make_shared<core::TranslationCache>();
@@ -402,8 +403,9 @@ void run_browse_storm(benchmark::State& state, Browse mode) {
   scheduler.run_for(sim::millis(10));
 
   // The fleet's periodic mDNS adverts: the first period populates the index,
-  // later byte-identical repeats just re-arm deadlines through the wire
-  // index (a refresh never invalidates cached answers).
+  // later byte-identical repeats just re-arm deadlines through the record
+  // handle their cache bundle carries (a refresh never invalidates cached
+  // answers).
   std::vector<net::Datagram> adverts(static_cast<std::size_t>(devices));
   for (int i = 0; i < devices; ++i) {
     adverts[i].source =

@@ -348,14 +348,14 @@ BENCHMARK(BM_SsdpSerializeParseRoundTrip);
 // BM_DirectoryLookup: collect() against an index of 10k / 100k / 1M records
 // (8 instances per service type) — the query-answering hot path behind
 // --directory (docs/directory.md). Registered last: filling the 1M-record
-// index interns hundreds of thousands of URL symbols into the process-wide
-// SymbolTable, which must not skew the translation fixtures above.
+// index interns its 125k type names into the process-wide SymbolTable,
+// which must not skew the translation fixtures above.
 
 void BM_DirectoryLookup(benchmark::State& state) {
   const std::size_t records = static_cast<std::size_t>(state.range(0));
   const std::size_t types = records / 8;
   core::ServiceDirectory directory(
-      {.max_records = records, .type_buckets = 64, .max_answers = 4});
+      {.max_records = records, .max_answers = 4});
   const auto t0 = transport::TimePoint(transport::seconds(0));
   std::vector<std::string> type_names(types);
   for (std::size_t i = 0; i < types; ++i) {
@@ -373,7 +373,7 @@ void BM_DirectoryLookup(benchmark::State& state) {
         core::EventType::kResServUrl,
         {{"url", "soap://10.0.0.2:4000/s" + std::to_string(i)}}));
     stream.push_back(core::Event(core::EventType::kControlStop));
-    directory.record_advertisement(core::SdpId::kMdns, stream, {}, t0);
+    directory.record_advertisement(core::SdpId::kMdns, stream, t0);
   }
   std::vector<const core::ServiceDirectory::Record*> out;
   std::size_t query = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/unit.hpp"
 #include "core/units/standard_fsm.hpp"
 
 namespace indiss::core {
@@ -9,18 +10,10 @@ namespace indiss::core {
 ServiceDirectory::ServiceDirectory() : ServiceDirectory(Config{}) {}
 
 ServiceDirectory::ServiceDirectory(Config config) : config_(config) {
-  if (config_.type_buckets == 0) config_.type_buckets = 1;
-  buckets_.resize(config_.type_buckets);
+  if (config_.max_records == 0) config_.max_records = 1;
 }
 
 namespace {
-
-/// Wire-bytes key for the touch() side index: hash mixed with length, same
-/// collision posture as the TranslationCache key (plus the record's stored
-/// wire_key lets withdraw unhook the mapping).
-std::uint64_t wire_key_of(BytesView wire) {
-  return wire_hash(wire) ^ (static_cast<std::uint64_t>(wire.size()) << 48);
-}
 
 /// The answer-cache key hash: the query bytes around its transaction id.
 /// A wire too short to hold the id is hashed whole.
@@ -39,124 +32,275 @@ bool same_query(BytesView a, BytesView b, IdSpan id) {
          std::equal(a.begin() + end, a.end(), b.begin() + end);
 }
 
+std::size_t usn_key(std::string_view usn) {
+  return std::hash<std::string_view>{}(usn);
+}
+
+/// The one TTL rule: the first non-zero SDP_RES_TTL, else the default.
+transport::Duration ttl_of(const AdvertView& advert) {
+  return advert.ttl_seconds > 0 ? transport::seconds(advert.ttl_seconds)
+                                : kDefaultAdvertTtl;
+}
+
+/// Packs a slot and its serial into a Handle (0 stays "none").
+ServiceDirectory::Handle make_handle(std::uint32_t slot, std::uint32_t serial) {
+  return (static_cast<std::uint64_t>(serial) << 32) | (slot + 1u);
+}
+
 }  // namespace
 
-bool ServiceDirectory::record_advertisement(SdpId origin,
-                                            const EventStream& stream,
-                                            BytesView wire,
-                                            transport::TimePoint now) {
-  AdvertView v = scan_advert(stream);
-  if (v.url.empty() || !meaningful_advert_type(v.type)) return false;
+// ---------------------------------------------------------------------------
+// Records
+// ---------------------------------------------------------------------------
 
-  SymbolTable& table = SymbolTable::global();
-  Symbol url = table.intern(v.url);
-  transport::Duration ttl = v.ttl_seconds > 0
-                                ? transport::seconds(v.ttl_seconds)
-                                : kDefaultAdvertTtl;
-  std::uint64_t wkey = wire.empty() ? 0 : wire_key_of(wire);
+const ServiceDirectory::Record* ServiceDirectory::find(
+    std::string_view url) const {
+  auto it = by_url_.find(url);
+  return it == by_url_.end() ? nullptr : &slots_[it->second];
+}
 
-  auto it = records_.find(url);
-  if (it != records_.end()) {
-    // Refresh: re-arm the deadline without touching the identity fields —
-    // in steady state the repeat is byte-identical anyway (and then usually
-    // short-circuited by the TranslationCache into touch() instead). This
-    // path allocates nothing.
-    Record& record = it->second;
-    // A new TTL changes the answer bytes; a revived record (stale generation
-    // or past its deadline) changes the answer's record set.
-    if (ttl != record.ttl || record.generation != generation_ ||
-        record.expires_at <= now) {
-      bump_type_epoch(record.canonical_type);
-    }
-    record.ttl = ttl;
-    record.expires_at = now + ttl;
-    record.generation = generation_;
-    record.last_used = ++tick_;
-    record.origin = origin;
-    if (wkey != 0 && wkey != record.wire_key) {
-      by_wire_.erase(record.wire_key);
-      record.wire_key = wkey;
-      by_wire_[wkey] = url;
-    }
-    return true;
+ServiceDirectory::Record* ServiceDirectory::update(SdpId origin,
+                                                   std::string_view type,
+                                                   const AdvertView& advert,
+                                                   const EventStream& stream,
+                                                   transport::TimePoint now,
+                                                   bool may_create) {
+  if (advert.url.empty()) return nullptr;
+  Record* record = find_record(advert.url);
+  if (record != nullptr && record->expires_at <= now) {
+    retire(*record);  // dead before the sweep got to it
+    records_expired_ += 1;
+    record = nullptr;
   }
-
-  Record record;
-  record.url = url;
-  record.canonical_type = table.intern(v.type);
-  record.usn = v.usn.empty() ? kNoSymbol : table.intern(v.usn);
-  record.origin = origin;
-  for (const auto& event : stream) {
-    if (event.type != EventType::kServiceAttr) continue;
-    record.attributes.emplace_back(table.intern(event.get("key")),
-                                   std::string(event.get("value")));
+  transport::Duration ttl = ttl_of(advert);
+  if (record != nullptr) {
+    // A refresh re-arms the deadline and never rewrites the identity
+    // fields, so it allocates nothing. A new TTL changes the answer bytes;
+    // a re-stamped generation changes the answer's record set.
+    if (ttl != record->ttl || record->generation != generation_) {
+      bump_type_epoch(record->canonical_type);
+    }
+    lru_.splice(lru_.end(), lru_, record->lru);
+  } else if (!may_create) {
+    return nullptr;
+  } else {
+    std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
+    if (free_slots_.empty()) {
+      slots_.emplace_back().slot = slot;
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    record = &slots_[slot];
+    record->live = true;
+    record->url.assign(advert.url);
+    record->canonical_type = SymbolTable::global().intern(type);
+    record->usn.assign(advert.usn);
+    record->origin = origin;
+    record->attr_count = 0;
+    for (const auto& event : stream) {
+      if (event.type != EventType::kServiceAttr) continue;
+      if (record->attr_count == record->attributes.size()) {
+        record->attributes.emplace_back();
+      }
+      auto& [key, value] = record->attributes[record->attr_count++];
+      key.assign(event.get("key"));
+      value.assign(event.get("value"));
+    }
+    record->listed = false;
+    record->holders = 0;
+    record->handles = {};
+    by_url_.emplace(record->url, slot);
+    auto& of_type = by_type_[record->canonical_type];
+    record->type_pos = static_cast<std::uint32_t>(of_type.size());
+    of_type.push_back(slot);
+    if (!record->usn.empty()) by_usn_[usn_key(record->usn)].push_back(slot);
+    record->lru = lru_.insert(lru_.end(), slot);
+    size_ += 1;
+    bump_type_epoch(record->canonical_type);
   }
-  record.attr_count = record.attributes.size();
-  record.ttl = ttl;
-  record.expires_at = now + ttl;
-  record.wire_key = wkey;
-  record.generation = generation_;
-  record.last_used = ++tick_;
+  record->ttl = ttl;
+  record->expires_at = now + ttl;
+  record->generation = generation_;
+  while (size_ > config_.max_records) {  // never the record just touched
+    retire(slots_[lru_.front()]);
+    evictions_ += 1;
+  }
+  return record;
+}
 
-  Symbol record_type = record.canonical_type;
-  bucket_for(record_type)[record_type].push_back(url);
-  if (wkey != 0) by_wire_[wkey] = url;
-  if (record.usn != kNoSymbol) by_usn_[record.usn].push_back(url);
-  records_.emplace(url, std::move(record));
-  sdp_stats(origin).records_stored += 1;
-  bump_type_epoch(record_type);
-  evict_if_needed();
-  return true;
+void ServiceDirectory::erase(Record& record) {
+  bump_type_epoch(record.canonical_type);
+  by_url_.erase(record.url);
+  auto& of_type = by_type_[record.canonical_type];
+  std::uint32_t moved = of_type.back();
+  of_type[record.type_pos] = moved;
+  slots_[moved].type_pos = record.type_pos;
+  of_type.pop_back();
+  if (!record.usn.empty()) {
+    auto carriers = by_usn_.find(usn_key(record.usn));
+    auto& slots = carriers->second;
+    slots.erase(std::find(slots.begin(), slots.end(), record.slot));
+    if (slots.empty()) by_usn_.erase(carriers);
+  }
+  lru_.erase(record.lru);
+  record.live = false;
+  record.serial += 1;
+  free_slots_.push_back(record.slot);
+  size_ -= 1;
+}
+
+void ServiceDirectory::retire(Record& record) {
+  for (std::size_t i = 0; i < units_.size(); ++i) {
+    auto sdp = static_cast<SdpId>(i);
+    if (!record.held_by(sdp) || units_[i] == nullptr) continue;
+    units_[i]->forget_bridged(record, record.handles[i],
+                              Unit::Forget::kExpired);
+    units_[i]->stats_.bridged_state_expired += 1;
+  }
+  erase(record);
+}
+
+template <typename Pred>
+ServiceDirectory::Record* ServiceDirectory::oldest_with_usn(
+    std::string_view usn, Pred pred) {
+  if (usn.empty()) return nullptr;
+  auto carriers = by_usn_.find(usn_key(usn));
+  if (carriers == by_usn_.end()) return nullptr;
+  for (std::uint32_t slot : carriers->second) {
+    Record& record = slots_[slot];
+    if (record.usn == usn && pred(record)) return &record;
+  }
+  return nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// The source unit
+// ---------------------------------------------------------------------------
+
+ServiceDirectory::Handle ServiceDirectory::record_advertisement(
+    SdpId origin, const EventStream& stream, transport::TimePoint now) {
+  AdvertView advert = scan_advert(stream);
+  Record* record = update(origin, advert.type, advert, stream, now,
+                          meaningful_advert_type(advert.type));
+  if (record == nullptr) return 0;
+  if (!record->listed && meaningful_advert_type(advert.type)) {
+    record->listed = true;
+    record->origin = origin;
+    bump_type_epoch(record->canonical_type);
+    sdp_stats(origin).records_stored += 1;
+  }
+  return make_handle(record->slot, record->serial);
 }
 
 std::size_t ServiceDirectory::withdraw(SdpId origin,
                                        const EventStream& stream) {
-  AdvertView v = scan_advert(stream);
-  SymbolTable& table = SymbolTable::global();
-
-  Symbol url = kNoSymbol;
-  if (!v.url.empty()) {
-    url = table.find(v.url);
-  } else if (!v.usn.empty()) {
-    // Byebyes may carry only a USN (UPnP): resolve the record by it.
-    auto carriers = by_usn_.find(table.find(v.usn));
-    if (carriers != by_usn_.end()) url = carriers->second.front();
-  }
-  if (url == kNoSymbol || records_.find(url) == records_.end()) return 0;
-  erase_record(url);
+  AdvertView advert = scan_advert(stream);
+  // Byebyes may carry only a USN (UPnP): resolve the record by it.
+  Record* record =
+      advert.url.empty()
+          ? oldest_with_usn(advert.usn,
+                            [](const Record& r) { return r.listed; })
+          : find_record(advert.url);
+  if (record == nullptr || !record->listed) return 0;
+  record->listed = false;
+  bump_type_epoch(record->canonical_type);
   sdp_stats(origin).withdrawals += 1;
+  if (record->holders == 0) erase(*record);
   return 1;
 }
 
-bool ServiceDirectory::touch(SdpId, BytesView wire, transport::TimePoint now) {
-  if (wire.empty()) return false;
-  auto it = by_wire_.find(wire_key_of(wire));
-  if (it == by_wire_.end()) return false;
-  auto rec = records_.find(it->second);
-  if (rec == records_.end()) return false;
-  Record& record = rec->second;
-  if (record.generation != generation_) return false;
-  if (record.expires_at <= now) bump_type_epoch(record.canonical_type);
+bool ServiceDirectory::refresh(Handle handle, transport::TimePoint now) {
+  if (handle == 0) return true;
+  auto slot = static_cast<std::uint32_t>(handle) - 1u;
+  if (slot >= slots_.size()) return false;
+  Record& record = slots_[slot];
+  if (!record.live || record.serial != static_cast<std::uint32_t>(handle >> 32) ||
+      record.expires_at <= now) {
+    return false;
+  }
   record.expires_at = now + record.ttl;
-  record.last_used = ++tick_;
+  lru_.splice(lru_.end(), lru_, record.lru);
   return true;
 }
+
+// ---------------------------------------------------------------------------
+// The target units
+// ---------------------------------------------------------------------------
+
+std::pair<ServiceDirectory::Record*, bool> ServiceDirectory::hold(
+    SdpId holder, SdpId origin, std::string_view type,
+    const AdvertView& advert, const EventStream& stream,
+    transport::TimePoint now) {
+  Record* record = update(origin, type, advert, stream, now, true);
+  bool fresh = !record->held_by(holder);
+  record->holders |= Record::bit(holder);
+  return {record, fresh};
+}
+
+void ServiceDirectory::drop(SdpId holder, const AdvertView& advert) {
+  auto held = [holder](const Record& r) { return r.held_by(holder); };
+  Record* record = advert.url.empty() ? oldest_with_usn(advert.usn, held)
+                                      : find_record(advert.url);
+  Unit* unit = units_[static_cast<std::size_t>(holder)];
+  if (record == nullptr || !held(*record) || unit == nullptr) return;
+  unit->forget_bridged(*record,
+                       record->handles[static_cast<std::size_t>(holder)],
+                       Unit::Forget::kWithdrawn);
+  release(holder, *record);
+}
+
+void ServiceDirectory::release(SdpId holder, Record& record) {
+  if (!record.held_by(holder)) return;
+  record.holders &= static_cast<std::uint8_t>(~Record::bit(holder));
+  record.handles[static_cast<std::size_t>(holder)] = 0;
+  if (record.holders == 0 && !record.listed) erase(record);
+}
+
+std::uint64_t* ServiceDirectory::handle_slot(SdpId holder,
+                                             std::string_view url) {
+  Record* record = find_record(url);
+  if (record == nullptr || !record->held_by(holder)) return nullptr;
+  return &record->handles[static_cast<std::size_t>(holder)];
+}
+
+void ServiceDirectory::attach(Unit& unit) {
+  units_[static_cast<std::size_t>(unit.sdp())] = &unit;
+}
+
+void ServiceDirectory::detach(Unit& unit) {
+  SdpId sdp = unit.sdp();
+  if (units_[static_cast<std::size_t>(sdp)] != &unit) return;
+  units_[static_cast<std::size_t>(sdp)] = nullptr;
+  for (Record& record : slots_) {
+    if (record.live) release(sdp, record);
+  }
+}
+
+std::vector<const ServiceDirectory::Record*> ServiceDirectory::held_by(
+    SdpId sdp) const {
+  std::vector<const Record*> out;
+  for (const Record& record : slots_) {
+    if (record.live && record.held_by(sdp)) out.push_back(&record);
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Lookup, invalidation, expiry
+// ---------------------------------------------------------------------------
 
 std::size_t ServiceDirectory::collect(std::string_view canonical_type,
                                       transport::TimePoint now,
                                       std::vector<const Record*>& out) {
   out.clear();
   Symbol type = SymbolTable::global().find(canonical_type);
-  if (type == kNoSymbol) return 0;
-  auto& bucket = bucket_for(type);
-  auto it = bucket.find(type);
-  if (it == bucket.end()) return 0;
-  for (Symbol url : it->second) {
-    auto rec = records_.find(url);
-    if (rec == records_.end()) continue;
-    Record& record = rec->second;
-    if (record.generation != generation_ || record.expires_at <= now) continue;
-    record.last_used = ++tick_;
+  auto it = by_type_.find(type);
+  if (type == kNoSymbol || it == by_type_.end()) return 0;
+  for (std::uint32_t slot : it->second) {
+    Record& record = slots_[slot];
+    if (!answerable(record, now)) continue;
+    lru_.splice(lru_.end(), lru_, record.lru);
     out.push_back(&record);
   }
   return out.size();
@@ -172,67 +316,15 @@ bool ServiceDirectory::has_fresh(std::string_view canonical_type,
 void ServiceDirectory::bump_generation() { generation_ += 1; }
 
 std::size_t ServiceDirectory::sweep(transport::TimePoint now) {
-  std::size_t erased = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    const Record& record = it->second;
-    if (record.generation != generation_ || record.expires_at <= now) {
-      unindex(record);
-      it = records_.erase(it);
-      erased += 1;
-    } else {
-      ++it;
+  std::size_t expired = 0;
+  for (Record& record : slots_) {
+    if (record.live && record.expires_at <= now) {
+      retire(record);
+      expired += 1;
     }
   }
-  records_expired_ += erased;
-  return erased;
-}
-
-void ServiceDirectory::unindex(const Record& record) {
-  bump_type_epoch(record.canonical_type);
-  auto& bucket = bucket_for(record.canonical_type);
-  auto it = bucket.find(record.canonical_type);
-  if (it != bucket.end()) {
-    auto& urls = it->second;
-    auto pos = std::find(urls.begin(), urls.end(), record.url);
-    if (pos != urls.end()) {
-      *pos = urls.back();
-      urls.pop_back();
-    }
-    if (urls.empty()) bucket.erase(it);
-  }
-  if (record.wire_key != 0) {
-    auto wit = by_wire_.find(record.wire_key);
-    if (wit != by_wire_.end() && wit->second == record.url) by_wire_.erase(wit);
-  }
-  if (record.usn != kNoSymbol) {
-    auto carriers = by_usn_.find(record.usn);
-    auto& urls = carriers->second;
-    urls.erase(std::find(urls.begin(), urls.end(), record.url));
-    if (urls.empty()) by_usn_.erase(carriers);
-  }
-}
-
-void ServiceDirectory::erase_record(Symbol url) {
-  auto it = records_.find(url);
-  if (it == records_.end()) return;
-  unindex(it->second);
-  records_.erase(it);
-}
-
-void ServiceDirectory::evict_if_needed() {
-  while (records_.size() > config_.max_records) {
-    auto victim = records_.end();
-    for (auto it = records_.begin(); it != records_.end(); ++it) {
-      if (victim == records_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == records_.end()) return;
-    unindex(victim->second);
-    records_.erase(victim);
-    evictions_ += 1;
-  }
+  records_expired_ += expired;
+  return expired;
 }
 
 // ---------------------------------------------------------------------------
@@ -344,27 +436,16 @@ std::size_t ServiceDirectory::fresh_records(
     Symbol type, transport::TimePoint now,
     transport::TimePoint* earliest_deadline) const {
   *earliest_deadline = transport::TimePoint::max();
-  const auto& bucket = bucket_for(type);
-  auto it = bucket.find(type);
-  if (it == bucket.end()) return 0;
+  auto it = by_type_.find(type);
+  if (it == by_type_.end()) return 0;
   std::size_t fresh = 0;
-  for (Symbol url : it->second) {
-    auto rec = records_.find(url);
-    if (rec == records_.end()) continue;
-    const Record& record = rec->second;
-    if (record.generation != generation_ || record.expires_at <= now) continue;
+  for (std::uint32_t slot : it->second) {
+    const Record& record = slots_[slot];
+    if (!answerable(record, now)) continue;
     *earliest_deadline = std::min(*earliest_deadline, record.expires_at);
     fresh += 1;
   }
   return fresh;
-}
-
-const ServiceDirectory::Record* ServiceDirectory::find(
-    std::string_view url) const {
-  Symbol sym = SymbolTable::global().find(url);
-  if (sym == kNoSymbol) return nullptr;
-  auto it = records_.find(sym);
-  return it == records_.end() ? nullptr : &it->second;
 }
 
 }  // namespace indiss::core

@@ -1,61 +1,54 @@
-// The in-memory service index behind directory mode (docs/directory.md).
+// The gateway's one soft-state service store (docs/directory.md).
 //
-// Every bridged advertisement already flows through the units; directory
-// mode additionally records each one here so the gateway can *answer*
-// browse/lookup queries itself — acting as an SLP DA, a Jini-style lookup
-// front, and an mDNS/SSDP cache — instead of translating every query out to
-// the origin network. The paper's gateway position (and the directory-agent
-// designs in the SDP survey) make the gateway the natural home for this
-// index: it sees every announcement on every bridged protocol anyway.
+// Every service the gateway bridges has one record here, keyed by its URL,
+// whichever SDP announced it and however many re-expose it. Each Indiss (so
+// each shard) owns one store, shared by its units:
+//  - the source unit *lists* each advertisement it parses and *withdraws*
+//    each byebye at once, so a withdrawn service is never answered again;
+//  - each target unit that re-exposes the service *holds* the record: one
+//    bit per unit, plus one handle slot per SDP for what the unit put in
+//    its SDP. Units react only through on_bridged and forget_bridged;
+//  - directory mode (Config::answer_queries) only decides whether units
+//    *answer* native queries from the listed records.
 //
-// Keying and bounds:
-//  - Records key on the interned service URL `Symbol` — one record per
-//    concrete service instance, whatever SDP announced it. Canonical type,
-//    USN and attribute keys are interned too; only attribute values (free
-//    text) stay strings.
-//  - The type index is sharded by service-type hash into a fixed number of
-//    buckets, so a lookup touches one small map however many types exist.
-//  - The table is bounded: at `max_records` the least-recently-used record
-//    is evicted (linear scan, same policy as the TranslationCache).
-//  - Every record carries a TTL-derived deadline (the advertisement's
-//    SDP_RES_TTL, else `kDefaultAdvertTtl`); the gateway's timer sweep erases
-//    expired records, and collect() double-checks the deadline so a record
-//    is never served stale between sweeps.
+// One rule each:
+//  - Refresh: an advertisement re-arms the record holding its URL, whatever
+//    type it names; only a meaningful type creates one. The TTL is the first
+//    non-zero SDP_RES_TTL, else kDefaultAdvertTtl. A record past its
+//    deadline is dead before the sweep reaches it: touching it expires it,
+//    and the refresh creates it anew.
+//  - Withdrawal: a byebye reaches the holders over the bus like any
+//    advertisement; a record no unit holds and no advertisement lists
+//    leaves the store.
+//  - Expiry: the gateway's timer sweep and the LRU cap (`max_records`) call
+//    forget_bridged(kExpired) on every holder, then erase.
 //
-// Consistency with the TranslationCache:
-//  - bump_generation() logically empties the index in O(1), and is called
-//    from exactly the cache's bump sites (unit attach/detach, a new Jini
-//    registrar) — when the bridged world changes shape, the gateway stops
-//    answering from the old one until services re-announce.
-//  - A processed byebye tombstones its record immediately (withdraw()), so
-//    a withdrawn service is never answered from the index afterwards.
-//  - When the TranslationCache short-circuits a byte-identical repeat the
-//    units never parse it, so the source unit calls touch() with the raw
-//    wire bytes: the record's deadline re-arms through a wire-hash side
-//    index without a parse or an allocation.
+// Records own their URL, USN and attribute strings; only canonical types
+// are interned, so churn does not grow the process-wide SymbolTable. Slots
+// are reused with their capacity. A Handle names one record until it leaves
+// the store: a TranslationCache bundle carries the handle of the record it
+// refreshes, so a byte-identical repeat re-arms it without a parse.
+// bump_generation() hides every record from answers until it is listed
+// again; what the units hold survives it.
 //
-// The answer cache (reply-side request caching) lives here too: a composed
-// directory answer is keyed by (SDP, query bytes with the transaction id
-// masked, requester endpoint) and replayed frame-for-frame when the same
-// question repeats — the request-side analogue of the TranslationCache's
-// advertisement bundles. Each SDP's codec names where its wire carries the
-// id (IdSpan: the SLP XID, the DNS header ID, none for SSDP), and replies
-// echo it there, so a replay writes the new query's id into the frames.
-// Each answer remembers the canonical type it answered and that type's
-// epoch; an index write bumps only the epoch of the type it touched, and
-// bump_generation() invalidates every answer. An answer also stops
-// replaying at the earliest deadline among its records.
+// The answer cache lives here too: a composed directory answer is keyed by
+// (SDP, query bytes with the transaction id masked, requester) and replayed
+// frame-for-frame, with the new query's id written in (IdSpan: the SLP XID,
+// the DNS header ID, none for SSDP). A write to a type bumps that type's
+// epoch and invalidates its answers; bump_generation() invalidates all. An
+// answer also stops replaying at the earliest deadline among its records.
 //
-// Like the rest of the substrate, not thread-safe: one scheduler thread.
-// In the sharded pipeline each shard owns a private directory, consistent
-// with the wire-hash routing rule (docs/sharding.md): an advertisement
-// hashes to one shard, so that shard's index holds the record and answers
-// the (broadcast) queries for it.
+// Not thread-safe: one scheduler thread. In the sharded pipeline each shard
+// owns a private store (docs/sharding.md): an advertisement hashes to one
+// shard, whose store holds the record and answers the broadcast queries.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <list>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -71,32 +64,60 @@
 
 namespace indiss::core {
 
+class Unit;
+
 class ServiceDirectory {
  public:
   struct Config {
     /// LRU bound on stored service records.
     std::size_t max_records = 1 << 20;
-    /// Type-index shard count (service-type hash % buckets).
-    std::size_t type_buckets = 64;
     /// LRU bound on cached composed answers.
     std::size_t max_answers = 256;
+    /// Directory mode: units answer native queries from listed records.
+    bool answer_queries = false;
   };
 
-  /// One service instance learned from a bridged advertisement.
+  /// Names one record until it leaves the store; 0 names none.
+  using Handle = std::uint64_t;
+
+  /// One service instance.
   struct Record {
-    Symbol url = kNoSymbol;  // primary key (interned service URL)
+    std::string url;  // primary key
     Symbol canonical_type = kNoSymbol;
-    Symbol usn = kNoSymbol;  // kNoSymbol when the advertisement had none
+    std::string usn;  // empty when the advertisement had none
     SdpId origin = SdpId::kSlp;
-    /// Attributes in advertisement order; keys interned, values free text.
-    /// Only the first `attr_count` entries are live (slot reuse).
-    std::vector<std::pair<Symbol, std::string>> attributes;
+    /// Attributes in advertisement order. Only the first `attr_count`
+    /// entries are live (slot reuse).
+    std::vector<std::pair<std::string, std::string>> attributes;
     std::size_t attr_count = 0;
     transport::Duration ttl{0};
     transport::TimePoint expires_at{0};
-    std::uint64_t wire_key = 0;  // hash+length of the advertisement bytes
     std::uint64_t generation = 0;
-    std::uint64_t last_used = 0;
+    /// An advertisement listed it and no byebye withdrew it since: only
+    /// listed records answer queries.
+    bool listed = false;
+    /// Per SDP: what that SDP's unit put in its SDP for the record (0 until
+    /// then, and for units that do not hold it).
+    std::array<std::uint64_t, 4> handles{};
+
+    [[nodiscard]] std::string_view type() const {
+      return SymbolTable::global().name(canonical_type);
+    }
+    [[nodiscard]] bool held_by(SdpId sdp) const {
+      return (holders & bit(sdp)) != 0;
+    }
+
+   private:
+    friend class ServiceDirectory;
+    static std::uint8_t bit(SdpId sdp) {
+      return static_cast<std::uint8_t>(1u << static_cast<unsigned>(sdp));
+    }
+    std::uint8_t holders = 0;  // bit(sdp) per unit that bridged it
+    bool live = false;         // the slot holds a record
+    std::uint32_t slot = 0;
+    std::uint32_t serial = 0;    // bumped when the record leaves the slot
+    std::uint32_t type_pos = 0;  // index in its type's slot list
+    std::list<std::uint32_t>::iterator lru;
   };
 
   struct SdpStats {
@@ -104,12 +125,12 @@ class ServiceDirectory {
     std::uint64_t answered = 0;
     /// Native queries that fell through to the bridged path.
     std::uint64_t bridged = 0;
-    /// Records stored (new inserts, not refreshes) from this SDP's adverts.
+    /// Records this SDP's advertisements listed (not refreshes).
     std::uint64_t records_stored = 0;
-    /// Records tombstoned by byebyes from this SDP.
+    /// Records withdrawn by byebyes from this SDP.
     std::uint64_t withdrawals = 0;
 
-    /// Merge-on-read accumulation across per-shard directories; valid only
+    /// Merge-on-read accumulation across per-shard stores; valid only
     /// from the owning thread or with shard threads quiesced.
     SdpStats& operator+=(const SdpStats& other) {
       answered += other.answered;
@@ -123,31 +144,57 @@ class ServiceDirectory {
   ServiceDirectory();
   explicit ServiceDirectory(Config config);
 
-  // --- Population (called by the units on the advertisement path) ----------
+  ServiceDirectory(const ServiceDirectory&) = delete;
+  ServiceDirectory& operator=(const ServiceDirectory&) = delete;
 
-  /// Records (or TTL-refreshes) the service a parsed advertisement stream
-  /// describes. Extraction mirrors the units' own bookkeeping: URL from the
-  /// first SDP_RES_SERV_URL (falling back to the UPnP description URL), USN,
-  /// canonical type, attributes in stream order, TTL from SDP_RES_TTL.
-  /// Returns false when the stream names no usable URL or no meaningful
-  /// type. Refreshing an existing record is allocation-free.
-  bool record_advertisement(SdpId origin, const EventStream& stream,
-                            BytesView wire, transport::TimePoint now);
+  [[nodiscard]] bool answers_queries() const { return config_.answer_queries; }
 
-  /// Tombstones the record a byebye stream withdraws: the one its URL
-  /// names or, when it names none, the oldest record carrying its USN (the
-  /// units' rule). Returns how many records were erased.
+  // --- The source unit ------------------------------------------------------
+
+  /// Lists (or refreshes) the service a parsed advertisement stream
+  /// describes (scan_advert's URL, USN and type; its attributes in order)
+  /// and returns the record's handle: 0 when the stream names no URL, or an
+  /// unknown one under no meaningful type. A refresh allocates nothing.
+  Handle record_advertisement(SdpId origin, const EventStream& stream,
+                              transport::TimePoint now);
+
+  /// Withdraws the listed record a byebye names: by URL or, when it names
+  /// none, the oldest listed record carrying its USN. Returns how many.
   std::size_t withdraw(SdpId origin, const EventStream& stream);
 
-  /// TranslationCache short-circuit hook: re-arms the deadline of the record
-  /// originally learned from these exact wire bytes. Allocation-free.
-  bool touch(SdpId origin, BytesView wire, transport::TimePoint now);
+  /// TranslationCache hit: re-arms the record `handle` names, for every
+  /// unit holding it. False when it left the store or expired since (the
+  /// repeat must be translated afresh); true for handle 0.
+  bool refresh(Handle handle, transport::TimePoint now);
+
+  // --- The target units (core::Unit) ----------------------------------------
+
+  /// The unit for `holder` bridges the service `advert` names (URL set):
+  /// refreshes or creates (unlisted) its record and holds it. The bool says
+  /// whether the unit did not hold it before.
+  std::pair<Record*, bool> hold(SdpId holder, SdpId origin,
+                                std::string_view type, const AdvertView& advert,
+                                const EventStream& stream,
+                                transport::TimePoint now);
+  /// The unit for `holder` lets go of the record a byebye names (by URL,
+  /// else the oldest carrying its USN, among those it holds), after
+  /// forget_bridged(kWithdrawn).
+  void drop(SdpId holder, const AdvertView& advert);
+  /// The handle slot of the record the unit for `holder` holds for `url`,
+  /// or nullptr.
+  [[nodiscard]] std::uint64_t* handle_slot(SdpId holder, std::string_view url);
+
+  /// Unit's constructor and destructor: expiry, eviction and drop reach the
+  /// unit through forget_bridged; detaching lets go of every record it holds
+  /// without calling it.
+  void attach(Unit& unit);
+  void detach(Unit& unit);
 
   // --- Lookup (the units' answer path) -------------------------------------
 
-  /// Fills `out` with the fresh, current-generation records of
-  /// `canonical_type` (LRU-touching each) and returns the count. `out` is
-  /// cleared first and its capacity reused — allocation-free once warm.
+  /// Fills `out` with the answerable records of `canonical_type` (listed,
+  /// current generation, before their deadline), LRU-touching each, and
+  /// returns the count. `out`'s capacity is reused: allocation-free warm.
   std::size_t collect(std::string_view canonical_type, transport::TimePoint now,
                       std::vector<const Record*>& out);
 
@@ -157,20 +204,19 @@ class ServiceDirectory {
 
   // --- Invalidation ---------------------------------------------------------
 
-  /// O(1) logical invalidation of every record and cached answer. Called at
-  /// the TranslationCache's own bump sites.
+  /// O(1): no record answers, and no cached answer replays, until an
+  /// advertisement lists it again (the TranslationCache's bump sites).
   void bump_generation();
 
-  /// Timer-sweep entry point: erases expired and stale-generation records.
-  /// Returns how many were erased.
+  /// Timer sweep: expires every record past its deadline; returns how many.
   std::size_t sweep(transport::TimePoint now);
 
   // --- Answer cache (reply-side request caching) ----------------------------
 
   /// Registers a pending answer for the query `wire` from `requester` that
-  /// the session (sdp, session_id) is composing from the fresh records of
-  /// `canonical_type`; frames land via add_answer_frame. `id` is where the
-  /// query's SDP carries its transaction id: the answer is keyed on the
+  /// the session (sdp, session_id) is composing from the answerable records
+  /// of `canonical_type`; frames land via add_answer_frame. `id` is where
+  /// the query's SDP carries its transaction id: the answer is keyed on the
   /// rest of the query. A slot already holding that key takes the newest
   /// query's bytes, so its stored id is the one its frames are composed for.
   void open_answer(SdpId sdp, std::string_view canonical_type, BytesView wire,
@@ -217,7 +263,10 @@ class ServiceDirectory {
   [[nodiscard]] const SdpStats& stats(SdpId sdp) const {
     return stats_[static_cast<std::size_t>(sdp)];
   }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  /// Records in the store, listed or only held.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// The records the unit for `sdp` holds, in slot order (tests, reports).
+  [[nodiscard]] std::vector<const Record*> held_by(SdpId sdp) const;
   [[nodiscard]] std::size_t answer_cache_size() const {
     return answers_.size();
   }
@@ -229,12 +278,10 @@ class ServiceDirectory {
   [[nodiscard]] std::uint64_t answer_replays() const { return answer_replays_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Direct record access (tests): nullptr when `url` is not indexed.
+  /// Direct record access: nullptr when no record holds `url`.
   [[nodiscard]] const Record* find(std::string_view url) const;
 
  private:
-  using TypeBucket = std::unordered_map<Symbol, std::vector<Symbol>>;
-
   struct Answer {
     SdpId sdp = SdpId::kSlp;
     std::uint64_t hash = 0;  // of the wire without its transaction id
@@ -256,13 +303,26 @@ class ServiceDirectory {
   SdpStats& sdp_stats(SdpId sdp) {
     return stats_[static_cast<std::size_t>(sdp)];
   }
-  TypeBucket& bucket_for(Symbol type) {
-    return buckets_[static_cast<std::size_t>(type) % buckets_.size()];
+  Record* find_record(std::string_view url) {
+    return const_cast<Record*>(std::as_const(*this).find(url));
   }
-  [[nodiscard]] const TypeBucket& bucket_for(Symbol type) const {
-    return buckets_[static_cast<std::size_t>(type) % buckets_.size()];
+  [[nodiscard]] bool answerable(const Record& record,
+                                transport::TimePoint now) const {
+    return record.listed && record.generation == generation_ &&
+           record.expires_at > now;
   }
-
+  /// The one refresh rule: re-arms the live record holding `advert`'s URL,
+  /// or creates one under `type` when `may_create`; nullptr otherwise.
+  Record* update(SdpId origin, std::string_view type, const AdvertView& advert,
+                 const EventStream& stream, transport::TimePoint now,
+                 bool may_create);
+  /// The oldest record carrying `usn` that `pred` accepts, or nullptr.
+  template <typename Pred>
+  Record* oldest_with_usn(std::string_view usn, Pred pred);
+  /// Calls forget_bridged(kExpired) on every holder, then erases.
+  void retire(Record& record);
+  void release(SdpId holder, Record& record);
+  void erase(Record& record);
   /// The current, fresh answer keyed like (sdp, wire without `id`,
   /// requester), or nullptr; counts the replay and touches its LRU slot.
   const Answer* find_answer(SdpId sdp, BytesView wire, IdSpan id,
@@ -274,16 +334,11 @@ class ServiceDirectory {
   BytesView reply_bytes(const Answer& answer,
                         const TranslationCache::Frame& frame, BytesView wire,
                         IdSpan id);
-  /// Drops `record` from the type, wire and USN indexes, and so changes
-  /// what its type answers.
-  void unindex(const Record& record);
-  /// Counts the fresh, current-generation records of `type` (what collect()
-  /// returns) and reports the earliest deadline among them.
+  /// Counts the answerable records of `type` (what collect() returns) and
+  /// reports the earliest deadline among them.
   std::size_t fresh_records(Symbol type, transport::TimePoint now,
                             transport::TimePoint* earliest_deadline) const;
-  void erase_record(Symbol url);
-  void evict_if_needed();
-  /// An index write to `type` invalidates the cached answers for it.
+  /// A write to `type` invalidates the cached answers for it.
   void bump_type_epoch(Symbol type) { type_epochs_[type] += 1; }
   [[nodiscard]] std::uint64_t type_epoch(Symbol type) const {
     auto it = type_epochs_.find(type);
@@ -295,11 +350,19 @@ class ServiceDirectory {
   }
 
   Config config_;
-  std::unordered_map<Symbol, Record> records_;  // by URL symbol
-  std::vector<TypeBucket> buckets_;             // type -> URLs, hash-sharded
-  std::unordered_map<std::uint64_t, Symbol> by_wire_;  // advert wire -> URL
-  /// Per USN, the URLs of the records carrying it, oldest first.
-  std::unordered_map<Symbol, std::vector<Symbol>> by_usn_;
+  /// Record slots; a deque, so records never move and the URL index can
+  /// key on views of their own strings. Freed slots keep their capacity.
+  std::deque<Record> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t size_ = 0;
+  std::unordered_map<std::string_view, std::uint32_t> by_url_;
+  /// Per type, the slots of its records (Record::type_pos indexes them).
+  std::unordered_map<Symbol, std::vector<std::uint32_t>> by_type_;
+  /// Per USN hash, the slots of the records carrying it, oldest first.
+  std::unordered_map<std::size_t, std::vector<std::uint32_t>> by_usn_;
+  /// Slots, least recently used first.
+  std::list<std::uint32_t> lru_;
+  std::array<Unit*, 4> units_{};
   std::vector<Answer> answers_;
   /// The patched payload of a replayed frame (capacity reused).
   Bytes replay_scratch_;

@@ -144,7 +144,6 @@ const Event* find_event(const EventStream& stream, EventType type) {
 AdvertView scan_advert(const EventStream& stream) {
   AdvertView v;
   std::string_view desc_url;
-  bool ttl_seen = false;
   for (const auto& event : stream) {
     switch (event.type) {
       case EventType::kResServUrl:
@@ -162,8 +161,6 @@ AdvertView scan_advert(const EventStream& stream) {
       case EventType::kResTtl:
         if (v.ttl_seconds == 0) {
           v.ttl_seconds = str::parse_long(event.get("seconds"), 0);
-          if (!ttl_seen) v.first_ttl_seconds = v.ttl_seconds;
-          ttl_seen = true;
         }
         break;
       default:

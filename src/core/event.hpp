@@ -157,8 +157,8 @@ using SharedStream = std::shared_ptr<const EventStream>;
 [[nodiscard]] const Event* find_event(const EventStream& stream,
                                       EventType type);
 
-/// Lifetime of an advertisement that carries no SDP_RES_TTL, for bridged
-/// unit state and directory records alike.
+/// Lifetime of an advertisement that carries no positive SDP_RES_TTL
+/// (the service store's TTL rule, docs/directory.md).
 inline constexpr transport::Duration kDefaultAdvertTtl =
     transport::seconds(300);
 
@@ -174,12 +174,9 @@ struct AdvertView {
   std::string_view usn;
   /// First SDP_SERVICE_TYPE.
   std::string_view type;
-  /// The first SDP_RES_TTL's seconds, and the first non-zero one. They
-  /// differ only for an mDNS response whose first PTR carries TTL 0 and a
-  /// later one does not: bridged unit state then falls back to
-  /// kDefaultAdvertTtl, the directory takes the later TTL (pinned by
-  /// tests/core/bridged_services_test.cpp).
-  long first_ttl_seconds = 0;
+  /// The first non-zero SDP_RES_TTL's seconds (0 when there is none). An
+  /// mDNS response whose first PTR carries TTL 0 and a later one 120 s
+  /// reads 120 (pinned by tests/core/bridged_services_test.cpp).
   long ttl_seconds = 0;
 };
 

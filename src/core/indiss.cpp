@@ -6,7 +6,7 @@ namespace indiss::core {
 
 namespace {
 
-/// Period of the expiry sweep (run_expiry_sweep).
+/// Period of the store's expiry sweep.
 constexpr transport::Duration kExpirySweepInterval = transport::seconds(5);
 
 }  // namespace
@@ -21,12 +21,11 @@ Indiss::Indiss(transport::Transport& transport, IndissConfig config)
   if (config_.enable_translation_cache) {
     translation_cache_ = std::make_shared<TranslationCache>();
   }
-  if (config_.enable_directory) {
-    directory_ = std::make_shared<ServiceDirectory>();
-  }
+  store_ = std::make_shared<ServiceDirectory>(
+      ServiceDirectory::Config{.answer_queries = config_.enable_directory});
   monitor_ = std::make_unique<Monitor>(host_, own_endpoints_, config_.monitor);
   monitor_->set_translation_cache(translation_cache_);
-  monitor_->set_directory(directory_);
+  if (config_.enable_directory) monitor_->set_directory(store_);
 }
 
 Indiss::~Indiss() { stop(); }
@@ -35,7 +34,7 @@ std::unique_ptr<Unit> Indiss::make_unit(SdpId sdp) {
   UnitOptions options = config_.unit_options;
   options.own_endpoints = own_endpoints_;
   options.translation_cache = translation_cache_;
-  options.directory = directory_;
+  options.directory = store_;
   switch (sdp) {
     case SdpId::kSlp:
       return std::make_unique<SlpUnit>(host_, std::move(options));
@@ -84,17 +83,14 @@ void Indiss::start() {
         config_.context.sample_interval, [this]() { sample_traffic(); });
   }
 
-  // The timer-driven expiry sweep: only scheduled when some TTL-bounded
-  // state actually exists to expire, so default configurations add no
-  // scheduler activity at all (chaos/zero-fault fingerprints depend on it).
-  if (directory_ != nullptr || config_.unit_options.expire_bridged_state) {
-    sweep_task_ = host_.schedule_periodic(kExpirySweepInterval,
-                                          [this]() { run_expiry_sweep(); });
-  }
+  // The timer-driven expiry sweep: records age out even when no further
+  // message arrives (docs/directory.md's expiry contract).
+  sweep_task_ = host_.schedule_periodic(
+      kExpirySweepInterval, [this]() { store_->sweep(host_.now()); });
 
   // Directory mode makes the gateway an SLP Directory Agent: advertise the
   // DA so agents on the SLP side can discover and use it (RFC 2608 §12.1).
-  if (directory_ != nullptr) {
+  if (config_.enable_directory) {
     if (auto* slp = unit_as<SlpUnit>(SdpId::kSlp)) {
       slp->announce_directory_agent();
     }
@@ -127,15 +123,10 @@ void Indiss::subscribe_units() {
   }
   // The subscriber set defines what a cached translation fans out to;
   // (re)wiring invalidates everything composed under the old set. The
-  // directory follows the same rule: when the bridged world changes shape,
+  // store follows the same rule: when the bridged world changes shape,
   // stop answering from the old one until services re-announce.
   if (translation_cache_) translation_cache_->bump_generation();
-  if (directory_) directory_->bump_generation();
-}
-
-void Indiss::run_expiry_sweep() {
-  for (auto& [sdp, unit] : units_) unit->sweep_bridged_state();
-  if (directory_ != nullptr) directory_->sweep(host_.now());
+  store_->bump_generation();
 }
 
 void Indiss::ingest(SdpId sdp, const net::Datagram& datagram) {
@@ -172,7 +163,7 @@ void Indiss::disable_unit(SdpId sdp) {
   // are inert) — invalidate so the remaining units re-translate fresh, and
   // stop answering queries from records the detached unit recorded.
   if (translation_cache_) translation_cache_->bump_generation();
-  if (directory_) directory_->bump_generation();
+  store_->bump_generation();
 }
 
 void Indiss::sample_traffic() {

@@ -59,7 +59,7 @@ struct IndissConfig {
   /// core::Gateway applies them once, at its front monitor.
   MonitorConfig monitor;
   /// Options every unit runs with; make_unit fills in the shared
-  /// own-endpoint set, translation cache and directory.
+  /// own-endpoint set, translation cache and service store.
   UnitOptions unit_options;
   UpnpUnit::Config upnp;
   MdnsUnit::Config mdns;
@@ -69,10 +69,10 @@ struct IndissConfig {
   /// re-running the translation pipeline (docs/events.md).
   bool enable_translation_cache = true;
   /// Directory mode (docs/directory.md): the gateway answers browse/lookup
-  /// queries from an in-memory service index populated by the bridged
-  /// advertisements (SLP DA / Jini-registrar front / mDNS-SSDP cache roles)
-  /// instead of translating every query out to the origin network. Off by
-  /// default so calibrated and zero-fault runs stay bit-identical.
+  /// queries from its service store, which the bridged advertisements
+  /// populate either way (SLP DA / Jini-registrar front / mDNS-SSDP cache
+  /// roles), instead of translating every query out to the origin network.
+  /// Off by default so calibrated and zero-fault runs stay bit-identical.
   bool enable_directory = false;
   /// When false, start() skips binding the IANA well-known ports — inbound
   /// traffic arrives through ingest() instead. This is how shard instances
@@ -110,8 +110,13 @@ class Indiss {
   [[nodiscard]] TranslationCache* translation_cache() {
     return translation_cache_.get();
   }
-  /// The node's service directory, or nullptr when directory mode is off.
-  [[nodiscard]] ServiceDirectory* directory() { return directory_.get(); }
+  /// The node's service store, or nullptr when directory mode is off.
+  [[nodiscard]] ServiceDirectory* directory() {
+    return config_.enable_directory ? store_.get() : nullptr;
+  }
+  /// The node's service store: every service the gateway bridges, in any
+  /// mode (docs/directory.md).
+  [[nodiscard]] ServiceDirectory& store() { return *store_; }
   /// mDNS probe/conflict counters (zeroed until an mDNS unit with probing
   /// enabled attaches; the monitor keeps the view across unit detach).
   [[nodiscard]] mdns::ProbeStats probe_stats() const {
@@ -162,10 +167,6 @@ class Indiss {
 
  private:
   void sample_traffic();
-  /// Timer-driven expiry: sweeps every unit's bridged state and the
-  /// directory's records every kExpirySweepInterval, even when no further
-  /// message arrives (docs/directory.md's expiry contract).
-  void run_expiry_sweep();
   void subscribe_units();
   [[nodiscard]] std::unique_ptr<Unit> make_unit(SdpId sdp);
   void attach_unit(SdpId sdp);
@@ -175,7 +176,7 @@ class Indiss {
   std::set<SdpId> enabled_sdps_;
   std::shared_ptr<OwnEndpoints> own_endpoints_;
   std::shared_ptr<TranslationCache> translation_cache_;
-  std::shared_ptr<ServiceDirectory> directory_;
+  std::shared_ptr<ServiceDirectory> store_;
   EventBus bus_;
   std::unique_ptr<Monitor> monitor_;
   /// SdpId-keyed unit registry; map order = SdpId order = bus subscription

@@ -48,9 +48,17 @@ void TranslationCache::replay(SdpId source, const Bundle& bundle) {
   }
 }
 
+void TranslationCache::discard(SdpId source, const Bundle& bundle) {
+  auto& stats = stats_[static_cast<std::size_t>(source)];
+  stats.hits -= 1;
+  stats.misses += 1;
+  erase(entries_.find(*bundle.lru));
+}
+
 void TranslationCache::open_bundle(SdpId source, BytesView bytes,
                                    std::uint64_t origin_session,
-                                   transport::TimePoint now) {
+                                   transport::TimePoint now,
+                                   std::uint64_t record) {
   if (config_.max_entries == 0) return;  // bound of 0 = store nothing
   Key key{source, wire_hash(bytes),
           static_cast<std::uint32_t>(bytes.size())};
@@ -62,6 +70,7 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
     it->second.generation = generation_;
     it->second.created_at = now;
     it->second.wire.assign(bytes.begin(), bytes.end());
+    it->second.record = record;
     touch(it->second);
   } else {
     evict_if_needed();
@@ -69,6 +78,7 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
     bundle.generation = generation_;
     bundle.created_at = now;
     bundle.wire.assign(bytes.begin(), bytes.end());
+    bundle.record = record;
     bundle.lru = lru_.insert(lru_.end(), key);
     entries_.emplace(key, std::move(bundle));
   }

@@ -110,6 +110,9 @@ class TranslationCache {
   struct Bundle {
     std::vector<Frame> frames;
     Bytes wire;  // full key bytes: hits are byte-verified, not hash-trusted
+    /// The service-store record the advertisement refreshes (a
+    /// ServiceDirectory::Handle; 0 = none): a hit re-arms it.
+    std::uint64_t record = 0;
     std::uint64_t generation = 0;
     transport::TimePoint created_at{0};
     /// This bundle's node on the LRU list (front = next victim).
@@ -145,12 +148,18 @@ class TranslationCache {
   /// Replays every frame of a bundle returned by lookup() and counts them.
   void replay(SdpId source, const Bundle& bundle);
 
+  /// Drops a bundle returned by lookup() whose record left the service
+  /// store: the hit lookup() counted becomes a miss, and the repeat is
+  /// translated afresh.
+  void discard(SdpId source, const Bundle& bundle);
+
   /// Miss path: registers a bundle for the wire bytes the session with
-  /// (origin_sdp, origin_session) is translating. No-op when a
-  /// current-generation bundle already exists (a repeat arriving inside the
-  /// settle window must not wipe the frames the first pass collected).
+  /// (origin_sdp, origin_session) is translating, refreshing the store
+  /// record `record`. No-op when a current-generation bundle already exists
+  /// (a repeat arriving inside the settle window must not wipe the frames
+  /// the first pass collected).
   void open_bundle(SdpId source, BytesView bytes, std::uint64_t origin_session,
-                   transport::TimePoint now);
+                   transport::TimePoint now, std::uint64_t record = 0);
 
   /// Called by a *target* unit when it composes an outbound advertisement
   /// frame for a peer session: appends the frame to the bundle its origin

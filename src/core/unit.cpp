@@ -32,9 +32,15 @@ Unit::Unit(SdpId sdp, transport::Transport& transport, Options options)
       host_(transport),
       options_(std::move(options)),
       hop_delay_(host_.simulated_clock() ? options_.translate_delay
-                                         : transport::Duration::zero()) {}
+                                         : transport::Duration::zero()) {
+  if (options_.directory == nullptr) {
+    options_.directory = std::make_shared<ServiceDirectory>();
+  }
+  options_.directory->attach(*this);
+}
 
 Unit::~Unit() {
+  options_.directory->detach(*this);
   // The unit's endpoints leave the own-endpoint set with it: nothing is
   // left to retire them later.
   OwnEndpoints* own = options_.own_endpoints.get();
@@ -255,35 +261,38 @@ void Unit::on_native_message(const net::Datagram& datagram) {
 
 void Unit::ingest(const net::Datagram& datagram) {
   // Short-circuit: a byte-identical advertisement translated before
-  // replays its composed outbound frames without a session or a parse.
-  // In directory mode the advert's index record re-arms its TTL too —
-  // short-circuited repeats must keep the record alive.
+  // replays its composed outbound frames without a session or a parse, and
+  // re-arms the store record its bundle refreshes, for every unit holding
+  // it. A bundle whose record expired or left the store since is dropped:
+  // the repeat is translated afresh, so the units re-expose the service.
   TranslationCache* cache = options_.translation_cache.get();
-  ServiceDirectory* dir = options_.directory.get();
+  ServiceDirectory& store = *options_.directory;
   if (cache != nullptr) {
-    if (const auto* bundle =
-            cache->lookup(sdp_, datagram.payload, now())) {
-      cache->replay(sdp_, *bundle);
-      stats_.cache_short_circuits += 1;
-      if (dir != nullptr) dir->touch(sdp_, datagram.payload, now());
-      return;
+    if (const auto* bundle = cache->lookup(sdp_, datagram.payload, now())) {
+      if (store.refresh(bundle->record, now())) {
+        cache->replay(sdp_, *bundle);
+        stats_.cache_short_circuits += 1;
+        return;
+      }
+      cache->discard(sdp_, *bundle);
     }
   }
 
   // Short-circuit: the same question from the same requester was answered
   // from the directory this epoch — replay the composed reply frames, with
   // this query's transaction id, without a session, a parse or a compose.
-  if (dir != nullptr) {
+  bool answering = store.answers_queries();
+  if (answering) {
     bool from_network = datagram.multicast &&
                         datagram.source.address != host_.address();
     transport::Duration delay = reply_delay(from_network, now());
-    if (dir->replay_answer(sdp_, datagram.payload, query_id_span(),
-                           datagram.source, now(),
-                           [&](const TranslationCache::Frame& frame,
-                               BytesView bytes) {
-                             send_reply(frame, bytes, delay);
-                           })) {
-      dir->count_answered(sdp_);
+    if (store.replay_answer(sdp_, datagram.payload, query_id_span(),
+                            datagram.source, now(),
+                            [&](const TranslationCache::Frame& frame,
+                                BytesView bytes) {
+                              send_reply(frame, bytes, delay);
+                            })) {
+      store.count_answered(sdp_);
       return;
     }
   }
@@ -291,7 +300,7 @@ void Unit::ingest(const net::Datagram& datagram) {
   Session& session = open_session(Session::Origin::kNative);
   std::uint64_t session_id = session.id;
   MessageContext ctx = context_of(datagram, host_.address());
-  if (dir != nullptr) {
+  if (answering) {
     pending_query_wire_ = datagram.payload;
     pending_query_source_ = datagram.source;
   }
@@ -301,32 +310,27 @@ void Unit::ingest(const net::Datagram& datagram) {
   // The FSM ran to SDP_C_STOP inside the parse; advertisement kinds were
   // dispatched to the peers, whose composed frames will land in the
   // bundle opened here (their deferred deliveries fire strictly after
-  // this callback). Byebyes are deliberately NEVER cached: their per-unit
-  // state changes (lease cancels, impersonation drops, goodbye-side
-  // bookkeeping) must run on every arrival, so each one re-parses and
-  // invalidates everything cached under the pre-withdrawal world.
+  // this callback). Adverts are listed in the store (or re-armed) and the
+  // bundle keeps the record's handle. Byebyes withdraw their record at
+  // once, so a withdrawn service is never answered again, and are
+  // deliberately NEVER cached: their per-unit state changes (lease cancels,
+  // impersonation drops, goodbyes) must run on every arrival, so each one
+  // re-parses and invalidates everything cached under the pre-withdrawal
+  // world.
   Session* parsed = find_session(session_id);
-  if (parsed != nullptr) {
-    auto kind = parsed->var("kind");
+  if (parsed == nullptr) return;
+  auto kind = parsed->var("kind");
+  if (kind == "byebye") {
+    if (cache != nullptr) cache->bump_generation();
+    store.withdraw(sdp_, parsed->events());
+  } else if (kind == "alive" || kind == "register" ||
+             kind == "repo_announce") {
+    ServiceDirectory::Handle record =
+        kind == "repo_announce"
+            ? 0
+            : store.record_advertisement(sdp_, parsed->events(), now());
     if (cache != nullptr) {
-      if (kind == "byebye") {
-        cache->bump_generation();
-      } else if (kind == "alive" || kind == "register" ||
-                 kind == "repo_announce") {
-        cache->open_bundle(sdp_, datagram.payload, session_id,
-                           now());
-      }
-    }
-    // Directory population rides the same classification: adverts are
-    // recorded (or TTL-refreshed), byebyes tombstone their record so a
-    // withdrawn service is never answered from the index again.
-    if (dir != nullptr) {
-      if (kind == "byebye") {
-        dir->withdraw(sdp_, parsed->events());
-      } else if (kind == "alive" || kind == "register") {
-        dir->record_advertisement(sdp_, parsed->events(), datagram.payload,
-                                  now());
-      }
+      cache->open_bundle(sdp_, datagram.payload, session_id, now(), record);
     }
   }
 }
@@ -472,7 +476,7 @@ void Unit::cache_reply_frame(const Session& session,
                              std::shared_ptr<transport::UdpSocket> socket,
                              const net::Endpoint& to, BytesView payload) {
   ServiceDirectory* dir = options_.directory.get();
-  if (dir == nullptr || session.origin != Session::Origin::kNative ||
+  if (!dir->answers_queries() || session.origin != Session::Origin::kNative ||
       session.var("directory_answer") != "1") {
     return;
   }
@@ -506,8 +510,6 @@ Action Unit::begin_native_request() {
 
 Action Unit::send_native_reply() {
   return [](Unit& unit, const Event&, Session& session) {
-    // Expired bridged state must not be served to native clients.
-    unit.sweep_bridged_state();
     unit.stats_.messages_composed += 1;
     unit.compose_native_reply(session);
   };
@@ -528,9 +530,6 @@ Action Unit::do_parser_switch() {
 
 Action Unit::deliver_advertisement() {
   return [](Unit& unit, const Event&, Session& session) {
-    // Sweep-on-touch: age out TTL-expired bridged entries before this
-    // advertisement updates the same containers.
-    unit.sweep_bridged_state();
     unit.on_advertisement(session);
   };
 }
@@ -550,10 +549,10 @@ void Unit::do_dispatch_to_peers(Session& session) {
   // bus (and therefore never reaches the origin network).
   if (try_answer_from_directory(session)) return;
   if (bus_ == nullptr || bus_->subscriber_count() < 2) return;
-  ServiceDirectory* dir = options_.directory.get();
-  if (dir != nullptr && session.origin == Session::Origin::kNative &&
+  ServiceDirectory& dir = *options_.directory;
+  if (dir.answers_queries() && session.origin == Session::Origin::kNative &&
       session.var("kind") == "request") {
-    dir->count_bridged(sdp_);
+    dir.count_bridged(sdp_);
   }
   stats_.streams_dispatched += 1;
   // One shared buffer, however many subscribers the bus fans out to (the
@@ -568,7 +567,7 @@ SharedStream Unit::share_events(const Session& session) const {
 
 bool Unit::try_answer_from_directory(Session& session) {
   ServiceDirectory* dir = options_.directory.get();
-  if (dir == nullptr || session.origin != Session::Origin::kNative ||
+  if (!dir->answers_queries() || session.origin != Session::Origin::kNative ||
       !answers_from_directory()) {
     return false;
   }
@@ -599,14 +598,14 @@ bool Unit::try_answer_from_directory(Session& session) {
   stream->push_back(Event(EventType::kResOk));
   for (const ServiceDirectory::Record* record : directory_matches_) {
     Event& type_event = stream->emplace_back(EventType::kServiceTypeIs);
-    type_event.data.set(type_key, table.name(record->canonical_type));
-    if (record->usn != kNoSymbol) {
+    type_event.data.set(type_key, record->type());
+    if (!record->usn.empty()) {
       Event& usn_event = stream->emplace_back(EventType::kUpnpUsn);
-      usn_event.data.set(usn_key, table.name(record->usn));
+      usn_event.data.set(usn_key, record->usn);
     }
     for (std::size_t i = 0; i < record->attr_count; ++i) {
       Event& attr_event = stream->emplace_back(EventType::kServiceAttr);
-      attr_event.data.set(attr_key, table.name(record->attributes[i].first));
+      attr_event.data.set(attr_key, record->attributes[i].first);
       attr_event.data.set(value_key, record->attributes[i].second);
     }
     Event& ttl_event = stream->emplace_back(EventType::kResTtl);
@@ -616,7 +615,7 @@ bool Unit::try_answer_from_directory(Session& session) {
             std::chrono::duration_cast<std::chrono::seconds>(record->ttl)
                 .count()));
     Event& url_event = stream->emplace_back(EventType::kResServUrl);
-    url_event.data.set(url_key, table.name(record->url));
+    url_event.data.set(url_key, record->url);
   }
   stream->push_back(Event(EventType::kControlStop));
 
@@ -682,54 +681,28 @@ void Unit::on_advertisement(Session& session) {
   // chatty announcer) touches only views into the session's events.
   AdvertView advert = scan_advert(session.events());
   if (session.var("kind") == "byebye") {
-    const ForeignService* known = advert.url.empty()
-                                      ? bridged_.oldest_with_usn(advert.usn)
-                                      : bridged_.find(advert.url);
-    if (known == nullptr) return;
-    forget_bridged(*known, Forget::kWithdrawn);
-    bridged_.erase_url(known->url);
+    options_.directory->drop(sdp_, advert);
     return;
   }
   std::string_view type = session.var("service_type");
   if (advert.url.empty() || !meaningful_advert_type(type)) return;
-  auto [service, fresh] = bridge(type, advert);
-  on_bridged(session, service, fresh);
+  auto [service, handle, fresh] = bridge(session, type, advert);
+  on_bridged(session, service, handle, fresh);
 }
 
-Unit::Bridged Unit::bridge(std::string_view type, const AdvertView& advert) {
-  // The deadline reads the advert's first SDP_RES_TTL, or kDefaultAdvertTtl
-  // when that is absent or not positive.
-  transport::TimePoint deadline =
-      now() + (advert.first_ttl_seconds > 0
-                   ? transport::seconds(advert.first_ttl_seconds)
-                   : kDefaultAdvertTtl);
-  if (ForeignService* known = bridged_.find(advert.url)) {
-    known->expires_at = deadline;
-    return {*known, false};
-  }
-  ForeignService service;
-  service.canonical_type.assign(type);
-  service.url.assign(advert.url);
-  service.usn.assign(advert.usn);
-  service.expires_at = deadline;
-  return {bridged_.insert(std::move(service)), true};
+Unit::Bridged Unit::bridge(const Session& session, std::string_view type,
+                           const AdvertView& advert) {
+  SdpId origin =
+      session.origin == Session::Origin::kPeer ? session.origin_sdp : sdp_;
+  auto [record, fresh] = options_.directory->hold(
+      sdp_, origin, type, advert, session.events(), now());
+  return {*record, record->handles[static_cast<std::size_t>(sdp_)], fresh};
 }
 
-void Unit::on_bridged(Session&, ForeignService&, bool) {}
+void Unit::on_bridged(Session&, const ServiceDirectory::Record&,
+                      std::uint64_t&, bool) {}
 
-void Unit::forget_bridged(const ForeignService&, Forget) {}
-
-std::size_t Unit::expire_bridged_state(transport::TimePoint now) {
-  return bridged_.erase_if([this, now](const ForeignService& service) {
-    if (service.expires_at > now) return false;
-    forget_bridged(service, Forget::kExpired);
-    return true;
-  });
-}
-
-void Unit::sweep_bridged_state() {
-  if (!options_.expire_bridged_state) return;
-  stats_.bridged_state_expired += expire_bridged_state(now());
-}
+void Unit::forget_bridged(const ServiceDirectory::Record&, std::uint64_t,
+                          Forget) {}
 
 }  // namespace indiss::core

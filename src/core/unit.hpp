@@ -35,7 +35,6 @@
 #include "core/session.hpp"
 #include "core/translation_cache.hpp"
 #include "core/types.hpp"
-#include "core/units/bridged_services.hpp"
 #include "net/packet.hpp"
 #include "transport/transport.hpp"
 
@@ -66,19 +65,11 @@ struct UnitOptions {
   /// bounded by this instead of accumulating for a whole kSessionTimeout
   /// (docs/chaos.md).
   std::size_t max_open_sessions = 0;
-  /// When true the unit's bridged-service table drops the entries whose
-  /// advertised TTL elapsed (Unit::sweep_bridged_state). The one sweep runs
-  /// on touch (before the unit serves or updates its bridged state) *and*
-  /// from the gateway's low-frequency timer (Indiss schedules it on the
-  /// transport scheduler; docs/chaos.md, docs/directory.md), so an idle
-  /// unit's dead entries age out even when no further message ever arrives.
-  /// Off by default: expiry changes steady-state re-announcement behaviour,
-  /// so calibrated runs keep it off.
-  bool expire_bridged_state = false;
-  /// Directory mode (docs/directory.md): the shared per-gateway service
-  /// index (null = off). When set, the unit records every advertisement it
-  /// parses into the index and answers native browse/lookup queries from it
-  /// instead of bridging them to the origin network.
+  /// The gateway's service store, shared by its units (docs/directory.md):
+  /// the unit lists the advertisements it parses there, holds the foreign
+  /// services it bridges there, and answers native queries from it in
+  /// directory mode. Null: the unit builds a store of its own, so a
+  /// standalone unit runs the same code path.
   std::shared_ptr<ServiceDirectory> directory;
 };
 
@@ -169,7 +160,8 @@ class Unit {
     std::uint64_t cache_short_circuits = 0;
     /// Sessions force-closed by the max_open_sessions cap.
     std::uint64_t sessions_evicted = 0;
-    /// Bridged foreign-service entries expired by TTL sweeps.
+    /// Bridged services forgotten because their store record expired or
+    /// was evicted.
     std::uint64_t bridged_state_expired = 0;
 
     /// Merge-on-read accumulation across shard instances (docs/sharding.md).
@@ -199,17 +191,12 @@ class Unit {
   /// Looks up a live session (tests and subclasses).
   [[nodiscard]] Session* find_session(std::uint64_t id);
 
-  /// The foreign services this unit bridged into its SDP: one entry per
-  /// URL, in no particular order (bridged_services.hpp).
-  [[nodiscard]] const std::vector<ForeignService>& foreign_services() const {
-    return bridged_.entries();
+  /// The foreign services this unit bridged into its SDP: the store
+  /// records it holds, in slot order.
+  [[nodiscard]] std::vector<const ServiceDirectory::Record*>
+  foreign_services() const {
+    return options_.directory->held_by(sdp_);
   }
-
-  /// TTL-derived expiry of bridged foreign-service state (docs/chaos.md).
-  /// No-op unless options().expire_bridged_state; called lazily before the
-  /// unit touches its bridged state (advertisement delivery, native reply
-  /// composition) and by the gateway's timer sweep.
-  void sweep_bridged_state();
 
  protected:
   // --- Subclass surface ------------------------------------------------------
@@ -226,45 +213,45 @@ class Unit {
 
   // --- Bridged services (docs/protocols.md) ---------------------------------
   //
-  // The unit owns the table of foreign services it re-exposes and the one
-  // rule over it; a subclass only reacts through on_bridged and
-  // forget_bridged.
+  // The foreign services a unit re-exposes are records of the shared store,
+  // which applies the one refresh, withdrawal and expiry rule; a subclass
+  // only reacts through on_bridged and forget_bridged, over the record and
+  // its own handle slot.
 
   /// A peer advertisement stream was delivered (deliver_advertisement).
-  /// A byebye forgets the entry its URL names or, when it names none, the
-  /// oldest entry carrying its USN. An alive with a URL and a meaningful
-  /// type goes through bridge() and then on_bridged().
+  /// A byebye forgets the record its URL names or, when it names none, the
+  /// oldest record carrying its USN, among those this unit holds. An alive
+  /// with a URL and a meaningful type goes through bridge() and then
+  /// on_bridged().
   void on_advertisement(Session& session);
 
-  /// The one refresh rule: records `advert`'s URL under `type` with a fresh
-  /// deadline, or re-arms the deadline of the entry already holding that
-  /// URL, whatever type the refresh names (a URL still announced is alive).
-  /// Identity fields are never rewritten, so a refresh allocates nothing.
-  /// The UPnP unit also calls it for the services its search replies
-  /// impersonate.
+  /// Holds the service `advert` names under `type` in the store: refreshes
+  /// the record holding its URL (a URL still announced is alive, whatever
+  /// type the refresh names) or creates one. Identity fields are never
+  /// rewritten, so a refresh allocates nothing. The UPnP unit also calls it
+  /// for the services its search replies impersonate.
   struct Bridged {
-    ForeignService& service;
-    bool fresh;  // recorded just now
+    const ServiceDirectory::Record& service;
+    std::uint64_t& handle;  // this unit's slot in the record
+    bool fresh;             // this unit did not hold it before
   };
-  Bridged bridge(std::string_view type, const AdvertView& advert);
+  Bridged bridge(const Session& session, std::string_view type,
+                 const AdvertView& advert);
 
-  /// An alive was recorded or refreshed: re-expose the service in this SDP.
-  /// Default: keep the entry only (the SLP unit).
-  virtual void on_bridged(Session& session, ForeignService& service,
-                          bool fresh);
+  /// An alive was recorded or refreshed: re-expose the service in this SDP,
+  /// keeping what it put there in `handle`. Default: nothing (the SLP unit).
+  virtual void on_bridged(Session& session,
+                          const ServiceDirectory::Record& service,
+                          std::uint64_t& handle, bool fresh);
 
-  /// Why an entry leaves the table: a peer withdrew it (byebye), or its TTL
-  /// ran out without a refresh.
+  /// Why a unit lets go of a record: a peer withdrew it (byebye), or it
+  /// expired or was evicted from the store.
   enum class Forget { kWithdrawn, kExpired };
-  /// `service` is about to be erased: retract what on_bridged put in this
-  /// SDP. Must not touch the table. Default: nothing to retract.
-  virtual void forget_bridged(const ForeignService& service, Forget why);
-
-  /// The one TTL sweep: erases every entry whose deadline is <= now, after
-  /// forget_bridged(kExpired), and returns how many.
-  std::size_t expire_bridged_state(transport::TimePoint now);
-
-  [[nodiscard]] BridgedServiceTable& bridged_services() { return bridged_; }
+  /// This unit is about to stop holding `service`: retract what on_bridged
+  /// put in this SDP (`handle`). Must not touch the store. Default: nothing
+  /// to retract.
+  virtual void forget_bridged(const ServiceDirectory::Record& service,
+                              std::uint64_t handle, Forget why);
 
   /// Opens the ephemeral socket the native request for `session` goes out
   /// on (the unit acting as a native client). The socket is marked own,
@@ -367,9 +354,7 @@ class Unit {
     return options_.translation_cache.get();
   }
 
-  [[nodiscard]] ServiceDirectory* directory() {
-    return options_.directory.get();
-  }
+  [[nodiscard]] ServiceDirectory& directory() { return *options_.directory; }
 
   /// Whether native queries on this unit may be answered from the service
   /// directory. The Jini unit opts out: its native clients query the
@@ -384,8 +369,8 @@ class Unit {
   /// Requester-side answer-cache hook: a composer produced an outbound
   /// reply frame for a native session answered from the directory; stores
   /// it keyed by (query wire bytes without the transaction id, requester
-  /// endpoint) so the same question replays without a parse or a compose. No-op without a
-  /// directory or for sessions not answered from it.
+  /// endpoint) so the same question replays without a parse or a compose.
+  /// No-op outside directory mode or for sessions not answered from it.
   void cache_reply_frame(const Session& session,
                          std::shared_ptr<transport::UdpSocket> socket,
                          const net::Endpoint& to, BytesView payload);
@@ -397,6 +382,7 @@ class Unit {
 
  private:
   friend class EventBus;  // sets bus_ on (un)subscribe
+  friend class ServiceDirectory;  // expiry and eviction call forget_bridged
   void bind_bus(EventBus* bus) { bus_ = bus; }
 
   void do_dispatch_to_peers(Session& session);
@@ -486,7 +472,6 @@ class Unit {
   net::Endpoint pending_query_source_{};
   /// collect() scratch (capacity reused across queries).
   std::vector<const ServiceDirectory::Record*> directory_matches_;
-  BridgedServiceTable bridged_;
 };
 
 }  // namespace indiss::core

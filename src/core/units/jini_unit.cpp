@@ -14,7 +14,7 @@ namespace {
 
 /// Lease requested for each foreign service registered with the registrar.
 constexpr std::uint32_t kLeaseSeconds = 300;
-/// ForeignService::handle while a registration awaits its lease.
+/// The unit's handle slot while a registration awaits its lease.
 constexpr std::uint64_t kLeasePending = ~std::uint64_t{0};
 
 void join_into(const std::vector<std::string>& parts, std::string& out) {
@@ -140,7 +140,7 @@ void JiniUnit::do_note_registrar(const Event& event) {
   // at the wrong (or no) registrar until services re-announce.
   if (changed) {
     if (translation_cache() != nullptr) translation_cache()->bump_generation();
-    if (directory() != nullptr) directory()->bump_generation();
+    directory().bump_generation();
   }
 }
 
@@ -227,14 +227,16 @@ void JiniUnit::compose_native_request(Session& session) {
 void JiniUnit::compose_native_reply(Session&) {}
 
 // Translate a foreign advertisement into a registrar registration so native
-// Jini clients can look the service up. One registration per bridged entry:
+// Jini clients can look the service up. One registration per bridged record:
 // alive bursts repeat the URL under several notification types, and a
-// refresh only re-arms the entry — unless no registrar was known when the
-// entry was recorded, in which case the first refresh after one appears
+// refresh only re-arms the record — unless no registrar was known when the
+// unit first bridged it, in which case the first refresh after one appears
 // registers it.
-void JiniUnit::on_bridged(Session& session, ForeignService& service, bool) {
-  if (service.handle != 0 || !registrar_.has_value()) return;
-  service.handle = kLeasePending;
+void JiniUnit::on_bridged(Session& session,
+                          const ServiceDirectory::Record& service,
+                          std::uint64_t& handle, bool) {
+  if (handle != 0 || !registrar_.has_value()) return;
+  handle = kLeasePending;
 
   jini::EntryAttributes attributes;
   for (const auto& event : session.events()) {
@@ -259,7 +261,7 @@ void JiniUnit::on_bridged(Session& session, ForeignService& service, bool) {
       ByteReader r(reply);
       if (reply.empty() || r.u8() != jini::kStatusOk) return;
       std::uint64_t lease = r.u64();
-      ForeignService* registered = bridged_services().find(url);
+      std::uint64_t* registered = directory().handle_slot(sdp(), url);
       if (registered == nullptr) {
         // Withdrawn while the registration was in flight: cancel the lease
         // we were just granted instead of stranding it at the registrar.
@@ -271,7 +273,7 @@ void JiniUnit::on_bridged(Session& session, ForeignService& service, bool) {
       }
       foreign_registrations_ += 1;
       // Remember the granted lease: a later byebye cancels it.
-      registered->handle = lease;
+      *registered = lease;
     } catch (const DecodeError&) {
     }
   });
@@ -283,14 +285,15 @@ void JiniUnit::on_bridged(Session& session, ForeignService& service, bool) {
 // clock, and racing a cancel against a dead lease just burns a TCP connect.
 // Forgetting the entry locally is what matters — a rejoining device (new
 // endpoint, fresh URL) registers cleanly.
-void JiniUnit::forget_bridged(const ForeignService& service, Forget why) {
-  if (why == Forget::kExpired || service.handle == 0 ||
-      service.handle == kLeasePending || !registrar_.has_value()) {
+void JiniUnit::forget_bridged(const ServiceDirectory::Record&,
+                              std::uint64_t handle, Forget why) {
+  if (why == Forget::kExpired || handle == 0 || handle == kLeasePending ||
+      !registrar_.has_value()) {
     return;
   }
   ByteWriter w;
   w.u8(jini::kOpCancel);
-  w.u64(service.handle);
+  w.u64(handle);
   registrar_op(w.take(), [this](Bytes reply) {
     if (!reply.empty() && reply[0] == jini::kStatusOk) {
       foreign_deregistrations_ += 1;

@@ -61,9 +61,10 @@ class JiniUnit : public Unit {
  protected:
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
-  void on_bridged(Session& session, ForeignService& service,
-                  bool fresh) override;
-  void forget_bridged(const ForeignService& service, Forget why) override;
+  void on_bridged(Session& session, const ServiceDirectory::Record& service,
+                  std::uint64_t& handle, bool fresh) override;
+  void forget_bridged(const ServiceDirectory::Record& service,
+                      std::uint64_t handle, Forget why) override;
   /// Native Jini clients resolve services through a registrar, never by
   /// multicast query, so there is no request for the directory to answer.
   [[nodiscard]] bool answers_from_directory() const override { return false; }

@@ -481,14 +481,15 @@ transport::Duration MdnsUnit::network_reply_pacing() const {
 
 // A peer advertised a foreign service: re-announce it in the Bonjour world
 // as an unsolicited multicast response.
-void MdnsUnit::on_bridged(Session& session, ForeignService& service,
-                          bool fresh) {
+void MdnsUnit::on_bridged(Session& session,
+                          const ServiceDirectory::Record& service,
+                          std::uint64_t&, bool fresh) {
   std::string_view type = session.var("service_type");
   dnssd_from_canonical_into(type, qname_scratch_);
   if (compose_dnssd_answers(session.events(), qname_scratch_, kRecordTtl,
                             compose_scratch_, &name_overrides_) == 0) {
     // The advertisement named no service URL directly (a UPnP alive only
-    // carries the description LOCATION): announce the URL the bridged entry
+    // carries the description LOCATION): announce the URL the store record
     // is keyed by instead — it still identifies the service.
     compose_url_records(service.url, qname_scratch_, kRecordTtl);
   }
@@ -628,7 +629,7 @@ void MdnsUnit::on_probe_renamed(const std::string& old_name,
   // Every later compose — answers, cached replays, goodbyes — must use the
   // new name: logically empty both caches.
   if (translation_cache() != nullptr) translation_cache()->bump_generation();
-  if (directory() != nullptr) directory()->bump_generation();
+  directory().bump_generation();
 }
 
 std::size_t MdnsUnit::compose_url_records(std::string_view url,
@@ -684,12 +685,13 @@ void MdnsUnit::release_probe_state(std::string_view url,
 // an expired one is forgotten silently (native Bonjour caches age its
 // records out by their own TTLs). Either way its probe state goes, so a
 // device that rejoins re-probes from its base name.
-void MdnsUnit::forget_bridged(const ForeignService& service, Forget why) {
+void MdnsUnit::forget_bridged(const ServiceDirectory::Record& service,
+                              std::uint64_t, Forget why) {
   if (why == Forget::kWithdrawn) {
     // The goodbye must name the same hash-stable instance the announcement
-    // created, so compose from the entry's URL (the byebye stream itself
+    // created, so compose from the record's URL (the byebye stream itself
     // may have named only the USN).
-    dnssd_from_canonical_into(service.canonical_type, qname_scratch_);
+    dnssd_from_canonical_into(service.type(), qname_scratch_);
     compose_url_records(service.url, qname_scratch_, /*ttl=*/0);
     // A name still probing was never announced: forget it silently instead
     // of multicasting a goodbye nobody heard an announcement for. No
@@ -697,7 +699,7 @@ void MdnsUnit::forget_bridged(const ForeignService& service, Forget why) {
     // state changes on the parse path).
     if (!blocked_by_probing(compose_scratch_)) multicast_composed();
   }
-  release_probe_state(service.url, service.canonical_type);
+  release_probe_state(service.url, service.type());
 }
 
 }  // namespace indiss::core

@@ -89,9 +89,10 @@ class MdnsUnit : public Unit {
  protected:
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
-  void on_bridged(Session& session, ForeignService& service,
-                  bool fresh) override;
-  void forget_bridged(const ForeignService& service, Forget why) override;
+  void on_bridged(Session& session, const ServiceDirectory::Record& service,
+                  std::uint64_t& handle, bool fresh) override;
+  void forget_bridged(const ServiceDirectory::Record& service,
+                      std::uint64_t handle, Forget why) override;
   [[nodiscard]] transport::Duration network_reply_pacing() const override;
   [[nodiscard]] IdSpan query_id_span() const override { return mdns::kIdSpan; }
 

@@ -22,7 +22,7 @@ BytesView view_of(const std::string& frame) {
                    frame.size());
 }
 
-/// The impersonated device numbered `index` (ForeignService::handle): its
+/// The impersonated device numbered `index` (the unit's handle slot): its
 /// UDN, its USN for `device_type`, and the path of its description.
 std::string device_udn(std::uint64_t index) {
   return "uuid:indiss-" + std::to_string(index);
@@ -360,20 +360,19 @@ void UpnpUnit::compose_native_reply(Session& session) {
     return;  // nothing discovered: SSDP answers with silence
   }
 
-  // The answered service is bridged like an advertised one: recorded (or
-  // re-armed) in the unit's table and impersonated as a device.
-  ForeignService& service =
-      bridge(session.var("service_type", "service"), answer).service;
-  serve(session, service);
+  // The answered service is bridged like an advertised one: held (or
+  // re-armed) in the store and impersonated as a device.
+  auto bridged = bridge(session, session.var("service_type", "service"), answer);
+  serve(session, bridged.service, bridged.handle);
 
   upnp::SearchResponse response;
-  std::string device_type = upnp_device_from_canonical(service.canonical_type);
+  std::string device_type = upnp_device_from_canonical(bridged.service.type());
   std::string st(session.var("st"));
-  response.usn = device_usn(service.handle, device_type);
+  response.usn = device_usn(bridged.handle, device_type);
   response.st = st.empty() || str::iequals(st, upnp::kSearchTargetAll)
                     ? std::move(device_type)
                     : std::move(st);
-  response.location = location_of(service);
+  response.location = location_of(bridged.handle);
   response.server = std::string(kBridgeServer);
 
   auto to = requester(session);
@@ -393,9 +392,11 @@ void UpnpUnit::compose_native_reply(Session& session) {
   });
 }
 
-void UpnpUnit::serve(const Session& session, ForeignService& service) {
+void UpnpUnit::serve(const Session& session,
+                     const ServiceDirectory::Record& service,
+                     std::uint64_t& handle) {
   ensure_http_server();
-  if (service.handle != 0) return;  // a refresh: the device already exists
+  if (handle != 0) return;  // a refresh: the device already exists
 
   std::string_view friendly_name;
   for (const auto& event : session.events()) {
@@ -404,8 +405,8 @@ void UpnpUnit::serve(const Session& session, ForeignService& service) {
       friendly_name = event.get("value");
     }
   }
-  const std::string& type = service.canonical_type;
-  service.handle = next_device_index_++;
+  const std::string type(service.type());
+  handle = next_device_index_++;
 
   upnp::DeviceDescription description;
   description.device_type = upnp_device_from_canonical(type);
@@ -416,18 +417,18 @@ void UpnpUnit::serve(const Session& session, ForeignService& service) {
   description.model_name = type;
   description.model_description = "Foreign " + type + " service bridged by "
                                   "INDISS";
-  description.udn = device_udn(service.handle);
+  description.udn = device_udn(handle);
   upnp::ServiceDescription served;
   served.service_type = "urn:schemas-upnp-org:service:" + type + ":1";
   served.service_id = "urn:upnp-org:serviceId:" + type;
   served.control_url = service.url;  // the foreign endpoint, handed through
-  served.scpd_url = device_path(service.handle);
+  served.scpd_url = device_path(handle);
   served.event_sub_url = service.url;
   description.services.push_back(std::move(served));
 
   // The route owns the one copy of the description; it lives exactly as
-  // long as the entry (forget_bridged unroutes it).
-  http_server_->route(device_path(service.handle),
+  // long as the unit holds the record (forget_bridged unroutes it).
+  http_server_->route(device_path(handle),
                       [description = std::move(description)]() {
                         return upnp::http_response("200 OK", kBridgeServer,
                                                    description.to_xml());
@@ -436,30 +437,33 @@ void UpnpUnit::serve(const Session& session, ForeignService& service) {
 
 // A peer advertised a foreign service: impersonate it so native UPnP control
 // points can find it, and (in active mode) announce it immediately.
-void UpnpUnit::on_bridged(Session& session, ForeignService& service, bool) {
-  serve(session, service);
+void UpnpUnit::on_bridged(Session& session,
+                          const ServiceDirectory::Record& service,
+                          std::uint64_t& handle, bool) {
+  serve(session, service, handle);
   if (config_.active_advertising) {
-    notify_alive(service);
+    notify_alive(service, handle);
     cache_outbound_frame(session, reply_socket_, kSsdpGroup,
                          view_of(ssdp_scratch_));
   }
 }
 
-std::string UpnpUnit::location_of(const ForeignService& service) {
+std::string UpnpUnit::location_of(std::uint64_t handle) {
   std::string location = "http://";
   location += transport().address().to_string();
   location += ':';
   location += std::to_string(http_server_->port());
-  location += device_path(service.handle);
+  location += device_path(handle);
   return location;
 }
 
-void UpnpUnit::notify_alive(const ForeignService& service) {
+void UpnpUnit::notify_alive(const ServiceDirectory::Record& service,
+                            std::uint64_t handle) {
   upnp::Notify notify;
   notify.kind = upnp::Notify::Kind::kAlive;
-  notify.nt = upnp_device_from_canonical(service.canonical_type);
-  notify.usn = device_usn(service.handle, notify.nt);
-  notify.location = location_of(service);
+  notify.nt = upnp_device_from_canonical(service.type());
+  notify.usn = device_usn(handle, notify.nt);
+  notify.location = location_of(handle);
   notify.server = std::string(kBridgeServer);
   notify.max_age_seconds = kNotifyMaxAge;
   notify.serialize_into(ssdp_scratch_);
@@ -470,16 +474,17 @@ void UpnpUnit::notify_alive(const ForeignService& service) {
 // advertising a dead endpoint. A withdrawn one also gets an ssdp:byebye; an
 // expired one does not (crash without byebye): native control points age
 // the device out by its own CACHE-CONTROL max-age.
-void UpnpUnit::forget_bridged(const ForeignService& service, Forget why) {
+void UpnpUnit::forget_bridged(const ServiceDirectory::Record& service,
+                              std::uint64_t handle, Forget why) {
   if (why == Forget::kWithdrawn) {
     upnp::Notify notify;
     notify.kind = upnp::Notify::Kind::kByeBye;
-    notify.nt = upnp_device_from_canonical(service.canonical_type);
-    notify.usn = device_usn(service.handle, notify.nt);
+    notify.nt = upnp_device_from_canonical(service.type());
+    notify.usn = device_usn(handle, notify.nt);
     notify.serialize_into(ssdp_scratch_);
     reply_socket_->send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
   }
-  http_server_->unroute(device_path(service.handle));
+  http_server_->unroute(device_path(handle));
 }
 
 }  // namespace indiss::core

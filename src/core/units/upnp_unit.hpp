@@ -70,7 +70,7 @@ class UpnpUnit : public Unit {
   ~UpnpUnit() override;
 
   /// Foreign services currently impersonated as UPnP devices: every
-  /// bridged entry has one.
+  /// bridged record has one.
   [[nodiscard]] std::size_t impersonated_devices() const {
     return foreign_services().size();
   }
@@ -87,23 +87,26 @@ class UpnpUnit : public Unit {
   void compose_native_request(Session& session) override;
   void compose_native_reply(Session& session) override;
   void compose_follow_up(Session& session, const Event& event) override;
-  void on_bridged(Session& session, ForeignService& service,
-                  bool fresh) override;
-  void forget_bridged(const ForeignService& service, Forget why) override;
+  void on_bridged(Session& session, const ServiceDirectory::Record& service,
+                  std::uint64_t& handle, bool fresh) override;
+  void forget_bridged(const ServiceDirectory::Record& service,
+                      std::uint64_t handle, Forget why) override;
   [[nodiscard]] transport::Duration network_reply_pacing() const override {
     return config_.search_response_pacing;
   }
 
  private:
   /// Impersonates `service` as a UPnP device the first time it is seen:
-  /// numbers the device (ForeignService::handle) and routes its generated
+  /// numbers the device (the unit's `handle` slot) and routes its generated
   /// description, built from `session`'s events.
-  void serve(const Session& session, ForeignService& service);
-  /// The LOCATION URL of an impersonated device's description.
-  [[nodiscard]] std::string location_of(const ForeignService& service);
+  void serve(const Session& session, const ServiceDirectory::Record& service,
+             std::uint64_t& handle);
+  /// The LOCATION URL of the description of the device numbered `handle`.
+  [[nodiscard]] std::string location_of(std::uint64_t handle);
   /// Multicasts NOTIFY ssdp:alive for an impersonated device; the frame
   /// stays in ssdp_scratch_ until the next compose.
-  void notify_alive(const ForeignService& service);
+  void notify_alive(const ServiceDirectory::Record& service,
+                    std::uint64_t handle);
   void ensure_http_server();
   /// Rewrites session.collected into a clean, absolute reply stream before
   /// it is sent back to the origin unit (the finalize step of §2.4).

@@ -1,7 +1,7 @@
 // ServiceDirectory tests (docs/directory.md): record/collect keying, the
 // never-serve-stale collect guard, withdraw tombstones (by URL and by USN),
 // the oldest-first USN withdrawal against a linear scan, generation-bump
-// invalidation, LRU eviction, the wire-hash touch() refresh,
+// invalidation, LRU eviction, the handle refresh a cache hit makes,
 // and the answer cache's replay, per-type epoch and deadline rules; its key
 // without the query's transaction id (patched replays byte-equal to fresh
 // composes, the parts of a query that stay in the key, a seeded
@@ -91,13 +91,13 @@ EventStream byebye_stream(std::string_view url, std::string_view usn = "") {
 TEST(ServiceDirectory, RecordsCollectAndFindByCanonicalType) {
   ServiceDirectory dir;
   EXPECT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://a", 120), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://a", 120),
       at_s(0)));
   EXPECT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://b", 120), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://b", 120),
       at_s(0)));
   EXPECT_TRUE(dir.record_advertisement(
-      SdpId::kUpnp, advert_stream("printer", "http://printer/desc", 120), {},
+      SdpId::kUpnp, advert_stream("printer", "http://printer/desc", 120),
       at_s(0)));
   EXPECT_EQ(dir.size(), 3u);
   EXPECT_EQ(dir.stats(SdpId::kMdns).records_stored, 1u);
@@ -120,9 +120,9 @@ TEST(ServiceDirectory, AdvertWithoutUrlOrMeaningfulTypeIsNotRecorded) {
   ServiceDirectory dir;
   // Wildcard and uuid-targeted types never index (decision table).
   EXPECT_FALSE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("*", "service:x://a", 60), {}, at_s(0)));
+      SdpId::kSlp, advert_stream("*", "service:x://a", 60), at_s(0)));
   EXPECT_FALSE(dir.record_advertisement(
-      SdpId::kUpnp, advert_stream("uuid:1234", "http://d/desc", 60), {},
+      SdpId::kUpnp, advert_stream("uuid:1234", "http://d/desc", 60),
       at_s(0)));
   // No URL anywhere in the stream: nothing to key the record on.
   EventStream no_url;
@@ -130,15 +130,15 @@ TEST(ServiceDirectory, AdvertWithoutUrlOrMeaningfulTypeIsNotRecorded) {
   no_url.push_back(Event(EventType::kServiceAlive));
   no_url.push_back(Event(EventType::kServiceTypeIs, {{"type", "clock"}}));
   no_url.push_back(Event(EventType::kControlStop));
-  EXPECT_FALSE(dir.record_advertisement(SdpId::kSlp, no_url, {}, at_s(0)));
+  EXPECT_FALSE(dir.record_advertisement(SdpId::kSlp, no_url, at_s(0)));
   EXPECT_EQ(dir.size(), 0u);
 }
 
 TEST(ServiceDirectory, RefreshReArmsDeadlineWithoutANewRecord) {
   ServiceDirectory dir;
   EventStream advert = advert_stream("clock", "service:clock://a", 10);
-  ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, {}, at_s(0)));
-  ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, {}, at_s(8)));
+  ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, at_s(0)));
+  ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, at_s(8)));
   EXPECT_EQ(dir.size(), 1u);
   EXPECT_EQ(dir.stats(SdpId::kSlp).records_stored, 1u)
       << "a refresh is not a new insert";
@@ -151,7 +151,7 @@ TEST(ServiceDirectory, RefreshReArmsDeadlineWithoutANewRecord) {
 TEST(ServiceDirectory, CollectNeverServesStaleBetweenSweeps) {
   ServiceDirectory dir;
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://a", 5), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://a", 5),
       at_s(0)));
   // Past the deadline but before any sweep ran: the record still occupies a
   // slot yet must not be served.
@@ -169,12 +169,11 @@ TEST(ServiceDirectory, CollectNeverServesStaleBetweenSweeps) {
 TEST(ServiceDirectory, WithdrawTombstonesByUrlAndByUsn) {
   ServiceDirectory dir;
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://a", 60), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://a", 60),
       at_s(0)));
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kUpnp,
-      advert_stream("clock", "http://10.0.0.2/desc.xml", 60, "uuid:dev-1"),
-      {}, at_s(0)));
+      advert_stream("clock", "http://10.0.0.2/desc.xml", 60, "uuid:dev-1"), at_s(0)));
 
   // SLP/mDNS shape: the byebye names the URL.
   EXPECT_EQ(dir.withdraw(SdpId::kSlp, byebye_stream("service:clock://a")), 1u);
@@ -193,18 +192,17 @@ TEST(ServiceDirectory, WithdrawTombstonesByUrlAndByUsn) {
 }
 
 // A byebye naming only a USN withdraws the oldest record carrying it, the
-// rule the units apply to their bridged entries.
+// rule the units apply to the records they hold.
 TEST(ServiceDirectory, UsnOnlyWithdrawalTakesTheOldestRecordCarryingIt) {
   ServiceDirectory dir;
   for (std::string_view url : {"http://a/desc", "http://b/desc"}) {
     ASSERT_TRUE(dir.record_advertisement(
-        SdpId::kUpnp, advert_stream("clock", url, 60, "uuid:shared"), {},
+        SdpId::kUpnp, advert_stream("clock", url, 60, "uuid:shared"),
         at_s(0)));
   }
   // A refresh keeps the record's place: it is still the oldest.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kUpnp, advert_stream("clock", "http://a/desc", 60, "uuid:shared"),
-      {}, at_s(1)));
+      SdpId::kUpnp, advert_stream("clock", "http://a/desc", 60, "uuid:shared"), at_s(1)));
 
   EXPECT_EQ(dir.withdraw(SdpId::kUpnp, byebye_stream("", "uuid:shared")), 1u);
   EXPECT_EQ(dir.find("http://a/desc"), nullptr);
@@ -227,7 +225,7 @@ TEST(ServiceDirectory, WithdrawMatchesALinearScanOverSeededHistories) {
   const std::vector<std::string> usns = {"", "uuid:scan-a", "uuid:scan-b"};
   for (std::uint32_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    ServiceDirectory dir({.max_records = 8, .type_buckets = 4});
+    ServiceDirectory dir({.max_records = 8});
     std::vector<std::pair<std::string, std::string>> arrivals;  // url, usn
     std::mt19937 rng(seed);
     auto pick = [&](std::size_t n) {
@@ -240,11 +238,18 @@ TEST(ServiceDirectory, WithdrawMatchesALinearScanOverSeededHistories) {
       const std::string& url = urls[pick(urls.size())];
       const std::string& usn = usns[pick(usns.size())];
       if (op < 55) {
+        // A refresh re-arms a live record; one past its deadline is
+        // recreated, with this advert's USN, as the newest arrival.
+        const ServiceDirectory::Record* before = dir.find(url);
+        if (before != nullptr && before->expires_at <= at_s(now)) {
+          std::erase_if(arrivals,
+                        [&](const auto& a) { return a.first == url; });
+        }
         auto known =
             std::find_if(arrivals.begin(), arrivals.end(),
                          [&](const auto& a) { return a.first == url; });
         ASSERT_TRUE(dir.record_advertisement(
-            SdpId::kUpnp, advert_stream("clock", url, 1 + pick(8), usn), {},
+            SdpId::kUpnp, advert_stream("clock", url, 1 + pick(8), usn),
             at_s(now)));
         if (known == arrivals.end()) arrivals.emplace_back(url, usn);
       } else if (op < 85) {
@@ -284,7 +289,7 @@ TEST(ServiceDirectory, WithdrawMatchesALinearScanOverSeededHistories) {
 TEST(ServiceDirectory, GenerationBumpLogicallyEmptiesTheIndex) {
   ServiceDirectory dir;
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://a", 600), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://a", 600),
       at_s(0)));
   ASSERT_TRUE(dir.has_fresh("clock", at_s(1)));
 
@@ -292,35 +297,35 @@ TEST(ServiceDirectory, GenerationBumpLogicallyEmptiesTheIndex) {
   std::vector<const ServiceDirectory::Record*> matches;
   EXPECT_EQ(dir.collect("clock", at_s(1), matches), 0u);
   EXPECT_FALSE(dir.has_fresh("clock", at_s(1)));
-  // The sweep reclaims stale-generation records even inside their TTL.
-  EXPECT_EQ(dir.sweep(at_s(1)), 1u);
-  EXPECT_EQ(dir.size(), 0u);
+  // Hidden, not dropped: the units holding it keep their bridged state.
+  EXPECT_EQ(dir.sweep(at_s(1)), 0u);
+  EXPECT_EQ(dir.size(), 1u);
 
   // A re-announcement repopulates under the new generation.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://a", 600), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://a", 600),
       at_s(2)));
   EXPECT_TRUE(dir.has_fresh("clock", at_s(3)));
 }
 
 TEST(ServiceDirectory, LruEvictsTheLeastRecentlyUsedAtCapacity) {
   ServiceDirectory dir(
-      {.max_records = 3, .type_buckets = 4, .max_answers = 4});
+      {.max_records = 3, .max_answers = 4});
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://a", 600), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://a", 600),
       at_s(0)));
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://b", 600), {},
+      SdpId::kSlp, advert_stream("clock", "service:clock://b", 600),
       at_s(0)));
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("printer", "service:printer://c", 600), {},
+      SdpId::kSlp, advert_stream("printer", "service:printer://c", 600),
       at_s(0)));
   // Touch the clock records so the printer becomes least recently used.
   std::vector<const ServiceDirectory::Record*> matches;
   ASSERT_EQ(dir.collect("clock", at_s(1), matches), 2u);
 
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("camera", "service:camera://d", 600), {},
+      SdpId::kMdns, advert_stream("camera", "service:camera://d", 600),
       at_s(2)));
   EXPECT_EQ(dir.size(), 3u);
   EXPECT_EQ(dir.evictions(), 1u);
@@ -329,23 +334,29 @@ TEST(ServiceDirectory, LruEvictsTheLeastRecentlyUsedAtCapacity) {
   EXPECT_NE(dir.find("service:camera://d"), nullptr);
 }
 
-TEST(ServiceDirectory, TouchReArmsTheDeadlineThroughTheWireIndex) {
+TEST(ServiceDirectory, RefreshReArmsTheDeadlineThroughTheHandle) {
   ServiceDirectory dir;
-  Bytes advert_wire = wire_bytes("SRVREG service:clock://a 10s");
-  ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kSlp, advert_stream("clock", "service:clock://a", 10),
-      advert_wire, at_s(0)));
+  ServiceDirectory::Handle handle = dir.record_advertisement(
+      SdpId::kSlp, advert_stream("clock", "service:clock://a", 10), at_s(0));
+  ASSERT_NE(handle, 0u);
 
   // The TranslationCache short-circuited the byte-identical repeat at t=8:
-  // the unit never parsed it, but touch() must still re-arm the deadline.
-  EXPECT_TRUE(dir.touch(SdpId::kSlp, advert_wire, at_s(8)));
+  // the unit never parsed it, but the bundle's handle re-arms the record.
+  EXPECT_TRUE(dir.refresh(handle, at_s(8)));
   std::vector<const ServiceDirectory::Record*> matches;
   EXPECT_EQ(dir.collect("clock", at_s(15), matches), 1u);
   EXPECT_EQ(dir.collect("clock", at_s(19), matches), 0u);
 
-  // Unknown wire bytes touch nothing.
-  EXPECT_FALSE(dir.touch(SdpId::kSlp, wire_bytes("some other frame"),
-                         at_s(8)));
+  // An expired record is not revived by a hit, and a handle outlives its
+  // record harmlessly: a new record in the freed slot is not its record.
+  EXPECT_FALSE(dir.refresh(handle, at_s(19)));
+  EXPECT_EQ(dir.sweep(at_s(19)), 1u);
+  ServiceDirectory::Handle again = dir.record_advertisement(
+      SdpId::kSlp, advert_stream("clock", "service:clock://b", 10), at_s(20));
+  EXPECT_NE(again, handle);
+  EXPECT_FALSE(dir.refresh(handle, at_s(21)));
+  EXPECT_TRUE(dir.refresh(again, at_s(21)));
+  EXPECT_TRUE(dir.refresh(0, at_s(21))) << "handle 0 names no record";
 }
 
 // --- Answer cache -----------------------------------------------------------
@@ -412,7 +423,7 @@ TEST_F(AnswerCacheFixture, AnyIndexMutationInvalidatesCachedAnswers) {
 
   // A new record arriving changes what the answer should contain.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://new", 600), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://new", 600),
       at_s(2)));
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)))
       << "epoch bump must invalidate every cached answer";
@@ -434,7 +445,7 @@ TEST_F(AnswerCacheFixture, WritesInvalidateOnlyTheAnswersOfTheirType) {
 
   // A new printer, then its withdrawal: neither changes the clock answer.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("printer", "service:printer://p1", 600), {},
+      SdpId::kMdns, advert_stream("printer", "service:printer://p1", 600),
       at_s(1)));
   EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(2)))
       << "a printer write must leave the clock answer replayable";
@@ -444,7 +455,7 @@ TEST_F(AnswerCacheFixture, WritesInvalidateOnlyTheAnswersOfTheirType) {
 
   // A new clock does.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(4)));
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)))
       << "a clock write must invalidate the clock answer";
@@ -473,20 +484,20 @@ TEST_F(AnswerCacheFixture, RefreshThatChangesTtlInvalidatesItsType) {
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(0)));
   dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
   dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY ttl=600"));
 
   // Same TTL: the answer bytes still hold.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(2)));
   EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)));
 
   // A new TTL is part of the answer.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 300), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 300),
       at_s(4)));
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)))
       << "a TTL change must invalidate the answer that carried the old one";
@@ -496,10 +507,10 @@ TEST_F(AnswerCacheFixture, RefreshThatRevivesAnExpiredRecordInvalidatesItsType) 
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(0)));
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c2", 600), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c2", 600),
       at_s(0)));
   // Answered at 12 s: c1 is past its deadline (not yet swept) and left out.
   dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(12));
@@ -508,7 +519,7 @@ TEST_F(AnswerCacheFixture, RefreshThatRevivesAnExpiredRecordInvalidatesItsType) 
 
   // Same TTL, but c1 is back in what the type answers.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(14)));
   EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(15)));
 }
@@ -519,7 +530,7 @@ TEST_F(AnswerCacheFixture, NoReplayPastTheEarliestRecordDeadline) {
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(0)));
   std::vector<const ServiceDirectory::Record*> matches;
   ASSERT_EQ(dir.collect("clock", at_s(1), matches), 1u);
@@ -538,14 +549,14 @@ TEST_F(AnswerCacheFixture, ReArmedRecordsCarryTheAnswerPastItsFirstDeadline) {
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(0)));
   dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
   dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c1"));
 
   // A same-TTL refresh at 8 s re-arms c1 to 18 s without invalidating.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(8)));
   EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(12)))
       << "every answered record is still fresh";
@@ -615,6 +626,7 @@ struct DirectoryRig {
   explicit DirectoryRig(std::size_t max_answers) {
     ServiceDirectory::Config config;
     config.max_answers = max_answers;
+    config.answer_queries = true;
     directory = std::make_shared<ServiceDirectory>(config);
     UnitOptions options;
     options.directory = directory;
@@ -838,7 +850,7 @@ TEST(AnswerCacheIdBlind, CachedAndUncachedGatewaysSendIdenticalReplies) {
 TEST_F(AnswerCacheFixture, WarmIdVaryingReplayAllocatesNothing) {
   ServiceDirectory dir;
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600), {},
+      SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(0)));
   dir.open_answer(SdpId::kSlp, "clock", idblind::slp_query(1), requester, 11,
                   at_s(0), slp::kXidSpan);
@@ -875,10 +887,11 @@ TEST_F(AnswerCacheFixture, WarmIdVaryingReplayAllocatesNothing) {
 
 // --- End-to-end --------------------------------------------------------------
 
-/// Regression (PR 9): bridged state used to expire only on sweep-on-touch —
-/// a unit that never received another message after the deadline kept its
+/// Regression: bridged state used to expire only on sweep-on-touch — a
+/// unit that never received another message after the deadline kept its
 /// foreign-service mirror forever. The gateway's timer sweep must age it out
-/// with NO inbound traffic after the advertisement.
+/// with NO inbound traffic after the advertisement, in the default
+/// configuration.
 TEST(DirectoryEndToEnd, IdleUnitBridgedStateExpiresWithoutFurtherTraffic) {
   sim::Scheduler scheduler;
   net::Network network{scheduler, net::LinkProfile{}, 17};
@@ -887,7 +900,6 @@ TEST(DirectoryEndToEnd, IdleUnitBridgedStateExpiresWithoutFurtherTraffic) {
 
   IndissConfig config;
   config.enabled_sdps = {SdpId::kSlp, SdpId::kMdns};
-  config.unit_options.expire_bridged_state = true;
   Indiss indiss(gateway, config);
   indiss.start();
   scheduler.run_for(sim::millis(10));
@@ -914,36 +926,6 @@ TEST(DirectoryEndToEnd, IdleUnitBridgedStateExpiresWithoutFurtherTraffic) {
       << "idle unit kept TTL-expired bridged state: the timer sweep did not "
          "run";
   EXPECT_GE(mdns_unit->stats().bridged_state_expired, 1u);
-  indiss.stop();
-}
-
-/// With expire_bridged_state off (the default), the same silence must leave
-/// the mirror untouched — the sweep never runs, fingerprints stay identical.
-TEST(DirectoryEndToEnd, DefaultConfigNeverExpiresBridgedState) {
-  sim::Scheduler scheduler;
-  net::Network network{scheduler, net::LinkProfile{}, 17};
-  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
-  net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
-
-  IndissConfig config;
-  config.enabled_sdps = {SdpId::kSlp, SdpId::kMdns};
-  Indiss indiss(gateway, config);
-  indiss.start();
-  scheduler.run_for(sim::millis(10));
-
-  slp::SrvReg reg;
-  reg.url_entry = {30, "service:clock:soap://10.0.0.2:4005/idle-clock"};
-  reg.service_type = "service:clock";
-  auto announcer = service.udp_socket(0);
-  announcer->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
-                     slp::encode(slp::Message(reg)));
-  scheduler.run_for(sim::seconds(2));
-
-  auto* mdns_unit = indiss.unit_as<MdnsUnit>(SdpId::kMdns);
-  ASSERT_EQ(mdns_unit->foreign_services().size(), 1u);
-  scheduler.run_for(sim::seconds(60));
-  EXPECT_EQ(mdns_unit->foreign_services().size(), 1u);
-  EXPECT_EQ(mdns_unit->stats().bridged_state_expired, 0u);
   indiss.stop();
 }
 
@@ -1283,6 +1265,69 @@ TEST(DirectoryEndToEnd, DirectoryModeMulticastsAnSlpDaAdvert) {
   scheduler.run_for(sim::seconds(2));
   EXPECT_EQ(da_adverts, 0u);
   off.stop();
+}
+
+/// A UPnP device announces itself as a burst of NOTIFYs, one per NT, all
+/// naming one LOCATION: one store record. A cache hit on each variant
+/// re-arms that record, so repeats of every variant but the last keep it
+/// alive (and answerable) past its first deadline.
+TEST(DirectoryEndToEnd, CacheHitsOnEveryAliveVariantReArmTheOneRecord) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 37};
+  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  net::Host& device = network.add_host("dev", net::IpAddress(10, 0, 0, 2));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
+  config.enable_directory = true;
+  Indiss indiss(gateway, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(10));
+
+  const std::string location = "http://10.0.0.2:4004/description.xml";
+  std::vector<Bytes> burst;
+  for (const char* nt :
+       {"upnp:rootdevice", "uuid:burst-clock",
+        "urn:schemas-upnp-org:device:clock:1",
+        "urn:schemas-upnp-org:service:timer:1"}) {
+    upnp::Notify alive;
+    alive.nt = nt;
+    alive.usn = std::string("uuid:burst-clock::") + nt;
+    alive.location = location;
+    alive.max_age_seconds = 60;
+    burst.push_back(upnp::encode(alive));
+  }
+  auto socket = device.udp_socket(0);
+  auto announce = [&](std::size_t variants) {
+    for (std::size_t i = 0; i < variants; ++i) {
+      socket->send_to(net::Endpoint{upnp::kSsdpMulticastGroup, upnp::kSsdpPort},
+                      burst[i]);
+    }
+  };
+  announce(burst.size());  // translated: the record and the bundles
+  scheduler.run_for(sim::seconds(1));
+  announce(burst.size());  // every variant replays
+  scheduler.run_for(sim::seconds(1));
+  ASSERT_NE(indiss.directory()->find(location), nullptr);
+  const std::uint64_t hits =
+      indiss.monitor().translation_stats(SdpId::kUpnp).hits;
+  ASSERT_EQ(hits, burst.size());
+
+  // Three minutes of bursts without their last variant, every 30 s: three
+  // times the record's 60 s lifetime.
+  for (int period = 0; period < 6; ++period) {
+    scheduler.run_for(sim::seconds(30));
+    announce(burst.size() - 1);
+  }
+  scheduler.run_for(sim::seconds(1));
+  EXPECT_EQ(indiss.monitor().translation_stats(SdpId::kUpnp).hits,
+            hits + 6 * (burst.size() - 1))
+      << "every repeat must be a cache hit";
+  EXPECT_NE(indiss.directory()->find(location), nullptr)
+      << "the record expired under its live device";
+  EXPECT_TRUE(indiss.directory()->has_fresh("clock", gateway.now()));
+  EXPECT_EQ(indiss.unit(SdpId::kSlp)->foreign_services().size(), 1u);
+  indiss.stop();
 }
 
 }  // namespace

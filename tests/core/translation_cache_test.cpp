@@ -546,6 +546,91 @@ TEST(TranslationCacheEndToEnd, RepeatedRegistrationShortCircuitsAndReplays) {
   EXPECT_EQ(indiss.unit_as<MdnsUnit>(SdpId::kMdns)->announcements_sent(), 1u);
 }
 
+// The missed-goodbye probe: a registration with a 60 s lifetime is
+// refreshed by twelve byte-identical SrvRegs, then deregistered. A cache hit
+// re-arms the one store record every target unit holds, so the gateway
+// sends the same goodbyes — an mDNS TTL-0 response and an ssdp:byebye —
+// with the translation cache on and off.
+TEST(TranslationCacheEndToEnd, CachedRefreshesKeepTheGoodbyesOfTheUncachedPath) {
+  struct Outcome {
+    std::size_t mdns_goodbyes = 0;
+    std::size_t ssdp_byebyes = 0;
+    std::uint64_t hits = 0;
+  };
+  auto run = [](bool cache) {
+    sim::Scheduler scheduler;
+    net::Network network{scheduler, net::LinkProfile{}, 17};
+    net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+    net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
+    net::Host& observer = network.add_host("obs", net::IpAddress(10, 0, 0, 8));
+
+    IndissConfig config;
+    config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp, SdpId::kMdns};
+    config.enable_translation_cache = cache;
+    Indiss indiss(gateway, config);
+    indiss.start();
+    scheduler.run_for(sim::millis(10));
+
+    Outcome outcome;
+    auto mdns_listener = observer.udp_socket(5353);
+    mdns_listener->join_group(net::IpAddress(224, 0, 0, 251));
+    mdns_listener->set_receive_handler([&](const net::Datagram& d) {
+      auto message = mdns::decode(d.payload);
+      if (!message.has_value() || !message->is_response() ||
+          message->answers.empty()) {
+        return;
+      }
+      bool goodbye = std::all_of(
+          message->answers.begin(), message->answers.end(),
+          [](const mdns::DnsRecord& record) { return record.ttl == 0; });
+      if (goodbye) outcome.mdns_goodbyes += 1;
+    });
+    auto ssdp_listener = observer.udp_socket(upnp::kSsdpPort);
+    ssdp_listener->join_group(upnp::kSsdpMulticastGroup);
+    ssdp_listener->set_receive_handler([&](const net::Datagram& d) {
+      std::string_view text(reinterpret_cast<const char*>(d.payload.data()),
+                            d.payload.size());
+      if (text.find("ssdp:byebye") != std::string_view::npos) {
+        outcome.ssdp_byebyes += 1;
+      }
+    });
+
+    slp::SrvReg reg;
+    reg.url_entry = {60, "service:clock:soap://10.0.0.2:4005/probe-clock"};
+    reg.service_type = "service:clock";
+    reg.attr_list = "(friendlyName=Probe Clock)";
+    slp::SrvDeReg dereg;
+    dereg.url_entry = {0, "service:clock:soap://10.0.0.2:4005/probe-clock"};
+    auto announcer = service.udp_socket(0);
+    net::Endpoint group{slp::kSlpMulticastGroup, slp::kSlpPort};
+    Bytes wire = slp::encode(slp::Message(reg));
+    for (int i = 0; i <= 12; ++i) {
+      announcer->send_to(group, wire);
+      scheduler.run_for(sim::seconds(30));
+    }
+    // One record, held by both target units, without directory mode.
+    EXPECT_EQ(indiss.store().size(), 1u);
+    EXPECT_EQ(indiss.unit(SdpId::kMdns)->foreign_services().size(), 1u);
+    EXPECT_EQ(indiss.unit(SdpId::kUpnp)->foreign_services().size(), 1u);
+    announcer->send_to(group, slp::encode(slp::Message(dereg)));
+    scheduler.run_for(sim::seconds(10));
+    outcome.hits = indiss.monitor().translation_stats(SdpId::kSlp).hits;
+    indiss.stop();
+    return outcome;
+  };
+
+  Outcome uncached = run(false);
+  Outcome cached = run(true);
+  EXPECT_EQ(uncached.hits, 0u);
+  EXPECT_EQ(cached.hits, 12u) << "every refresh must be a cache hit";
+  EXPECT_EQ(uncached.mdns_goodbyes, 1u);
+  EXPECT_EQ(uncached.ssdp_byebyes, 1u);
+  EXPECT_EQ(cached.mdns_goodbyes, uncached.mdns_goodbyes)
+      << "the cached refreshes let the bridged mDNS record expire";
+  EXPECT_EQ(cached.ssdp_byebyes, uncached.ssdp_byebyes)
+      << "the cached refreshes let the impersonated UPnP device expire";
+}
+
 // Byebyes must never be served from the cache: a second, byte-identical
 // withdrawal (after a re-announcement) still has to run every per-unit
 // state change, not just replay old goodbye frames.

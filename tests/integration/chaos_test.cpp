@@ -104,7 +104,6 @@ ChaosOutcome run_chaos_scenario(std::uint64_t seed) {
   config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp, SdpId::kJini,
                          SdpId::kMdns};
   config.monitor.rate_limit_per_sec = 20.0;   // flood shedding
-  config.unit_options.expire_bridged_state = true;
   config.unit_options.max_open_sessions = 64;
   Indiss gateway(gateway_host, config);
   gateway.start();
@@ -176,9 +175,9 @@ ChaosOutcome run_chaos_scenario(std::uint64_t seed) {
   auto* slp_unit = gateway.unit_as<SlpUnit>(SdpId::kSlp);
   bool has_survivor = false, has_rejoined = false, has_crashed = false;
   for (const auto& service : slp_unit->foreign_services()) {
-    if (service.url.find("10.0.0.2") != std::string::npos) has_survivor = true;
-    if (service.url.find("10.0.0.5") != std::string::npos) has_rejoined = true;
-    if (service.url.find("10.0.0.4") != std::string::npos) has_crashed = true;
+    if (service->url.find("10.0.0.2") != std::string::npos) has_survivor = true;
+    if (service->url.find("10.0.0.5") != std::string::npos) has_rejoined = true;
+    if (service->url.find("10.0.0.4") != std::string::npos) has_crashed = true;
   }
   outcome.crashed_state_gone = !has_crashed;
   outcome.survivor_discovered = has_survivor && has_rejoined;
@@ -215,12 +214,12 @@ ChaosOutcome run_chaos_scenario(std::uint64_t seed) {
                          "|" + std::to_string(network.stats().udp_deliveries) +
                          "|" + std::to_string(outcome.bridged_expired) + "|";
   for (const auto& service : slp_unit->foreign_services()) {
-    outcome.fingerprint += service.url + ";";
+    outcome.fingerprint += service->url + ";";
   }
   for (const auto& url : discovered) outcome.fingerprint += url + ";";
   auto* mdns_unit = gateway.unit_as<MdnsUnit>(SdpId::kMdns);
   for (const auto& service : mdns_unit->foreign_services()) {
-    outcome.fingerprint += service.url + ";";
+    outcome.fingerprint += service->url + ";";
   }
   return outcome;
 }
@@ -299,7 +298,6 @@ TEST(ChaosDirectory, DirectoryRecordAgesOutAfterSilentCrash) {
   IndissConfig config;
   config.enabled_sdps = {SdpId::kSlp, SdpId::kMdns};
   config.enable_directory = true;
-  config.unit_options.expire_bridged_state = true;
   Indiss gateway(gateway_host, config);
   gateway.start();
   scheduler.run_for(sim::millis(100));

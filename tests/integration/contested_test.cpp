@@ -92,7 +92,7 @@ TEST_F(CoexistFixture, TwoGatewaysConvergeOnIdenticalNamesWithZeroRenames) {
   ASSERT_NE(mdns_b, nullptr);
   ASSERT_EQ(mdns_a->foreign_services().size(), 1u);
   ASSERT_EQ(mdns_b->foreign_services().size(), 1u);
-  EXPECT_NE(mdns_a->foreign_services()[0].url.find("10.0.0.2"),
+  EXPECT_NE(mdns_a->foreign_services()[0]->url.find("10.0.0.2"),
             std::string::npos);
   EXPECT_TRUE(mdns_a->name_overrides().empty()) << "no rename happened";
   EXPECT_TRUE(mdns_b->name_overrides().empty());
@@ -313,7 +313,7 @@ RoamOutcome run_roaming_scenario(std::uint64_t seed) {
   }
   auto* slp_unit = gateway.unit_as<SlpUnit>(SdpId::kSlp);
   for (const auto& service : slp_unit->foreign_services()) {
-    outcome.fingerprint += service.url + ";";
+    outcome.fingerprint += service->url + ";";
   }
   return outcome;
 }

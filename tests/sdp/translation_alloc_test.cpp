@@ -226,36 +226,36 @@ TEST(DirectoryAllocs, RefreshTouchAndCollectAreZeroAllocSteadyState) {
       EventType::kResServUrl,
       {{"url", "service:clock:soap://10.0.0.2:4005/alloc-clock"}}));
   advert.push_back(Event(EventType::kControlStop));
-  Bytes wire = to_bytes("SRVREG alloc-clock (byte-identical repeat)");
-
   auto at = [](int s) { return transport::TimePoint(transport::seconds(s)); };
-  ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, wire, at(0)));
+  ServiceDirectory::Handle handle =
+      dir.record_advertisement(SdpId::kSlp, advert, at(0));
+  ASSERT_NE(handle, 0u);
   std::vector<const ServiceDirectory::Record*> matches;
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, wire, at(i)));
-    ASSERT_TRUE(dir.touch(SdpId::kSlp, wire, at(i)));
+    ASSERT_EQ(dir.record_advertisement(SdpId::kSlp, advert, at(i)), handle);
+    ASSERT_TRUE(dir.refresh(handle, at(i)));
     ASSERT_EQ(dir.collect("clock", at(i), matches), 1u);
     ASSERT_TRUE(dir.has_fresh("clock", at(i)));
   }
   std::uint64_t before = indiss::testing::g_heap_allocs;
   for (int i = 0; i < 256; ++i) {
-    ASSERT_TRUE(dir.record_advertisement(SdpId::kSlp, advert, wire, at(i)));
-    ASSERT_TRUE(dir.touch(SdpId::kSlp, wire, at(i)));
+    ASSERT_EQ(dir.record_advertisement(SdpId::kSlp, advert, at(i)), handle);
+    ASSERT_TRUE(dir.refresh(handle, at(i)));
     ASSERT_EQ(dir.collect("clock", at(i), matches), 1u);
     ASSERT_TRUE(dir.has_fresh("clock", at(i)));
   }
   EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
-      << "warm directory refresh/touch/collect must not allocate";
+      << "warm directory refresh/collect must not allocate";
   EXPECT_EQ(dir.size(), 1u);
   EXPECT_EQ(dir.stats(SdpId::kSlp).records_stored, 1u);
 }
 
 // --- Unit bridged-state refresh paths ----------------------------------------
 //
-// core::Unit finds a known URL in its bridged-service table through a
-// transparent string_view hash, so the alive-refresh path — the steady-state
-// case for a chatty announcer — only re-arms TTL clocks, and each unit's
-// on_bridged hook adds no heap traffic to it. A hand-built peer session
+// core::Unit finds a known URL in the service store through a string_view
+// index, so the alive-refresh path — the steady-state case for a chatty
+// announcer — only re-arms TTL clocks, and each unit's on_bridged hook adds
+// no heap traffic to it. A hand-built peer session
 // drives the protected Unit::on_advertisement directly, the way
 // deliver_advertisement does.
 
