@@ -11,6 +11,9 @@ namespace {
 
 /// Lifetime advertised in composed SrvRply URL entries.
 constexpr std::uint16_t kReplyLifetimeSeconds = 65535;
+/// What a bridged SrvRqst lists as its previous responder, and what
+/// standard_fsm's bridge guard looks for.
+constexpr std::string_view kBridgeStamp = "INDISS-bridge";
 
 void emit_attrs(EventSink& sink, std::string_view attr_list) {
   slp::for_each_attribute(attr_list,
@@ -70,8 +73,15 @@ void SlpEventParser::parse(BytesView raw, const MessageContext& ctx,
         if constexpr (std::is_same_v<T, slp::SrvRqst>) {
           // The previous-responder list doubles as the bridge stamp (SLP's
           // native loop-prevention slot); see standard_fsm's bridge guard.
+          // A list naming this gateway reads as the stamp too: it answered
+          // already, and RFC 2608 §8.1 forbids a listed agent to answer
+          // again, on the directory path and the bridged path alike.
           Event head = sink.scratch(EventType::kServiceRequest);
-          head.set("server", m.previous_responders);
+          head.set("server",
+                   !self_.empty() &&
+                           slp::pr_list_names(m.previous_responders, self_)
+                       ? kBridgeStamp
+                       : std::string_view(m.previous_responders));
           sink.emit(std::move(head));
           // SLP-specific events; foreign composers discard them (paper §2.4).
           Event version = sink.scratch(EventType::kSlpReqVersion);
@@ -214,7 +224,8 @@ std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
 
 SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
     : Unit(SdpId::kSlp, transport, std::move(options)) {
-  register_parser(std::make_unique<SlpEventParser>());
+  register_parser(
+      std::make_unique<SlpEventParser>(transport.address().to_string()));
   set_default_parser("slp");
   build_standard_fsm(fsm_);
   // SLP-specific bookkeeping: remember the XID so the composed reply matches
@@ -245,7 +256,7 @@ void SlpUnit::compose_native_request(Session& session) {
   request.header.flags |= slp::kFlagRequestMcast;
   // Stamp the PRList so a peer INDISS recognizes this as bridge traffic and
   // does not translate it back (two-node deployments would loop forever).
-  request.previous_responders = "INDISS-bridge";
+  request.previous_responders = kBridgeStamp;
 
   open_query_socket(session).send_to(
       net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},

@@ -21,11 +21,16 @@ namespace indiss::core {
 /// so a warm parser performs zero heap allocations per message.
 class SlpEventParser : public SdpParser {
  public:
+  /// `self`: the gateway's own address. A SrvRqst whose previous-responder
+  /// list names it carries the bridge stamp in its head event, so the unit
+  /// drops it (RFC 2608 §8.1: a listed agent must not answer again).
+  explicit SlpEventParser(std::string self = {}) : self_(std::move(self)) {}
   [[nodiscard]] std::string_view name() const override { return "slp"; }
   void parse(BytesView raw, const MessageContext& ctx,
              EventSink& sink) override;
 
  private:
+  std::string self_;
   slp::Message scratch_;
   std::string error_;
 };

@@ -20,13 +20,6 @@ bool scope_lists_intersect(const std::string& a, const std::string& b) {
   return false;
 }
 
-bool pr_list_contains(const std::string& pr_list, const net::IpAddress& self) {
-  for (const auto& entry : str::split_trimmed(pr_list, ',')) {
-    if (entry == self.to_string()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 using transport::schedule_guarded;
@@ -87,7 +80,7 @@ bool ServiceAgent::deregister_service(const std::string& url) {
 }
 
 bool ServiceAgent::in_previous_responders(const std::string& pr_list) const {
-  return pr_list_contains(pr_list, host_.address());
+  return pr_list_names(pr_list, host_.address().to_string());
 }
 
 bool ServiceAgent::scopes_intersect(const std::string& scopes) const {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/reuse.hpp"
+#include "common/strings.hpp"
 
 namespace indiss::slp {
 
@@ -273,6 +274,16 @@ bool decode_into(BytesView bytes, Message& scratch, std::string* error) {
     if (error != nullptr) *error = e.what();
     return false;
   }
+}
+
+bool pr_list_names(std::string_view pr_list, std::string_view address) {
+  while (!pr_list.empty()) {
+    std::size_t comma = pr_list.find(',');
+    if (str::trim(pr_list.substr(0, comma)) == address) return true;
+    if (comma == std::string_view::npos) break;
+    pr_list.remove_prefix(comma + 1);
+  }
+  return false;
 }
 
 }  // namespace indiss::slp

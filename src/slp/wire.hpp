@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -76,6 +77,12 @@ struct SrvRqst {
   std::string predicate;            // LDAPv3 filter subset
   std::string spi;                  // security parameter index (unused)
 };
+
+/// Whether a previous-responder list (comma-separated addresses) names
+/// `address`: RFC 2608 §8.1 says an agent it names must not answer the
+/// request again. Allocation-free.
+[[nodiscard]] bool pr_list_names(std::string_view pr_list,
+                                 std::string_view address);
 
 struct SrvRply {
   Header header{FunctionId::kSrvRply};

@@ -1267,6 +1267,59 @@ TEST(DirectoryEndToEnd, DirectoryModeMulticastsAnSlpDaAdvert) {
   off.stop();
 }
 
+/// RFC 2608 §8.1: an agent named in a SrvRqst's previous-responder list
+/// must not answer it again. A list naming the gateway (10.0.0.3) gets no
+/// reply, from the directory or over the bridge; a list naming another
+/// address still gets one.
+TEST(DirectoryEndToEnd, SrvRqstListingTheGatewayGetsNoReply) {
+  using idblind::slp_query;
+  {
+    SCOPED_TRACE("directory path");
+    idblind::DirectoryRig rig(idblind::kDefaultAnswers);
+    rig.write(idblind::slp_registration("clock", "c1", 600));
+    rig.ask(SdpId::kSlp, 0, slp_query(1, "service:clock", "DEFAULT", "10.0.0.3"));
+    rig.ask(SdpId::kSlp, 0,
+            slp_query(2, "service:clock", "DEFAULT", "10.0.0.7, 10.0.0.3"));
+    EXPECT_TRUE(rig.replies.empty());
+    rig.ask(SdpId::kSlp, 0, slp_query(3, "service:clock", "DEFAULT", "10.0.0.7"));
+    EXPECT_EQ(rig.replies.size(), 1u);
+    EXPECT_EQ(rig.directory->stats(SdpId::kSlp).answered, 1u);
+  }
+  {
+    SCOPED_TRACE("bridged path");
+    sim::Scheduler scheduler;
+    net::Network network{scheduler, net::LinkProfile{}, 29};
+    net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+    net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
+    net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
+    IndissConfig config;
+    config.enabled_sdps = {SdpId::kSlp, SdpId::kMdns};
+    Indiss indiss(gateway, config);
+    indiss.start();
+    mdns::MdnsResponder responder(service);
+    responder.publish(e2e::clock_instance());
+    scheduler.run_for(sim::seconds(3));
+
+    auto requester = client.udp_socket(0);
+    std::vector<Bytes> replies;
+    requester->set_receive_handler(
+        [&](const net::Datagram& d) { replies.push_back(d.payload); });
+    auto ask = [&](std::uint16_t xid, std::string_view prlist) {
+      replies.clear();
+      requester->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                         slp_query(xid, "service:clock", "DEFAULT", prlist));
+      scheduler.run_for(sim::seconds(2));
+      return replies.size();
+    };
+    EXPECT_EQ(ask(1, "10.0.0.3"), 0u);
+    EXPECT_EQ(ask(2, "10.0.0.3,10.0.0.7"), 0u);
+    ASSERT_EQ(ask(3, "10.0.0.7"), 1u);
+    EXPECT_EQ(e2e::rply_urls(replies[0]),
+              std::vector<std::string>{std::string(e2e::kSlpReplyUrl)});
+    indiss.stop();
+  }
+}
+
 /// A UPnP device announces itself as a burst of NOTIFYs, one per NT, all
 /// naming one LOCATION: one store record. A cache hit on each variant
 /// re-arms that record, so repeats of every variant but the last keep it
