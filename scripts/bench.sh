@@ -11,7 +11,9 @@
 #   scripts/bench.sh scaling --compare old.json      # exit 1 on >20%
 #                                                    # events/sec regression
 #   scripts/bench.sh all --compare-translation t.json  # same gate on the
-#                                                      # translation record
+#                                                      # translation record,
+#                                                      # plus an allocs/op
+#                                                      # gate
 #   scripts/bench.sh --compare-only old.json         # compare an existing
 #                                                    # BENCH_scaling.json
 #                                                    # without re-running
@@ -299,13 +301,61 @@ print("OK: no events/sec regression >20% (median-normalized)")
 EOF
 }
 
+# Allocation gate for the translation record: a shared benchmark fails when
+# its heap_allocs_per_op rises above the baseline by more than max(0.5, 2%).
+# Allocation counts repeat exactly from run to run and do not depend on the
+# machine, while one run's events/sec can move by a third on a busy host, so
+# this gate needs no normalization and sees what the rate gate cannot.
+compare_heap_allocs() {
+  local baseline="$1" current="$2"
+  echo "== compare heap_allocs_per_op of ${current} against ${baseline} =="
+  python3 - "${baseline}" "${current}" <<EOF
+${LOAD_BENCH_JSON}
+import sys
+
+def allocs(path):
+    doc = load_bench_json(path)
+    return {bench["name"]: bench["heap_allocs_per_op"]
+            for bench in doc.get("benchmarks", [])
+            if bench.get("run_type") != "aggregate"
+            and "heap_allocs_per_op" in bench}
+
+base = allocs(sys.argv[1])
+current = allocs(sys.argv[2])
+shared = [name for name in base if name in current]
+if not shared:
+    print("no common heap_allocs_per_op benchmarks between the two files")
+    sys.exit(2)
+regressions = []
+print(f"{'benchmark':44s} {'baseline':>10s} {'current':>10s} {'limit':>10s}")
+for name in shared:
+    limit = base[name] + max(0.5, 0.02 * base[name])
+    flag = "  << REGRESSION" if current[name] > limit else ""
+    print(f"{name:44s} {base[name]:10.2f} {current[name]:10.2f} "
+          f"{limit:10.2f}{flag}")
+    if flag:
+        regressions.append(name)
+if regressions:
+    print("FAIL: heap_allocs_per_op above the baseline by more than "
+          f"max(0.5, 2%): {', '.join(regressions)}")
+    sys.exit(1)
+print("OK: no heap_allocs_per_op rise beyond max(0.5, 2%)")
+EOF
+}
+
+# Every requested gate runs and prints its table; any failure fails the run.
+status=0
 if [ -n "${COMPARE}" ]; then
-  compare_events_rates "${COMPARE}" "${OUT_SCALING}"
+  compare_events_rates "${COMPARE}" "${OUT_SCALING}" || status=$?
 fi
 if [ -n "${COMPARE_TRANSLATION}" ]; then
   if [ ! -f "${OUT_TRANSLATION}" ]; then
     echo "error: ${OUT_TRANSLATION} does not exist" >&2
     exit 2
   fi
-  compare_events_rates "${COMPARE_TRANSLATION}" "${OUT_TRANSLATION}"
+  compare_events_rates "${COMPARE_TRANSLATION}" "${OUT_TRANSLATION}" ||
+    status=$?
+  compare_heap_allocs "${COMPARE_TRANSLATION}" "${OUT_TRANSLATION}" ||
+    status=$?
 fi
+exit "${status}"
