@@ -215,7 +215,8 @@ bool ServiceDirectory::refresh(Handle handle, transport::TimePoint now) {
   auto slot = static_cast<std::uint32_t>(handle) - 1u;
   if (slot >= slots_.size()) return false;
   Record& record = slots_[slot];
-  if (!record.live || record.serial != static_cast<std::uint32_t>(handle >> 32) ||
+  if (!record.live ||
+      record.serial != static_cast<std::uint32_t>(handle >> 32) ||
       record.expires_at <= now) {
     return false;
   }

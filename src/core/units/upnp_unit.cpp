@@ -362,7 +362,8 @@ void UpnpUnit::compose_native_reply(Session& session) {
 
   // The answered service is bridged like an advertised one: held (or
   // re-armed) in the store and impersonated as a device.
-  auto bridged = bridge(session, session.var("service_type", "service"), answer);
+  auto bridged =
+      bridge(session, session.var("service_type", "service"), answer);
   serve(session, bridged.service, bridged.handle);
 
   upnp::SearchResponse response;

@@ -173,7 +173,8 @@ TEST(ServiceDirectory, WithdrawTombstonesByUrlAndByUsn) {
       at_s(0)));
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kUpnp,
-      advert_stream("clock", "http://10.0.0.2/desc.xml", 60, "uuid:dev-1"), at_s(0)));
+      advert_stream("clock", "http://10.0.0.2/desc.xml", 60, "uuid:dev-1"),
+      at_s(0)));
 
   // SLP/mDNS shape: the byebye names the URL.
   EXPECT_EQ(dir.withdraw(SdpId::kSlp, byebye_stream("service:clock://a")), 1u);
@@ -202,7 +203,8 @@ TEST(ServiceDirectory, UsnOnlyWithdrawalTakesTheOldestRecordCarryingIt) {
   }
   // A refresh keeps the record's place: it is still the oldest.
   ASSERT_TRUE(dir.record_advertisement(
-      SdpId::kUpnp, advert_stream("clock", "http://a/desc", 60, "uuid:shared"), at_s(1)));
+      SdpId::kUpnp,
+      advert_stream("clock", "http://a/desc", 60, "uuid:shared"), at_s(1)));
 
   EXPECT_EQ(dir.withdraw(SdpId::kUpnp, byebye_stream("", "uuid:shared")), 1u);
   EXPECT_EQ(dir.find("http://a/desc"), nullptr);
@@ -1277,11 +1279,13 @@ TEST(DirectoryEndToEnd, SrvRqstListingTheGatewayGetsNoReply) {
     SCOPED_TRACE("directory path");
     idblind::DirectoryRig rig(idblind::kDefaultAnswers);
     rig.write(idblind::slp_registration("clock", "c1", 600));
-    rig.ask(SdpId::kSlp, 0, slp_query(1, "service:clock", "DEFAULT", "10.0.0.3"));
+    rig.ask(SdpId::kSlp, 0,
+            slp_query(1, "service:clock", "DEFAULT", "10.0.0.3"));
     rig.ask(SdpId::kSlp, 0,
             slp_query(2, "service:clock", "DEFAULT", "10.0.0.7, 10.0.0.3"));
     EXPECT_TRUE(rig.replies.empty());
-    rig.ask(SdpId::kSlp, 0, slp_query(3, "service:clock", "DEFAULT", "10.0.0.7"));
+    rig.ask(SdpId::kSlp, 0,
+            slp_query(3, "service:clock", "DEFAULT", "10.0.0.7"));
     EXPECT_EQ(rig.replies.size(), 1u);
     EXPECT_EQ(rig.directory->stats(SdpId::kSlp).answered, 1u);
   }

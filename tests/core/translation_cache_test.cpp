@@ -551,7 +551,8 @@ TEST(TranslationCacheEndToEnd, RepeatedRegistrationShortCircuitsAndReplays) {
 // re-arms the one store record every target unit holds, so the gateway
 // sends the same goodbyes — an mDNS TTL-0 response and an ssdp:byebye —
 // with the translation cache on and off.
-TEST(TranslationCacheEndToEnd, CachedRefreshesKeepTheGoodbyesOfTheUncachedPath) {
+TEST(TranslationCacheEndToEnd,
+     CachedRefreshesKeepTheGoodbyesOfTheUncachedPath) {
   struct Outcome {
     std::size_t mdns_goodbyes = 0;
     std::size_t ssdp_byebyes = 0;
