@@ -59,8 +59,7 @@ const ServiceDirectory::Record* ServiceDirectory::find(
   return it == by_url_.end() ? nullptr : &slots_[it->second];
 }
 
-ServiceDirectory::Record* ServiceDirectory::update(SdpId origin,
-                                                   std::string_view type,
+ServiceDirectory::Record* ServiceDirectory::update(std::string_view type,
                                                    const AdvertView& advert,
                                                    const EventStream& stream,
                                                    transport::TimePoint now,
@@ -96,7 +95,6 @@ ServiceDirectory::Record* ServiceDirectory::update(SdpId origin,
     record->url.assign(advert.url);
     record->canonical_type = SymbolTable::global().intern(type);
     record->usn.assign(advert.usn);
-    record->origin = origin;
     record->attr_count = 0;
     for (const auto& event : stream) {
       if (event.type != EventType::kServiceAttr) continue;
@@ -162,14 +160,18 @@ void ServiceDirectory::retire(Record& record) {
 }
 
 template <typename Pred>
-ServiceDirectory::Record* ServiceDirectory::oldest_with_usn(
-    std::string_view usn, Pred pred) {
-  if (usn.empty()) return nullptr;
-  auto carriers = by_usn_.find(usn_key(usn));
-  if (carriers == by_usn_.end()) return nullptr;
+ServiceDirectory::Record* ServiceDirectory::named_by(const AdvertView& advert,
+                                                     Pred pred) {
+  if (!advert.url.empty()) {
+    Record* record = find_record(advert.url);
+    return record != nullptr && pred(*record) ? record : nullptr;
+  }
+  // Byebyes may carry only a USN (UPnP): the oldest record carrying it.
+  auto carriers = by_usn_.find(usn_key(advert.usn));
+  if (advert.usn.empty() || carriers == by_usn_.end()) return nullptr;
   for (std::uint32_t slot : carriers->second) {
     Record& record = slots_[slot];
-    if (record.usn == usn && pred(record)) return &record;
+    if (record.usn == advert.usn && pred(record)) return &record;
   }
   return nullptr;
 }
@@ -181,7 +183,7 @@ ServiceDirectory::Record* ServiceDirectory::oldest_with_usn(
 ServiceDirectory::Handle ServiceDirectory::record_advertisement(
     SdpId origin, const EventStream& stream, transport::TimePoint now) {
   AdvertView advert = scan_advert(stream);
-  Record* record = update(origin, advert.type, advert, stream, now,
+  Record* record = update(advert.type, advert, stream, now,
                           meaningful_advert_type(advert.type));
   if (record == nullptr) return 0;
   if (!record->listed && meaningful_advert_type(advert.type)) {
@@ -195,14 +197,9 @@ ServiceDirectory::Handle ServiceDirectory::record_advertisement(
 
 std::size_t ServiceDirectory::withdraw(SdpId origin,
                                        const EventStream& stream) {
-  AdvertView advert = scan_advert(stream);
-  // Byebyes may carry only a USN (UPnP): resolve the record by it.
   Record* record =
-      advert.url.empty()
-          ? oldest_with_usn(advert.usn,
-                            [](const Record& r) { return r.listed; })
-          : find_record(advert.url);
-  if (record == nullptr || !record->listed) return 0;
+      named_by(scan_advert(stream), [](const Record& r) { return r.listed; });
+  if (record == nullptr) return 0;
   record->listed = false;
   bump_type_epoch(record->canonical_type);
   sdp_stats(origin).withdrawals += 1;
@@ -230,21 +227,21 @@ bool ServiceDirectory::refresh(Handle handle, transport::TimePoint now) {
 // ---------------------------------------------------------------------------
 
 std::pair<ServiceDirectory::Record*, bool> ServiceDirectory::hold(
-    SdpId holder, SdpId origin, std::string_view type,
-    const AdvertView& advert, const EventStream& stream,
-    transport::TimePoint now) {
-  Record* record = update(origin, type, advert, stream, now, true);
+    SdpId holder, std::string_view type, const AdvertView& advert,
+    const EventStream& stream, transport::TimePoint now, bool from_store) {
+  Record* record = from_store ? find_record(advert.url)
+                              : update(type, advert, stream, now, true);
+  if (record == nullptr || record->expires_at <= now) return {nullptr, false};
   bool fresh = !record->held_by(holder);
   record->holders |= Record::bit(holder);
   return {record, fresh};
 }
 
 void ServiceDirectory::drop(SdpId holder, const AdvertView& advert) {
-  auto held = [holder](const Record& r) { return r.held_by(holder); };
-  Record* record = advert.url.empty() ? oldest_with_usn(advert.usn, held)
-                                      : find_record(advert.url);
+  Record* record = named_by(
+      advert, [holder](const Record& r) { return r.held_by(holder); });
   Unit* unit = units_[static_cast<std::size_t>(holder)];
-  if (record == nullptr || !held(*record) || unit == nullptr) return;
+  if (record == nullptr || unit == nullptr) return;
   unit->forget_bridged(*record,
                        record->handles[static_cast<std::size_t>(holder)],
                        Unit::Forget::kWithdrawn);

@@ -16,7 +16,7 @@
 //    type it names; only a meaningful type creates one. The TTL is the first
 //    non-zero SDP_RES_TTL, else kDefaultAdvertTtl. A record past its
 //    deadline is dead before the sweep reaches it: touching it expires it,
-//    and the refresh creates it anew.
+//    and the refresh creates it anew. A directory answer re-arms nothing.
 //  - Withdrawal: a byebye reaches the holders over the bus like any
 //    advertisement; a record no unit holds and no advertisement lists
 //    leaves the store.
@@ -85,7 +85,7 @@ class ServiceDirectory {
     std::string url;  // primary key
     Symbol canonical_type = kNoSymbol;
     std::string usn;  // empty when the advertisement had none
-    SdpId origin = SdpId::kSlp;
+    SdpId origin = SdpId::kSlp;  // the SDP that listed it last
     /// Attributes in advertisement order. Only the first `attr_count`
     /// entries are live (slot reuse).
     std::vector<std::pair<std::string, std::string>> attributes;
@@ -171,11 +171,13 @@ class ServiceDirectory {
 
   /// The unit for `holder` bridges the service `advert` names (URL set):
   /// refreshes or creates (unlisted) its record and holds it. The bool says
-  /// whether the unit did not hold it before.
-  std::pair<Record*, bool> hold(SdpId holder, SdpId origin,
-                                std::string_view type, const AdvertView& advert,
+  /// whether the unit did not hold it before. A directory answer
+  /// (`from_store`) only holds the live record, else returns nullptr.
+  std::pair<Record*, bool> hold(SdpId holder, std::string_view type,
+                                const AdvertView& advert,
                                 const EventStream& stream,
-                                transport::TimePoint now);
+                                transport::TimePoint now,
+                                bool from_store = false);
   /// The unit for `holder` lets go of the record a byebye names (by URL,
   /// else the oldest carrying its USN, among those it holds), after
   /// forget_bridged(kWithdrawn).
@@ -276,7 +278,6 @@ class ServiceDirectory {
     return records_expired_;
   }
   [[nodiscard]] std::uint64_t answer_replays() const { return answer_replays_; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Direct record access: nullptr when no record holds `url`.
   [[nodiscard]] const Record* find(std::string_view url) const;
@@ -313,12 +314,13 @@ class ServiceDirectory {
   }
   /// The one refresh rule: re-arms the live record holding `advert`'s URL,
   /// or creates one under `type` when `may_create`; nullptr otherwise.
-  Record* update(SdpId origin, std::string_view type, const AdvertView& advert,
+  Record* update(std::string_view type, const AdvertView& advert,
                  const EventStream& stream, transport::TimePoint now,
                  bool may_create);
-  /// The oldest record carrying `usn` that `pred` accepts, or nullptr.
+  /// The one withdrawal rule: the record `advert`'s URL names or, when it
+  /// names none, the oldest carrying its USN, if `pred` accepts it.
   template <typename Pred>
-  Record* oldest_with_usn(std::string_view usn, Pred pred);
+  Record* named_by(const AdvertView& advert, Pred pred);
   /// Calls forget_bridged(kExpired) on every holder, then erases.
   void retire(Record& record);
   void release(SdpId holder, Record& record);

@@ -311,8 +311,10 @@ void Unit::ingest(const net::Datagram& datagram) {
   // dispatched to the peers, whose composed frames will land in the
   // bundle opened here (their deferred deliveries fire strictly after
   // this callback). Adverts are listed in the store (or re-armed) and the
-  // bundle keeps the record's handle. Byebyes withdraw their record at
-  // once, so a withdrawn service is never answered again, and are
+  // bundle keeps the record's handle; one naming a URL with no record yet (a
+  // UPnP rootdevice NOTIFY ahead of the device-type one) opens no bundle,
+  // so its next repeat picks up the handle. Byebyes withdraw their record
+  // at once, so a withdrawn service is never answered again, and are
   // deliberately NEVER cached: their per-unit state changes (lease cancels,
   // impersonation drops, goodbyes) must run on every arrival, so each one
   // re-parses and invalidates everything cached under the pre-withdrawal
@@ -325,10 +327,11 @@ void Unit::ingest(const net::Datagram& datagram) {
     store.withdraw(sdp_, parsed->events());
   } else if (kind == "alive" || kind == "register" ||
              kind == "repo_announce") {
-    ServiceDirectory::Handle record =
-        kind == "repo_announce"
-            ? 0
-            : store.record_advertisement(sdp_, parsed->events(), now());
+    ServiceDirectory::Handle record = 0;
+    if (kind != "repo_announce") {
+      record = store.record_advertisement(sdp_, parsed->events(), now());
+      if (record == 0 && !scan_advert(parsed->events()).url.empty()) return;
+    }
     if (cache != nullptr) {
       cache->open_bundle(sdp_, datagram.payload, session_id, now(), record);
     }
@@ -686,17 +689,10 @@ void Unit::on_advertisement(Session& session) {
   }
   std::string_view type = session.var("service_type");
   if (advert.url.empty() || !meaningful_advert_type(type)) return;
-  auto [service, handle, fresh] = bridge(session, type, advert);
-  on_bridged(session, service, handle, fresh);
-}
-
-Unit::Bridged Unit::bridge(const Session& session, std::string_view type,
-                           const AdvertView& advert) {
-  SdpId origin =
-      session.origin == Session::Origin::kPeer ? session.origin_sdp : sdp_;
-  auto [record, fresh] = options_.directory->hold(
-      sdp_, origin, type, advert, session.events(), now());
-  return {*record, record->handles[static_cast<std::size_t>(sdp_)], fresh};
+  auto [record, fresh] =
+      options_.directory->hold(sdp_, type, advert, session.events(), now());
+  on_bridged(session, *record, record->handles[static_cast<std::size_t>(sdp_)],
+             fresh);
 }
 
 void Unit::on_bridged(Session&, const ServiceDirectory::Record&,

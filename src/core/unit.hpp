@@ -221,22 +221,9 @@ class Unit {
   /// A peer advertisement stream was delivered (deliver_advertisement).
   /// A byebye forgets the record its URL names or, when it names none, the
   /// oldest record carrying its USN, among those this unit holds. An alive
-  /// with a URL and a meaningful type goes through bridge() and then
-  /// on_bridged().
+  /// with a URL and a meaningful type is held in the store
+  /// (ServiceDirectory::hold, the one refresh rule) and then on_bridged().
   void on_advertisement(Session& session);
-
-  /// Holds the service `advert` names under `type` in the store: refreshes
-  /// the record holding its URL (a URL still announced is alive, whatever
-  /// type the refresh names) or creates one. Identity fields are never
-  /// rewritten, so a refresh allocates nothing. The UPnP unit also calls it
-  /// for the services its search replies impersonate.
-  struct Bridged {
-    const ServiceDirectory::Record& service;
-    std::uint64_t& handle;  // this unit's slot in the record
-    bool fresh;             // this unit did not hold it before
-  };
-  Bridged bridge(const Session& session, std::string_view type,
-                 const AdvertView& advert);
 
   /// An alive was recorded or refreshed: re-expose the service in this SDP,
   /// keeping what it put there in `handle`. Default: nothing (the SLP unit).

@@ -360,20 +360,24 @@ void UpnpUnit::compose_native_reply(Session& session) {
     return;  // nothing discovered: SSDP answers with silence
   }
 
-  // The answered service is bridged like an advertised one: held (or
-  // re-armed) in the store and impersonated as a device.
-  auto bridged =
-      bridge(session, session.var("service_type", "service"), answer);
-  serve(session, bridged.service, bridged.handle);
+  // The answered service is held in the store like an advertised one and
+  // impersonated as a device. A reply the directory composed is no sign of
+  // life: it re-arms nothing, and gets silence once its record is gone.
+  auto [service, fresh] = directory().hold(
+      sdp(), session.var("service_type", "service"), answer, session.events(),
+      now(), session.var("directory_answer") == "1");
+  if (service == nullptr) return;
+  std::uint64_t& handle = service->handles[static_cast<std::size_t>(sdp())];
+  serve(session, *service, handle);
 
   upnp::SearchResponse response;
-  std::string device_type = upnp_device_from_canonical(bridged.service.type());
+  std::string device_type = upnp_device_from_canonical(service->type());
   std::string st(session.var("st"));
-  response.usn = device_usn(bridged.handle, device_type);
+  response.usn = device_usn(handle, device_type);
   response.st = st.empty() || str::iequals(st, upnp::kSearchTargetAll)
                     ? std::move(device_type)
                     : std::move(st);
-  response.location = location_of(bridged.handle);
+  response.location = location_of(handle);
   response.server = std::string(kBridgeServer);
 
   auto to = requester(session);

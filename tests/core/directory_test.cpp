@@ -10,8 +10,10 @@
 // sweep, not sweep-on-touch), the SLP-browse-answered-from-mDNS-announcement
 // path with byebye tombstoning, the repeated-browse storm that must be
 // answered from the index with zero origin-network frames, the replayed
-// network browse paced like the composed one, and the SLP DAAdvert the
-// gateway multicasts when directory mode turns on.
+// network browse paced like the composed one, the SLP DAAdvert the
+// gateway multicasts when directory mode turns on, the UPnP alive burst
+// whose every variant re-arms the one record, and directory answers that
+// re-arm nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1326,7 +1328,8 @@ TEST(DirectoryEndToEnd, SrvRqstListingTheGatewayGetsNoReply) {
 
 /// A UPnP device announces itself as a burst of NOTIFYs, one per NT, all
 /// naming one LOCATION: one store record. A cache hit on each variant
-/// re-arms that record, so repeats of every variant but the last keep it
+/// re-arms that record, so repeats of only the rootdevice and uuid: variants,
+/// which come before the device-type NOTIFY that creates the record, keep it
 /// alive (and answerable) past its first deadline.
 TEST(DirectoryEndToEnd, CacheHitsOnEveryAliveVariantReArmTheOneRecord) {
   sim::Scheduler scheduler;
@@ -1361,29 +1364,92 @@ TEST(DirectoryEndToEnd, CacheHitsOnEveryAliveVariantReArmTheOneRecord) {
                       burst[i]);
     }
   };
-  announce(burst.size());  // translated: the record and the bundles
-  scheduler.run_for(sim::seconds(1));
-  announce(burst.size());  // every variant replays
-  scheduler.run_for(sim::seconds(1));
+  // The first burst creates the record; the variants ahead of the
+  // device-type one found none to carry, so the second burst translates
+  // them again, and from the third on every variant replays.
+  for (int round = 0; round < 2; ++round) {
+    announce(burst.size());
+    scheduler.run_for(sim::seconds(1));
+  }
   ASSERT_NE(indiss.directory()->find(location), nullptr);
+  const std::uint64_t warm =
+      indiss.monitor().translation_stats(SdpId::kUpnp).hits;
+  announce(burst.size());
+  scheduler.run_for(sim::seconds(1));
   const std::uint64_t hits =
       indiss.monitor().translation_stats(SdpId::kUpnp).hits;
-  ASSERT_EQ(hits, burst.size());
+  ASSERT_EQ(hits, warm + burst.size()) << "every variant must replay";
 
-  // Three minutes of bursts without their last variant, every 30 s: three
-  // times the record's 60 s lifetime.
+  // Three minutes of only the rootdevice and uuid: NOTIFYs, every 30 s:
+  // three times the record's 60 s lifetime.
+  constexpr std::size_t kLeading = 2;
   for (int period = 0; period < 6; ++period) {
     scheduler.run_for(sim::seconds(30));
-    announce(burst.size() - 1);
+    announce(kLeading);
   }
   scheduler.run_for(sim::seconds(1));
   EXPECT_EQ(indiss.monitor().translation_stats(SdpId::kUpnp).hits,
-            hits + 6 * (burst.size() - 1))
+            hits + 6 * kLeading)
       << "every repeat must be a cache hit";
   EXPECT_NE(indiss.directory()->find(location), nullptr)
       << "the record expired under its live device";
   EXPECT_TRUE(indiss.directory()->has_fresh("clock", gateway.now()));
   EXPECT_EQ(indiss.unit(SdpId::kSlp)->foreign_services().size(), 1u);
+  indiss.stop();
+}
+
+/// A directory answer is composed from the store, so it is no sign of life:
+/// an SLP service that registers once and falls silent leaves the store at
+/// its lifetime, however often fresh UPnP control points search its type
+/// meanwhile, and searches after that get no answer.
+TEST(DirectoryEndToEnd, DirectoryAnswersDoNotKeepASilentServiceAlive) {
+  sim::Scheduler scheduler;
+  net::Network network{scheduler, net::LinkProfile{}, 43};
+  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
+  net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
+  net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp};
+  config.enable_directory = true;
+  Indiss indiss(gateway, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(10));
+
+  // The SLP unit keys the record on the URL without its "service:clock:".
+  const std::string url = "soap://10.0.0.2:4005/silent";
+  auto announcer = service.udp_socket(0);
+  announcer->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                     idblind::slp_registration("clock", "silent", 60));
+  scheduler.run_for(sim::seconds(1));
+  ASSERT_NE(indiss.directory()->find(url), nullptr);
+
+  // A fresh control point every 20 s, so no search replays a cached
+  // answer: each one that finds the record re-composes from it.
+  std::vector<std::shared_ptr<net::UdpSocket>> control_points;
+  auto search = [&]() {
+    auto& socket = control_points.emplace_back(client.udp_socket(0));
+    std::size_t replies = 0;
+    socket->set_receive_handler([&replies](const net::Datagram&) {
+      replies += 1;
+    });
+    socket->send_to(net::Endpoint{upnp::kSsdpMulticastGroup, upnp::kSsdpPort},
+                    idblind::ssdp_search("clock"));
+    scheduler.run_for(sim::seconds(5));
+    socket->set_receive_handler(nullptr);
+    scheduler.run_for(sim::seconds(15));
+    return replies;
+  };
+  for (int i = 0; i < 3; ++i) {  // t = 1, 21, 41: within the lifetime
+    EXPECT_EQ(search(), 1u) << "search " << i;
+  }
+  EXPECT_EQ(indiss.directory()->stats(SdpId::kUpnp).answered, 3u);
+  for (int i = 3; i < 9; ++i) {  // t = 61 .. 161
+    EXPECT_EQ(search(), 0u) << "search " << i << " answered a dead service";
+  }
+  EXPECT_EQ(indiss.directory()->find(url), nullptr)
+      << "the directory's own answers re-armed the record";
+  EXPECT_GT(indiss.directory()->records_expired(), 0u);
   indiss.stop();
 }
 
