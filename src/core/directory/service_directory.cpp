@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/translation_cache.hpp"
 #include "core/unit.hpp"
 #include "core/units/standard_fsm.hpp"
 
@@ -330,9 +331,7 @@ std::size_t ServiceDirectory::sweep(transport::TimePoint now) {
 // ---------------------------------------------------------------------------
 
 void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
-                                   BytesView wire,
-                                   const net::Endpoint& requester,
-                                   std::uint64_t session_id,
+                                   BytesView wire, std::uint64_t session_id,
                                    transport::TimePoint now, IdSpan id) {
   if (config_.max_answers == 0) return;
   std::uint64_t hash = query_hash(wire, id);
@@ -353,8 +352,8 @@ void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
   // Reuse the slot of a stale answer for the same key, else append.
   for (auto& answer : answers_) {
     if (answer.sdp == sdp && answer.hash == hash &&
-        answer.requester == requester && same_query(answer.wire, wire, id)) {
-      answer.frames.clear();
+        same_query(answer.wire, wire, id)) {
+      answer.payloads.clear();
       stamp(answer);
       return;
     }
@@ -369,29 +368,26 @@ void ServiceDirectory::open_answer(SdpId sdp, std::string_view canonical_type,
   Answer answer;
   answer.sdp = sdp;
   answer.hash = hash;
-  answer.requester = requester;
   stamp(answer);
   answers_.push_back(std::move(answer));
 }
 
-void ServiceDirectory::add_answer_frame(SdpId sdp, std::uint64_t session_id,
-                                        TranslationCache::Frame frame) {
+void ServiceDirectory::add_answer_payload(SdpId sdp, std::uint64_t session_id,
+                                          BytesView payload) {
   for (auto& answer : answers_) {
     if (answer.sdp == sdp && answer.session_id == session_id &&
         is_current(answer)) {
-      answer.frames.push_back(std::move(frame));
+      answer.payloads.emplace_back(payload.begin(), payload.end());
       return;
     }
   }
 }
 
 const ServiceDirectory::Answer* ServiceDirectory::find_answer(
-    SdpId sdp, BytesView wire, IdSpan id, const net::Endpoint& requester,
-    transport::TimePoint now) {
+    SdpId sdp, BytesView wire, IdSpan id, transport::TimePoint now) {
   std::uint64_t hash = query_hash(wire, id);
   for (auto& answer : answers_) {
-    if (answer.sdp != sdp || answer.hash != hash ||
-        !(answer.requester == requester) || answer.frames.empty() ||
+    if (answer.sdp != sdp || answer.hash != hash || answer.payloads.empty() ||
         !is_current(answer)) {
       continue;
     }
@@ -413,9 +409,8 @@ const ServiceDirectory::Answer* ServiceDirectory::find_answer(
 }
 
 BytesView ServiceDirectory::reply_bytes(const Answer& answer,
-                                        const TranslationCache::Frame& frame,
-                                        BytesView wire, IdSpan id) {
-  BytesView stored = *frame.payload;
+                                        BytesView stored, BytesView wire,
+                                        IdSpan id) {
   // The query's id sits where the stored query's did (same_query matched
   // the lengths), and the reply echoes it at the same offset.
   if (!id.fits(wire) || !id.fits(stored)) return stored;

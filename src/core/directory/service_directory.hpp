@@ -31,12 +31,14 @@
 // bump_generation() hides every record from answers until it is listed
 // again; what the units hold survives it.
 //
-// The answer cache lives here too: a composed directory answer is keyed by
-// (SDP, query bytes with the transaction id masked, requester) and replayed
-// frame-for-frame, with the new query's id written in (IdSpan: the SLP XID,
-// the DNS header ID, none for SSDP). A write to a type bumps that type's
-// epoch and invalidates its answers; bump_generation() invalidates all. An
-// answer also stops replaying at the earliest deadline among its records.
+// The answer cache lives here too: the reply payloads of a composed
+// directory answer are keyed by (SDP, query bytes with the transaction id
+// masked) and replayed to whoever asks the same question, with the new
+// query's id written in (IdSpan: the SLP XID, the DNS header ID, none for
+// SSDP); no reply byte depends on the requester. A write to a type bumps
+// that type's epoch and invalidates its answers; bump_generation()
+// invalidates all. An answer also stops replaying at the earliest deadline
+// among its records.
 //
 // Not thread-safe: one scheduler thread. In the sharded pipeline each shard
 // owns a private store (docs/sharding.md): an advertisement hashes to one
@@ -57,9 +59,7 @@
 #include "common/bytes.hpp"
 #include "common/interning.hpp"
 #include "core/event.hpp"
-#include "core/translation_cache.hpp"
 #include "core/types.hpp"
-#include "net/address.hpp"
 #include "transport/transport.hpp"
 
 namespace indiss::core {
@@ -215,46 +215,36 @@ class ServiceDirectory {
 
   // --- Answer cache (reply-side request caching) ----------------------------
 
-  /// Registers a pending answer for the query `wire` from `requester` that
-  /// the session (sdp, session_id) is composing from the answerable records
-  /// of `canonical_type`; frames land via add_answer_frame. `id` is where
-  /// the query's SDP carries its transaction id: the answer is keyed on the
-  /// rest of the query. A slot already holding that key takes the newest
-  /// query's bytes, so its stored id is the one its frames are composed for.
+  /// Registers a pending answer for the query `wire` that the session
+  /// (sdp, session_id) is composing from the answerable records of
+  /// `canonical_type`; its payloads land via add_answer_payload. `id` is
+  /// where the query's SDP carries its transaction id: the answer is keyed
+  /// on the rest of the query. A slot already holding that key takes the
+  /// newest query's bytes, so its stored id is the one its payloads carry.
   void open_answer(SdpId sdp, std::string_view canonical_type, BytesView wire,
-                   const net::Endpoint& requester, std::uint64_t session_id,
-                   transport::TimePoint now, IdSpan id = {});
+                   std::uint64_t session_id, transport::TimePoint now,
+                   IdSpan id = {});
 
-  /// Appends a composed reply frame to the pending answer for (sdp,
+  /// Appends a composed reply payload to the pending answer for (sdp,
   /// session_id). No-op when none is pending.
-  void add_answer_frame(SdpId sdp, std::uint64_t session_id,
-                        TranslationCache::Frame frame);
+  void add_answer_payload(SdpId sdp, std::uint64_t session_id,
+                          BytesView payload);
 
   /// Hit path: when a query equal to `wire` outside its transaction id `id`
-  /// came from the identical requester and was answered, no write has
-  /// touched the answered type since, and none of the answer's records has
-  /// reached its deadline, hands every stored frame to `send(frame, bytes)`
-  /// and returns true. `bytes` is the frame's payload carrying `wire`'s id,
-  /// patched in a reused buffer when the ids differ; it is valid only
+  /// was answered, no write has touched the answered type since, and none
+  /// of the answer's records has reached its deadline, hands every stored
+  /// payload to `send(bytes)` and returns true. `bytes` carries `wire`'s
+  /// id, patched in a reused buffer when the ids differ; it is valid only
   /// during the call.
   template <typename Send>
   bool replay_answer(SdpId sdp, BytesView wire, IdSpan id,
-                     const net::Endpoint& requester, transport::TimePoint now,
-                     Send&& send) {
-    const Answer* answer = find_answer(sdp, wire, id, requester, now);
+                     transport::TimePoint now, Send&& send) {
+    const Answer* answer = find_answer(sdp, wire, id, now);
     if (answer == nullptr) return false;
-    for (const auto& frame : answer->frames) {
-      send(frame, reply_bytes(*answer, frame, wire, id));
+    for (const Bytes& payload : answer->payloads) {
+      send(reply_bytes(*answer, payload, wire, id));
     }
     return true;
-  }
-
-  /// The same, sending every frame at once.
-  bool replay_answer(SdpId sdp, BytesView wire, const net::Endpoint& requester,
-                     transport::TimePoint now, IdSpan id = {}) {
-    return replay_answer(sdp, wire, id, requester, now,
-                         [](const TranslationCache::Frame& frame,
-                            BytesView bytes) { frame.send(bytes); });
   }
 
   // --- Statistics ------------------------------------------------------------
@@ -286,12 +276,11 @@ class ServiceDirectory {
   struct Answer {
     SdpId sdp = SdpId::kSlp;
     std::uint64_t hash = 0;  // of the wire without its transaction id
-    net::Endpoint requester;
     /// The newest query that opened the slot: byte-verified outside its id
-    /// on hit, like the TranslationCache; its id is the frames' id.
+    /// on hit, like the TranslationCache; its id is the payloads' id.
     Bytes wire;
-    std::vector<TranslationCache::Frame> frames;
-    std::uint64_t session_id = 0;  // origin session, while frames collect
+    std::vector<Bytes> payloads;
+    std::uint64_t session_id = 0;  // origin session, while payloads collect
     Symbol type = kNoSymbol;       // the canonical type it answered
     std::uint64_t generation = 0;  // generation_ when opened
     std::uint64_t type_epoch = 0;  // type_epoch(type) when opened
@@ -325,16 +314,14 @@ class ServiceDirectory {
   void retire(Record& record);
   void release(SdpId holder, Record& record);
   void erase(Record& record);
-  /// The current, fresh answer keyed like (sdp, wire without `id`,
-  /// requester), or nullptr; counts the replay and touches its LRU slot.
+  /// The current, fresh answer keyed like (sdp, wire without `id`), or
+  /// nullptr; counts the replay and touches its LRU slot.
   const Answer* find_answer(SdpId sdp, BytesView wire, IdSpan id,
-                            const net::Endpoint& requester,
                             transport::TimePoint now);
-  /// `frame`'s payload as the reply to `wire`: the stored bytes when `wire`
+  /// A stored payload as the reply to `wire`: the stored bytes when `wire`
   /// carries the id `answer` was composed for, else a copy in
   /// replay_scratch_ with `wire`'s id written in.
-  BytesView reply_bytes(const Answer& answer,
-                        const TranslationCache::Frame& frame, BytesView wire,
+  BytesView reply_bytes(const Answer& answer, BytesView stored, BytesView wire,
                         IdSpan id);
   /// Counts the answerable records of `type` (what collect() returns) and
   /// reports the earliest deadline among them.
@@ -366,7 +353,7 @@ class ServiceDirectory {
   std::list<std::uint32_t> lru_;
   std::array<Unit*, 4> units_{};
   std::vector<Answer> answers_;
-  /// The patched payload of a replayed frame (capacity reused).
+  /// The patched bytes of a replayed payload (capacity reused).
   Bytes replay_scratch_;
   /// Per-type answer epochs; never erased, so an epoch never repeats.
   std::unordered_map<Symbol, std::uint64_t> type_epochs_;

@@ -83,7 +83,6 @@ class TranslationCache {
   /// A composed outbound frame one target unit produced for the cached
   /// advertisement: replaying it is byte-identical to re-translating.
   struct Frame {
-    SdpId target = SdpId::kSlp;
     std::shared_ptr<transport::UdpSocket> socket;
     net::Endpoint to;
     std::shared_ptr<const Bytes> payload;
@@ -91,13 +90,6 @@ class TranslationCache {
     /// Re-sends the frame; inert when the target unit's socket has closed.
     void send() const {
       if (socket != nullptr && !socket->closed()) socket->send_to(to, *payload);
-    }
-    /// Sends `bytes` in the stored payload's place (a replayed answer with
-    /// its query's id patched in); inert like send().
-    void send(BytesView bytes) const {
-      if (socket != nullptr && !socket->closed()) {
-        socket->send_to(to, Bytes(bytes.begin(), bytes.end()));
-      }
     }
   };
 

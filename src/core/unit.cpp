@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.hpp"
+#include "common/reuse.hpp"
 #include "common/strings.hpp"
 #include "core/units/standard_fsm.hpp"
 
@@ -40,6 +41,7 @@ Unit::Unit(SdpId sdp, transport::Transport& transport, Options options)
 }
 
 Unit::~Unit() {
+  if (reply_socket_ != nullptr) reply_socket_->close();
   options_.directory->detach(*this);
   // The unit's endpoints leave the own-endpoint set with it: nothing is
   // left to retire them later.
@@ -278,32 +280,24 @@ void Unit::ingest(const net::Datagram& datagram) {
     }
   }
 
-  // Short-circuit: the same question from the same requester was answered
-  // from the directory this epoch — replay the composed reply frames, with
-  // this query's transaction id, without a session, a parse or a compose.
+  // Short-circuit: the same question was answered from the directory this
+  // epoch — replay the stored reply payloads to this requester, with this
+  // query's transaction id and pacing, without a session, a parse or a
+  // compose.
   bool answering = store.answers_queries();
-  if (answering) {
-    bool from_network = datagram.multicast &&
-                        datagram.source.address != host_.address();
-    transport::Duration delay = reply_delay(from_network, now());
-    if (store.replay_answer(sdp_, datagram.payload, query_id_span(),
-                            datagram.source, now(),
-                            [&](const TranslationCache::Frame& frame,
-                                BytesView bytes) {
-                              send_reply(frame, bytes, delay);
-                            })) {
-      store.count_answered(sdp_);
-      return;
-    }
+  if (answering &&
+      store.replay_answer(sdp_, datagram.payload, query_id_span(), now(),
+                          [&](BytesView bytes) {
+                            send_reply(replay_session(datagram), bytes);
+                          })) {
+    store.count_answered(sdp_);
+    return;
   }
 
   Session& session = open_session(Session::Origin::kNative);
   std::uint64_t session_id = session.id;
   MessageContext ctx = context_of(datagram, host_.address());
-  if (answering) {
-    pending_query_wire_ = datagram.payload;
-    pending_query_source_ = datagram.source;
-  }
+  if (answering) pending_query_wire_ = datagram.payload;
   parse_into_session(session, datagram.payload, ctx);
   pending_query_wire_ = {};
 
@@ -384,36 +378,16 @@ transport::UdpSocket& Unit::open_query_socket(const Session& session) {
   return *entry;
 }
 
-transport::Duration Unit::reply_delay(bool from_network,
-                                      transport::TimePoint received_at) const {
-  if (!from_network) return transport::Duration::zero();
-  return std::max(network_reply_pacing() - (now() - received_at),
-                  transport::Duration::zero());
-}
-
 transport::Duration Unit::reply_delay(const Session& session) const {
-  return reply_delay(session.var("src_local") != "1" &&
-                         session.var("net") == "multicast",
-                     session.created_at);
+  if (session.var("src_local") == "1" || session.var("net") != "multicast") {
+    return transport::Duration::zero();
+  }
+  return std::max(network_reply_pacing() - (now() - session.created_at),
+                  transport::Duration::zero());
 }
 
 transport::Duration Unit::network_reply_pacing() const {
   return transport::Duration::zero();
-}
-
-void Unit::send_reply(const TranslationCache::Frame& frame, BytesView bytes,
-                      transport::Duration delay) {
-  if (delay == transport::Duration::zero()) {
-    frame.send(bytes);
-    return;
-  }
-  host_.schedule(delay,
-                 [socket = frame.socket, to = frame.to,
-                  payload = Bytes(bytes.begin(), bytes.end())]() mutable {
-                   if (!socket->closed()) {
-                     socket->send_to(to, std::move(payload));
-                   }
-                 });
 }
 
 std::optional<net::Endpoint> Unit::requester(const Session& session) const {
@@ -426,6 +400,43 @@ std::optional<net::Endpoint> Unit::requester(const Session& session) const {
   auto port = static_cast<std::uint16_t>(
       str::parse_long(session.var("src_port", "0"), 0));
   return net::Endpoint{*addr, port};
+}
+
+void Unit::send_reply(const Session& session, BytesView wire) {
+  auto to = requester(session);
+  if (!to.has_value()) return;
+  if (session.var("directory_answer") == "1") {
+    options_.directory->add_answer_payload(sdp_, session.id, wire);
+  }
+  transport::Duration delay = reply_delay(session);
+  Bytes payload(wire.begin(), wire.end());
+  if (delay == transport::Duration::zero()) {
+    reply_socket_->send_to(*to, std::move(payload));
+    return;
+  }
+  // Fig 8's 40 ms against Fig 9b's 0.12 ms: only a query from the shared
+  // medium waits.
+  host_.schedule(delay, [socket = reply_socket_, to = *to,
+                         payload = std::move(payload)]() mutable {
+    if (!socket->closed()) socket->send_to(to, std::move(payload));
+  });
+}
+
+const Session& Unit::replay_session(const net::Datagram& datagram) {
+  replay_.created_at = now();
+  replay_.set_var("net", datagram.multicast ? "multicast" : "unicast");
+  replay_.set_var("src_addr", datagram.source.address.to_string());
+  replay_.set_var("src_port", IntDigits(static_cast<long long>(
+                                            datagram.source.port))
+                                  .view());
+  replay_.set_var("src_local",
+                  datagram.source.address == host_.address() ? "1" : "0");
+  return replay_;
+}
+
+void Unit::open_reply_socket() {
+  reply_socket_ = host_.open_udp(0);
+  mark_own(*reply_socket_);
 }
 
 void Unit::on_native_response(std::uint64_t session_id, BytesView raw,
@@ -466,30 +477,12 @@ void Unit::cache_outbound_frame(const Session& session,
   TranslationCache* cache = options_.translation_cache.get();
   if (cache == nullptr || session.origin != Session::Origin::kPeer) return;
   TranslationCache::Frame frame;
-  frame.target = sdp_;
   frame.socket = std::move(socket);
   frame.to = to;
   frame.payload =
       std::make_shared<const Bytes>(payload.begin(), payload.end());
   cache->add_frame(session.origin_sdp, session.origin_session,
                    std::move(frame));
-}
-
-void Unit::cache_reply_frame(const Session& session,
-                             std::shared_ptr<transport::UdpSocket> socket,
-                             const net::Endpoint& to, BytesView payload) {
-  ServiceDirectory* dir = options_.directory.get();
-  if (!dir->answers_queries() || session.origin != Session::Origin::kNative ||
-      session.var("directory_answer") != "1") {
-    return;
-  }
-  TranslationCache::Frame frame;
-  frame.target = sdp_;
-  frame.socket = std::move(socket);
-  frame.to = to;
-  frame.payload =
-      std::make_shared<const Bytes>(payload.begin(), payload.end());
-  dir->add_answer_frame(sdp_, session.id, std::move(frame));
 }
 
 Action Unit::dispatch_to_peers() {
@@ -622,11 +615,11 @@ bool Unit::try_answer_from_directory(Session& session) {
   }
   stream->push_back(Event(EventType::kControlStop));
 
-  // Key the composed reply frames by (query wire without its id,
-  // requester) so the same question replays straight from the answer cache.
+  // Key the composed reply by the query wire without its id, so the same
+  // question from any requester replays straight from the answer cache.
   if (!pending_query_wire_.empty()) {
-    dir->open_answer(sdp_, type, pending_query_wire_, pending_query_source_,
-                     session.id, now(), query_id_span());
+    dir->open_answer(sdp_, type, pending_query_wire_, session.id, now(),
+                     query_id_span());
   }
   session.set_var("directory_answer", "1");
   dir->count_answered(sdp_);

@@ -250,21 +250,21 @@ class Unit {
   /// filtered while a later socket on the recycled port is not.
   transport::UdpSocket& open_query_socket(const Session& session);
 
-  /// The one pacing rule for a reply to the native query `session` parsed,
-  /// which a composed reply and a replayed one both follow: a query that
-  /// crossed the shared medium (multicast from another host) is answered
-  /// network_reply_pacing() after the gateway took it in; any other query
-  /// at once.
-  [[nodiscard]] transport::Duration reply_delay(const Session& session) const;
+  /// The one path of every native reply, composed or replayed from the
+  /// answer cache: sends `wire` on reply_socket_ to the requester of the
+  /// native query `session` parsed, reply_delay(session) from now (zero
+  /// sends at once), and records it as the session's answer when the
+  /// directory answered the session (docs/directory.md).
+  void send_reply(const Session& session, BytesView wire);
   /// The SDP's pacing of answers to queries from the shared medium (RFC
   /// 6762 §6 for mDNS, the MX window for SSDP). Default: none.
   [[nodiscard]] virtual transport::Duration network_reply_pacing() const;
 
-  /// The native requester a reply for `session` goes to: the source address
-  /// and port its parse recorded. Logs and returns nullopt when there is no
-  /// address.
-  [[nodiscard]] std::optional<net::Endpoint> requester(
-      const Session& session) const;
+  /// Opens reply_socket_ and marks it own. SLP, UPnP and mDNS call it from
+  /// their constructors; the unit closes it when it goes away.
+  void open_reply_socket();
+  /// The socket native replies and the unit's own announcements leave on.
+  std::shared_ptr<transport::UdpSocket> reply_socket_;
 
   /// Native response arriving on a per-session socket or HTTP fetch (the
   /// unit acting as a native client). Parses it into the session.
@@ -353,15 +353,6 @@ class Unit {
   /// on the rest of the query and patches the id into replayed replies.
   [[nodiscard]] virtual IdSpan query_id_span() const { return {}; }
 
-  /// Requester-side answer-cache hook: a composer produced an outbound
-  /// reply frame for a native session answered from the directory; stores
-  /// it keyed by (query wire bytes without the transaction id, requester
-  /// endpoint) so the same question replays without a parse or a compose.
-  /// No-op outside directory mode or for sessions not answered from it.
-  void cache_reply_frame(const Session& session,
-                         std::shared_ptr<transport::UdpSocket> socket,
-                         const net::Endpoint& to, BytesView payload);
-
   [[nodiscard]] transport::TimePoint now() const { return host_.now(); }
 
   StateMachine fsm_;
@@ -402,12 +393,19 @@ class Unit {
   /// Keeps the one retirement timer armed for the oldest queued endpoint's
   /// deadline while any is queued.
   void arm_retire_timer();
-  /// reply_delay for a query that arrived at `received_at`.
-  [[nodiscard]] transport::Duration reply_delay(
-      bool from_network, transport::TimePoint received_at) const;
-  /// Sends one replayed answer frame `delay` from now (reply_delay).
-  void send_reply(const TranslationCache::Frame& frame, BytesView bytes,
-                  transport::Duration delay);
+  /// The native requester a reply for `session` goes to: the source address
+  /// and port its parse recorded. Logs and returns nullopt when there is no
+  /// address.
+  [[nodiscard]] std::optional<net::Endpoint> requester(
+      const Session& session) const;
+  /// The one pacing rule of send_reply: a query that crossed the shared
+  /// medium (multicast from another host) is answered
+  /// network_reply_pacing() after the gateway took it in; any other query
+  /// at once.
+  [[nodiscard]] transport::Duration reply_delay(const Session& session) const;
+  /// replay_ carrying what the parse of `datagram` would have recorded for
+  /// send_reply: its source and medium, and its arrival now.
+  const Session& replay_session(const net::Datagram& datagram);
   /// Erases the sessions completed since the last call. Runs when a
   /// scheduled task returns, never inside an FSM action: the entry points
   /// still read a session after the parse that completed it.
@@ -452,11 +450,14 @@ class Unit {
   std::map<std::string, std::unique_ptr<SdpParser>, std::less<>> parsers_;
   std::string default_parser_;
   std::uint64_t next_session_id_ = 1;
-  /// Wire bytes + source of the native datagram currently being parsed
-  /// (directory mode only): try_answer_from_directory keys the answer cache
-  /// by them. Valid only for the duration of the parse.
+  /// Wire bytes of the native datagram currently being parsed (directory
+  /// mode only): try_answer_from_directory keys the answer cache by them.
+  /// Valid only for the duration of the parse.
   BytesView pending_query_wire_{};
-  net::Endpoint pending_query_source_{};
+  /// The query an answer-cache replay answers (replay_session): a session
+  /// that never opens and is never answered from the directory, so
+  /// send_reply records nothing for it.
+  Session replay_;
   /// collect() scratch (capacity reused across queries).
   std::vector<const ServiceDirectory::Record*> directory_matches_;
 };

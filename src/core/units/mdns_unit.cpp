@@ -369,8 +369,7 @@ MdnsUnit::MdnsUnit(transport::Transport& transport, UnitOptions options,
   fsm_.add_tuple("parsing", EventType::kMdnsQuestion, any(), "parsing",
                  {Unit::record("qname", "name"), Unit::record("qid", "id")});
 
-  reply_socket_ = transport.open_udp(0);
-  mark_own(*reply_socket_);
+  open_reply_socket();
 
   if (config.probe) {
     mdns::ProbeEngine::Callbacks callbacks;
@@ -396,10 +395,6 @@ MdnsUnit::MdnsUnit(transport::Transport& transport, UnitOptions options,
     probe_ =
         std::make_unique<mdns::ProbeEngine>(transport, std::move(callbacks));
   }
-}
-
-MdnsUnit::~MdnsUnit() {
-  if (reply_socket_) reply_socket_->close();
 }
 
 // Inbound native mDNS traffic feeds the probe engine before the normal
@@ -457,20 +452,7 @@ void MdnsUnit::compose_native_reply(Session& session) {
   }
   compose_scratch_.id = static_cast<std::uint16_t>(
       str::parse_long(session.var("qid", "0"), 0));
-
-  auto to = requester(session);
-  if (!to.has_value()) return;
-
-  transport::Duration pacing = reply_delay(session);
-  BytesView wire = encoder_.encode(compose_scratch_);
-  // Directory-answered sessions remember the composed bytes so a repeated
-  // browse replays them without re-compose (docs/directory.md).
-  cache_reply_frame(session, reply_socket_, *to, wire);
-  Bytes payload(wire.begin(), wire.end());
-  transport().schedule(pacing, [socket = reply_socket_, to = *to,
-                                payload = std::move(payload)]() {
-    if (!socket->closed()) socket->send_to(to, payload);
-  });
+  send_reply(session, encoder_.encode(compose_scratch_));
 }
 
 // RFC 6762 §6 etiquette: answers to queries that crossed the shared medium

@@ -62,7 +62,6 @@ class MdnsUnit : public Unit {
 
   explicit MdnsUnit(transport::Transport& transport, UnitOptions options = {},
                     Config config = {});
-  ~MdnsUnit() override;
 
   [[nodiscard]] std::uint64_t announcements_sent() const {
     return announcements_sent_;
@@ -137,7 +136,6 @@ class MdnsUnit : public Unit {
   void release_probe_state(std::string_view url,
                            std::string_view canonical_type);
 
-  std::shared_ptr<transport::UdpSocket> reply_socket_;
   mdns::DnsMessage compose_scratch_;
   std::string qname_scratch_;
   mdns::DnsEncoder encoder_;

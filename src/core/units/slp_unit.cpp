@@ -237,12 +237,7 @@ SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
   fsm_.add_tuple("parsing", EventType::kSlpReqScope, any(), "parsing",
                  {Unit::record("scopes", "scopes")});
 
-  reply_socket_ = transport.open_udp(0);
-  mark_own(*reply_socket_);
-}
-
-SlpUnit::~SlpUnit() {
-  if (reply_socket_) reply_socket_->close();
+  open_reply_socket();
 }
 
 // The composer acting as an SLP client on behalf of a foreign request: send
@@ -277,12 +272,7 @@ void SlpUnit::compose_native_reply(Session& session) {
                         attr_scratch_) == 0) {
     return;  // nothing found: stay silent
   }
-
-  auto to = requester(session);
-  if (!to.has_value()) return;
-  BytesView wire = slp::encode_into(compose_scratch_, writer_);
-  cache_reply_frame(session, reply_socket_, *to, wire);
-  reply_socket_->send_to(*to, Bytes(wire.begin(), wire.end()));
+  send_reply(session, slp::encode_into(compose_scratch_, writer_));
 }
 
 void SlpUnit::announce_directory_agent() {

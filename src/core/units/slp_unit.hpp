@@ -52,7 +52,6 @@ std::size_t compose_slp_reply(const EventStream& stream, std::string_view type,
 class SlpUnit : public Unit {
  public:
   explicit SlpUnit(transport::Transport& transport, UnitOptions options = {});
-  ~SlpUnit() override;
 
   /// Directory mode: multicast an unsolicited DAAdvert so native SLP agents
   /// discover the gateway as their Directory Agent (RFC 2608 §12.1) — UAs
@@ -66,7 +65,6 @@ class SlpUnit : public Unit {
   [[nodiscard]] IdSpan query_id_span() const override { return slp::kXidSpan; }
 
  private:
-  std::shared_ptr<transport::UdpSocket> reply_socket_;
   std::uint16_t next_xid_ = 0x4000;  // distinct from native agents' ranges
   // Compose-side scratch (slot-reused across replies; docs/events.md).
   slp::Message compose_scratch_ = slp::SrvRply{};

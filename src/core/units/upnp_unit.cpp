@@ -251,12 +251,7 @@ UpnpUnit::UpnpUnit(transport::Transport& transport, UnitOptions options,
   fsm_.add_tuple("parsing_desc", ET::kControlStop, lacks_var("url"),
                  "fetching", {});
 
-  reply_socket_ = transport.open_udp(0);
-  mark_own(*reply_socket_);
-}
-
-UpnpUnit::~UpnpUnit() {
-  if (reply_socket_) reply_socket_->close();
+  open_reply_socket();
 }
 
 void UpnpUnit::ensure_http_server() {
@@ -379,22 +374,8 @@ void UpnpUnit::compose_native_reply(Session& session) {
                     : std::move(st);
   response.location = location_of(handle);
   response.server = std::string(kBridgeServer);
-
-  auto to = requester(session);
-  if (!to.has_value()) return;
-
-  // MX pacing: only searches that crossed the shared medium are delayed;
-  // loopback interception answers immediately (Fig 9b's 0.12 ms hinges on
-  // this).
-  transport::Duration pacing = reply_delay(session);
   response.serialize_into(ssdp_scratch_);
-  // Directory-answered sessions remember the composed bytes so a repeated
-  // search replays them without re-compose (docs/directory.md).
-  cache_reply_frame(session, reply_socket_, *to, view_of(ssdp_scratch_));
-  transport().schedule(pacing, [socket = reply_socket_, to = *to,
-                                payload = to_bytes(ssdp_scratch_)]() {
-    if (!socket->closed()) socket->send_to(to, payload);
-  });
+  send_reply(session, view_of(ssdp_scratch_));
 }
 
 void UpnpUnit::serve(const Session& session,

@@ -67,7 +67,6 @@ class UpnpUnit : public Unit {
 
   explicit UpnpUnit(transport::Transport& transport, UnitOptions options = {},
                     Config config = {});
-  ~UpnpUnit() override;
 
   /// Foreign services currently impersonated as UPnP devices: every
   /// bridged record has one.
@@ -114,7 +113,6 @@ class UpnpUnit : public Unit {
   void do_finalize_reply(Session& session);
 
   Config config_;
-  std::shared_ptr<transport::UdpSocket> reply_socket_;
   std::unique_ptr<upnp::HttpServer> http_server_;
   std::uint64_t next_device_index_ = 1;
   // Compose-side scratch: SSDP messages serialize into this reused buffer

@@ -366,28 +366,13 @@ TEST(ServiceDirectory, RefreshReArmsTheDeadlineThroughTheHandle) {
 // --- Answer cache -----------------------------------------------------------
 
 struct AnswerCacheFixture : ::testing::Test {
-  sim::Scheduler scheduler;
-  net::Network network{scheduler, net::LinkProfile{}, 5};
-  net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
-  net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
-
-  std::shared_ptr<net::UdpSocket> reply_socket = gateway.udp_socket(0);
-  std::shared_ptr<net::UdpSocket> client_socket = client.udp_socket(7700);
   std::vector<Bytes> received;
-  net::Endpoint requester{net::IpAddress(10, 0, 0, 9), 7700};
 
-  void SetUp() override {
-    client_socket->set_receive_handler(
-        [this](const net::Datagram& d) { received.push_back(d.payload); });
-  }
-
-  TranslationCache::Frame reply_frame(std::string_view payload) {
-    TranslationCache::Frame frame;
-    frame.target = SdpId::kSlp;
-    frame.socket = reply_socket;
-    frame.to = requester;
-    frame.payload = std::make_shared<const Bytes>(wire_bytes(payload));
-    return frame;
+  /// Replays the SLP answer stored for `query` into `received`.
+  bool replay(ServiceDirectory& dir, const Bytes& query, sim::SimTime now) {
+    return dir.replay_answer(SdpId::kSlp, query, {}, now, [this](BytesView b) {
+      received.emplace_back(b.begin(), b.end());
+    });
   }
 };
 
@@ -396,72 +381,67 @@ TEST_F(AnswerCacheFixture, ReplaysTheStoredFramesForTheIdenticalQuery) {
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
 
   // Miss while nothing is stored.
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(0)));
+  EXPECT_FALSE(replay(dir, query, at_s(0)));
 
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, /*session_id=*/11,
-                  at_s(0));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY one clock"));
+  dir.open_answer(SdpId::kSlp, "clock", query, /*session_id=*/11, at_s(0));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY one clock"));
   EXPECT_EQ(dir.answer_cache_size(), 1u);
 
-  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(1)));
-  scheduler.run_for(sim::millis(100));
+  EXPECT_TRUE(replay(dir, query, at_s(1)));
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(to_string(received[0]), "SRVRPLY one clock");
   EXPECT_EQ(dir.answer_replays(), 1u);
 
-  // Same bytes from a different requester: a distinct key, no replay.
-  net::Endpoint other{net::IpAddress(10, 0, 0, 8), 7700};
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, other, at_s(1)));
-  // Same requester, different bytes: no replay either.
-  EXPECT_FALSE(dir.replay_answer(
-      SdpId::kSlp, wire_bytes("SRVRQST service:clock xid=8"), requester,
-      at_s(1)));
+  // Different bytes: no replay. (The key holds no requester: whoever asks
+  // the same question gets the replay, see AnswerCacheIdBlind.)
+  EXPECT_FALSE(
+      replay(dir, wire_bytes("SRVRQST service:clock xid=8"), at_s(1)));
 }
 
 TEST_F(AnswerCacheFixture, AnyIndexMutationInvalidatesCachedAnswers) {
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(0));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY stale"));
-  ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(1)));
+  dir.open_answer(SdpId::kSlp, "clock", query, 11, at_s(0));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY stale"));
+  ASSERT_TRUE(replay(dir, query, at_s(1)));
 
   // A new record arriving changes what the answer should contain.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://new", 600),
       at_s(2)));
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)))
+  EXPECT_FALSE(replay(dir, query, at_s(3)))
       << "epoch bump must invalidate every cached answer";
 
   // Re-answer under the new epoch, then a withdrawal invalidates again.
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 12, at_s(4));
-  dir.add_answer_frame(SdpId::kSlp, 12, reply_frame("SRVRPLY fresh"));
-  ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)));
+  dir.open_answer(SdpId::kSlp, "clock", query, 12, at_s(4));
+  dir.add_answer_payload(SdpId::kSlp, 12, wire_bytes("SRVRPLY fresh"));
+  ASSERT_TRUE(replay(dir, query, at_s(5)));
   ASSERT_EQ(dir.withdraw(SdpId::kMdns, byebye_stream("service:clock://new")),
             1u);
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(6)));
+  EXPECT_FALSE(replay(dir, query, at_s(6)));
 }
 
 TEST_F(AnswerCacheFixture, WritesInvalidateOnlyTheAnswersOfTheirType) {
   ServiceDirectory dir;
   Bytes query = wire_bytes("SRVRQST service:clock xid=7");
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(0));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY clock"));
+  dir.open_answer(SdpId::kSlp, "clock", query, 11, at_s(0));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY clock"));
 
   // A new printer, then its withdrawal: neither changes the clock answer.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("printer", "service:printer://p1", 600),
       at_s(1)));
-  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(2)))
+  EXPECT_TRUE(replay(dir, query, at_s(2)))
       << "a printer write must leave the clock answer replayable";
   ASSERT_EQ(dir.withdraw(SdpId::kMdns, byebye_stream("service:printer://p1")),
             1u);
-  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)));
+  EXPECT_TRUE(replay(dir, query, at_s(3)));
 
   // A new clock does.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(4)));
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)))
+  EXPECT_FALSE(replay(dir, query, at_s(5)))
       << "a clock write must invalidate the clock answer";
 }
 
@@ -469,19 +449,18 @@ TEST_F(AnswerCacheFixture, GenerationBumpInvalidatesEveryAnswer) {
   ServiceDirectory dir;
   Bytes clock_query = wire_bytes("SRVRQST service:clock xid=7");
   Bytes printer_query = wire_bytes("SRVRQST service:printer xid=8");
-  dir.open_answer(SdpId::kSlp, "clock", clock_query, requester, 11, at_s(0));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY clock"));
-  dir.open_answer(SdpId::kSlp, "printer", printer_query, requester, 12,
-                  at_s(0));
-  dir.add_answer_frame(SdpId::kSlp, 12, reply_frame("SRVRPLY printer"));
-  ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, clock_query, requester, at_s(1)));
+  dir.open_answer(SdpId::kSlp, "clock", clock_query, 11, at_s(0));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY clock"));
+  dir.open_answer(SdpId::kSlp, "printer", printer_query, 12, at_s(0));
+  dir.add_answer_payload(SdpId::kSlp, 12, wire_bytes("SRVRPLY printer"));
+  ASSERT_TRUE(replay(dir, clock_query, at_s(1)));
   ASSERT_TRUE(
-      dir.replay_answer(SdpId::kSlp, printer_query, requester, at_s(1)));
+      replay(dir, printer_query, at_s(1)));
 
   dir.bump_generation();
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, clock_query, requester, at_s(2)));
+  EXPECT_FALSE(replay(dir, clock_query, at_s(2)));
   EXPECT_FALSE(
-      dir.replay_answer(SdpId::kSlp, printer_query, requester, at_s(2)));
+      replay(dir, printer_query, at_s(2)));
 }
 
 TEST_F(AnswerCacheFixture, RefreshThatChangesTtlInvalidatesItsType) {
@@ -490,20 +469,20 @@ TEST_F(AnswerCacheFixture, RefreshThatChangesTtlInvalidatesItsType) {
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(0)));
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY ttl=600"));
+  dir.open_answer(SdpId::kSlp, "clock", query, 11, at_s(1));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY ttl=600"));
 
   // Same TTL: the answer bytes still hold.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(2)));
-  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(3)));
+  EXPECT_TRUE(replay(dir, query, at_s(3)));
 
   // A new TTL is part of the answer.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 300),
       at_s(4)));
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(5)))
+  EXPECT_FALSE(replay(dir, query, at_s(5)))
       << "a TTL change must invalidate the answer that carried the old one";
 }
 
@@ -517,15 +496,15 @@ TEST_F(AnswerCacheFixture, RefreshThatRevivesAnExpiredRecordInvalidatesItsType) 
       SdpId::kMdns, advert_stream("clock", "service:clock://c2", 600),
       at_s(0)));
   // Answered at 12 s: c1 is past its deadline (not yet swept) and left out.
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(12));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c2"));
-  ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(13)));
+  dir.open_answer(SdpId::kSlp, "clock", query, 11, at_s(12));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY c2"));
+  ASSERT_TRUE(replay(dir, query, at_s(13)));
 
   // Same TTL, but c1 is back in what the type answers.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(14)));
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(15)));
+  EXPECT_FALSE(replay(dir, query, at_s(15)));
 }
 
 /// Regression: replay ignored its clock, so between expiry sweeps a cached
@@ -538,12 +517,12 @@ TEST_F(AnswerCacheFixture, NoReplayPastTheEarliestRecordDeadline) {
       at_s(0)));
   std::vector<const ServiceDirectory::Record*> matches;
   ASSERT_EQ(dir.collect("clock", at_s(1), matches), 1u);
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c1"));
-  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(9)));
+  dir.open_answer(SdpId::kSlp, "clock", query, 11, at_s(1));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY c1"));
+  EXPECT_TRUE(replay(dir, query, at_s(9)));
 
   // No sweep has run, but the record's deadline (10 s) has passed.
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(12)))
+  EXPECT_FALSE(replay(dir, query, at_s(12)))
       << "a cached answer must not outlive its records";
   EXPECT_EQ(dir.collect("clock", at_s(12), matches), 0u)
       << "a fresh compose must leave the expired record out";
@@ -555,16 +534,16 @@ TEST_F(AnswerCacheFixture, ReArmedRecordsCarryTheAnswerPastItsFirstDeadline) {
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(0)));
-  dir.open_answer(SdpId::kSlp, "clock", query, requester, 11, at_s(1));
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame("SRVRPLY c1"));
+  dir.open_answer(SdpId::kSlp, "clock", query, 11, at_s(1));
+  dir.add_answer_payload(SdpId::kSlp, 11, wire_bytes("SRVRPLY c1"));
 
   // A same-TTL refresh at 8 s re-arms c1 to 18 s without invalidating.
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 10),
       at_s(8)));
-  EXPECT_TRUE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(12)))
+  EXPECT_TRUE(replay(dir, query, at_s(12)))
       << "every answered record is still fresh";
-  EXPECT_FALSE(dir.replay_answer(SdpId::kSlp, query, requester, at_s(18)));
+  EXPECT_FALSE(replay(dir, query, at_s(18)));
 }
 
 // --- The answer cache keys on the question, not the transaction -------------
@@ -642,6 +621,7 @@ struct DirectoryRig {
           client.udp_socket(static_cast<std::uint16_t>(7000 + c)));
       clients.back()->set_receive_handler([this, c](const net::Datagram& d) {
         replies.emplace_back(c, d.payload);
+        arrivals.push_back(scheduler.now());
       });
     }
     scheduler.run_for(sim::millis(10));
@@ -654,7 +634,7 @@ struct DirectoryRig {
   }
 
   /// Hands `payload` to the unit of `sdp` as a multicast datagram from
-  /// `from`, then lets every (paced) reply land.
+  /// `from`.
   void deliver(SdpId sdp, const net::Endpoint& from, Bytes payload) {
     net::Datagram datagram;
     datagram.source = from;
@@ -662,22 +642,26 @@ struct DirectoryRig {
     datagram.multicast = true;
     datagram.payload = std::move(payload);
     unit(sdp).on_native_message(datagram);
-    scheduler.run_for(sim::millis(200));
   }
-  /// A query from client socket `c`.
+  [[nodiscard]] net::Endpoint client_endpoint(int c) const {
+    return clients[static_cast<std::size_t>(c)]->local_endpoint();
+  }
+  /// A query from client socket `c`; every (paced) reply lands.
   void ask(SdpId sdp, int c, Bytes query) {
-    deliver(sdp, clients[static_cast<std::size_t>(c)]->local_endpoint(),
-            std::move(query));
+    deliver(sdp, client_endpoint(c), std::move(query));
+    scheduler.run_for(sim::millis(200));
   }
   /// An SLP registration or deregistration from the service host.
   void write(Bytes message) {
     deliver(SdpId::kSlp, net::Endpoint{service.address(), 4270},
             std::move(message));
+    scheduler.run_for(sim::millis(200));
   }
   /// The one reply since the last call (empty unless exactly one came).
   Bytes take_reply() {
     Bytes reply = replies.size() == 1 ? replies.front().second : Bytes{};
     replies.clear();
+    arrivals.clear();
     return reply;
   }
 
@@ -692,6 +676,7 @@ struct DirectoryRig {
   std::unique_ptr<MdnsUnit> mdns;
   std::vector<std::shared_ptr<net::UdpSocket>> clients;
   std::vector<std::pair<int, Bytes>> replies;
+  std::vector<sim::SimTime> arrivals;  // when each of `replies` landed
 };
 
 constexpr std::size_t kDefaultAnswers = ServiceDirectory::Config{}.max_answers;
@@ -748,8 +733,9 @@ TEST(AnswerCacheIdBlind, NewIdReplaysByteEqualToAFreshCompose) {
   }
 }
 
-/// Everything but the id stays in the key: another PRList, scope, question
-/// or requester gets an answer of its own instead of a replay.
+/// Everything but the id stays in the key: another PRList, scope or question
+/// gets an answer of its own instead of a replay. The requester is not in
+/// the key: the same question from another requester replays.
 TEST(AnswerCacheIdBlind, QueriesThatDifferBeyondTheIdDoNotReplay) {
   using namespace idblind;
   DirectoryRig rig(kDefaultAnswers);
@@ -767,10 +753,55 @@ TEST(AnswerCacheIdBlind, QueriesThatDifferBeyondTheIdDoNotReplay) {
   rig.ask(SdpId::kSlp, 0, slp_query(4, "service:clock", "LAB"));
   rig.ask(SdpId::kSlp, 0, slp_query(5, "service:printer"));
   rig.ask(SdpId::kMdns, 0, mdns_query(6, "_printer._tcp.local"));
+  EXPECT_EQ(rig.directory->answer_replays(), 2u)
+      << "a different PRList, scope or question must not replay";
+  // No reply byte depends on who asked: another requester's same question
+  // replays (it used to be composed afresh).
   rig.ask(SdpId::kSlp, 1, slp_query(7));
   rig.ask(SdpId::kMdns, 1, mdns_query(8));
-  EXPECT_EQ(rig.directory->answer_replays(), 2u)
-      << "a different PRList, scope, question or requester must not replay";
+  EXPECT_EQ(rig.directory->answer_replays(), 4u);
+}
+
+/// Requester A asks; requester B asks the same bytes 10 ms later, while A's
+/// answer still waits out its pacing. B's answer is a replay, byte-equal to
+/// what a gateway without an answer cache composes for B, sent to B, and
+/// paced by B's own arrival.
+TEST(AnswerCacheIdBlind, AnotherRequesterGetsAReplayAddressedAndPacedForIt) {
+  using namespace idblind;
+  struct Case {
+    SdpId sdp;
+    Bytes query;
+    sim::SimDuration pacing;
+  };
+  const Case cases[] = {
+      {SdpId::kMdns, mdns_query(9), sim::millis(20)},
+      {SdpId::kUpnp, ssdp_search("clock"), sim::millis(30)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(sdp_name(c.sdp)));
+    DirectoryRig cached(kDefaultAnswers);
+    DirectoryRig fresh(0);
+    sim::SimTime b_asked{};
+    for (DirectoryRig* rig : {&cached, &fresh}) {
+      rig->write(slp_registration("clock", "c1", 600));
+      rig->deliver(c.sdp, rig->client_endpoint(0), c.query);
+      rig->scheduler.run_for(sim::millis(10));
+      b_asked = rig->scheduler.now();
+      rig->deliver(c.sdp, rig->client_endpoint(1), c.query);
+      rig->scheduler.run_for(sim::millis(200));
+    }
+    EXPECT_EQ(cached.directory->answer_replays(), 1u)
+        << "B's question must replay A's answer";
+    EXPECT_EQ(fresh.directory->answer_replays(), 0u);
+    ASSERT_EQ(cached.replies.size(), 2u);
+    EXPECT_EQ(cached.replies[1].first, 1) << "the replay must go to B";
+    EXPECT_EQ(cached.replies, fresh.replies);
+    ASSERT_EQ(cached.arrivals.size(), 2u);
+    EXPECT_EQ(cached.arrivals, fresh.arrivals);
+    EXPECT_EQ(cached.arrivals[1] - cached.arrivals[0], sim::millis(10))
+        << "B's answer must be paced from B's arrival, not A's";
+    EXPECT_GE(cached.arrivals[1] - b_asked, c.pacing);
+  }
 }
 
 /// The seeded differential: one history of queries (mostly fresh ids, three
@@ -848,38 +879,38 @@ TEST(AnswerCacheIdBlind, CachedAndUncachedGatewaysSendIdenticalReplies) {
 }
 
 /// The warm hit path — id-blind hash, byte verify, id patch into the reused
-/// buffer — allocates nothing. Each frame goes to a sender that only reads
-/// it, so the send's own payload copy (UdpSocket::send_to takes Bytes by
-/// value) stays out of the count.
+/// buffer — allocates nothing. Each payload goes to a sender that only
+/// reads it, so the send's own payload copy (UdpSocket::send_to takes Bytes
+/// by value) stays out of the count.
 TEST_F(AnswerCacheFixture, WarmIdVaryingReplayAllocatesNothing) {
   ServiceDirectory dir;
   ASSERT_TRUE(dir.record_advertisement(
       SdpId::kMdns, advert_stream("clock", "service:clock://c1", 600),
       at_s(0)));
-  dir.open_answer(SdpId::kSlp, "clock", idblind::slp_query(1), requester, 11,
-                  at_s(0), slp::kXidSpan);
-  // Any frame with the XID where an SrvRply carries it will do.
-  Bytes reply = idblind::slp_query(1, "service:clock-reply");
-  dir.add_answer_frame(SdpId::kSlp, 11, reply_frame(to_string(reply)));
+  dir.open_answer(SdpId::kSlp, "clock", idblind::slp_query(1), 11, at_s(0),
+                  slp::kXidSpan);
+  // Any payload with the XID where an SrvRply carries it will do.
+  dir.add_answer_payload(SdpId::kSlp, 11,
+                         idblind::slp_query(1, "service:clock-reply"));
 
   std::vector<Bytes> queries;
   for (std::uint16_t xid = 2; xid < 2 + 64; ++xid) {
     queries.push_back(idblind::slp_query(xid));
   }
   std::uint64_t ids = 0;
-  auto read_id = [&ids](const TranslationCache::Frame&, BytesView bytes) {
+  auto read_id = [&ids](BytesView bytes) {
     ids += idblind::id_at(bytes, slp::kXidSpan);
   };
   for (const Bytes& query : queries) {
-    ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, slp::kXidSpan, requester,
-                                  at_s(1), read_id));
+    ASSERT_TRUE(
+        dir.replay_answer(SdpId::kSlp, query, slp::kXidSpan, at_s(1), read_id));
   }
   ids = 0;
   std::uint64_t before = indiss::testing::g_heap_allocs;
   for (int round = 0; round < 4; ++round) {
     for (const Bytes& query : queries) {
-      ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, slp::kXidSpan,
-                                    requester, at_s(2), read_id));
+      ASSERT_TRUE(dir.replay_answer(SdpId::kSlp, query, slp::kXidSpan, at_s(2),
+                                    read_id));
     }
   }
   EXPECT_EQ(indiss::testing::g_heap_allocs - before, 0u)
@@ -1175,14 +1206,17 @@ TEST(DirectoryEndToEnd, RepeatedBrowseStormIsAnsweredWithZeroOriginFrames) {
 
 /// A replayed answer keeps the pacing of the composed one: a browse that
 /// crossed the shared medium is answered the SDP's pacing after it reached
-/// the gateway, whether the answer is composed or replayed with a new id. A
-/// requester on the gateway's own host is answered at once either way.
+/// the gateway, whether the answer is composed or replayed with a new id, and
+/// whichever requester the stored answer was composed for. A requester on the
+/// gateway's own host is answered at once either way.
 TEST(DirectoryEndToEnd, ReplayedNetworkBrowseIsPacedLikeTheComposedOne) {
   sim::Scheduler scheduler;
   net::Network network{scheduler, net::LinkProfile{}, 37};
   net::Host& gateway = network.add_host("gw", net::IpAddress(10, 0, 0, 3));
   net::Host& service = network.add_host("svc", net::IpAddress(10, 0, 0, 2));
   net::Host& client = network.add_host("client", net::IpAddress(10, 0, 0, 9));
+  net::Host& other_client =
+      network.add_host("client2", net::IpAddress(10, 0, 0, 10));
 
   IndissConfig config;
   config.enabled_sdps = {SdpId::kSlp, SdpId::kUpnp, SdpId::kMdns};
@@ -1191,8 +1225,10 @@ TEST(DirectoryEndToEnd, ReplayedNetworkBrowseIsPacedLikeTheComposedOne) {
   indiss.start();
   scheduler.run_for(sim::millis(10));
   auto announcer = service.udp_socket(0);
-  announcer->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
-                     idblind::slp_registration("clock", "c1", 600));
+  for (const char* type : {"clock", "printer"}) {
+    announcer->send_to(net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+                       idblind::slp_registration(type, type, 600));
+  }
   scheduler.run_for(sim::seconds(1));
 
   /// Sends `query` from `from` to `group` and returns how long the one
@@ -1213,22 +1249,31 @@ TEST(DirectoryEndToEnd, ReplayedNetworkBrowseIsPacedLikeTheComposedOne) {
   const net::Endpoint ssdp_group{upnp::kSsdpMulticastGroup, upnp::kSsdpPort};
   auto remote = client.udp_socket(7000);
   auto local = gateway.udp_socket(7001);
+  auto second = other_client.udp_socket(7002);
 
-  auto composed = answer_delay(*remote, mdns_group, idblind::mdns_query(1));
-  auto replayed = answer_delay(*remote, mdns_group, idblind::mdns_query(2));
-  EXPECT_GE(composed, sim::millis(20));
-  EXPECT_EQ(replayed, composed);
+  auto browse = answer_delay(*remote, mdns_group, idblind::mdns_query(1));
+  EXPECT_GE(browse, sim::millis(20));
+  EXPECT_EQ(answer_delay(*remote, mdns_group, idblind::mdns_query(2)), browse);
+  EXPECT_EQ(answer_delay(*second, mdns_group, idblind::mdns_query(3)), browse)
+      << "a second requester's replay is paced by its own arrival";
 
-  composed = answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
-  replayed = answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
-  EXPECT_GE(composed, sim::millis(30));
-  EXPECT_EQ(replayed, composed);
+  auto search = answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
+  EXPECT_GE(search, sim::millis(30));
+  EXPECT_EQ(answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock")),
+            search);
+  EXPECT_EQ(answer_delay(*second, ssdp_group, idblind::ssdp_search("clock")),
+            search);
 
-  composed = answer_delay(*local, mdns_group, idblind::mdns_query(3));
-  replayed = answer_delay(*local, mdns_group, idblind::mdns_query(4));
-  EXPECT_LT(composed, sim::millis(20));
-  EXPECT_LT(replayed, sim::millis(20));
-  EXPECT_EQ(indiss.directory()->answer_replays(), 3u);
+  // The clock answer was composed for a paced requester; the printer one is
+  // composed for the local requester.
+  EXPECT_LT(answer_delay(*local, mdns_group, idblind::mdns_query(4)),
+            sim::millis(20));
+  const std::string printer = "_printer._tcp.local";
+  EXPECT_LT(answer_delay(*local, mdns_group, idblind::mdns_query(5, printer)),
+            sim::millis(20));
+  EXPECT_GE(answer_delay(*remote, mdns_group, idblind::mdns_query(6, printer)),
+            sim::millis(20));
+  EXPECT_EQ(indiss.directory()->answer_replays(), 6u);
   indiss.stop();
 }
 

@@ -39,7 +39,6 @@ struct CacheFixture : ::testing::Test {
                                    const net::Endpoint& to,
                                    std::string_view payload) {
     TranslationCache::Frame frame;
-    frame.target = SdpId::kMdns;
     frame.socket = std::move(socket);
     frame.to = to;
     frame.payload = std::make_shared<const Bytes>(wire_bytes(payload));
