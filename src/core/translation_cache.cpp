@@ -52,7 +52,9 @@ void TranslationCache::discard(SdpId source, const Bundle& bundle) {
   auto& stats = stats_[static_cast<std::size_t>(source)];
   stats.hits -= 1;
   stats.misses += 1;
-  erase(entries_.find(*bundle.lru));
+  auto it = entries_.find(*bundle.lru);
+  drop_open(it->first);
+  erase(it);
 }
 
 void TranslationCache::open_bundle(SdpId source, BytesView bytes,
@@ -85,30 +87,13 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
   // Retire origin sessions that can no longer receive frames: their bundle
   // has settled (composes land one unit hop later, long before settle).
   // Pushes come in time order, so they are the ring's front; a generation
-  // bump empties the ring and an eviction drops its own sessions. Without
-  // this the ring only ever shrinks via the overflow below — and a sustained
-  // miss burst (the cycle after a generation bump, or a fleet of 65+
-  // distinct wires) wraps it, making the overflow erase live settled
-  // bundles whose repeats then miss and push yet more sessions: a permanent
-  // cache collapse.
+  // bump empties the ring, and an eviction or a discard drops its own
+  // session.
   while (open_count_ > 0 && now - open_at(0).opened_at > config_.settle) {
     pop_open();
   }
   // Remember which origin session feeds this bundle; target units report
-  // their composed frames under that session id. The ring is bounded: an
-  // advertisement's composes land one unit hop later (translate_delay on the
-  // simulator, as soon as the ingress task returns on a real clock), long
-  // before 64 further advertisements have been dispatched. When a burst does
-  // overflow it (65+ distinct advertisements in one scheduler instant), the
-  // evicted session's half-built bundle is erased with it — leaving it
-  // behind would cache an empty *negative* entry that silently swallowed
-  // every future repeat; erasing degrades to a plain miss that re-translates
-  // and, once the burst's bundles settle, re-caches.
-  if (open_count_ == kOpenRing) {
-    auto overflowed = entries_.find(open_at(0).key);
-    if (overflowed != entries_.end()) erase(overflowed);
-    pop_open();
-  }
+  // their composed frames under that session id.
   open_at(open_count_) = OpenSession{source, origin_session, key, now};
   open_count_ += 1;
 }
@@ -133,15 +118,18 @@ void TranslationCache::evict_if_needed() {
   // The LRU front: stale-generation entries first (they were all last used
   // before the bump that staled them), otherwise the least recently used.
   auto victim = entries_.find(lru_.front());
-  // Drop the open sessions of the evicted bundle so late frames cannot land
-  // in a recycled slot (the ring keeps its order).
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < open_count_; ++i) {
-    if (!KeyEq{}(open_at(i).key, victim->first)) open_at(kept++) = open_at(i);
-  }
-  open_count_ = kept;
+  // Late frames of the evicted bundle must not land in a recycled slot.
+  drop_open(victim->first);
   erase(victim);
   evictions_ += 1;
+}
+
+void TranslationCache::drop_open(const Key& key) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < open_count_; ++i) {
+    if (!KeyEq{}(open_at(i).key, key)) open_at(kept++) = open_at(i);
+  }
+  open_count_ = kept;
 }
 
 void TranslationCache::erase(Entries::iterator it) {

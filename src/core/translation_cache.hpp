@@ -48,7 +48,6 @@
 // Like the rest of the substrate, not thread-safe: one scheduler thread.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -141,8 +140,8 @@ class TranslationCache {
   void replay(SdpId source, const Bundle& bundle);
 
   /// Drops a bundle returned by lookup() whose record left the service
-  /// store: the hit lookup() counted becomes a miss, and the repeat is
-  /// translated afresh.
+  /// store, with its open session: the hit lookup() counted becomes a miss,
+  /// and the repeat is translated afresh.
   void discard(SdpId source, const Bundle& bundle);
 
   /// Miss path: registers a bundle for the wire bytes the session with
@@ -198,15 +197,20 @@ class TranslationCache {
     transport::TimePoint opened_at;  // == the bundle's created_at
   };
   /// The ring of open sessions, oldest first. Pushes come in time order, so
-  /// the settled ones are always a prefix.
-  static constexpr std::size_t kOpenRing = 64;
+  /// the settled ones are always a prefix. Every open session names a
+  /// distinct stored bundle, and a bundle that leaves the cache takes its
+  /// session with it (drop_open), so the ring, sized max_entries, never
+  /// overflows.
   [[nodiscard]] OpenSession& open_at(std::size_t i) {
-    return open_ring_[(open_head_ + i) % kOpenRing];
+    return open_ring_[(open_head_ + i) % open_ring_.size()];
   }
   void pop_open() {
-    open_head_ = (open_head_ + 1) % kOpenRing;
+    open_head_ = (open_head_ + 1) % open_ring_.size();
     open_count_ -= 1;
   }
+  /// Drops the open session of the bundle `key` names, if it has one (the
+  /// ring keeps its order).
+  void drop_open(const Key& key);
 
   using Entries = std::unordered_map<Key, Bundle, KeyHash, KeyEq>;
 
@@ -218,7 +222,7 @@ class TranslationCache {
   Config config_;
   Entries entries_;
   std::list<Key> lru_;
-  std::array<OpenSession, kOpenRing> open_ring_{};
+  std::vector<OpenSession> open_ring_;
   std::size_t open_head_ = 0;
   std::size_t open_count_ = 0;
   std::uint64_t generation_ = 0;
@@ -227,6 +231,7 @@ class TranslationCache {
 };
 
 inline TranslationCache::TranslationCache() : TranslationCache(Config{}) {}
-inline TranslationCache::TranslationCache(Config config) : config_(config) {}
+inline TranslationCache::TranslationCache(Config config)
+    : config_(config), open_ring_(config.max_entries) {}
 
 }  // namespace indiss::core

@@ -161,30 +161,55 @@ TEST_F(CacheFixture, LruEvictionDropsTheColdestBundle) {
   EXPECT_EQ(cache.lookup(SdpId::kUpnp, b, at_ms(3)), nullptr);
 }
 
-TEST_F(CacheFixture, OverflowingTheOpenRingDropsTheBundleNotJustTheSession) {
-  TranslationCache cache({.max_entries = 256, .settle = sim::millis(0)});
-  Bytes first = wire_bytes("advert 0");
-  cache.open_bundle(SdpId::kUpnp, first, 0, at_ms(0));
-  // 64 more bundles in the same instant overflow the open-session ring and
-  // evict session 0 before its frame could land.
-  for (int i = 1; i <= 64; ++i) {
+TEST_F(CacheFixture, DiscardDropsTheBundlesOpenSession) {
+  // A bundle discarded before its session settled (its store record left)
+  // takes the session with it: a late frame of that session must not land
+  // in the bundle the same wire re-opens for its next translation.
+  TranslationCache cache({.max_entries = 8, .settle = sim::millis(0)});
+  Bytes wire = wire_bytes("advert 0");
+  auto socket = host.udp_socket(0);
+  const net::Endpoint group{net::IpAddress(224, 0, 0, 251), 5353};
+
+  cache.open_bundle(SdpId::kUpnp, wire, /*origin_session=*/1, at_ms(0));
+  const auto* bundle = cache.lookup(SdpId::kUpnp, wire, at_ms(0));
+  ASSERT_NE(bundle, nullptr);
+  cache.discard(SdpId::kUpnp, *bundle);
+  cache.open_bundle(SdpId::kUpnp, wire, /*origin_session=*/2, at_ms(0));
+  cache.add_frame(SdpId::kUpnp, 1, frame_to(socket, group, "late frame"));
+  cache.add_frame(SdpId::kUpnp, 2, frame_to(socket, group, "fresh frame"));
+
+  bundle = cache.lookup(SdpId::kUpnp, wire, at_ms(1));
+  ASSERT_NE(bundle, nullptr);
+  ASSERT_EQ(bundle->frames.size(), 1u);
+  EXPECT_EQ(*bundle->frames[0].payload, wire_bytes("fresh frame"));
+}
+
+TEST_F(CacheFixture, ABurstAsLargeAsTheCacheKeepsEveryBundle) {
+  // The open-session ring is as large as the cache: a burst of max_entries
+  // distinct adverts in one instant keeps every session, so every bundle
+  // gets its frame and replays it.
+  TranslationCache cache({.max_entries = 256, .settle = sim::millis(200)});
+  auto socket = host.udp_socket(0);
+  const net::Endpoint group{net::IpAddress(224, 0, 0, 251), 5353};
+  for (int i = 0; i < 256; ++i) {
     cache.open_bundle(SdpId::kUpnp, wire_bytes("advert " + std::to_string(i)),
                       static_cast<std::uint64_t>(i), at_ms(0));
   }
-  auto socket = host.udp_socket(0);
-  cache.add_frame(SdpId::kUpnp, 0,
-                  frame_to(socket, net::Endpoint{net::IpAddress(224, 0, 0, 251),
-                                                 5353},
-                           "late frame"));
-  // The half-built bundle must be gone (a plain miss that re-translates),
-  // not left behind as an empty negative entry that would silently swallow
-  // every future repeat of advert 0.
-  EXPECT_EQ(cache.lookup(SdpId::kUpnp, first, at_ms(1)), nullptr);
+  for (int i = 0; i < 256; ++i) {
+    cache.add_frame(SdpId::kUpnp, static_cast<std::uint64_t>(i),
+                    frame_to(socket, group, "frame " + std::to_string(i)));
+  }
+  for (int i = 0; i < 256; ++i) {
+    const auto* bundle = cache.lookup(
+        SdpId::kUpnp, wire_bytes("advert " + std::to_string(i)), at_ms(300));
+    ASSERT_NE(bundle, nullptr) << i;
+    ASSERT_EQ(bundle->frames.size(), 1u) << i;
+  }
 }
 
 TEST_F(CacheFixture, SustainedMissCyclesAfterGenerationBumpRecover) {
-  // Regression: open sessions used to be retired only by the 64-slot
-  // overflow, which erases the session's cache entry with it. One full-miss
+  // Regression: open sessions used to be retired only by a 64-slot ring's
+  // overflow, which erased the session's cache entry with it. One full-miss
   // re-translation cycle after a generation bump then pushed fleet-many new
   // sessions on top of the fleet-many stale ones, wrapped the ring, and the
   // overflow erased the freshly re-opened *live* bundles — whose repeats
@@ -216,12 +241,10 @@ TEST_F(CacheFixture, SustainedMissCyclesAfterGenerationBumpRecover) {
 }
 
 TEST_F(CacheFixture, FleetLargerThanTheSessionRingStillCaches) {
-  // 70 distinct advertisements in one scheduler instant overflow the
-  // 64-slot open-session ring, erasing the first 6 half-built bundles (by
-  // design, see OverflowingTheOpenRingDropsTheBundleNotJustTheSession).
-  // Those 6 re-translate on the next period — and the erase-by-key must not
-  // domino through the 64 live bundles, which used to leave a 65+-wire
-  // fleet permanently uncached.
+  // 70 distinct advertisements in one scheduler instant used to overflow a
+  // 64-slot open-session ring, erasing the first 6 half-built bundles. The
+  // ring is now as large as the cache, so the whole fleet replays from the
+  // second period.
   TranslationCache cache({.max_entries = 256, .settle = sim::millis(200)});
   const int kWires = 70;
   std::uint64_t session = 0;
@@ -239,9 +262,8 @@ TEST_F(CacheFixture, FleetLargerThanTheSessionRingStillCaches) {
   };
 
   EXPECT_EQ(cycle(0), 0);
-  EXPECT_EQ(cycle(30000), kWires - 6);  // the 6 overflow victims re-open
-  EXPECT_EQ(cycle(60000), kWires);      // whole fleet cached
-  EXPECT_EQ(cycle(90000), kWires);
+  EXPECT_EQ(cycle(30000), kWires);  // whole fleet cached
+  EXPECT_EQ(cycle(60000), kWires);
 }
 
 TEST_F(CacheFixture, AddFrameWithoutOpenBundleIsANoOp) {
@@ -260,7 +282,7 @@ TEST_F(CacheFixture, AddFrameWithoutOpenBundleIsANoOp) {
 // bookkeeping, with eviction as a full scan that picks a stale-generation
 // entry first and otherwise the smallest last-used tick. Seeded histories
 // drive it and the real cache through opens, lookups, frame adds,
-// generation bumps and open-ring overflows; every step must agree on hit or
+// generation bumps and same-instant bursts; every step must agree on hit or
 // miss, frame count, eviction count and the exact set of stored keys, so
 // both pick the same victims in the same order.
 class ScanEvictionCache {
@@ -300,10 +322,6 @@ class ScanEvictionCache {
              now - entry->second.created_at > settle_;
     });
     open_.push_back(Open{source, session, key});
-    if (open_.size() > 64) {
-      entries_.erase(open_.front().key);
-      open_.erase(open_.begin());
-    }
   }
 
   void add_frame(SdpId origin_sdp, std::uint64_t origin_session) {
@@ -457,7 +475,7 @@ TEST_F(CacheFixture, LruListEvictsExactlyWhatTheLinearScanEvicted) {
           cache.bump_generation();
           model.bump_generation();
         } else if (op < 82) {
-          // A burst of distinct adverts in one instant overflows the ring.
+          // A burst of adverts in one instant.
           for (int i = 0; i < 70; ++i) open(universe[pick(shape.wires)]);
         } else if (op < 97) {
           now_ms += pick(150);
