@@ -138,6 +138,7 @@ void print_summary(const std::string& name, double up_ms,
               static_cast<ull>(gateway.ring_dropped()));
   for (SdpId sdp : sdps) {
     const auto u = gateway.unit_stats(sdp);
+    const auto cache = gateway.translation_stats(sdp);
     std::printf(
         "unit sdp=%s parsed=%llu composed=%llu sessions=%llu dispatched=%llu "
         "cache_hits=%llu\n",
@@ -146,7 +147,7 @@ void print_summary(const std::string& name, double up_ms,
         static_cast<ull>(u.messages_composed),
         static_cast<ull>(u.sessions_opened),
         static_cast<ull>(u.streams_dispatched),
-        static_cast<ull>(u.cache_short_circuits));
+        static_cast<ull>(cache.hits));
   }
   if (gateway.shard(0).directory() != nullptr) {
     std::printf("directory records=%zu\n", records);

@@ -273,7 +273,6 @@ void Unit::ingest(const net::Datagram& datagram) {
     if (const auto* bundle = cache->lookup(sdp_, datagram.payload, now())) {
       if (store.refresh(bundle->record, now())) {
         cache->replay(sdp_, *bundle);
-        stats_.cache_short_circuits += 1;
         return;
       }
       cache->discard(sdp_, *bundle);

@@ -155,9 +155,6 @@ class Unit {
     std::uint64_t sessions_completed = 0;
     std::uint64_t streams_dispatched = 0;
     std::uint64_t events_ignored = 0;  // no FSM transition consumed them
-    /// Native datagrams short-circuited by the translation cache (no
-    /// session, no parse: the stored outbound frames were replayed).
-    std::uint64_t cache_short_circuits = 0;
     /// Sessions force-closed by the max_open_sessions cap.
     std::uint64_t sessions_evicted = 0;
     /// Bridged services forgotten because their store record expired or
@@ -176,7 +173,6 @@ class Unit {
       sessions_completed += other.sessions_completed;
       streams_dispatched += other.streams_dispatched;
       events_ignored += other.events_ignored;
-      cache_short_circuits += other.cache_short_circuits;
       sessions_evicted += other.sessions_evicted;
       bridged_state_expired += other.bridged_state_expired;
       return *this;
