@@ -14,6 +14,10 @@ namespace {
 
 /// Lease requested for each foreign service registered with the registrar.
 constexpr std::uint32_t kLeaseSeconds = 300;
+/// Held leases are renewed at half their length (jini::Client's
+/// renew_fraction).
+constexpr transport::Duration kRenewEvery =
+    transport::seconds(kLeaseSeconds / 2);
 /// The unit's handle slot while a registration awaits its lease.
 constexpr std::uint64_t kLeasePending = ~std::uint64_t{0};
 
@@ -272,10 +276,49 @@ void JiniUnit::on_bridged(Session& session,
         return;
       }
       foreign_registrations_ += 1;
-      // Remember the granted lease: a later byebye cancels it.
+      // Remember the granted lease: a later byebye cancels it, and the
+      // renewal timer keeps it alive meanwhile.
       *registered = lease;
+      arm_renewal();
     } catch (const DecodeError&) {
     }
+  });
+}
+
+// A unit timer, not the refresh hook: a cache hit re-arms the store record
+// without calling on_bridged, and a UPnP device may re-announce only every
+// 900 s, three times the lease.
+void JiniUnit::arm_renewal() {
+  if (renewal_armed_) return;
+  renewal_armed_ = true;
+  schedule_guarded(kRenewEvery, [this]() {
+    renewal_armed_ = false;
+    bool leased = false;
+    for (const ServiceDirectory::Record* service : foreign_services()) {
+      std::uint64_t lease = service->handles[static_cast<std::size_t>(sdp())];
+      if (lease == 0 || lease == kLeasePending) continue;
+      renew(service->url, lease);
+      leased = true;
+    }
+    if (leased) arm_renewal();
+  });
+}
+
+void JiniUnit::renew(const std::string& url, std::uint64_t lease) {
+  ByteWriter w;
+  w.u8(jini::kOpRenew);
+  w.u64(lease);
+  w.u32(kLeaseSeconds);
+  registrar_op(w.take(), [this, alive = lifetime(), url, lease](Bytes reply) {
+    if (alive.expired()) return;
+    if (!reply.empty() && reply[0] == jini::kStatusOk) return;
+    // Refused: the registrar no longer holds the lease. Forget it, and let
+    // the next repeat of the advert parse (no cache hit), so the refresh
+    // registers the service again.
+    std::uint64_t* held = directory().handle_slot(sdp(), url);
+    if (held == nullptr || *held != lease) return;
+    *held = 0;
+    if (translation_cache() != nullptr) translation_cache()->bump_generation();
   });
 }
 

@@ -7,7 +7,7 @@
 //  - Translates foreign request streams into unicast registrar lookups.
 //  - Translates foreign advertisements into registrar registrations, making
 //    foreign services visible to native Jini clients through their own
-//    lookup protocol.
+//    lookup protocol, and renews their leases while it holds the services.
 #pragma once
 
 #include <memory>
@@ -74,11 +74,17 @@ class JiniUnit : public Unit {
   void do_note_registrar(const Event& event);
   /// One-shot unicast registrar op; hands raw reply bytes to the handler.
   void registrar_op(Bytes request, std::function<void(Bytes)> handler);
+  /// Keeps the renewal timer armed while the unit holds a granted lease:
+  /// every half lease it renews each one (renew).
+  void arm_renewal();
+  /// Renews `lease`, granted for `url`; a refused renewal clears it.
+  void renew(const std::string& url, std::uint64_t lease);
 
   std::optional<net::Endpoint> registrar_;
   std::uint64_t foreign_registrations_ = 0;
   std::uint64_t foreign_deregistrations_ = 0;
   std::uint64_t next_service_id_ = 0x1D155;
+  bool renewal_armed_ = false;
 };
 
 }  // namespace indiss::core

@@ -216,6 +216,68 @@ TEST_F(InteropFixture, UpnpAdvertisementReachesJiniClientsViaRegistrar) {
   EXPECT_TRUE(bridged);
 }
 
+/// A bridged registration outlives its 300 s lease for as long as the UPnP
+/// device lives: the Jini unit renews the lease at half its length, although
+/// the device re-announces only every 900 s and its repeats are cache hits.
+TEST_F(InteropFixture, BridgedJiniRegistrationLivesAsLongAsTheDevice) {
+  net::Host& registrar_host =
+      network.add_host("reggie", net::IpAddress(10, 0, 0, 9));
+  jini::LookupConfig lk;
+  lk.announcement_interval = sim::millis(200);  // INDISS starts after boot
+  jini::LookupService registrar(registrar_host, lk);
+  scheduler.run_for(sim::millis(10));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kUpnp, SdpId::kJini};
+  Indiss indiss(service_host, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(500));
+  ASSERT_TRUE(
+      indiss.unit_as<JiniUnit>(SdpId::kJini)->known_registrar().has_value());
+
+  upnp::RootDevice device(service_host, upnp::make_clock_device(), 4004);
+  device.start();
+  for (int t = 10; t <= 1500; t += 10) {
+    scheduler.run_until(sim::SimTime(sim::seconds(t)));
+    ASSERT_EQ(registrar.item_count(), 1u) << "at " << t << " s";
+  }
+  EXPECT_EQ(indiss.unit_as<JiniUnit>(SdpId::kJini)->foreign_registrations(),
+            1u)
+      << "renewals keep the one registration; nothing re-registers";
+}
+
+/// A registrar that lost the lease (it restarted empty on the same
+/// endpoint) refuses the renewal: the unit forgets the lease, and the
+/// device's next alive registers the service again.
+TEST_F(InteropFixture, RefusedRenewalRegistersAgainOnTheNextAlive) {
+  net::Host& registrar_host =
+      network.add_host("reggie", net::IpAddress(10, 0, 0, 9));
+  jini::LookupConfig lk;
+  lk.announcement_interval = sim::millis(200);
+  auto registrar = std::make_unique<jini::LookupService>(registrar_host, lk);
+  scheduler.run_for(sim::millis(10));
+
+  IndissConfig config;
+  config.enabled_sdps = {SdpId::kUpnp, SdpId::kJini};
+  Indiss indiss(service_host, config);
+  indiss.start();
+  scheduler.run_for(sim::millis(500));
+  upnp::RootDevice device(service_host, upnp::make_clock_device(), 4004);
+  device.start();
+  scheduler.run_until(sim::SimTime(sim::seconds(100)));
+  ASSERT_EQ(registrar->item_count(), 1u);
+
+  registrar.reset();
+  registrar = std::make_unique<jini::LookupService>(registrar_host, lk);
+  scheduler.run_until(sim::SimTime(sim::seconds(800)));
+  EXPECT_EQ(registrar->item_count(), 0u) << "nothing registers before an alive";
+  scheduler.run_until(sim::SimTime(sim::seconds(1000)));
+  EXPECT_EQ(registrar->item_count(), 1u)
+      << "the 900 s alive must register the service again";
+  EXPECT_EQ(indiss.unit_as<JiniUnit>(SdpId::kJini)->foreign_registrations(),
+            2u);
+}
+
 TEST_F(InteropFixture, SlpClientFindsJiniServiceThroughIndiss) {
   net::Host& registrar_host =
       network.add_host("reggie", net::IpAddress(10, 0, 0, 9));
