@@ -19,6 +19,12 @@
 #                                                    # without re-running
 #   BUILD_DIR=build-rel scripts/bench.sh
 #
+# With --compare or --compare-translation, every gated binary runs with
+# --benchmark_repetitions=3 (unless the arguments set a count), and the
+# gates compare the _median aggregates: one noisy repetition cannot trip or
+# mask the 20% bound. Records with no aggregate (a run or baseline without
+# repetitions) are compared by their plain entry.
+#
 # Bench binaries are always built from a Release (+LTO) tree: BUILD_DIR when
 # it is already Release (the CI configuration), else a dedicated build-bench
 # tree configured on first use (override with BENCH_BUILD_DIR).
@@ -41,6 +47,8 @@ OUT_TRANSLATION="${OUT_TRANSLATION:-${OUT:-BENCH_translation.json}}"
 OUT_SCALING="${OUT_SCALING:-BENCH_scaling.json}"
 
 FILTER="all"
+# Repetitions of each gated binary (its _median aggregate is what compares).
+GATE_REPETITIONS=3
 COMPARE=""
 COMPARE_TRANSLATION=""
 COMPARE_ONLY=0
@@ -119,11 +127,25 @@ def load_bench_json(path):
     if start < 0:
         raise SystemExit(f"error: {path} contains no JSON object")
     return json.loads(text[start:])
+
+def gated_values(path, counter):
+    """`counter` per benchmark: its _median aggregate when the run had
+    repetitions, else its plain entry."""
+    plain, medians = {}, {}
+    for bench in load_bench_json(path).get("benchmarks", []):
+        if counter not in bench:
+            continue
+        if bench.get("run_type") != "aggregate":
+            plain[bench["name"]] = bench[counter]
+        elif bench.get("aggregate_name") == "median":
+            medians[bench["run_name"]] = bench[counter]
+    plain.update(medians)
+    return plain
 PYEOF
 )
 
 run_bench() {
-  local target="$1" out="$2"
+  local target="$1" out="$2" gated="${3:-0}"
   echo "== build ${target} =="
   if ! cmake --build "${BENCH_DIR}" --target "${target}" -j; then
     echo "error: ${target} did not build — is libbenchmark-dev installed?" \
@@ -144,6 +166,10 @@ run_bench() {
     fi
     run_args+=("${arg}")
   done
+  if [ "${gated}" = 1 ] &&
+     [[ " ${run_args[*]+"${run_args[*]}"} " != *" --benchmark_repetitions="* ]]; then
+    run_args+=("--benchmark_repetitions=${GATE_REPETITIONS}")
+  fi
 
   echo "== run ${target} -> ${out} =="
   "${bin}" --benchmark_out="${out}" --benchmark_out_format=json \
@@ -196,9 +222,11 @@ if [ "${COMPARE_ONLY}" = 0 ]; then
     # (bench_abl_translation), the announcement-storm macro bench
     # (bench_abl_storm) and the unit FSM's step cost (bench_abl_fsm); their
     # benchmark arrays merge into one JSON.
-    run_bench bench_abl_translation "${OUT_TRANSLATION}.roundtrip.tmp"
-    run_bench bench_abl_storm "${OUT_TRANSLATION}.storm.tmp"
-    run_bench bench_abl_fsm "${OUT_TRANSLATION}.fsm.tmp"
+    gated=0
+    [ -n "${COMPARE_TRANSLATION}" ] && gated=1
+    run_bench bench_abl_translation "${OUT_TRANSLATION}.roundtrip.tmp" "${gated}"
+    run_bench bench_abl_storm "${OUT_TRANSLATION}.storm.tmp" "${gated}"
+    run_bench bench_abl_fsm "${OUT_TRANSLATION}.fsm.tmp" "${gated}"
     python3 - "${OUT_TRANSLATION}.roundtrip.tmp" "${OUT_TRANSLATION}.storm.tmp" \
         "${OUT_TRANSLATION}.fsm.tmp" "${OUT_TRANSLATION}" <<EOF
 ${LOAD_BENCH_JSON}
@@ -221,7 +249,9 @@ EOF
     echo "== merged storm and fsm results into ${OUT_TRANSLATION} =="
   fi
   if [ "${FILTER}" = "scaling" ] || [ "${FILTER}" = "all" ]; then
-    run_bench bench_abl_substrate "${OUT_SCALING}"
+    gated=0
+    [ -n "${COMPARE}" ] && gated=1
+    run_bench bench_abl_substrate "${OUT_SCALING}" "${gated}"
   fi
 elif [ ! -f "${OUT_SCALING}" ] && [ -n "${COMPARE}" ]; then
   echo "error: --compare-only: ${OUT_SCALING} does not exist" >&2
@@ -242,20 +272,8 @@ ${LOAD_BENCH_JSON}
 import sys
 
 baseline_path, current_path = sys.argv[1], sys.argv[2]
-
-def events_rates(path):
-    doc = load_bench_json(path)
-    rates = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        rate = bench.get("events_per_sec")
-        if rate is not None:
-            rates[bench["name"]] = rate
-    return rates
-
-base = events_rates(baseline_path)
-current = events_rates(current_path)
+base = gated_values(baseline_path, "events_per_sec")
+current = gated_values(current_path, "events_per_sec")
 shared = [name for name in base if name in current]
 if not shared:
     print("no common events_per_sec benchmarks between the two files")
@@ -313,15 +331,8 @@ compare_heap_allocs() {
 ${LOAD_BENCH_JSON}
 import sys
 
-def allocs(path):
-    doc = load_bench_json(path)
-    return {bench["name"]: bench["heap_allocs_per_op"]
-            for bench in doc.get("benchmarks", [])
-            if bench.get("run_type") != "aggregate"
-            and "heap_allocs_per_op" in bench}
-
-base = allocs(sys.argv[1])
-current = allocs(sys.argv[2])
+base = gated_values(sys.argv[1], "heap_allocs_per_op")
+current = gated_values(sys.argv[2], "heap_allocs_per_op")
 shared = [name for name in base if name in current]
 if not shared:
     print("no common heap_allocs_per_op benchmarks between the two files")

@@ -241,10 +241,9 @@ TEST_F(CacheFixture, SustainedMissCyclesAfterGenerationBumpRecover) {
 }
 
 TEST_F(CacheFixture, FleetLargerThanTheSessionRingStillCaches) {
-  // 70 distinct advertisements in one scheduler instant used to overflow a
-  // 64-slot open-session ring, erasing the first 6 half-built bundles. The
-  // ring is now as large as the cache, so the whole fleet replays from the
-  // second period.
+  // 70 distinct advertisements in one scheduler instant: the open-session
+  // ring is as large as the cache, so every session keeps its bundle and
+  // the whole fleet replays from the second period.
   TranslationCache cache({.max_entries = 256, .settle = sim::millis(200)});
   const int kWires = 70;
   std::uint64_t session = 0;
