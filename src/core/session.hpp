@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -67,6 +68,14 @@ struct Session {
 
   bool done = false;
   transport::TimePoint created_at{0};
+
+  /// Where the native message came from, recorded from its
+  /// SDP_NET_SOURCE_ADDR event (nullopt until then), and whether it crossed
+  /// the shared medium: SDP_NET_MULTICAST from another host. The reply path
+  /// reads them (Unit::send_reply).
+  std::optional<net::Endpoint> source;
+  bool from_local_host = false;
+  bool multicast = false;
 
   /// The returned view aliases the session's storage; copy it if it must
   /// outlive the session (or survive a later set_var of the same key).

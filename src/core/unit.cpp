@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hpp"
-#include "common/reuse.hpp"
 #include "common/strings.hpp"
 #include "core/units/standard_fsm.hpp"
 
@@ -106,6 +105,9 @@ Session& Unit::open_session(Session::Origin origin) {
   session.active_parser = default_parser_;
   session.done = false;
   session.created_at = now();
+  session.source.reset();
+  session.from_local_host = false;
+  session.multicast = false;
   stats_.sessions_opened += 1;
   live_sessions_ += 1;
   arm_session_timer();
@@ -378,7 +380,7 @@ transport::UdpSocket& Unit::open_query_socket(const Session& session) {
 }
 
 transport::Duration Unit::reply_delay(const Session& session) const {
-  if (session.var("src_local") == "1" || session.var("net") != "multicast") {
+  if (!session.multicast || session.from_local_host) {
     return transport::Duration::zero();
   }
   return std::max(network_reply_pacing() - (now() - session.created_at),
@@ -389,21 +391,13 @@ transport::Duration Unit::network_reply_pacing() const {
   return transport::Duration::zero();
 }
 
-std::optional<net::Endpoint> Unit::requester(const Session& session) const {
-  auto addr = net::IpAddress::parse(session.var("src_addr"));
-  if (!addr.has_value()) {
+void Unit::send_reply(const Session& session, BytesView wire) {
+  const std::optional<net::Endpoint>& to = session.source;
+  if (!to.has_value()) {
     log::warn("unit", sdp_name(sdp_),
               ": reply without recorded source address");
-    return std::nullopt;
+    return;
   }
-  auto port = static_cast<std::uint16_t>(
-      str::parse_long(session.var("src_port", "0"), 0));
-  return net::Endpoint{*addr, port};
-}
-
-void Unit::send_reply(const Session& session, BytesView wire) {
-  auto to = requester(session);
-  if (!to.has_value()) return;
   if (session.var("directory_answer") == "1") {
     options_.directory->add_answer_payload(sdp_, session.id, wire);
   }
@@ -423,13 +417,9 @@ void Unit::send_reply(const Session& session, BytesView wire) {
 
 const Session& Unit::replay_session(const net::Datagram& datagram) {
   replay_.created_at = now();
-  replay_.set_var("net", datagram.multicast ? "multicast" : "unicast");
-  replay_.set_var("src_addr", datagram.source.address.to_string());
-  replay_.set_var("src_port", IntDigits(static_cast<long long>(
-                                            datagram.source.port))
-                                  .view());
-  replay_.set_var("src_local",
-                  datagram.source.address == host_.address() ? "1" : "0");
+  replay_.source = datagram.source;
+  replay_.from_local_host = datagram.source.address == host_.address();
+  replay_.multicast = datagram.multicast;
   return replay_;
 }
 
@@ -461,6 +451,26 @@ Action Unit::set(std::string_view var, std::string value) {
   return [var = SymbolTable::global().intern(var), value = std::move(value)](
              Unit&, const Event&, Session& session) {
     session.vars.set(var, value);
+  };
+}
+
+Action Unit::record_source() {
+  SymbolTable& table = SymbolTable::global();
+  return [addr_key = table.intern("addr"), port_key = table.intern("port"),
+          local_key = table.intern("local")](Unit&, const Event& event,
+                                             Session& session) {
+    auto addr = net::IpAddress::parse(event.data.get(addr_key));
+    if (!addr.has_value()) return;
+    session.source = net::Endpoint{
+        *addr, static_cast<std::uint16_t>(
+                   str::parse_long(event.data.get(port_key), 0))};
+    session.from_local_host = event.data.get(local_key) == "1";
+  };
+}
+
+Action Unit::record_multicast() {
+  return [](Unit&, const Event&, Session& session) {
+    session.multicast = true;
   };
 }
 

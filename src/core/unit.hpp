@@ -21,7 +21,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -123,6 +122,11 @@ class Unit {
   static Action record(std::string_view var, std::string_view data_key);
   /// Sets a session state variable to a constant.
   static Action set(std::string_view var, std::string value);
+  /// Records SDP_NET_SOURCE_ADDR as the session's source (and whether it is
+  /// the unit's own host), and SDP_NET_MULTICAST as its medium: what the
+  /// reply path reads.
+  static Action record_source();
+  static Action record_multicast();
   /// Publishes the session's events on the bus.
   static Action dispatch_to_peers();
   /// Sends the session's events back to the originating unit.
@@ -389,18 +393,13 @@ class Unit {
   /// Keeps the one retirement timer armed for the oldest queued endpoint's
   /// deadline while any is queued.
   void arm_retire_timer();
-  /// The native requester a reply for `session` goes to: the source address
-  /// and port its parse recorded. Logs and returns nullopt when there is no
-  /// address.
-  [[nodiscard]] std::optional<net::Endpoint> requester(
-      const Session& session) const;
   /// The one pacing rule of send_reply: a query that crossed the shared
   /// medium (multicast from another host) is answered
   /// network_reply_pacing() after the gateway took it in; any other query
   /// at once.
   [[nodiscard]] transport::Duration reply_delay(const Session& session) const;
   /// replay_ carrying what the parse of `datagram` would have recorded for
-  /// send_reply: its source and medium, and its arrival now.
+  /// send_reply: its source and medium, arriving now.
   const Session& replay_session(const net::Datagram& datagram);
   /// Erases the sessions completed since the last call. Runs when a
   /// scheduled task returns, never inside an FSM action: the entry points

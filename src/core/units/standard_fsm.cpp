@@ -28,13 +28,10 @@ void build_standard_fsm(StateMachine& fsm, StandardFsmOptions options) {
   // --- Native inbound messages (via the monitor) -------------------------
   fsm.add_tuple("idle", ET::kControlStart, origin_native(), "parsing", {});
   fsm.add_tuple("parsing", ET::kNetSourceAddr, any(), "parsing",
-                {Unit::record("src_addr", "addr"),
-                 Unit::record("src_port", "port"),
-                 Unit::record("src_local", "local")});
+                {Unit::record_source()});
   fsm.add_tuple("parsing", ET::kNetMulticast, any(), "parsing",
-                {Unit::set("net", "multicast")});
-  fsm.add_tuple("parsing", ET::kNetUnicast, any(), "parsing",
-                {Unit::set("net", "unicast")});
+                {Unit::record_multicast()});
+  fsm.add_tuple("parsing", ET::kNetUnicast, any(), "parsing", {});
   // Messages stamped by another INDISS bridge are not re-translated — that
   // would echo adverts (and ping-pong requests) back and forth between INDISS
   // nodes forever. Requests carry the stamp in the native protocol's own
