@@ -454,13 +454,11 @@ TEST_F(AnswerCacheFixture, GenerationBumpInvalidatesEveryAnswer) {
   dir.open_answer(SdpId::kSlp, "printer", printer_query, 12, at_s(0));
   dir.add_answer_payload(SdpId::kSlp, 12, wire_bytes("SRVRPLY printer"));
   ASSERT_TRUE(replay(dir, clock_query, at_s(1)));
-  ASSERT_TRUE(
-      replay(dir, printer_query, at_s(1)));
+  ASSERT_TRUE(replay(dir, printer_query, at_s(1)));
 
   dir.bump_generation();
   EXPECT_FALSE(replay(dir, clock_query, at_s(2)));
-  EXPECT_FALSE(
-      replay(dir, printer_query, at_s(2)));
+  EXPECT_FALSE(replay(dir, printer_query, at_s(2)));
 }
 
 TEST_F(AnswerCacheFixture, RefreshThatChangesTtlInvalidatesItsType) {
@@ -1257,7 +1255,8 @@ TEST(DirectoryEndToEnd, ReplayedNetworkBrowseIsPacedLikeTheComposedOne) {
   EXPECT_EQ(answer_delay(*second, mdns_group, idblind::mdns_query(3)), browse)
       << "a second requester's replay is paced by its own arrival";
 
-  auto search = answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
+  auto search =
+      answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock"));
   EXPECT_GE(search, sim::millis(30));
   EXPECT_EQ(answer_delay(*remote, ssdp_group, idblind::ssdp_search("clock")),
             search);
