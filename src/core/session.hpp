@@ -69,6 +69,10 @@ struct Session {
   bool done = false;
   transport::TimePoint created_at{0};
 
+  /// The key of the translated query the session sent (Unit::send_query),
+  /// under which responses are routed to it; empty when it sent none.
+  std::string query_key;
+
   /// Where the native message came from, recorded from its
   /// SDP_NET_SOURCE_ADDR event (nullopt until then), and whether it crossed
   /// the shared medium: SDP_NET_MULTICAST from another host. The reply path

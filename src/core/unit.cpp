@@ -12,9 +12,6 @@ namespace indiss::core {
 
 namespace {
 
-/// The retirement timer's granularity (arm_retire_timer).
-constexpr transport::Duration kRetireBatch = transport::seconds(1);
-
 MessageContext context_of(const net::Datagram& datagram,
                           net::IpAddress local_address) {
   MessageContext ctx;
@@ -42,16 +39,6 @@ Unit::Unit(SdpId sdp, transport::Transport& transport, Options options)
 Unit::~Unit() {
   if (reply_socket_ != nullptr) reply_socket_->close();
   options_.directory->detach(*this);
-  // The unit's endpoints leave the own-endpoint set with it: nothing is
-  // left to retire them later.
-  OwnEndpoints* own = options_.own_endpoints.get();
-  for (auto& [id, socket] : client_sockets_) {
-    if (own != nullptr) own->erase(socket->local_endpoint());
-    socket->close();
-  }
-  if (own != nullptr) {
-    for (const Retiring& retiring : retiring_) own->erase(retiring.endpoint);
-  }
   // A unit destroyed while still subscribed must not leave a dangling
   // pointer in the bus registry.
   if (bus_ != nullptr) bus_->unsubscribe(*this);
@@ -120,7 +107,7 @@ void Unit::close_session(std::uint64_t id) {
   if (!it->second.done) {
     it->second.done = true;
     live_sessions_ -= 1;
-    close_query_socket(id);
+    close_query(it->second);
   }
   auto node = sessions_.extract(it);
   Session& session = node.mapped();
@@ -134,33 +121,16 @@ void Unit::close_session(std::uint64_t id) {
   }
 }
 
-void Unit::close_query_socket(std::uint64_t session_id) {
-  auto it = client_sockets_.find(session_id);
-  if (it == client_sockets_.end()) return;
-  if (options_.own_endpoints != nullptr) {
-    retiring_.push_back(
-        {it->second->local_endpoint(), now() + kSessionTimeout});
-    arm_retire_timer();
-  }
-  it->second->close();
-  client_sockets_.erase(it);
-}
-
-void Unit::arm_retire_timer() {
-  if (retire_timer_armed_ || retiring_.empty()) return;
-  retire_timer_armed_ = true;
-  // At most one firing per kRetireBatch however many sockets close: an
-  // endpoint retires up to kRetireBatch after its deadline.
-  transport::Duration wait =
-      std::max(retiring_.front().at - now(), kRetireBatch);
-  schedule_guarded(wait, [this]() {
-    retire_timer_armed_ = false;
-    while (!retiring_.empty() && retiring_.front().at <= now()) {
-      options_.own_endpoints->erase(retiring_.front().endpoint);
-      retiring_.pop_front();
+void Unit::close_query(Session& session) {
+  if (session.query_key.empty()) return;
+  auto [first, last] = open_queries_.equal_range(session.query_key);
+  for (auto it = first; it != last; ++it) {
+    if (it->second == session.id) {
+      open_queries_.erase(it);
+      break;
     }
-    arm_retire_timer();
-  });
+  }
+  session.query_key.clear();
 }
 
 void Unit::retire_finished_sessions() {
@@ -363,20 +333,52 @@ void Unit::probe(const std::string& canonical_type) {
   feed_event(session, Event(EventType::kControlStop));
 }
 
-transport::UdpSocket& Unit::open_query_socket(const Session& session) {
-  auto socket = host_.open_udp(0);
-  mark_own(*socket);
-  std::uint64_t session_id = session.id;
-  socket->set_receive_handler([this, session_id](const net::Datagram& d) {
-    schedule_hop([this, session_id, held = hold(d)]() mutable {
-      on_native_response(session_id, held->payload,
-                         context_of(*held, host_.address()));
-      recycle(std::move(held));
-    });
-  });
-  auto& entry = client_sockets_[session_id];
-  entry = std::move(socket);
-  return *entry;
+void Unit::send_query(Session& session, const net::Endpoint& to,
+                      Bytes wire) {
+  query_key(wire, session.query_key);
+  if (!session.query_key.empty()) {
+    open_queries_.emplace(session.query_key, session.id);
+  }
+  reply_socket_->send_to(to, std::move(wire));
+}
+
+void Unit::query_key(BytesView message, std::string& key) const {
+  key.clear();
+  IdSpan span = query_id_span();
+  if (!span.fits(message)) return;
+  key.assign(reinterpret_cast<const char*>(message.data()) + span.offset,
+             span.length);
+}
+
+std::uint16_t Unit::free_query_id(std::uint16_t first) const {
+  std::uint16_t id = first;
+  char key[2];
+  // At most one pass over the id space: with every id open, `first` wins.
+  for (std::uint32_t tried = 0; tried <= 0xFFFF; ++tried, ++id) {
+    key[0] = static_cast<char>(id >> 8);
+    key[1] = static_cast<char>(id & 0xFF);
+    if (!open_queries_.contains(std::string_view(key, 2))) return id;
+  }
+  return first;
+}
+
+void Unit::route_response(const net::Datagram& datagram) {
+  // Every session is looked up before any parse runs: a parse that
+  // completes its session closes the query under the iteration.
+  routed_.clear();
+  auto take = [this](std::string_view key) {
+    auto [first, last] = open_queries_.equal_range(key);
+    for (auto it = first; it != last; ++it) routed_.push_back(it->second);
+  };
+  query_key(datagram.payload, response_key_);
+  if (!response_key_.empty()) take(response_key_);
+  std::string_view wildcard = wildcard_query_key();
+  if (!wildcard.empty() && wildcard != response_key_) take(wildcard);
+  if (routed_.empty()) return;
+  MessageContext ctx = context_of(datagram, host_.address());
+  for (std::uint64_t id : routed_) {
+    on_native_response(id, datagram.payload, ctx);
+  }
 }
 
 transport::Duration Unit::reply_delay(const Session& session) const {
@@ -426,6 +428,15 @@ const Session& Unit::replay_session(const net::Datagram& datagram) {
 void Unit::open_reply_socket() {
   reply_socket_ = host_.open_udp(0);
   mark_own(*reply_socket_);
+  // Responses to the queries sent on it (send_query) are routed one hop
+  // later, from a recycled copy: the transport's buffer is only valid
+  // during this call.
+  reply_socket_->set_receive_handler([this](const net::Datagram& datagram) {
+    schedule_hop([this, held = hold(datagram)]() mutable {
+      route_response(*held);
+      recycle(std::move(held));
+    });
+  });
 }
 
 void Unit::on_native_response(std::uint64_t session_id, BytesView raw,
@@ -657,7 +668,7 @@ void Unit::do_complete(Session& session) {
   session.done = true;
   live_sessions_ -= 1;
   stats_.sessions_completed += 1;
-  close_query_socket(session.id);
+  close_query(session);
   finished_.push_back(session.id);
 }
 

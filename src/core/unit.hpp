@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -240,15 +239,26 @@ class Unit {
   virtual void forget_bridged(const ServiceDirectory::Record& service,
                               std::uint64_t handle, Forget why);
 
-  /// Opens the ephemeral socket the native request for `session` goes out
-  /// on (the unit acting as a native client). The socket is marked own,
-  /// every datagram it receives is parsed into the session one hop later
-  /// (schedule_hop), and it is closed when the session completes, times
-  /// out or is evicted, or when the unit goes away. Its endpoint leaves the
-  /// own-endpoint set one kSessionTimeout (and at most a second more) after
-  /// the close, so a looped-back copy of its last multicast send is still
-  /// filtered while a later socket on the recycled port is not.
-  transport::UdpSocket& open_query_socket(const Session& session);
+  /// Sends the translated query `wire` for `session` to `to` on
+  /// reply_socket_ (the unit acting as a native client) and opens it under
+  /// its key (query_key): every response reply_socket_ receives with that
+  /// key, or with the wildcard key, is parsed into the session one hop later
+  /// (schedule_hop), until the session completes, times out or is evicted.
+  void send_query(Session& session, const net::Endpoint& to, Bytes wire);
+  /// The key rule of translated queries (docs/protocols.md): writes into
+  /// `key` what a response echoes of its query, or clears it when `message`
+  /// carries nothing. Default: the bytes at query_id_span() (SLP's XID, the
+  /// mDNS ID).
+  virtual void query_key(BytesView message, std::string& key) const;
+  /// The key of a query that takes every response (SSDP's ssdp:all).
+  /// Default: none.
+  [[nodiscard]] virtual std::string_view wildcard_query_key() const {
+    return {};
+  }
+  /// The first id from `first` on (wrapping) that no open query's key
+  /// carries as its big-endian query_id_span() bytes, so a unit's open
+  /// queries never share an id.
+  [[nodiscard]] std::uint16_t free_query_id(std::uint16_t first) const;
 
   /// The one path of every native reply, composed or replayed from the
   /// answer cache: sends `wire` on reply_socket_ to the requester of the
@@ -266,7 +276,7 @@ class Unit {
   /// The socket native replies and the unit's own announcements leave on.
   std::shared_ptr<transport::UdpSocket> reply_socket_;
 
-  /// Native response arriving on a per-session socket or HTTP fetch (the
+  /// Native response to a translated query or a description fetch (the
   /// unit acting as a native client). Parses it into the session.
   void on_native_response(std::uint64_t session_id, BytesView raw,
                           const MessageContext& ctx);
@@ -384,15 +394,14 @@ class Unit {
   void do_reply_to_origin(Session& session);
   void do_complete(Session& session);
   void do_switch(Session& session, const Event& event);
-  /// Ends a session (closing its query socket if it never completed) and
-  /// erases it. Unknown ids are ignored.
+  /// Ends a session (closing its query if it never completed) and erases
+  /// it. Unknown ids are ignored.
   void close_session(std::uint64_t id);
-  /// Closes and forgets the query socket of `session_id`, if it has one,
-  /// and queues its endpoint for retirement from the own-endpoint set.
-  void close_query_socket(std::uint64_t session_id);
-  /// Keeps the one retirement timer armed for the oldest queued endpoint's
-  /// deadline while any is queued.
-  void arm_retire_timer();
+  /// Stops routing responses to the query `session` sent, if it sent one.
+  void close_query(Session& session);
+  /// Parses a response reply_socket_ received into every open query session
+  /// its key names (query_key, wildcard_query_key).
+  void route_response(const net::Datagram& datagram);
   /// The one pacing rule of send_reply: a query that crossed the shared
   /// medium (multicast from another host) is answered
   /// network_reply_pacing() after the gateway took it in; any other query
@@ -425,19 +434,13 @@ class Unit {
   static constexpr std::size_t kSpare = 64;
   std::vector<std::map<std::uint64_t, Session>::node_type> spare_sessions_;
   std::vector<HeldDatagram> spare_datagrams_;
-  /// Per-query sockets by session id (open_query_socket).
-  std::map<std::uint64_t, std::shared_ptr<transport::UdpSocket>>
-      client_sockets_;
+  /// Open translated queries: key (query_key) -> session id, in send order.
+  std::multimap<std::string, std::uint64_t, std::less<>> open_queries_;
   /// Completed sessions awaiting retire_finished_sessions().
   std::vector<std::uint64_t> finished_;
-  /// Endpoints of closed query sockets, oldest first, each with the time
-  /// it leaves the own-endpoint set.
-  struct Retiring {
-    net::Endpoint endpoint;
-    transport::TimePoint at;
-  };
-  std::deque<Retiring> retiring_;
-  bool retire_timer_armed_ = false;
+  /// route_response scratch (capacity reused across responses).
+  std::string response_key_;
+  std::vector<std::uint64_t> routed_;
   std::size_t live_sessions_ = 0;
   bool session_timer_armed_ = false;
   // std::less<> so parser names arriving as string_view (parser-switch

@@ -415,10 +415,12 @@ void MdnsUnit::on_native_message(const net::Datagram& datagram) {
 }
 
 // Acting as a one-shot mDNS browser for a foreign request: multicast a PTR
-// query from a per-session ephemeral socket; responders answer it unicast.
+// query from the unit's ephemeral socket; responders answer it unicast,
+// echoing its ID (RFC 6762 §6.7).
 void MdnsUnit::compose_native_request(Session& session) {
   compose_scratch_.clear();
-  compose_scratch_.id = static_cast<std::uint16_t>(session.id & 0xFFFF);
+  compose_scratch_.id =
+      free_query_id(static_cast<std::uint16_t>(session.id & 0xFFFF));
   mdns::DnsQuestion question;
   question.name = dnssd_from_canonical(session.var("service_type", "*"));
   question.qtype = mdns::kTypePtr;
@@ -428,9 +430,8 @@ void MdnsUnit::compose_native_request(Session& session) {
   append_marker(compose_scratch_, &additionals);
   compose_scratch_.additionals.resize(additionals);
 
-  transport::UdpSocket& socket = open_query_socket(session);
   BytesView wire = encoder_.encode(compose_scratch_);
-  socket.send_to(kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
+  send_query(session, kMdnsGroupEndpoint, Bytes(wire.begin(), wire.end()));
 }
 
 // Answering a native mDNS browser on behalf of foreign services: compose the

@@ -245,7 +245,8 @@ SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
 // native client", paper §4.3).
 void SlpUnit::compose_native_request(Session& session) {
   slp::SrvRqst request;
-  request.header.xid = next_xid_++;
+  request.header.xid = free_query_id(next_xid_);
+  next_xid_ = static_cast<std::uint16_t>(request.header.xid + 1);
   request.service_type = slp_from_canonical(session.var("service_type", "*"));
   request.predicate = session.var("predicate", "");
   request.header.flags |= slp::kFlagRequestMcast;
@@ -253,9 +254,8 @@ void SlpUnit::compose_native_request(Session& session) {
   // does not translate it back (two-node deployments would loop forever).
   request.previous_responders = kBridgeStamp;
 
-  open_query_socket(session).send_to(
-      net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
-      slp::encode(slp::Message(std::move(request))));
+  send_query(session, net::Endpoint{slp::kSlpMulticastGroup, slp::kSlpPort},
+             slp::encode(slp::Message(std::move(request))));
 }
 
 // The composer answering a native SLP client from a translated reply stream:

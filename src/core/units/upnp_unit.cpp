@@ -1,5 +1,7 @@
 #include "core/units/upnp_unit.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -35,6 +37,20 @@ std::string device_usn(std::uint64_t index, std::string_view device_type) {
 }
 std::string device_path(std::uint64_t index) {
   return "/indiss/" + std::to_string(index) + "/description.xml";
+}
+
+/// The device a USN names: its UDN, up to the "::" before the type.
+std::string_view udn_of(std::string_view usn) {
+  return usn.substr(0, usn.find("::"));
+}
+
+/// Whether an HTTP response's status line reads 200.
+bool ok_response(BytesView response) {
+  std::string_view text(reinterpret_cast<const char*>(response.data()),
+                        response.size());
+  std::size_t space = text.find(' ');
+  return str::starts_with(text, "HTTP/") && space != std::string_view::npos &&
+         text.substr(space + 1, 4) == "200 ";
 }
 
 void emit_error(EventSink& sink, std::string_view code) {
@@ -250,6 +266,9 @@ UpnpUnit::UpnpUnit(transport::Transport& transport, UnitOptions options,
   // rather than killing the session.
   fsm_.add_tuple("parsing_desc", ET::kControlStop, lacks_var("url"),
                  "fetching", {});
+  // A device's byebye retires the descriptions fetched from it.
+  fsm_.add_tuple("parsing", ET::kUpnpUsn, kind_is("byebye"), "parsing",
+                 {forget_descriptions()});
 
   open_reply_socket();
 }
@@ -262,7 +281,7 @@ void UpnpUnit::ensure_http_server() {
 }
 
 // Acting as a UPnP control point for a foreign request: multicast M-SEARCH
-// from a per-session socket.
+// from the unit's socket.
 void UpnpUnit::compose_native_request(Session& session) {
   upnp::SearchRequest request;
   request.st = upnp_device_from_canonical(session.var("service_type", "*"));
@@ -270,31 +289,96 @@ void UpnpUnit::compose_native_request(Session& session) {
   request.user_agent = std::string(kBridgeServer);
 
   request.serialize_into(ssdp_scratch_);
-  open_query_socket(session).send_to(kSsdpGroup, to_bytes(ssdp_scratch_));
+  send_query(session, kSsdpGroup, to_bytes(ssdp_scratch_));
+}
+
+void UpnpUnit::query_key(BytesView message, std::string& key) const {
+  key.assign(upnp::search_target(message));
+  for (char& c : key) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
 }
 
 // The recursive request of §2.4: GET the description document named by
 // SDP_DEVICE_URL_DESC; the response re-enters the session via
-// on_native_response and triggers the parser switch.
+// on_native_response and triggers the parser switch. A control point keeps
+// the document (UPnP discovery is two-step): a search answered by the same
+// device at the same LOCATION within the max-age of the search response
+// that led to the GET re-enters with the kept response instead.
 void UpnpUnit::compose_follow_up(Session& session, const Event&) {
-  auto uri = Uri::parse(session.var("desc_url"));
-  if (!uri.has_value()) {
-    log::warn("upnp-unit", "bad description URL: ", session.var("desc_url"));
-    return;
+  std::string_view location = session.var("desc_url");
+  std::string_view device;
+  for (const auto& event : session.events()) {
+    if (event.type == EventType::kUpnpUsn) device = udn_of(event.get("usn"));
   }
   std::uint64_t session_id = session.id;
+  for (Description& kept : descriptions_) {
+    if (kept.location != location || kept.device != device ||
+        kept.expires <= now()) {
+      continue;
+    }
+    kept.last_used = ++description_uses_;
+    schedule_hop([this, session_id, response = kept.response]() {
+      on_native_response(session_id, *response, MessageContext{});
+    });
+    return;
+  }
+
+  auto uri = Uri::parse(location);
+  if (!uri.has_value()) {
+    log::warn("upnp-unit", "bad description URL: ", location);
+    return;
+  }
+  Description fetched;
+  fetched.location = location;
+  fetched.device = device;
+  fetched.expires =
+      now() + transport::seconds(str::parse_long(session.var("ttl"), 0));
   // The HTTP client outlives the unit: guard the callback against a unit
   // detached while the description GET is in flight.
-  upnp::http_get(transport(), *uri,
-                 [this, session_id, alive = lifetime()](
-                     std::optional<Bytes> response) {
-                   if (alive.expired()) return;  // unit detached mid-fetch
-                   if (!response.has_value()) return;  // session will time out
-                   schedule_hop([this, session_id,
-                                 raw = std::move(*response)]() {
-                     on_native_response(session_id, raw, MessageContext{});
-                   });
-                 });
+  upnp::http_get(
+      transport(), *uri,
+      [this, session_id, alive = lifetime(), fetched = std::move(fetched)](
+          std::optional<Bytes> response) mutable {
+        if (alive.expired()) return;        // unit detached mid-fetch
+        if (!response.has_value()) return;  // session will time out
+        fetched.response = std::make_shared<const Bytes>(std::move(*response));
+        auto raw = fetched.response;
+        if (ok_response(*raw)) keep_description(std::move(fetched));
+        schedule_hop([this, session_id, raw = std::move(raw)]() {
+          on_native_response(session_id, *raw, MessageContext{});
+        });
+      });
+}
+
+void UpnpUnit::keep_description(Description description) {
+  if (description.expires <= now()) return;  // max-age 0: nothing to keep
+  description.last_used = ++description_uses_;
+  auto same = std::find_if(
+      descriptions_.begin(), descriptions_.end(),
+      [&](const Description& kept) {
+        return kept.location == description.location;
+      });
+  if (same != descriptions_.end()) {
+    *same = std::move(description);
+  } else if (descriptions_.size() < kDescriptionCapacity) {
+    descriptions_.push_back(std::move(description));
+  } else {
+    *std::min_element(descriptions_.begin(), descriptions_.end(),
+                      [](const Description& a, const Description& b) {
+                        return a.last_used < b.last_used;
+                      }) = std::move(description);
+  }
+}
+
+Action UpnpUnit::forget_descriptions() {
+  return [usn_key = SymbolTable::global().intern("usn")](
+             Unit& unit, const Event& event, Session&) {
+    std::string_view device = udn_of(event.data.get(usn_key));
+    std::erase_if(
+        static_cast<UpnpUnit&>(unit).descriptions_,
+        [&](const Description& kept) { return kept.device == device; });
+  };
 }
 
 Action UpnpUnit::finalize_reply() {

@@ -65,6 +65,10 @@ class UpnpUnit : public Unit {
  public:
   using Config = UpnpUnitConfig;
 
+  /// Description documents the unit keeps for its description GETs at most
+  /// (docs/protocols.md): the least recently used one makes room.
+  static constexpr std::size_t kDescriptionCapacity = 64;
+
   explicit UpnpUnit(transport::Transport& transport, UnitOptions options = {},
                     Config config = {});
 
@@ -77,6 +81,11 @@ class UpnpUnit : public Unit {
   /// impersonated device).
   [[nodiscard]] std::size_t description_routes() const {
     return http_server_ ? http_server_->route_count() : 0;
+  }
+
+  /// Description documents currently kept for reuse by LOCATION.
+  [[nodiscard]] std::size_t kept_descriptions() const {
+    return descriptions_.size();
   }
 
   void set_active_advertising(bool on) { config_.active_advertising = on; }
@@ -93,8 +102,31 @@ class UpnpUnit : public Unit {
   [[nodiscard]] transport::Duration network_reply_pacing() const override {
     return config_.search_response_pacing;
   }
+  /// A search is answered by responses carrying its ST, compared without
+  /// case; an ssdp:all search by every response.
+  void query_key(BytesView message, std::string& key) const override;
+  [[nodiscard]] std::string_view wildcard_query_key() const override {
+    return upnp::kSearchTargetAll;
+  }
 
  private:
+  /// A fetched description document (compose_follow_up): the complete 200
+  /// response to the GET of `location`, good until `expires` (the search
+  /// response's max-age) unless `device` says ssdp:byebye first.
+  struct Description {
+    std::string location;
+    std::string device;  // UDN, the USN up to its "::"
+    std::shared_ptr<const Bytes> response;
+    transport::TimePoint expires{0};
+    std::uint64_t last_used = 0;
+  };
+  /// Keeps a fetched description, in the slot of the same LOCATION or, with
+  /// the table full, of the least recently used one.
+  void keep_description(Description description);
+  /// Drops the descriptions fetched from the device whose byebye `session`
+  /// is parsing.
+  static Action forget_descriptions();
+
   /// Impersonates `service` as a UPnP device the first time it is seen:
   /// numbers the device (the unit's `handle` slot) and routes its generated
   /// description, built from `session`'s events.
@@ -115,6 +147,10 @@ class UpnpUnit : public Unit {
   Config config_;
   std::unique_ptr<upnp::HttpServer> http_server_;
   std::uint64_t next_device_index_ = 1;
+  /// Fetched descriptions, at most kDescriptionCapacity (an LRU by
+  /// last_used).
+  std::vector<Description> descriptions_;
+  std::uint64_t description_uses_ = 0;
   // Compose-side scratch: SSDP messages serialize into this reused buffer
   // (docs/events.md scratch recipe) before the one unavoidable payload copy.
   std::string ssdp_scratch_;
