@@ -78,12 +78,14 @@ void EventLoop::watch(int fd, std::uint32_t events, FdHandler handler) {
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
-  bool replace = handlers_.contains(fd);
-  if (::epoll_ctl(epoll_fd_, replace ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd,
-                  &ev) != 0) {
+  auto& slot = handlers_[fd];
+  if (::epoll_ctl(epoll_fd_, slot != nullptr ? EPOLL_CTL_MOD : EPOLL_CTL_ADD,
+                  fd, &ev) != 0) {
+    if (slot == nullptr) handlers_.erase(fd);
     throw_errno("epoll_ctl add");
   }
-  handlers_[fd] = std::move(handler);
+  if (slot != nullptr) retired_.push_back(std::move(slot));
+  slot = std::make_unique<FdHandler>(std::move(handler));
 }
 
 void EventLoop::modify(int fd, std::uint32_t events) {
@@ -96,7 +98,10 @@ void EventLoop::modify(int fd, std::uint32_t events) {
 }
 
 void EventLoop::unwatch(int fd) {
-  if (handlers_.erase(fd) == 0) return;
+  auto it = handlers_.find(fd);
+  if (it == handlers_.end()) return;
+  retired_.push_back(std::move(it->second));
+  handlers_.erase(it);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
@@ -156,13 +161,15 @@ std::size_t EventLoop::pump_until(transport::TimePoint deadline) {
     for (int i = 0; i < n; ++i) {
       auto it = handlers_.find(events[i].data.fd);
       if (it == handlers_.end()) continue;  // unwatched by an earlier handler
-      FdHandler handler = it->second;  // copy: handler may unwatch itself
-      handler(events[i].events);
+      // Called in place: a handler that unwatches or replaces itself only
+      // moves to retired_, which outlives the call.
+      (*it->second)(events[i].events);
       if (stop_requested_.exchange(false)) {
         stopping = true;
         break;
       }
     }
+    retired_.clear();
     if (stopping) break;
   }
   return executed;

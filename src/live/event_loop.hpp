@@ -21,7 +21,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 #include "transport/task.hpp"
@@ -56,7 +58,8 @@ class EventLoop {
   // --- File descriptors ----------------------------------------------------
 
   /// Registers `fd` with epoll for `events`; `handler` runs on readiness.
-  /// One handler per fd; watching an already-watched fd replaces it.
+  /// One handler per fd; watching an already-watched fd replaces it. Safe
+  /// to call from inside the handler it replaces.
   void watch(int fd, std::uint32_t events, FdHandler handler);
   /// Changes the event mask of a watched fd (handler unchanged).
   void modify(int fd, std::uint32_t events);
@@ -95,7 +98,11 @@ class EventLoop {
   transport::TimePoint armed_ = transport::TimePoint::max();
   std::atomic<bool> stop_requested_{false};
   sim::Scheduler scheduler_;
-  std::unordered_map<int, FdHandler> handlers_;
+  /// Each handler at a stable address, so dispatch calls it in place.
+  std::unordered_map<int, std::unique_ptr<FdHandler>> handlers_;
+  /// Handlers unwatched or replaced while a dispatch may be running one of
+  /// them; destroyed once the dispatch round returns.
+  std::vector<std::unique_ptr<FdHandler>> retired_;
 };
 
 }  // namespace indiss::live

@@ -171,66 +171,70 @@ class LiveUdpSocket : public transport::UdpSocket,
   [[nodiscard]] bool closed() const override { return closed_; }
 
  private:
+  /// Reads one datagram: the fd is watched level-triggered, so epoll
+  /// reports it again while more are queued, and no read ends in EAGAIN.
+  /// The datagram handed to the handler is a member whose payload keeps its
+  /// capacity (the handler contract: valid only during the call), so a warm
+  /// receive allocates nothing.
   void on_readable() {
-    while (!closed_) {
-      unsigned char buf[65536];
-      char control[CMSG_SPACE(sizeof(in_pktinfo))];
-      sockaddr_in src{};
-      iovec iov{buf, sizeof(buf)};
-      msghdr msg{};
-      msg.msg_name = &src;
-      msg.msg_namelen = sizeof(src);
-      msg.msg_iov = &iov;
-      msg.msg_iovlen = 1;
-      msg.msg_control = control;
-      msg.msg_controllen = sizeof(control);
+    if (closed_) return;
+    unsigned char buf[65536];
+    char control[CMSG_SPACE(sizeof(in_pktinfo))];
+    sockaddr_in src{};
+    iovec iov{buf, sizeof(buf)};
+    msghdr msg{};
+    msg.msg_name = &src;
+    msg.msg_namelen = sizeof(src);
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
 
-      ssize_t n = ::recvmsg(fd_, &msg, 0);
-      if (n < 0) break;  // EAGAIN: drained
+    ssize_t n = ::recvmsg(fd_, &msg, 0);
+    if (n < 0) return;  // EAGAIN: another reader took it
 
-      net::IpAddress dest_addr = owner_.address();
-      for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
-           c = CMSG_NXTHDR(&msg, c)) {
-        if (c->cmsg_level == IPPROTO_IP && c->cmsg_type == IP_PKTINFO) {
-          in_pktinfo info{};
-          std::memcpy(&info, CMSG_DATA(c), sizeof(info));
-          dest_addr = net::IpAddress(ntohl(info.ipi_addr.s_addr));
-        }
+    net::IpAddress dest_addr = owner_.address();
+    for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
+         c = CMSG_NXTHDR(&msg, c)) {
+      if (c->cmsg_level == IPPROTO_IP && c->cmsg_type == IP_PKTINFO) {
+        in_pktinfo info{};
+        std::memcpy(&info, CMSG_DATA(c), sizeof(info));
+        dest_addr = net::IpAddress(ntohl(info.ipi_addr.s_addr));
       }
-
-      net::Datagram datagram;
-      datagram.source = from_sockaddr(src);
-      datagram.destination = net::Endpoint{dest_addr, port_};
-      datagram.multicast = dest_addr.is_multicast();
-      datagram.payload.assign(buf, buf + n);
-
-      // The kernel loops our own multicast sends back; the simulated fabric
-      // never delivers a frame to its sender.
-      if (datagram.source == local_endpoint()) continue;
-
-      // Kernel group filtering is per-host for INADDR_ANY-bound sockets: as
-      // long as ANY local socket is a member, every socket on the port sees
-      // the traffic. The simulated fabric delivers only to joined sockets,
-      // so membership is enforced here too.
-      if (datagram.multicast && !groups_.contains(dest_addr)) continue;
-
-      auto& stats = owner_.mutable_stats();
-      stats.udp_deliveries += 1;
-      if (datagram.multicast) {
-        stats.udp_multicast_packets += 1;
-        stats.udp_multicast_bytes += datagram.payload.size();
-      } else {
-        stats.udp_unicast_packets += 1;
-        stats.udp_unicast_bytes += datagram.payload.size();
-      }
-      if (handler_) handler_(datagram);  // may close this socket
     }
+
+    datagram_.source = from_sockaddr(src);
+    datagram_.destination = net::Endpoint{dest_addr, port_};
+    datagram_.multicast = dest_addr.is_multicast();
+    datagram_.payload.assign(buf, buf + n);
+
+    // The kernel loops our own multicast sends back; the simulated fabric
+    // never delivers a frame to its sender.
+    if (datagram_.source == local_endpoint()) return;
+
+    // Kernel group filtering is per-host for INADDR_ANY-bound sockets: as
+    // long as ANY local socket is a member, every socket on the port sees
+    // the traffic. The simulated fabric delivers only to joined sockets,
+    // so membership is enforced here too.
+    if (datagram_.multicast && !groups_.contains(dest_addr)) return;
+
+    auto& stats = owner_.mutable_stats();
+    stats.udp_deliveries += 1;
+    if (datagram_.multicast) {
+      stats.udp_multicast_packets += 1;
+      stats.udp_multicast_bytes += datagram_.payload.size();
+    } else {
+      stats.udp_unicast_packets += 1;
+      stats.udp_unicast_bytes += datagram_.payload.size();
+    }
+    if (handler_) handler_(datagram_);  // may close this socket
   }
 
   LiveTransport& owner_;
   int fd_ = -1;
   std::uint16_t port_ = 0;
   ReceiveHandler handler_;
+  net::Datagram datagram_;  // on_readable's, reused
   std::set<net::IpAddress> groups_;
   bool closed_ = false;
 };

@@ -20,6 +20,7 @@
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "tests/support/alloc_meter.hpp"
 #include "transport/transport.hpp"
 #include "upnp/http_client.hpp"
 
@@ -93,8 +94,9 @@ TEST_P(ConformanceTest, EphemeralUdpBindsDistinctNonzeroPorts) {
   EXPECT_TRUE(a->closed());
 }
 
-// Per-query sockets are opened by the hundred under query load; if two
-// live ones ever shared a port they would split each other's replies.
+// Native clients open ephemeral sockets by the hundred (SLP agents, control
+// points, load generators); if two live ones ever shared a port they would
+// split each other's replies.
 TEST_P(ConformanceTest, ConcurrentEphemeralSocketsNeverSharePorts) {
   constexpr std::size_t kSockets = 500;
   std::vector<std::shared_ptr<transport::UdpSocket>> sockets;
@@ -397,6 +399,38 @@ TEST_P(ConformanceTest, TimeAdvancesAcrossRun) {
   transport::TimePoint before = node().now();
   run_for(transport::millis(20));
   EXPECT_GE(node().now() - before, transport::millis(20));
+}
+
+// The live receive path of a warm socket (epoll dispatch, the read and the
+// handler) allocates nothing per datagram: the loop calls the handler in
+// place, and the datagram the socket hands it reuses its payload capacity.
+TEST(LiveReceivePath, AWarmSocketAllocatesNothingPerDatagram) {
+  live::EventLoop loop;
+  live::LiveTransport node(loop);
+  auto sender = node.open_udp(0);
+  auto receiver = node.open_udp(0);
+  std::size_t received = 0;
+  receiver->set_receive_handler(
+      [&received](const net::Datagram&) { received += 1; });
+
+  constexpr std::size_t kDatagrams = 64;
+  // Payloads are built before each measured round; send_to takes them over.
+  auto round = [&](std::vector<Bytes> payloads) {
+    for (Bytes& payload : payloads) {
+      sender->send_to(receiver->local_endpoint(), std::move(payload));
+    }
+    loop.run_for(transport::millis(50));
+  };
+  round(std::vector<Bytes>(kDatagrams, Bytes(1024, 0x5A)));  // warm-up
+  ASSERT_EQ(received, kDatagrams);
+
+  std::vector<Bytes> payloads(kDatagrams, Bytes(1024, 0xA5));
+  std::uint64_t before = indiss::testing::g_heap_allocs;
+  round(std::move(payloads));
+  std::uint64_t allocs = indiss::testing::g_heap_allocs - before;
+  EXPECT_EQ(received, 2 * kDatagrams);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations for " << kDatagrams
+                        << " datagrams";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ConformanceTest,
