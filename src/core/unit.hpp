@@ -270,10 +270,12 @@ class Unit {
   /// 6762 §6 for mDNS, the MX window for SSDP). Default: none.
   [[nodiscard]] virtual transport::Duration network_reply_pacing() const;
 
-  /// Opens reply_socket_ and marks it own. SLP, UPnP and mDNS call it from
-  /// their constructors; the unit closes it when it goes away.
+  /// Opens reply_socket_, marks it own and routes what it receives to the
+  /// open queries (route_response). SLP, UPnP and mDNS call it from their
+  /// constructors; the unit closes it when it goes away.
   void open_reply_socket();
-  /// The socket native replies and the unit's own announcements leave on.
+  /// The socket native replies, translated queries and the unit's own
+  /// announcements leave on.
   std::shared_ptr<transport::UdpSocket> reply_socket_;
 
   /// Native response to a translated query or a description fetch (the

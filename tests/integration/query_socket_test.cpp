@@ -451,6 +451,7 @@ TEST_F(BridgedQueries, AnSsdpAllSearchTakesEveryResponse) {
   answer(clock, /*foreign=*/true);  // a lamp: only the ssdp:all search
   scheduler.run_for(sim::millis(20));
   EXPECT_EQ(unit().stats().messages_parsed, parsed + 3);
+  scheduler.run_for(sim::seconds(1));  // the description fetches finish
 }
 
 // ---------------------------------------------------------------------------
