@@ -53,6 +53,7 @@ class LiveTcpSocket;
 class LiveTransport : public transport::Transport {
  public:
   LiveTransport(EventLoop& loop, LiveConfig config = {});
+  ~LiveTransport() override;
 
   [[nodiscard]] const std::string& name() const override {
     return config_.name;
@@ -92,12 +93,18 @@ class LiveTransport : public transport::Transport {
   [[nodiscard]] int multicast_ifindex() const { return ifindex_; }
   [[nodiscard]] net::TrafficStats& mutable_stats() { return stats_; }
 
+  /// The receive buffers of this transport's UDP sockets (transport.cpp),
+  /// made on first use and reused by every read.
+  struct RxBatch;
+  [[nodiscard]] RxBatch& rx_batch();
+
  private:
   EventLoop& loop_;
   LiveConfig config_;
   int ifindex_ = 0;
   net::TrafficStats stats_;
   transport::Random random_;
+  std::unique_ptr<RxBatch> rx_batch_;
 };
 
 }  // namespace indiss::live
