@@ -53,7 +53,7 @@ void TranslationCache::discard(SdpId source, const Bundle& bundle) {
   stats.hits -= 1;
   stats.misses += 1;
   auto it = entries_.find(*bundle.lru);
-  drop_open(it->second);
+  drop_open(it->first);
   erase(it);
 }
 
@@ -69,39 +69,40 @@ void TranslationCache::open_bundle(SdpId source, BytesView bytes,
     if (it->second.generation == generation_) return;  // keep first pass
     // Stale generation: recycle the slot for the fresh translation.
     it->second.frames.clear();
+    it->second.generation = generation_;
+    it->second.created_at = now;
+    it->second.wire.assign(bytes.begin(), bytes.end());
+    it->second.record = record;
     touch(it->second);
   } else {
     evict_if_needed();
-    it = entries_.emplace(key, Bundle{}).first;
-    it->second.lru = lru_.insert(lru_.end(), key);
+    Bundle bundle;
+    bundle.generation = generation_;
+    bundle.created_at = now;
+    bundle.wire.assign(bytes.begin(), bytes.end());
+    bundle.record = record;
+    bundle.lru = lru_.insert(lru_.end(), key);
+    entries_.emplace(key, std::move(bundle));
   }
-  Bundle& bundle = it->second;
-  bundle.generation = generation_;
-  bundle.created_at = now;
-  bundle.wire.assign(bytes.begin(), bytes.end());
-  bundle.record = record;
   // Retire origin sessions that can no longer receive frames: their bundle
-  // has settled (composes land one unit hop later, long before settle), or
-  // left the cache. Pushes come in time order, so the settled ones are the
-  // ring's front; a generation bump empties the ring.
-  while (open_head_ < open_tail_ &&
-         (!open_at(open_head_).live ||
-          now - open_at(open_head_).opened_at > config_.settle)) {
-    open_head_ += 1;
+  // has settled (composes land one unit hop later, long before settle).
+  // Pushes come in time order, so they are the ring's front; a generation
+  // bump empties the ring, and an eviction or a discard drops its own
+  // session.
+  while (open_count_ > 0 && now - open_at(0).opened_at > config_.settle) {
+    pop_open();
   }
-  if (open_tail_ - open_head_ == open_ring_.size()) compact_open();
   // Remember which origin session feeds this bundle; target units report
   // their composed frames under that session id.
-  open_at(open_tail_) = OpenSession{source, origin_session, key, now, true};
-  bundle.open_position = open_tail_++;
+  open_at(open_count_) = OpenSession{source, origin_session, key, now};
+  open_count_ += 1;
 }
 
 void TranslationCache::add_frame(SdpId origin_sdp,
                                  std::uint64_t origin_session, Frame frame) {
-  for (std::uint64_t position = open_tail_; position > open_head_;
-       --position) {
-    const OpenSession& open = open_at(position - 1);
-    if (!open.live || open.origin_sdp != origin_sdp ||
+  for (std::size_t i = open_count_; i > 0; --i) {
+    const OpenSession& open = open_at(i - 1);
+    if (open.origin_sdp != origin_sdp ||
         open.origin_session != origin_session) {
       continue;
     }
@@ -118,29 +119,17 @@ void TranslationCache::evict_if_needed() {
   // before the bump that staled them), otherwise the least recently used.
   auto victim = entries_.find(lru_.front());
   // Late frames of the evicted bundle must not land in a recycled slot.
-  drop_open(victim->second);
+  drop_open(victim->first);
   erase(victim);
   evictions_ += 1;
 }
 
-void TranslationCache::drop_open(Bundle& bundle) {
-  if (bundle.open_position >= open_head_ &&
-      bundle.open_position < open_tail_) {
-    open_at(bundle.open_position).live = false;
+void TranslationCache::drop_open(const Key& key) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < open_count_; ++i) {
+    if (!KeyEq{}(open_at(i).key, key)) open_at(kept++) = open_at(i);
   }
-  bundle.open_position = kNotOpen;
-}
-
-void TranslationCache::compact_open() {
-  std::uint64_t kept = open_head_;
-  for (std::uint64_t position = open_head_; position < open_tail_;
-       ++position) {
-    if (!open_at(position).live) continue;
-    open_at(kept) = open_at(position);
-    entries_.find(open_at(kept).key)->second.open_position = kept;
-    kept += 1;
-  }
-  open_tail_ = kept;
+  open_count_ = kept;
 }
 
 void TranslationCache::erase(Entries::iterator it) {

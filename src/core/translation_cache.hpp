@@ -92,8 +92,6 @@ class TranslationCache {
     }
   };
 
-  static constexpr std::uint64_t kNotOpen = ~std::uint64_t{0};
-
   struct Key {
     SdpId source = SdpId::kSlp;
     std::uint64_t hash = 0;
@@ -110,9 +108,6 @@ class TranslationCache {
     transport::TimePoint created_at{0};
     /// This bundle's node on the LRU list (front = next victim).
     std::list<Key>::iterator lru;
-    /// The ring position of the origin session feeding this bundle; it is
-    /// open while the position is in the ring.
-    std::uint64_t open_position = kNotOpen;
   };
 
   struct SdpStats {
@@ -167,7 +162,7 @@ class TranslationCache {
   /// receive frames any more either, so the ring empties.
   void bump_generation() {
     generation_ += 1;
-    open_head_ = open_tail_;
+    open_count_ = 0;
   }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
@@ -200,24 +195,22 @@ class TranslationCache {
     std::uint64_t origin_session;
     Key key;
     transport::TimePoint opened_at;  // == the bundle's created_at
-    /// False once its bundle left the cache (drop_open): it takes no frames
-    /// and leaves the ring when it reaches the front or the ring compacts.
-    bool live;
   };
-  /// The ring of open sessions, oldest first: positions [open_head_,
-  /// open_tail_), each at open_ring_[position % size]. Pushes come in time
-  /// order, so the settled ones are always a prefix. It holds twice
-  /// max_entries: every live session names a distinct stored bundle, so a
-  /// full ring is at least half dead, and compacting it (compact_open) is
-  /// amortized O(1) per push.
-  [[nodiscard]] OpenSession& open_at(std::uint64_t position) {
-    return open_ring_[position % open_ring_.size()];
+  /// The ring of open sessions, oldest first. Pushes come in time order, so
+  /// the settled ones are always a prefix. Every open session names a
+  /// distinct stored bundle, and a bundle that leaves the cache takes its
+  /// session with it (drop_open), so the ring, sized max_entries, never
+  /// overflows.
+  [[nodiscard]] OpenSession& open_at(std::size_t i) {
+    return open_ring_[(open_head_ + i) % open_ring_.size()];
   }
-  /// Marks the open session of `bundle` dead, if it has one: O(1).
-  void drop_open(Bundle& bundle);
-  /// Moves the live sessions to the front of the ring, in order, and
-  /// renumbers their bundles' positions.
-  void compact_open();
+  void pop_open() {
+    open_head_ = (open_head_ + 1) % open_ring_.size();
+    open_count_ -= 1;
+  }
+  /// Drops the open session of the bundle `key` names, if it has one (the
+  /// ring keeps its order).
+  void drop_open(const Key& key);
 
   using Entries = std::unordered_map<Key, Bundle, KeyHash, KeyEq>;
 
@@ -230,8 +223,8 @@ class TranslationCache {
   Entries entries_;
   std::list<Key> lru_;
   std::vector<OpenSession> open_ring_;
-  std::uint64_t open_head_ = 0;
-  std::uint64_t open_tail_ = 0;
+  std::size_t open_head_ = 0;
+  std::size_t open_count_ = 0;
   std::uint64_t generation_ = 0;
   std::uint64_t evictions_ = 0;
   SdpStats stats_[4];
@@ -239,6 +232,6 @@ class TranslationCache {
 
 inline TranslationCache::TranslationCache() : TranslationCache(Config{}) {}
 inline TranslationCache::TranslationCache(Config config)
-    : config_(config), open_ring_(2 * config.max_entries) {}
+    : config_(config), open_ring_(config.max_entries) {}
 
 }  // namespace indiss::core
