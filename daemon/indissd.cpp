@@ -37,6 +37,7 @@
 #include "common/strings.hpp"
 #include "core/gateway.hpp"
 #include "core/units/mdns_unit.hpp"
+#include "core/units/upnp_unit.hpp"
 #include "live/event_loop.hpp"
 #include "live/shard_threads.hpp"
 #include "live/transport.hpp"
@@ -115,6 +116,9 @@ void print_summary(const std::string& name, double up_ms,
   std::size_t records = 0;
   ull announcements = 0;
   std::size_t cached = 0;
+  ull fetched = 0;
+  ull reused = 0;
+  std::size_t kept = 0;
   std::uint64_t wire_bytes = front.stats().wire_bytes();
   std::uint64_t wire_packets = front.stats().wire_packets();
   for (std::size_t i = 0; i < gateway.shard_count(); ++i) {
@@ -126,6 +130,11 @@ void print_summary(const std::string& name, double up_ms,
     if (auto* mdns = shard.unit_as<core::MdnsUnit>(SdpId::kMdns)) {
       announcements += mdns->announcements_sent();
       cached += mdns->foreign_services().size();
+    }
+    if (auto* upnp = shard.unit_as<core::UpnpUnit>(SdpId::kUpnp)) {
+      fetched += upnp->descriptions_fetched();
+      reused += upnp->descriptions_reused();
+      kept += upnp->kept_descriptions();
     }
     if (&shard.transport() != &front) {
       wire_bytes += shard.transport().stats().wire_bytes();
@@ -161,6 +170,10 @@ void print_summary(const std::string& name, double up_ms,
           static_cast<ull>(d.records_stored),
           static_cast<ull>(d.withdrawals));
     }
+  }
+  if (sdps.contains(SdpId::kUpnp)) {
+    std::printf("upnp descriptions_fetched=%llu reused=%llu kept=%zu\n",
+                fetched, reused, kept);
   }
   if (sdps.contains(SdpId::kMdns)) {
     std::printf("mdns announcements_sent=%llu cached_services=%zu\n",

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,6 +32,9 @@ namespace indiss::core {
 using StateId = std::uint16_t;
 /// No state yet: fsm_step starts such a session at its machine's start.
 inline constexpr StateId kNoState = 0xFFFF;
+
+/// A unit's open translated queries: key (Unit::query_key) -> session id.
+using OpenQueries = std::multimap<std::string, std::uint64_t, std::less<>>;
 
 struct Session {
   enum class Origin {
@@ -69,9 +74,9 @@ struct Session {
   bool done = false;
   transport::TimePoint created_at{0};
 
-  /// The key of the translated query the session sent (Unit::send_query),
-  /// under which responses are routed to it; empty when it sent none.
-  std::string query_key;
+  /// Its entry in the unit's open queries while the translated query it
+  /// sent (Unit::send_query) is routed responses; empty otherwise.
+  std::optional<OpenQueries::iterator> open_query;
 
   /// Where the native message came from, recorded from its
   /// SDP_NET_SOURCE_ADDR event (nullopt until then), and whether it crossed

@@ -19,9 +19,8 @@ namespace indiss::core {
 /// Shared registry of endpoints INDISS itself sends from; the monitor
 /// filters against it so the system never re-ingests its own traffic.
 ///
-/// Every endpoint in it is a unit's reply socket (Unit::open_reply_socket),
-/// which also carries the unit's translated queries: there are no per-query
-/// endpoints, so nothing is ever retired and no endpoint is inserted twice.
+/// Its endpoints are the units' reply sockets, which also send the
+/// translated queries: none is per query, retired or inserted twice.
 ///
 /// Internally synchronized: in a threaded gateway (docs/sharding.md) units
 /// on shard threads register their socket endpoints while the front monitor

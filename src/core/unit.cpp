@@ -122,15 +122,9 @@ void Unit::close_session(std::uint64_t id) {
 }
 
 void Unit::close_query(Session& session) {
-  if (session.query_key.empty()) return;
-  auto [first, last] = open_queries_.equal_range(session.query_key);
-  for (auto it = first; it != last; ++it) {
-    if (it->second == session.id) {
-      open_queries_.erase(it);
-      break;
-    }
-  }
-  session.query_key.clear();
+  if (!session.open_query) return;
+  open_queries_.erase(*session.open_query);
+  session.open_query.reset();
 }
 
 void Unit::retire_finished_sessions() {
@@ -335,10 +329,9 @@ void Unit::probe(const std::string& canonical_type) {
 
 void Unit::send_query(Session& session, const net::Endpoint& to,
                       Bytes wire) {
-  query_key(wire, session.query_key);
-  if (!session.query_key.empty()) {
-    open_queries_.emplace(session.query_key, session.id);
-  }
+  close_query(session);
+  query_key(wire, key_scratch_);
+  session.open_query = open_queries_.emplace(key_scratch_, session.id);
   reply_socket_->send_to(to, std::move(wire));
 }
 
@@ -370,11 +363,9 @@ void Unit::route_response(const net::Datagram& datagram) {
     auto [first, last] = open_queries_.equal_range(key);
     for (auto it = first; it != last; ++it) routed_.push_back(it->second);
   };
-  query_key(datagram.payload, response_key_);
-  if (!response_key_.empty()) take(response_key_);
-  std::string_view wildcard = wildcard_query_key();
-  if (!wildcard.empty() && wildcard != response_key_) take(wildcard);
-  if (routed_.empty()) return;
+  query_key(datagram.payload, key_scratch_);
+  take(key_scratch_);
+  if (!key_scratch_.empty()) take({});  // the queries that take every one
   MessageContext ctx = context_of(datagram, host_.address());
   for (std::uint64_t id : routed_) {
     on_native_response(id, datagram.payload, ctx);
@@ -428,9 +419,8 @@ const Session& Unit::replay_session(const net::Datagram& datagram) {
 void Unit::open_reply_socket() {
   reply_socket_ = host_.open_udp(0);
   mark_own(*reply_socket_);
-  // Responses to the queries sent on it (send_query) are routed one hop
-  // later, from a recycled copy: the transport's buffer is only valid
-  // during this call.
+  // Responses to send_query's queries are routed one hop later, from a
+  // copy: the transport's buffer is only valid during this call.
   reply_socket_->set_receive_handler([this](const net::Datagram& datagram) {
     schedule_hop([this, held = hold(datagram)]() mutable {
       route_response(*held);

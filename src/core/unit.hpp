@@ -239,25 +239,16 @@ class Unit {
   virtual void forget_bridged(const ServiceDirectory::Record& service,
                               std::uint64_t handle, Forget why);
 
-  /// Sends the translated query `wire` for `session` to `to` on
-  /// reply_socket_ (the unit acting as a native client) and opens it under
-  /// its key (query_key): every response reply_socket_ receives with that
-  /// key, or with the wildcard key, is parsed into the session one hop later
-  /// (schedule_hop), until the session completes, times out or is evicted.
+  /// Sends `session`'s translated query on reply_socket_ (the unit acting
+  /// as a native client); responses with its key are parsed into the
+  /// session until it completes, times out or is evicted.
   void send_query(Session& session, const net::Endpoint& to, Bytes wire);
-  /// The key rule of translated queries (docs/protocols.md): writes into
-  /// `key` what a response echoes of its query, or clears it when `message`
-  /// carries nothing. Default: the bytes at query_id_span() (SLP's XID, the
-  /// mDNS ID).
+  /// The key rule (docs/protocols.md): what a response echoes of its query.
+  /// A query keyed empty takes every response. Default: the bytes at
+  /// query_id_span() (SLP XID, mDNS ID).
   virtual void query_key(BytesView message, std::string& key) const;
-  /// The key of a query that takes every response (SSDP's ssdp:all).
-  /// Default: none.
-  [[nodiscard]] virtual std::string_view wildcard_query_key() const {
-    return {};
-  }
-  /// The first id from `first` on (wrapping) that no open query's key
-  /// carries as its big-endian query_id_span() bytes, so a unit's open
-  /// queries never share an id.
+  /// The first id from `first` on that no open query's key carries at
+  /// query_id_span(), so a unit's open queries never share an id.
   [[nodiscard]] std::uint16_t free_query_id(std::uint16_t first) const;
 
   /// The one path of every native reply, composed or replayed from the
@@ -270,9 +261,9 @@ class Unit {
   /// 6762 §6 for mDNS, the MX window for SSDP). Default: none.
   [[nodiscard]] virtual transport::Duration network_reply_pacing() const;
 
-  /// Opens reply_socket_, marks it own and routes what it receives to the
-  /// open queries (route_response). SLP, UPnP and mDNS call it from their
-  /// constructors; the unit closes it when it goes away.
+  /// Opens reply_socket_, marks it own and routes what it receives
+  /// (route_response). SLP, UPnP and mDNS call it from their constructors;
+  /// the unit closes it when it goes away.
   void open_reply_socket();
   /// The socket native replies, translated queries and the unit's own
   /// announcements leave on.
@@ -402,7 +393,7 @@ class Unit {
   /// Stops routing responses to the query `session` sent, if it sent one.
   void close_query(Session& session);
   /// Parses a response reply_socket_ received into every open query session
-  /// its key names (query_key, wildcard_query_key).
+  /// its key names (query_key).
   void route_response(const net::Datagram& datagram);
   /// The one pacing rule of send_reply: a query that crossed the shared
   /// medium (multicast from another host) is answered
@@ -436,12 +427,12 @@ class Unit {
   static constexpr std::size_t kSpare = 64;
   std::vector<std::map<std::uint64_t, Session>::node_type> spare_sessions_;
   std::vector<HeldDatagram> spare_datagrams_;
-  /// Open translated queries: key (query_key) -> session id, in send order.
-  std::multimap<std::string, std::uint64_t, std::less<>> open_queries_;
+  /// Open translated queries, in send order.
+  OpenQueries open_queries_;
   /// Completed sessions awaiting retire_finished_sessions().
   std::vector<std::uint64_t> finished_;
-  /// route_response scratch (capacity reused across responses).
-  std::string response_key_;
+  /// send_query and route_response scratch (capacity reused).
+  std::string key_scratch_;
   std::vector<std::uint64_t> routed_;
   std::size_t live_sessions_ = 0;
   bool session_timer_armed_ = false;

@@ -245,8 +245,7 @@ SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
 // native client", paper §4.3).
 void SlpUnit::compose_native_request(Session& session) {
   slp::SrvRqst request;
-  request.header.xid = free_query_id(next_xid_);
-  next_xid_ = static_cast<std::uint16_t>(request.header.xid + 1);
+  request.header.xid = free_query_id(next_xid_++);
   request.service_type = slp_from_canonical(session.var("service_type", "*"));
   request.predicate = session.var("predicate", "");
   request.header.flags |= slp::kFlagRequestMcast;

@@ -44,15 +44,6 @@ std::string_view udn_of(std::string_view usn) {
   return usn.substr(0, usn.find("::"));
 }
 
-/// Whether an HTTP response's status line reads 200.
-bool ok_response(BytesView response) {
-  std::string_view text(reinterpret_cast<const char*>(response.data()),
-                        response.size());
-  std::size_t space = text.find(' ');
-  return str::starts_with(text, "HTTP/") && space != std::string_view::npos &&
-         text.substr(space + 1, 4) == "200 ";
-}
-
 void emit_error(EventSink& sink, std::string_view code) {
   Event err = sink.scratch(EventType::kResErr);
   err.set("code", code);
@@ -292,11 +283,14 @@ void UpnpUnit::compose_native_request(Session& session) {
   send_query(session, kSsdpGroup, to_bytes(ssdp_scratch_));
 }
 
+// The ST header's value, lower-cased, and empty for ssdp:all.
 void UpnpUnit::query_key(BytesView message, std::string& key) const {
-  key.assign(upnp::search_target(message));
-  for (char& c : key) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  reader_.read(message);
+  key.clear();
+  for (unsigned char c : reader_.st()) {
+    key.push_back(static_cast<char>(std::tolower(c)));
   }
+  if (key == upnp::kSearchTargetAll) key.clear();
 }
 
 // The recursive request of §2.4: GET the description document named by
@@ -318,6 +312,7 @@ void UpnpUnit::compose_follow_up(Session& session, const Event&) {
       continue;
     }
     kept.last_used = ++description_uses_;
+    descriptions_reused_ += 1;
     schedule_hop([this, session_id, response = kept.response]() {
       on_native_response(session_id, *response, MessageContext{});
     });
@@ -329,6 +324,7 @@ void UpnpUnit::compose_follow_up(Session& session, const Event&) {
     log::warn("upnp-unit", "bad description URL: ", location);
     return;
   }
+  descriptions_fetched_ += 1;
   Description fetched;
   fetched.location = location;
   fetched.device = device;
@@ -344,7 +340,8 @@ void UpnpUnit::compose_follow_up(Session& session, const Event&) {
         if (!response.has_value()) return;  // session will time out
         fetched.response = std::make_shared<const Bytes>(std::move(*response));
         auto raw = fetched.response;
-        if (ok_response(*raw)) keep_description(std::move(fetched));
+        reader_.read(*raw);
+        if (reader_.status() == 200) keep_description(std::move(fetched));
         schedule_hop([this, session_id, raw = std::move(raw)]() {
           on_native_response(session_id, *raw, MessageContext{});
         });

@@ -66,7 +66,9 @@ class UpnpUnit : public Unit {
   using Config = UpnpUnitConfig;
 
   /// Description documents the unit keeps for its description GETs at most
-  /// (docs/protocols.md): the least recently used one makes room.
+  /// (docs/protocols.md): the least recently used one makes room. 8 times
+  /// the LOCATIONs of the one benchmark that repeats bridged UPnP queries;
+  /// too small a table costs refetches, never a wrong answer.
   static constexpr std::size_t kDescriptionCapacity = 64;
 
   explicit UpnpUnit(transport::Transport& transport, UnitOptions options = {},
@@ -87,6 +89,13 @@ class UpnpUnit : public Unit {
   [[nodiscard]] std::size_t kept_descriptions() const {
     return descriptions_.size();
   }
+  /// Description GETs sent, and follow-ups answered from a kept document.
+  [[nodiscard]] std::uint64_t descriptions_fetched() const {
+    return descriptions_fetched_;
+  }
+  [[nodiscard]] std::uint64_t descriptions_reused() const {
+    return descriptions_reused_;
+  }
 
   void set_active_advertising(bool on) { config_.active_advertising = on; }
   [[nodiscard]] const Config& config() const { return config_; }
@@ -103,11 +112,8 @@ class UpnpUnit : public Unit {
     return config_.search_response_pacing;
   }
   /// A search is answered by responses carrying its ST, compared without
-  /// case; an ssdp:all search by every response.
+  /// case; an ssdp:all search (keyed empty) by every response.
   void query_key(BytesView message, std::string& key) const override;
-  [[nodiscard]] std::string_view wildcard_query_key() const override {
-    return upnp::kSearchTargetAll;
-  }
 
  private:
   /// A fetched description document (compose_follow_up): the complete 200
@@ -151,6 +157,10 @@ class UpnpUnit : public Unit {
   /// last_used).
   std::vector<Description> descriptions_;
   std::uint64_t description_uses_ = 0;
+  std::uint64_t descriptions_fetched_ = 0;
+  std::uint64_t descriptions_reused_ = 0;
+  /// Reads query keys and fetched descriptions' status lines.
+  mutable upnp::SsdpReader reader_;
   // Compose-side scratch: SSDP messages serialize into this reused buffer
   // (docs/events.md scratch recipe) before the one unavoidable payload copy.
   std::string ssdp_scratch_;

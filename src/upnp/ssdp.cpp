@@ -188,23 +188,4 @@ std::optional<SsdpMessage> parse_ssdp(BytesView datagram) {
   return std::nullopt;
 }
 
-std::string_view search_target(BytesView datagram) {
-  std::string_view text(reinterpret_cast<const char*>(datagram.data()),
-                        datagram.size());
-  // Skip the start line, then read header lines up to the blank one.
-  std::size_t end = text.find('\n');
-  while (end != std::string_view::npos) {
-    text.remove_prefix(end + 1);
-    end = text.find('\n');
-    std::string_view line = str::trim(text.substr(0, end));
-    if (line.empty()) break;
-    std::size_t colon = line.find(':');
-    if (colon != std::string_view::npos &&
-        str::iequals(str::trim(line.substr(0, colon)), "ST")) {
-      return str::trim(line.substr(colon + 1));
-    }
-  }
-  return {};
-}
-
 }  // namespace indiss::upnp

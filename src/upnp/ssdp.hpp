@@ -156,11 +156,6 @@ class SsdpReader : private http::HttpEventHandler {
   bool one_message_ = false;
 };
 
-/// The ST header of an M-SEARCH or a search response, trimmed, without
-/// parsing the rest: the first ST line of the header block, or empty when
-/// there is none. The view aliases `datagram`.
-[[nodiscard]] std::string_view search_target(BytesView datagram);
-
 /// Classifies and parses one HTTPU datagram. Returns nullopt for anything
 /// that is not a well-formed SSDP message.
 [[nodiscard]] std::optional<SsdpMessage> parse_ssdp(BytesView datagram);

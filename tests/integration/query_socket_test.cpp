@@ -443,7 +443,8 @@ TEST_F(BridgedQueries, AnSsdpAllSearchTakesEveryResponse) {
   start(SdpId::kUpnp);
   net::Datagram all = bridge_query(1, "*");
   net::Datagram clock = bridge_query(2);
-  EXPECT_EQ(upnp::search_target(all.payload), upnp::kSearchTargetAll);
+  EXPECT_EQ(std::get<upnp::SearchRequest>(*upnp::parse_ssdp(all.payload)).st,
+            upnp::kSearchTargetAll);
   const std::uint64_t parsed = unit().stats().messages_parsed;
   answer(clock);
   scheduler.run_for(sim::millis(20));
