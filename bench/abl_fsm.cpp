@@ -55,11 +55,11 @@ BENCHMARK(BM_FsmStepThroughRequestStream);
 
 void BM_GuardEvaluation(benchmark::State& state) {
   Session session;
-  session.set_var("kind", "request");
+  session.kind = Kind::kRequest;
   Event event(EventType::kControlStop);
-  auto guard = kind_is("request");
+  const Guard guard{.kinds = bits(Kind::kRequest)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(guard(event, session));
+    benchmark::DoNotOptimize(guard.admits(event, session));
   }
 }
 BENCHMARK(BM_GuardEvaluation);

@@ -2,10 +2,29 @@
 
 #include <stdexcept>
 
+#include "core/unit.hpp"
+
 namespace indiss::core {
 
-Guard any() {
-  return [](const Event&, const Session&) { return true; };
+namespace {
+const Symbol kServer = SymbolTable::global().intern("server");
+}  // namespace
+
+bool Guard::admits(const Event& event, const Session& session) const {
+  return (kinds & bits(session.kind)) != 0 &&
+         (origins & bits(session.origin)) != 0 &&
+         (session.recorded & present) == present &&
+         (session.recorded & absent) == 0 &&
+         (stamp == Stamp::kEither ||
+          (event.data.get(kServer).find("INDISS-bridge") !=
+           std::string_view::npos) == (stamp == Stamp::kStamped));
+}
+
+bool Guard::overlaps(const Guard& other) const {
+  return (kinds & other.kinds) != 0 && (origins & other.origins) != 0 &&
+         ((present | other.present) & (absent | other.absent)) == 0 &&
+         (stamp == Stamp::kEither || other.stamp == Stamp::kEither ||
+          stamp == other.stamp);
 }
 
 StateId StateMachine::state_id(std::string_view name) {
@@ -41,35 +60,32 @@ bool StateMachine::is_accepting(std::string_view state) const {
 void StateMachine::add_tuple(std::string_view from, EventType trigger,
                              Guard guard, std::string_view to,
                              std::vector<Action> actions) {
-  if (!guard) guard = any();
   StateId from_id = state_id(from);
   StateId to_id = state_id(to);
-  auto index = static_cast<std::uint32_t>(transitions_.size());
-  transitions_.push_back(Transition{from_id, trigger, std::move(guard), to_id,
-                                    std::move(actions), kNoTransition});
-  // Append to the cell's chain, so guards run in the order they were added.
+  // Append to the cell's chain after checking it against every guard there.
   std::uint32_t* link = &cells_[cell(from_id, trigger)];
-  while (*link != kNoTransition) link = &transitions_[*link].next_in_cell;
-  *link = index;
+  while (*link != kNoTransition) {
+    if (transitions_[*link].guard.overlaps(guard)) {
+      throw std::logic_error(
+          "nondeterministic state machine: state '" + std::string(from) +
+          "' has two transitions on " + std::string(event_name(trigger)) +
+          " that can be enabled at once");
+    }
+    link = &transitions_[*link].next_in_cell;
+  }
+  *link = static_cast<std::uint32_t>(transitions_.size());
+  transitions_.push_back(Transition{from_id, trigger, guard, to_id,
+                                    std::move(actions), kNoTransition});
 }
 
 const Transition* StateMachine::match(StateId state, const Event& event,
                                       const Session& session) const {
   if (state >= names_.size()) return nullptr;
-  const Transition* found = nullptr;
   for (std::uint32_t i = cells_[cell(state, event.type)]; i != kNoTransition;
        i = transitions_[i].next_in_cell) {
-    const Transition& t = transitions_[i];
-    if (!t.guard(event, session)) continue;
-    if (found != nullptr) {
-      throw std::logic_error(
-          "nondeterministic state machine: state '" +
-          std::string(state_name(state)) + "' has two enabled transitions "
-          "on " + std::string(event_name(event.type)));
-    }
-    found = &t;
+    if (transitions_[i].guard.admits(event, session)) return &transitions_[i];
   }
-  return found;
+  return nullptr;
 }
 
 std::set<std::string> StateMachine::states() const {
@@ -87,8 +103,8 @@ bool fsm_step(const StateMachine& machine, Unit& unit, Session& session,
   const Transition* transition = machine.match(session.state, event, session);
   if (transition == nullptr) return false;
   session.state = transition->to;
-  for (const auto& action : transition->actions) {
-    action(unit, event, session);
+  for (const Action& action : transition->actions) {
+    unit.perform(action, event, session);
   }
   return true;
 }

@@ -45,9 +45,12 @@ Unit::~Unit() {
 }
 
 void Unit::register_parser(std::unique_ptr<SdpParser> parser) {
-  std::string name(parser->name());
-  if (default_parser_.empty()) default_parser_ = name;
-  parsers_[name] = std::move(parser);
+  // A parser of a registered name replaces that one, as the default too.
+  auto& registered = parsers_[std::string(parser->name())];
+  if (default_parser_ == nullptr || default_parser_ == registered.get()) {
+    default_parser_ = parser.get();
+  }
+  registered = std::move(parser);
 }
 
 Session* Unit::find_session(std::uint64_t id) {
@@ -70,8 +73,9 @@ Session& Unit::open_session(Session::Origin origin) {
     stats_.sessions_evicted += 1;
     close_session(oldest->first);
   }
-  // A retired node is reused with its buffers (vars, collected): a unit
-  // translating a steady message flow stops allocating sessions once warm.
+  // A retired node is reused with its buffers (recorded strings, collected):
+  // a unit translating a steady message flow stops allocating sessions once
+  // warm. close_session reset it.
   std::uint64_t id = next_session_id_++;
   decltype(sessions_)::iterator it;
   if (spare_sessions_.empty()) {
@@ -87,14 +91,8 @@ Session& Unit::open_session(Session::Origin origin) {
   session.id = id;
   session.origin = origin;
   session.state = fsm_.start();
-  session.origin_sdp = SdpId::kSlp;
-  session.origin_session = 0;
-  session.active_parser = default_parser_;
-  session.done = false;
+  session.parser = default_parser_;
   session.created_at = now();
-  session.source.reset();
-  session.from_local_host = false;
-  session.multicast = false;
   stats_.sessions_opened += 1;
   live_sessions_ += 1;
   arm_session_timer();
@@ -111,9 +109,7 @@ void Unit::close_session(std::uint64_t id) {
   }
   auto node = sessions_.extract(it);
   Session& session = node.mapped();
-  session.vars.clear();
-  session.collected.clear();
-  session.shared.reset();
+  session.reset();
   if (spare_sessions_.size() < kSpare) {
     spare_sessions_.push_back(std::move(node));
   } else {
@@ -178,10 +174,9 @@ void Unit::feed_stream(Session& session, SharedStream stream) {
 
 void Unit::parse_into_session(Session& session, BytesView raw,
                               const MessageContext& ctx) {
-  auto it = parsers_.find(session.active_parser);
-  if (it == parsers_.end()) {
+  if (session.parser == nullptr) {
     throw std::logic_error("unit " + std::string(sdp_name(sdp_)) +
-                           ": no parser named '" + session.active_parser + "'");
+                           ": no parser registered");
   }
   stats_.messages_parsed += 1;
 
@@ -196,7 +191,7 @@ void Unit::parse_into_session(Session& session, BytesView raw,
     }
   } sink{*this, session};
 
-  it->second->parse(raw, ctx, sink);
+  session.parser->parse(raw, ctx, sink);
 }
 
 Unit::HeldDatagram Unit::hold(const net::Datagram& datagram) {
@@ -280,14 +275,14 @@ void Unit::ingest(const net::Datagram& datagram) {
   // world.
   Session* parsed = find_session(session_id);
   if (parsed == nullptr) return;
-  auto kind = parsed->var("kind");
-  if (kind == "byebye") {
+  Kind kind = parsed->kind;
+  if (kind == Kind::kByeBye) {
     if (cache != nullptr) cache->bump_generation();
     store.withdraw(sdp_, parsed->events());
-  } else if (kind == "alive" || kind == "register" ||
-             kind == "repo_announce") {
+  } else if (kind == Kind::kAlive || kind == Kind::kRegister ||
+             kind == Kind::kRepoAnnounce) {
     ServiceDirectory::Handle record = 0;
-    if (kind != "repo_announce") {
+    if (kind != Kind::kRepoAnnounce) {
       record = store.record_advertisement(sdp_, parsed->events(), now());
       if (record == 0 && !scan_advert(parsed->events()).url.empty()) return;
     }
@@ -391,7 +386,7 @@ void Unit::send_reply(const Session& session, BytesView wire) {
               ": reply without recorded source address");
     return;
   }
-  if (session.var("directory_answer") == "1") {
+  if (session.directory_answer) {
     options_.directory->add_answer_payload(sdp_, session.id, wire);
   }
   transport::Duration delay = reply_delay(session);
@@ -436,45 +431,6 @@ void Unit::on_native_response(std::uint64_t session_id, BytesView raw,
   parse_into_session(*session, raw, ctx);
 }
 
-// ---------------------------------------------------------------------------
-// Action factories
-// ---------------------------------------------------------------------------
-
-Action Unit::record(std::string_view var, std::string_view data_key) {
-  SymbolTable& table = SymbolTable::global();
-  return [var = table.intern(var), key = table.intern(data_key)](
-             Unit&, const Event& event, Session& session) {
-    if (event.data.has(key)) session.vars.set(var, event.data.get(key));
-  };
-}
-
-Action Unit::set(std::string_view var, std::string value) {
-  return [var = SymbolTable::global().intern(var), value = std::move(value)](
-             Unit&, const Event&, Session& session) {
-    session.vars.set(var, value);
-  };
-}
-
-Action Unit::record_source() {
-  SymbolTable& table = SymbolTable::global();
-  return [addr_key = table.intern("addr"), port_key = table.intern("port"),
-          local_key = table.intern("local")](Unit&, const Event& event,
-                                             Session& session) {
-    auto addr = net::IpAddress::parse(event.data.get(addr_key));
-    if (!addr.has_value()) return;
-    session.source = net::Endpoint{
-        *addr, static_cast<std::uint16_t>(
-                   str::parse_long(event.data.get(port_key), 0))};
-    session.from_local_host = event.data.get(local_key) == "1";
-  };
-}
-
-Action Unit::record_multicast() {
-  return [](Unit&, const Event&, Session& session) {
-    session.multicast = true;
-  };
-}
-
 void Unit::mark_own(const transport::UdpSocket& socket) {
   if (options_.own_endpoints != nullptr) {
     options_.own_endpoints->insert(socket.local_endpoint());
@@ -495,55 +451,135 @@ void Unit::cache_outbound_frame(const Session& session,
                    std::move(frame));
 }
 
-Action Unit::dispatch_to_peers() {
-  return [](Unit& unit, const Event&, Session& session) {
-    unit.do_dispatch_to_peers(session);
-  };
+// ---------------------------------------------------------------------------
+// FSM actions
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Symbol intern(std::string_view name) {
+  return SymbolTable::global().intern(name);
 }
 
-Action Unit::reply_to_origin() {
-  return [](Unit& unit, const Event&, Session& session) {
-    unit.do_reply_to_origin(session);
-  };
+/// Copies `field`'s event data into the session, when the event has it.
+void record_field(Session& session, Field field, const Event& event) {
+  // Where each Field is recorded from and to, in Field order. The TTL and
+  // the query id are numbers, parsed here; SLP's id is its "xid".
+  static const std::pair<Symbol, std::string Session::*> kSlots[] = {
+      {intern("type"), &Session::service_type},
+      {intern("url"), &Session::url},
+      {intern("scheme"), &Session::url_scheme},
+      {intern("url"), &Session::desc_url},
+      {intern("st"), &Session::st},
+      {intern("predicate"), &Session::predicate},
+      {intern("name"), &Session::qname},
+      {intern("seconds"), nullptr},
+      {intern("id"), nullptr}};
+  static const Symbol kXid = intern("xid");
+  const auto& [key, text] = kSlots[static_cast<std::size_t>(field)];
+  Symbol from = event.type == EventType::kSlpReqId ? kXid : key;
+  if (!event.data.has(from)) return;
+  std::string_view value = event.data.get(from);
+  if (field == Field::kTtl) {
+    session.ttl_seconds = str::parse_long(value, 0);
+  } else if (field == Field::kQueryId) {
+    session.query_id = static_cast<std::uint16_t>(str::parse_long(value, 0));
+  } else {
+    (session.*text).assign(value);
+  }
+  session.recorded |= bits(field);
 }
 
-Action Unit::begin_native_request() {
-  return [](Unit& unit, const Event&, Session& session) {
-    unit.stats_.messages_composed += 1;
-    unit.compose_native_request(session);
-  };
+/// Records SDP_NET_SOURCE_ADDR as the session's source (and whether it is
+/// the unit's own host): what the reply path reads.
+void record_source(Session& session, const Event& event) {
+  static const Symbol addr_key = intern("addr");
+  static const Symbol port_key = intern("port");
+  static const Symbol local_key = intern("local");
+  auto addr = net::IpAddress::parse(event.data.get(addr_key));
+  if (!addr.has_value()) return;
+  session.source = net::Endpoint{
+      *addr, static_cast<std::uint16_t>(
+                 str::parse_long(event.data.get(port_key), 0))};
+  session.from_local_host = event.data.get(local_key) == "1";
 }
 
-Action Unit::send_native_reply() {
-  return [](Unit& unit, const Event&, Session& session) {
-    unit.stats_.messages_composed += 1;
-    unit.compose_native_reply(session);
-  };
-}
+}  // namespace
 
-Action Unit::follow_up() {
-  return [](Unit& unit, const Event& event, Session& session) {
-    unit.stats_.messages_composed += 1;
-    unit.compose_follow_up(session, event);
-  };
-}
-
-Action Unit::do_parser_switch() {
-  return [](Unit& unit, const Event& event, Session& session) {
-    unit.do_switch(session, event);
-  };
-}
-
-Action Unit::deliver_advertisement() {
-  return [](Unit& unit, const Event&, Session& session) {
-    unit.on_advertisement(session);
-  };
-}
-
-Action Unit::complete() {
-  return [](Unit& unit, const Event&, Session& session) {
-    unit.do_complete(session);
-  };
+void Unit::perform(const Action& action, const Event& event,
+                   Session& session) {
+  switch (action.op) {
+    case ActionOp::kSetKind:
+      session.kind = action.kind;
+      break;
+    case ActionOp::kRecord:
+      record_field(session, action.field, event);
+      break;
+    case ActionOp::kRecordSource:
+      record_source(session, event);
+      break;
+    case ActionOp::kRecordMulticast:
+      session.multicast = true;
+      break;
+    case ActionOp::kDispatchToPeers:
+      do_dispatch_to_peers(session);
+      break;
+    case ActionOp::kReplyToOrigin:
+      if (bus_ == nullptr) {
+        log::warn("unit", sdp_name(sdp_), ": reply with no bus attached");
+        break;
+      }
+      stats_.streams_dispatched += 1;
+      bus_->reply(session.origin_sdp, session.origin_session,
+                  share_events(session));
+      break;
+    case ActionOp::kBeginNativeRequest:
+      stats_.messages_composed += 1;
+      compose_native_request(session);
+      break;
+    case ActionOp::kSendNativeReply:
+      stats_.messages_composed += 1;
+      compose_native_reply(session);
+      break;
+    case ActionOp::kFollowUp:
+      stats_.messages_composed += 1;
+      compose_follow_up(session, event);
+      break;
+    case ActionOp::kParserSwitch:
+      do_switch(session, event);
+      break;
+    case ActionOp::kDeliverAdvertisement:
+      on_advertisement(session);
+      break;
+    case ActionOp::kResponseToAdvert:
+      // Probe mode: the collected native response becomes an advertisement
+      // for the peers to re-announce (a shared stream is never mutated).
+      for (Event& collected : session.collected) {
+        if (collected.type == EventType::kServiceResponse) {
+          collected.type = EventType::kServiceAlive;
+        }
+      }
+      session.kind = Kind::kAlive;
+      break;
+    case ActionOp::kFinalizeReply:
+      finalize_reply(session);
+      break;
+    case ActionOp::kForgetDescriptions:
+      forget_descriptions(event);
+      break;
+    case ActionOp::kNoteRegistrar:
+      note_registrar(event);
+      break;
+    case ActionOp::kComplete:
+      // The unit erases the session once the current scheduled task returns.
+      if (session.done) break;
+      session.done = true;
+      live_sessions_ -= 1;
+      stats_.sessions_completed += 1;
+      close_query(session);
+      finished_.push_back(session.id);
+      break;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -557,7 +593,7 @@ void Unit::do_dispatch_to_peers(Session& session) {
   if (bus_ == nullptr || bus_->subscriber_count() < 2) return;
   ServiceDirectory& dir = *options_.directory;
   if (dir.answers_queries() && session.origin == Session::Origin::kNative &&
-      session.var("kind") == "request") {
+      session.kind == Kind::kRequest) {
     dir.count_bridged(sdp_);
   }
   stats_.streams_dispatched += 1;
@@ -577,8 +613,8 @@ bool Unit::try_answer_from_directory(Session& session) {
       !answers_from_directory()) {
     return false;
   }
-  if (session.var("kind") != "request") return false;
-  std::string_view type = session.var("service_type");
+  if (session.kind != Kind::kRequest) return false;
+  std::string_view type = session.service_type;
   // Wildcard and uuid-targeted searches bridge: the index keys on concrete
   // canonical types (docs/directory.md's decision table).
   if (!meaningful_advert_type(type)) return false;
@@ -631,7 +667,7 @@ bool Unit::try_answer_from_directory(Session& session) {
     dir->open_answer(sdp_, type, pending_query_wire_, session.id, now(),
                      query_id_span());
   }
-  session.set_var("directory_answer", "1");
+  session.directory_answer = true;
   dir->count_answered(sdp_);
 
   std::uint64_t id = session.id;
@@ -643,33 +679,15 @@ bool Unit::try_answer_from_directory(Session& session) {
   return true;
 }
 
-void Unit::do_reply_to_origin(Session& session) {
-  if (bus_ == nullptr) {
-    log::warn("unit", sdp_name(sdp_), ": reply with no bus attached");
-    return;
-  }
-  stats_.streams_dispatched += 1;
-  bus_->reply(session.origin_sdp, session.origin_session,
-              share_events(session));
-}
-
-void Unit::do_complete(Session& session) {
-  if (session.done) return;
-  session.done = true;
-  live_sessions_ -= 1;
-  stats_.sessions_completed += 1;
-  close_query(session);
-  finished_.push_back(session.id);
-}
-
 void Unit::do_switch(Session& session, const Event& event) {
   std::string_view target = event.get("parser");
-  if (parsers_.find(target) == parsers_.end()) {
+  auto parser = parsers_.find(target);
+  if (parser == parsers_.end()) {
     log::warn("unit", sdp_name(sdp_), ": parser switch to unknown parser '",
               target, "'");
     return;
   }
-  session.active_parser = target;
+  session.parser = parser->second.get();
   // Continue parsing the carried payload with the new parser; its events run
   // through the same session (no new SDP_C_START).
   std::string_view payload = event.get("payload");
@@ -681,16 +699,19 @@ void Unit::do_switch(Session& session, const Event& event) {
 }
 
 void Unit::compose_follow_up(Session&, const Event&) {}
+void Unit::finalize_reply(Session&) {}
+void Unit::forget_descriptions(const Event&) {}
+void Unit::note_registrar(const Event&) {}
 
 void Unit::on_advertisement(Session& session) {
   // View-based extraction: the alive refresh (the steady-state case for a
   // chatty announcer) touches only views into the session's events.
   AdvertView advert = scan_advert(session.events());
-  if (session.var("kind") == "byebye") {
+  if (session.kind == Kind::kByeBye) {
     options_.directory->drop(sdp_, advert);
     return;
   }
-  std::string_view type = session.var("service_type");
+  std::string_view type = session.service_type;
   if (advert.url.empty() || !meaningful_advert_type(type)) return;
   auto [record, fresh] =
       options_.directory->hold(sdp_, type, advert, session.events(), now());

@@ -11,10 +11,9 @@
 //
 // Coordination is session-based: each discovery transaction (or
 // advertisement) runs its own Session with its own FSM instance state, so a
-// unit can serve many interleaved translations. The FSM's actions call back
-// into the public action API below (record / dispatch_to_peers /
-// begin_native_request / send_native_reply / switch_parser / complete) — the
-// paper's "actions provided by the unit's interface".
+// unit can serve many interleaved translations. The FSM's actions are
+// ActionOp opcodes (core/fsm.hpp) that perform() runs against the session —
+// the paper's "actions provided by the unit's interface".
 #pragma once
 
 #include <cstdint>
@@ -114,39 +113,12 @@ class Unit {
   /// re-announcement in their SDPs.
   void probe(const std::string& canonical_type);
 
-  // --- FSM action API (invoked by transitions) ------------------------------
+  // --- FSM actions -----------------------------------------------------------
 
-  /// Records event data under a session state variable. Both keys are
-  /// interned here, when the machine is built.
-  static Action record(std::string_view var, std::string_view data_key);
-  /// Sets a session state variable to a constant.
-  static Action set(std::string_view var, std::string value);
-  /// Records SDP_NET_SOURCE_ADDR as the session's source (and whether it is
-  /// the unit's own host), and SDP_NET_MULTICAST as its medium: what the
-  /// reply path reads.
-  static Action record_source();
-  static Action record_multicast();
-  /// Publishes the session's events on the bus.
-  static Action dispatch_to_peers();
-  /// Sends the session's events back to the originating unit.
-  static Action reply_to_origin();
-  /// Asks the composer to build and send the native request for a
-  /// peer-originated session.
-  static Action begin_native_request();
-  /// Asks the composer to build and send the native reply for a
-  /// native-originated session (using recorded state variables).
-  static Action send_native_reply();
-  /// Issues a follow-up native request (e.g. the description GET the UPnP
-  /// unit generates when SDP_RES_SERV_URL is still missing — paper §2.4).
-  static Action follow_up();
-  /// Swaps the session's active parser (SDP_C_PARSER_SWITCH) and continues
-  /// parsing the event's payload with it.
-  static Action do_parser_switch();
-  /// Hands the advertisement stream to the subclass.
-  static Action deliver_advertisement();
-  /// Marks the session finished; the unit erases it once the current
-  /// scheduled task returns.
-  static Action complete();
+  /// Performs one action of a transition that fired (fsm_step): the one
+  /// switch over ActionOp. Unit-specific operations run the protected
+  /// virtuals below.
+  void perform(const Action& action, const Event& event, Session& session);
 
   // --- Statistics ------------------------------------------------------------
 
@@ -200,15 +172,22 @@ class Unit {
  protected:
   // --- Subclass surface ------------------------------------------------------
 
-  /// Parser registry. Every unit has a default parser; the UPnP unit also
-  /// registers an XML parser as the switch target.
+  /// Parser registry, by name. The first parser registered is the one every
+  /// session starts with; the UPnP unit also registers an XML parser as the
+  /// switch target. Registering a name again replaces its parser, so it is
+  /// done before any session opens: a session holds its parser by pointer.
   void register_parser(std::unique_ptr<SdpParser> parser);
-  void set_default_parser(const std::string& name) { default_parser_ = name; }
 
   /// Composer half, implemented per SDP.
   virtual void compose_native_request(Session& session) = 0;
   virtual void compose_native_reply(Session& session) = 0;
   virtual void compose_follow_up(Session& session, const Event& event);
+
+  /// The unit-specific FSM operations (kFinalizeReply, kForgetDescriptions,
+  /// kNoteRegistrar). Default: nothing.
+  virtual void finalize_reply(Session& session);
+  virtual void forget_descriptions(const Event& event);
+  virtual void note_registrar(const Event& event);
 
   // --- Bridged services (docs/protocols.md) ---------------------------------
   //
@@ -384,8 +363,6 @@ class Unit {
   /// answer) and returns true — nothing reaches the bus or the origin
   /// network.
   bool try_answer_from_directory(Session& session);
-  void do_reply_to_origin(Session& session);
-  void do_complete(Session& session);
   void do_switch(Session& session, const Event& event);
   /// Ends a session (closing its query if it never completed) and erases
   /// it. Unknown ids are ignored.
@@ -439,7 +416,8 @@ class Unit {
   // std::less<> so parser names arriving as string_view (parser-switch
   // events) are looked up without a temporary std::string.
   std::map<std::string, std::unique_ptr<SdpParser>, std::less<>> parsers_;
-  std::string default_parser_;
+  /// The first parser registered: every session starts with it.
+  SdpParser* default_parser_ = nullptr;
   std::uint64_t next_session_id_ = 1;
   /// Wire bytes of the native datagram currently being parsed (directory
   /// mode only): try_answer_from_directory keys the answer cache by them.

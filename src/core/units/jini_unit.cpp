@@ -109,28 +109,21 @@ bool compose_jini_announcement(const EventStream& stream,
 JiniUnit::JiniUnit(transport::Transport& transport, UnitOptions options)
     : Unit(SdpId::kJini, transport, std::move(options)) {
   register_parser(std::make_unique<JiniEventParser>());
-  set_default_parser("jini");
   build_standard_fsm(fsm_);
   // Learn registrar locations from announcements. The kind tag makes the
   // periodic (byte-identical) registrar heartbeat cacheable: a repeat skips
   // the parse, and the no-op replay is correct because the registrar was
   // already noted (a *changed* registrar changes the bytes — and noting one
   // bumps the cache generation).
-  fsm_.add_tuple("parsing", EventType::kDiscRepositoryFound, any(), "parsing",
-                 {note_registrar(), Unit::set("kind", "repo_announce")});
-  fsm_.add_tuple("parsing", EventType::kDiscRepositoryQuery, any(), "parsing",
-                 {Unit::set("kind", "repo_query")});
+  fsm_.add_tuple("parsing", EventType::kDiscRepositoryFound, {}, "parsing",
+                 {ActionOp::kNoteRegistrar, set_kind(Kind::kRepoAnnounce)});
+  fsm_.add_tuple("parsing", EventType::kDiscRepositoryQuery, {}, "parsing",
+                 {set_kind(Kind::kRepoQuery)});
 }
 
 JiniUnit::~JiniUnit() = default;
 
-Action JiniUnit::note_registrar() {
-  return [](Unit& unit, const Event& event, Session&) {
-    static_cast<JiniUnit&>(unit).do_note_registrar(event);
-  };
-}
-
-void JiniUnit::do_note_registrar(const Event& event) {
+void JiniUnit::note_registrar(const Event& event) {
   auto addr = net::IpAddress::parse(event.get("host"));
   if (!addr.has_value()) return;
   net::Endpoint endpoint{
@@ -175,7 +168,7 @@ void JiniUnit::registrar_op(Bytes request, std::function<void(Bytes)> handler) {
 // the other peers' answers (if any) win.
 void JiniUnit::compose_native_request(Session& session) {
   jini::ServiceTemplate tmpl;
-  std::string type(session.var("service_type", "*"));
+  std::string type(session.service_type_or("*"));
   if (type != "*") tmpl.service_type = type;
 
   ByteWriter w;
@@ -251,7 +244,7 @@ void JiniUnit::on_bridged(Session& session,
 
   jini::ServiceItem item;
   item.id = jini::ServiceId{0x1D15500000000000ULL, next_service_id_++};
-  item.service_type = session.var("service_type", "service");
+  item.service_type = session.service_type_or("service");
   attributes.emplace_back("url", service.url);
   attributes.emplace_back("bridged-by", "INDISS");
   item.attributes = std::move(attributes);

@@ -68,10 +68,10 @@ class JiniUnit : public Unit {
   /// Native Jini clients resolve services through a registrar, never by
   /// multicast query, so there is no request for the directory to answer.
   [[nodiscard]] bool answers_from_directory() const override { return false; }
+  /// Learns the registrar an announcement names (kNoteRegistrar).
+  void note_registrar(const Event& event) override;
 
  private:
-  static Action note_registrar();
-  void do_note_registrar(const Event& event);
   /// One-shot unicast registrar op; hands raw reply bytes to the handler.
   void registrar_op(Bytes request, std::function<void(Bytes)> handler);
   /// Keeps the renewal timer armed while the unit holds a granted lease:

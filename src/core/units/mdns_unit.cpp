@@ -362,12 +362,11 @@ MdnsUnit::MdnsUnit(transport::Transport& transport, UnitOptions options,
                    Config config)
     : Unit(SdpId::kMdns, transport, std::move(options)) {
   register_parser(std::make_unique<MdnsEventParser>());
-  set_default_parser("mdns");
   build_standard_fsm(fsm_);
   // Remember the browse question so the composed reply echoes the qname and
   // the legacy querier's DNS id (RFC 6762 §6.7).
-  fsm_.add_tuple("parsing", EventType::kMdnsQuestion, any(), "parsing",
-                 {Unit::record("qname", "name"), Unit::record("qid", "id")});
+  fsm_.add_tuple("parsing", EventType::kMdnsQuestion, {}, "parsing",
+                 {record(Field::kQname), record(Field::kQueryId)});
 
   open_reply_socket();
 
@@ -422,7 +421,7 @@ void MdnsUnit::compose_native_request(Session& session) {
   compose_scratch_.id =
       free_query_id(static_cast<std::uint16_t>(session.id & 0xFFFF));
   mdns::DnsQuestion question;
-  question.name = dnssd_from_canonical(session.var("service_type", "*"));
+  question.name = dnssd_from_canonical(session.service_type_or("*"));
   question.qtype = mdns::kTypePtr;
   question.unicast_response = true;
   compose_scratch_.questions.push_back(std::move(question));
@@ -437,12 +436,10 @@ void MdnsUnit::compose_native_request(Session& session) {
 // Answering a native mDNS browser on behalf of foreign services: compose the
 // PTR+SRV+TXT+A bundle and unicast it back to the querier.
 void MdnsUnit::compose_native_reply(Session& session) {
-  std::string_view recorded_qname = session.var("qname");
-  if (recorded_qname.empty()) {
-    dnssd_from_canonical_into(session.var("service_type", "*"),
-                              qname_scratch_);
+  if (session.qname.empty()) {
+    dnssd_from_canonical_into(session.service_type_or("*"), qname_scratch_);
   } else {
-    qname_scratch_.assign(recorded_qname);
+    qname_scratch_.assign(session.qname);
   }
   if (compose_dnssd_answers(session.events(), qname_scratch_, kRecordTtl,
                             compose_scratch_, &name_overrides_) == 0) {
@@ -451,8 +448,7 @@ void MdnsUnit::compose_native_reply(Session& session) {
   if (blocked_by_probing(compose_scratch_)) {
     return;  // §8.1: a still-probing instance must not be answered for
   }
-  compose_scratch_.id = static_cast<std::uint16_t>(
-      str::parse_long(session.var("qid", "0"), 0));
+  compose_scratch_.id = session.query_id;
   send_reply(session, encoder_.encode(compose_scratch_));
 }
 
@@ -467,7 +463,7 @@ transport::Duration MdnsUnit::network_reply_pacing() const {
 void MdnsUnit::on_bridged(Session& session,
                           const ServiceDirectory::Record& service,
                           std::uint64_t&, bool fresh) {
-  std::string_view type = session.var("service_type");
+  std::string_view type = session.service_type;
   dnssd_from_canonical_into(type, qname_scratch_);
   if (compose_dnssd_answers(session.events(), qname_scratch_, kRecordTtl,
                             compose_scratch_, &name_overrides_) == 0) {

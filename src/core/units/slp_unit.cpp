@@ -1,7 +1,6 @@
 #include "core/units/slp_unit.hpp"
 
 #include "common/reuse.hpp"
-#include "common/strings.hpp"
 #include "core/typemap.hpp"
 #include "slp/agents.hpp"
 
@@ -226,16 +225,15 @@ SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
     : Unit(SdpId::kSlp, transport, std::move(options)) {
   register_parser(
       std::make_unique<SlpEventParser>(transport.address().to_string()));
-  set_default_parser("slp");
   build_standard_fsm(fsm_);
   // SLP-specific bookkeeping: remember the XID so the composed reply matches
-  // the native client's request (paper Fig 4's SDP_REQ_ID).
-  fsm_.add_tuple("parsing", EventType::kSlpReqId, any(), "parsing",
-                 {Unit::record("xid", "xid")});
-  fsm_.add_tuple("parsing", EventType::kSlpReqPredicate, any(), "parsing",
-                 {Unit::record("predicate", "predicate")});
-  fsm_.add_tuple("parsing", EventType::kSlpReqScope, any(), "parsing",
-                 {Unit::record("scopes", "scopes")});
+  // the native client's request (paper Fig 4's SDP_REQ_ID). Scopes are
+  // consumed without being recorded: the gateway serves every scope.
+  fsm_.add_tuple("parsing", EventType::kSlpReqId, {}, "parsing",
+                 {record(Field::kQueryId)});
+  fsm_.add_tuple("parsing", EventType::kSlpReqPredicate, {}, "parsing",
+                 {record(Field::kPredicate)});
+  fsm_.add_tuple("parsing", EventType::kSlpReqScope, {}, "parsing", {});
 
   open_reply_socket();
 }
@@ -246,8 +244,8 @@ SlpUnit::SlpUnit(transport::Transport& transport, UnitOptions options)
 void SlpUnit::compose_native_request(Session& session) {
   slp::SrvRqst request;
   request.header.xid = free_query_id(next_xid_++);
-  request.service_type = slp_from_canonical(session.var("service_type", "*"));
-  request.predicate = session.var("predicate", "");
+  request.service_type = slp_from_canonical(session.service_type_or("*"));
+  request.predicate = session.predicate;
   request.header.flags |= slp::kFlagRequestMcast;
   // Stamp the PRList so a peer INDISS recognizes this as bridge traffic and
   // does not translate it back (two-node deployments would loop forever).
@@ -262,13 +260,10 @@ void SlpUnit::compose_native_request(Session& session) {
 // URL. The reply is built into slot-reused scratch and encoded into a reused
 // writer, so a warm composer performs no heap allocation before the send.
 void SlpUnit::compose_native_reply(Session& session) {
-  auto xid = static_cast<std::uint16_t>(
-      str::parse_long(session.var("xid", "0"), 0));
   auto& reply = std::get<slp::SrvRply>(compose_scratch_);
-  if (compose_slp_reply(session.events(),
-                        session.var("service_type", "service"), xid,
-                        kReplyLifetimeSeconds, /*attrs_in_url=*/true, reply,
-                        attr_scratch_) == 0) {
+  if (compose_slp_reply(session.events(), session.service_type_or("service"),
+                        session.query_id, kReplyLifetimeSeconds,
+                        /*attrs_in_url=*/true, reply, attr_scratch_) == 0) {
     return;  // nothing found: stay silent
   }
   send_reply(session, slp::encode_into(compose_scratch_, writer_));

@@ -8,7 +8,9 @@
 // is layered on with additional add_tuple calls, which is exactly the
 // customization story of the paper ("customization of a unit with respect to
 // a SDP results from the specific configuration and in particular the
-// embedded FSM").
+// embedded FSM"). Every guard is a core::Guard over the session's Kind,
+// Origin, recorded Fields and the head event's bridge stamp; every action an
+// ActionOp (core/fsm.hpp).
 //
 // States:
 //   idle            start state
@@ -21,85 +23,11 @@
 //   done            accepting
 #pragma once
 
-#include <string>
 #include <string_view>
 
 #include "core/fsm.hpp"
-#include "core/unit.hpp"
 
 namespace indiss::core {
-
-// --- Guard helpers ----------------------------------------------------------
-//
-// Keys are interned when the guard is built, so a step compares symbols and
-// never takes the SymbolTable's lock.
-
-[[nodiscard]] inline Guard kind_is(std::string kind) {
-  return [key = SymbolTable::global().intern("kind"),
-          kind = std::move(kind)](const Event&, const Session& s) {
-    return s.vars.get(key) == kind;
-  };
-}
-
-[[nodiscard]] inline Guard kind_in(std::string a, std::string b) {
-  return [key = SymbolTable::global().intern("kind"), a = std::move(a),
-          b = std::move(b)](const Event&, const Session& s) {
-    std::string_view kind = s.vars.get(key);
-    return kind == a || kind == b;
-  };
-}
-
-[[nodiscard]] inline Guard origin_native() {
-  return [](const Event&, const Session& s) {
-    return s.origin == Session::Origin::kNative;
-  };
-}
-
-[[nodiscard]] inline Guard origin_foreign() {
-  return [](const Event&, const Session& s) {
-    return s.origin == Session::Origin::kPeer ||
-           s.origin == Session::Origin::kLocal;
-  };
-}
-
-[[nodiscard]] inline Guard origin_local() {
-  return [](const Event&, const Session& s) {
-    return s.origin == Session::Origin::kLocal;
-  };
-}
-
-[[nodiscard]] inline Guard has_var(std::string_view key) {
-  return [key = SymbolTable::global().intern(key)](const Event&,
-                                                   const Session& s) {
-    return s.vars.has(key);
-  };
-}
-
-[[nodiscard]] inline Guard lacks_var(std::string_view key) {
-  return [key = SymbolTable::global().intern(key)](const Event&,
-                                                   const Session& s) {
-    return !s.vars.has(key);
-  };
-}
-
-[[nodiscard]] inline Guard all_of(Guard a, Guard b) {
-  return [a = std::move(a), b = std::move(b)](const Event& e,
-                                              const Session& s) {
-    return a(e, s) && b(e, s);
-  };
-}
-
-[[nodiscard]] inline Guard negate(Guard g) {
-  return [g = std::move(g)](const Event& e, const Session& s) {
-    return !g(e, s);
-  };
-}
-
-/// Rewrites a response stream into an advertisement stream (probe mode):
-/// SERVICE_RESPONSE becomes SERVICE_ALIVE so peers treat it as an
-/// advertisement to re-announce. Runs only where the session collected a
-/// native response (a shared stream is never mutated).
-[[nodiscard]] Action response_to_advert();
 
 /// True when a canonical service type names an actual service category —
 /// wildcards ("*", from upnp:rootdevice / ssdp:all) and device UUIDs do not.
@@ -107,14 +35,9 @@ namespace indiss::core {
 /// device/service-type ones are worth translating.
 [[nodiscard]] bool meaningful_advert_type(std::string_view canonical);
 
-struct StandardFsmOptions {
-  /// Emit the generic collect_native -> done (reply_to_origin) transition.
-  /// The UPnP unit turns this off and supplies its description-chasing
-  /// transitions instead.
-  bool direct_native_reply = true;
-};
-
-/// Installs the shared skeleton into `fsm`.
-void build_standard_fsm(StateMachine& fsm, StandardFsmOptions options = {});
+/// Installs the shared skeleton into `fsm`. `direct_native_reply` adds the
+/// generic collect_native -> done transitions (reply_to_origin); the UPnP
+/// unit leaves them out and supplies its description chase instead.
+void build_standard_fsm(StateMachine& fsm, bool direct_native_reply = true);
 
 }  // namespace indiss::core

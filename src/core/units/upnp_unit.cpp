@@ -206,60 +206,54 @@ UpnpUnit::UpnpUnit(transport::Transport& transport, UnitOptions options,
     : Unit(SdpId::kUpnp, transport, std::move(options)), config_(config) {
   register_parser(std::make_unique<SsdpEventParser>());
   register_parser(std::make_unique<UpnpDescriptionParser>());
-  set_default_parser("ssdp");
 
-  StandardFsmOptions fsm_options;
-  fsm_options.direct_native_reply = false;  // description chase instead
-  build_standard_fsm(fsm_, fsm_options);
+  build_standard_fsm(fsm_, /*direct_native_reply=*/false);
 
   using ET = EventType;
+  using enum ActionOp;
+  constexpr std::uint32_t kUrl = bits(Field::kUrl);
+  constexpr std::uint32_t kDescUrl = bits(Field::kDescUrl);
+  constexpr std::uint32_t kLocal = bits(Session::Origin::kLocal);
   // Record what the composer needs from the native side.
-  fsm_.add_tuple("parsing", ET::kUpnpSearchTarget, any(), "parsing",
-                 {Unit::record("st", "st")});
-  fsm_.add_tuple("collect_native", ET::kUpnpDeviceUrlDesc, any(),
-                 "collect_native", {Unit::record("desc_url", "url")});
+  fsm_.add_tuple("parsing", ET::kUpnpSearchTarget, {}, "parsing",
+                 {record(Field::kSt)});
+  fsm_.add_tuple("collect_native", ET::kUpnpDeviceUrlDesc, {},
+                 "collect_native", {record(Field::kDescUrl)});
 
   // The §2.4 coordination: a search response without SDP_RES_SERV_URL forces
   // a recursive description GET; with it (hypothetical richer responder) the
-  // reply can go straight back.
+  // reply can go straight back, as it does once the description named it.
   fsm_.add_tuple("collect_native", ET::kControlStop,
-                 all_of(lacks_var("url"), has_var("desc_url")), "fetching",
-                 {Unit::follow_up()});
+                 {.present = kDescUrl, .absent = kUrl}, "fetching",
+                 {kFollowUp});
   fsm_.add_tuple("collect_native", ET::kControlStop,
-                 all_of(has_var("url"), negate(origin_local())), "done",
-                 {finalize_reply(), Unit::reply_to_origin(), Unit::complete()});
-  fsm_.add_tuple("collect_native", ET::kControlStop,
-                 all_of(has_var("url"), origin_local()), "done",
-                 {finalize_reply(), response_to_advert(),
-                  Unit::dispatch_to_peers(), Unit::complete()});
-  fsm_.add_tuple("collect_native", ET::kControlStop,
-                 all_of(lacks_var("url"), lacks_var("desc_url")), "done",
-                 {Unit::complete()});
+                 {.absent = kUrl | kDescUrl}, "done", {kComplete});
+  for (const char* with_url : {"collect_native", "parsing_desc"}) {
+    fsm_.add_tuple(with_url, ET::kControlStop,
+                   {.origins = kAnyOrigin & ~kLocal, .present = kUrl}, "done",
+                   {kFinalizeReply, kReplyToOrigin, kComplete});
+    fsm_.add_tuple(with_url, ET::kControlStop,
+                   {.origins = kLocal, .present = kUrl}, "done",
+                   {kFinalizeReply, kResponseToAdvert, kDispatchToPeers,
+                    kComplete});
+  }
 
   // Description retrieval: HTTP 200 -> parser switch -> XML events.
-  fsm_.add_tuple("fetching", ET::kControlStart, any(), "parsing_desc", {});
-  fsm_.add_tuple("parsing_desc", ET::kControlParserSwitch, any(),
-                 "parsing_desc", {Unit::do_parser_switch()});
-  fsm_.add_tuple("parsing_desc", ET::kResServUrl, any(), "parsing_desc",
-                 {Unit::record("url", "url"),
-                  Unit::record("url_scheme", "scheme")});
-  fsm_.add_tuple("parsing_desc", ET::kServiceTypeIs, any(), "parsing_desc",
-                 {Unit::record("service_type", "type")});
-  fsm_.add_tuple("parsing_desc", ET::kControlStop,
-                 all_of(has_var("url"), negate(origin_local())), "done",
-                 {finalize_reply(), Unit::reply_to_origin(), Unit::complete()});
-  fsm_.add_tuple("parsing_desc", ET::kControlStop,
-                 all_of(has_var("url"), origin_local()), "done",
-                 {finalize_reply(), response_to_advert(),
-                  Unit::dispatch_to_peers(), Unit::complete()});
+  fsm_.add_tuple("fetching", ET::kControlStart, {}, "parsing_desc", {});
+  fsm_.add_tuple("parsing_desc", ET::kControlParserSwitch, {}, "parsing_desc",
+                 {kParserSwitch});
+  fsm_.add_tuple("parsing_desc", ET::kResServUrl, {}, "parsing_desc",
+                 {record(Field::kUrl), record(Field::kUrlScheme)});
+  fsm_.add_tuple("parsing_desc", ET::kServiceTypeIs, {}, "parsing_desc",
+                 {record(Field::kServiceType)});
   // A stray SSDP response (another device answering the same M-SEARCH) can
   // interleave with the description fetch; without a URL we keep waiting
   // rather than killing the session.
-  fsm_.add_tuple("parsing_desc", ET::kControlStop, lacks_var("url"),
+  fsm_.add_tuple("parsing_desc", ET::kControlStop, {.absent = kUrl},
                  "fetching", {});
   // A device's byebye retires the descriptions fetched from it.
-  fsm_.add_tuple("parsing", ET::kUpnpUsn, kind_is("byebye"), "parsing",
-                 {forget_descriptions()});
+  fsm_.add_tuple("parsing", ET::kUpnpUsn, {.kinds = bits(Kind::kByeBye)},
+                 "parsing", {kForgetDescriptions});
 
   open_reply_socket();
 }
@@ -275,7 +269,7 @@ void UpnpUnit::ensure_http_server() {
 // from the unit's socket.
 void UpnpUnit::compose_native_request(Session& session) {
   upnp::SearchRequest request;
-  request.st = upnp_device_from_canonical(session.var("service_type", "*"));
+  request.st = upnp_device_from_canonical(session.service_type_or("*"));
   request.mx = 1;
   request.user_agent = std::string(kBridgeServer);
 
@@ -300,7 +294,7 @@ void UpnpUnit::query_key(BytesView message, std::string& key) const {
 // device at the same LOCATION within the max-age of the search response
 // that led to the GET re-enters with the kept response instead.
 void UpnpUnit::compose_follow_up(Session& session, const Event&) {
-  std::string_view location = session.var("desc_url");
+  std::string_view location = session.desc_url;
   std::string_view device;
   for (const auto& event : session.events()) {
     if (event.type == EventType::kUpnpUsn) device = udn_of(event.get("usn"));
@@ -328,8 +322,7 @@ void UpnpUnit::compose_follow_up(Session& session, const Event&) {
   Description fetched;
   fetched.location = location;
   fetched.device = device;
-  fetched.expires =
-      now() + transport::seconds(str::parse_long(session.var("ttl"), 0));
+  fetched.expires = now() + transport::seconds(session.ttl_seconds);
   // The HTTP client outlives the unit: guard the callback against a unit
   // detached while the description GET is in flight.
   upnp::http_get(
@@ -368,41 +361,27 @@ void UpnpUnit::keep_description(Description description) {
   }
 }
 
-Action UpnpUnit::forget_descriptions() {
-  return [usn_key = SymbolTable::global().intern("usn")](
-             Unit& unit, const Event& event, Session&) {
-    std::string_view device = udn_of(event.data.get(usn_key));
-    std::erase_if(
-        static_cast<UpnpUnit&>(unit).descriptions_,
-        [&](const Description& kept) { return kept.device == device; });
-  };
-}
-
-Action UpnpUnit::finalize_reply() {
-  return [](Unit& unit, const Event&, Session& session) {
-    static_cast<UpnpUnit&>(unit).do_finalize_reply(session);
-  };
+void UpnpUnit::forget_descriptions(const Event& event) {
+  static const Symbol usn_key = SymbolTable::global().intern("usn");
+  std::string_view device = udn_of(event.data.get(usn_key));
+  std::erase_if(descriptions_, [&](const Description& kept) {
+    return kept.device == device;
+  });
 }
 
 // Rewrite the collected description events into a clean, self-contained
 // reply stream: absolute service URL, canonical type, TTL. Runs only where
 // the session collected the native description (a shared stream is never
 // mutated).
-void UpnpUnit::do_finalize_reply(Session& session) {
-  std::string url(session.var("url"));
+void UpnpUnit::finalize_reply(Session& session) {
+  std::string& url = session.url;
   if (str::starts_with(url, "/")) {
     // Relative control URL: absolutize against the description document's
     // host and port; the paper hands SLP clients a soap:// endpoint.
-    auto base = Uri::parse(session.var("desc_url"));
+    auto base = Uri::parse(session.desc_url);
     if (base.has_value()) {
-      std::string absolute(session.var("url_scheme", "soap"));
-      absolute += "://";
-      absolute += base->host;
-      absolute += ":";
-      absolute += std::to_string(base->port);
-      absolute += url;
-      url = std::move(absolute);
-      session.set_var("url", url);
+      url = (session.has(Field::kUrlScheme) ? session.url_scheme : "soap") +
+            "://" + base->host + ":" + std::to_string(base->port) + url;
     }
   }
 
@@ -412,15 +391,18 @@ void UpnpUnit::do_finalize_reply(Session& session) {
   clean.push_back(Event(EventType::kServiceResponse));
   clean.push_back(Event(EventType::kResOk));
   clean.push_back(Event(EventType::kServiceTypeIs,
-                        {{"type", session.var("service_type", "*")}}));
+                        {{"type", session.service_type_or("*")}}));
   for (const auto& event : session.collected) {
     if (event.type == EventType::kServiceAttr ||
         event.type == EventType::kUpnpUsn) {
       clean.push_back(event);
     }
   }
-  clean.push_back(Event(EventType::kResTtl,
-                        {{"seconds", session.var("ttl", "1800")}}));
+  clean.push_back(Event(
+      EventType::kResTtl,
+      {{"seconds", session.has(Field::kTtl)
+                       ? std::to_string(session.ttl_seconds)
+                       : std::string("1800")}}));
   clean.push_back(Event(EventType::kResServUrl, {{"url", url}}));
   clean.push_back(Event(EventType::kControlStop));
   std::swap(session.collected, clean);
@@ -439,20 +421,20 @@ void UpnpUnit::compose_native_reply(Session& session) {
   // The answered service is held in the store like an advertised one and
   // impersonated as a device. A reply the directory composed is no sign of
   // life: it re-arms nothing, and gets silence once its record is gone.
-  auto [service, fresh] = directory().hold(
-      sdp(), session.var("service_type", "service"), answer, session.events(),
-      now(), session.var("directory_answer") == "1");
+  auto [service, fresh] =
+      directory().hold(sdp(), session.service_type_or("service"), answer,
+                       session.events(), now(), session.directory_answer);
   if (service == nullptr) return;
   std::uint64_t& handle = service->handles[static_cast<std::size_t>(sdp())];
   serve(session, *service, handle);
 
   upnp::SearchResponse response;
   std::string device_type = upnp_device_from_canonical(service->type());
-  std::string st(session.var("st"));
   response.usn = device_usn(handle, device_type);
-  response.st = st.empty() || str::iequals(st, upnp::kSearchTargetAll)
-                    ? std::move(device_type)
-                    : std::move(st);
+  response.st =
+      session.st.empty() || str::iequals(session.st, upnp::kSearchTargetAll)
+          ? std::move(device_type)
+          : session.st;
   response.location = location_of(handle);
   response.server = std::string(kBridgeServer);
   response.serialize_into(ssdp_scratch_);

@@ -108,6 +108,12 @@ class UpnpUnit : public Unit {
                   std::uint64_t& handle, bool fresh) override;
   void forget_bridged(const ServiceDirectory::Record& service,
                       std::uint64_t handle, Forget why) override;
+  /// Rewrites session.collected into a clean, absolute reply stream before
+  /// it is sent back to the origin unit (the finalize step of §2.4).
+  void finalize_reply(Session& session) override;
+  /// Drops the descriptions fetched from the device whose byebye USN
+  /// `event` carries.
+  void forget_descriptions(const Event& event) override;
   [[nodiscard]] transport::Duration network_reply_pacing() const override {
     return config_.search_response_pacing;
   }
@@ -129,9 +135,6 @@ class UpnpUnit : public Unit {
   /// Keeps a fetched description, in the slot of the same LOCATION or, with
   /// the table full, of the least recently used one.
   void keep_description(Description description);
-  /// Drops the descriptions fetched from the device whose byebye `session`
-  /// is parsing.
-  static Action forget_descriptions();
 
   /// Impersonates `service` as a UPnP device the first time it is seen:
   /// numbers the device (the unit's `handle` slot) and routes its generated
@@ -145,10 +148,6 @@ class UpnpUnit : public Unit {
   void notify_alive(const ServiceDirectory::Record& service,
                     std::uint64_t handle);
   void ensure_http_server();
-  /// Rewrites session.collected into a clean, absolute reply stream before
-  /// it is sent back to the origin unit (the finalize step of §2.4).
-  static Action finalize_reply();
-  void do_finalize_reply(Session& session);
 
   Config config_;
   std::unique_ptr<upnp::HttpServer> http_server_;

@@ -65,8 +65,8 @@ Session advert_session(bool byebye, std::string_view type,
   Session session;
   session.id = 1;
   session.origin = Session::Origin::kPeer;
-  session.set_var("kind", byebye ? "byebye" : "alive");
-  session.set_var("service_type", type);
+  session.kind = byebye ? Kind::kByeBye : Kind::kAlive;
+  session.service_type = type;
   session.collected.push_back(Event(EventType::kControlStart));
   session.collected.push_back(Event(byebye ? EventType::kServiceByeBye
                                            : EventType::kServiceAlive));
@@ -462,8 +462,8 @@ TEST_F(TableFixture, MixedZeroTtlAdvertTakesTheFirstNonZeroTtl) {
   Session session;
   session.id = 1;
   session.origin = Session::Origin::kPeer;
-  session.set_var("kind", "alive");
-  session.set_var("service_type", "clock");
+  session.kind = Kind::kAlive;
+  session.service_type = "clock";
   session.collected = sink.stream();
   slp.on_advertisement(session);
   ASSERT_EQ(slp.foreign_services().size(), 1u);

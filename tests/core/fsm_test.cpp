@@ -25,15 +25,18 @@
 namespace indiss::core {
 namespace {
 
-// A minimal concrete unit so actions have a target.
+// A minimal concrete unit so actions have a target; it logs the operations
+// the FSM asks of it.
 struct TestUnit : Unit {
   explicit TestUnit(net::Host& host) : Unit(SdpId::kSlp, host) {}
-  int requests_composed = 0;
-  int replies_composed = 0;
+  std::vector<std::string> performed;
 
  protected:
-  void compose_native_request(Session&) override { ++requests_composed; }
-  void compose_native_reply(Session&) override { ++replies_composed; }
+  void compose_native_request(Session&) override {
+    performed.push_back("request");
+  }
+  void compose_native_reply(Session&) override { performed.push_back("reply"); }
+  void finalize_reply(Session&) override { performed.push_back("finalize"); }
 };
 
 struct FsmFixture : ::testing::Test {
@@ -54,7 +57,7 @@ struct FsmFixture : ::testing::Test {
 TEST_F(FsmFixture, TransitionFiresAndChangesState) {
   StateMachine fsm;
   fsm.set_start("idle");
-  fsm.add_tuple("idle", EventType::kControlStart, any(), "parsing", {});
+  fsm.add_tuple("idle", EventType::kControlStart, {}, "parsing", {});
   session.state = fsm.find_state("idle");
   EXPECT_TRUE(fsm_step(fsm, unit, session, Event(EventType::kControlStart)));
   EXPECT_EQ(state_of(fsm, session), "parsing");
@@ -63,7 +66,7 @@ TEST_F(FsmFixture, TransitionFiresAndChangesState) {
 TEST_F(FsmFixture, NoMatchingTransitionReturnsFalse) {
   StateMachine fsm;
   fsm.set_start("idle");
-  fsm.add_tuple("idle", EventType::kControlStart, any(), "parsing", {});
+  fsm.add_tuple("idle", EventType::kControlStart, {}, "parsing", {});
   session.state = fsm.find_state("idle");
   EXPECT_FALSE(fsm_step(fsm, unit, session, Event(EventType::kResOk)));
   EXPECT_EQ(state_of(fsm, session), "idle");
@@ -72,18 +75,12 @@ TEST_F(FsmFixture, NoMatchingTransitionReturnsFalse) {
 TEST_F(FsmFixture, GuardsSelectAmongTransitions) {
   StateMachine fsm;
   fsm.set_start("s");
-  fsm.add_tuple("s", EventType::kControlStop,
-                [](const Event&, const Session& s) {
-                  return s.var("kind") == "request";
-                },
+  fsm.add_tuple("s", EventType::kControlStop, {.kinds = bits(Kind::kRequest)},
                 "requesting", {});
   fsm.add_tuple("s", EventType::kControlStop,
-                [](const Event&, const Session& s) {
-                  return s.var("kind") != "request";
-                },
-                "other", {});
+                {.kinds = kAnyKind & ~bits(Kind::kRequest)}, "other", {});
   session.state = fsm.find_state("s");
-  session.set_var("kind", "request");
+  session.kind = Kind::kRequest;
   fsm_step(fsm, unit, session, Event(EventType::kControlStop));
   EXPECT_EQ(state_of(fsm, session), "requesting");
 
@@ -93,65 +90,161 @@ TEST_F(FsmFixture, GuardsSelectAmongTransitions) {
   EXPECT_EQ(state_of(fsm, session2), "other");
 }
 
+TEST_F(FsmFixture, EachGuardDimensionGatesItsTransition) {
+  const Event plain(EventType::kServiceRequest);
+  const Event stamped(EventType::kServiceRequest,
+                      {{"server", "INDISS-bridge/1.0"}});
+  Session s;
+  EXPECT_TRUE(Guard{}.admits(plain, s)) << "the default admits all";
+
+  EXPECT_FALSE(Guard{.kinds = bits(Kind::kAlive)}.admits(plain, s));
+  s.kind = Kind::kAlive;
+  EXPECT_TRUE(Guard{.kinds = bits(Kind::kAlive)}.admits(plain, s));
+
+  EXPECT_FALSE(Guard{.origins = bits(Session::Origin::kPeer)}.admits(plain, s));
+  s.origin = Session::Origin::kPeer;
+  EXPECT_TRUE(Guard{.origins = bits(Session::Origin::kPeer)}.admits(plain, s));
+
+  const Guard needs_url{.present = bits(Field::kUrl)};
+  const Guard lacks_url{.absent = bits(Field::kUrl)};
+  EXPECT_FALSE(needs_url.admits(plain, s));
+  EXPECT_TRUE(lacks_url.admits(plain, s));
+  s.recorded |= bits(Field::kUrl);  // recorded, even as an empty string
+  EXPECT_TRUE(needs_url.admits(plain, s));
+  EXPECT_FALSE(lacks_url.admits(plain, s));
+
+  EXPECT_TRUE(Guard{.stamp = Stamp::kStamped}.admits(stamped, s));
+  EXPECT_FALSE(Guard{.stamp = Stamp::kStamped}.admits(plain, s));
+  EXPECT_TRUE(Guard{.stamp = Stamp::kUnstamped}.admits(plain, s));
+  EXPECT_FALSE(Guard{.stamp = Stamp::kUnstamped}.admits(stamped, s));
+}
+
 TEST_F(FsmFixture, NondeterminismIsAnError) {
   StateMachine fsm;
   fsm.set_start("s");
-  fsm.add_tuple("s", EventType::kControlStop, any(), "a", {});
-  fsm.add_tuple("s", EventType::kControlStop, any(), "b", {});
-  session.state = fsm.find_state("s");
-  EXPECT_THROW(fsm_step(fsm, unit, session, Event(EventType::kControlStop)),
+  fsm.add_tuple("s", EventType::kControlStop, {}, "a", {});
+  EXPECT_THROW(fsm.add_tuple("s", EventType::kControlStop, {}, "b", {}),
                std::logic_error);
+}
+
+TEST_F(FsmFixture, AddTupleRejectsAnOverlappingGuardPair) {
+  StateMachine fsm;
+  fsm.set_start("s");
+  const auto add = [&](Guard guard) {
+    fsm.add_tuple("s", EventType::kControlStop, guard, "t", {});
+  };
+  add({.kinds = bits(Kind::kRequest, Kind::kAlive),
+       .origins = bits(Session::Origin::kNative),
+       .present = bits(Field::kUrl),
+       .stamp = Stamp::kUnstamped});
+  // Each pair differs in one dimension only, and overlaps when that
+  // dimension admits a common value.
+  EXPECT_THROW(add({.kinds = bits(Kind::kAlive)}), std::logic_error);
+  EXPECT_THROW(add({.origins = bits(Session::Origin::kNative,
+                                    Session::Origin::kLocal)}),
+               std::logic_error);
+  EXPECT_THROW(add({.present = bits(Field::kDescUrl)}), std::logic_error);
+  EXPECT_THROW(add({.absent = bits(Field::kDescUrl)}), std::logic_error);
+  EXPECT_THROW(add({.stamp = Stamp::kUnstamped}), std::logic_error);
+  EXPECT_EQ(fsm.transition_count(), 1u) << "a rejected tuple is not added";
+
+  // Each of these is disjoint from every guard before it in at least one
+  // dimension.
+  const std::uint32_t native = bits(Session::Origin::kNative);
+  add({.kinds = bits(Kind::kByeBye), .origins = native});
+  add({.origins = bits(Session::Origin::kPeer)});
+  add({.kinds = bits(Kind::kRequest),
+       .origins = native,
+       .absent = bits(Field::kUrl)});
+  add({.kinds = bits(Kind::kRequest),
+       .origins = native,
+       .present = bits(Field::kUrl),
+       .stamp = Stamp::kStamped});
+  // A guard nothing satisfies overlaps nothing.
+  add({.present = bits(Field::kSt), .absent = bits(Field::kSt)});
+  EXPECT_EQ(fsm.transition_count(), 6u);
 }
 
 TEST_F(FsmFixture, ActionsRunInOrder) {
   StateMachine fsm;
   fsm.set_start("s");
-  std::vector<int> order;
-  fsm.add_tuple("s", EventType::kControlStart, any(), "t",
-                {[&](Unit&, const Event&, Session&) { order.push_back(1); },
-                 [&](Unit&, const Event&, Session&) { order.push_back(2); },
-                 [&](Unit&, const Event&, Session&) { order.push_back(3); }});
+  fsm.add_tuple("s", EventType::kControlStart, {}, "t",
+                {ActionOp::kFinalizeReply, ActionOp::kSendNativeReply,
+                 ActionOp::kBeginNativeRequest});
   session.state = fsm.find_state("s");
   fsm_step(fsm, unit, session, Event(EventType::kControlStart));
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(unit.performed,
+            (std::vector<std::string>{"finalize", "reply", "request"}));
+  EXPECT_EQ(unit.stats().messages_composed, 2u);
 }
 
 TEST_F(FsmFixture, RecordActionCopiesEventData) {
   StateMachine fsm;
   fsm.set_start("s");
-  fsm.add_tuple("s", EventType::kNetSourceAddr, any(), "s",
-                {Unit::record("src_addr", "addr")});
+  fsm.add_tuple("s", EventType::kResServUrl, {}, "s",
+                {record(Field::kUrl), record(Field::kUrlScheme)});
+  fsm.add_tuple("s", EventType::kResTtl, {}, "s", {record(Field::kTtl)});
+  fsm.add_tuple("s", EventType::kSlpReqId, {}, "s", {record(Field::kQueryId)});
   session.state = fsm.find_state("s");
   fsm_step(fsm, unit, session,
-           Event(EventType::kNetSourceAddr, {{"addr", "10.0.0.7"}}));
-  EXPECT_EQ(session.var("src_addr"), "10.0.0.7");
+           Event(EventType::kResServUrl,
+                 {{"url", "/control"}, {"scheme", "soap"}}));
+  fsm_step(fsm, unit, session,
+           Event(EventType::kResTtl, {{"seconds", "1800"}}));
+  fsm_step(fsm, unit, session, Event(EventType::kSlpReqId, {{"xid", "77"}}));
+  EXPECT_EQ(session.url, "/control");
+  EXPECT_EQ(session.url_scheme, "soap");
+  EXPECT_EQ(session.ttl_seconds, 1800);
+  EXPECT_EQ(session.query_id, 77);
+  EXPECT_EQ(session.recorded, bits(Field::kUrl, Field::kUrlScheme,
+                                   Field::kTtl, Field::kQueryId));
+  EXPECT_TRUE(session.has(Field::kTtl));
+  EXPECT_FALSE(session.has(Field::kDescUrl));
+
+  // The mDNS question carries its id as "id".
+  StateMachine mdns;
+  mdns.set_start("s");
+  mdns.add_tuple("s", EventType::kMdnsQuestion, {}, "s",
+                 {record(Field::kQname), record(Field::kQueryId)});
+  Session question;
+  fsm_step(mdns, unit, question,
+           Event(EventType::kMdnsQuestion,
+                 {{"name", "_clock._tcp.local"}, {"id", "9"}}));
+  EXPECT_EQ(question.qname, "_clock._tcp.local");
+  EXPECT_EQ(question.query_id, 9);
 }
 
 TEST_F(FsmFixture, RecordSkipsMissingKeys) {
   StateMachine fsm;
   fsm.set_start("s");
-  fsm.add_tuple("s", EventType::kNetSourceAddr, any(), "s",
-                {Unit::record("src_addr", "addr")});
+  fsm.add_tuple("s", EventType::kResServUrl, {}, "s", {record(Field::kUrl)});
   session.state = fsm.find_state("s");
-  fsm_step(fsm, unit, session, Event(EventType::kNetSourceAddr));
-  EXPECT_FALSE(session.has_var("src_addr"));
+  fsm_step(fsm, unit, session, Event(EventType::kResServUrl));
+  EXPECT_FALSE(session.has(Field::kUrl));
+  EXPECT_EQ(session.recorded, 0u);
 }
 
 TEST_F(FsmFixture, SetActionWritesConstant) {
   StateMachine fsm;
   fsm.set_start("s");
-  fsm.add_tuple("s", EventType::kServiceRequest, any(), "s",
-                {Unit::set("kind", "request")});
+  fsm.add_tuple("s", EventType::kServiceRequest, {}, "s",
+                {set_kind(Kind::kRequest)});
   session.state = fsm.find_state("s");
   fsm_step(fsm, unit, session, Event(EventType::kServiceRequest));
-  EXPECT_EQ(session.var("kind"), "request");
+  EXPECT_EQ(session.kind, Kind::kRequest);
+}
+
+TEST(FsmActions, EveryOpcodeHasItsName) {
+  EXPECT_EQ(action_name(ActionOp::kSetKind), "set_kind");
+  EXPECT_EQ(action_name(ActionOp::kDispatchToPeers), "dispatch_to_peers");
+  EXPECT_EQ(action_name(ActionOp::kComplete), "complete");
 }
 
 TEST_F(FsmFixture, AcceptingStatesAndIntrospection) {
   StateMachine fsm;
   fsm.set_start("idle");
   fsm.add_accepting("done");
-  fsm.add_tuple("idle", EventType::kControlStart, any(), "done", {});
+  fsm.add_tuple("idle", EventType::kControlStart, {}, "done", {});
   EXPECT_TRUE(fsm.is_accepting("done"));
   EXPECT_FALSE(fsm.is_accepting("idle"));
   EXPECT_EQ(fsm.transition_count(), 1u);
@@ -163,7 +256,7 @@ TEST_F(FsmFixture, AcceptingStatesAndIntrospection) {
 TEST_F(FsmFixture, EmptyStateInitializedToStart) {
   StateMachine fsm;
   fsm.set_start("begin");
-  fsm.add_tuple("begin", EventType::kControlStart, any(), "next", {});
+  fsm.add_tuple("begin", EventType::kControlStart, {}, "next", {});
   Session fresh;  // kNoState
   fsm_step(fsm, unit, fresh, Event(EventType::kControlStart));
   EXPECT_EQ(state_of(fsm, fresh), "next");
@@ -176,12 +269,14 @@ TEST_F(FsmFixture, NondeterminismIsCaughtOnlyWithinOneCell) {
   fsm.set_start("s");
   // Always-enabled transitions in different cells never compete: another
   // trigger from the same state, or the same trigger from another state.
-  fsm.add_tuple("s", EventType::kControlStart, any(), "a", {});
-  fsm.add_tuple("s", EventType::kControlStop, any(), "b", {});
-  fsm.add_tuple("t", EventType::kControlStart, any(), "c", {});
+  fsm.add_tuple("s", EventType::kControlStart, {}, "a", {});
+  fsm.add_tuple("s", EventType::kControlStop, {}, "b", {});
+  fsm.add_tuple("t", EventType::kControlStart, {}, "c", {});
   // One cell, exclusive guards: deterministic.
-  fsm.add_tuple("s", EventType::kServiceRequest, kind_is("request"), "d", {});
-  fsm.add_tuple("s", EventType::kServiceRequest, kind_is("alive"), "e", {});
+  fsm.add_tuple("s", EventType::kServiceRequest,
+                {.kinds = bits(Kind::kRequest)}, "d", {});
+  fsm.add_tuple("s", EventType::kServiceRequest, {.kinds = bits(Kind::kAlive)},
+                "e", {});
 
   const StateId s = fsm.find_state("s");
   const StateId t = fsm.find_state("t");
@@ -194,16 +289,20 @@ TEST_F(FsmFixture, NondeterminismIsCaughtOnlyWithinOneCell) {
   EXPECT_EQ(fsm.state_name(fsm.match(t, Event(EventType::kControlStart),
                                      session)->to),
             "c");
-  session.set_var("kind", "alive");
+  session.kind = Kind::kAlive;
   EXPECT_EQ(fsm.state_name(fsm.match(s, Event(EventType::kServiceRequest),
                                      session)->to),
             "e");
+  session.kind = Kind::kByeBye;
+  EXPECT_EQ(fsm.match(s, Event(EventType::kServiceRequest), session),
+            nullptr);
 
-  // The same cell with both guards enabled is the programming error.
-  fsm.add_tuple("s", EventType::kServiceRequest, has_var("kind"), "f", {});
-  EXPECT_THROW((void)fsm.match(s, Event(EventType::kServiceRequest), session),
+  // A third guard of the same cell that both others' kinds reach is the
+  // programming error, caught when the machine is built.
+  EXPECT_THROW(fsm.add_tuple("s", EventType::kServiceRequest, {}, "f", {}),
                std::logic_error);
-  session.set_var("kind", "other");
+  fsm.add_tuple("s", EventType::kServiceRequest,
+                {.kinds = bits(Kind::kByeBye)}, "f", {});
   EXPECT_EQ(fsm.state_name(fsm.match(s, Event(EventType::kServiceRequest),
                                      session)->to),
             "f");
@@ -212,7 +311,7 @@ TEST_F(FsmFixture, NondeterminismIsCaughtOnlyWithinOneCell) {
 TEST_F(FsmFixture, TriggerWithoutCellReturnsNoTransition) {
   StateMachine fsm;
   fsm.set_start("s");
-  fsm.add_tuple("s", EventType::kControlStart, any(), "t", {});
+  fsm.add_tuple("s", EventType::kControlStart, {}, "t", {});
   const StateId s = fsm.find_state("s");
   EXPECT_EQ(fsm.match(s, Event(EventType::kResOk), session), nullptr);
   // "t" has no cells at all; kNoState and ids the machine never gave name
@@ -226,26 +325,6 @@ TEST_F(FsmFixture, TriggerWithoutCellReturnsNoTransition) {
             nullptr);
   EXPECT_EQ(fsm.find_state("never-named"), kNoState);
   EXPECT_EQ(fsm.state_name(kNoState), "");
-}
-
-TEST_F(FsmFixture, GuardsOfACellRunInAddOrderAndOthersNever) {
-  StateMachine fsm;
-  fsm.set_start("s");
-  std::vector<int> evaluated;
-  auto probe = [&](int id, bool enabled) -> Guard {
-    return [&evaluated, id, enabled](const Event&, const Session&) {
-      evaluated.push_back(id);
-      return enabled;
-    };
-  };
-  fsm.add_tuple("s", EventType::kControlStop, probe(1, false), "a", {});
-  fsm.add_tuple("s", EventType::kControlStart, probe(2, true), "b", {});
-  fsm.add_tuple("t", EventType::kControlStop, probe(3, true), "c", {});
-  fsm.add_tuple("s", EventType::kControlStop, probe(4, true), "d", {});
-  session.state = fsm.find_state("s");
-  ASSERT_TRUE(fsm_step(fsm, unit, session, Event(EventType::kControlStop)));
-  EXPECT_EQ(state_of(fsm, session), "d");
-  EXPECT_EQ(evaluated, (std::vector<int>{1, 4}));
 }
 
 // The units' machines keep the shape their add_tuple calls give them: the
@@ -287,8 +366,8 @@ TEST(CompiledFsm, UnitMachinesKeepTheirTransitionsAndStates) {
 // --- Shared feeding -------------------------------------------------------
 //
 // A session stepped through a peer's SharedStream in place must end exactly
-// where one fed a copy of the same events ends: same state, vars, counters
-// and composed wire, for every unit.
+// where one fed a copy of the same events ends: same state, recorded fields,
+// counters and composed wire, for every unit.
 
 template <typename U>
 struct Feedable : U {
@@ -303,7 +382,7 @@ enum class Feed { kCopy, kShared };
 /// Everything observable after a stream was fed.
 struct FeedOutcome {
   std::string state;
-  std::vector<std::string> vars;
+  std::vector<std::string> fields;
   std::uint64_t events_emitted = 0;
   std::uint64_t events_ignored = 0;
   std::uint64_t messages_composed = 0;
@@ -315,8 +394,8 @@ struct FeedOutcome {
 std::ostream& operator<<(std::ostream& os, const FeedOutcome& o) {
   os << o.state << " emitted=" << o.events_emitted
      << " ignored=" << o.events_ignored
-     << " composed=" << o.messages_composed << " vars:";
-  for (const auto& v : o.vars) os << " " << v;
+     << " composed=" << o.messages_composed << " fields:";
+  for (const auto& f : o.fields) os << " " << f;
   os << " wire:";
   for (const auto& w : o.wire) os << " [" << w << "]";
   return os;
@@ -446,6 +525,22 @@ void feed(Feedable<U>& unit, Session& session, const EventStream& stream,
   }
 }
 
+/// A session's recorded state, field by field.
+std::vector<std::string> fields_of(const Session& s) {
+  return {"kind=" + std::to_string(static_cast<int>(s.kind)),
+          "service_type=" + s.service_type,
+          "url=" + s.url,
+          "url_scheme=" + s.url_scheme,
+          "desc_url=" + s.desc_url,
+          "st=" + s.st,
+          "predicate=" + s.predicate,
+          "qname=" + s.qname,
+          "ttl=" + std::to_string(s.ttl_seconds),
+          "query_id=" + std::to_string(s.query_id),
+          "directory_answer=" + std::to_string(s.directory_answer),
+          "recorded=" + std::to_string(s.recorded)};
+}
+
 template <typename U>
 FeedOutcome outcome_of(FeedWorld& world, Feedable<U>& unit,
                        std::uint64_t session_id) {
@@ -453,9 +548,7 @@ FeedOutcome outcome_of(FeedWorld& world, Feedable<U>& unit,
   const Session* session = unit.find_session(session_id);
   if (session != nullptr) {
     out.state = unit.state_machine().state_name(session->state);
-    session->vars.for_each([&](std::string_view k, std::string_view v) {
-      out.vars.push_back(std::string(k) + "=" + std::string(v));
-    });
+    out.fields = fields_of(*session);
   }
   out.events_emitted = unit.stats().events_emitted;
   out.events_ignored = unit.stats().events_ignored;
@@ -545,6 +638,47 @@ TEST(SharedFeeding, SessionKeepsTheSharedStreamUntilANativeStart) {
   EXPECT_EQ(&session.events(), stream.get()) << "read in place, not copied";
   EXPECT_EQ(session.collected.size(),
             native_request_stream(SdpId::kSlp).size());
+}
+
+// --- Session reuse ----------------------------------------------------------
+
+TEST(SessionReuse, NodeReusedAfterADirectoryAnsweredUpnpQueryStartsAtDefaults) {
+  FeedWorld world;
+  ServiceDirectory::Config config;
+  config.answer_queries = true;
+  UnitOptions options;
+  options.directory = std::make_shared<ServiceDirectory>(config);
+  ASSERT_NE(options.directory->record_advertisement(
+                SdpId::kSlp, peer_alive_stream(), world.gateway.now()),
+            0u);
+  Feedable<UpnpUnit> unit(world.gateway, options);
+
+  Session& session = unit.open_session(Session::Origin::kNative);
+  const std::uint64_t id = session.id;
+  for (const Event& event : native_request_stream(SdpId::kUpnp)) {
+    unit.feed_event(session, event);
+  }
+  ASSERT_TRUE(session.directory_answer);
+  EXPECT_FALSE(session.st.empty());
+  EXPECT_NE(session.recorded, 0u);
+  const Session* answered = &session;
+  world.scheduler.run_for(sim::seconds(1));
+  ASSERT_EQ(world.wire.size(), 1u) << "the search response";
+  EXPECT_EQ(unit.find_session(id), nullptr) << "answered and retired";
+
+  Session& reused = unit.open_session(Session::Origin::kPeer);
+  ASSERT_EQ(&reused, answered) << "the retired node is reused";
+  const Session fresh;
+  EXPECT_EQ(fields_of(reused), fields_of(fresh));
+  EXPECT_EQ(reused.origin_session, 0u);
+  EXPECT_TRUE(reused.collected.empty());
+  EXPECT_EQ(reused.shared, nullptr);
+  EXPECT_FALSE(reused.source.has_value());
+  EXPECT_FALSE(reused.from_local_host);
+  EXPECT_FALSE(reused.multicast);
+  EXPECT_FALSE(reused.done);
+  EXPECT_FALSE(reused.open_query.has_value());
+  EXPECT_NE(reused.parser, nullptr) << "every session starts parsing";
 }
 
 }  // namespace

@@ -411,7 +411,7 @@ TEST_P(IdRouting, TwoConcurrentSessionsEachGetOnlyTheirOwnReply) {
   EXPECT_EQ(session_of(2), nullptr) << "the second query completed";
   Session* waiting = session_of(1);
   ASSERT_NE(waiting, nullptr) << "the first is still open";
-  EXPECT_FALSE(waiting->has_var("url")) << "and saw no answer";
+  EXPECT_FALSE(waiting->has(Field::kUrl)) << "and saw no answer";
 
   answer(first);
   scheduler.run_for(sim::millis(100));

@@ -264,8 +264,8 @@ Session foreign_alive_session(std::string_view type, std::string_view url,
   Session session;
   session.id = 1;
   session.origin = Session::Origin::kPeer;
-  session.set_var("kind", "alive");
-  session.set_var("service_type", type);
+  session.kind = Kind::kAlive;
+  session.service_type = type;
   session.collected.push_back(Event(EventType::kControlStart));
   session.collected.push_back(Event(EventType::kServiceAlive));
   session.collected.push_back(

@@ -927,8 +927,8 @@ TEST_F(HttpGolden, UnitImpersonatedDeviceResponseBytes) {
   core::Session session;
   session.id = 1;
   session.origin = core::Session::Origin::kPeer;
-  session.set_var("kind", "alive");
-  session.set_var("service_type", "clock");
+  session.kind = core::Kind::kAlive;
+  session.service_type = "clock";
   session.collected.push_back(core::Event(core::EventType::kControlStart));
   session.collected.push_back(core::Event(core::EventType::kServiceAlive));
   session.collected.push_back(core::Event(
